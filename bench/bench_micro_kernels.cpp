@@ -418,6 +418,38 @@ benchSchedulerThroughput()
         record("scheduler_throughput_" + std::to_string(lanes), 6, ns,
                ref);
     }
+
+    // The same sweep drained end to end by one in-process WorkerDaemon
+    // on one lane — claims, shard appends, telemetry beats and the
+    // final compaction on the clock. dist_e2e_ns_job_1 is ns per job,
+    // with the 1-lane scheduler's ns per job as ref (so the speedup
+    // column is the fleet's per-job overhead as a ratio);
+    // dist_fsyncs_job is durable fsyncs per drained job from the io.*
+    // counters (a count, not ns).
+    ThreadPool::global().resize(1);
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path()
+        / ("treevqa_bench_e2e_" + localWorkerId());
+    std::filesystem::remove_all(root);
+    const Counter &fsyncs =
+        MetricsRegistry::instance().counter("io.durable_fsyncs");
+    int drains = 0;
+    std::uint64_t drain_fsyncs = 0;
+    const double drain_ns = timeNs([&] {
+        const std::filesystem::path dir = root / std::to_string(drains++);
+        std::filesystem::create_directories(dir);
+        WorkerOptions options;
+        options.sweepDir = dir.string();
+        options.workerId = "bench";
+        const std::uint64_t before = fsyncs.total();
+        WorkerDaemon(options).run(specs);
+        drain_fsyncs += fsyncs.total() - before;
+    });
+    std::filesystem::remove_all(root);
+    const double jobs = static_cast<double>(specs.size());
+    record("dist_e2e_ns_job_1", 6, drain_ns / jobs, ref / jobs);
+    record("dist_fsyncs_job", 0,
+           static_cast<double>(drain_fsyncs) / (drains * jobs), 0.0);
     ThreadPool::global().resize(0); // back to the machine default
 }
 

@@ -1,6 +1,7 @@
 #include "common/event_log.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -24,6 +25,15 @@ struct EventMetrics
     Counter &flushFailures;
     Counter &droppedLines;
 };
+
+/** Decimal int64, as JsonValue::dump() writes integers. */
+void
+appendInt(std::string &out, std::int64_t value)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    out.append(buf, res.ptr);
+}
 
 EventMetrics &
 eventMetrics()
@@ -70,7 +80,7 @@ quarantineEventLine(const std::string &journalPath,
         envelope.set("reason", JsonValue(reason));
         envelope.set("content", JsonValue(line));
         appendTextDurable((dir / journal.filename()).string(),
-                          envelope.dump() + "\n");
+                          envelope.dump() + "\n", Durability::BestEffort);
         std::fprintf(stderr,
                      "treevqa: quarantined corrupt event line %s:%zu "
                      "(%s)\n",
@@ -233,19 +243,6 @@ HlcClock::last() const
 
 // ------------------------------------------------------------ events
 
-JsonValue
-eventToJson(const SweepEvent &event)
-{
-    JsonValue out = JsonValue::object();
-    out.set("hlc", hlcToJson(event.hlc));
-    out.set("type", JsonValue(event.type));
-    out.set("worker", JsonValue(event.worker));
-    out.set("job", JsonValue(event.job));
-    out.set("detail", event.detail.isObject() ? event.detail
-                                              : JsonValue::object());
-    return out;
-}
-
 bool
 decodeEventLine(const std::string &line, SweepEvent &event,
                 std::string *reason)
@@ -335,24 +332,43 @@ EventLog::emit(const std::string &type, const std::string &job,
     std::lock_guard<std::mutex> lock(mutex_);
     if (path_.empty())
         return Hlc{};
-    SweepEvent event;
-    event.hlc = HlcClock::instance().tick();
-    event.hlc.origin = origin_;
-    event.type = type;
-    event.worker = workerId_;
-    event.job = job;
-    event.detail = std::move(detail);
+    Hlc stamp = HlcClock::instance().tick();
+    stamp.origin = origin_;
 
-    JsonValue line = eventToJson(event);
-    const std::string body = line.dump();
-    line.set("crc", JsonValue(crc32Hex(body)));
-    buffer_ += line.dump();
-    buffer_ += '\n';
+    // Serialize once, straight into the line: this is the canonical
+    // compact dump of {hlc, type, worker, job, detail} — exactly what
+    // decodeEventLine re-dumps to check the CRC — without building a
+    // JsonValue tree first (that cost most of an emit). The CRC
+    // covers the body; the "crc" member is spliced over its closing
+    // brace, the bytes set("crc") + dump() would give.
+    std::string body;
+    body.reserve(160);
+    body += "{\"hlc\":{\"wall\":";
+    appendInt(body, stamp.wallMs);
+    body += ",\"ctr\":";
+    appendInt(body, stamp.counter);
+    body += ",\"origin\":";
+    jsonAppendString(body, stamp.origin);
+    body += "},\"type\":";
+    jsonAppendString(body, type);
+    body += ",\"worker\":";
+    jsonAppendString(body, workerId_);
+    body += ",\"job\":";
+    jsonAppendString(body, job);
+    body += ",\"detail\":";
+    body += detail.isObject() && !detail.asObject().empty()
+        ? detail.dump()
+        : "{}";
+    buffer_ += body;
+    buffer_ += ",\"crc\":\"";
+    body += '}';
+    buffer_ += crc32Hex(body);
+    buffer_ += "\"}\n";
     ++bufferedLines_;
     eventMetrics().emitted.inc();
     if (bufferedLines_ >= kAutoFlushLines)
         flushLocked();
-    return event.hlc;
+    return stamp;
 }
 
 bool
@@ -382,13 +398,14 @@ EventLog::flushLocked()
             }
             if (hit.action == FaultAction::TornWrite) {
                 appendTextDurable(
-                    path_, batch.substr(0, hit.tornPrefix(
-                                               batch.size())));
+                    path_,
+                    batch.substr(0, hit.tornPrefix(batch.size())),
+                    Durability::BestEffort);
                 eventMetrics().flushes.inc();
                 return true; // writer believes it succeeded
             }
         }
-        appendTextDurable(path_, batch);
+        appendTextDurable(path_, batch, Durability::BestEffort);
         eventMetrics().flushes.inc();
         return true;
     } catch (const std::exception &) {

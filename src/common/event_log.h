@@ -22,13 +22,14 @@
  *
  * Journals are observability, not coordination — the same contract as
  * health snapshots and metrics dumps: emitting buffers in memory
- * (sub-microsecond; see bench `event_append`), flushing appends
- * durably via appendTextDurable with each line CRC-stamped, and a
- * flush failure (fault site "event.append") drops the batch instead
- * of crashing the protocol. Readers validate every line's CRC and
- * quarantine torn or corrupt lines — once per (journal, line,
- * content) per process — under `<sweep>/events/quarantine/`, exactly
- * the store discipline of PR 6.
+ * (sub-microsecond; see bench `event_append`), flushing appends the
+ * batch best-effort (no fsync: a flushed batch survives SIGKILL, a
+ * power loss can lose at most the last flush cadence) with each line
+ * CRC-stamped, and a flush failure (fault site "event.append") drops
+ * the batch instead of crashing the protocol. Readers validate every
+ * line's CRC and quarantine torn or corrupt lines — once per
+ * (journal, line, content) per process — under
+ * `<sweep>/events/quarantine/`, exactly the result store's discipline.
  */
 
 #ifndef TREEVQA_COMMON_EVENT_LOG_H
@@ -153,10 +154,6 @@ struct SweepEvent
     JsonValue detail = JsonValue::object();
 };
 
-/** Canonical JSON of one event (no CRC member — the journal writer
- * stamps that over this serialization). */
-JsonValue eventToJson(const SweepEvent &event);
-
 /** Validate + decode one journal line (JSON parse → CRC check →
  * field decode). On failure `reason` (when non-null) receives why. */
 bool decodeEventLine(const std::string &line, SweepEvent &event,
@@ -165,11 +162,12 @@ bool decodeEventLine(const std::string &line, SweepEvent &event,
 // --------------------------------------------------------- journal writer
 
 /**
- * Buffered, append-durable journal for this process's events.
+ * Buffered, append-only journal for this process's events.
  * Processes use the singleton `EventLog::instance()`, opened once
  * against the sweep directory; tests may hold private instances.
  * emit() is cheap (stamp + serialize + buffer under one mutex) and
- * safe from any thread; flush() appends the buffered batch durably.
+ * safe from any thread; flush() appends the buffered batch
+ * (best-effort: no fsync).
  * Everything is best-effort by contract — an unopened log ignores
  * emits, and a failed flush (fault site "event.append") drops the
  * batch and reports false rather than throwing into protocol code.
@@ -207,7 +205,7 @@ class EventLog
     Hlc emit(const std::string &type, const std::string &job = "",
              JsonValue detail = JsonValue::object());
 
-    /** Append the buffered batch durably. True when nothing was
+    /** Append the buffered batch (no fsync). True when nothing was
      * buffered or the append succeeded; false (batch dropped) on an
      * injected or real append failure. */
     bool flush();

@@ -14,10 +14,64 @@
 #include <unistd.h>
 
 #include "common/fault_injection.h"
+#include "common/metrics.h"
 
 namespace treevqa {
 
 namespace {
+
+/** The io.* instruments (see the header comment). */
+struct IoMetrics
+{
+    Counter &durableOpens;
+    Counter &bestEffortOpens;
+    Counter &readOpens;
+    Counter &durableRenames;
+    Counter &bestEffortRenames;
+    Counter &durableFsyncs;
+    Histogram &fsyncNs;
+
+    Counter &
+    opens(Durability durability)
+    {
+        return durability == Durability::Durable ? durableOpens
+                                                 : bestEffortOpens;
+    }
+    Counter &
+    renames(Durability durability)
+    {
+        return durability == Durability::Durable ? durableRenames
+                                                 : bestEffortRenames;
+    }
+};
+
+IoMetrics &
+ioMetrics()
+{
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    static IoMetrics m{reg.counter("io.durable_opens"),
+                       reg.counter("io.best_effort_opens"),
+                       reg.counter("io.read_opens"),
+                       reg.counter("io.durable_renames"),
+                       reg.counter("io.best_effort_renames"),
+                       reg.counter("io.durable_fsyncs"),
+                       reg.histogram("io.fsync_ns")};
+    return m;
+}
+
+/** One real fsync(2), counted and timed. */
+int
+timedFsync(int fd)
+{
+    const auto start = std::chrono::steady_clock::now();
+    const int rc = ::fsync(fd);
+    ioMetrics().fsyncNs.observe(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+    ioMetrics().durableFsyncs.inc();
+    return rc;
+}
 
 /** Bounded exponential backoff for transient errnos: EINTR retries
  * immediately, the rest wait 1, 2, 4, ... ms up to six retries (~63 ms
@@ -47,7 +101,7 @@ throwErrno(const std::string &what, int err)
  * Returns -1 with errno set once the retry budget is exhausted. */
 int
 openRetry(const char *site, const std::string &path, int flags,
-          mode_t mode = 0644)
+          Counter &opens, mode_t mode = 0644)
 {
     int attempt = 0;
     for (;;) {
@@ -58,6 +112,7 @@ openRetry(const char *site, const std::string &path, int flags,
             fd = -1;
         } else {
             fd = ::open(path.c_str(), flags, mode);
+            opens.inc();
         }
         if (fd >= 0)
             return fd;
@@ -96,7 +151,7 @@ fsyncRetry(const char *site, int fd, const std::string &path)
             errno = hit.err;
             rc = -1;
         } else {
-            rc = ::fsync(fd);
+            rc = timedFsync(fd);
         }
         if (rc == 0)
             return;
@@ -126,7 +181,8 @@ isTransientErrno(int err)
 bool
 readTextFile(const std::string &path, std::string &out)
 {
-    const int fd = openRetry("file.read", path, O_RDONLY);
+    const int fd =
+        openRetry("file.read", path, O_RDONLY, ioMetrics().readOpens);
     if (fd < 0)
         return false;
     std::string buffer;
@@ -152,7 +208,8 @@ readTextFile(const std::string &path, std::string &out)
 }
 
 void
-writeTextFileAtomic(const std::string &path, const std::string &content)
+writeTextFileAtomic(const std::string &path, const std::string &content,
+                    Durability durability)
 {
     // The temp name is unique per writer — pid across processes, a
     // counter across threads of one process (concurrent in-process
@@ -173,16 +230,19 @@ writeTextFileAtomic(const std::string &path, const std::string &content)
             stage_size = hit.tornPrefix(stage_size);
     }
 
+    const bool durable = durability == Durability::Durable;
     const int fd =
         openRetry("file.write_atomic.open", tmp,
-                  O_CREAT | O_TRUNC | O_WRONLY);
+                  O_CREAT | O_TRUNC | O_WRONLY,
+                  ioMetrics().opens(durability));
     if (fd < 0)
         throwErrno("file: cannot write " + tmp, errno);
     try {
         writeFully(fd, tmp, stage_data, stage_size);
-        // fsync before rename: the rename must never make visible a
-        // file whose bytes are still only in the page cache.
-        fsyncRetry("file.write_atomic.fsync", fd, tmp);
+        // Durable: fsync before rename, so the rename never makes
+        // visible a file whose bytes are still only in the page cache.
+        if (durable)
+            fsyncRetry("file.write_atomic.fsync", fd, tmp);
     } catch (...) {
         ::close(fd);
         ::unlink(tmp.c_str());
@@ -200,6 +260,7 @@ writeTextFileAtomic(const std::string &path, const std::string &content)
             rc = -1;
         } else {
             rc = std::rename(tmp.c_str(), path.c_str());
+            ioMetrics().renames(durability).inc();
         }
         if (rc == 0)
             break;
@@ -210,19 +271,22 @@ writeTextFileAtomic(const std::string &path, const std::string &content)
         }
     }
 
-    // fsync the parent directory after rename so the new directory
-    // entry (and the unlink of the replaced file) is durable.
-    fsyncDirectory(
-        std::filesystem::path(path).parent_path().string());
+    // Durable: fsync the parent directory after rename so the new
+    // directory entry (and the unlink of the replaced file) is too.
+    if (durable)
+        fsyncDirectory(
+            std::filesystem::path(path).parent_path().string());
 }
 
 void
-appendTextDurable(const std::string &path, const std::string &data)
+appendTextDurable(const std::string &path, const std::string &data,
+                  Durability durability)
 {
     // O_RDWR (not O_WRONLY) so the torn-line probe below can pread the
     // current last byte through the same descriptor.
     const int fd = openRetry("file.append", path,
-                             O_RDWR | O_CREAT | O_APPEND);
+                             O_RDWR | O_CREAT | O_APPEND,
+                             ioMetrics().opens(durability));
     if (fd < 0)
         throwErrno("file: cannot append to " + path, errno);
     try {
@@ -236,7 +300,8 @@ appendTextDurable(const std::string &path, const std::string &data)
                 writeFully(fd, path, "\n", 1);
         }
         writeFully(fd, path, data.data(), data.size());
-        fsyncRetry("file.append.fsync", fd, path);
+        if (durability == Durability::Durable)
+            fsyncRetry("file.append.fsync", fd, path);
     } catch (...) {
         ::close(fd);
         throw;
@@ -259,13 +324,12 @@ tryCreateExclusiveText(const std::string &path,
                 hit.action == FaultAction::FailErrno) {
                 errno = hit.err;
                 fd = -1;
-            } else if (hit.action == FaultAction::TornWrite) {
-                size = hit.tornPrefix(size);
-                fd = ::open(path.c_str(),
-                            O_CREAT | O_EXCL | O_WRONLY, 0644);
             } else {
+                if (hit.action == FaultAction::TornWrite)
+                    size = hit.tornPrefix(size);
                 fd = ::open(path.c_str(),
                             O_CREAT | O_EXCL | O_WRONLY, 0644);
+                ioMetrics().bestEffortOpens.inc();
             }
             if (fd >= 0)
                 break;
@@ -295,7 +359,7 @@ fsyncDirectory(const std::string &dirPath)
     const std::string dir = dirPath.empty() ? "." : dirPath;
     const int fd =
         openRetry("file.write_atomic.diropen", dir,
-                  O_RDONLY | O_DIRECTORY);
+                  O_RDONLY | O_DIRECTORY, ioMetrics().durableOpens);
     if (fd < 0) {
         // A directory we just successfully renamed into but cannot
         // re-open read-only is exotic enough to surface.
@@ -310,7 +374,7 @@ fsyncDirectory(const std::string &dirPath)
             errno = hit.err;
             rc = -1;
         } else {
-            rc = ::fsync(fd);
+            rc = timedFsync(fd);
         }
         if (rc == 0)
             break;
@@ -330,22 +394,39 @@ fsyncDirectory(const std::string &dirPath)
 
 namespace {
 
-/** CRC-32 lookup table for the reflected IEEE 802.3 polynomial
- * 0xedb88320 (the zlib CRC), built once. */
-const std::array<std::uint32_t, 256> &
-crc32Table()
+/** Slicing-by-8 tables for the reflected IEEE 802.3 polynomial
+ * 0xedb88320 (the zlib CRC), built once: table[0] is the classic
+ * byte-at-a-time table, table[k] advances a byte through k more zero
+ * bytes, so eight lookups fold eight input bytes per step. */
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const Crc32Tables &
+crc32Tables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const Crc32Tables tables = [] {
+        Crc32Tables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (std::size_t k = 1; k < 8; ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
         return t;
     }();
-    return table;
+    return tables;
+}
+
+/** Little-endian 32-bit load (one mov on x86). */
+std::uint32_t
+loadLe32(const unsigned char *p)
+{
+    return static_cast<std::uint32_t>(p[0])
+        | static_cast<std::uint32_t>(p[1]) << 8
+        | static_cast<std::uint32_t>(p[2]) << 16
+        | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -353,20 +434,32 @@ crc32Table()
 std::uint32_t
 crc32(const std::string &data)
 {
-    const auto &table = crc32Table();
+    const Crc32Tables &t = crc32Tables();
+    const auto *p = reinterpret_cast<const unsigned char *>(data.data());
+    std::size_t n = data.size();
     std::uint32_t crc = 0xffffffffu;
-    for (const char ch : data)
-        crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu]
-            ^ (crc >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const std::uint32_t lo = loadLe32(p) ^ crc;
+        const std::uint32_t hi = loadLe32(p + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu]
+            ^ t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24]
+            ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu]
+            ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
 
 std::string
 crc32Hex(const std::string &data)
 {
-    char out[9];
-    std::snprintf(out, sizeof(out), "%08x", crc32(data));
-    return std::string(out);
+    static constexpr char kDigits[] = "0123456789abcdef";
+    const std::uint32_t crc = crc32(data);
+    std::string out(8, '0');
+    for (int i = 7, shift = 0; i >= 0; --i, shift += 4)
+        out[static_cast<std::size_t>(i)] = kDigits[(crc >> shift) & 0xfu];
+    return out;
 }
 
 std::int64_t

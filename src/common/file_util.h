@@ -9,13 +9,27 @@
  * Every syscall loop retries EINTR immediately and other transient
  * errnos (EAGAIN, EBUSY, ENFILE, EMFILE, ESTALE) with bounded
  * exponential backoff, so a flaky or briefly-overloaded filesystem
- * degrades to latency, not to a crashed worker. Durable writes fsync
- * the file before rename and the parent directory after, so a
- * power-loss cannot roll a committed checkpoint or store back to an
- * empty file. All of these paths carry named fault sites
+ * degrades to latency, not to a crashed worker.
+ *
+ * Every write names its Durability class. A durable write fsyncs the
+ * file (and, for an atomic replace, the parent directory after the
+ * rename), so a power loss cannot roll a committed result, checkpoint
+ * or compacted store back; a best-effort write keeps the atomicity and
+ * torn-line sealing but skips both fsyncs — it survives a SIGKILL (the
+ * page cache outlives the process) and only a power loss or kernel
+ * crash can lose it. All of these paths carry named fault sites
  * (common/fault_injection.h): `file.read`, `file.write_atomic.stage`,
- * `file.write_atomic.fsync`, `file.write_atomic.rename`,
- * `file.write_atomic.dirsync`, `file.create_exclusive`, `file.append`.
+ * `file.write_atomic.open`, `file.write_atomic.fsync`,
+ * `file.write_atomic.rename`, `file.write_atomic.diropen`,
+ * `file.write_atomic.dirsync`, `file.create_exclusive`,
+ * `file.append`, `file.append.fsync`; best-effort writes never reach
+ * the fsync sites.
+ *
+ * Every open, rename and fsync feeds the metrics registry
+ * (common/metrics.h): `io.{durable,best_effort,read}_opens`,
+ * `io.{durable,best_effort}_renames`, `io.durable_fsyncs` (file and
+ * directory fsyncs; best-effort writes make none) and the
+ * `io.fsync_ns` latency histogram.
  *
  * All paths are plain std::string; errors surface as std::runtime_error
  * except where a boolean outcome is part of the protocol (a lost
@@ -30,6 +44,18 @@
 
 namespace treevqa {
 
+/** What a write must survive (see the file comment). */
+enum class Durability
+{
+    /** fsync'd: survives power loss. Results, checkpoints, compacted
+     * stores, sweep.json and summary.json. */
+    Durable,
+    /** Not fsync'd: survives SIGKILL, a power loss may lose the last
+     * write. Telemetry (health, metrics, traces, journals) and lease
+     * renewals. */
+    BestEffort
+};
+
 /** True for errnos worth retrying with backoff (EINTR, EAGAIN, EBUSY,
  * ENFILE, EMFILE, ESTALE). */
 bool isTransientErrno(int err);
@@ -40,27 +66,31 @@ bool isTransientErrno(int err);
 bool readTextFile(const std::string &path, std::string &out);
 
 /**
- * Replace `path` atomically and durably: write a writer-unique sibling
- * temp file (`path.tmp.<pid>.<n>`, unique across processes and across
- * threads of one process), fsync it, rename over `path`, then fsync
- * the parent directory so the rename itself survives a crash. Readers
- * see either the old or the new content, never a torn mix — the write
- * discipline behind checkpoints, claim renewals and store compaction.
- * Throws std::runtime_error on any I/O failure that survives the
+ * Replace `path` atomically: write a writer-unique sibling temp file
+ * (`path.tmp.<pid>.<n>`, unique across processes and across threads
+ * of one process), rename it over `path`, and — when `durability` is
+ * Durable — fsync the temp file before the rename and the parent
+ * directory after it, so neither the bytes nor the directory entry
+ * can be lost to a power cut. Readers see either the old or the new
+ * content, never a torn mix, in both classes. Throws
+ * std::runtime_error on any I/O failure that survives the
  * transient-errno retry loop.
  */
 void writeTextFileAtomic(const std::string &path,
-                         const std::string &content);
+                         const std::string &content,
+                         Durability durability = Durability::Durable);
 
 /**
  * Append `data` to `path` (creating it if needed), sealing a torn
  * trailing line first — when the existing content does not end in a
  * newline (a previous writer died mid-append), a '\n' is written
  * before `data` so the fragment cannot merge with the new record —
- * then fsync. The JSONL append discipline of ResultStore shards.
+ * then fsync when `durability` is Durable. The JSONL append
+ * discipline of ResultStore shards (durable) and event journals
+ * (best-effort).
  */
-void appendTextDurable(const std::string &path,
-                       const std::string &data);
+void appendTextDurable(const std::string &path, const std::string &data,
+                       Durability durability = Durability::Durable);
 
 /**
  * Create `path` exclusively (O_CREAT|O_EXCL) and write `content`.

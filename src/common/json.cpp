@@ -299,7 +299,15 @@ void
 escapeString(std::string &out, const std::string &s)
 {
     out.push_back('"');
-    for (const char c : s) {
+    // Characters that need no escape are copied in runs.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (static_cast<unsigned char>(c) >= 0x20 && c != '"'
+            && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
@@ -308,18 +316,16 @@ escapeString(std::string &out, const std::string &s)
         case '\n': out += "\\n"; break;
         case '\r': out += "\\r"; break;
         case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(c)));
+            out += buf;
+        }
         }
     }
+    out.append(s, run, std::string::npos);
     out.push_back('"');
 }
 
@@ -661,6 +667,12 @@ jsonRejectUnknownKeys(const JsonValue &object,
                 context + ": unknown key \"" + key + "\" (known keys: "
                 + jsonJoinQuoted(known) + ")");
     }
+}
+
+void
+jsonAppendString(std::string &out, const std::string &s)
+{
+    escapeString(out, s);
 }
 
 std::string

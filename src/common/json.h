@@ -164,6 +164,11 @@ void jsonRejectUnknownKeys(const JsonValue &object,
                            const std::vector<std::string> &known,
                            const std::string &context);
 
+/** Append `s` to `out` as a JSON string literal, escaped exactly as
+ * dump() escapes strings (for writers that emit a canonical line
+ * without building a JsonValue). */
+void jsonAppendString(std::string &out, const std::string &s);
+
 /** Render a choice list as `"a", "b", "c"` for validation errors. */
 std::string jsonJoinQuoted(const std::vector<std::string> &values);
 

@@ -262,7 +262,7 @@ writeMetricsSnapshot(const std::string &sweepDir,
         for (auto &[key, value] : snap.asObject())
             dump.set(key, std::move(value));
         writeTextFileAtomic(sweepMetricsPath(sweepDir, fileToken),
-                            dump.dump(2) + "\n");
+                            dump.dump(2) + "\n", Durability::BestEffort);
         return true;
     } catch (const std::exception &) {
         return false;
@@ -297,6 +297,44 @@ readMetricsDumps(const std::string &sweepDir)
     return dumps;
 }
 
+namespace {
+
+/** The worker's root wall gauge and the loop-thread phases that
+ * partition it (sequential, never nested in one another). */
+constexpr const char *kWallGauge = "worker.wall_ns";
+constexpr const char *kWallPhases[] = {
+    "worker.scan_ns",   "worker.claim_ns", "worker.job_ns",
+    "worker.record_ns", "worker.beat_ns",  "worker.idle_ns",
+    "merge.compact_ns"};
+
+/** One process's wall ledger row, or null when its dump carries no
+ * root wall gauge. */
+JsonValue
+wallRow(const MetricsSnapshot &snap)
+{
+    const auto wall = snap.gauges.find(kWallGauge);
+    if (wall == snap.gauges.end() || wall->second <= 0)
+        return JsonValue();
+    std::uint64_t attributed = 0;
+    for (const char *phase : kWallPhases) {
+        const auto it = snap.histograms.find(phase);
+        if (it != snap.histograms.end())
+            attributed += it->second.sum;
+    }
+    const double wall_ms = static_cast<double>(wall->second) / 1e6;
+    const double attributed_ms = static_cast<double>(attributed) / 1e6;
+    JsonValue row = JsonValue::object();
+    row.set("root", JsonValue(std::string(kWallGauge)));
+    row.set("wallMs", JsonValue(wall_ms));
+    row.set("attributedMs", JsonValue(attributed_ms));
+    row.set("unattributedMs", JsonValue(wall_ms - attributed_ms));
+    row.set("unattributedPct",
+            JsonValue(100.0 * (wall_ms - attributed_ms) / wall_ms));
+    return row;
+}
+
+} // namespace
+
 JsonValue
 aggregateMetricsJson(
     const std::vector<std::pair<std::string, JsonValue>> &dumps)
@@ -304,9 +342,14 @@ aggregateMetricsJson(
     MetricsSnapshot merged;
     std::vector<std::string> sources;
     std::int64_t as_of_ms = 0;
+    // Sorted by source token, like `sources`.
+    std::map<std::string, JsonValue> walls;
     for (const auto &[token, dump] : dumps) {
         try {
-            merged.merge(MetricsSnapshot::fromJson(dump));
+            const MetricsSnapshot snap = MetricsSnapshot::fromJson(dump);
+            merged.merge(snap);
+            if (JsonValue row = wallRow(snap); row.isObject())
+                walls[token] = std::move(row);
             sources.push_back(token);
             jsonMaybe(dump, "writtenMs", [&](const JsonValue &v) {
                 as_of_ms = std::max(as_of_ms, v.asInt());
@@ -359,6 +402,13 @@ aggregateMetricsJson(
         phases.set(name, std::move(row));
     }
     out.set("phases", std::move(phases));
+
+    // Per-process wall ledger: how much of each root wall measurement
+    // the named phases account for.
+    JsonValue wall = JsonValue::object();
+    for (auto &[token, row] : walls)
+        wall.set(token, std::move(row));
+    out.set("wall", std::move(wall));
     return out;
 }
 

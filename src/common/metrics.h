@@ -209,7 +209,7 @@ class MetricsRegistry
 };
 
 /**
- * Best-effort durable dump of the current registry state to
+ * Best-effort (no fsync) dump of the current registry state to
  * `<sweepDir>/metrics/<fileToken>.json`, stamped with `id` and the
  * writing pid. Never throws; returns false on I/O failure (fault
  * site "metrics.write"). Each process incarnation writes its own
@@ -230,7 +230,10 @@ readMetricsDumps(const std::string &sweepDir);
 /**
  * Deterministic fleet-wide aggregation: sums counters, max-merges
  * gauges, folds histograms, and derives per-phase latency stats
- * (count, total/mean ms, p50/p90/p99) from the merged buckets.
+ * (count, total/mean ms, p50/p90/p99) from the merged buckets. The
+ * `wall` object holds one row per dump that carries a root wall gauge
+ * (`worker.wall_ns`): its wall time, the part its loop-thread phases
+ * account for (attributed), and the rest (unattributed ms and %).
  * Output depends only on the dump contents, never on wall-clock.
  */
 JsonValue aggregateMetricsJson(

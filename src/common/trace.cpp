@@ -232,7 +232,7 @@ TraceRecorder::flushTo(const std::string &path)
         std::error_code ec;
         std::filesystem::create_directories(
             std::filesystem::path(path).parent_path(), ec);
-        writeTextFileAtomic(path, out);
+        writeTextFileAtomic(path, out, Durability::BestEffort);
         return true;
     } catch (const std::exception &) {
         return false;

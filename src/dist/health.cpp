@@ -99,7 +99,8 @@ writeHealthSnapshot(const std::string &sweepDir, WorkerHealth health)
                 return false; // monitoring must never kill the worker
         std::filesystem::create_directories(sweepHealthDir(sweepDir));
         writeTextFileAtomic(sweepHealthPath(sweepDir, health.id),
-                            healthToJson(health).dump(2) + "\n");
+                            healthToJson(health).dump(2) + "\n",
+                            Durability::BestEffort);
         return true;
     } catch (const std::exception &) {
         return false;

@@ -316,8 +316,14 @@ Supervisor::reapSlots(std::int64_t nowMs, bool /*drained*/)
                 + " abnormal exits within "
                 + std::to_string(options_.crashLoopWindowMs)
                 + " ms (last: " + describeExit(status) + ")";
-            report_.retiredSlots.push_back(slot.id + ": "
-                                           + slot.retireReason);
+            // Listed in slot order, not exit order, so the report does
+            // not depend on which child happened to be reaped first.
+            const auto earlier_retired = std::count_if(
+                slots_.begin(), slots_.begin() + (&slot - slots_.data()),
+                [](const Slot &s) { return s.retired; });
+            report_.retiredSlots.insert(
+                report_.retiredSlots.begin() + earlier_retired,
+                slot.id + ": " + slot.retireReason);
             std::fprintf(stderr,
                          "treevqa: supervisor: retiring slot %s (%s); "
                          "fleet continues degraded\n",
@@ -628,7 +634,7 @@ Supervisor::publishSupervisorHealth(const std::string &state)
             sweepHealthDir(options_.sweepDir));
         writeTextFileAtomic(
             sweepHealthPath(options_.sweepDir, "supervisor"),
-            out.dump(2) + "\n");
+            out.dump(2) + "\n", Durability::BestEffort);
     } catch (const std::exception &) {
     }
     writeMetricsSnapshot(options_.sweepDir, "supervisor",

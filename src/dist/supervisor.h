@@ -121,8 +121,8 @@ struct SupervisorReport
     std::size_t watchdogKills = 0;
     /** timedOut=true failure records the watchdog appended. */
     std::size_t timeoutRecords = 0;
-    /** Slots retired by the crash-loop circuit breaker, as
-     * "<slot-id>: <reason>". */
+    /** Slots retired by the crash-loop circuit breaker, in slot
+     * order, as "<slot-id>: <reason>". */
     std::vector<std::string> retiredSlots;
     /** Every job in the sweep had a resolving record when we left. */
     bool drained = false;

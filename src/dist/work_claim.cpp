@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include <unistd.h>
+
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 
@@ -147,6 +149,18 @@ WorkClaim::tryAcquire(const std::string &claimDir,
             return std::nullopt; // behaves as a lost takeover race
     if (std::rename(path.c_str(), reaped.c_str()) != 0)
         return std::nullopt;
+    // The rename takes whatever lock sits at `path` now — not
+    // necessarily the stale one judged above: a faster contender may
+    // already have reaped it and created its own live lock. Keeping
+    // that would admit two winners, so check the bytes; on a mismatch
+    // put the live lock back (link, so never over a newer one) and
+    // lose the race.
+    std::string taken;
+    if (!readTextFile(reaped, taken) || taken != text) {
+        ::link(reaped.c_str(), path.c_str());
+        std::remove(reaped.c_str());
+        return std::nullopt;
+    }
     std::remove(reaped.c_str());
     mine.acquiredMs = unixTimeMs();
     mine.deadlineMs = mine.acquiredMs + leaseMs;
@@ -209,7 +223,10 @@ WorkClaim::renew(std::int64_t progress)
     if (progress >= 0)
         info_.progress = progress;
     info_.hlc = HlcClock::instance().tick();
-    writeTextFileAtomic(path_, claimToJson(info_).dump() + "\n");
+    // Best effort, like the exclusive create: a renewal lost to a
+    // power cut is a lease that expires, which reaping already covers.
+    writeTextFileAtomic(path_, claimToJson(info_).dump() + "\n",
+                        Durability::BestEffort);
     return true;
 }
 

@@ -16,7 +16,9 @@
  *    reaper-private name: rename fails for every contender but one, so
  *    exactly one worker wins the right to re-create the lock and
  *    resume the dead worker's job from its fingerprint-keyed
- *    checkpoint.
+ *    checkpoint. A contender whose rename instead caught the winner's
+ *    fresh lock (it read the stale one first) sees different bytes,
+ *    links the lock back and loses.
  *
  * Clock model: deadlines are Unix wall-clock milliseconds — the only
  * clock hosts sharing a filesystem have in common — so the lease

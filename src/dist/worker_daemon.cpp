@@ -46,10 +46,15 @@ struct WorkerMetrics
     Counter &heartbeatRenewals;
     Counter &fullLoadBytes;
     Gauge &specExpansions;
+    /** Root wall measurement: ns since the drain loop started, stamped
+     * at every beat; the loop-thread phases below partition it. */
+    Gauge &wallNs;
     Histogram &scanNs;
     Histogram &claimNs;
     Histogram &jobNs;
     Histogram &recordNs;
+    Histogram &beatNs;
+    Histogram &idleNs;
     Histogram &renewNs;
 };
 
@@ -72,10 +77,13 @@ workerMetrics()
         reg.counter("worker.heartbeat_renewals"),
         reg.counter("worker.store_bytes_full_load"),
         reg.gauge("worker.spec_expansions"),
+        reg.gauge("worker.wall_ns"),
         reg.histogram("worker.scan_ns"),
         reg.histogram("worker.claim_ns"),
         reg.histogram("worker.job_ns"),
         reg.histogram("worker.record_ns"),
+        reg.histogram("worker.beat_ns"),
+        reg.histogram("worker.idle_ns"),
         reg.histogram("worker.heartbeat_renew_ns")};
     return m;
 }
@@ -132,6 +140,36 @@ sweepStoreBytes(const std::string &sweepDir)
         }
     }
     return total;
+}
+
+/**
+ * True when a worker other than `self` holds a live (not stale) claim
+ * in the sweep. Once every job is resolved, such a claim means its
+ * owner is still committing a job — a worker appends, rolls its shard
+ * and only then releases — so a compaction now would race that
+ * commit. Unreadable or torn claims count as stale.
+ */
+bool
+peerHoldsLiveClaim(const std::string &sweepDir, const std::string &self,
+                   std::int64_t skewGraceMs)
+{
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             sweepClaimDir(sweepDir), ec)) {
+        if (entry.path().extension() != ".lock")
+            continue;
+        std::string text;
+        if (!readTextFile(entry.path().string(), text))
+            continue;
+        try {
+            const ClaimInfo held = claimFromJson(JsonValue::parse(text));
+            if (held.owner != self
+                && !claimIsStale(held, unixTimeMs(), skewGraceMs))
+                return true;
+        } catch (const std::exception &) {
+        }
+    }
+    return false;
 }
 
 } // namespace
@@ -216,34 +254,61 @@ WorkerDaemon::WorkerDaemon(WorkerOptions options)
     health_.startedMs = unixTimeMs();
     // Declared snapshot cadence (--health staleness detection): the
     // slower of the idle poll and the heartbeat interval, since both
-    // paths republish the snapshot.
+    // paths beat.
     health_.flushIntervalMs = std::max(
         jitteredPollMs(options_.pollMs, options_.workerId),
         std::clamp<std::int64_t>(options_.leaseMs / 3, 5, 5000));
 }
 
 void
-WorkerDaemon::publishHealth(
+WorkerDaemon::updateHealth(
     const std::function<void(WorkerHealth &)> &fn)
+{
+    std::lock_guard<std::mutex> lock(healthMutex_);
+    fn(health_);
+}
+
+void
+WorkerDaemon::beat(const std::function<void(WorkerHealth &)> &fn)
 {
     if (!options_.healthSnapshots)
         return;
+    // Heartbeat-thread beats are not loop time: they count toward
+    // worker.heartbeat_renew instead of worker.beat.
+    TraceSpan span("worker.beat",
+                   std::this_thread::get_id() == loopThread_
+                       ? &workerMetrics().beatNs
+                       : nullptr);
     {
         std::lock_guard<std::mutex> lock(healthMutex_);
-        fn(health_);
+        if (fn)
+            fn(health_);
         writeHealthSnapshot(options_.sweepDir, health_);
     }
-    // Metrics ride the health cadence; the per-pid file token keeps a
-    // restarted slot from erasing its predecessor's totals.
+    workerMetrics().wallNs.set(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - runStart_)
+            .count());
+    // Metrics ride the beat; the per-pid file token keeps a restarted
+    // slot from erasing its predecessor's totals.
     writeMetricsSnapshot(options_.sweepDir, options_.workerId,
                          options_.workerId + "-p"
                              + std::to_string(::getpid()));
     // Keep the flight recorder's on-disk dump recent enough that a
     // SIGKILL mid-batch still leaves a useful tail behind.
     TraceRecorder::instance().maybePeriodicFlush(2000);
-    // Same contract for the event journal: ride the health cadence so
-    // an unflushed process loses at most one heartbeat's events.
+    // Same contract for the event journal: ride the beat so an
+    // unflushed process loses at most one beat's events.
     EventLog::instance().flush();
+}
+
+void
+WorkerDaemon::idle()
+{
+    beat([](WorkerHealth &h) { h.state = "idle"; });
+    TRACE_SPAN_TIMED("worker.idle", workerMetrics().idleNs);
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        jitteredPollMs(options_.pollMs, options_.workerId)));
 }
 
 std::vector<ScenarioSpec>
@@ -290,6 +355,9 @@ WorkerDaemon::run(const std::vector<ScenarioSpec> &specs)
 WorkerReport
 WorkerDaemon::runLoop(const std::function<JobSet()> &source)
 {
+    loopThread_ = std::this_thread::get_id();
+    runStart_ = std::chrono::steady_clock::now();
+    TRACE_SPAN("worker.wall");
     StoreTailReader tail(options_.sweepDir);
     WorkerReport report = scanLoop(source, tail);
     report.storeBytesRead += tail.counters().bytesRead;
@@ -309,7 +377,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
 
     WorkerReport report;
     const std::size_t scan_salt = workerScanOffset(options_.workerId);
-    publishHealth([](WorkerHealth &h) { h.state = "idle"; });
+    beat([](WorkerHealth &h) { h.state = "idle"; });
 
     // Drained verdicts are confirmed by one authoritative full load;
     // remembering which job-list generation was confirmed keeps a
@@ -354,38 +422,46 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
                     if (done.count(fingerprints[i]) == 0)
                         pending.push_back(i);
             }
-        }
 
-        if (pending.empty() && options_.incrementalScan
-            && drain_confirmed_for != jobs.expansions) {
-            // The incremental view is an optimization, never the
-            // drain proof: one full merged load arbitrates. A
-            // mismatch (the tail over-resolved through a transient
-            // fold-overlap double count, or lost a race) rebuilds the
-            // view and keeps scanning.
-            const std::uint64_t full_bytes = sweepStoreBytes(dir);
-            report.storeBytesRead += full_bytes;
-            workerMetrics().fullLoadBytes.inc(full_bytes);
-            std::set<std::string> done = resolvedFingerprints(
-                loadMergedRecords(dir), options_.maxJobAttempts);
-            done.insert(poisoned_.begin(), poisoned_.end());
-            for (std::size_t i = 0; i < specs.size(); ++i)
-                if (done.count(fingerprints[i]) == 0)
-                    pending.push_back(i);
-            if (pending.empty())
-                drain_confirmed_for = jobs.expansions;
-            else
-                tail.invalidate();
+            if (pending.empty() && options_.incrementalScan
+                && drain_confirmed_for != jobs.expansions) {
+                // The incremental view is an optimization, never the
+                // drain proof: one full merged load arbitrates. A
+                // mismatch (the tail over-resolved through a
+                // transient fold-overlap double count, or lost a
+                // race) rebuilds the view and keeps scanning.
+                const std::uint64_t full_bytes = sweepStoreBytes(dir);
+                report.storeBytesRead += full_bytes;
+                workerMetrics().fullLoadBytes.inc(full_bytes);
+                std::set<std::string> done = resolvedFingerprints(
+                    loadMergedRecords(dir), options_.maxJobAttempts);
+                done.insert(poisoned_.begin(), poisoned_.end());
+                for (std::size_t i = 0; i < specs.size(); ++i)
+                    if (done.count(fingerprints[i]) == 0)
+                        pending.push_back(i);
+                if (pending.empty())
+                    drain_confirmed_for = jobs.expansions;
+                else
+                    tail.invalidate();
+            }
         }
 
         if (pending.empty()) {
+            // Compact only once no peer is mid-commit (see
+            // peerHoldsLiveClaim): its roll or release must not race
+            // the shard removal.
+            const bool compacting = options_.drainAndExit
+                && options_.mergeOnDrain && !stop_.load();
+            if (compacting
+                && peerHoldsLiveClaim(dir, options_.workerId,
+                                      options_.skewGraceMs)) {
+                idle();
+                continue;
+            }
             report.drained = true;
             if (options_.drainAndExit)
                 break;
-            publishHealth(
-                [](WorkerHealth &h) { h.state = "idle"; });
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                jitteredPollMs(options_.pollMs, options_.workerId)));
+            idle();
             continue;
         }
         report.drained = false;
@@ -437,29 +513,15 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             if (batch.size() >= batch_target)
                 break;
         }
-        claim_span.end();
         EventLog::instance().flush();
-
-        if (batch.empty()) {
-            // Nothing claimable this round: every pending job is
-            // leased to a live worker. Wait for completions or lease
-            // expiry.
-            if (!stop_.load()) {
-                publishHealth(
-                    [](WorkerHealth &h) { h.state = "idle"; });
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    jitteredPollMs(options_.pollMs,
-                                   options_.workerId)));
-            }
-            continue;
-        }
+        const bool claimed_any = !batch.empty();
 
         // Jobs may have been recorded (or their failure budget spent)
         // between our scan and these claims; re-check once under the
         // held claims — claims serialize failure writers per
         // fingerprint, so the attempt counts read here cannot be
         // raced past the budget while we hold the leases.
-        {
+        if (claimed_any) {
             std::set<std::string> done;
             std::vector<JobResult> merged;
             const std::map<std::string, JobResolution> *resolutions =
@@ -503,8 +565,15 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             }
             batch = std::move(live);
         }
-        if (batch.empty())
-            continue; // progress happened elsewhere; rescan now
+        claim_span.end();
+        if (batch.empty()) {
+            // Nothing claimable (every pending job is leased to a live
+            // worker): wait for completions or lease expiry. Claims
+            // that all resolved elsewhere mean progress: rescan now.
+            if (!claimed_any && !stop_.load())
+                idle();
+            continue;
+        }
 
         const JobOutcome outcome =
             runClaimedBatch(jobs, batch, report);
@@ -514,8 +583,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         }
         if (outcome == JobOutcome::Interrupted) {
             // Graceful stop: checkpoint sealed, claims released.
-            publishHealth(
-                [](WorkerHealth &h) { h.state = "stopped"; });
+            beat([](WorkerHealth &h) { h.state = "stopped"; });
             return report;
         }
         if (options_.maxJobs > 0
@@ -527,12 +595,12 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
     if (report.drained && options_.mergeOnDrain && !stop_.load()) {
         // Drained = every job recorded (full-load confirmed), so
         // shard/tier removal is safe.
-        publishHealth([](WorkerHealth &h) { h.state = "draining"; });
+        beat([](WorkerHealth &h) { h.state = "draining"; });
         compactSweepStore(dir, /*removeMergedShards=*/true);
         report.merged = true;
         tail.invalidate(); // canonical store was rewritten under us
     }
-    publishHealth([](WorkerHealth &h) { h.state = "stopped"; });
+    beat([](WorkerHealth &h) { h.state = "stopped"; });
     EventLog::instance().flush();
     return report;
 }
@@ -541,7 +609,6 @@ void
 WorkerDaemon::appendToShard(const JobResult &record,
                             WorkerReport &report)
 {
-    TRACE_SPAN_TIMED("worker.record", workerMetrics().recordNs);
     ResultStore shard(
         sweepShardPath(options_.sweepDir, options_.workerId));
     shard.append(record);
@@ -588,20 +655,24 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
     // watchdog: when the progress stamp freezes past jobTimeoutMs it
     // stops renewing — deliberately letting every lease expire so
     // reapers can take the jobs — because a wedged runScenario cannot
-    // be interrupted from inside.
+    // be interrupted from inside. A jthread, so an exception escaping
+    // the job loop below (a record append that fails) stops and joins
+    // it on unwind — destroying a joinable std::thread would terminate
+    // the worker — and the held leases expire for reapers, as after a
+    // crash.
     std::mutex hb_mutex;
-    std::condition_variable hb_cv;
-    bool hb_stop = false;
+    std::condition_variable_any hb_cv;
     std::atomic<bool> hb_timed_out{false};
     std::int64_t batch_tick = 0;
     const auto hb_interval = std::chrono::milliseconds(
         std::clamp<std::int64_t>(options_.leaseMs / 3, 5, 5000));
-    std::thread heartbeat([&] {
+    std::jthread heartbeat([&](std::stop_token stop) {
         std::int64_t last_progress = progress_counter.load();
         auto last_advance = std::chrono::steady_clock::now();
         std::unique_lock<std::mutex> lock(hb_mutex);
-        while (!hb_cv.wait_for(lock, hb_interval,
-                               [&] { return hb_stop; })) {
+        while (!hb_cv.wait_for(lock, stop, hb_interval, [&] {
+            return stop.stop_requested();
+        })) {
             const std::int64_t now_progress = progress_counter.load();
             if (now_progress != last_progress) {
                 last_progress = now_progress;
@@ -650,17 +721,11 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             }
             if (!any_live)
                 return;
-            publishHealth([&](WorkerHealth &h) {
-                h.jobProgress = now_progress;
-            });
+            beat([&](WorkerHealth &h) { h.jobProgress = now_progress; });
         }
     });
     const auto join_heartbeat = [&] {
-        {
-            std::lock_guard<std::mutex> lock(hb_mutex);
-            hb_stop = true;
-        }
-        hb_cv.notify_all();
+        heartbeat.request_stop();
         heartbeat.join();
     };
     const auto slot_lost = [&](const BatchSlot &slot) {
@@ -706,7 +771,10 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         run_options.progressCounter = &progress_counter;
         run_options.shouldStop = [this] { return stop_.load(); };
 
-        publishHealth([&](WorkerHealth &h) {
+        TraceSpan job_span("worker.job", &workerMetrics().jobNs);
+        // In memory only: the next beat (heartbeat, or this job's
+        // resolution) publishes the running row.
+        updateHealth([&](WorkerHealth &h) {
             h.state = "running";
             h.jobFingerprint = fingerprint;
             h.jobName = spec.name;
@@ -742,12 +810,11 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         std::string last_error;
         bool job_ok = false;
         int attempts_made = 0;
-        TraceSpan job_span("worker.job", &workerMetrics().jobNs);
         for (int attempt = 1; attempt <= attempt_budget; ++attempt) {
             if (slot_lost(slot) || hb_timed_out.load())
                 break; // lease gone or watchdog fired: stop burning
             ++attempts_made;
-            publishHealth(
+            updateHealth(
                 [&](WorkerHealth &h) { h.jobAttempt = attempt; });
             try {
                 if (const FaultHit hit = FAULT_POINT("worker.job"))
@@ -810,6 +877,10 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             return JobOutcome::SimulatedCrash;
         }
 
+        // Record — confirm ownership, append, journal, release: the
+        // job's commit, timed as worker.record.
+        TraceSpan record_span("worker.record",
+                              &workerMetrics().recordNs);
         // Append only while provably still the owner; a lost lease
         // means the reaper will record the (bit-identical) result
         // instead. Like the heartbeat, an I/O failure during this
@@ -854,25 +925,13 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             poisoned_.insert(fingerprint);
             ++report.poisoned;
             workerMetrics().jobsPoisoned.inc();
-            {
-                JsonValue detail = JsonValue::object();
-                detail.set("attempts",
-                           JsonValue(static_cast<std::int64_t>(
-                               slot.priorAttempts + attempts_made)));
-                detail.set("error", JsonValue(last_error));
-                EventLog::instance().emit(event_type::kJobPoisoned,
-                                          fingerprint,
-                                          std::move(detail));
-                EventLog::instance().flush();
-            }
-            publishHealth([&](WorkerHealth &h) {
-                ++h.jobsFailed;
-                h.state = "idle";
-                h.jobFingerprint.clear();
-                h.jobName.clear();
-                h.jobProgress = -1;
-                h.jobAttempt = 0;
-            });
+            JsonValue detail = JsonValue::object();
+            detail.set("attempts",
+                       JsonValue(static_cast<std::int64_t>(
+                           slot.priorAttempts + attempts_made)));
+            detail.set("error", JsonValue(last_error));
+            EventLog::instance().emit(event_type::kJobPoisoned,
+                                      fingerprint, std::move(detail));
             std::fprintf(
                 stderr,
                 "treevqa: worker %s: quarantined poison job %s "
@@ -888,28 +947,29 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                 ++report.resumed;
                 workerMetrics().jobsResumed.inc();
             }
-            {
-                JsonValue detail = JsonValue::object();
-                detail.set("resumed", JsonValue(result.resumed));
-                EventLog::instance().emit(event_type::kJobCompleted,
-                                          fingerprint,
-                                          std::move(detail));
-                EventLog::instance().flush();
-            }
-            publishHealth([&](WorkerHealth &h) {
-                ++h.jobsCompleted;
-                h.state = "idle";
-                h.jobFingerprint.clear();
-                h.jobName.clear();
-                h.jobProgress = -1;
-                h.jobAttempt = 0;
-            });
+            JsonValue detail = JsonValue::object();
+            detail.set("resumed", JsonValue(result.resumed));
+            EventLog::instance().emit(event_type::kJobCompleted,
+                                      fingerprint, std::move(detail));
         }
+        EventLog::instance().flush();
         {
             std::lock_guard<std::mutex> lock(batch_mutex);
             slot.claim.release();
             slot.done = true;
         }
+        record_span.end();
+        // The resolution beat keeps merged --metrics exact across a
+        // SIGKILL: the dump counts this job before the next one
+        // starts.
+        beat([&](WorkerHealth &h) {
+            ++(job_ok ? h.jobsCompleted : h.jobsFailed);
+            h.state = "idle";
+            h.jobFingerprint.clear();
+            h.jobName.clear();
+            h.jobProgress = -1;
+            h.jobAttempt = 0;
+        });
         if (options_.maxJobs > 0
             && report.completed
                 >= static_cast<std::size_t>(options_.maxJobs))
@@ -936,7 +996,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             EventLog::instance().flush();
         }
         release_undone();
-        publishHealth([&](WorkerHealth &h) {
+        beat([&](WorkerHealth &h) {
             ++h.jobsTimedOut;
             h.state = "idle";
             h.jobFingerprint.clear();

@@ -26,8 +26,10 @@
  * (store_merge.h), keeping the file set a reader must visit O(log) in
  * records. When the incremental view says the sweep is drained, one
  * authoritative full-merge load confirms it (the incremental view is
- * an optimization, never the drain proof); then the daemon compacts
- * everything into the canonical store and summary.
+ * an optimization, never the drain proof); then, once no other worker
+ * still holds a live claim (a resolved job's live claim means its
+ * owner is still committing: append, shard roll, release), the daemon
+ * compacts everything into the canonical store and summary.
  *
  * A job that throws is retried within a per-job budget
  * (maxJobAttempts, exponential backoff); when the budget is spent the
@@ -53,9 +55,15 @@
  * out. The fleet supervisor (dist/supervisor.h) watches the same
  * progress stamps from outside and SIGKILLs the wedged process.
  *
- * Each worker also publishes an atomic health snapshot
- * (`<dir>/health/<id>.json`, dist/health.h) every heartbeat and state
- * transition — pure observability, never read by the protocol.
+ * Each worker also *beats*: it publishes its health snapshot
+ * (`<dir>/health/<id>.json`, dist/health.h), its metrics dump, its
+ * trace tail and its journal when a job resolves (completed, poisoned
+ * or timed out), on the heartbeat cadence, on idle polls, at drain and
+ * at stop — pure observability, never read by the protocol, and
+ * written best-effort (no fsync). The `running` and per-attempt
+ * transitions only update the in-memory snapshot, which the next beat
+ * publishes. So a job costs one durable fsync — its record append —
+ * plus one beat.
  *
  * Determinism: jobs are pure functions of their specs, so any worker
  * count, any claim batch size, any roll/fold schedule and any kill
@@ -68,11 +76,13 @@
 #define TREEVQA_DIST_WORKER_DAEMON_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/health.h"
@@ -347,14 +357,28 @@ class WorkerDaemon
     /** Append `record` to this worker's shard and roll/fold when past
      * the size threshold. */
     void appendToShard(const JobResult &record, WorkerReport &report);
-    /** Mutate the health snapshot under its lock and publish it
-     * (best-effort; no-op when healthSnapshots is off). */
-    void publishHealth(const std::function<void(WorkerHealth &)> &fn);
+    /** Mutate the in-memory health snapshot under its lock; the next
+     * beat publishes it. */
+    void updateHealth(const std::function<void(WorkerHealth &)> &fn);
+    /** Writing beat: apply `fn` (if any) to the health snapshot, then
+     * write the snapshot, the metrics dump (stamping the
+     * `worker.wall_ns` root gauge first), a throttled trace flush and
+     * the journal — all best-effort. Timed as `worker.beat` on the
+     * loop thread. No-op when healthSnapshots is off. */
+    void beat(const std::function<void(WorkerHealth &)> &fn = nullptr);
+    /** Idle poll: beat as idle, then sleep one jittered poll interval
+     * (timed as `worker.idle`). */
+    void idle();
 
     WorkerOptions options_;
     std::atomic<bool> stop_{false};
     std::mutex healthMutex_;
     WorkerHealth health_;
+    /** The thread running the drain loop, and when its run began
+     * (steady clock): the `worker.wall_ns` root the loop's phases
+     * partition. */
+    std::thread::id loopThread_;
+    std::chrono::steady_clock::time_point runStart_;
     /** Fingerprints this process poison-quarantined. Liveness guard:
      * the scan treats them as resolved even if the appended poison
      * record cannot be re-loaded (e.g. its spec no longer passes

@@ -150,6 +150,37 @@ TEST_F(EventLogTest, EmitFlushReadRoundTripsWithCrc)
     log.close();
 }
 
+TEST_F(EventLogTest, EmittedLineIsItsCanonicalFormWithCrcLast)
+{
+    // emit() splices the crc member onto the serialized body; the line
+    // must be exactly what set("crc") + dump() of the body would give,
+    // escapes included.
+    const auto dir = scratchDir("canonical");
+    EventLog log;
+    log.open(dir.string(), "w0");
+    JsonValue detail = JsonValue::object();
+    detail.set("error", JsonValue(std::string("bad \"spec\"\n\ttab \x01")));
+    detail.set("attempt", JsonValue(std::int64_t{3}));
+    log.emit(event_type::kJobFailed, "fp\\0", std::move(detail));
+    ASSERT_TRUE(log.flush());
+    const std::string path = log.path();
+    log.close();
+
+    std::string text;
+    ASSERT_TRUE(readTextFile(path, text));
+    ASSERT_FALSE(text.empty());
+    ASSERT_EQ(text.back(), '\n');
+    const std::string line = text.substr(0, text.size() - 1);
+    JsonValue parsed = JsonValue::parse(line);
+    EXPECT_EQ(parsed.dump(), line);
+    ASSERT_EQ(parsed.asObject().back().first, "crc");
+    const std::string crc = parsed.at("crc").asString();
+    parsed.erase("crc");
+    EXPECT_EQ(crc32Hex(parsed.dump()), crc);
+    EXPECT_EQ(parsed.at("detail").at("error").asString(),
+              "bad \"spec\"\n\ttab \x01");
+}
+
 TEST_F(EventLogTest, AppendFaultFailsClosedAndRecovers)
 {
     const auto dir = scratchDir("fault");

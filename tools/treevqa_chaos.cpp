@@ -30,8 +30,13 @@
  * faulted child left behind, then a byte compare of summary.json
  * against the fault-free reference, then a parse audit of every
  * observability dump the drill left (events/, metrics/, traces/):
- * a drill may lose dumps but a malformed one fails it. Results land
- * in `<out>/chaos_report.json`. Exit 0 iff every drill converged.
+ * a drill may lose dumps but a malformed one fails it. The fault
+ * child prints its per-site fire counts (FaultInjection::counters())
+ * on the way out, and a drill whose planned site never fired fails:
+ * a fault that lands nowhere proves nothing. A site whose plan entry
+ * is a crash counts as fired when the child died of SIGKILL (it
+ * cannot report). Results land in `<out>/chaos_report.json`. Exit 0
+ * iff every drill converged with its faults fired.
  *
  * The matrix ends with four supervisor drills exercising the
  * self-healing fleet layer: an in-process Supervisor fork/execs real
@@ -43,7 +48,9 @@
  * poison-everything plan asserting the cumulative attempt budget is
  * fleet-wide (≤ max-job-attempts per job in total, not per worker).
  * Each supervisor drill ends with the same disarmed recovery worker
- * and byte compare against the fault-free reference.
+ * and byte compare against the fault-free reference. Their report
+ * expectations (crashes, watchdog kills, poisoned-record budgets) are
+ * what prove their faults fired.
  *
  * Internal --drill-child mode: run one drain-and-exit worker over
  * --sweep-dir (the harness re-execs itself instead of fork() — the
@@ -54,14 +61,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/json.h"
 #include "dist/store_merge.h"
@@ -437,8 +448,50 @@ auditObservabilityDumps(const std::string &dir)
     return problems;
 }
 
+/** Prefix of the fault child's fire-count report line. */
+constexpr const char *kFiresPrefix = "drill child fires: ";
+
+/**
+ * Planned sites of `faults` (a plan's "faults" array) that the fault
+ * child never fired, comma-joined in plan order, judged from its
+ * output `childLog` (the kFiresPrefix report line) and its decoded
+ * exit `status`. A site is proven by a nonzero fire count, or — since
+ * a crashed child cannot report — by a SIGKILL death when one of its
+ * entries is a crash. Empty = every planned site fired.
+ */
+std::string
+unfiredSites(const std::string &faults, const std::string &childLog,
+             int status)
+{
+    JsonValue fires = JsonValue::object();
+    const std::size_t at = childLog.rfind(kFiresPrefix);
+    if (at != std::string::npos) {
+        const std::size_t begin = at + std::strlen(kFiresPrefix);
+        fires = JsonValue::parse(
+            childLog.substr(begin, childLog.find('\n', begin) - begin));
+    }
+    const bool killed = status == 128 + SIGKILL;
+    const JsonValue plan = JsonValue::parse(faults);
+    std::vector<std::string> sites;
+    std::set<std::string> proven;
+    for (const JsonValue &entry : plan.asArray()) {
+        const std::string site = entry.at("site").asString();
+        if (std::find(sites.begin(), sites.end(), site) == sites.end())
+            sites.push_back(site);
+        const JsonValue *count = fires.find(site);
+        if ((count && count->asInt() > 0)
+            || (killed && entry.at("action").asString() == "crash"))
+            proven.insert(site);
+    }
+    std::string unfired;
+    for (const std::string &site : sites)
+        if (proven.count(site) == 0)
+            unfired += (unfired.empty() ? "" : ",") + site;
+    return unfired;
+}
+
 int
-runDrillChild(const std::string &sweepDir, int jobs)
+runDrillWorker(const std::string &sweepDir, int jobs)
 {
     WorkerOptions options;
     options.sweepDir = sweepDir;
@@ -459,6 +512,26 @@ runDrillChild(const std::string &sweepDir, int jobs)
                 report.lostClaims, report.poisoned,
                 report.drained ? "yes" : "no");
     return report.drained ? 0 : 1;
+}
+
+/** The --drill-child entry: one drain, then the per-site fire counts
+ * the parent's fired-fault check reads (printed even when the drain
+ * throws). */
+int
+runDrillChild(const std::string &sweepDir, int jobs)
+{
+    int rc = 1;
+    try {
+        rc = runDrillWorker(sweepDir, jobs);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "drill child: %s\n", e.what());
+    }
+    JsonValue fires = JsonValue::object();
+    for (const auto &[site, counters] :
+         FaultInjection::instance().counters())
+        fires.set(site, JsonValue(counters.fires));
+    std::printf("%s%s\n", kFiresPrefix, fires.dump().c_str());
+    return rc;
 }
 
 } // namespace
@@ -573,6 +646,11 @@ main(int argc, char **argv)
 
             const int faulted_status = runWorkerChild(
                 self, dir, static_cast<int>(jobs), plan_path, log);
+            // The log holds only the faulted child's output so far.
+            std::string faulted_log;
+            readTextFile(log, faulted_log);
+            const std::string unfired =
+                unfiredSites(drill.faults, faulted_log, faulted_status);
             // Always run a disarmed recovery pass: it drains whatever
             // the faulted child left (stale claims, torn records,
             // corrupt checkpoints) and is a no-op when the faulted
@@ -586,17 +664,20 @@ main(int argc, char **argv)
             const std::string obs_problems =
                 auditObservabilityDumps(dir);
             const bool converged = recovery_status == 0 && summary_read
-                && summary == reference && obs_problems.empty();
+                && summary == reference && obs_problems.empty()
+                && unfired.empty();
             if (!converged)
                 ++failures;
             std::printf("drill %-28s fault-child=%-3d recovery=%-3d "
-                        "summary=%s%s%s\n",
+                        "summary=%s fired=%s%s%s\n",
                         drill.name.c_str(), faulted_status,
                         recovery_status,
                         summary_read && summary == reference
                             ? "identical"
                             : summary_read ? "DIFFERENT"
                                            : "MISSING",
+                        unfired.empty() ? "yes"
+                                        : ("NO:" + unfired).c_str(),
                         obs_problems.empty() ? "" : " DUMPS: ",
                         obs_problems.c_str());
 
@@ -608,6 +689,7 @@ main(int argc, char **argv)
             entry.set("recoveryStatus", JsonValue(recovery_status));
             entry.set("summaryIdentical",
                       JsonValue(summary_read && summary == reference));
+            entry.set("unfiredSites", JsonValue(unfired));
             entry.set("observabilityProblems",
                       JsonValue(obs_problems));
             entry.set("converged", JsonValue(converged));
