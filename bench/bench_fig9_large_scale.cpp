@@ -40,7 +40,7 @@ runPanel(const LargeScaleSpec &spec, const NoiseModel &noise,
          const char *mode, CsvWriter &csv)
 {
     EngineConfig engine;
-    engine.backend = Backend::PauliPropagation;
+    engine.backendName = kPauliPropagationBackendName;
     engine.propConfig = spec.prop;
     engine.noise = noise;
 

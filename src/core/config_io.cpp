@@ -10,7 +10,7 @@ JsonValue
 engineConfigToJson(const EngineConfig &config)
 {
     JsonValue out = JsonValue::object();
-    out.set("backend", JsonValue(resolvedBackendName(config)));
+    out.set("backend", JsonValue(config.backendName));
     out.set("shotsPerTerm", JsonValue(config.shotsPerTerm));
     out.set("injectShotNoise", JsonValue(config.injectShotNoise));
     if (!config.noise.isNoiseless()) {

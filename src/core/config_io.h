@@ -5,11 +5,11 @@
  * scenario-orchestration runtime (src/svc/).
  *
  * EngineConfig round-trips losslessly for every registered backend:
- * engineConfigToJson always emits the *resolved* backend name (legacy
- * enum selection included), and engineConfigFromJson validates the
- * name against the SimBackend registry up front, so a spec with an
- * unknown backend fails at parse time with a message naming the valid
- * choices instead of deep inside objective construction.
+ * engineConfigToJson always emits the backend name, and
+ * engineConfigFromJson validates the name against the SimBackend
+ * registry up front, so a spec with an unknown backend fails at parse
+ * time with a message naming the valid choices instead of deep inside
+ * objective construction.
  */
 
 #ifndef TREEVQA_CORE_CONFIG_IO_H
@@ -21,7 +21,7 @@
 
 namespace treevqa {
 
-/** EngineConfig <-> JSON (lossless; backendName always resolved). */
+/** EngineConfig <-> JSON (lossless; backendName always emitted). */
 JsonValue engineConfigToJson(const EngineConfig &config);
 EngineConfig engineConfigFromJson(const JsonValue &json);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared execution-model types: backend selection, engine
- * configuration, and the result record of one objective evaluation.
+ * Shared execution-model types: backend names, engine configuration,
+ * and the result record of one objective evaluation.
  *
  * Split out of objective.h so the SimBackend interface and the
  * ClusterObjective can both depend on them without a cycle.
@@ -21,14 +21,6 @@
 
 namespace treevqa {
 
-/** Simulation backend selector (legacy enum; names are the primary
- * selection mechanism — see EngineConfig::backendName). */
-enum class Backend
-{
-    Statevector,
-    PauliPropagation
-};
-
 /** Registered SimBackend names. */
 inline constexpr const char *kStatevectorBackendName = "statevector";
 inline constexpr const char *kPauliPropagationBackendName = "paulprop";
@@ -36,15 +28,13 @@ inline constexpr const char *kPauliPropagationBackendName = "paulprop";
 /** Quantum-execution configuration shared by all clusters of a run. */
 struct EngineConfig
 {
-    Backend backend = Backend::Statevector;
     /**
      * Backend selection by name ("statevector", "paulprop"): the seam
      * TreeController and the baseline runner configure, resolved by
-     * the SimBackend registry (makeSimBackend). When empty, the legacy
-     * `backend` enum picks the name. Unknown names throw at objective
-     * construction.
+     * the SimBackend registry (makeSimBackend). Unknown names throw at
+     * objective construction.
      */
-    std::string backendName;
+    std::string backendName = kStatevectorBackendName;
     /** Shots per Pauli term per evaluation (paper: 4096). */
     std::uint64_t shotsPerTerm = kDefaultShotsPerTerm;
     /** False turns the objective into the exact expectation (shots are
@@ -55,9 +45,6 @@ struct EngineConfig
     /** Truncation/sharding knobs for the PauliPropagation backend. */
     PauliPropConfig propConfig;
 };
-
-/** The backend name `config` selects. */
-std::string resolvedBackendName(const EngineConfig &config);
 
 /** Result of one objective evaluation. */
 struct ClusterEvaluation

@@ -64,8 +64,7 @@ ClusterObjective::ClusterObjective(
     inputs.propConfig = config_.propConfig;
     inputs.measuredTerms = measuredTerms_;
     inputs.shotsPerEval = evalCost();
-    backend_ = makeSimBackend(resolvedBackendName(config_),
-                              std::move(inputs));
+    backend_ = makeSimBackend(config_.backendName, std::move(inputs));
 }
 
 std::uint64_t

@@ -239,16 +239,6 @@ class PauliPropagationBackend final : public SimBackend
 
 } // namespace
 
-std::string
-resolvedBackendName(const EngineConfig &config)
-{
-    if (!config.backendName.empty())
-        return config.backendName;
-    return config.backend == Backend::PauliPropagation
-        ? kPauliPropagationBackendName
-        : kStatevectorBackendName;
-}
-
 Rng
 probeRng(std::uint64_t stream_base, std::size_t probe_index)
 {

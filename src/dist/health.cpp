@@ -35,8 +35,7 @@ healthToJson(const WorkerHealth &health)
     out.set("jobsTimedOut", JsonValue(health.jobsTimedOut));
     out.set("rssKb", JsonValue(health.rssKb));
     out.set("flushIntervalMs", JsonValue(health.flushIntervalMs));
-    if (!health.hlc.empty())
-        out.set("hlc", hlcToJson(health.hlc));
+    out.set("hlc", hlcToJson(health.hlc));
     return out;
 }
 
@@ -58,14 +57,8 @@ healthFromJson(const JsonValue &json)
     health.jobsFailed = json.at("jobsFailed").asInt();
     health.jobsTimedOut = json.at("jobsTimedOut").asInt();
     health.rssKb = json.at("rssKb").asInt();
-    // Added after the v0 snapshot schema: absent in snapshots written
-    // by older builds, so read leniently.
-    jsonMaybe(json, "flushIntervalMs", [&](const JsonValue &v) {
-        health.flushIntervalMs = v.asInt();
-    });
-    jsonMaybe(json, "hlc", [&](const JsonValue &v) {
-        health.hlc = hlcFromJson(v);
-    });
+    health.flushIntervalMs = json.at("flushIntervalMs").asInt();
+    health.hlc = hlcFromJson(json.at("hlc"));
     return health;
 }
 
@@ -125,8 +118,7 @@ readHealthSnapshots(const std::string &sweepDir)
         try {
             WorkerHealth health =
                 healthFromJson(JsonValue::parse(text));
-            if (!health.hlc.empty())
-                HlcClock::instance().observe(health.hlc);
+            HlcClock::instance().observe(health.hlc);
             snapshots.push_back(std::move(health));
         } catch (const std::exception &) {
             // Torn snapshot: its writer's next beat replaces it.
@@ -153,10 +145,8 @@ aggregateHealthJson(const std::vector<WorkerHealth> &snapshots,
             std::max<std::int64_t>(0, nowMs - h.updatedMs);
         // A snapshot older than 2× its writer's declared cadence
         // means the writer missed at least one beat: crashed, wedged,
-        // or SIGKILLed. Legacy snapshots (no cadence) can't be
-        // judged and are never flagged.
-        const bool stale = h.flushIntervalMs > 0
-            && stale_ms > 2 * h.flushIntervalMs;
+        // or SIGKILLed.
+        const bool stale = stale_ms > 2 * h.flushIntervalMs;
         JsonValue row = healthToJson(h);
         row.set("staleMs", JsonValue(stale_ms));
         row.set("staleSeconds",

@@ -64,12 +64,11 @@ struct WorkerHealth
     /** The writer's declared snapshot cadence in ms; lets the
      * aggregator flag a snapshot older than 2× the cadence as stale
      * (a crashed or wedged writer) instead of leaving staleness
-     * interpretation to the reader. 0 = unknown (legacy snapshot). */
+     * interpretation to the reader. */
     std::int64_t flushIntervalMs = 0;
     /** The writer's hybrid-logical-clock stamp at the write
      * (common/event_log.h); readers observe() it so cross-process
-     * views order causally, not by skewed wall clocks. Empty on
-     * snapshots written before HLC stamping. */
+     * views order causally, not by skewed wall clocks. */
     Hlc hlc;
 };
 

@@ -56,72 +56,12 @@ collectJsonl(const std::string &dir, std::vector<std::string> &out)
 
 } // namespace
 
-void
-JobResolution::fold(const JobResult &record)
+const JobResolution &
+StoreTailReader::resolution(const std::string &fingerprint) const
 {
-    if (record.completed) {
-        // Duplicates of a completed record are bit-identical (pure
-        // function of the spec), so the first one seen is the verdict;
-        // any failure history it supersedes is cleared, matching
-        // dedupeByFingerprint's complete-record-wins rule.
-        if (!completed) {
-            completed = true;
-            failed = false;
-            timedOut = false;
-            attempts = 0;
-            iterations = record.iterations;
-            finalEnergy = record.finalEnergy;
-            shotsUsed = record.shotsUsed;
-            errorMessage.clear();
-        }
-        return;
-    }
-    if (completed)
-        return; // never degrade a completed verdict
-    if (record.failed) {
-        if (failed) {
-            // Fleet-wide poison accounting: concurrent workers'
-            // failure records sum their attempt counts
-            // (order-independent); a legacy attempts == 0 record
-            // means budget-exhausted and dominates the sum.
-            attempts = (attempts == 0 || record.attempts == 0)
-                ? 0
-                : attempts + record.attempts;
-            timedOut = timedOut || record.timedOut;
-        } else {
-            failed = true;
-            attempts = record.attempts;
-            timedOut = record.timedOut;
-            iterations = record.iterations;
-            finalEnergy = record.finalEnergy;
-            shotsUsed = record.shotsUsed;
-            errorMessage = record.errorMessage;
-        }
-        return;
-    }
-    // A halted partial record (single-process --halt runs): display
-    // scalars only, never a verdict.
-    if (!failed) {
-        iterations = record.iterations;
-        finalEnergy = record.finalEnergy;
-        shotsUsed = record.shotsUsed;
-    }
-}
-
-int
-JobResolution::priorAttempts(int maxJobAttempts) const
-{
-    if (!failed || completed)
-        return 0;
-    return attempts == 0 ? maxJobAttempts : attempts;
-}
-
-bool
-JobResolution::resolved(int maxJobAttempts) const
-{
-    if (completed)
-        return true;
-    return failed && priorAttempts(maxJobAttempts) >= maxJobAttempts;
+    static const JobResolution kUnrecorded;
+    const auto it = resolutions_.find(fingerprint);
+    return it == resolutions_.end() ? kUnrecorded : it->second;
 }
 
 StoreTailReader::StoreTailReader(std::string sweepDir)

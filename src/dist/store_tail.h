@@ -1,21 +1,15 @@
 /**
  * @file
- * StoreTailReader: the incremental merged-record view that makes the
- * worker/claim scan loop O(appended bytes) instead of O(store bytes).
+ * StoreTailReader: the merged-record view every scan loop reads, kept
+ * up to date in O(appended bytes) instead of O(store bytes).
  *
- * A full loadMergedRecords() pass re-reads the canonical store, every
- * sealed tier and every worker shard on *every* scan round — O(N) work
- * per claim, O(N²) per drained sweep. The tail reader keeps one byte
- * cursor (inode + offset + line number) per store file and, per
- * refresh, stats the current file set and parses only the bytes
- * appended since the last refresh, folding each decoded record into an
- * in-memory fingerprint → JobResolution map. The fold is
- * order-independent and mirrors dedupeByFingerprint exactly: a
- * completed record dominates, concurrent workers' failed records sum
- * their attempt counts (a legacy attempts == 0 record reads as
- * budget-exhausted and dominates the sum), and timedOut is sticky — so
- * the incremental view reaches the same resolved/pending verdicts the
- * full merge would.
+ * The reader keeps one byte cursor (inode + offset + line number) per
+ * store file — the canonical store, every sealed tier and every worker
+ * shard — and, per refresh, stats the current file set and parses only
+ * the bytes appended since the last refresh, folding each decoded
+ * record into an in-memory fingerprint → JobResolution map
+ * (svc/result_store.h: the one record-fold rule). A full load is the
+ * same read from offset 0: invalidate() then refresh().
  *
  * Validation parity: every appended line runs the same
  * decodeStoredLine chain as ResultStore::load, torn trailing lines
@@ -30,8 +24,8 @@
  * deletes its inputs — any tracked file vanishing, shrinking or
  * changing identity collapses the whole view and the next refresh is
  * a clean full rescan (counted, so benches and tests can assert the
- * fallback fired). That keeps correctness trivially equivalent to the
- * full loader at the cost of O(store) work per *store-mutating* event
+ * fallback fired). That keeps correctness trivially equivalent to a
+ * full read at the cost of O(store) work per *store-mutating* event
  * rather than per scan — the events (rolls, folds, compactions) are
  * O(records / threshold), not O(scans).
  *
@@ -49,42 +43,6 @@
 #include "svc/result_store.h"
 
 namespace treevqa {
-
-/**
- * The folded verdict for one job fingerprint across every record seen
- * for it, equivalent to what dedupeByFingerprint would leave merged
- * into the surviving record. Carries only the scalars the scan loop
- * and status view need — never the trajectory/parameter bodies, which
- * is what lets a 10^6-job view fit in memory.
- */
-struct JobResolution
-{
-    bool completed = false;
-    bool failed = false;
-    /** Cumulative fleet-wide failed attempts (0 = budget-exhausted
-     * legacy marker, which dominates sums). Meaningful when failed. */
-    int attempts = 0;
-    bool timedOut = false;
-    /** Display scalars from the winning record (status view). */
-    int iterations = 0;
-    double finalEnergy = 0.0;
-    std::uint64_t shotsUsed = 0;
-    std::string errorMessage;
-
-    /** Fold one decoded record in (order-independent). */
-    void fold(const JobResult &record);
-
-    /** Attempts this fingerprint's failure history accounts for under
-     * `maxJobAttempts` (worker_daemon's effectiveAttempts view; 0
-     * when there is no failure to account). */
-    int priorAttempts(int maxJobAttempts) const;
-
-    /** Resolving under the budget: completed, or failed with the
-     * cumulative attempts at/past `maxJobAttempts` (a legacy
-     * attempts == 0 record reads as budget-exhausted). Mirrors
-     * resolvedFingerprints(). */
-    bool resolved(int maxJobAttempts) const;
-};
 
 /** Tail-reader observability: the currency of the dist_throughput
  * bench and the scale tests. */
@@ -125,6 +83,10 @@ class StoreTailReader
     {
         return resolutions_;
     }
+
+    /** The folded verdict for one fingerprint; an empty (pending)
+     * resolution when no record of it has been seen. */
+    const JobResolution &resolution(const std::string &fingerprint) const;
 
     const TailCounters &counters() const { return counters_; }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -21,7 +22,6 @@
 #include "common/trace.h"
 #include "dist/health.h"
 #include "dist/work_claim.h"
-#include "dist/worker_daemon.h"
 #include "dist/store_merge.h"
 #include "svc/result_store.h"
 #include "svc/sweep_dir.h"
@@ -80,7 +80,7 @@ describeExit(int status)
 } // namespace
 
 Supervisor::Supervisor(SupervisorOptions options)
-    : options_(std::move(options))
+    : options_(std::move(options)), tail_(options_.sweepDir)
 {
     if (options_.sweepDir.empty())
         throw std::invalid_argument("supervisor: sweepDir must be set");
@@ -450,12 +450,12 @@ Supervisor::watchdogScan(std::int64_t nowMs)
 
         const ScenarioSpec *spec =
             index_ ? index_->byFingerprint(info.fingerprint) : nullptr;
-        const bool resolved =
-            resolvedFingerprints(loadMergedRecords(options_.sweepDir),
-                                 options_.maxJobAttempts)
-                .count(info.fingerprint)
-            > 0;
-        if (spec && !resolved) {
+        // Rare (one per kill), so read every store from offset 0.
+        tail_.invalidate();
+        tail_.refresh();
+        if (spec
+            && !tail_.resolution(info.fingerprint)
+                    .resolved(options_.maxJobAttempts)) {
             JobResult timeout;
             timeout.spec = *spec;
             timeout.fingerprint = info.fingerprint;
@@ -551,30 +551,25 @@ Supervisor::sweepDrained()
     } catch (const std::exception &) {
         return false; // no sweep.json yet: nothing to drain
     }
-    if (!tail_)
-        tail_ = std::make_unique<StoreTailReader>(options_.sweepDir);
-    tail_->refresh();
-    const auto &resolutions = tail_->resolutions();
-    for (const std::string &fp : index_->fingerprints()) {
-        const auto it = resolutions.find(fp);
-        if (it == resolutions.end()
-            || !it->second.resolved(options_.maxJobAttempts))
-            return false;
-    }
+    const auto all_resolved = [&] {
+        for (const std::string &fp : index_->fingerprints())
+            if (!tail_.resolution(fp).resolved(options_.maxJobAttempts))
+                return false;
+        return true;
+    };
+    tail_.refresh();
+    if (!all_resolved())
+        return false;
     // The incremental view is advisory (a racing compaction window can
     // transiently over-count attempts); confirm a drained-looking tail
-    // with one authoritative full load per job-list generation before
+    // with one read from offset 0 per job-list generation before
     // tearing the fleet down.
     if (drainConfirmedFor_ == index_->expansions())
         return true;
-    const std::set<std::string> resolved =
-        resolvedFingerprints(loadMergedRecords(options_.sweepDir),
-                             options_.maxJobAttempts);
-    for (const std::string &fp : index_->fingerprints())
-        if (resolved.count(fp) == 0) {
-            tail_->invalidate();
-            return false;
-        }
+    tail_.invalidate();
+    tail_.refresh();
+    if (!all_resolved())
+        return false;
     drainConfirmedFor_ = index_->expansions();
     return true;
 }

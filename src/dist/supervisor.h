@@ -195,13 +195,13 @@ class Supervisor
      * dwarfs supervision at 10^5+ jobs. The index re-expands only
      * when sweep.json changes and the tail reader parses only
      * appended record bytes; a drained-looking tail view is confirmed
-     * once per job-list generation by an authoritative full load
+     * once per job-list generation by a read from offset 0
      * (drainConfirmedFor_). The index also serves the watchdog's
-     * fingerprint → spec lookups. Lazily created (the sweep dir must
-     * exist first).
+     * fingerprint → spec lookups and is lazily created (the sweep dir
+     * must exist first).
      */
     std::unique_ptr<SweepIndex> index_;
-    std::unique_ptr<StoreTailReader> tail_;
+    StoreTailReader tail_;
     std::uint64_t drainConfirmedFor_ = 0;
 };
 

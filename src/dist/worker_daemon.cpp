@@ -7,7 +7,6 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -44,7 +43,6 @@ struct WorkerMetrics
     Counter &jobsTimedOut;
     Counter &jobsInterrupted;
     Counter &heartbeatRenewals;
-    Counter &fullLoadBytes;
     Gauge &specExpansions;
     /** Root wall measurement: ns since the drain loop started, stamped
      * at every beat; the loop-thread phases below partition it. */
@@ -75,7 +73,6 @@ workerMetrics()
         reg.counter("worker.jobs_timed_out"),
         reg.counter("worker.jobs_interrupted"),
         reg.counter("worker.heartbeat_renewals"),
-        reg.counter("worker.store_bytes_full_load"),
         reg.gauge("worker.spec_expansions"),
         reg.gauge("worker.wall_ns"),
         reg.histogram("worker.scan_ns"),
@@ -100,46 +97,6 @@ workerScanOffset(const std::string &workerId)
         hash *= 1099511628211ull;
     }
     return static_cast<std::size_t>(hash);
-}
-
-/**
- * Attempts a failed record accounts for, as seen through the poison
- * budget. A legacy record (attempts == 0, written before attempt
- * accounting) reads as budget-exhausted — the pre-fleet-budget
- * semantics those records were written under.
- */
-int
-effectiveAttempts(const JobResult &record, int maxJobAttempts)
-{
-    return record.attempts == 0 ? maxJobAttempts : record.attempts;
-}
-
-/** Total on-disk bytes of the sweep's record stores (canonical +
- * tiers + shards): what one full-rescan round costs to read — the
- * O(N)-baseline half of the dist_throughput bench accounting. */
-std::uint64_t
-sweepStoreBytes(const std::string &sweepDir)
-{
-    namespace fs = std::filesystem;
-    std::uint64_t total = 0;
-    std::error_code ec;
-    const auto size = fs::file_size(sweepStorePath(sweepDir), ec);
-    if (!ec)
-        total += size;
-    for (const std::string &dir :
-         {sweepTierDir(sweepDir), sweepShardDir(sweepDir)}) {
-        std::error_code dec;
-        for (const auto &entry : fs::directory_iterator(dir, dec)) {
-            if (!entry.is_regular_file()
-                || entry.path().extension() != ".jsonl")
-                continue;
-            std::error_code fec;
-            const auto bytes = entry.file_size(fec);
-            if (!fec)
-                total += bytes;
-        }
-    }
-    return total;
 }
 
 /**
@@ -173,31 +130,6 @@ peerHoldsLiveClaim(const std::string &sweepDir, const std::string &self,
 }
 
 } // namespace
-
-std::set<std::string>
-resolvedFingerprints(const std::vector<JobResult> &records,
-                     int maxJobAttempts)
-{
-    std::set<std::string> done;
-    for (const JobResult &record : records)
-        if (record.completed
-            || (record.failed
-                && effectiveAttempts(record, maxJobAttempts)
-                    >= maxJobAttempts))
-            done.insert(record.fingerprint);
-    return done;
-}
-
-int
-priorFailedAttempts(const std::vector<JobResult> &records,
-                    const std::string &fingerprint, int maxJobAttempts)
-{
-    for (const JobResult &record : records)
-        if (record.fingerprint == fingerprint && record.failed
-            && !record.completed)
-            return effectiveAttempts(record, maxJobAttempts);
-    return 0;
-}
 
 std::int64_t
 jitteredPollMs(std::int64_t pollMs, const std::string &workerId)
@@ -360,7 +292,7 @@ WorkerDaemon::runLoop(const std::function<JobSet()> &source)
     TRACE_SPAN("worker.wall");
     StoreTailReader tail(options_.sweepDir);
     WorkerReport report = scanLoop(source, tail);
-    report.storeBytesRead += tail.counters().bytesRead;
+    report.storeBytesRead = tail.counters().bytesRead;
     report.fullRescans = tail.counters().fullRescans;
     return report;
 }
@@ -379,10 +311,17 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
     const std::size_t scan_salt = workerScanOffset(options_.workerId);
     beat([](WorkerHealth &h) { h.state = "idle"; });
 
-    // Drained verdicts are confirmed by one authoritative full load;
-    // remembering which job-list generation was confirmed keeps a
-    // daemon-mode idle loop from paying that O(N) load every poll.
+    // Drained verdicts are confirmed by one full re-read; remembering
+    // which job-list generation was confirmed keeps a daemon-mode idle
+    // loop from paying that O(N) read every poll.
     std::uint64_t drain_confirmed_for = 0;
+    // incrementalScan = false is the O(N)-per-round baseline: every
+    // refresh re-reads the stores from offset 0.
+    const auto refresh_view = [&] {
+        if (!options_.incrementalScan)
+            tail.invalidate();
+        tail.refresh();
+    };
 
     while (!stop_.load()) {
         const JobSet jobs = source();
@@ -396,53 +335,30 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             static_cast<std::int64_t>(jobs.expansions));
 
         std::vector<std::size_t> pending;
+        const auto collect_pending = [&] {
+            pending.clear();
+            for (std::size_t i = 0; i < specs.size(); ++i)
+                if (!poisoned_.count(fingerprints[i])
+                    && !tail.resolution(fingerprints[i])
+                            .resolved(options_.maxJobAttempts))
+                    pending.push_back(i);
+        };
         {
             TRACE_SPAN_TIMED("worker.scan", workerMetrics().scanNs);
-            if (options_.incrementalScan) {
-                tail.refresh();
-                const auto &resolutions = tail.resolutions();
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    if (poisoned_.count(fingerprints[i]))
-                        continue;
-                    const auto it = resolutions.find(fingerprints[i]);
-                    if (it != resolutions.end()
-                        && it->second.resolved(
-                            options_.maxJobAttempts))
-                        continue;
-                    pending.push_back(i);
-                }
-            } else {
-                const std::uint64_t full_bytes = sweepStoreBytes(dir);
-                report.storeBytesRead += full_bytes;
-                workerMetrics().fullLoadBytes.inc(full_bytes);
-                std::set<std::string> done = resolvedFingerprints(
-                    loadMergedRecords(dir), options_.maxJobAttempts);
-                done.insert(poisoned_.begin(), poisoned_.end());
-                for (std::size_t i = 0; i < specs.size(); ++i)
-                    if (done.count(fingerprints[i]) == 0)
-                        pending.push_back(i);
-            }
-
-            if (pending.empty() && options_.incrementalScan
+            refresh_view();
+            collect_pending();
+            if (pending.empty()
                 && drain_confirmed_for != jobs.expansions) {
                 // The incremental view is an optimization, never the
-                // drain proof: one full merged load arbitrates. A
+                // drain proof: a read from offset 0 arbitrates. A
                 // mismatch (the tail over-resolved through a
                 // transient fold-overlap double count, or lost a
-                // race) rebuilds the view and keeps scanning.
-                const std::uint64_t full_bytes = sweepStoreBytes(dir);
-                report.storeBytesRead += full_bytes;
-                workerMetrics().fullLoadBytes.inc(full_bytes);
-                std::set<std::string> done = resolvedFingerprints(
-                    loadMergedRecords(dir), options_.maxJobAttempts);
-                done.insert(poisoned_.begin(), poisoned_.end());
-                for (std::size_t i = 0; i < specs.size(); ++i)
-                    if (done.count(fingerprints[i]) == 0)
-                        pending.push_back(i);
+                // race) leaves the rebuilt view and keeps scanning.
+                tail.invalidate();
+                tail.refresh();
+                collect_pending();
                 if (pending.empty())
                     drain_confirmed_for = jobs.expansions;
-                else
-                    tail.invalidate();
             }
         }
 
@@ -522,45 +438,17 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         // fingerprint, so the attempt counts read here cannot be
         // raced past the budget while we hold the leases.
         if (claimed_any) {
-            std::set<std::string> done;
-            std::vector<JobResult> merged;
-            const std::map<std::string, JobResolution> *resolutions =
-                nullptr;
-            if (options_.incrementalScan) {
-                tail.refresh();
-                resolutions = &tail.resolutions();
-            } else {
-                const std::uint64_t full_bytes = sweepStoreBytes(dir);
-                report.storeBytesRead += full_bytes;
-                workerMetrics().fullLoadBytes.inc(full_bytes);
-                merged = loadMergedRecords(dir);
-                done = resolvedFingerprints(merged,
-                                            options_.maxJobAttempts);
-            }
+            refresh_view();
             std::vector<BatchSlot> live;
             for (BatchSlot &slot : batch) {
                 const std::string &fp = fingerprints[slot.index];
-                bool resolved = poisoned_.count(fp) != 0;
-                int prior = 0;
-                if (resolutions) {
-                    const auto it = resolutions->find(fp);
-                    if (it != resolutions->end()) {
-                        resolved = resolved
-                            || it->second.resolved(
-                                options_.maxJobAttempts);
-                        prior = it->second.priorAttempts(
-                            options_.maxJobAttempts);
-                    }
-                } else {
-                    resolved = resolved || done.count(fp) != 0;
-                    prior = priorFailedAttempts(
-                        merged, fp, options_.maxJobAttempts);
-                }
-                if (resolved) {
+                const JobResolution &r = tail.resolution(fp);
+                if (poisoned_.count(fp) != 0
+                    || r.resolved(options_.maxJobAttempts)) {
                     slot.claim.release();
                     continue;
                 }
-                slot.priorAttempts = prior;
+                slot.priorAttempts = r.priorAttempts();
                 live.push_back(std::move(slot));
             }
             batch = std::move(live);
@@ -593,7 +481,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
     }
 
     if (report.drained && options_.mergeOnDrain && !stop_.load()) {
-        // Drained = every job recorded (full-load confirmed), so
+        // Drained = every job recorded (full-read confirmed), so
         // shard/tier removal is safe.
         beat([](WorkerHealth &h) { h.state = "draining"; });
         compactSweepStore(dir, /*removeMergedShards=*/true);

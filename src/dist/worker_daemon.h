@@ -8,8 +8,8 @@
  * parsed and fingerprinted once, re-expanded only when sweep.json
  * actually changes), brings its incremental merged-record view up to
  * date (StoreTailReader: per-file byte cursors, only appended lines
- * parsed; a full loadMergedRecords rescan is the fallback after
- * compaction or any cursor invalidation), and walks the
+ * parsed; a read from offset 0 is the fallback after compaction or
+ * any cursor invalidation), and walks the
  * still-unrecorded jobs in a worker-specific rotation (so a fleet
  * doesn't stampede the same claim file). It claims up to `claimBatch`
  * jobs per pass (WorkClaim) and runs them back to back under one
@@ -25,23 +25,24 @@
  * threshold and same-level tiers are folded `tierFanout`-to-1
  * (store_merge.h), keeping the file set a reader must visit O(log) in
  * records. When the incremental view says the sweep is drained, one
- * authoritative full-merge load confirms it (the incremental view is
- * an optimization, never the drain proof); then, once no other worker
- * still holds a live claim (a resolved job's live claim means its
- * owner is still committing: append, shard roll, release), the daemon
- * compacts everything into the canonical store and summary.
+ * re-read of every store from offset 0 confirms it (the incremental
+ * view is an optimization, never the drain proof); then, once no
+ * other worker still holds a live claim (a resolved job's live claim
+ * means its owner is still committing: append, shard roll, release),
+ * the daemon compacts everything into the canonical store and
+ * summary.
  *
  * A job that throws is retried within a per-job budget
  * (maxJobAttempts, exponential backoff); when the budget is spent the
  * job is quarantined as *poison* — a failed=true record is appended
  * so the sweep can drain around a defective spec instead of wedging
  * or killing the fleet. The budget is **fleet-wide**: failed records
- * persist the attempt count they account for, the merged views
- * accumulate counts across workers' records, and every worker treats
- * a job as poison-resolved once the *cumulative* attempts reach its
- * own maxJobAttempts — so a defective spec costs at most
- * maxJobAttempts attempts across the whole fleet, not that many per
- * worker. A worker claiming a job with prior recorded failures only
+ * persist the attempt count they account for, JobResolution
+ * (svc/result_store.h) sums counts across workers' records, and every
+ * worker treats a job as poison-resolved once the *cumulative*
+ * attempts reach its own maxJobAttempts — so a defective spec costs
+ * at most maxJobAttempts attempts across the whole fleet, not that
+ * many per worker. A worker claiming a job with prior recorded failures only
  * spends the remaining budget.
  *
  * Liveness watchdog: the heartbeat thread stamps a batch-wide
@@ -139,11 +140,11 @@ struct WorkerOptions
      */
     int claimBatch = 8;
     /**
-     * Use the incremental tail-reader record view (O(appended bytes)
-     * per scan) instead of a full merged load per round. The drain
-     * decision is always confirmed by a full load either way; false
-     * exists for the dist_throughput bench's O(N)-rescan baseline and
-     * as an escape hatch.
+     * Refresh the tail-reader record view incrementally (O(appended
+     * bytes) per scan). False invalidates the view before every
+     * refresh, re-reading every store from offset 0 each round: the
+     * dist_throughput bench's O(N)-rescan baseline. The drain
+     * decision is confirmed by a full re-read either way.
      */
     bool incrementalScan = true;
     /**
@@ -206,25 +207,6 @@ struct WorkerOptions
 std::int64_t jitteredPollMs(std::int64_t pollMs,
                             const std::string &workerId);
 
-/**
- * Fingerprints with a *resolving* record: completed, or failed with
- * the cumulative fleet-wide attempt count at (or past)
- * `maxJobAttempts`. A failed record below the budget leaves the job
- * pending — another worker may still spend the remaining attempts. A
- * legacy failed record (attempts == 0) reads as budget-exhausted.
- * Shared by the worker's drain confirmation and the supervisor's
- * drained check.
- */
-std::set<std::string>
-resolvedFingerprints(const std::vector<JobResult> &records,
-                     int maxJobAttempts);
-
-/** Cumulative recorded failed attempts for one fingerprint in a
- * deduped record view (0 when it has no failed record). */
-int priorFailedAttempts(const std::vector<JobResult> &records,
-                        const std::string &fingerprint,
-                        int maxJobAttempts);
-
 /** What one run() accomplished. */
 struct WorkerReport
 {
@@ -265,9 +247,9 @@ struct WorkerReport
     std::size_t scanRounds = 0;
     /** WorkClaim::tryAcquire round-trips (successful or not). */
     std::size_t claimAttempts = 0;
-    /** Store bytes read building record views (incremental: tail
-     * appends consumed, plus full-load fallbacks; rescan mode: whole
-     * store per round). */
+    /** Store bytes the tail reader consumed (incremental: appends,
+     * plus re-reads after invalidation and drain confirmation;
+     * rescan mode: the whole store per refresh). */
     std::uint64_t storeBytesRead = 0;
     /** Tail-reader cursor invalidations that forced a full rescan. */
     std::uint64_t fullRescans = 0;

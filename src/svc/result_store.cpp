@@ -35,6 +35,13 @@ sortedByName(const std::vector<JobResult> &results)
     return sorted;
 }
 
+/** completed > failed > halted partial (JobResolution's rank). */
+int
+recordRank(bool completed, bool failed)
+{
+    return completed ? 2 : failed ? 1 : 0;
+}
+
 } // namespace
 
 void
@@ -193,6 +200,9 @@ jobResultFromJson(const JsonValue &json)
     jsonMaybe(json, "timedOut", [&](const JsonValue &v) {
         result.timedOut = v.asBool();
     });
+    if (result.failed && result.attempts < 1)
+        throw std::invalid_argument(
+            "failed record must account for at least one attempt");
     result.backend = json.at("backend").asString();
     result.iterations = static_cast<int>(json.at("iterations").asInt());
     result.shotsUsed = json.at("shotsUsed").asUint();
@@ -282,50 +292,54 @@ ResultStore::append(const JobResult &result)
     appendTextDurable(path_, line);
 }
 
+bool
+JobResolution::fold(const JobResult &record)
+{
+    const int rank = recordRank(record.completed, record.failed);
+    const int held = recordRank(completed, failed);
+    if (rank < held)
+        return false;
+    const bool both_failed = rank == 1 && held == 1;
+    attempts = both_failed ? attempts + record.attempts : record.attempts;
+    timedOut = (both_failed && timedOut) || record.timedOut;
+    completed = record.completed;
+    failed = record.failed;
+    iterations = record.iterations;
+    finalEnergy = record.finalEnergy;
+    shotsUsed = record.shotsUsed;
+    errorMessage = record.errorMessage;
+    return true;
+}
+
 std::vector<JobResult>
 dedupeByFingerprint(std::vector<JobResult> records,
                     bool warnOnDuplicates)
 {
-    // index of the kept record per fingerprint, in first-seen order.
+    // Per fingerprint: the kept record's index (first-seen order) and
+    // the fold of every record seen so far.
     std::vector<JobResult> kept;
-    std::map<std::string, std::size_t> by_fingerprint;
+    std::map<std::string, std::pair<std::size_t, JobResolution>>
+        by_fingerprint;
     std::set<std::string> warned;
     for (JobResult &record : records) {
-        const auto [it, inserted] =
-            by_fingerprint.emplace(record.fingerprint, kept.size());
-        if (inserted) {
-            kept.push_back(std::move(record));
-            continue;
-        }
-        JobResult &held = kept[it->second];
-        if (warnOnDuplicates
-            && warned.insert(record.fingerprint).second)
+        const auto [it, inserted] = by_fingerprint.try_emplace(
+            record.fingerprint, kept.size(), JobResolution{});
+        if (inserted)
+            kept.emplace_back();
+        else if (warnOnDuplicates
+                 && warned.insert(record.fingerprint).second)
             std::fprintf(stderr,
                          "treevqa: duplicate records for job \"%s\" "
                          "(fingerprint %s); keeping the newest "
                          "complete one\n",
                          record.spec.name.c_str(),
                          record.fingerprint.c_str());
-        // Fleet-wide poison accounting: when two workers each wrote a
-        // failed record for the same job, the surviving record carries
-        // the *sum* of their attempt counts (order-independent, so the
-        // merged view is deterministic) and a sticky timedOut flag. A
-        // legacy failed record (attempts == 0, written before attempt
-        // accounting) means budget-exhausted and dominates the sum.
-        const bool merge_failure_counts = record.failed && held.failed;
-        const int merged_attempts =
-            (record.attempts == 0 || held.attempts == 0)
-            ? 0
-            : record.attempts + held.attempts;
-        const bool merged_timed_out = record.timedOut || held.timedOut;
-        // Later = newer (append order); never replace a complete
-        // record with an incomplete one.
-        if (record.completed || !held.completed)
+        auto &[index, resolution] = it->second;
+        JobResult &held = kept[index];
+        if (resolution.fold(record))
             held = std::move(record);
-        if (merge_failure_counts && held.failed) {
-            held.attempts = merged_attempts;
-            held.timedOut = merged_timed_out;
-        }
+        held.attempts = resolution.attempts;
+        held.timedOut = resolution.timedOut;
     }
     return kept;
 }

@@ -27,6 +27,7 @@
 #ifndef TREEVQA_SVC_RESULT_STORE_H
 #define TREEVQA_SVC_RESULT_STORE_H
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -35,7 +36,10 @@
 
 namespace treevqa {
 
-/** JobResult <-> one JSONL record (without the "crc" member). */
+/** JobResult <-> one JSONL record (without the "crc" member).
+ * jobResultFromJson throws on a failed record that accounts for no
+ * attempt (`attempts` < 1), so such a line is quarantined like any
+ * other malformed record. */
 JsonValue jobResultToJson(const JobResult &result);
 JobResult jobResultFromJson(const JsonValue &json);
 
@@ -130,21 +134,69 @@ class ResultStore
 std::string quarantineDirFor(const std::string &storePath);
 
 /**
- * Collapse duplicate-fingerprint records to one per job. Duplicates
- * arise when a run directory is reused with resume disabled, or when
- * per-worker store shards from a distributed sweep are merged after a
- * lease was reclaimed mid-job. Keeps the newest complete record per
- * fingerprint — records are in append order, so the last complete
- * occurrence wins; when none completed, the last occurrence wins —
- * and, with `warnOnDuplicates`, warns on stderr once per duplicated
- * fingerprint. Callers for whom overlap is expected (the merged
- * canonical+shard view of a distributed sweep after a standalone
- * merge) pass false to keep the warning meaningful for the case it
- * exists for: a genuinely reused run directory. The surviving records
- * keep first-occurrence order. When duplicates are all failed records
- * (each worker in a fleet writes its own), the survivor accumulates
- * their attempt counts — the substrate of the fleet-wide poison
- * budget (dist/worker_daemon.h) — and a sticky timedOut flag.
+ * The fleet verdict for one job fingerprint: every record seen for it,
+ * folded by the one rule every reader of the record stores shares —
+ * dedupeByFingerprint, the incremental tail reader
+ * (dist/store_tail.h), the worker's scan and claim re-check, the
+ * supervisor's watchdog and drained check, and `treevqa_run --status`.
+ *
+ * Records rank completed > failed > halted partial. A record of a
+ * lower rank never replaces a higher one; within a rank the later
+ * record's body wins. Failed records of one job (each worker in a
+ * fleet writes its own) sum their `attempts` and OR their `timedOut`
+ * — the substrate of the fleet-wide poison budget
+ * (dist/worker_daemon.h). The verdict is independent of fold order;
+ * only which equal-rank body survives depends on it.
+ *
+ * Carries only the scalars verdicts and the status view need, never
+ * the trajectory/parameter bodies, which is what lets a 10^6-job view
+ * fit in memory.
+ */
+struct JobResolution
+{
+    bool completed = false;
+    bool failed = false;
+    /** Cumulative fleet-wide failed attempts (when failed). */
+    int attempts = 0;
+    bool timedOut = false;
+    /** Display scalars of the surviving record (status view). */
+    int iterations = 0;
+    double finalEnergy = 0.0;
+    std::uint64_t shotsUsed = 0;
+    std::string errorMessage;
+
+    /** Fold one record in. Returns true when its body became the
+     * survivor (it outranked or, at equal rank, followed the held
+     * one). */
+    bool fold(const JobResult &record);
+
+    /** Recorded fleet-wide attempts a claimant must not spend again
+     * (0 unless the verdict is a failure). */
+    int priorAttempts() const { return failed ? attempts : 0; }
+
+    /** Completed, or failed with the cumulative attempts at or past
+     * `maxJobAttempts`. A failure below the budget leaves the job
+     * pending: another worker may still spend the remaining
+     * attempts. */
+    bool resolved(int maxJobAttempts) const
+    {
+        return completed || (failed && attempts >= maxJobAttempts);
+    }
+};
+
+/**
+ * Collapse duplicate-fingerprint records to one per job by folding
+ * each fingerprint's records (in the given order, i.e. append order)
+ * through JobResolution: the survivor is the body fold() kept, stamped
+ * with the folded `attempts` and `timedOut`. Duplicates arise when a
+ * run directory is reused with resume disabled, or when per-worker
+ * store shards from a distributed sweep are merged after a lease was
+ * reclaimed mid-job. With `warnOnDuplicates`, warns on stderr once per
+ * duplicated fingerprint. Callers for whom overlap is expected (the
+ * merged canonical+shard view of a distributed sweep after a
+ * standalone merge) pass false to keep the warning meaningful for the
+ * case it exists for: a genuinely reused run directory. The surviving
+ * records keep first-occurrence order.
  */
 std::vector<JobResult>
 dedupeByFingerprint(std::vector<JobResult> records,

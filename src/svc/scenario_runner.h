@@ -59,14 +59,14 @@ struct JobResult
     /** The last attempt's error, for failed records. */
     std::string errorMessage;
     /**
-     * Failed attempts this record accounts for. Persisted on
-     * failed=true records so the *fleet-wide* poison budget works: the
-     * merged record view accumulates attempts across every worker's
-     * failure records (dedupeByFingerprint sums them), and any worker
-     * that observes >= its --max-job-attempts cumulative attempts
-     * skips the spec durably — one budget for the whole fleet, not
-     * one per worker. 0 on legacy failed records (written before
-     * attempt accounting), which read as budget-exhausted. */
+     * Failed attempts this record accounts for (at least 1 on
+     * failed=true records; a stored failed record with fewer is
+     * rejected as malformed). Persisted so the *fleet-wide* poison
+     * budget works: JobResolution (result_store.h) sums attempts
+     * across every worker's failure records, and any worker that
+     * observes >= its --max-job-attempts cumulative attempts skips
+     * the spec durably — one budget for the whole fleet, not one per
+     * worker. */
     int attempts = 0;
     /** True when this failure was a hung-job timeout (the watchdog
      * killed or abandoned the attempt because the lease kept renewing

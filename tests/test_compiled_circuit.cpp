@@ -490,14 +490,6 @@ TEST(SimBackend, SelectionByName)
     const ClusterObjective by_name(fam, ansatz, named);
     EXPECT_EQ(by_name.backendName(), "paulprop");
 
-    // The legacy enum still resolves when no name is given.
-    EngineConfig legacy;
-    legacy.backend = Backend::PauliPropagation;
-    legacy.propConfig.maxWeight = 64;
-    legacy.propConfig.coefThreshold = 0.0;
-    const ClusterObjective by_enum(fam, ansatz, legacy);
-    EXPECT_EQ(by_enum.backendName(), "paulprop");
-
     EXPECT_EQ(simBackendNames().size(), 2u);
 
     EngineConfig bogus;
@@ -523,7 +515,7 @@ TEST(SimBackend, EngineConfigJsonRoundTripIsLossless)
 
         const JsonValue serialized = engineConfigToJson(config);
         const EngineConfig restored = engineConfigFromJson(serialized);
-        EXPECT_EQ(resolvedBackendName(restored), name);
+        EXPECT_EQ(restored.backendName, name);
         EXPECT_EQ(restored.shotsPerTerm, config.shotsPerTerm);
         EXPECT_EQ(restored.injectShotNoise, config.injectShotNoise);
         EXPECT_EQ(restored.noise.gateFidelity(),
@@ -545,14 +537,6 @@ TEST(SimBackend, EngineConfigJsonRoundTripIsLossless)
         EXPECT_EQ(engineConfigToJson(restored).dump(),
                   serialized.dump());
     }
-
-    // The legacy enum resolves to a name on serialization, so enum
-    // configs survive the JSON seam too.
-    EngineConfig legacy;
-    legacy.backend = Backend::PauliPropagation;
-    const EngineConfig restored =
-        engineConfigFromJson(engineConfigToJson(legacy));
-    EXPECT_EQ(resolvedBackendName(restored), "paulprop");
 }
 
 TEST(SimBackend, EngineConfigJsonUnknownBackendFailsClearly)

@@ -757,15 +757,15 @@ TEST(ResultStoreDedupe, AccumulatesFailedAttemptsAcrossRecords)
     EXPECT_EQ(deduped[0].attempts, 3);
     EXPECT_TRUE(deduped[0].timedOut);
 
-    // A legacy budget-exhausted record (attempts == 0) dominates: the
-    // sum is unknowable, so the merged record stays "exhausted".
-    JobResult legacy = one;
-    legacy.attempts = 0;
-    legacy.timedOut = false;
-    deduped = dedupeByFingerprint({one, legacy});
-    ASSERT_EQ(deduped.size(), 1u);
-    EXPECT_EQ(deduped[0].attempts, 0);
-    EXPECT_TRUE(deduped[0].timedOut);
+    // A failed record that accounts for no attempt never reaches the
+    // fold: its stored line is rejected as malformed.
+    JobResult zero = one;
+    zero.spec = tinySpec("zero", 1.0);
+    zero.fingerprint = scenarioFingerprint(zero.spec);
+    zero.attempts = 0;
+    JobResult decoded;
+    EXPECT_EQ(decodeStoredLine(jobResultToStoredLine(zero), decoded),
+              StoredLineStatus::ParseFailure);
 
     // A completed record supersedes the failure history outright.
     JobResult done;
@@ -778,7 +778,50 @@ TEST(ResultStoreDedupe, AccumulatesFailedAttemptsAcrossRecords)
     EXPECT_FALSE(deduped[0].failed);
 }
 
-TEST(WorkerDaemon, ResolvedFingerprintsHonorTheFleetBudget)
+TEST(ResultStoreDedupe, FoldRuleSettlesFormerDisagreements)
+{
+    JobResult failed;
+    failed.spec = tinySpec("settle", 1.0);
+    failed.fingerprint = "F";
+    failed.failed = true;
+    failed.attempts = 2;
+    failed.errorMessage = "boom";
+
+    // Failed then a halted partial: the failure outranks the partial,
+    // so the job keeps its failure verdict instead of turning pending.
+    JobResult partial;
+    partial.spec = failed.spec;
+    partial.fingerprint = "F";
+    partial.iterations = 4;
+    auto deduped = dedupeByFingerprint({failed, partial});
+    ASSERT_EQ(deduped.size(), 1u);
+    EXPECT_TRUE(deduped[0].failed);
+    EXPECT_EQ(deduped[0].attempts, 2);
+    EXPECT_EQ(deduped[0].errorMessage, "boom");
+    JobResolution r;
+    r.fold(failed);
+    EXPECT_FALSE(r.fold(partial));
+    EXPECT_TRUE(r.failed);
+    EXPECT_EQ(r.attempts, 2);
+
+    // Two completed records: the later body wins in both views.
+    JobResult first;
+    first.spec = failed.spec;
+    first.fingerprint = "G";
+    first.completed = true;
+    first.iterations = 12;
+    JobResult later = first;
+    later.iterations = 24;
+    deduped = dedupeByFingerprint({first, later});
+    ASSERT_EQ(deduped.size(), 1u);
+    EXPECT_EQ(deduped[0].iterations, 24);
+    JobResolution done;
+    done.fold(first);
+    EXPECT_TRUE(done.fold(later));
+    EXPECT_EQ(done.iterations, 24);
+}
+
+TEST(WorkerDaemon, ResolutionsHonorTheFleetBudget)
 {
     JobResult done;
     done.fingerprint = "DONE";
@@ -789,27 +832,23 @@ TEST(WorkerDaemon, ResolvedFingerprintsHonorTheFleetBudget)
     partial.failed = true;
     partial.attempts = 2;
 
-    JobResult legacy;
-    legacy.fingerprint = "LEGACY";
-    legacy.failed = true;
-    legacy.attempts = 0;
+    JobResolution completed;
+    completed.fold(done);
+    JobResolution failing;
+    failing.fold(partial);
+    const JobResolution absent;
 
-    const std::vector<JobResult> records = {done, partial, legacy};
     // Budget 3: two recorded attempts leave one to spend — the job is
-    // still pending fleet-wide. Legacy failed records read as
-    // exhausted whatever the budget.
-    auto resolved = resolvedFingerprints(records, 3);
-    EXPECT_EQ(resolved.count("DONE"), 1u);
-    EXPECT_EQ(resolved.count("PARTIAL"), 0u);
-    EXPECT_EQ(resolved.count("LEGACY"), 1u);
+    // still pending fleet-wide.
+    EXPECT_TRUE(completed.resolved(3));
+    EXPECT_FALSE(failing.resolved(3));
+    EXPECT_FALSE(absent.resolved(3));
     // Budget 2: the partial failure is now spent too.
-    resolved = resolvedFingerprints(records, 2);
-    EXPECT_EQ(resolved.count("PARTIAL"), 1u);
+    EXPECT_TRUE(failing.resolved(2));
 
-    EXPECT_EQ(priorFailedAttempts(records, "PARTIAL", 3), 2);
-    EXPECT_EQ(priorFailedAttempts(records, "LEGACY", 3), 3);
-    EXPECT_EQ(priorFailedAttempts(records, "DONE", 3), 0);
-    EXPECT_EQ(priorFailedAttempts(records, "ABSENT", 3), 0);
+    EXPECT_EQ(failing.priorAttempts(), 2);
+    EXPECT_EQ(completed.priorAttempts(), 0);
+    EXPECT_EQ(absent.priorAttempts(), 0);
 }
 
 TEST(WorkerDaemon, PoisonBudgetIsFleetWideAcrossWorkers)

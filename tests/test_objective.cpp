@@ -102,7 +102,7 @@ TEST(Objective, BackendsAgreeNoiselessly)
 
     EngineConfig sv = noiselessExact();
     EngineConfig pp = noiselessExact();
-    pp.backend = Backend::PauliPropagation;
+    pp.backendName = kPauliPropagationBackendName;
     pp.propConfig.maxWeight = 64;
     pp.propConfig.coefThreshold = 0.0;
 

@@ -4,17 +4,20 @@
  * StoreTailReader (torn-line handling, quarantine parity with the
  * full loader, cursor invalidation after compaction), the tiered
  * shard roll/fold pipeline, the stat-cached SweepIndex, and the
- * JobResolution fold that must mirror dedupeByFingerprint exactly.
+ * JobResolution fold: an incremental tail read and a full merged load
+ * must reach the same verdicts.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/rng.h"
 #include "dist/store_merge.h"
 #include "dist/store_tail.h"
 #include "svc/result_store.h"
@@ -365,38 +368,141 @@ TEST(SweepIndex, MissingSpecThrowsAndDuplicatesAreRejected)
 
 // ----------------------------------------------------- resolution fold
 
-TEST(JobResolution, FoldMirrorsDedupeSemantics)
+TEST(JobResolution, FoldRanksRecordsAndSumsFailures)
 {
     const int budget = 3;
 
     // Failed attempts sum across workers; timedOut is sticky.
     JobResolution r;
-    r.fold(syntheticFailure("x", 0.5, 1));
+    EXPECT_TRUE(r.fold(syntheticFailure("x", 0.5, 1)));
     EXPECT_FALSE(r.resolved(budget));
-    EXPECT_EQ(r.priorAttempts(budget), 1);
-    r.fold(syntheticFailure("x", 0.5, 2, /*timed_out=*/true));
+    EXPECT_EQ(r.priorAttempts(), 1);
+    EXPECT_TRUE(r.fold(syntheticFailure("x", 0.5, 2, /*timed_out=*/true)));
     EXPECT_EQ(r.attempts, 3);
     EXPECT_TRUE(r.timedOut);
     EXPECT_TRUE(r.resolved(budget));
 
-    // A legacy attempts == 0 record reads as budget-exhausted and
-    // dominates the sum.
-    JobResolution legacy;
-    legacy.fold(syntheticFailure("y", 0.5, 2));
-    legacy.fold(syntheticFailure("y", 0.5, 0));
-    EXPECT_EQ(legacy.attempts, 0);
-    EXPECT_EQ(legacy.priorAttempts(budget), budget);
-    EXPECT_TRUE(legacy.resolved(budget));
-
     // A completed record dominates any failure history, in any order.
     JobResolution wins;
-    wins.fold(syntheticFailure("z", 0.5, 2));
-    wins.fold(syntheticRecord("z", 0.5));
-    wins.fold(syntheticFailure("z", 0.5, 7));
+    EXPECT_TRUE(wins.fold(syntheticFailure("z", 0.5, 2)));
+    EXPECT_TRUE(wins.fold(syntheticRecord("z", 0.5)));
+    EXPECT_FALSE(wins.fold(syntheticFailure("z", 0.5, 7)));
     EXPECT_TRUE(wins.completed);
     EXPECT_FALSE(wins.failed);
-    EXPECT_EQ(wins.priorAttempts(budget), 0);
+    EXPECT_EQ(wins.priorAttempts(), 0);
     EXPECT_TRUE(wins.resolved(budget));
+}
+
+TEST(StoreTailReader, ZeroAttemptFailedLineIsQuarantined)
+{
+    // A CRC-valid failed record that accounts for no attempt is
+    // malformed: both readers quarantine it instead of folding it.
+    const auto dir = scratchDir("zero_attempts");
+    const std::string store = sweepStorePath(dir.string());
+    const JobResult zero = syntheticFailure("zero", 0.5, 0);
+    {
+        std::ofstream out(store, std::ios::app);
+        out << jobResultToStoredLine(zero) << "\n";
+    }
+    ResultStore(store).append(syntheticRecord("ok", 0.7));
+
+    StoreLoadStats stats;
+    const std::vector<JobResult> loaded = ResultStore(store).load(&stats);
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_EQ(loaded[0].spec.name, "ok");
+    EXPECT_EQ(stats.parseFailures, 1u);
+
+    StoreTailReader tail(dir.string());
+    tail.refresh();
+    EXPECT_EQ(tail.resolutions().size(), 1u);
+    EXPECT_EQ(tail.resolutions().count(zero.fingerprint), 0u);
+    EXPECT_EQ(tail.counters().quarantinedLines, 1u);
+
+    std::string quarantined;
+    ASSERT_TRUE(readTextFile(
+        (std::filesystem::path(quarantineDirFor(store))
+         / "results.jsonl")
+            .string(),
+        quarantined));
+    EXPECT_NE(quarantined.find("at least one attempt"),
+              std::string::npos);
+}
+
+/** One random record for `spec`: completed, failed with 1–3 attempts
+ * (with or without timedOut), or a halted partial. */
+JobResult
+randomRecord(Rng &rng, const std::string &name, double field)
+{
+    switch (rng.uniformInt(4)) {
+    case 0:
+        return syntheticRecord(name, field);
+    case 1:
+    case 2:
+        return syntheticFailure(name, field,
+                                1 + static_cast<int>(rng.uniformInt(3)),
+                                rng.uniformInt(2) == 1);
+    default: {
+        JobResult partial = syntheticRecord(name, field);
+        partial.completed = false;
+        return partial;
+    }
+    }
+}
+
+TEST(StoreTailReader, VerdictsMatchAFullMergedLoad)
+{
+    // Two executions of one fold — an incremental tail read over
+    // canonical, tier and shard files, and a full merged load folded
+    // again — must agree on every job's verdict under every budget.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const auto dir = scratchDir("parity_" + std::to_string(seed));
+        std::filesystem::create_directories(sweepShardDir(dir.string()));
+        std::filesystem::create_directories(sweepTierDir(dir.string()));
+        const std::vector<std::string> files = {
+            sweepStorePath(dir.string()),
+            sweepTierPath(dir.string(), 0, "w0-1"),
+            sweepTierPath(dir.string(), 1, "fold"),
+            sweepShardPath(dir.string(), "w0"),
+            sweepShardPath(dir.string(), "w1")};
+
+        Rng rng(seed);
+        StoreTailReader tail(dir.string());
+        std::vector<std::string> fingerprints;
+        for (int job = 0; job < 12; ++job) {
+            const std::string name = "p" + std::to_string(job);
+            const double field = 0.3 + 0.05 * job;
+            fingerprints.push_back(
+                scenarioFingerprint(tinySpec(name, field)));
+            const std::uint64_t count = rng.uniformInt(5); // 0..4
+            for (std::uint64_t k = 0; k < count; ++k)
+                ResultStore(files[rng.uniformInt(files.size())])
+                    .append(randomRecord(rng, name, field));
+            // Refresh mid-stream so the tail folds in several
+            // increments, not one pass.
+            if (job % 4 == 3)
+                tail.refresh();
+        }
+        tail.refresh();
+        EXPECT_EQ(tail.counters().fullRescans, 0u);
+
+        std::map<std::string, JobResolution> full;
+        for (const JobResult &record : loadMergedRecords(dir.string()))
+            full[record.fingerprint].fold(record);
+
+        for (const std::string &fp : fingerprints) {
+            const JobResolution &inc = tail.resolution(fp);
+            const JobResolution &ref = full[fp];
+            SCOPED_TRACE("seed " + std::to_string(seed) + " job " + fp);
+            EXPECT_EQ(inc.completed, ref.completed);
+            EXPECT_EQ(inc.failed, ref.failed);
+            EXPECT_EQ(inc.attempts, ref.attempts);
+            EXPECT_EQ(inc.timedOut, ref.timedOut);
+            EXPECT_EQ(inc.priorAttempts(), ref.priorAttempts());
+            for (int budget = 1; budget <= 4; ++budget)
+                EXPECT_EQ(inc.resolved(budget), ref.resolved(budget))
+                    << "budget " << budget;
+        }
+    }
 }
 
 } // namespace

@@ -169,8 +169,6 @@ printStatus(const std::vector<ScenarioSpec> &specs,
 {
     StoreTailReader tail(dir);
     tail.refresh();
-    const std::map<std::string, JobResolution> &resolutions =
-        tail.resolutions();
 
     std::map<std::string, ClaimInfo> claims;
     {
@@ -233,9 +231,7 @@ printStatus(const std::vector<ScenarioSpec> &specs,
         char detail[160] = {0};
         const char *state = "pending";
 
-        const auto res = resolutions.find(fp);
-        const bool recorded = res != resolutions.end()
-            && (res->second.completed || res->second.failed);
+        const JobResolution &r = tail.resolution(fp);
         const auto claim = claims.find(fp);
         const bool has_checkpoint = checkpointed.count(fp) > 0;
         // The checkpoint body is only opened for the jobs whose
@@ -248,24 +244,20 @@ printStatus(const std::vector<ScenarioSpec> &specs,
             return peek ? peek->iteration : 0;
         };
 
-        if (recorded && res->second.completed) {
+        if (r.completed) {
             state = "done";
             ++done;
             if (show)
                 std::snprintf(detail, sizeof(detail),
-                              "energy=%.8f iters=%d",
-                              res->second.finalEnergy,
-                              res->second.iterations);
-        } else if (recorded) {
-            // A failure verdict: "poisoned" once the cumulative
-            // attempts reach the default fleet budget (attempts==0 is
-            // a legacy budget-exhausted record) — a default fleet
-            // skips the job durably; otherwise "timed-out" when the
-            // hung-job watchdog wrote it, else plain "failed", both
-            // still retryable.
-            const JobResolution &r = res->second;
-            const int default_budget = WorkerOptions{}.maxJobAttempts;
-            if (r.attempts == 0 || r.attempts >= default_budget) {
+                              "energy=%.8f iters=%d", r.finalEnergy,
+                              r.iterations);
+        } else if (r.failed) {
+            // A failure verdict: "poisoned" once it resolves under the
+            // default fleet budget — a default fleet skips the job
+            // durably; otherwise "timed-out" when the hung-job
+            // watchdog wrote it, else plain "failed", both still
+            // retryable.
+            if (r.resolved(WorkerOptions{}.maxJobAttempts)) {
                 state = "poisoned";
                 ++poisoned;
             } else if (r.timedOut) {
@@ -478,8 +470,7 @@ takeWatchSample(const std::string &dir)
     s.wallMs = unixTimeMs();
     const JsonValue agg = aggregateMetricsJson(readMetricsDumps(dir));
     s.jobsDone = aggCounter(agg, "worker.jobs_completed");
-    s.bytesRead = aggCounter(agg, "store.tail_bytes_read")
-        + aggCounter(agg, "worker.store_bytes_full_load");
+    s.bytesRead = aggCounter(agg, "store.tail_bytes_read");
     // Attempts that did not acquire are exactly the claim conflicts
     // (another worker won the create race or held the lease).
     s.conflicts = aggCounter(agg, "worker.claim_attempts")

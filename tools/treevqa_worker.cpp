@@ -29,9 +29,6 @@
  *   --claim-batch N  jobs leased per scan pass (default 8); the batch
  *                    shares one heartbeat thread and releases (or, on
  *                    a crash, abandons) together
- *   --full-rescan    disable the incremental tail reader and re-read
- *                    the whole store every scan (the O(N·scans)
- *                    baseline; for benchmarks and debugging)
  *   --shard-roll-bytes N
  *                    roll the private shard into DIR/tiers/ once it
  *                    reaches N bytes and fold tiers as they pile up
@@ -105,7 +102,7 @@ usage(const char *argv0, bool requested)
         requested ? stdout : stderr,
         "usage: %s --sweep-dir DIR [--spec FILE] [--worker-id ID]\n"
         "       [--lease-ms N] [--max-jobs N] [--drain-and-exit]\n"
-        "       [--poll-ms N] [--claim-batch N] [--full-rescan]\n"
+        "       [--poll-ms N] [--claim-batch N]\n"
         "       [--shard-roll-bytes N] [--tier-fanout N]\n"
         "       [--no-merge] [--merge-only]\n"
         "       [--max-job-attempts N] [--retry-backoff-ms N]\n"
@@ -167,7 +164,6 @@ main(int argc, char **argv)
     long claim_batch = 8;
     long shard_roll_bytes = 0;
     long tier_fanout = 8;
-    bool full_rescan = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -204,8 +200,6 @@ main(int argc, char **argv)
             next_positive(shard_roll_bytes);
         } else if (arg == "--tier-fanout") {
             next_positive(tier_fanout);
-        } else if (arg == "--full-rescan") {
-            full_rescan = true;
         } else if (arg == "--drain-and-exit") {
             drain_and_exit = true;
         } else if (arg == "--no-merge") {
@@ -299,7 +293,6 @@ main(int argc, char **argv)
         options.retryBackoffMs = retry_backoff_ms;
         options.jobTimeoutMs = job_timeout_ms;
         options.claimBatch = static_cast<int>(claim_batch);
-        options.incrementalScan = !full_rescan;
         options.shardRollBytes = shard_roll_bytes;
         options.tierFanout = static_cast<int>(tier_fanout);
         if (sigkill_storm > 0) {
@@ -390,8 +383,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         counter("worker.claim_attempts")),
                     static_cast<unsigned long long>(
-                        counter("worker.store_bytes_full_load")
-                        + counter("store.tail_bytes_read")),
+                        counter("store.tail_bytes_read")),
                     static_cast<unsigned long long>(
                         counter("store.tail_full_rescans")),
                     static_cast<unsigned long long>(
