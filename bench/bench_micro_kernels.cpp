@@ -521,10 +521,10 @@ benchClaimPath()
 {
     // PR 8 claim-path scaling series: one worker drains N synthetic
     // no-op jobs (options.jobRunner returns a fixed completed record,
-    // so the claim/scan/record protocol is the *whole* cost) and the
-    // rows report counters, not timings — store bytes read per drained
-    // job, WorkClaim::tryAcquire round-trips per drained job, and scan
-    // rounds per drain. The full-rescan baseline (incrementalScan =
+    // so the claim/scan/record protocol and its beats are the *whole*
+    // cost) and the rows report counters, not timings — store bytes
+    // read per drained job, WorkClaim::tryAcquire round-trips per
+    // drained job, and scan rounds per drain. The full-rescan baseline (incrementalScan =
     // false: the merged store re-read every round) is O(N) bytes per
     // job and is measured at 500/2000 jobs; the incremental tail
     // reader is measured at 2000/10000 — with shard rolling + tier
@@ -583,7 +583,6 @@ benchClaimPath()
         options.claimBatch = 8;
         options.incrementalScan = config.incremental;
         options.shardRollBytes = config.rollBytes;
-        options.healthSnapshots = false;
         options.jobRunner = [](const ScenarioSpec &spec,
                                const ScenarioRunOptions &) {
             JobResult r;
@@ -727,7 +726,7 @@ benchFleetSupervision()
 
     // supervisor_overhead: the fixed cost of one Supervisor::run()
     // over an already-drained one-job sweep with a trivial worker
-    // command — spec load, drained check, health publish and the
+    // command — spec load, drained check, beats and the
     // shutdown cascade, with no real work to hide behind. No ref
     // counterpart; the ns trajectory guards the supervise loop's
     // per-sweep floor across PRs.

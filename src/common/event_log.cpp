@@ -300,7 +300,7 @@ EventLog::open(const std::string &sweepDir, const std::string &id)
     }
     std::error_code ec;
     std::filesystem::create_directories(sweepEventDir(sweepDir), ec);
-    // Claim/health stamps must carry the same identity as the
+    // Claim and dump stamps must carry the same identity as the
     // journal, or the handoff ordering would be unattributable.
     HlcClock::instance().setOrigin(origin);
 }

@@ -10,7 +10,7 @@
  * The HLC is the standard wall-clock/counter pair: a local tick takes
  * `max(now, lastWall)` and bumps the counter on an unchanged wall
  * millisecond; observing a remote stamp (a claim file written by
- * another worker, a health snapshot) merges it in, so any event that
+ * another worker) merges it in, so any event that
  * causally follows a read of another process's stamp compares greater
  * — a lease handoff orders A's last renewal before B's reap even when
  * B's clock runs behind A's. Stamps carry an origin token unique per
@@ -21,7 +21,7 @@
  * journals are read).
  *
  * Journals are observability, not coordination — the same contract as
- * health snapshots and metrics dumps: emitting buffers in memory
+ * metrics dumps: emitting buffers in memory
  * (sub-microsecond; see bench `event_append`), flushing appends the
  * batch best-effort (no fsync: a flushed batch survives SIGKILL, a
  * power loss can lose at most the last flush cadence) with each line
@@ -79,8 +79,8 @@ Hlc hlcFromJson(const JsonValue &json);
 
 /**
  * The process's causal clock. tick() stamps a local event; observe()
- * merges a stamp read from another process (claim file, health
- * snapshot) so later local stamps compare greater. Both have
+ * merges a stamp read from another process (a claim file) so later
+ * local stamps compare greater. Both have
  * physical-time-injectable overloads for the skew tests; production
  * callers use the unixTimeMs() forms on the process-wide instance().
  * Thread-safe.
@@ -185,8 +185,8 @@ class EventLog
      * Bind to `<sweepDir>/events/<id>-p<pid>.jsonl` and start
      * accepting emits. Reopening with the same target is a no-op;
      * switching targets flushes the old journal first. Also points
-     * the process clock's origin at this identity so claim/health
-     * stamps agree with the journal's. Never throws.
+     * the process clock's origin at this identity so claim and
+     * metrics-dump stamps agree with the journal's. Never throws.
      */
     void open(const std::string &sweepDir, const std::string &id);
 

@@ -51,7 +51,7 @@ enum class Durability
      * stores, sweep.json and summary.json. */
     Durable,
     /** Not fsync'd: survives SIGKILL, a power loss may lose the last
-     * write. Telemetry (health, metrics, traces, journals) and lease
+     * write. Telemetry (metrics dumps, traces, journals) and lease
      * renewals. */
     BestEffort
 };

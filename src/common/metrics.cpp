@@ -239,7 +239,8 @@ MetricsRegistry::reset()
 bool
 writeMetricsSnapshot(const std::string &sweepDir,
                      const std::string &id,
-                     const std::string &fileToken)
+                     const std::string &fileToken,
+                     const JsonValue &status)
 {
     try {
         const FaultHit fault = FAULT_POINT("metrics.write");
@@ -261,6 +262,8 @@ writeMetricsSnapshot(const std::string &sweepDir,
             MetricsRegistry::instance().snapshot().toJson();
         for (auto &[key, value] : snap.asObject())
             dump.set(key, std::move(value));
+        if (!status.isNull())
+            dump.set("status", status);
         writeTextFileAtomic(sweepMetricsPath(sweepDir, fileToken),
                             dump.dump(2) + "\n", Durability::BestEffort);
         return true;

@@ -210,16 +210,19 @@ class MetricsRegistry
 
 /**
  * Best-effort (no fsync) dump of the current registry state to
- * `<sweepDir>/metrics/<fileToken>.json`, stamped with `id` and the
- * writing pid. Never throws; returns false on I/O failure (fault
- * site "metrics.write"). Each process incarnation writes its own
- * file (`fileToken` should embed the pid) so a restarted worker
- * slot does not erase its predecessor's totals — the aggregate view
- * sums across incarnations.
+ * `<sweepDir>/metrics/<fileToken>.json`, stamped with `id`, the
+ * writing pid and `writtenMs`. A non-null `status` is embedded as the
+ * dump's `status` object: the process's health row source
+ * (dist/health.h), which aggregateMetricsJson ignores. Never throws;
+ * returns false on I/O failure (fault site "metrics.write"). Each
+ * process incarnation writes its own file (`fileToken` should embed
+ * the pid) so a restarted worker slot does not erase its
+ * predecessor's totals — the aggregate views sum across incarnations.
  */
 bool writeMetricsSnapshot(const std::string &sweepDir,
                           const std::string &id,
-                          const std::string &fileToken);
+                          const std::string &fileToken,
+                          const JsonValue &status = JsonValue());
 
 /** Snapshot files under `<sweepDir>/metrics/`, sorted by filename;
  * unreadable/corrupt files are skipped. Each entry is (fileToken,

@@ -1,67 +1,35 @@
 #include "dist/health.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <filesystem>
+#include <map>
 
 #include <unistd.h>
 
-#include "common/fault_injection.h"
-#include "common/file_util.h"
-#include "svc/sweep_dir.h"
+#include "common/event_log.h"
 
 namespace treevqa {
 
-JsonValue
-healthToJson(const WorkerHealth &health)
+namespace {
+
+/** The registry counters a `--health` row sums its jobsCompleted,
+ * jobsFailed and jobsTimedOut from, by role; null where the role has
+ * no such count. */
+std::array<const char *, 3>
+jobCounterNames(const std::string &role)
 {
-    JsonValue out = JsonValue::object();
-    out.set("id", JsonValue(health.id));
-    out.set("pid", JsonValue(health.pid));
-    out.set("role", JsonValue(health.role));
-    out.set("state", JsonValue(health.state));
-    out.set("startedMs", JsonValue(health.startedMs));
-    out.set("updatedMs", JsonValue(health.updatedMs));
-    out.set("uptimeMs",
-            JsonValue(std::max<std::int64_t>(
-                0, health.updatedMs - health.startedMs)));
-    out.set("jobFingerprint", JsonValue(health.jobFingerprint));
-    out.set("jobName", JsonValue(health.jobName));
-    out.set("jobProgress", JsonValue(health.jobProgress));
-    out.set("jobAttempt",
-            JsonValue(static_cast<std::int64_t>(health.jobAttempt)));
-    out.set("jobsCompleted", JsonValue(health.jobsCompleted));
-    out.set("jobsFailed", JsonValue(health.jobsFailed));
-    out.set("jobsTimedOut", JsonValue(health.jobsTimedOut));
-    out.set("rssKb", JsonValue(health.rssKb));
-    out.set("flushIntervalMs", JsonValue(health.flushIntervalMs));
-    out.set("hlc", hlcToJson(health.hlc));
-    return out;
+    if (role == "supervisor")
+        return {nullptr, "supervisor.crashes",
+                "supervisor.watchdog_kills"};
+    return {"worker.jobs_completed", "worker.jobs_poisoned",
+            "worker.jobs_timed_out"};
 }
 
-WorkerHealth
-healthFromJson(const JsonValue &json)
-{
-    WorkerHealth health;
-    health.id = json.at("id").asString();
-    health.pid = json.at("pid").asInt();
-    health.role = json.at("role").asString();
-    health.state = json.at("state").asString();
-    health.startedMs = json.at("startedMs").asInt();
-    health.updatedMs = json.at("updatedMs").asInt();
-    health.jobFingerprint = json.at("jobFingerprint").asString();
-    health.jobName = json.at("jobName").asString();
-    health.jobProgress = json.at("jobProgress").asInt();
-    health.jobAttempt = static_cast<int>(json.at("jobAttempt").asInt());
-    health.jobsCompleted = json.at("jobsCompleted").asInt();
-    health.jobsFailed = json.at("jobsFailed").asInt();
-    health.jobsTimedOut = json.at("jobsTimedOut").asInt();
-    health.rssKb = json.at("rssKb").asInt();
-    health.flushIntervalMs = json.at("flushIntervalMs").asInt();
-    health.hlc = hlcFromJson(json.at("hlc"));
-    return health;
-}
+constexpr const char *kJobFields[] = {"jobsCompleted", "jobsFailed",
+                                      "jobsTimedOut"};
 
+/** This process's resident set size in KiB; -1 when unavailable. */
 std::int64_t
 currentRssKb()
 {
@@ -80,96 +48,117 @@ currentRssKb()
     return static_cast<std::int64_t>(rss_pages) * (page / 1024);
 }
 
-bool
-writeHealthSnapshot(const std::string &sweepDir, WorkerHealth health)
-{
-    health.updatedMs = unixTimeMs();
-    health.rssKb = currentRssKb();
-    health.hlc = HlcClock::instance().tick();
-    try {
-        if (const FaultHit hit = FAULT_POINT("health.write"))
-            if (hit.action == FaultAction::FailErrno)
-                return false; // monitoring must never kill the worker
-        std::filesystem::create_directories(sweepHealthDir(sweepDir));
-        writeTextFileAtomic(sweepHealthPath(sweepDir, health.id),
-                            healthToJson(health).dump(2) + "\n",
-                            Durability::BestEffort);
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
+} // namespace
 
-std::vector<WorkerHealth>
-readHealthSnapshots(const std::string &sweepDir)
+JsonValue
+beatStatus(const WorkerHealth &health)
 {
-    std::vector<WorkerHealth> snapshots;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(sweepHealthDir(sweepDir),
-                                           ec);
-    if (ec)
-        return snapshots;
-    for (const auto &entry : it) {
-        if (entry.path().extension() != ".json")
-            continue;
-        std::string text;
-        if (!readTextFile(entry.path().string(), text))
-            continue;
-        try {
-            WorkerHealth health =
-                healthFromJson(JsonValue::parse(text));
-            HlcClock::instance().observe(health.hlc);
-            snapshots.push_back(std::move(health));
-        } catch (const std::exception &) {
-            // Torn snapshot: its writer's next beat replaces it.
-        }
-    }
-    std::sort(snapshots.begin(), snapshots.end(),
-              [](const WorkerHealth &a, const WorkerHealth &b) {
-                  return a.id < b.id;
-              });
-    return snapshots;
+    JsonValue out = JsonValue::object();
+    out.set("role", JsonValue(health.role));
+    out.set("state", JsonValue(health.state));
+    out.set("startedMs", JsonValue(health.startedMs));
+    out.set("jobFingerprint", JsonValue(health.jobFingerprint));
+    out.set("jobName", JsonValue(health.jobName));
+    out.set("jobProgress", JsonValue(health.jobProgress));
+    out.set("jobAttempt",
+            JsonValue(static_cast<std::int64_t>(health.jobAttempt)));
+    out.set("rssKb", JsonValue(currentRssKb()));
+    out.set("flushIntervalMs", JsonValue(health.flushIntervalMs));
+    out.set("hlc", hlcToJson(HlcClock::instance().tick()));
+    return out;
 }
 
 JsonValue
-aggregateHealthJson(const std::vector<WorkerHealth> &snapshots,
-                    std::int64_t nowMs)
+aggregateHealthJson(
+    const std::vector<std::pair<std::string, JsonValue>> &dumps,
+    std::int64_t nowMs)
 {
-    JsonValue out = JsonValue::object();
+    /** One process id: its newest incarnation's row, and job counts
+     * summed over every incarnation. */
+    struct Process
+    {
+        std::int64_t writtenMs = 0;
+        std::string state;
+        JsonValue row;
+        std::array<std::int64_t, 3> jobs{};
+    };
+    std::map<std::string, Process> processes;
+    for (const auto &[token, dump] : dumps) {
+        std::string id, state;
+        std::int64_t written = 0;
+        JsonValue row = JsonValue::object();
+        std::array<std::int64_t, 3> jobs{};
+        try {
+            const JsonValue &status = dump.at("status");
+            id = dump.at("id").asString();
+            state = status.at("state").asString();
+            written = dump.at("writtenMs").asInt();
+            row.set("id", JsonValue(id));
+            row.set("pid", JsonValue(dump.at("pid").asInt()));
+            for (const auto &[key, value] : status.asObject())
+                row.set(key, value);
+            row.set("updatedMs", JsonValue(written));
+            row.set("uptimeMs",
+                    JsonValue(std::max<std::int64_t>(
+                        0, written - status.at("startedMs").asInt())));
+            // A dump older than 2× its writer's declared cadence means
+            // the writer missed at least one beat: crashed, wedged, or
+            // SIGKILLed.
+            const std::int64_t stale_ms =
+                std::max<std::int64_t>(0, nowMs - written);
+            row.set("staleMs", JsonValue(stale_ms));
+            row.set("staleSeconds",
+                    JsonValue(static_cast<double>(stale_ms) / 1000.0));
+            row.set("stale",
+                    JsonValue(stale_ms
+                              > 2 * status.at("flushIntervalMs").asInt()));
+            const auto names =
+                jobCounterNames(status.at("role").asString());
+            const JsonValue &counters = dump.at("counters");
+            for (std::size_t k = 0; k < jobs.size(); ++k)
+                if (const JsonValue *v =
+                        names[k] ? counters.find(names[k]) : nullptr)
+                    jobs[k] = static_cast<std::int64_t>(v->asUint());
+        } catch (const std::exception &) {
+            // No status (not written by a beat) or malformed: skipped
+            // like a torn dump.
+            continue;
+        }
+        Process &process = processes[id];
+        if (process.row.isNull() || written >= process.writtenMs) {
+            process.writtenMs = written;
+            process.state = state;
+            process.row = std::move(row);
+        }
+        for (std::size_t k = 0; k < jobs.size(); ++k)
+            process.jobs[k] += jobs[k];
+    }
+
     JsonValue rows = JsonValue::array();
     JsonValue states = JsonValue::object();
-    std::int64_t completed = 0, failed = 0, timed_out = 0;
+    std::array<std::int64_t, 3> totals{};
     std::int64_t stale_workers = 0;
-    for (const WorkerHealth &h : snapshots) {
-        const std::int64_t stale_ms =
-            std::max<std::int64_t>(0, nowMs - h.updatedMs);
-        // A snapshot older than 2× its writer's declared cadence
-        // means the writer missed at least one beat: crashed, wedged,
-        // or SIGKILLed.
-        const bool stale = stale_ms > 2 * h.flushIntervalMs;
-        JsonValue row = healthToJson(h);
-        row.set("staleMs", JsonValue(stale_ms));
-        row.set("staleSeconds",
-                JsonValue(static_cast<double>(stale_ms) / 1000.0));
-        row.set("stale", JsonValue(stale));
-        if (stale)
+    for (auto &[id, process] : processes) {
+        for (std::size_t k = 0; k < totals.size(); ++k) {
+            process.row.set(kJobFields[k], JsonValue(process.jobs[k]));
+            totals[k] += process.jobs[k];
+        }
+        if (process.row.at("stale").asBool())
             ++stale_workers;
-        rows.push_back(std::move(row));
-        const std::int64_t prior = states.contains(h.state)
-            ? states.at(h.state).asInt()
+        rows.push_back(std::move(process.row));
+        const std::int64_t prior = states.contains(process.state)
+            ? states.at(process.state).asInt()
             : 0;
-        states.set(h.state, JsonValue(prior + 1));
-        completed += h.jobsCompleted;
-        failed += h.jobsFailed;
-        timed_out += h.jobsTimedOut;
+        states.set(process.state, JsonValue(prior + 1));
     }
+
+    JsonValue out = JsonValue::object();
     out.set("processes",
-            JsonValue(static_cast<std::uint64_t>(snapshots.size())));
+            JsonValue(static_cast<std::uint64_t>(processes.size())));
     out.set("staleWorkers", JsonValue(stale_workers));
     out.set("states", std::move(states));
-    out.set("jobsCompleted", JsonValue(completed));
-    out.set("jobsFailed", JsonValue(failed));
-    out.set("jobsTimedOut", JsonValue(timed_out));
+    for (std::size_t k = 0; k < totals.size(); ++k)
+        out.set(kJobFields[k], JsonValue(totals[k]));
     out.set("workers", std::move(rows));
     return out;
 }

@@ -56,6 +56,10 @@ supervisorMetrics()
     return m;
 }
 
+/** Supervise-loop beat cadence: one metrics dump (with the fleet
+ * status embedded) at most this often. */
+constexpr std::int64_t kBeatIntervalMs = 500;
+
 std::int64_t
 steadyMs()
 {
@@ -601,40 +605,22 @@ Supervisor::slotsJson() const
 }
 
 void
-Supervisor::publishSupervisorHealth(const std::string &state)
+Supervisor::beat(const std::string &state)
 {
     WorkerHealth h;
-    h.id = "supervisor";
-    h.pid = static_cast<std::int64_t>(::getpid());
     h.role = "supervisor";
     h.state = state;
     h.startedMs = startedUnixMs_;
-    h.updatedMs = unixTimeMs();
-    h.jobsFailed = static_cast<std::int64_t>(report_.crashes);
-    h.jobsTimedOut = static_cast<std::int64_t>(report_.watchdogKills);
-    h.rssKb = currentRssKb();
-    h.flushIntervalMs = options_.healthIntervalMs;
-    h.hlc = HlcClock::instance().tick();
-    JsonValue out = healthToJson(h);
-    out.set("slots", slotsJson());
-    out.set("drained", JsonValue(report_.drained));
-    out.set("retiredSlots",
-            JsonValue(static_cast<std::uint64_t>(
-                report_.retiredSlots.size())));
-    try {
-        if (const FaultHit hit = FAULT_POINT("health.write"))
-            if (hit.action == FaultAction::FailErrno)
-                return; // observability is best-effort by contract
-        std::filesystem::create_directories(
-            sweepHealthDir(options_.sweepDir));
-        writeTextFileAtomic(
-            sweepHealthPath(options_.sweepDir, "supervisor"),
-            out.dump(2) + "\n", Durability::BestEffort);
-    } catch (const std::exception &) {
-    }
+    h.flushIntervalMs = kBeatIntervalMs;
+    JsonValue status = beatStatus(h);
+    status.set("slots", slotsJson());
+    status.set("drained", JsonValue(report_.drained));
+    status.set("retiredSlots",
+               JsonValue(static_cast<std::uint64_t>(
+                   report_.retiredSlots.size())));
     writeMetricsSnapshot(options_.sweepDir, "supervisor",
-                         "supervisor-p"
-                             + std::to_string(::getpid()));
+                         "supervisor-p" + std::to_string(::getpid()),
+                         status);
     TraceRecorder::instance().maybePeriodicFlush(2000);
     EventLog::instance().flush();
 }
@@ -646,14 +632,13 @@ Supervisor::run()
     std::filesystem::create_directories(sweepClaimDir(dir));
     std::filesystem::create_directories(sweepCheckpointDir(dir));
     std::filesystem::create_directories(sweepShardDir(dir));
-    std::filesystem::create_directories(sweepHealthDir(dir));
     if (options_.redirectChildLogs)
         std::filesystem::create_directories(sweepLogDir(dir));
     EventLog::instance().open(dir, "supervisor");
     startedUnixMs_ = unixTimeMs();
 
-    std::int64_t last_health_ms = 0;
-    publishSupervisorHealth("supervising");
+    std::int64_t last_beat_ms = 0;
+    beat("supervising");
 
     while (true) {
         const std::int64_t now = steadyMs();
@@ -689,9 +674,9 @@ Supervisor::run()
         watchdogScan(now);
         EventLog::instance().flush(); // no-op when nothing happened
 
-        if (now - last_health_ms >= options_.healthIntervalMs) {
-            publishSupervisorHealth("supervising");
-            last_health_ms = now;
+        if (now - last_beat_ms >= kBeatIntervalMs) {
+            beat("supervising");
+            last_beat_ms = now;
         }
         std::this_thread::sleep_for(
             std::chrono::milliseconds(options_.pollMs));
@@ -704,8 +689,7 @@ Supervisor::run()
         compactSweepStore(dir, /*removeMergedShards=*/true);
         report_.merged = true;
     }
-    publishSupervisorHealth(report_.drained ? "stopped"
-                                            : "shutting-down");
+    beat(report_.drained ? "stopped" : "shutting-down");
     return report_;
 }
 

@@ -37,9 +37,11 @@
  *    for them to seal their in-flight checkpoints and exit, then
  *    SIGKILLs stragglers. The same cascade runs when the sweep drains
  *    while daemon-mode children keep polling.
- *  - **Health.** `<dir>/health/supervisor.json` (dist/health.h
- *    schema plus a `slots` array) is rewritten atomically every
- *    healthIntervalMs.
+ *  - **Health.** Every 500 ms the supervisor beats: it rewrites its
+ *    metrics dump (`<dir>/metrics/supervisor-p<pid>.json`) with a
+ *    dist/health.h status embedded, plus `slots`, `drained` and
+ *    `retiredSlots`, so `treevqa_run --health` shows a supervisor
+ *    row.
  *
  * Fault site "supervisor.spawn": the fork is skipped as if it failed
  * (EAGAIN), exercising the backoff/restart path without a real fork
@@ -105,8 +107,6 @@ struct SupervisorOptions
     /** Compact shards into the canonical store once drained (the
      * children usually already did; compaction is idempotent). */
     bool mergeOnDrain = true;
-    /** supervisor.json refresh cadence. */
-    std::int64_t healthIntervalMs = 500;
 };
 
 struct SupervisorReport
@@ -163,8 +163,9 @@ class Supervisor
         bool retired = false;
         std::string retireReason;
         /** HLC stamp of the last supervision event recorded for this
-         * slot (spawn/crash/restart/kill); shown in supervisor.json so
-         * operators can line the slot state up against `--events`. */
+         * slot (spawn/crash/restart/kill); shown in the `--health`
+         * supervisor row so operators can line the slot state up
+         * against `--events`. */
         Hlc lastHlc;
     };
 
@@ -180,7 +181,8 @@ class Supervisor
     void watchdogScan(std::int64_t nowMs);
     void shutdownCascade();
     bool sweepDrained();
-    void publishSupervisorHealth(const std::string &state);
+    /** Write the metrics dump with the fleet status embedded. */
+    void beat(const std::string &state);
     JsonValue slotsJson() const;
 
     SupervisorOptions options_;

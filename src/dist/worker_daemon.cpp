@@ -129,6 +129,17 @@ peerHoldsLiveClaim(const std::string &sweepDir, const std::string &self,
     return false;
 }
 
+/** A resolved job's beat: back to idle with no current job. */
+void
+idleAfterJob(WorkerHealth &h)
+{
+    h.state = "idle";
+    h.jobFingerprint.clear();
+    h.jobName.clear();
+    h.jobProgress = -1;
+    h.jobAttempt = 0;
+}
+
 } // namespace
 
 std::int64_t
@@ -179,12 +190,8 @@ WorkerDaemon::WorkerDaemon(WorkerOptions options)
     // worker id — a roll must never rename onto a prior incarnation's
     // still-unfolded tier.
     rollSeq_ = static_cast<std::uint64_t>(unixTimeMs());
-    health_.id = options_.workerId;
-    health_.pid = static_cast<std::int64_t>(::getpid());
-    health_.role = "worker";
-    health_.state = "starting";
     health_.startedMs = unixTimeMs();
-    // Declared snapshot cadence (--health staleness detection): the
+    // Declared beat cadence (--health staleness detection): the
     // slower of the idle poll and the heartbeat interval, since both
     // paths beat.
     health_.flushIntervalMs = std::max(
@@ -203,8 +210,6 @@ WorkerDaemon::updateHealth(
 void
 WorkerDaemon::beat(const std::function<void(WorkerHealth &)> &fn)
 {
-    if (!options_.healthSnapshots)
-        return;
     // Heartbeat-thread beats are not loop time: they count toward
     // worker.heartbeat_renew instead of worker.beat.
     TraceSpan span("worker.beat",
@@ -212,20 +217,25 @@ WorkerDaemon::beat(const std::function<void(WorkerHealth &)> &fn)
                        ? &workerMetrics().beatNs
                        : nullptr);
     {
+        // Status, registry snapshot and rename in one critical
+        // section, so dumps land in snapshot order: a heartbeat beat
+        // that snapshotted before a job's counter increment cannot
+        // rename its older dump over that job's resolution beat, and
+        // a SIGKILLed worker's dump counts every job it resolved.
         std::lock_guard<std::mutex> lock(healthMutex_);
         if (fn)
             fn(health_);
-        writeHealthSnapshot(options_.sweepDir, health_);
+        workerMetrics().wallNs.set(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - runStart_)
+                .count());
+        // The per-pid file token keeps a restarted slot from erasing
+        // its predecessor's totals.
+        writeMetricsSnapshot(options_.sweepDir, options_.workerId,
+                             options_.workerId + "-p"
+                                 + std::to_string(::getpid()),
+                             beatStatus(health_));
     }
-    workerMetrics().wallNs.set(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - runStart_)
-            .count());
-    // Metrics ride the beat; the per-pid file token keeps a restarted
-    // slot from erasing its predecessor's totals.
-    writeMetricsSnapshot(options_.sweepDir, options_.workerId,
-                         options_.workerId + "-p"
-                             + std::to_string(::getpid()));
     // Keep the flight recorder's on-disk dump recent enough that a
     // SIGKILL mid-batch still leaves a useful tail behind.
     TraceRecorder::instance().maybePeriodicFlush(2000);
@@ -525,7 +535,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
 
     // Live progress surface: the runner stores the optimizer
     // iteration here; the heartbeat derives the batch tick from it
-    // (and publishes it in the health snapshot), and the in-process
+    // (and publishes it in the health status), and the in-process
     // watchdog reads it for stall detection.
     std::atomic<std::int64_t> progress_counter{-1};
 
@@ -847,17 +857,10 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             slot.done = true;
         }
         record_span.end();
-        // The resolution beat keeps merged --metrics exact across a
-        // SIGKILL: the dump counts this job before the next one
-        // starts.
-        beat([&](WorkerHealth &h) {
-            ++(job_ok ? h.jobsCompleted : h.jobsFailed);
-            h.state = "idle";
-            h.jobFingerprint.clear();
-            h.jobName.clear();
-            h.jobProgress = -1;
-            h.jobAttempt = 0;
-        });
+        // The resolution beat keeps merged --metrics and --health
+        // exact across a SIGKILL: the dump counts this job before the
+        // next one starts.
+        beat(idleAfterJob);
         if (options_.maxJobs > 0
             && report.completed
                 >= static_cast<std::size_t>(options_.maxJobs))
@@ -884,14 +887,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             EventLog::instance().flush();
         }
         release_undone();
-        beat([&](WorkerHealth &h) {
-            ++h.jobsTimedOut;
-            h.state = "idle";
-            h.jobFingerprint.clear();
-            h.jobName.clear();
-            h.jobProgress = -1;
-            h.jobAttempt = 0;
-        });
+        beat(idleAfterJob);
         std::fprintf(stderr,
                      "treevqa: worker %s: job hung (no progress for "
                      "%lld ms); batch leases abandoned\n",

@@ -56,15 +56,15 @@
  * out. The fleet supervisor (dist/supervisor.h) watches the same
  * progress stamps from outside and SIGKILLs the wedged process.
  *
- * Each worker also *beats*: it publishes its health snapshot
- * (`<dir>/health/<id>.json`, dist/health.h), its metrics dump, its
- * trace tail and its journal when a job resolves (completed, poisoned
- * or timed out), on the heartbeat cadence, on idle polls, at drain and
- * at stop — pure observability, never read by the protocol, and
- * written best-effort (no fsync). The `running` and per-attempt
- * transitions only update the in-memory snapshot, which the next beat
- * publishes. So a job costs one durable fsync — its record append —
- * plus one beat.
+ * Each worker also *beats*: it writes its metrics dump with its
+ * health status embedded (`<dir>/metrics/<id>-p<pid>.json`,
+ * dist/health.h), its trace tail and its journal when a job resolves
+ * (completed, poisoned or timed out), on the heartbeat cadence, on
+ * idle polls, at drain and at stop — pure observability, never read
+ * by the protocol, and written best-effort (no fsync). The `running`
+ * and per-attempt transitions only update the in-memory status, which
+ * the next beat publishes. So a job costs one durable fsync — its
+ * record append — plus one beat file.
  *
  * Determinism: jobs are pure functions of their specs, so any worker
  * count, any claim batch size, any roll/fold schedule and any kill
@@ -180,10 +180,6 @@ struct WorkerOptions
      * (dist/supervisor.h).
      */
     std::int64_t jobTimeoutMs = 0;
-    /** Publish per-process health snapshots to `<dir>/health/`
-     * (dist/health.h). Off only for benchmarks that measure the loop
-     * itself. */
-    bool healthSnapshots = true;
     /**
      * Replace runScenario as the job body (benchmarks: synthetic
      * no-op jobs that measure the claim path itself, not the
@@ -339,14 +335,14 @@ class WorkerDaemon
     /** Append `record` to this worker's shard and roll/fold when past
      * the size threshold. */
     void appendToShard(const JobResult &record, WorkerReport &report);
-    /** Mutate the in-memory health snapshot under its lock; the next
+    /** Mutate the in-memory health status under its lock; the next
      * beat publishes it. */
     void updateHealth(const std::function<void(WorkerHealth &)> &fn);
-    /** Writing beat: apply `fn` (if any) to the health snapshot, then
-     * write the snapshot, the metrics dump (stamping the
+    /** Writing beat: apply `fn` (if any) to the health status, then
+     * write the metrics dump with the status embedded (stamping the
      * `worker.wall_ns` root gauge first), a throttled trace flush and
      * the journal — all best-effort. Timed as `worker.beat` on the
-     * loop thread. No-op when healthSnapshots is off. */
+     * loop thread. */
     void beat(const std::function<void(WorkerHealth &)> &fn = nullptr);
     /** Idle poll: beat as idle, then sleep one jittered poll interval
      * (timed as `worker.idle`). */

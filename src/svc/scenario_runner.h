@@ -112,7 +112,7 @@ struct ScenarioRunOptions
      * completed-iteration count here after every optimizer step. The
      * worker daemon's heartbeat thread reads it to stamp progress into
      * lease renewals (the hung-job watchdog's signal) and the health
-     * snapshot. The runner only writes; it never reads the value back,
+     * status of its beats. The runner only writes; it never reads the value back,
      * so sharing the atomic costs nothing determinism-wise.
      */
     std::atomic<std::int64_t> *progressCounter = nullptr;

@@ -21,10 +21,6 @@
  *                                     (L1, L2, ...), merged into
  *                                     results.jsonl at final
  *                                     compaction (dist/store_merge.h)
- *   <dir>/health/<worker>.json        atomic per-process health
- *                                     snapshot (dist/health.h);
- *                                     supervisor.json for the fleet
- *                                     supervisor
  *   <dir>/logs/<worker>.log           child stdout/stderr when spawned
  *                                     by the supervisor
  *   <dir>/traces/<worker>.trace.json  Chrome trace_event dump of the
@@ -32,10 +28,13 @@
  *                                     (common/trace.h), written on
  *                                     exit and throttled heartbeats
  *   <dir>/metrics/<token>.json        per-process metrics-registry
- *                                     dump (common/metrics.h); one
+ *                                     dump (common/metrics.h) with
+ *                                     the process's health status
+ *                                     embedded (dist/health.h); one
  *                                     file per process incarnation,
- *                                     summed by `treevqa_run
- *                                     --metrics`
+ *                                     the only file a beat writes;
+ *                                     folded by `treevqa_run
+ *                                     --metrics` and `--health`
  *   <dir>/events/<token>.jsonl        per-incarnation causal event
  *                                     journal (common/event_log.h),
  *                                     HLC-stamped; merged by
@@ -119,20 +118,6 @@ sweepTierPath(const std::string &dir, int level,
 {
     return (std::filesystem::path(dir) / "tiers"
             / ("L" + std::to_string(level) + "-" + tag + ".jsonl"))
-        .string();
-}
-
-inline std::string
-sweepHealthDir(const std::string &dir)
-{
-    return (std::filesystem::path(dir) / "health").string();
-}
-
-inline std::string
-sweepHealthPath(const std::string &dir, const std::string &workerId)
-{
-    return (std::filesystem::path(dir) / "health"
-            / (workerId + ".json"))
         .string();
 }
 

@@ -3,13 +3,14 @@
  * Tests for the durability budget: the Durable / BestEffort write
  * classes of common/file_util (io.* accounting, fsync fault sites only
  * on durable writes, atomicity without fsync), the worker's per-job
- * fsync budget with its byte-identical summary, and the metrics
- * exactness a SIGKILL between jobs must not break.
+ * fsync budget with its byte-identical summary, and the metrics and
+ * `--health` exactness a SIGKILL between jobs must not break.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -208,10 +209,11 @@ TEST(Durability, WorkerDrainSpendsAtMostTwoDurableFsyncsPerJob)
     const std::uint64_t fsyncs = counterTotal("io.durable_fsyncs");
     EXPECT_GE(fsyncs, static_cast<std::uint64_t>(kJobs));
     EXPECT_LE(fsyncs, static_cast<std::uint64_t>(2 * kJobs));
-    // Per job: one lease renewal before the append and one beat
-    // (health + metrics); plus the start, drain and stop beats.
+    // Per job: one lease renewal before the append and one beat (the
+    // metrics dump); plus the start, drain and stop beats.
     EXPECT_LE(counterTotal("io.best_effort_renames"),
-              static_cast<std::uint64_t>(3 * kJobs + 6));
+              static_cast<std::uint64_t>(2 * kJobs + 3));
+    EXPECT_FALSE(std::filesystem::exists(dir / "health"));
 
     std::string summary;
     ASSERT_TRUE(readTextFile(sweepSummaryPath(dir.string()), summary));
@@ -237,52 +239,73 @@ TEST(Durability, WorkerDrainSpendsAtMostTwoDurableFsyncsPerJob)
 TEST(Durability, SigkilledWorkerLeavesMergedMetricsCountingItsFirstJob)
 {
     const std::vector<ScenarioSpec> specs = noCheckpointSweep(3);
-    const std::filesystem::path dir = scratchDir("sigkill");
 
-    // The child completes its first job, then dies to SIGKILL as the
-    // second one starts: only the first job's resolution beat can have
-    // put that job into the metrics dump.
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-        try {
-            MetricsRegistry::instance().reset(); // the parent's totals
-            int calls = 0;
-            WorkerOptions options;
-            options.sweepDir = dir.string();
-            options.workerId = "victim";
-            options.jobRunner = [&calls](const ScenarioSpec &spec,
-                                         const ScenarioRunOptions &) {
-                if (++calls == 2)
-                    ::raise(SIGKILL);
-                JobResult r;
-                r.spec = spec;
-                r.fingerprint = scenarioFingerprint(spec);
-                r.completed = true;
-                r.iterations = 1;
-                r.finalEnergy = -1.0;
-                return r;
-            };
-            WorkerDaemon(options).run(specs);
-        } catch (...) {
+    // The child completes its first job, then dies to SIGKILL 10 ms
+    // into the second one, so the dumps must count exactly that job.
+    // A 15 ms lease puts the heartbeat on a 5 ms cadence: heartbeat
+    // beats run during the 20 ms first job and race its resolution
+    // beat. Random 8 ms rename delays hold some heartbeat dumps in
+    // flight across the resolution, and the 10 ms before the kill let
+    // them land — over the resolution beat's dump, with an older
+    // count, unless beats rename in snapshot order.
+    for (int round = 0; round < 5; ++round) {
+        const std::filesystem::path dir =
+            scratchDir("sigkill" + std::to_string(round));
+        const pid_t child = ::fork();
+        ASSERT_GE(child, 0);
+        if (child == 0) {
+            try {
+                MetricsRegistry::instance().reset(); // parent's totals
+                FaultInjection::instance().arm(
+                    "{\"seed\": " + std::to_string(round + 1)
+                    + R"(, "faults": [{"site": "file.write_atomic.rename",
+                        "action": "delay-ms", "ms": 8,
+                        "probability": 0.3, "times": 0}]})");
+                int calls = 0;
+                WorkerOptions options;
+                options.sweepDir = dir.string();
+                options.workerId = "victim";
+                options.leaseMs = 15;
+                options.jobRunner = [&calls](const ScenarioSpec &spec,
+                                             const ScenarioRunOptions &) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(++calls == 1 ? 20
+                                                               : 10));
+                    if (calls == 2)
+                        ::raise(SIGKILL);
+                    JobResult r;
+                    r.spec = spec;
+                    r.fingerprint = scenarioFingerprint(spec);
+                    r.completed = true;
+                    r.iterations = 1;
+                    r.finalEnergy = -1.0;
+                    return r;
+                };
+                WorkerDaemon(options).run(specs);
+            } catch (...) {
+            }
+            std::_Exit(3); // the kill never came
         }
-        std::_Exit(3); // the kill never came
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+        int status = 0;
+        ASSERT_EQ(::waitpid(child, &status, 0), child);
+        ASSERT_TRUE(WIFSIGNALED(status));
+        ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-    const JsonValue merged =
-        aggregateMetricsJson(readMetricsDumps(dir.string()));
-    EXPECT_EQ(merged.at("processes").asInt(), 1);
-    EXPECT_EQ(merged.at("counters").at("worker.jobs_completed").asInt(),
-              1);
-    EXPECT_EQ(loadMergedRecords(dir.string()).size(), 1u);
-    const std::vector<WorkerHealth> health =
-        readHealthSnapshots(dir.string());
-    ASSERT_EQ(health.size(), 1u);
-    EXPECT_EQ(health[0].jobsCompleted, 1);
+        const auto dumps = readMetricsDumps(dir.string());
+        const JsonValue merged = aggregateMetricsJson(dumps);
+        EXPECT_EQ(merged.at("processes").asInt(), 1);
+        EXPECT_EQ(
+            merged.at("counters").at("worker.jobs_completed").asInt(), 1)
+            << "round " << round;
+        EXPECT_EQ(loadMergedRecords(dir.string()).size(), 1u);
+
+        const JsonValue health = aggregateHealthJson(dumps, unixTimeMs());
+        ASSERT_EQ(health.at("processes").asInt(), 1);
+        const JsonValue &row = health.at("workers").asArray().at(0);
+        EXPECT_EQ(row.at("id").asString(), "victim");
+        EXPECT_EQ(row.at("jobsCompleted").asInt(), 1) << "round " << round;
+        EXPECT_EQ(health.at("jobsCompleted").asInt(), 1);
+    }
 }
 
 // ---------------------------------------------------------------- crc

@@ -4,7 +4,8 @@
  * src/dist/health.h): spawn/reap/restart of worker children, the
  * crash-loop circuit breaker, the SIGTERM→SIGKILL shutdown cascade,
  * the frozen-progress hung-job watchdog with its budget-counted
- * timedOut records, and the machine-readable health surface. Worker
+ * timedOut records, and the `--health` view derived from the metrics
+ * dumps. Worker
  * children are shell stubs here — the end-to-end drills with real
  * treevqa_worker fleets live in tools/treevqa_chaos.cpp and CI.
  */
@@ -13,10 +14,14 @@
 
 #include <chrono>
 #include <filesystem>
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/file_util.h"
+#include "common/metrics.h"
 #include "dist/health.h"
 #include "dist/store_merge.h"
 #include "dist/supervisor.h"
@@ -83,6 +88,19 @@ stubOptions(const std::string &dir,
     return options;
 }
 
+/** True when the `--health` view derived from `dir`'s metrics dumps
+ * has a supervisor row carrying the slot table. */
+bool
+hasSupervisorRow(const std::string &dir)
+{
+    const JsonValue doc =
+        aggregateHealthJson(readMetricsDumps(dir), unixTimeMs());
+    for (const JsonValue &row : doc.at("workers").asArray())
+        if (row.at("role").asString() == "supervisor")
+            return row.at("slots").isArray();
+    return false;
+}
+
 std::int64_t
 elapsedMsSince(std::chrono::steady_clock::time_point start)
 {
@@ -132,8 +150,8 @@ TEST(Supervisor, AlreadyDrainedSweepStopsWithoutSpawning)
     EXPECT_EQ(report.spawns, 0u);
     EXPECT_EQ(report.crashes, 0u);
     // The health surface reflects the run even without children.
-    EXPECT_TRUE(std::filesystem::exists(
-        sweepHealthPath(dir.string(), "supervisor")));
+    EXPECT_TRUE(hasSupervisorRow(dir.string()));
+    EXPECT_FALSE(std::filesystem::exists(dir / "health"));
 }
 
 TEST(Supervisor, CrashLoopRetiresEverySlotAndGivesUp)
@@ -188,10 +206,9 @@ TEST(Supervisor, ShutdownCascadeEscalatesToSigkill)
     EXPECT_GE(report.spawns, 1u);
     // Stop at ~150ms + full 200ms grace burned by the stubborn child.
     EXPECT_GE(elapsedMsSince(t0), 300);
-    // run() returned only after the straggler was reaped — no slot
-    // still believes it has a live child.
-    EXPECT_TRUE(std::filesystem::exists(
-        sweepHealthPath(dir.string(), "supervisor")));
+    // run() returned only after the straggler was reaped, and its
+    // last beat still reached the health view.
+    EXPECT_TRUE(hasSupervisorRow(dir.string()));
 }
 
 TEST(Supervisor, CooperativeChildrenExitWithinTheGraceWindow)
@@ -264,80 +281,175 @@ TEST(Supervisor, WatchdogKillsHungClaimAndRecordsTimeout)
 
 // -------------------------------------------------------------- health
 
-TEST(Health, SnapshotRoundTripsAndAggregates)
+/** Write `<dir>/metrics/<token>.json` as a beat would: registry
+ * counters plus, unless `state` is empty, a status object. The pid is
+ * writtenMs / 10, matching the `-p<pid>` tokens the tests pick. */
+void
+writeDump(const std::string &dir, const std::string &token,
+          const std::string &id, std::int64_t writtenMs,
+          const std::string &role, const std::string &state,
+          std::int64_t flushIntervalMs, JsonValue counters)
 {
-    const auto dir = scratchDir("health");
-
-    WorkerHealth w;
-    w.id = "w1";
-    w.pid = 4242;
-    w.state = "running";
-    w.startedMs = 1000;
-    w.jobFingerprint = "FP";
-    w.jobName = "job0";
-    w.jobProgress = 7;
-    w.jobAttempt = 2;
-    w.jobsCompleted = 3;
-    w.jobsFailed = 1;
-    w.jobsTimedOut = 1;
-    ASSERT_TRUE(writeHealthSnapshot(dir.string(), w));
-
-    WorkerHealth idle;
-    idle.id = "w2";
-    idle.pid = 4243;
-    idle.state = "idle";
-    idle.jobsCompleted = 2;
-    ASSERT_TRUE(writeHealthSnapshot(dir.string(), idle));
-
-    // A torn snapshot must be skipped, not kill the aggregation.
-    std::filesystem::create_directories(sweepHealthDir(dir.string()));
-    writeTextFileAtomic(sweepHealthPath(dir.string(), "torn"),
-                        "{\"id\": \"to");
-
-    const std::vector<WorkerHealth> snapshots =
-        readHealthSnapshots(dir.string());
-    ASSERT_EQ(snapshots.size(), 2u);
-    EXPECT_EQ(snapshots[0].id, "w1"); // id-sorted
-    EXPECT_EQ(snapshots[0].state, "running");
-    EXPECT_EQ(snapshots[0].jobName, "job0");
-    EXPECT_EQ(snapshots[0].jobProgress, 7);
-    EXPECT_EQ(snapshots[0].jobAttempt, 2);
-    EXPECT_GT(snapshots[0].updatedMs, 0); // stamped by the writer
-    EXPECT_GE(snapshots[0].rssKb, -1);
-    EXPECT_EQ(snapshots[1].id, "w2");
-
-    const JsonValue doc =
-        aggregateHealthJson(snapshots, snapshots[0].updatedMs + 50);
-    EXPECT_EQ(doc.at("processes").asInt(), 2);
-    EXPECT_EQ(doc.at("states").at("running").asInt(), 1);
-    EXPECT_EQ(doc.at("states").at("idle").asInt(), 1);
-    EXPECT_EQ(doc.at("jobsCompleted").asInt(), 5);
-    EXPECT_EQ(doc.at("jobsFailed").asInt(), 1);
-    EXPECT_EQ(doc.at("jobsTimedOut").asInt(), 1);
-    EXPECT_EQ(doc.at("workers").asArray().size(), 2u);
-    EXPECT_EQ(doc.at("workers").asArray()[0].at("staleMs").asInt(), 50);
-
-    // And the JSON round-trips field-for-field.
-    const WorkerHealth back = healthFromJson(healthToJson(w));
-    EXPECT_EQ(back.id, w.id);
-    EXPECT_EQ(back.pid, w.pid);
-    EXPECT_EQ(back.role, w.role);
-    EXPECT_EQ(back.state, w.state);
-    EXPECT_EQ(back.jobFingerprint, w.jobFingerprint);
-    EXPECT_EQ(back.jobProgress, w.jobProgress);
-    EXPECT_EQ(back.jobAttempt, w.jobAttempt);
-    EXPECT_EQ(back.jobsCompleted, w.jobsCompleted);
-    EXPECT_EQ(back.jobsTimedOut, w.jobsTimedOut);
+    JsonValue dump = JsonValue::object();
+    dump.set("schemaVersion", JsonValue(1));
+    dump.set("id", JsonValue(id));
+    dump.set("pid", JsonValue(writtenMs / 10));
+    dump.set("writtenMs", JsonValue(writtenMs));
+    dump.set("counters", std::move(counters));
+    dump.set("gauges", JsonValue::object());
+    dump.set("histograms", JsonValue::object());
+    if (!state.empty()) {
+        WorkerHealth h;
+        h.role = role;
+        h.state = state;
+        h.startedMs = 500;
+        h.flushIntervalMs = flushIntervalMs;
+        JsonValue status = beatStatus(h);
+        if (role == "supervisor")
+            status.set("slots", JsonValue::array());
+        dump.set("status", std::move(status));
+    }
+    std::filesystem::create_directories(sweepMetricsDir(dir));
+    writeTextFileAtomic(sweepMetricsPath(dir, token), dump.dump(2));
 }
 
-TEST(Health, SnapshotWriteFailureIsToleratedNotThrown)
+JsonValue
+counterObject(std::initializer_list<std::pair<const char *, int>> values)
 {
+    JsonValue out = JsonValue::object();
+    for (const auto &[name, value] : values)
+        out.set(name, JsonValue(value));
+    return out;
+}
+
+TEST(Health, DerivedFromDumpsPerIdAcrossIncarnations)
+{
+    const std::string dir = scratchDir("health").string();
+    // Two incarnations of w1 (the first SIGKILLed mid-job), a second
+    // worker, and the supervisor.
+    writeDump(dir, "w1-p100", "w1", 1000, "worker", "running", 100,
+              counterObject({{"worker.jobs_completed", 3},
+                        {"worker.jobs_poisoned", 1}}));
+    writeDump(dir, "w1-p200", "w1", 2000, "worker", "idle", 100,
+              counterObject({{"worker.jobs_completed", 2},
+                        {"worker.jobs_timed_out", 1}}));
+    writeDump(dir, "w2-p300", "w2", 1500, "worker", "stopped", 100,
+              counterObject({{"worker.jobs_completed", 4}}));
+    writeDump(dir, "supervisor-p400", "supervisor", 2000, "supervisor",
+              "supervising", 500,
+              counterObject({{"supervisor.crashes", 2},
+                        {"supervisor.watchdog_kills", 1}}));
+    // A dump without a status object and a torn dump are skipped.
+    writeDump(dir, "w3-p500", "w3", 2000, "worker", "", 100,
+              counterObject({}));
+    writeTextFileAtomic(sweepMetricsPath(dir, "w4-p600"),
+                        "{\"id\": \"w4");
+
+    const auto dumps = readMetricsDumps(dir);
+    const JsonValue doc = aggregateHealthJson(dumps, 2200);
+    ASSERT_EQ(doc.at("processes").asInt(), 3);
+    const auto &rows = doc.at("workers").asArray();
+    ASSERT_EQ(rows.size(), 3u);
+
+    // Rows are id-sorted; the supervisor row carries its slot table.
+    EXPECT_EQ(rows[0].at("id").asString(), "supervisor");
+    EXPECT_EQ(rows[0].at("role").asString(), "supervisor");
+    EXPECT_TRUE(rows[0].at("slots").isArray());
+    EXPECT_EQ(rows[0].at("jobsCompleted").asInt(), 0);
+    EXPECT_EQ(rows[0].at("jobsFailed").asInt(), 2);
+    EXPECT_EQ(rows[0].at("jobsTimedOut").asInt(), 1);
+
+    // The newest incarnation's state wins; counts sum over both.
+    const JsonValue &w1 = rows[1];
+    EXPECT_EQ(w1.at("id").asString(), "w1");
+    EXPECT_EQ(w1.at("pid").asInt(), 200);
+    EXPECT_EQ(w1.at("state").asString(), "idle");
+    EXPECT_EQ(w1.at("updatedMs").asInt(), 2000);
+    EXPECT_EQ(w1.at("uptimeMs").asInt(), 1500);
+    EXPECT_EQ(w1.at("jobsCompleted").asInt(), 5);
+    EXPECT_EQ(w1.at("jobsFailed").asInt(), 1);
+    EXPECT_EQ(w1.at("jobsTimedOut").asInt(), 1);
+    EXPECT_EQ(rows[2].at("id").asString(), "w2");
+
+    EXPECT_EQ(doc.at("states").at("idle").asInt(), 1);
+    EXPECT_EQ(doc.at("states").at("stopped").asInt(), 1);
+    EXPECT_EQ(doc.at("states").at("supervising").asInt(), 1);
+    EXPECT_FALSE(doc.at("states").contains("running"));
+    EXPECT_EQ(doc.at("jobsCompleted").asInt(), 9);
+    EXPECT_EQ(doc.at("jobsFailed").asInt(), 3);
+    EXPECT_EQ(doc.at("jobsTimedOut").asInt(), 2);
+    // The fleet's completions equal the merged --metrics counter.
+    EXPECT_EQ(aggregateMetricsJson(dumps)
+                  .at("counters")
+                  .at("worker.jobs_completed")
+                  .asInt(),
+              doc.at("jobsCompleted").asInt());
+
+    // Every row carries a staleness verdict against a positive
+    // declared cadence.
+    ASSERT_TRUE(doc.contains("staleWorkers"));
+    for (const JsonValue &row : rows) {
+        EXPECT_TRUE(row.contains("staleMs"));
+        EXPECT_TRUE(row.contains("staleSeconds"));
+        EXPECT_TRUE(row.contains("stale"));
+        EXPECT_GT(row.at("flushIntervalMs").asInt(), 0);
+    }
+    // w1 (100 ms cadence, last beat at 2000) is fresh at exactly 2x
+    // the cadence and stale one ms later; w2 is long stale.
+    EXPECT_EQ(w1.at("staleMs").asInt(), 200);
+    EXPECT_DOUBLE_EQ(w1.at("staleSeconds").asDouble(), 0.2);
+    EXPECT_FALSE(w1.at("stale").asBool());
+    EXPECT_TRUE(rows[2].at("stale").asBool());
+    EXPECT_FALSE(rows[0].at("stale").asBool());
+    EXPECT_EQ(doc.at("staleWorkers").asInt(), 1);
+    const JsonValue later = aggregateHealthJson(dumps, 2201);
+    EXPECT_TRUE(later.at("workers").asArray()[1].at("stale").asBool());
+    EXPECT_EQ(later.at("staleWorkers").asInt(), 2);
+}
+
+TEST(Health, BeatStatusRidesTheMetricsDump)
+{
+    const std::string dir = scratchDir("health_beat").string();
     WorkerHealth h;
-    h.id = "w";
-    // An unwritable sweep root: writeHealthSnapshot must report false,
+    h.state = "running";
+    h.startedMs = unixTimeMs();
+    h.jobFingerprint = "FP";
+    h.jobName = "job0";
+    h.jobProgress = 7;
+    h.jobAttempt = 2;
+    h.flushIntervalMs = 100;
+    ASSERT_TRUE(writeMetricsSnapshot(dir, "w1", "w1-p1", beatStatus(h)));
+
+    const auto dumps = readMetricsDumps(dir);
+    ASSERT_EQ(dumps.size(), 1u);
+    const JsonValue &status = dumps[0].second.at("status");
+    EXPECT_GE(status.at("rssKb").asInt(), -1);
+    EXPECT_TRUE(status.contains("hlc"));
+
+    const JsonValue doc = aggregateHealthJson(dumps, unixTimeMs());
+    ASSERT_EQ(doc.at("processes").asInt(), 1);
+    const JsonValue &row = doc.at("workers").asArray()[0];
+    EXPECT_EQ(row.at("id").asString(), "w1");
+    EXPECT_EQ(row.at("pid").asInt(),
+              static_cast<std::int64_t>(::getpid()));
+    EXPECT_EQ(row.at("role").asString(), "worker");
+    EXPECT_EQ(row.at("state").asString(), "running");
+    EXPECT_EQ(row.at("jobFingerprint").asString(), "FP");
+    EXPECT_EQ(row.at("jobName").asString(), "job0");
+    EXPECT_EQ(row.at("jobProgress").asInt(), 7);
+    EXPECT_EQ(row.at("jobAttempt").asInt(), 2);
+    EXPECT_GT(row.at("updatedMs").asInt(), 0);
+    // The metrics view ignores the status object.
+    EXPECT_FALSE(aggregateMetricsJson(dumps).contains("status"));
+}
+
+TEST(Health, DumpWriteFailureIsToleratedNotThrown)
+{
+    // An unwritable sweep root: the beat's write must report false,
     // never throw — observability cannot take down the worker.
-    EXPECT_FALSE(
-        writeHealthSnapshot("/proc/definitely/not/writable", h));
+    EXPECT_FALSE(writeMetricsSnapshot("/proc/definitely/not/writable",
+                                      "w", "w-p1",
+                                      beatStatus(WorkerHealth{})));
 }
 
 } // namespace

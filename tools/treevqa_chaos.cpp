@@ -75,6 +75,8 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/json.h"
+#include "common/metrics.h"
+#include "dist/health.h"
 #include "dist/store_merge.h"
 #include "dist/supervisor.h"
 #include "dist/worker_daemon.h"
@@ -784,8 +786,15 @@ main(int argc, char **argv)
                    "timeout records "
                        + std::to_string(rep.timeoutRecords) + " < "
                        + std::to_string(drill.minTimeoutRecords));
-            expect(fs::exists(sweepHealthPath(dir, "supervisor")),
-                   "missing supervisor health snapshot");
+            const JsonValue health = aggregateHealthJson(
+                readMetricsDumps(dir), unixTimeMs());
+            const auto &rows = health.at("workers").asArray();
+            expect(std::any_of(rows.begin(), rows.end(),
+                               [](const JsonValue &row) {
+                                   return row.at("role").asString()
+                                       == "supervisor";
+                               }),
+                   "no supervisor row in the --health view");
             if (drill.checkAttemptBudget) {
                 // The fleet-wide circuit breaker's contract: per job,
                 // cumulative attempts ≤ budget even with 3 workers.

@@ -42,11 +42,13 @@
  *                 pending, plus the count of corrupt store lines that
  *                 were quarantined. SPEC.json may be omitted when DIR
  *                 holds sweep.json
- *   --health      aggregate the fleet's health snapshots
- *                 (DIR/health/*.json — workers and supervisor) into
- *                 one JSON document on stdout, flagging workers whose
- *                 snapshot is older than 2x their declared flush
- *                 cadence as stale
+ *   --health      derive the fleet's health from the metrics dumps
+ *                 (DIR/metrics/*.json — workers and supervisor): one
+ *                 row per process id with its newest incarnation's
+ *                 state and current job, and job counts summed over
+ *                 every incarnation, as one JSON document on stdout;
+ *                 a row whose newest dump is older than 2x its
+ *                 declared beat cadence is flagged stale
  *   --metrics     merge the fleet's metrics dumps (DIR/metrics/*.json,
  *                 one per process incarnation) into one fleet-wide
  *                 view: summed counters, max'd gauges, and per-phase
@@ -65,11 +67,11 @@
  *                 an HLC window (--since-hlc/--until-hlc, inclusive);
  *                 --after KEY resumes strictly after a printed cursor
  *   --watch       live fleet dashboard: every interval, diff the
- *                 current health+metrics snapshots against the
- *                 previous round into rates (jobs/s, bytes/s, claim
+ *                 merged metrics dumps against the previous round
+ *                 into rates (jobs/s, bytes/s, claim
  *                 conflicts/s) and flag stragglers whose in-flight
- *                 job is pacing slower than 8x the fleet's p90
- *                 runner.step_ns
+ *                 job (read from the live claims) is pacing slower
+ *                 than 8x the fleet's p90 runner.step_ns
  *   --summary-only
  *                 print only the deterministic summary JSON (no
  *                 table; what CI diffs between fresh and resumed
@@ -720,9 +722,9 @@ main(int argc, char **argv)
     if (watch)
         return runWatch(out_dir, watch_rounds, watch_interval_ms);
     if (health) {
-        // Pure read of DIR/health/*.json; needs no spec at all.
+        // Pure read of DIR/metrics/*.json; needs no spec at all.
         const JsonValue doc = aggregateHealthJson(
-            readHealthSnapshots(out_dir), unixTimeMs());
+            readMetricsDumps(out_dir), unixTimeMs());
         std::printf("%s\n", doc.dump(2).c_str());
         return 0;
     }

@@ -47,7 +47,8 @@
  *                     command line verbatim (before --worker-id)
  *
  * Child stdout/stderr go to DIR/logs/<slot-id>.log; the fleet view is
- * DIR/health/supervisor.json (aggregate with treevqa_run --health).
+ * treevqa_run --health, derived from every process's DIR/metrics/
+ * dump (the supervisor's carries the slot table).
  * Exit codes: 0 drained, 1 not drained (stopped early or every slot
  * retired), 2 usage error.
  */
