@@ -6,14 +6,23 @@
  * pre-optimization reference (see sim/reference_kernels.h) over a
  * qubit sweep, so the speedup trajectory stays measurable across PRs.
  *
+ * Kernel series also carry the bytes they must move; each qubit count
+ * times a memcpy over a state-sized buffer in the same run, so every
+ * kernel reports GB/s and its share of that copy bandwidth (the
+ * roofline). Series timed against a naive reference kernel are marked
+ * `naiveRef`: an optimized kernel slower than its reference is a bug.
+ *
  * Self-contained harness (no google-benchmark): results are printed as
  * a table and mirrored machine-readably into BENCH_micro_kernels.json
  * in the working directory.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -57,8 +66,14 @@ struct BenchResult
     int qubits;
     double fastNs;
     double refNs;
+    /** Bytes the kernel must read and write per call (0: not a
+     * bandwidth-bound kernel series). */
+    double bytes = 0.0;
+    /** The reference is a naive kernel from sim/reference_kernels.h. */
+    bool naiveRef = false;
 
     double speedup() const { return refNs > 0.0 ? refNs / fastNs : 0.0; }
+    double gbps() const { return bytes / fastNs; }
 };
 
 /**
@@ -144,16 +159,59 @@ std::vector<BenchResult> g_results;
 
 void
 record(const std::string &name, int qubits, double fast_ns,
-       double ref_ns)
+       double ref_ns, double bytes = 0.0, bool naive_ref = false)
 {
-    g_results.push_back(BenchResult{name, qubits, fast_ns, ref_ns});
+    g_results.push_back(
+        BenchResult{name, qubits, fast_ns, ref_ns, bytes, naive_ref});
+    const BenchResult &r = g_results.back();
+    std::printf("  %-24s %2dq  %12.0f ns", name.c_str(), qubits,
+                fast_ns);
     if (ref_ns > 0.0)
-        std::printf("  %-24s %2dq  %12.0f ns  ref %12.0f ns  %6.2fx\n",
-                    name.c_str(), qubits, fast_ns, ref_ns,
-                    ref_ns / fast_ns);
-    else
-        std::printf("  %-24s %2dq  %12.0f ns\n", name.c_str(), qubits,
-                    fast_ns);
+        std::printf("  ref %12.0f ns  %6.2fx", ref_ns, r.speedup());
+    if (bytes > 0.0)
+        std::printf("  %6.1f GB/s", r.gbps());
+    std::printf("\n");
+}
+
+/** A kernel timed against its naive reference kernel. */
+void
+recordKernel(const std::string &name, int qubits, double fast_ns,
+             double ref_ns, double bytes)
+{
+    record(name, qubits, fast_ns, ref_ns, bytes, true);
+}
+
+/** Bytes one full read-and-write pass over an n-qubit state moves. */
+double
+stateBytes(int n)
+{
+    return 2.0 * static_cast<double>(sizeof(Complex))
+         * static_cast<double>(std::size_t{1} << n);
+}
+
+/**
+ * The roofline: memcpy of one half of an n-qubit state onto the other,
+ * so the copy has the in-place kernels' footprint (one state) and
+ * moves half of stateBytes(n), read + write. From 16 qubits, where the
+ * kernels turn on OpenMP, it is split over the threads in 64 KiB
+ * pieces.
+ */
+void
+benchMemcpy(int n)
+{
+    const std::size_t half = sizeof(Complex) << (n - 1);
+    const std::size_t piece = std::min<std::size_t>(half, 64 << 10);
+    const auto pieces = static_cast<std::ptrdiff_t>(half / piece);
+    std::vector<char> state(2 * half, 1);
+    char *src = state.data();
+    char *dst = state.data() + half;
+    record("memcpy", n, timeNs([&] {
+#pragma omp parallel for if (n >= 16)
+               for (std::ptrdiff_t p = 0; p < pieces; ++p)
+                   std::memcpy(dst + p * piece, src + p * piece, piece);
+               std::swap(src, dst);
+           }),
+           0.0, stateBytes(n) / 2);
 }
 
 void
@@ -163,28 +221,50 @@ benchGateKernels(int n)
     const int a = 1;
     const int b = n / 2;
     double theta = 0.3;
+    const double full = stateBytes(n);
+    const double half = full / 2; // kernels touching one half
 
-    record("rxx", n,
-           timeNs([&] { sv.applyRxx(a, b, theta); theta += 1e-4; }),
-           timeNs([&] { refApplyRxx(sv, a, b, theta); theta += 1e-4; }));
-    record("ryy", n,
-           timeNs([&] { sv.applyRyy(a, b, theta); theta += 1e-4; }),
-           timeNs([&] { refApplyRyy(sv, a, b, theta); theta += 1e-4; }));
-    record("rzz", n,
-           timeNs([&] { sv.applyRzz(a, b, theta); theta += 1e-4; }),
-           timeNs([&] { refApplyRzz(sv, a, b, theta); theta += 1e-4; }));
-    record("cx", n, timeNs([&] { sv.applyCx(a, b); }),
-           timeNs([&] { refApplyCx(sv, a, b); }));
-    record("x", n, timeNs([&] { sv.applyX(a); }),
-           timeNs([&] { refApplyX(sv, a); }));
-    record("z", n, timeNs([&] { sv.applyZ(a); }),
-           timeNs([&] { refApplyZ(sv, a); }));
-    record("s", n, timeNs([&] { sv.applyS(a); }),
-           timeNs([&] { refApplyS(sv, a); }));
-    record("h", n, timeNs([&] { sv.applyH(a); }),
-           timeNs([&] { refApplyH(sv, a); }));
-    record("ry", n,
-           timeNs([&] { sv.applyRy(a, theta); theta += 1e-4; }), 0.0);
+    recordKernel(
+        "rxx", n, timeNs([&] { sv.applyRxx(a, b, theta); theta += 1e-4; }),
+        timeNs([&] { refApplyRxx(sv, a, b, theta); theta += 1e-4; }),
+        full);
+    recordKernel(
+        "ryy", n, timeNs([&] { sv.applyRyy(a, b, theta); theta += 1e-4; }),
+        timeNs([&] { refApplyRyy(sv, a, b, theta); theta += 1e-4; }),
+        full);
+    recordKernel(
+        "rzz", n, timeNs([&] { sv.applyRzz(a, b, theta); theta += 1e-4; }),
+        timeNs([&] { refApplyRzz(sv, a, b, theta); theta += 1e-4; }),
+        full);
+    recordKernel("cx", n, timeNs([&] { sv.applyCx(a, b); }),
+                 timeNs([&] { refApplyCx(sv, a, b); }), half);
+    recordKernel("x", n, timeNs([&] { sv.applyX(a); }),
+                 timeNs([&] { refApplyX(sv, a); }), full);
+    recordKernel("z", n, timeNs([&] { sv.applyZ(a); }),
+                 timeNs([&] { refApplyZ(sv, a); }), half);
+    recordKernel("s", n, timeNs([&] { sv.applyS(a); }),
+                 timeNs([&] { refApplyS(sv, a); }), half);
+
+    // The fused 1-qubit kernel on the lowest, a low and the highest
+    // target: q = 0 and 1 walk grouped pairs, q = n-1 strides past
+    // one chunk.
+    for (const int q : {0, a, n - 1}) {
+        const std::string suffix = q == a ? ""
+                                 : q == 0 ? "_q0"
+                                          : "_qlast";
+        recordKernel("h" + suffix, n, timeNs([&] { sv.applyH(q); }),
+                     timeNs([&] { refApplyH(sv, q); }), full);
+        const auto ry = [&] {
+            const double c = std::cos(theta / 2.0);
+            const double s = std::sin(theta / 2.0);
+            theta += 1e-4;
+            return Gate1q{Complex(c, 0), Complex(-s, 0), Complex(s, 0),
+                          Complex(c, 0)};
+        };
+        recordKernel("ry" + suffix, n,
+                     timeNs([&] { sv.applyRy(q, theta); theta += 1e-4; }),
+                     timeNs([&] { refApplyGate1(sv, q, ry()); }), full);
+    }
 
     // A full rotation layer (the HEA building block).
     record("rotation_layer", n, timeNs([&] {
@@ -192,7 +272,22 @@ benchGateKernels(int n)
                    sv.applyRy(q, theta);
                theta += 1e-4;
            }),
-           0.0);
+           0.0, n * full);
+}
+
+/** Bytes the batched evaluator reads: the whole state once per X-mask
+ * group. */
+double
+expectationBytes(int n, const std::vector<PauliString> &strings)
+{
+    std::vector<std::uint64_t> masks;
+    for (const PauliString &p : strings)
+        if (!p.isIdentity())
+            masks.push_back(p.xMask());
+    std::sort(masks.begin(), masks.end());
+    const auto groups = static_cast<double>(
+        std::unique(masks.begin(), masks.end()) - masks.begin());
+    return groups * stateBytes(n) / 2;
 }
 
 void
@@ -200,15 +295,16 @@ benchBatchedExpectations(int n)
 {
     const Statevector sv = randomState(n, 23);
     const auto strings = randomStrings(n, 40, 5, 31);
-    record("batched_expectations", n,
-           timeNs([&] {
-               auto v = perStringExpectations(sv, strings);
-               (void)v;
-           }),
-           timeNs([&] {
-               auto v = refPerStringExpectations(sv, strings);
-               (void)v;
-           }));
+    recordKernel("batched_expectations", n,
+                 timeNs([&] {
+                     auto v = perStringExpectations(sv, strings);
+                     (void)v;
+                 }),
+                 timeNs([&] {
+                     auto v = refPerStringExpectations(sv, strings);
+                     (void)v;
+                 }),
+                 expectationBytes(n, strings));
 }
 
 void
@@ -220,8 +316,11 @@ benchCircuitApply(int n)
     for (auto &t : theta)
         t = rng.uniform(-1, 1);
     Statevector sv(n);
+    // Every compiled op streams the state in and out once.
     record("hea_prepare", n,
-           timeNs([&] { ansatz.prepareInto(sv, theta); }), 0.0);
+           timeNs([&] { ansatz.prepareInto(sv, theta); }), 0.0,
+           static_cast<double>(ansatz.compiled()->numOps())
+               * stateBytes(n));
 }
 
 void
@@ -243,7 +342,8 @@ benchThreadedExpectations(int n)
         (void)v;
     });
     ThreadPool::global().resize(0);
-    record("threaded_expectations", n, fast, ref);
+    record("threaded_expectations", n, fast, ref,
+           expectationBytes(n, strings));
 }
 
 void
@@ -881,6 +981,16 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** memcpy GB/s at n qubits measured in this run (0 if none). */
+double
+memcpyGbps(int n)
+{
+    for (const BenchResult &r : g_results)
+        if (r.name == "memcpy" && r.qubits == n)
+            return r.gbps();
+    return 0.0;
+}
+
 void
 writeJson(const std::string &path)
 {
@@ -891,7 +1001,7 @@ writeJson(const std::string &path)
     const char *date = std::getenv("TREEVQA_BENCH_DATE");
     std::ofstream out(path);
     out << "{\n  \"bench\": \"micro_kernels\",\n"
-        << "  \"schemaVersion\": 2,\n"
+        << "  \"schemaVersion\": 3,\n"
         << "  \"gitSha\": \""
         << jsonEscape(sha && *sha ? sha : "unknown") << "\",\n"
         << "  \"date\": \""
@@ -901,19 +1011,29 @@ writeJson(const std::string &path)
     for (std::size_t i = 0; i < g_results.size(); ++i) {
         const BenchResult &r = g_results[i];
         char line[256];
-        if (r.refNs > 0.0)
+        std::snprintf(line, sizeof(line),
+                      "    {\"name\": \"%s\", \"qubits\": %d, "
+                      "\"ns_per_op\": %.1f",
+                      r.name.c_str(), r.qubits, r.fastNs);
+        out << line;
+        if (r.refNs > 0.0) {
             std::snprintf(line, sizeof(line),
-                          "    {\"name\": \"%s\", \"qubits\": %d, "
-                          "\"ns_per_op\": %.1f, \"ref_ns_per_op\": %.1f, "
-                          "\"speedup\": %.3f}",
-                          r.name.c_str(), r.qubits, r.fastNs, r.refNs,
-                          r.speedup());
-        else
+                          ", \"ref_ns_per_op\": %.1f, "
+                          "\"speedup\": %.3f, \"naiveRef\": %s",
+                          r.refNs, r.speedup(),
+                          r.naiveRef ? "true" : "false");
+            out << line;
+        }
+        if (r.bytes > 0.0) {
+            const double roof = memcpyGbps(r.qubits);
             std::snprintf(line, sizeof(line),
-                          "    {\"name\": \"%s\", \"qubits\": %d, "
-                          "\"ns_per_op\": %.1f}",
-                          r.name.c_str(), r.qubits, r.fastNs);
-        out << line << (i + 1 < g_results.size() ? ",\n" : "\n");
+                          ", \"bytes\": %.0f, \"gbps\": %.2f, "
+                          "\"roofline_pct\": %.1f",
+                          r.bytes, r.gbps(),
+                          roof > 0.0 ? 100.0 * r.gbps() / roof : 0.0);
+            out << line;
+        }
+        out << "}" << (i + 1 < g_results.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";
 }
@@ -927,6 +1047,7 @@ main()
     for (int n : {10, 12, 14, 16, 18}) {
         std::printf("--- %d qubits ---\n", n);
         benchGateKernels(n);
+        benchMemcpy(n); // after the kernels: OpenMP threads are warm
         benchBatchedExpectations(n);
         benchThreadedExpectations(n);
         benchCircuitApply(n);

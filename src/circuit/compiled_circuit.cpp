@@ -23,8 +23,8 @@ gateMatrix1q(GateOp op, double angle)
         return Gate1q{Complex(c, 0), Complex(-s, 0), Complex(s, 0),
                       Complex(c, 0)};
       case GateOp::Rz:
-        return Gate1q{std::polar(1.0, -angle / 2.0), Complex(0, 0),
-                      Complex(0, 0), std::polar(1.0, angle / 2.0)};
+        return Gate1q{Complex(c, -s), Complex(0, 0), Complex(0, 0),
+                      Complex(c, s)};
       case GateOp::H: {
         const double r = 1.0 / std::sqrt(2.0);
         return Gate1q{Complex(r, 0), Complex(r, 0), Complex(r, 0),

@@ -26,7 +26,9 @@ namespace {
  * (|Y| odd) with weight +-2. Amplitudes are processed in cache-sized
  * blocks whose t values are shared by every member of the X-mask
  * group; the member loop runs branch-free over a contiguous zMask
- * array.
+ * array. Every product is spelled out in real arithmetic: a
+ * std::complex product compiles to the __muldc3 library call, which
+ * no loop vectorizes.
  */
 
 /** Amplitudes per block: 3 doubles/entry keeps a block well inside L1. */
@@ -40,42 +42,48 @@ struct GroupMember
     double weight; ///< +-2 (off-diagonal) or +-1 (diagonal) phase factor
 };
 
+/** |x|^2 in real arithmetic. */
+inline double
+norm2(const Complex &x)
+{
+    return x.real() * x.real() + x.imag() * x.imag();
+}
+
 } // namespace
 
 double
 expectation(const Statevector &state, const PauliString &string)
 {
     assert(string.numQubits() == state.numQubits());
-    const CVector &amps = state.amplitudes();
+    const Complex *a = state.amplitudes().data();
+    const std::size_t dim = state.dim();
     const std::uint64_t xm = string.xMask();
     const std::uint64_t zm = string.zMask();
 
     if (xm == 0) {
         // Diagonal string: real sum of signed probabilities.
         double s = 0.0;
-        for (std::size_t b = 0; b < amps.size(); ++b)
-            s += paritySign(b, zm) * std::norm(amps[b]);
+        for (std::size_t b = 0; b < dim; ++b)
+            s += paritySign(b, zm) * norm2(a[b]);
         return s;
     }
 
     // Pairing symmetry (see file comment): visit only b with the
     // highest X bit clear — those form contiguous runs of length
-    // 2^{hi}, so both amplitude streams are sequential.
+    // 2^{hi}, so both amplitude streams are sequential. Re(t) or
+    // Im(t) of t = conj(a[b^x]) * a[b], in real arithmetic.
     const std::size_t hbit = std::bit_floor(xm);
-    const std::size_t dim = amps.size();
     const int y = string.yCount();
     double acc = 0.0;
     for (std::size_t base = 0; base < dim; base += 2 * hbit) {
         if (y % 2 == 0) {
-            for (std::size_t b = base; b < base + hbit; ++b) {
-                const Complex t = std::conj(amps[b ^ xm]) * amps[b];
-                acc += paritySign(b, zm) * t.real();
-            }
+            for (std::size_t b = base; b < base + hbit; ++b)
+                acc += paritySign(b, zm)
+                     * cmul(std::conj(a[b ^ xm]), a[b]).real();
         } else {
-            for (std::size_t b = base; b < base + hbit; ++b) {
-                const Complex t = std::conj(amps[b ^ xm]) * amps[b];
-                acc += paritySign(b, zm) * t.imag();
-            }
+            for (std::size_t b = base; b < base + hbit; ++b)
+                acc += paritySign(b, zm)
+                     * cmul(std::conj(a[b ^ xm]), a[b]).imag();
         }
     }
     const double w = (y % 4 == 0 || y % 4 == 3) ? 2.0 : -2.0;
@@ -126,7 +134,6 @@ struct GroupTask
 {
     std::uint64_t xm = 0;
     std::size_t hbit = 0; ///< pairing bit (0 for diagonal groups)
-    std::size_t xlo = 0;
     std::size_t range = 0; ///< dim (diagonal) or dim/2 (off-diagonal)
     std::size_t nblocks = 0;
     std::size_t lutLen = 0;
@@ -136,81 +143,86 @@ struct GroupTask
     std::vector<double> partialRe, partialIm;
 };
 
+/** Per-member (-1)^{popcount(j & zMask)} tables for j < lut_len, built
+ * by doubling: each Z bit below lut_len negates the upper half. */
 void
 buildLuts(const std::vector<GroupMember> &members,
           std::vector<double> &luts, std::size_t lut_len)
 {
     luts.resize(members.size() * lut_len);
     for (std::size_t m = 0; m < members.size(); ++m) {
-        const std::uint64_t zlo = members[m].zMask & (kBlockSize - 1);
         double *lut = luts.data() + m * lut_len;
-        for (std::size_t j = 0; j < lut_len; ++j)
-            lut[j] = paritySign(j, zlo);
+        lut[0] = 1.0;
+        for (std::size_t half = 1; half < lut_len; half <<= 1) {
+            const double sign = members[m].zMask & half ? -1.0 : 1.0;
+            for (std::size_t j = 0; j < half; ++j)
+                lut[half + j] = sign * lut[j];
+        }
     }
+}
+
+/**
+ * sum_j lut[j] * t[j], accumulated into 8 independent partial sums
+ * (lane j % 8) and combined in a fixed tree. One serial FMA chain
+ * would be bound by FMA latency; the lane order is fixed, so the
+ * result does not depend on how blocks are spread over threads.
+ */
+double
+signedSum(const double *lut, const double *t, std::size_t n)
+{
+    double acc[8] = {};
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+        for (std::size_t l = 0; l < 8; ++l)
+            acc[l] += lut[j + l] * t[j + l];
+    for (std::size_t l = 0; j + l < n; ++l)
+        acc[l] += lut[j + l] * t[j + l];
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+         + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }
 
 /** Evaluate one block of one group into its partial slots. */
 void
 processBlock(const GroupTask &task, std::size_t block,
-             const CVector &amps, double *partial_re,
+             const Complex *amps, double *partial_re,
              double *partial_im)
 {
-    double tre[kBlockSize], tim[kBlockSize];
+    alignas(64) double tre[kBlockSize], tim[kBlockSize];
     const std::size_t k0 = block * kBlockSize;
     const std::size_t kn = std::min(kBlockSize, task.range - k0);
 
     if (task.hbit == 0) {
         // Diagonal group: one probability pass serves all members.
+        const Complex *p = amps + k0;
         for (std::size_t j = 0; j < kn; ++j)
-            tre[j] = std::norm(amps[k0 + j]);
-    } else if (task.hbit >= kBlockSize) {
-        // Blocks never straddle a run boundary (hbit is a multiple of
-        // the block size), so b = b0 + j and the partner differs only
-        // by an XOR of the low X bits within the cache-resident
-        // window.
-        const std::size_t b0 = expandBit(k0, task.hbit);
-        const Complex *pa = amps.data() + b0;
-        const Complex *pb =
-            amps.data() + ((b0 ^ task.xm) & ~(kBlockSize - 1));
-        if (task.xlo == 0) {
-            for (std::size_t j = 0; j < kn; ++j) {
-                const Complex t = std::conj(pb[j]) * pa[j];
-                tre[j] = t.real();
-                tim[j] = t.imag();
-            }
-        } else {
-            for (std::size_t j = 0; j < kn; ++j) {
-                const Complex t = std::conj(pb[j ^ task.xlo]) * pa[j];
-                tre[j] = t.real();
-                tim[j] = t.imag();
-            }
-        }
+            tre[j] = norm2(p[j]);
     } else {
-        for (std::size_t j = 0; j < kn; ++j) {
-            const std::size_t b = expandBit(k0 + j, task.hbit);
-            const Complex t =
-                std::conj(amps[b ^ task.xm]) * amps[b];
-            tre[j] = t.real();
-            tim[j] = t.imag();
+        // t = conj(a[b ^ x]) * a[b] for b = expandBit(k, hbit). Over an
+        // aligned run as long as the lowest X bit, b and its partner
+        // b ^ x both advance by one, so the run is two contiguous
+        // streams.
+        const std::size_t run =
+            std::min(std::size_t{1} << std::countr_zero(task.xm), kn);
+        for (std::size_t s = 0; s < kn; s += run) {
+            const std::size_t b = expandBit(k0 + s, task.hbit);
+            const Complex *pa = amps + b;
+            const Complex *pb = amps + (b ^ task.xm);
+            for (std::size_t j = 0; j < run; ++j) {
+                const Complex t = cmul(std::conj(pb[j]), pa[j]);
+                tre[s + j] = t.real();
+                tim[s + j] = t.imag();
+            }
         }
     }
 
-    for (std::size_t m = 0; m < task.membersRe.size(); ++m) {
-        const double base = paritySign(k0, task.membersRe[m].zMask);
-        const double *lut = task.lutRe.data() + m * task.lutLen;
-        double a = 0.0;
-        for (std::size_t j = 0; j < kn; ++j)
-            a += lut[j] * tre[j];
-        partial_re[m] = base * a;
-    }
-    for (std::size_t m = 0; m < task.membersIm.size(); ++m) {
-        const double base = paritySign(k0, task.membersIm[m].zMask);
-        const double *lut = task.lutIm.data() + m * task.lutLen;
-        double a = 0.0;
-        for (std::size_t j = 0; j < kn; ++j)
-            a += lut[j] * tim[j];
-        partial_im[m] = base * a;
-    }
+    for (std::size_t m = 0; m < task.membersRe.size(); ++m)
+        partial_re[m] = paritySign(k0, task.membersRe[m].zMask)
+                      * signedSum(task.lutRe.data() + m * task.lutLen,
+                                  tre, kn);
+    for (std::size_t m = 0; m < task.membersIm.size(); ++m)
+        partial_im[m] = paritySign(k0, task.membersIm[m].zMask)
+                      * signedSum(task.lutIm.data() + m * task.lutLen,
+                                  tim, kn);
 }
 
 } // namespace
@@ -256,7 +268,6 @@ perStringExpectations(const Statevector &state,
         } else {
             const std::size_t hbit = std::bit_floor(xm);
             task.hbit = hbit;
-            task.xlo = xm & (kBlockSize - 1);
             task.range = dim >> 1;
             for (std::size_t idx : indices) {
                 const int y = strings[idx].yCount();
@@ -289,7 +300,7 @@ perStringExpectations(const Statevector &state,
     ThreadPool::global().run(work.size(), [&](std::size_t w) {
         const auto [g, b] = work[w];
         GroupTask &task = tasks[g];
-        processBlock(task, b, amps,
+        processBlock(task, b, amps.data(),
                      task.partialRe.data() + b * task.membersRe.size(),
                      task.partialIm.data() + b * task.membersIm.size());
     });

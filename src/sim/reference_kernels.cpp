@@ -122,6 +122,21 @@ refExpectation(const Statevector &state, const PauliString &string)
 }
 
 void
+refApplyGate1(Statevector &state, int q, const Gate1q &gate)
+{
+    CVector &amps = state.amplitudes();
+    const std::size_t bit = std::size_t{1} << q;
+    for (std::size_t i = 0; i < amps.size(); ++i) {
+        if (i & bit)
+            continue;
+        const Complex a0 = amps[i];
+        const Complex a1 = amps[i | bit];
+        amps[i] = gate.m00 * a0 + gate.m01 * a1;
+        amps[i | bit] = gate.m10 * a0 + gate.m11 * a1;
+    }
+}
+
+void
 refApplyX(Statevector &state, int q)
 {
     CVector &amps = state.amplitudes();

@@ -48,6 +48,7 @@ void refApplyGate2(Statevector &state, int q0, int q1,
 double refExpectation(const Statevector &state, const PauliString &string);
 
 /** Pre-optimization gate kernels: full 2^n scan, branch per element. */
+void refApplyGate1(Statevector &state, int q, const Gate1q &gate);
 void refApplyX(Statevector &state, int q);
 void refApplyZ(Statevector &state, int q);
 void refApplyS(Statevector &state, int q);

@@ -1,5 +1,6 @@
 #include "sim/statevector.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -11,14 +12,25 @@ namespace treevqa {
 namespace {
 
 /**
- * All kernels below iterate over *compressed* index ranges: a gate on
- * qubit q partitions the 2^n amplitudes into pairs (i, i | 1<<q), so we
- * enumerate k in [0, 2^{n-1}) and expand it to the pair's base index by
- * inserting a zero bit at position q (see sim/bit_ops.h). Two-qubit
- * gates insert two zero bits and enumerate quadruples. This touches
- * exactly the amplitudes a kernel needs — no full-vector scan with a
- * branch per element.
+ * Every state pass below is written in explicit real arithmetic on the
+ * (re, im) parts of each amplitude: std::complex products compile to
+ * the C99 Annex G NaN-recovering __muldc3 library call, which no loop
+ * vectorizes. So the kernels' speed does not hinge on flags such as
+ * -fcx-limited-range or -ffast-math.
+ *
+ * A gate on qubit q pairs the amplitudes (i, i | 1<<q). The kernels
+ * walk the compressed pair index k in [0, 2^{n-1}) (a zero bit
+ * inserted at q recovers i, see sim/bit_ops.h) in chunks of
+ * min(stride, kChunk) pairs. Such a chunk maps onto two contiguous
+ * runs p0[j] and p0[j + stride], so the inner loop is unit-stride and
+ * vectorizes. OpenMP splits the chunk loop, never a chunk, so every
+ * amplitude goes through the same instruction stream at any thread
+ * count. Two-qubit gates insert two zero bits and walk quadruples the
+ * same way, in runs of min(low stride, kChunk).
  */
+
+/** Pairs (or quadruples) per chunk: the unit OpenMP distributes. */
+constexpr std::size_t kChunk = 4096;
 
 /** Minimum amplitude count before OpenMP threading pays for itself. */
 constexpr std::size_t kOmpMinDim = std::size_t{1} << 16;
@@ -33,6 +45,123 @@ inline bool
 useOmp(std::size_t dim)
 {
     return dim >= kOmpMinDim && !ThreadPool::onWorkerThread();
+}
+
+/**
+ * Low strides S < 16, where a run would hold too few pairs to
+ * vectorize: walk groups of 2S consecutive amplitudes instead, pairing
+ * g*2S + j with g*2S + S + j for j < S (unrolled, S is a constant).
+ */
+template <std::size_t S, class Body>
+void
+pairGroups(CVector &amps, Body &body)
+{
+    Complex *a = amps.data();
+    const std::size_t groups = amps.size() / (2 * S);
+    const std::size_t per = std::min(groups, kChunk / S);
+    const std::ptrdiff_t chunks =
+        static_cast<std::ptrdiff_t>(groups / per);
+#pragma omp parallel for if (useOmp(amps.size()))
+    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
+        Complex *p = a + static_cast<std::size_t>(c) * per * 2 * S;
+        for (std::size_t g = 0; g < per; ++g)
+            for (std::size_t j = 0; j < S; ++j)
+                body(p[2 * S * g + j], p[2 * S * g + S + j]);
+    }
+}
+
+/** body(x0, x1) on every amplitude pair (i, i | 1<<q), bit q of i
+ * clear, in chunked contiguous runs (see the comment above). */
+template <class Body>
+void
+forEachPair(CVector &amps, int q, Body body)
+{
+    const std::size_t stride = std::size_t{1} << q;
+    switch (stride) {
+      case 1: return pairGroups<1>(amps, body);
+      case 2: return pairGroups<2>(amps, body);
+      case 4: return pairGroups<4>(amps, body);
+      case 8: return pairGroups<8>(amps, body);
+      default: break;
+    }
+    Complex *a = amps.data();
+    const std::size_t len = std::min(stride, kChunk);
+    const std::ptrdiff_t chunks =
+        static_cast<std::ptrdiff_t>((amps.size() >> 1) / len);
+#pragma omp parallel for if (useOmp(amps.size()))
+    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
+        Complex *p0 =
+            a + expandBit(static_cast<std::size_t>(c) * len, stride);
+        Complex *p1 = p0 + stride;
+        for (std::size_t j = 0; j < len; ++j)
+            body(p0[j], p1[j]);
+    }
+}
+
+/** The quadruple counterpart of pairGroups for a low stride S: group
+ * t holds the S quadruples at expandBit(t * 2S, hi) + j, j < S. */
+template <std::size_t S, class Body>
+void
+quadGroups(CVector &amps, std::size_t abit, std::size_t bbit, Body &body)
+{
+    Complex *a = amps.data();
+    const std::size_t hi = std::max(abit, bbit);
+    const std::size_t groups = amps.size() / (4 * S);
+    const std::size_t per = std::min(groups, kChunk / S);
+    const std::ptrdiff_t chunks =
+        static_cast<std::ptrdiff_t>(groups / per);
+#pragma omp parallel for if (useOmp(amps.size()))
+    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
+        const std::size_t t0 = static_cast<std::size_t>(c) * per;
+        for (std::size_t t = t0; t < t0 + per; ++t) {
+            Complex *p = a + expandBit(t * 2 * S, hi);
+            for (std::size_t j = 0; j < S; ++j)
+                body(p[j], p[j + abit], p[j + bbit], p[j + abit + bbit]);
+        }
+    }
+}
+
+/**
+ * body(x00, xa, xb, xab) on every quadruple i | {0, 1<<qa, 1<<qb, both}
+ * (bits qa, qb clear in i), in runs of min(low stride, kChunk)
+ * quadruples that are contiguous in all four streams.
+ */
+template <class Body>
+void
+forEachQuad(CVector &amps, int qa, int qb, Body body)
+{
+    const std::size_t abit = std::size_t{1} << qa;
+    const std::size_t bbit = std::size_t{1} << qb;
+    const std::size_t lo = std::min(abit, bbit);
+    switch (lo) {
+      case 1: return quadGroups<1>(amps, abit, bbit, body);
+      case 2: return quadGroups<2>(amps, abit, bbit, body);
+      case 4: return quadGroups<4>(amps, abit, bbit, body);
+      case 8: return quadGroups<8>(amps, abit, bbit, body);
+      default: break;
+    }
+    Complex *a = amps.data();
+    const std::size_t hi = std::max(abit, bbit);
+    const std::size_t len = std::min(lo, kChunk);
+    const std::ptrdiff_t chunks =
+        static_cast<std::ptrdiff_t>((amps.size() >> 2) / len);
+#pragma omp parallel for if (useOmp(amps.size()))
+    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
+        Complex *p =
+            a + expandBits2(static_cast<std::size_t>(c) * len, lo, hi);
+        for (std::size_t j = 0; j < len; ++j)
+            body(p[j], p[j + abit], p[j + bbit], p[j + abit + bbit]);
+    }
+}
+
+/** Swap two amplitudes component-wise (a struct copy would not
+ * vectorize). */
+inline void
+swapAmps(Complex &x, Complex &y)
+{
+    const double r = x.real(), i = x.imag();
+    x = Complex(y.real(), y.imag());
+    y = Complex(r, i);
 }
 
 } // namespace
@@ -93,7 +222,7 @@ Statevector::overlapSquared(const Statevector &other) const
 #pragma omp parallel for reduction(+ : re, im) \
     if (useOmp(amps_.size()))
     for (std::ptrdiff_t i = 0; i < dim; ++i) {
-        const Complex t = std::conj(a[i]) * b[i];
+        const Complex t = cmul(std::conj(a[i]), b[i]);
         re += t.real();
         im += t.imag();
     }
@@ -104,40 +233,21 @@ void
 Statevector::applyGate1(int q, const Gate1q &gate)
 {
     assert(q >= 0 && q < numQubits_);
-    const std::size_t stride = std::size_t{1} << q;
-    const std::ptrdiff_t half =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 1);
-    Complex *a = amps_.data();
-    const Complex m00 = gate.m00, m01 = gate.m01;
-    const Complex m10 = gate.m10, m11 = gate.m11;
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < half; ++k) {
-        const std::size_t i0 =
-            expandBit(static_cast<std::size_t>(k), stride);
-        const std::size_t i1 = i0 | stride;
-        const Complex a0 = a[i0];
-        const Complex a1 = a[i1];
-        a[i0] = m00 * a0 + m01 * a1;
-        a[i1] = m10 * a0 + m11 * a1;
-    }
+    forEachPair(amps_, q, [gate](Complex &x0, Complex &x1) {
+        const Complex a0 = x0, a1 = x1;
+        x0 = cmul(gate.m00, a0) + cmul(gate.m01, a1);
+        x1 = cmul(gate.m10, a0) + cmul(gate.m11, a1);
+    });
 }
 
 void
 Statevector::applyDiag1(int q, Complex d0, Complex d1)
 {
     assert(q >= 0 && q < numQubits_);
-    const std::size_t stride = std::size_t{1} << q;
-    const std::ptrdiff_t half =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 1);
-    Complex *a = amps_.data();
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < half; ++k) {
-        const std::size_t i0 =
-            expandBit(static_cast<std::size_t>(k), stride);
-        const std::size_t i1 = i0 | stride;
-        a[i0] *= d0;
-        a[i1] *= d1;
-    }
+    forEachPair(amps_, q, [d0, d1](Complex &x0, Complex &x1) {
+        x0 = cmul(d0, x0);
+        x1 = cmul(d1, x1);
+    });
 }
 
 void
@@ -161,8 +271,9 @@ Statevector::applyRy(int q, double theta)
 void
 Statevector::applyRz(int q, double theta)
 {
-    applyDiag1(q, std::polar(1.0, -theta / 2.0),
-               std::polar(1.0, theta / 2.0));
+    const double c = std::cos(theta / 2.0);
+    const double s = std::sin(theta / 2.0);
+    applyDiag1(q, Complex(c, -s), Complex(c, s));
 }
 
 void
@@ -177,154 +288,91 @@ void
 Statevector::applyX(int q)
 {
     assert(q >= 0 && q < numQubits_);
-    const std::size_t stride = std::size_t{1} << q;
-    const std::ptrdiff_t half =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 1);
-    Complex *a = amps_.data();
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < half; ++k) {
-        const std::size_t i0 =
-            expandBit(static_cast<std::size_t>(k), stride);
-        const Complex t = a[i0];
-        a[i0] = a[i0 | stride];
-        a[i0 | stride] = t;
-    }
+    forEachPair(amps_, q,
+                [](Complex &x0, Complex &x1) { swapAmps(x0, x1); });
 }
 
 void
 Statevector::applyY(int q)
 {
     assert(q >= 0 && q < numQubits_);
-    const std::size_t stride = std::size_t{1} << q;
-    const std::ptrdiff_t half =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 1);
-    Complex *a = amps_.data();
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < half; ++k) {
-        const std::size_t i0 =
-            expandBit(static_cast<std::size_t>(k), stride);
-        const std::size_t i1 = i0 | stride;
-        const Complex a0 = a[i0];
-        // Y = [[0, -i], [i, 0]].
-        a[i0] = Complex(a[i1].imag(), -a[i1].real());
-        a[i1] = Complex(-a0.imag(), a0.real());
-    }
+    // Y = [[0, -i], [i, 0]].
+    forEachPair(amps_, q, [](Complex &x0, Complex &x1) {
+        const double r0 = x0.real(), i0 = x0.imag();
+        x0 = Complex(x1.imag(), -x1.real());
+        x1 = Complex(-i0, r0);
+    });
 }
 
 void
 Statevector::applyZ(int q)
 {
     assert(q >= 0 && q < numQubits_);
-    const std::size_t stride = std::size_t{1} << q;
-    const std::ptrdiff_t half =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 1);
-    Complex *a = amps_.data();
-    // Touch only the half with bit q set.
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < half; ++k) {
-        const std::size_t i =
-            expandBit(static_cast<std::size_t>(k), stride) | stride;
-        a[i] = -a[i];
-    }
+    forEachPair(amps_, q, [](Complex &, Complex &x1) {
+        x1 = Complex(-x1.real(), -x1.imag());
+    });
 }
 
 void
 Statevector::applyS(int q)
 {
     assert(q >= 0 && q < numQubits_);
-    const std::size_t stride = std::size_t{1} << q;
-    const std::ptrdiff_t half =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 1);
-    Complex *a = amps_.data();
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < half; ++k) {
-        const std::size_t i =
-            expandBit(static_cast<std::size_t>(k), stride) | stride;
-        a[i] = Complex(-a[i].imag(), a[i].real()); // *= i
-    }
+    forEachPair(amps_, q, [](Complex &, Complex &x1) {
+        x1 = Complex(-x1.imag(), x1.real()); // *= i
+    });
 }
 
 void
 Statevector::applySdg(int q)
 {
     assert(q >= 0 && q < numQubits_);
-    const std::size_t stride = std::size_t{1} << q;
-    const std::ptrdiff_t half =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 1);
-    Complex *a = amps_.data();
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < half; ++k) {
-        const std::size_t i =
-            expandBit(static_cast<std::size_t>(k), stride) | stride;
-        a[i] = Complex(a[i].imag(), -a[i].real()); // *= -i
-    }
+    forEachPair(amps_, q, [](Complex &, Complex &x1) {
+        x1 = Complex(x1.imag(), -x1.real()); // *= -i
+    });
 }
 
 void
 Statevector::applyCx(int control, int target)
 {
     assert(control != target);
-    const std::size_t cbit = std::size_t{1} << control;
-    const std::size_t tbit = std::size_t{1} << target;
-    const std::size_t blo = cbit < tbit ? cbit : tbit;
-    const std::size_t bhi = cbit < tbit ? tbit : cbit;
-    const std::ptrdiff_t quarter =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 2);
-    Complex *a = amps_.data();
-    // Touch only the quarter with control set, target clear.
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < quarter; ++k) {
-        const std::size_t i10 =
-            expandBits2(static_cast<std::size_t>(k), blo, bhi) | cbit;
-        const Complex t = a[i10];
-        a[i10] = a[i10 | tbit];
-        a[i10 | tbit] = t;
-    }
+    // Swap the control-set pair.
+    forEachQuad(amps_, control, target,
+                [](Complex &, Complex &xc, Complex &, Complex &xct) {
+                    swapAmps(xc, xct);
+                });
 }
 
 void
 Statevector::applyCz(int a_q, int b_q)
 {
     assert(a_q != b_q);
-    const std::size_t abit = std::size_t{1} << a_q;
-    const std::size_t bbit = std::size_t{1} << b_q;
-    const std::size_t blo = abit < bbit ? abit : bbit;
-    const std::size_t bhi = abit < bbit ? bbit : abit;
-    const std::ptrdiff_t quarter =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 2);
-    Complex *a = amps_.data();
-    // Touch only the quarter with both bits set.
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < quarter; ++k) {
-        const std::size_t i11 =
-            expandBits2(static_cast<std::size_t>(k), blo, bhi) | abit
-            | bbit;
-        a[i11] = -a[i11];
-    }
+    forEachQuad(amps_, a_q, b_q,
+                [](Complex &, Complex &, Complex &, Complex &x11) {
+                    x11 = Complex(-x11.real(), -x11.imag());
+                });
 }
 
 void
 Statevector::applyRzz(int a_q, int b_q, double theta)
 {
     assert(a_q != b_q);
-    const Complex e_neg = std::polar(1.0, -theta / 2.0);
-    const Complex e_pos = std::polar(1.0, theta / 2.0);
-    const std::size_t abit = std::size_t{1} << a_q;
-    const std::size_t bbit = std::size_t{1} << b_q;
-    const std::size_t blo = abit < bbit ? abit : bbit;
-    const std::size_t bhi = abit < bbit ? bbit : abit;
-    const std::ptrdiff_t quarter =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 2);
+    const double c = std::cos(theta / 2.0);
+    const double s = std::sin(theta / 2.0);
     Complex *a = amps_.data();
-    // Even parity (|00>, |11>) gets e^{-i theta/2}, odd gets e^{+i}.
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < quarter; ++k) {
-        const std::size_t i00 =
-            expandBits2(static_cast<std::size_t>(k), blo, bhi);
-        a[i00] *= e_neg;
-        a[i00 | abit] *= e_pos;
-        a[i00 | bbit] *= e_pos;
-        a[i00 | abit | bbit] *= e_neg;
+    const std::size_t dim = amps_.size();
+    const std::ptrdiff_t chunks =
+        static_cast<std::ptrdiff_t>((dim + kChunk - 1) / kChunk);
+    // One linear pass: amplitude i gets c - i*sign*s, where sign is
+    // +1 for even parity of bits a, b (|00>, |11>) and -1 for odd.
+#pragma omp parallel for if (useOmp(dim))
+    for (std::ptrdiff_t ch = 0; ch < chunks; ++ch) {
+        const std::size_t i0 = static_cast<std::size_t>(ch) * kChunk;
+        const std::size_t in = std::min(i0 + kChunk, dim);
+        for (std::size_t i = i0; i < in; ++i) {
+            const double ss =
+                ((i >> a_q) ^ (i >> b_q)) & 1u ? -s : s;
+            a[i] = cmul(Complex(c, -ss), a[i]);
+        }
     }
 }
 
@@ -334,34 +382,23 @@ Statevector::applyRxx(int a_q, int b_q, double theta)
     assert(a_q != b_q);
     const double c = std::cos(theta / 2.0);
     const double s = std::sin(theta / 2.0);
-    const std::size_t abit = std::size_t{1} << a_q;
-    const std::size_t bbit = std::size_t{1} << b_q;
-    const std::size_t blo = abit < bbit ? abit : bbit;
-    const std::size_t bhi = abit < bbit ? bbit : abit;
-    const std::ptrdiff_t quarter =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 2);
-    Complex *a = amps_.data();
     // exp(-i t/2 XX) = cos(t/2) I - i sin(t/2) XX couples |00>~|11>
-    // and |01>~|10>, all with the same -i*sin coefficient.
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < quarter; ++k) {
-        const std::size_t i00 =
-            expandBits2(static_cast<std::size_t>(k), blo, bhi);
-        const std::size_t i01 = i00 | blo;
-        const std::size_t i10 = i00 | bhi;
-        const std::size_t i11 = i00 | blo | bhi;
-        const Complex a00 = a[i00], a01 = a[i01];
-        const Complex a10 = a[i10], a11 = a[i11];
-        // c*x - i*s*y done in real arithmetic (2 mul/component).
-        a[i00] = Complex(c * a00.real() + s * a11.imag(),
-                         c * a00.imag() - s * a11.real());
-        a[i11] = Complex(c * a11.real() + s * a00.imag(),
-                         c * a11.imag() - s * a00.real());
-        a[i01] = Complex(c * a01.real() + s * a10.imag(),
-                         c * a01.imag() - s * a10.real());
-        a[i10] = Complex(c * a10.real() + s * a01.imag(),
-                         c * a10.imag() - s * a01.real());
-    }
+    // and |01>~|10>, all with the same -i*sin coefficient:
+    // c*x - i*s*y per component.
+    forEachQuad(amps_, a_q, b_q,
+                [=](Complex &x00, Complex &x01, Complex &x10,
+                    Complex &x11) {
+                    const Complex a00 = x00, a01 = x01;
+                    const Complex a10 = x10, a11 = x11;
+                    x00 = Complex(c * a00.real() + s * a11.imag(),
+                                  c * a00.imag() - s * a11.real());
+                    x11 = Complex(c * a11.real() + s * a00.imag(),
+                                  c * a11.imag() - s * a00.real());
+                    x01 = Complex(c * a01.real() + s * a10.imag(),
+                                  c * a01.imag() - s * a10.real());
+                    x10 = Complex(c * a10.real() + s * a01.imag(),
+                                  c * a10.imag() - s * a01.real());
+                });
 }
 
 void
@@ -370,33 +407,22 @@ Statevector::applyRyy(int a_q, int b_q, double theta)
     assert(a_q != b_q);
     const double c = std::cos(theta / 2.0);
     const double s = std::sin(theta / 2.0);
-    const std::size_t abit = std::size_t{1} << a_q;
-    const std::size_t bbit = std::size_t{1} << b_q;
-    const std::size_t blo = abit < bbit ? abit : bbit;
-    const std::size_t bhi = abit < bbit ? bbit : abit;
-    const std::ptrdiff_t quarter =
-        static_cast<std::ptrdiff_t>(amps_.size() >> 2);
-    Complex *a = amps_.data();
     // YY|00> = -|11> and YY|01> = |10>, so exp(-i t/2 YY) couples the
     // even-parity pair with +i sin and the odd-parity pair with -i sin.
-#pragma omp parallel for if (useOmp(amps_.size()))
-    for (std::ptrdiff_t k = 0; k < quarter; ++k) {
-        const std::size_t i00 =
-            expandBits2(static_cast<std::size_t>(k), blo, bhi);
-        const std::size_t i01 = i00 | blo;
-        const std::size_t i10 = i00 | bhi;
-        const std::size_t i11 = i00 | blo | bhi;
-        const Complex a00 = a[i00], a01 = a[i01];
-        const Complex a10 = a[i10], a11 = a[i11];
-        a[i00] = Complex(c * a00.real() - s * a11.imag(),
-                         c * a00.imag() + s * a11.real());
-        a[i11] = Complex(c * a11.real() - s * a00.imag(),
-                         c * a11.imag() + s * a00.real());
-        a[i01] = Complex(c * a01.real() + s * a10.imag(),
-                         c * a01.imag() - s * a10.real());
-        a[i10] = Complex(c * a10.real() + s * a01.imag(),
-                         c * a10.imag() - s * a01.real());
-    }
+    forEachQuad(amps_, a_q, b_q,
+                [=](Complex &x00, Complex &x01, Complex &x10,
+                    Complex &x11) {
+                    const Complex a00 = x00, a01 = x01;
+                    const Complex a10 = x10, a11 = x11;
+                    x00 = Complex(c * a00.real() - s * a11.imag(),
+                                  c * a00.imag() + s * a11.real());
+                    x11 = Complex(c * a11.real() - s * a00.imag(),
+                                  c * a11.imag() + s * a00.real());
+                    x01 = Complex(c * a01.real() + s * a10.imag(),
+                                  c * a01.imag() - s * a10.real());
+                    x10 = Complex(c * a10.real() + s * a01.imag(),
+                                  c * a10.imag() - s * a01.real());
+                });
 }
 
 std::uint64_t

@@ -23,6 +23,15 @@
 
 namespace treevqa {
 
+/** a * b in real arithmetic: std::complex's operator* compiles to the
+ * NaN-recovering __muldc3 library call. */
+inline Complex
+cmul(const Complex &a, const Complex &b)
+{
+    return Complex(a.real() * b.real() - a.imag() * b.imag(),
+                   a.real() * b.imag() + a.imag() * b.real());
+}
+
 /** A 2x2 complex matrix in row-major order (single-qubit gate). */
 struct Gate1q
 {
@@ -31,10 +40,10 @@ struct Gate1q
     /** Matrix product this * rhs (apply rhs first, then this). */
     Gate1q after(const Gate1q &rhs) const
     {
-        return Gate1q{m00 * rhs.m00 + m01 * rhs.m10,
-                      m00 * rhs.m01 + m01 * rhs.m11,
-                      m10 * rhs.m00 + m11 * rhs.m10,
-                      m10 * rhs.m01 + m11 * rhs.m11};
+        return Gate1q{cmul(m00, rhs.m00) + cmul(m01, rhs.m10),
+                      cmul(m00, rhs.m01) + cmul(m01, rhs.m11),
+                      cmul(m10, rhs.m00) + cmul(m11, rhs.m10),
+                      cmul(m10, rhs.m01) + cmul(m11, rhs.m11)};
     }
 
     bool isDiagonal() const

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "circuit/hardware_efficient.h"
@@ -108,12 +109,12 @@ TEST(Rng, NormalVectorOddAndChunkBoundaryLengths)
     }
 }
 
-/** A noisy 6-qubit, 5-task TFIM cluster objective. */
+/** A noisy n-qubit, 5-task TFIM cluster objective. */
 ClusterObjective
-makeObjective()
+makeObjective(int n = 6)
 {
-    return ClusterObjective(tfimFamily(6, 0.5, 1.5, 5),
-                            makeHardwareEfficientAnsatz(6, 2, 0b010101),
+    return ClusterObjective(tfimFamily(n, 0.5, 1.5, 5),
+                            makeHardwareEfficientAnsatz(n, 2, 0b010101),
                             EngineConfig{});
 }
 
@@ -132,23 +133,30 @@ makeThetas(int num_params, std::size_t batch, std::uint64_t seed)
 
 TEST(EvaluateBatch, BitIdenticalAcrossThreadCounts)
 {
-    const ClusterObjective obj = makeObjective();
-    const auto thetas =
-        makeThetas(obj.ansatz().numParams(), 8, 17);
+    // 17 qubits reach the OpenMP kernel branches (one pool lane runs
+    // probes on the caller, so the kernels fan out; more lanes run them
+    // serially on pool workers) and multi-block expectation reductions.
+    for (const auto &[n, batch] :
+         {std::pair<int, std::size_t>{6, 8}, {17, 3}}) {
+        const ClusterObjective obj = makeObjective(n);
+        const auto thetas =
+            makeThetas(obj.ansatz().numParams(), batch, 17);
 
-    std::vector<std::vector<ClusterEvaluation>> runs;
-    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-        PoolSizeGuard guard(threads);
-        Rng rng(99);
-        runs.push_back(obj.evaluateBatch(thetas, rng));
-    }
-    for (std::size_t r = 1; r < runs.size(); ++r) {
-        ASSERT_EQ(runs[r].size(), runs[0].size());
-        for (std::size_t p = 0; p < runs[0].size(); ++p) {
-            EXPECT_EQ(runs[r][p].mixedEnergy, runs[0][p].mixedEnergy)
-                << "probe " << p;
-            EXPECT_EQ(runs[r][p].taskEnergies, runs[0][p].taskEnergies);
-            EXPECT_EQ(runs[r][p].shotsUsed, runs[0][p].shotsUsed);
+        std::vector<std::vector<ClusterEvaluation>> runs;
+        for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+            PoolSizeGuard guard(threads);
+            Rng rng(99);
+            runs.push_back(obj.evaluateBatch(thetas, rng));
+        }
+        for (std::size_t r = 1; r < runs.size(); ++r) {
+            ASSERT_EQ(runs[r].size(), runs[0].size());
+            for (std::size_t p = 0; p < runs[0].size(); ++p) {
+                EXPECT_EQ(runs[r][p].mixedEnergy, runs[0][p].mixedEnergy)
+                    << n << " qubits, probe " << p;
+                EXPECT_EQ(runs[r][p].taskEnergies,
+                          runs[0][p].taskEnergies);
+                EXPECT_EQ(runs[r][p].shotsUsed, runs[0][p].shotsUsed);
+            }
         }
     }
 }

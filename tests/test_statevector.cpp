@@ -244,6 +244,16 @@ expectStatesEqual(const Statevector &a, const Statevector &b,
             << label << " amplitude " << i;
 }
 
+double
+maxAbsDiff(const Statevector &a, const Statevector &b)
+{
+    double max_err = 0.0;
+    for (std::size_t i = 0; i < a.dim(); ++i)
+        max_err = std::max(
+            max_err, std::abs(a.amplitudes()[i] - b.amplitudes()[i]));
+    return max_err;
+}
+
 /**
  * Property: every optimized two-qubit kernel agrees with the naive
  * dense 4x4 matrix reference on random states, for qubit pairs in both
@@ -365,7 +375,11 @@ TEST(Statevector, StrideKernelsMatchNaiveScans)
 
 /** 16-qubit spot check: dim = 2^16 crosses the OpenMP threshold, so
  * the parallel branches of every kernel must agree with the naive
- * references too. */
+ * references too. Every target q = 0..15 is swept with a general
+ * (non-Hermitian) 1-qubit gate, a diagonal, the swap/phase kernels and
+ * two-qubit gates on the neighbour and the far qubit: that covers the
+ * grouped low strides (q < 4), the contiguous runs and strides wider
+ * than one chunk. */
 TEST(Statevector, SixteenQubitKernelsMatchReferences)
 {
     const int n = 16;
@@ -414,13 +428,56 @@ TEST(Statevector, SixteenQubitKernelsMatchReferences)
             break;
         }
     }
-    double max_err = 0.0;
-    for (std::size_t i = 0; i < fast.dim(); ++i)
-        max_err = std::max(
-            max_err,
-            std::abs(fast.amplitudes()[i] - ref.amplitudes()[i]));
-    EXPECT_LT(max_err, 1e-12);
+    EXPECT_LT(maxAbsDiff(fast, ref), 1e-12);
     EXPECT_NEAR(fast.normSquared(), 1.0, 1e-10);
+
+    // Each kernel once per target, from the same dense base state.
+    Statevector base = fast;
+    for (int q = 0; q < n; ++q) {
+        base.applyRy(q, 0.7 + 0.1 * q);
+        base.applyRz(q, 0.2 * q - 1.0);
+    }
+    const Gate1q general{Complex(0.6, 0.1), Complex(-0.3, 0.7),
+                         Complex(0.2, -0.5), Complex(0.8, 0.05)};
+    const Complex d0 = std::polar(1.0, 0.4);
+    const Complex d1 = std::polar(1.0, -1.3);
+    const Gate1q diag{d0, Complex(0, 0), Complex(0, 0), d1};
+    const auto check = [&](const char *label, int q, const auto &apply,
+                           const auto &apply_ref) {
+        Statevector f = base, r = base;
+        apply(f);
+        apply_ref(r);
+        EXPECT_LT(maxAbsDiff(f, r), 1e-12) << label << " on q" << q;
+    };
+    for (int q = 0; q < n; ++q) {
+        const int near = (q + 1) % n;
+        const int far = n - 1 - q; // n is even: never q itself
+        const double theta = 0.3 + 0.1 * q;
+        check("Gate1", q, [&](Statevector &s) { s.applyGate1(q, general); },
+              [&](Statevector &s) { refApplyGate1(s, q, general); });
+        check("Diag1", q, [&](Statevector &s) { s.applyDiag1(q, d0, d1); },
+              [&](Statevector &s) { refApplyGate1(s, q, diag); });
+        check("X", q, [&](Statevector &s) { s.applyX(q); },
+              [&](Statevector &s) { refApplyX(s, q); });
+        check("Z", q, [&](Statevector &s) { s.applyZ(q); },
+              [&](Statevector &s) { refApplyZ(s, q); });
+        check("S", q, [&](Statevector &s) { s.applyS(q); },
+              [&](Statevector &s) { refApplyS(s, q); });
+        check("Sdg", q, [&](Statevector &s) { s.applySdg(q); },
+              [&](Statevector &s) { refApplySdg(s, q); });
+        check("Cx near", q, [&](Statevector &s) { s.applyCx(q, near); },
+              [&](Statevector &s) { refApplyCx(s, q, near); });
+        check("Cx far", q, [&](Statevector &s) { s.applyCx(far, q); },
+              [&](Statevector &s) { refApplyCx(s, far, q); });
+        check("Cz", q, [&](Statevector &s) { s.applyCz(q, far); },
+              [&](Statevector &s) { refApplyGate2(s, q, far, czMatrix()); });
+        check("Rzz", q, [&](Statevector &s) { s.applyRzz(q, near, theta); },
+              [&](Statevector &s) { refApplyRzz(s, q, near, theta); });
+        check("Rxx", q, [&](Statevector &s) { s.applyRxx(far, q, theta); },
+              [&](Statevector &s) { refApplyRxx(s, far, q, theta); });
+        check("Ryy", q, [&](Statevector &s) { s.applyRyy(q, near, theta); },
+              [&](Statevector &s) { refApplyRyy(s, q, near, theta); });
+    }
 }
 
 TEST(Statevector, DiagonalKernelMatchesGate1)
