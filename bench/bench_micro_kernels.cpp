@@ -26,9 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "circuit/hardware_efficient.h"
@@ -426,11 +424,11 @@ benchCompiledPrepSharedPrefix()
 }
 
 void
-benchPaulpropSharded(int n)
+benchPaulprop(int n)
 {
-    // One multi-observable propagation at 1/2/4/8 live-map shards vs
-    // the serial single-shard reference (ref column). On a single-core
-    // container the ratio is ~1.0x; sharding pays off on multi-core.
+    // One multi-observable propagation (TFIM family, 2-layer HEA,
+    // weight cap 6). No reference: the ns trajectory tracks
+    // propagation cost across commits.
     const auto fam = tfimFamily(n, 0.7, 1.3, 4);
     const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2, 0);
     Rng rng(13);
@@ -438,27 +436,14 @@ benchPaulpropSharded(int n)
     for (auto &t : theta)
         t = rng.uniform(-1.5, 1.5);
 
-    PauliPropConfig serial_cfg;
-    serial_cfg.maxWeight = 6;
-    serial_cfg.shards = 1;
-    const PauliPropagator serial(ansatz.compiled(), serial_cfg);
-    const double ref = timeNs([&] {
-        auto v = serial.expectations(theta, fam, 0);
-        (void)v;
-    });
-
-    ThreadPool::global().resize(0); // machine default
-    for (const int shards : {1, 2, 4, 8}) {
-        PauliPropConfig cfg = serial_cfg;
-        cfg.shards = shards;
-        const PauliPropagator prop(ansatz.compiled(), cfg);
-        const double fast = timeNs([&] {
-            auto v = prop.expectations(theta, fam, 0);
-            (void)v;
-        });
-        record("paulprop_sharded_" + std::to_string(shards), n, fast,
-               ref);
-    }
+    PauliPropConfig cfg;
+    cfg.maxWeight = 6;
+    const PauliPropagator prop(ansatz.compiled(), cfg);
+    record("paulprop", n, timeNs([&] {
+               auto v = prop.expectations(theta, fam, 0);
+               (void)v;
+           }),
+           0.0);
 }
 
 void
@@ -550,69 +535,6 @@ benchSchedulerThroughput()
     record("dist_e2e_ns_job_1", 6, drain_ns / jobs, ref / jobs);
     record("dist_fsyncs_job", 0,
            static_cast<double>(drain_fsyncs) / (drains * jobs), 0.0);
-    ThreadPool::global().resize(0); // back to the machine default
-}
-
-void
-benchDistThroughput()
-{
-    // Distributed-layer series alongside scheduler_throughput_*: the
-    // same class of tiny 12-job sweep drained by 1/2/4 in-process
-    // WorkerDaemons sharing one sweep directory — the full filesystem
-    // protocol (claim files, heartbeats, per-worker shards, final
-    // merge/compaction) is on the clock. The thread pool is pinned to
-    // one lane so worker count is the only parallelism; ref is the
-    // 1-worker time, so the speedup column is the fleet's scaling
-    // (~1.0x on a single-core container) and the ns trajectory tracks
-    // claim/merge overhead across PRs.
-    std::vector<ScenarioSpec> specs;
-    for (int j = 0; j < 12; ++j) {
-        ScenarioSpec spec;
-        spec.name = "dist" + std::to_string(j);
-        spec.problem = "tfim";
-        spec.size = 6;
-        spec.field = 0.5 + 0.1 * j;
-        spec.ansatz = "hea";
-        spec.layers = 1;
-        spec.maxIterations = 6;
-        specs.push_back(spec);
-    }
-
-    ThreadPool::global().resize(1);
-    static int run_counter = 0;
-    const std::filesystem::path root =
-        std::filesystem::temp_directory_path()
-        / ("treevqa_bench_" + localWorkerId());
-    double ref = 0.0;
-    for (const int workers : {1, 2, 4}) {
-        const double ns = timeNs([&] {
-            const std::filesystem::path dir =
-                root / std::to_string(run_counter++);
-            std::filesystem::create_directories(dir);
-            std::vector<std::unique_ptr<WorkerDaemon>> daemons;
-            for (int w = 0; w < workers; ++w) {
-                WorkerOptions options;
-                options.sweepDir = dir.string();
-                options.workerId = "w" + std::to_string(w);
-                options.leaseMs = 60000;
-                options.pollMs = 2;
-                daemons.push_back(
-                    std::make_unique<WorkerDaemon>(options));
-            }
-            std::vector<std::thread> threads;
-            for (auto &daemon : daemons)
-                threads.emplace_back(
-                    [&daemon, &specs] { daemon->run(specs); });
-            for (std::thread &thread : threads)
-                thread.join();
-            std::filesystem::remove_all(dir);
-        });
-        if (workers == 1)
-            ref = ns;
-        record("dist_throughput_" + std::to_string(workers), 6, ns,
-               ref);
-    }
-    std::filesystem::remove_all(root);
     ThreadPool::global().resize(0); // back to the machine default
 }
 
@@ -1055,9 +977,8 @@ main()
     benchClusterObjective();
     benchBatchedEvaluation();
     benchCompiledPrepSharedPrefix();
-    benchPaulpropSharded(10);
+    benchPaulprop(10);
     benchSchedulerThroughput();
-    benchDistThroughput();
     benchClaimPath();
     benchFaultPointsDisarmed();
     benchFleetSupervision();

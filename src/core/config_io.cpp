@@ -29,9 +29,6 @@ engineConfigToJson(const EngineConfig &config)
     prop.set("maxTerms",
              JsonValue(static_cast<std::uint64_t>(
                  config.propConfig.maxTerms)));
-    prop.set("shards",
-             JsonValue(static_cast<std::int64_t>(
-                 config.propConfig.shards)));
     out.set("propConfig", std::move(prop));
     return out;
 }
@@ -73,7 +70,7 @@ engineConfigFromJson(const JsonValue &json)
     });
     jsonMaybe(json, "propConfig", [&](const JsonValue &v) {
         jsonRejectUnknownKeys(
-            v, {"maxWeight", "coefThreshold", "maxTerms", "shards"},
+            v, {"maxWeight", "coefThreshold", "maxTerms"},
             "engine config propConfig");
         jsonMaybe(v, "maxWeight", [&](const JsonValue &w) {
             config.propConfig.maxWeight = static_cast<int>(w.asInt());
@@ -84,9 +81,6 @@ engineConfigFromJson(const JsonValue &json)
         jsonMaybe(v, "maxTerms", [&](const JsonValue &w) {
             config.propConfig.maxTerms =
                 static_cast<std::size_t>(w.asUint());
-        });
-        jsonMaybe(v, "shards", [&](const JsonValue &w) {
-            config.propConfig.shards = static_cast<int>(w.asInt());
         });
     });
     return config;

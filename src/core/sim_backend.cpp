@@ -66,16 +66,15 @@ class StatevectorBackend final : public SimBackend
         const std::vector<double> values = termExpectations(theta);
         std::vector<double> energies(in_.taskHams->size());
         for (std::size_t i = 0; i < energies.size(); ++i)
-            energies[i] =
-                recombine((*in_.aligned).coefficients[i], values);
+            energies[i] = recombine(in_.aligned->coefficients[i], values);
         return energies;
     }
 
     double exactTaskEnergy(std::size_t task_index,
                            const std::vector<double> &theta) const override
     {
-        StatevectorPool::Lease state = prepare(theta);
-        return expectation(*state, (*in_.taskHams)[task_index]);
+        return recombine(in_.aligned->coefficients[task_index],
+                         termExpectations(theta));
     }
 
     double exactMixedEnergy(
@@ -85,19 +84,14 @@ class StatevectorBackend final : public SimBackend
     }
 
   private:
-    /** |psi(theta)> in a pool buffer. */
-    StatevectorPool::Lease prepare(const std::vector<double> &theta) const
+    /** Exact per-term expectations at |psi(theta)>, prepared in a
+     * pool buffer: the one pass every exact energy recombines. */
+    std::vector<double> termExpectations(
+        const std::vector<double> &theta) const
     {
         StatevectorPool::Lease state = pool_.acquire();
         state->setBasisState(in_.initialBits);
         in_.program->execute(*state, theta);
-        return state;
-    }
-
-    std::vector<double> termExpectations(
-        const std::vector<double> &theta) const
-    {
-        StatevectorPool::Lease state = prepare(theta);
         return perStringExpectations(*state, in_.aligned->strings);
     }
 
@@ -142,8 +136,7 @@ class StatevectorBackend final : public SimBackend
 
 /**
  * Pauli-propagation engine: joint Heisenberg propagation of all member
- * Hamiltonians + the mixed one, aggregate shot noise, optional live-map
- * sharding inside each propagation.
+ * Hamiltonians + the mixed one, aggregate shot noise.
  */
 class PauliPropagationBackend final : public SimBackend
 {

@@ -7,14 +7,16 @@
  * through makeSimBackend() (EngineConfig::backendName). Both shipped
  * engines implement the same five operations:
  *
- *  - "statevector": dense simulation. Per-term expectations via
- *    perStringExpectations, per-term shot noise, classical
- *    recombination; batches route through an EvalPlan so probes of one
- *    iterate share prefix state preparation.
+ *  - "statevector": dense simulation. Per-term expectations via one
+ *    grouped perStringExpectations pass, per-term shot noise, classical
+ *    recombination; the exact energies (all members, one member, the
+ *    mixed Hamiltonian) are recombinations of that same pass. Batches
+ *    route through an EvalPlan so probes of one iterate share prefix
+ *    state preparation.
  *  - "paulprop": Heisenberg-picture Pauli propagation (joint
  *    multi-observable propagation, aggregate shot noise); batches fan
- *    the independent propagations over the thread pool, and each
- *    propagation may itself be sharded (PauliPropConfig::shards).
+ *    the independent propagations over the thread pool, each one a
+ *    serial walk of the live-string map.
  *
  * Both consume the same immutable CompiledCircuit program (shared
  * ownership), which is the seam a future GPU backend plugs into: the

@@ -44,8 +44,8 @@
 
 namespace treevqa {
 
-/** Tail-reader observability: the currency of the dist_throughput
- * bench and the scale tests. */
+/** Tail-reader observability: the currency of the claim-path bench
+ * series and the scale tests. */
 struct TailCounters
 {
     /** refresh() calls. */

@@ -143,8 +143,11 @@ struct WorkerOptions
      * Refresh the tail-reader record view incrementally (O(appended
      * bytes) per scan). False invalidates the view before every
      * refresh, re-reading every store from offset 0 each round: the
-     * dist_throughput bench's O(N)-rescan baseline. The drain
-     * decision is confirmed by a full re-read either way.
+     * O(N)-rescan baseline that
+     * WorkerDaemon.RescanBaselineReadsMoreThanIncrementalScan and the
+     * dist_scan_bytes_job_* bench series measure the incremental scan
+     * against. The drain decision is confirmed by a full re-read
+     * either way.
      */
     bool incrementalScan = true;
     /**
@@ -238,7 +241,8 @@ struct WorkerReport
     /** The haltJobsAfterIterations hook fired. */
     bool simulatedCrash = false;
 
-    // Claim-path cost counters (the dist_throughput bench currency).
+    // Claim-path cost counters (the dist_scan_bytes_job_* /
+    // dist_claim_ops_job_* bench currency).
     /** Scan rounds over the pending set. */
     std::size_t scanRounds = 0;
     /** WorkClaim::tryAcquire round-trips (successful or not). */

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/thread_pool.h"
-
 namespace treevqa {
 
 namespace {
@@ -17,9 +15,6 @@ namespace {
 using SlotVector = std::vector<double>;
 using TermMap =
     std::unordered_map<PauliString, SlotVector, PauliStringHash>;
-/** Scatter payload: transformed terms bound for one destination shard,
- * in emission order. */
-using Outbox = std::vector<std::pair<PauliString, SlotVector>>;
 
 double
 maxAbs(const SlotVector &v)
@@ -190,27 +185,22 @@ PauliPropagator::expectations(const std::vector<double> &theta,
     assert(!observables.empty());
     const int n = program_->numQubits();
     const std::size_t slots = observables.size();
-    const std::size_t num_shards = static_cast<std::size_t>(
-        std::max(1, config_.shards));
-    const auto shardOf = [num_shards](const PauliString &p) {
-        return PauliStringHash{}(p) % num_shards;
-    };
 
-    // Seed the sharded live maps with all observables' terms.
-    std::vector<TermMap> live(num_shards);
+    // Seed the live map with all observables' terms.
+    TermMap live;
     for (std::size_t k = 0; k < slots; ++k) {
         assert(observables[k].numQubits() == n);
         for (const auto &term : observables[k].terms()) {
-            auto [it, inserted] = live[shardOf(term.string)].try_emplace(
-                term.string, SlotVector(slots, 0.0));
+            auto [it, inserted] =
+                live.try_emplace(term.string, SlotVector(slots, 0.0));
             it->second[k] += term.coefficient;
         }
     }
 
-    // Back-propagate: O <- G^dag O G for gates in reverse order.
-    // Outboxes are reused across gates to amortize allocation.
-    std::vector<std::vector<Outbox>> outbox(
-        num_shards, std::vector<Outbox>(num_shards));
+    // Back-propagate: O <- G^dag O G for gates in reverse order. Each
+    // gate emits the transformed terms in live-map order into one
+    // buffer, reused across gates to amortize allocation.
+    std::vector<std::pair<PauliString, SlotVector>> emitted;
 
     const auto &gates = program_->gates();
     for (auto git = gates.rbegin(); git != gates.rend(); ++git) {
@@ -220,121 +210,96 @@ PauliPropagator::expectations(const std::vector<double> &theta,
             || g.op == GateOp::Rz || g.op == GateOp::Rzz
             || g.op == GateOp::Rxx || g.op == GateOp::Ryy;
 
-        // Scatter: every source shard transforms its own live strings
-        // and routes the results to per-destination outboxes. Shards
-        // are independent, so this fans out over the pool.
-        ThreadPool::global().run(num_shards, [&](std::size_t s) {
-            for (auto &box : outbox[s])
-                box.clear();
-            const auto emit = [&](PauliString string, SlotVector coefs) {
-                outbox[s][shardOf(string)].emplace_back(
-                    std::move(string), std::move(coefs));
-            };
-
-            if (is_rotation) {
-                const double angle = (g.paramIndex >= 0)
-                    ? g.scale * theta[g.paramIndex] + g.offset
-                    : g.offset;
-                const PauliString gen = rotationGenerator(g, n);
-                const double c = std::cos(angle);
-                const double sn = std::sin(angle);
-                for (auto &[string, coefs] : live[s]) {
-                    if (string.commutesWith(gen)) {
-                        emit(string, std::move(coefs));
-                        continue;
-                    }
-                    // Q -> cos Q + sin (i P Q); i*phase is real for
-                    // anticommuting P, Q.
-                    PauliProduct pq = multiply(gen, string);
-                    const Complex iphase = Complex(0, 1) * pq.phase;
-                    assert(std::fabs(iphase.imag()) < 1e-12);
-                    const double branch_sign = iphase.real();
-
-                    SlotVector cos_branch(slots);
-                    SlotVector sin_branch(slots);
-                    for (std::size_t k = 0; k < slots; ++k) {
-                        cos_branch[k] = c * coefs[k];
-                        sin_branch[k] = sn * branch_sign * coefs[k];
-                    }
-                    emit(string, std::move(cos_branch));
-                    emit(pq.string, std::move(sin_branch));
-                }
-            } else {
-                for (auto &[string, coefs] : live[s]) {
-                    PauliString p = string;
-                    double sign = 1.0;
-                    switch (g.op) {
-                      case GateOp::H:
-                        conjugateH(p, g.q0, sign);
-                        break;
-                      case GateOp::X:
-                        conjugateX(p, g.q0, sign);
-                        break;
-                      case GateOp::S:
-                        // Back-propagation applies G^dag P G, G = S.
-                        conjugateSdg(p, g.q0, sign);
-                        break;
-                      case GateOp::Sdg:
-                        conjugateS(p, g.q0, sign);
-                        break;
-                      case GateOp::Cx:
-                        conjugateCx(p, g.q0, g.q1, sign);
-                        break;
-                      case GateOp::Cz:
-                        conjugateCz(p, g.q0, g.q1, sign);
-                        break;
-                      default:
-                        throw std::logic_error(
-                            "PauliPropagator: unsupported gate");
-                    }
-                    if (sign != 1.0)
-                        for (auto &x : coefs)
-                            x = sign * x;
-                    emit(std::move(p), std::move(coefs));
-                }
-            }
-        });
-
-        // Gather: rebuild each destination shard by folding the
-        // outboxes in ascending source order — a fixed merge order, so
-        // the result does not depend on the pool size. Truncation
-        // (weight cap + coefficient threshold) happens per shard.
-        ThreadPool::global().run(num_shards, [&](std::size_t d) {
-            std::size_t bound = 0;
-            for (std::size_t s = 0; s < num_shards; ++s)
-                bound += outbox[s][d].size();
-            TermMap next;
-            next.reserve(bound);
-            for (std::size_t s = 0; s < num_shards; ++s) {
-                for (auto &[string, coefs] : outbox[s][d]) {
-                    auto [it, inserted] =
-                        next.try_emplace(string, std::move(coefs));
-                    if (!inserted)
-                        for (std::size_t k = 0; k < slots; ++k)
-                            it->second[k] += coefs[k];
-                }
-            }
-            live[d].clear();
-            for (auto &[string, coefs] : next) {
-                if (string.weight() > config_.maxWeight)
+        emitted.clear();
+        if (is_rotation) {
+            const double angle = (g.paramIndex >= 0)
+                ? g.scale * theta[g.paramIndex] + g.offset
+                : g.offset;
+            const PauliString gen = rotationGenerator(g, n);
+            const double c = std::cos(angle);
+            const double sn = std::sin(angle);
+            for (auto &[string, coefs] : live) {
+                if (string.commutesWith(gen)) {
+                    emitted.emplace_back(string, std::move(coefs));
                     continue;
-                if (maxAbs(coefs) < config_.coefThreshold)
-                    continue;
-                live[d].emplace(string, std::move(coefs));
-            }
-        });
+                }
+                // Q -> cos Q + sin (i P Q); i*phase is real for
+                // anticommuting P, Q.
+                PauliProduct pq = multiply(gen, string);
+                const Complex iphase = Complex(0, 1) * pq.phase;
+                assert(std::fabs(iphase.imag()) < 1e-12);
+                const double branch_sign = iphase.real();
 
-        // Hard cap: keep the heaviest strings globally (shards walked
-        // in ascending order — deterministic ranking input).
-        std::size_t total = 0;
-        for (const auto &shard : live)
-            total += shard.size();
-        if (total > config_.maxTerms) {
+                SlotVector cos_branch(slots);
+                SlotVector sin_branch(slots);
+                for (std::size_t k = 0; k < slots; ++k) {
+                    cos_branch[k] = c * coefs[k];
+                    sin_branch[k] = sn * branch_sign * coefs[k];
+                }
+                emitted.emplace_back(string, std::move(cos_branch));
+                emitted.emplace_back(pq.string, std::move(sin_branch));
+            }
+        } else {
+            for (auto &[string, coefs] : live) {
+                PauliString p = string;
+                double sign = 1.0;
+                switch (g.op) {
+                  case GateOp::H:
+                    conjugateH(p, g.q0, sign);
+                    break;
+                  case GateOp::X:
+                    conjugateX(p, g.q0, sign);
+                    break;
+                  case GateOp::S:
+                    // Back-propagation applies G^dag P G, G = S.
+                    conjugateSdg(p, g.q0, sign);
+                    break;
+                  case GateOp::Sdg:
+                    conjugateS(p, g.q0, sign);
+                    break;
+                  case GateOp::Cx:
+                    conjugateCx(p, g.q0, g.q1, sign);
+                    break;
+                  case GateOp::Cz:
+                    conjugateCz(p, g.q0, g.q1, sign);
+                    break;
+                  default:
+                    throw std::logic_error(
+                        "PauliPropagator: unsupported gate");
+                }
+                if (sign != 1.0)
+                    for (auto &x : coefs)
+                        x = sign * x;
+                emitted.emplace_back(std::move(p), std::move(coefs));
+            }
+        }
+
+        // Fold duplicates in emission order, then refill the live map
+        // with the survivors of truncation (weight cap + coefficient
+        // threshold).
+        TermMap next;
+        next.reserve(emitted.size());
+        for (auto &[string, coefs] : emitted) {
+            auto [it, inserted] = next.try_emplace(string, std::move(coefs));
+            if (!inserted)
+                for (std::size_t k = 0; k < slots; ++k)
+                    it->second[k] += coefs[k];
+        }
+        live.clear();
+        for (auto &[string, coefs] : next) {
+            if (string.weight() > config_.maxWeight)
+                continue;
+            if (maxAbs(coefs) < config_.coefThreshold)
+                continue;
+            live.emplace(string, std::move(coefs));
+        }
+
+        // Hard cap: keep the heaviest strings.
+        if (live.size() > config_.maxTerms) {
             std::vector<std::pair<double, PauliString>> ranked;
-            ranked.reserve(total);
-            for (const auto &shard : live)
-                for (const auto &[string, coefs] : shard)
-                    ranked.emplace_back(maxAbs(coefs), string);
+            ranked.reserve(live.size());
+            for (const auto &[string, coefs] : live)
+                ranked.emplace_back(maxAbs(coefs), string);
             std::nth_element(
                 ranked.begin(), ranked.begin() + config_.maxTerms,
                 ranked.end(),
@@ -342,28 +307,20 @@ PauliPropagator::expectations(const std::vector<double> &theta,
                     return a.first > b.first;
                 });
             for (std::size_t i = config_.maxTerms; i < ranked.size(); ++i)
-                live[shardOf(ranked[i].second)].erase(ranked[i].second);
+                live.erase(ranked[i].second);
         }
     }
-    {
-        std::size_t total = 0;
-        for (const auto &shard : live)
-            total += shard.size();
-        lastTermCount_ = total;
-    }
+    lastTermCount_ = live.size();
 
     // <b|O'|b>: only Z-diagonal strings survive.
     std::vector<double> out(slots, 0.0);
-    for (const auto &shard : live) {
-        for (const auto &[string, coefs] : shard) {
-            if (string.xMask() != 0)
-                continue;
-            const int sign =
-                std::popcount(initial_bits & string.zMask()) & 1 ? -1
-                                                                 : 1;
-            for (std::size_t k = 0; k < slots; ++k)
-                out[k] += sign * coefs[k];
-        }
+    for (const auto &[string, coefs] : live) {
+        if (string.xMask() != 0)
+            continue;
+        const int sign =
+            std::popcount(initial_bits & string.zMask()) & 1 ? -1 : 1;
+        for (std::size_t k = 0; k < slots; ++k)
+            out[k] += sign * coefs[k];
     }
     return out;
 }

@@ -26,15 +26,10 @@
  * parameters. This makes the per-member loss tracking of Algorithm 2
  * essentially free even at 25+ qubits.
  *
- * Parallelism: with config.shards > 1 the live-string map is split
- * into that many shards (string hash modulo shard count). Each gate
- * step scatters every shard's transformed terms into per-(source,
- * destination) outboxes in parallel over the global thread pool, then
- * gathers each destination shard by folding the outboxes in ascending
- * source order — a deterministic merge, so results are bit-identical
- * for any pool size at a fixed shard count. shards = 1 reproduces the
- * serial algorithm exactly; other shard counts reassociate the
- * floating-point accumulation and agree to ~1e-12.
+ * Each propagation is one serial walk of the live-string map, so its
+ * result does not depend on the thread-pool size; batches of
+ * propagations (the paulprop SimBackend's evaluateBatch) run in
+ * parallel over the pool instead.
  *
  * The propagator consumes the same CompiledCircuit program as the
  * statevector backend (walking its retained source gate stream) and
@@ -56,16 +51,12 @@
 
 namespace treevqa {
 
-/** Truncation and sharding knobs (paper default: weight cap 8). */
+/** Truncation knobs (paper default: weight cap 8). */
 struct PauliPropConfig
 {
     int maxWeight = 8;            ///< drop strings heavier than this
     double coefThreshold = 1e-10; ///< drop slots' max |c| below this
     std::size_t maxTerms = 1u << 20; ///< hard cap on live strings
-    /** Live-map shards propagated in parallel over the thread pool
-     * (values < 1 behave as 1 = serial). Results are independent of
-     * the pool size for any fixed shard count. */
-    int shards = 1;
 };
 
 /** Heisenberg-picture simulator bound to one compiled program. */

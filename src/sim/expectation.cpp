@@ -49,73 +49,6 @@ norm2(const Complex &x)
     return x.real() * x.real() + x.imag() * x.imag();
 }
 
-} // namespace
-
-double
-expectation(const Statevector &state, const PauliString &string)
-{
-    assert(string.numQubits() == state.numQubits());
-    const Complex *a = state.amplitudes().data();
-    const std::size_t dim = state.dim();
-    const std::uint64_t xm = string.xMask();
-    const std::uint64_t zm = string.zMask();
-
-    if (xm == 0) {
-        // Diagonal string: real sum of signed probabilities.
-        double s = 0.0;
-        for (std::size_t b = 0; b < dim; ++b)
-            s += paritySign(b, zm) * norm2(a[b]);
-        return s;
-    }
-
-    // Pairing symmetry (see file comment): visit only b with the
-    // highest X bit clear — those form contiguous runs of length
-    // 2^{hi}, so both amplitude streams are sequential. Re(t) or
-    // Im(t) of t = conj(a[b^x]) * a[b], in real arithmetic.
-    const std::size_t hbit = std::bit_floor(xm);
-    const int y = string.yCount();
-    double acc = 0.0;
-    for (std::size_t base = 0; base < dim; base += 2 * hbit) {
-        if (y % 2 == 0) {
-            for (std::size_t b = base; b < base + hbit; ++b)
-                acc += paritySign(b, zm)
-                     * cmul(std::conj(a[b ^ xm]), a[b]).real();
-        } else {
-            for (std::size_t b = base; b < base + hbit; ++b)
-                acc += paritySign(b, zm)
-                     * cmul(std::conj(a[b ^ xm]), a[b]).imag();
-        }
-    }
-    const double w = (y % 4 == 0 || y % 4 == 3) ? 2.0 : -2.0;
-    return w * acc;
-}
-
-double
-expectation(const Statevector &state, const PauliSum &hamiltonian)
-{
-    double total = 0.0;
-    for (const auto &term : hamiltonian.terms()) {
-        if (term.string.isIdentity()) {
-            total += term.coefficient;
-            continue;
-        }
-        total += term.coefficient * expectation(state, term.string);
-    }
-    return total;
-}
-
-std::vector<double>
-perTermExpectations(const Statevector &state, const PauliSum &hamiltonian)
-{
-    std::vector<PauliString> strings;
-    strings.reserve(hamiltonian.numTerms());
-    for (const auto &term : hamiltonian.terms())
-        strings.push_back(term.string);
-    return perStringExpectations(state, strings);
-}
-
-namespace {
-
 /**
  * One X-mask group, prepared for block-parallel evaluation. The block
  * loop is the hot path; every (group, block) pair is an independent
@@ -239,6 +172,7 @@ perStringExpectations(const Statevector &state,
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
     groups.reserve(strings.size());
     for (std::size_t k = 0; k < strings.size(); ++k) {
+        assert(strings[k].numQubits() == state.numQubits());
         if (strings[k].isIdentity()) {
             out[k] = 1.0;
             continue;
@@ -324,6 +258,27 @@ perStringExpectations(const Statevector &state,
         }
     }
     return out;
+}
+
+double
+expectation(const Statevector &state, const PauliString &string)
+{
+    return perStringExpectations(state, {string}).front();
+}
+
+double
+expectation(const Statevector &state, const PauliSum &hamiltonian)
+{
+    std::vector<PauliString> strings;
+    std::vector<double> coefficients;
+    strings.reserve(hamiltonian.numTerms());
+    coefficients.reserve(hamiltonian.numTerms());
+    for (const auto &term : hamiltonian.terms()) {
+        strings.push_back(term.string);
+        coefficients.push_back(term.coefficient);
+    }
+    return recombine(coefficients,
+                     perStringExpectations(state, strings));
 }
 
 double

@@ -3,8 +3,10 @@
  * Exact Pauli expectations on a dense statevector.
  *
  * Every VQA objective evaluation reduces to per-term expectations
- * <psi|P_j|psi>. They are computed here directly from the amplitudes in
- * O(2^n) per term, with no measurement sampling; the finite-shot
+ * <psi|P_j|psi>. They are computed here directly from the amplitudes,
+ * with no measurement sampling, in one grouped pass per X mask
+ * (perStringExpectations, the only amplitude kernel; the single-string
+ * and Pauli-sum overloads are calls through it). The finite-shot
  * statistics the paper's optimizer actually sees are injected afterwards
  * by the ShotEstimator, using these exact values as the means.
  *
@@ -24,17 +26,6 @@
 
 namespace treevqa {
 
-/** <psi|P|psi> for a single Pauli string (exact, real). */
-double expectation(const Statevector &state, const PauliString &string);
-
-/** <psi|H|psi> for a Pauli sum (exact). */
-double expectation(const Statevector &state, const PauliSum &hamiltonian);
-
-/** Exact per-term expectations <psi|P_j|psi>, one per Hamiltonian term,
- * in term order (identity terms get 1). */
-std::vector<double> perTermExpectations(const Statevector &state,
-                                        const PauliSum &hamiltonian);
-
 /**
  * Exact expectations of many Pauli strings, batched and threaded.
  *
@@ -50,6 +41,14 @@ std::vector<double> perTermExpectations(const Statevector &state,
  */
 std::vector<double> perStringExpectations(
     const Statevector &state, const std::vector<PauliString> &strings);
+
+/** <psi|P|psi> for a single Pauli string: a one-string
+ * perStringExpectations call. */
+double expectation(const Statevector &state, const PauliString &string);
+
+/** <psi|H|psi> for a Pauli sum: the recombination of its terms'
+ * perStringExpectations values with their coefficients. */
+double expectation(const Statevector &state, const PauliSum &hamiltonian);
 
 /** Recombine stored per-term expectations with a coefficient vector:
  * sum_j c_j <P_j>. Sizes must agree. */

@@ -3,7 +3,7 @@
  * Tests for the compiled execution-plan layer: CompiledCircuit vs
  * eager gate-by-gate application for every gate type, the process-wide
  * CompilationCache, EvalPlan prefix-tree checkpointing on crafted
- * probe sets, sharded vs serial Pauli propagation, and SimBackend
+ * probe sets, Pauli propagation's pool-size invariance, and SimBackend
  * selection by name.
  */
 
@@ -398,46 +398,7 @@ TEST(EvalPlan, LateSingleParamDivergenceSharesDeepPrefix)
     }
 }
 
-PauliPropConfig
-exactShardConfig(int shards)
-{
-    PauliPropConfig cfg;
-    cfg.maxWeight = 64;
-    cfg.coefThreshold = 0.0;
-    cfg.shards = shards;
-    return cfg;
-}
-
-TEST(ShardedPropagation, MatchesSerialAtEveryShardCount)
-{
-    // Sharded vs serial live-map propagation at 1/2/4/8 shards on a
-    // TFIM family over a 2-layer HEA: equality at 1e-12.
-    const int n = 6;
-    const auto fam = tfimFamily(n, 0.7, 1.3, 3);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2, 0);
-    Rng rng(23);
-    std::vector<double> theta(ansatz.numParams());
-    for (auto &t : theta)
-        t = rng.uniform(-1.5, 1.5);
-
-    const PauliPropagator serial(ansatz.compiled(),
-                                 exactShardConfig(1));
-    const std::vector<double> ref =
-        serial.expectations(theta, fam, 0);
-
-    for (const int shards : {2, 4, 8}) {
-        const PauliPropagator sharded(ansatz.compiled(),
-                                      exactShardConfig(shards));
-        const std::vector<double> out =
-            sharded.expectations(theta, fam, 0);
-        ASSERT_EQ(out.size(), ref.size());
-        for (std::size_t k = 0; k < ref.size(); ++k)
-            EXPECT_NEAR(out[k], ref[k], 1e-12)
-                << "shards " << shards << " observable " << k;
-    }
-}
-
-TEST(ShardedPropagation, FixedShardCountIsPoolSizeInvariant)
+TEST(PauliPropagation, PoolSizeInvariant)
 {
     const int n = 6;
     const auto fam = tfimFamily(n, 0.7, 1.3, 3);
@@ -447,7 +408,7 @@ TEST(ShardedPropagation, FixedShardCountIsPoolSizeInvariant)
     for (auto &t : theta)
         t = rng.uniform(-1.5, 1.5);
 
-    const PauliPropagator prop(ansatz.compiled(), exactShardConfig(4));
+    const PauliPropagator prop(ansatz.compiled());
     std::vector<std::vector<double>> runs;
     for (const std::size_t threads : {1u, 2u, 8u}) {
         PoolSizeGuard guard(threads);
@@ -457,7 +418,7 @@ TEST(ShardedPropagation, FixedShardCountIsPoolSizeInvariant)
         EXPECT_EQ(runs[r], runs[0]);
 }
 
-TEST(ShardedPropagation, ShardedAgreesWithStatevector)
+TEST(PauliPropagation, AgreesWithStatevector)
 {
     const int n = 5;
     const auto fam = tfimFamily(n, 0.5, 1.5, 2);
@@ -468,7 +429,7 @@ TEST(ShardedPropagation, ShardedAgreesWithStatevector)
         t = rng.uniform(-1, 1);
 
     const Statevector state = ansatz.prepare(theta);
-    const PauliPropagator prop(ansatz.compiled(), exactShardConfig(4));
+    const PauliPropagator prop(ansatz.compiled());
     const std::vector<double> out = prop.expectations(theta, fam, 0);
     for (std::size_t k = 0; k < fam.size(); ++k)
         EXPECT_NEAR(out[k], expectation(state, fam[k]), 1e-10)
@@ -511,7 +472,6 @@ TEST(SimBackend, EngineConfigJsonRoundTripIsLossless)
         config.propConfig.maxWeight = 5;
         config.propConfig.coefThreshold = 3.25e-9;
         config.propConfig.maxTerms = (1ull << 53) + 1; // > 2^53
-        config.propConfig.shards = 4;
 
         const JsonValue serialized = engineConfigToJson(config);
         const EngineConfig restored = engineConfigFromJson(serialized);
@@ -529,8 +489,6 @@ TEST(SimBackend, EngineConfigJsonRoundTripIsLossless)
                   config.propConfig.coefThreshold);
         EXPECT_EQ(restored.propConfig.maxTerms,
                   config.propConfig.maxTerms);
-        EXPECT_EQ(restored.propConfig.shards,
-                  config.propConfig.shards);
 
         // Round-trip fixed point: re-serializing the restored config
         // reproduces the document byte-for-byte.
@@ -558,6 +516,15 @@ TEST(SimBackend, EngineConfigJsonUnknownBackendFailsClearly)
     }
 }
 
+TEST(SimBackend, EngineConfigJsonRejectsUnknownPropConfigKey)
+{
+    JsonValue prop = JsonValue::object();
+    prop.set("shards", JsonValue(std::int64_t{4}));
+    JsonValue doc = JsonValue::object();
+    doc.set("propConfig", std::move(prop));
+    EXPECT_THROW(engineConfigFromJson(doc), std::invalid_argument);
+}
+
 TEST(SimBackend, NamedBackendsAgreeOnExactEnergies)
 {
     const auto fam = tfimFamily(4, 0.5, 1.5, 3);
@@ -573,7 +540,6 @@ TEST(SimBackend, NamedBackendsAgreeOnExactEnergies)
     pp.backendName = "paulprop";
     pp.propConfig.maxWeight = 64;
     pp.propConfig.coefThreshold = 0.0;
-    pp.propConfig.shards = 2;
 
     const ClusterObjective a(fam, ansatz, sv);
     const ClusterObjective b(fam, ansatz, pp);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for exact Pauli expectations on statevectors, including the
- * grouped batch evaluator against the single-string reference.
+ * Tests for exact Pauli expectations on statevectors: the grouped
+ * batch evaluator and the expectation overloads built on it, against
+ * the naive full-scan references.
  */
 
 #include <gtest/gtest.h>
@@ -67,20 +68,19 @@ TEST(Expectation, YOnCircularState)
 
 TEST(Expectation, MatchesPauliSumExpectation)
 {
+    // Per term against the full-scan reference, and the recombined sum
+    // against the PauliSum oracle.
     const PauliSum h = xxzChain(4, 1.0, 0.8);
     const Statevector s = randomState(5);
-    EXPECT_NEAR(expectation(s, h), h.expectation(s.amplitudes()), 1e-10);
-}
-
-TEST(Expectation, PerTermMatchesSingleString)
-{
-    const PauliSum h = xxzChain(4, 1.0, 0.8);
-    const Statevector s = randomState(6);
-    const auto terms = perTermExpectations(s, h);
+    std::vector<PauliString> strings;
+    for (const auto &term : h.terms())
+        strings.push_back(term.string);
+    const auto terms = perStringExpectations(s, strings);
     ASSERT_EQ(terms.size(), h.numTerms());
     for (std::size_t k = 0; k < h.numTerms(); ++k)
-        EXPECT_NEAR(terms[k], expectation(s, h.terms()[k].string),
-                    1e-12);
+        EXPECT_NEAR(terms[k], refExpectation(s, strings[k]), 1e-12)
+            << strings[k].toLabel();
+    EXPECT_NEAR(expectation(s, h), h.expectation(s.amplitudes()), 1e-10);
 }
 
 TEST(Expectation, RecombineIsDotProduct)
@@ -89,7 +89,7 @@ TEST(Expectation, RecombineIsDotProduct)
     EXPECT_DOUBLE_EQ(recombine({}, {}), 0.0);
 }
 
-/** Property: the grouped batch evaluator agrees with the per-string
+/** Property: the grouped batch evaluator agrees with the full-scan
  * reference on random states and mixed string sets. */
 class BatchExpectationSweep
     : public ::testing::TestWithParam<std::uint64_t>
@@ -119,7 +119,7 @@ TEST_P(BatchExpectationSweep, GroupedMatchesReference)
     for (std::size_t k = 0; k < strings.size(); ++k) {
         const double reference = strings[k].isIdentity()
             ? 1.0
-            : expectation(s, strings[k]);
+            : refExpectation(s, strings[k]);
         EXPECT_NEAR(batch[k], reference, 1e-11)
             << strings[k].toLabel();
     }
@@ -150,9 +150,9 @@ randomStateN(int n, std::uint64_t seed)
 }
 
 /**
- * Property: the pairing-optimized single-string expectation and the
- * blocked batch evaluator both agree with the naive full-scan
- * reference on random 6-qubit states and random Pauli sets, to 1e-12.
+ * Property: the blocked batch evaluator and both expectation overloads
+ * (single string, Pauli sum) agree with the naive full-scan reference
+ * on random 6-qubit states and random Pauli sets, to 1e-12.
  */
 class KernelEquivalenceSweep
     : public ::testing::TestWithParam<std::uint64_t>
@@ -195,17 +195,24 @@ TEST_P(KernelEquivalenceSweep, OptimizedMatchesFullScanReference)
 
     const auto batch = perStringExpectations(s, strings);
     ASSERT_EQ(batch.size(), strings.size());
+    PauliSum sum(n);
+    double sum_reference = 0.0;
     for (std::size_t k = 0; k < strings.size(); ++k) {
+        const double coefficient = rng.uniform(-1, 1);
+        sum.add(coefficient, strings[k]);
         if (strings[k].isIdentity()) {
             EXPECT_NEAR(batch[k], 1.0, 1e-12);
+            sum_reference += coefficient;
             continue;
         }
         const double reference = refExpectation(s, strings[k]);
+        sum_reference += coefficient * reference;
         EXPECT_NEAR(batch[k], reference, 1e-12)
             << "batch " << strings[k].toLabel();
         EXPECT_NEAR(expectation(s, strings[k]), reference, 1e-12)
             << "single " << strings[k].toLabel();
     }
+    EXPECT_NEAR(expectation(s, sum), sum_reference, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceSweep,

@@ -57,20 +57,25 @@ TEST(Objective, EvalCostUsesSupersetSize)
 
 TEST(Objective, ExactTaskEnergyMatchesEvaluateNoiseless)
 {
-    const auto fam = xxzFamily(4, 0.5, 1.5, 3);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 2, 0b0011);
-    ClusterObjective obj(fam, ansatz, noiselessExact());
-    Rng rng(2);
-    std::vector<double> theta(ansatz.numParams());
-    for (auto &t : theta)
-        t = rng.uniform(-1, 1);
-    const ClusterEvaluation ev = obj.evaluate(theta, rng);
-    for (std::size_t i = 0; i < fam.size(); ++i)
-        EXPECT_NEAR(ev.taskEnergies[i], obj.exactTaskEnergy(i, theta),
-                    1e-10);
-    const auto all = obj.exactTaskEnergies(theta);
-    for (std::size_t i = 0; i < fam.size(); ++i)
-        EXPECT_NEAR(all[i], ev.taskEnergies[i], 1e-10);
+    // All three exact energies recombine the same per-term pass, so
+    // they agree bitwise.
+    for (const auto &fam :
+         {xxzFamily(4, 0.5, 1.5, 3), tfimFamily(6, 0.5, 1.5, 4)}) {
+        const int n = fam.front().numQubits();
+        const Ansatz ansatz = makeHardwareEfficientAnsatz(n, 2, 0b0011);
+        ClusterObjective obj(fam, ansatz, noiselessExact());
+        Rng rng(2);
+        std::vector<double> theta(ansatz.numParams());
+        for (auto &t : theta)
+            t = rng.uniform(-1, 1);
+        const ClusterEvaluation ev = obj.evaluate(theta, rng);
+        const auto all = obj.exactTaskEnergies(theta);
+        for (std::size_t i = 0; i < fam.size(); ++i) {
+            EXPECT_EQ(obj.exactTaskEnergy(i, theta), all[i])
+                << n << "q task " << i;
+            EXPECT_EQ(ev.taskEnergies[i], all[i]) << n << "q task " << i;
+        }
+    }
 }
 
 TEST(Objective, ShotNoiseIsUnbiasedOnAverage)
