@@ -191,8 +191,8 @@ stateBytes(int n)
  * The roofline: memcpy of one half of an n-qubit state onto the other,
  * so the copy has the in-place kernels' footprint (one state) and
  * moves half of stateBytes(n), read + write. From 16 qubits, where the
- * kernels turn on OpenMP, it is split over the threads in 64 KiB
- * pieces.
+ * kernels' chunk loop goes parallel, it is split over the same pool
+ * lanes in 64 KiB pieces.
  */
 void
 benchMemcpy(int n)
@@ -204,7 +204,8 @@ benchMemcpy(int n)
     char *src = state.data();
     char *dst = state.data() + half;
     record("memcpy", n, timeNs([&] {
-#pragma omp parallel for if (n >= 16)
+#pragma omp parallel for if (n >= 16) \
+    num_threads(static_cast<int>(ThreadPool::global().numThreads()))
                for (std::ptrdiff_t p = 0; p < pieces; ++p)
                    std::memcpy(dst + p * piece, src + p * piece, piece);
                std::swap(src, dst);
@@ -271,6 +272,45 @@ benchGateKernels(int n)
                theta += 1e-4;
            }),
            0.0, n * full);
+}
+
+/**
+ * The paper's scale (4-8 qubits, the 6-site TFIM families): per-call
+ * dispatch, not bandwidth, sets the time, so these series carry no
+ * bytes. Each sample times kReps calls, so the clock read does not
+ * swamp a ~30 ns kernel.
+ */
+void
+benchPaperScaleKernels(int n)
+{
+    constexpr int kReps = 256;
+    const auto perCall = [](const auto &fn) {
+        return timeNs([&] {
+                   for (int r = 0; r < kReps; ++r)
+                       fn();
+               })
+             / kReps;
+    };
+    Statevector sv = randomState(n, 17);
+    const int a = 1;
+    const int b = n / 2;
+    double theta = 0.3;
+    const auto ry = [&] {
+        const double c = std::cos(theta / 2.0);
+        const double s = std::sin(theta / 2.0);
+        theta += 1e-4;
+        return Gate1q{Complex(c, 0), Complex(-s, 0), Complex(s, 0),
+                      Complex(c, 0)};
+    };
+    record("ry", n,
+           perCall([&] { sv.applyRy(a, theta); theta += 1e-4; }),
+           perCall([&] { refApplyGate1(sv, a, ry()); }), 0.0, true);
+    record("rzz", n,
+           perCall([&] { sv.applyRzz(a, b, theta); theta += 1e-4; }),
+           perCall([&] { refApplyRzz(sv, a, b, theta); theta += 1e-4; }),
+           0.0, true);
+    record("cx", n, perCall([&] { sv.applyCx(a, b); }),
+           perCall([&] { refApplyCx(sv, a, b); }), 0.0, true);
 }
 
 /** Bytes the batched evaluator reads: the whole state once per X-mask
@@ -966,10 +1006,14 @@ int
 main()
 {
     std::printf("micro-kernel benchmarks (min-of-reps, ns/op)\n");
+    for (int n : {4, 6, 8}) {
+        std::printf("--- %d qubits (paper scale) ---\n", n);
+        benchPaperScaleKernels(n);
+    }
     for (int n : {10, 12, 14, 16, 18}) {
         std::printf("--- %d qubits ---\n", n);
         benchGateKernels(n);
-        benchMemcpy(n); // after the kernels: OpenMP threads are warm
+        benchMemcpy(n); // after the kernels: the OpenMP team is warm
         benchBatchedExpectations(n);
         benchThreadedExpectations(n);
         benchCircuitApply(n);

@@ -72,7 +72,9 @@ class ThreadPool
     /**
      * The process-wide pool. Sized by the TREEVQA_NUM_THREADS
      * environment variable at first use, defaulting to the hardware
-     * concurrency.
+     * concurrency. Its lane count also sizes the state kernels'
+     * OpenMP team (sim/statevector.cpp), so it is the only thread
+     * setting.
      */
     static ThreadPool &global();
 

@@ -23,28 +23,46 @@ namespace {
  * inserted at q recovers i, see sim/bit_ops.h) in chunks of
  * min(stride, kChunk) pairs. Such a chunk maps onto two contiguous
  * runs p0[j] and p0[j + stride], so the inner loop is unit-stride and
- * vectorizes. OpenMP splits the chunk loop, never a chunk, so every
+ * vectorizes. forChunks splits the chunk loop, never a chunk, so every
  * amplitude goes through the same instruction stream at any thread
  * count. Two-qubit gates insert two zero bits and walk quadruples the
  * same way, in runs of min(low stride, kChunk).
  */
 
-/** Pairs (or quadruples) per chunk: the unit OpenMP distributes. */
+/** Pairs (or quadruples) per chunk: the unit forChunks distributes. */
 constexpr std::size_t kChunk = 4096;
 
-/** Minimum amplitude count before OpenMP threading pays for itself. */
-constexpr std::size_t kOmpMinDim = std::size_t{1} << 16;
+/** Minimum amplitude count before a parallel loop pays for itself. */
+constexpr std::size_t kParallelMinDim = std::size_t{1} << 16;
 
 /**
- * OpenMP gate the kernels consult: large enough state, and not already
- * inside a ThreadPool task — when probe batches or sharded cluster
- * rounds run on pool workers, spawning an OpenMP team per worker would
- * multiply the two thread counts and oversubscribe the machine.
+ * body(c) for every chunk c in [0, count) of a dim-amplitude state: the
+ * one parallel loop of the kernels. It is a plain loop for small
+ * states (checked first, so they never touch the pool), for a one-lane
+ * pool, and inside a ThreadPool task, where an OpenMP team per worker
+ * would multiply the two thread counts. Otherwise an OpenMP team as
+ * wide as the pool splits the chunks statically, so
+ * TREEVQA_NUM_THREADS sizes it and OMP_NUM_THREADS does not.
  */
-inline bool
-useOmp(std::size_t dim)
+template <class Body>
+void
+forChunks([[maybe_unused]] std::size_t dim, std::size_t count, Body body)
 {
-    return dim >= kOmpMinDim && !ThreadPool::onWorkerThread();
+#ifdef _OPENMP
+    if (dim >= kParallelMinDim && !ThreadPool::onWorkerThread()) {
+        const int lanes =
+            static_cast<int>(ThreadPool::global().numThreads());
+        if (lanes > 1) {
+            const auto n = static_cast<std::ptrdiff_t>(count);
+#pragma omp parallel for schedule(static) num_threads(lanes)
+            for (std::ptrdiff_t c = 0; c < n; ++c)
+                body(static_cast<std::size_t>(c));
+            return;
+        }
+    }
+#endif
+    for (std::size_t c = 0; c < count; ++c)
+        body(c);
 }
 
 /**
@@ -59,15 +77,12 @@ pairGroups(CVector &amps, Body &body)
     Complex *a = amps.data();
     const std::size_t groups = amps.size() / (2 * S);
     const std::size_t per = std::min(groups, kChunk / S);
-    const std::ptrdiff_t chunks =
-        static_cast<std::ptrdiff_t>(groups / per);
-#pragma omp parallel for if (useOmp(amps.size()))
-    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
-        Complex *p = a + static_cast<std::size_t>(c) * per * 2 * S;
+    forChunks(amps.size(), groups / per, [&](std::size_t c) {
+        Complex *p = a + c * per * 2 * S;
         for (std::size_t g = 0; g < per; ++g)
             for (std::size_t j = 0; j < S; ++j)
                 body(p[2 * S * g + j], p[2 * S * g + S + j]);
-    }
+    });
 }
 
 /** body(x0, x1) on every amplitude pair (i, i | 1<<q), bit q of i
@@ -86,16 +101,12 @@ forEachPair(CVector &amps, int q, Body body)
     }
     Complex *a = amps.data();
     const std::size_t len = std::min(stride, kChunk);
-    const std::ptrdiff_t chunks =
-        static_cast<std::ptrdiff_t>((amps.size() >> 1) / len);
-#pragma omp parallel for if (useOmp(amps.size()))
-    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
-        Complex *p0 =
-            a + expandBit(static_cast<std::size_t>(c) * len, stride);
+    forChunks(amps.size(), (amps.size() >> 1) / len, [&](std::size_t c) {
+        Complex *p0 = a + expandBit(c * len, stride);
         Complex *p1 = p0 + stride;
         for (std::size_t j = 0; j < len; ++j)
             body(p0[j], p1[j]);
-    }
+    });
 }
 
 /** The quadruple counterpart of pairGroups for a low stride S: group
@@ -108,17 +119,13 @@ quadGroups(CVector &amps, std::size_t abit, std::size_t bbit, Body &body)
     const std::size_t hi = std::max(abit, bbit);
     const std::size_t groups = amps.size() / (4 * S);
     const std::size_t per = std::min(groups, kChunk / S);
-    const std::ptrdiff_t chunks =
-        static_cast<std::ptrdiff_t>(groups / per);
-#pragma omp parallel for if (useOmp(amps.size()))
-    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
-        const std::size_t t0 = static_cast<std::size_t>(c) * per;
-        for (std::size_t t = t0; t < t0 + per; ++t) {
+    forChunks(amps.size(), groups / per, [&](std::size_t c) {
+        for (std::size_t t = c * per; t < (c + 1) * per; ++t) {
             Complex *p = a + expandBit(t * 2 * S, hi);
             for (std::size_t j = 0; j < S; ++j)
                 body(p[j], p[j + abit], p[j + bbit], p[j + abit + bbit]);
         }
-    }
+    });
 }
 
 /**
@@ -143,15 +150,11 @@ forEachQuad(CVector &amps, int qa, int qb, Body body)
     Complex *a = amps.data();
     const std::size_t hi = std::max(abit, bbit);
     const std::size_t len = std::min(lo, kChunk);
-    const std::ptrdiff_t chunks =
-        static_cast<std::ptrdiff_t>((amps.size() >> 2) / len);
-#pragma omp parallel for if (useOmp(amps.size()))
-    for (std::ptrdiff_t c = 0; c < chunks; ++c) {
-        Complex *p =
-            a + expandBits2(static_cast<std::size_t>(c) * len, lo, hi);
+    forChunks(amps.size(), (amps.size() >> 2) / len, [&](std::size_t c) {
+        Complex *p = a + expandBits2(c * len, lo, hi);
         for (std::size_t j = 0; j < len; ++j)
             body(p[j], p[j + abit], p[j + bbit], p[j + abit + bbit]);
-    }
+    });
 }
 
 /** Swap two amplitudes component-wise (a struct copy would not
@@ -185,23 +188,10 @@ Statevector::setBasisState(std::uint64_t bits)
 double
 Statevector::normSquared() const
 {
-    const Complex *a = amps_.data();
-    const std::ptrdiff_t dim = static_cast<std::ptrdiff_t>(amps_.size());
     double s = 0.0;
-#pragma omp parallel for reduction(+ : s) if (useOmp(amps_.size()))
-    for (std::ptrdiff_t i = 0; i < dim; ++i)
-        s += std::norm(a[i]);
+    for (const Complex &a : amps_)
+        s += std::norm(a);
     return s;
-}
-
-void
-Statevector::normalize()
-{
-    const double n = std::sqrt(normSquared());
-    if (n <= 0.0)
-        return;
-    for (auto &a : amps_)
-        a /= n;
 }
 
 double
@@ -217,11 +207,8 @@ Statevector::overlapSquared(const Statevector &other) const
     assert(other.amps_.size() == amps_.size());
     const Complex *a = amps_.data();
     const Complex *b = other.amps_.data();
-    const std::ptrdiff_t dim = static_cast<std::ptrdiff_t>(amps_.size());
     double re = 0.0, im = 0.0;
-#pragma omp parallel for reduction(+ : re, im) \
-    if (useOmp(amps_.size()))
-    for (std::ptrdiff_t i = 0; i < dim; ++i) {
+    for (std::size_t i = 0; i < amps_.size(); ++i) {
         const Complex t = cmul(std::conj(a[i]), b[i]);
         re += t.real();
         im += t.imag();
@@ -360,20 +347,16 @@ Statevector::applyRzz(int a_q, int b_q, double theta)
     const double s = std::sin(theta / 2.0);
     Complex *a = amps_.data();
     const std::size_t dim = amps_.size();
-    const std::ptrdiff_t chunks =
-        static_cast<std::ptrdiff_t>((dim + kChunk - 1) / kChunk);
     // One linear pass: amplitude i gets c - i*sign*s, where sign is
     // +1 for even parity of bits a, b (|00>, |11>) and -1 for odd.
-#pragma omp parallel for if (useOmp(dim))
-    for (std::ptrdiff_t ch = 0; ch < chunks; ++ch) {
-        const std::size_t i0 = static_cast<std::size_t>(ch) * kChunk;
-        const std::size_t in = std::min(i0 + kChunk, dim);
-        for (std::size_t i = i0; i < in; ++i) {
+    forChunks(dim, (dim + kChunk - 1) / kChunk, [&](std::size_t ch) {
+        const std::size_t in = std::min((ch + 1) * kChunk, dim);
+        for (std::size_t i = ch * kChunk; i < in; ++i) {
             const double ss =
                 ((i >> a_q) ^ (i >> b_q)) & 1u ? -s : s;
             a[i] = cmul(Complex(c, -ss), a[i]);
         }
-    }
+    });
 }
 
 void

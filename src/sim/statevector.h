@@ -71,9 +71,6 @@ class Statevector
     /** Squared norm (should stay 1 under unitary evolution). */
     double normSquared() const;
 
-    /** Renormalize to unit norm (defensive; gates preserve norm). */
-    void normalize();
-
     /** Probability of measuring basis state `bits`. */
     double probability(std::uint64_t bits) const;
 

@@ -17,7 +17,6 @@
 #include "circuit/hardware_efficient.h"
 #include "circuit/uccsd_min.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/config_io.h"
 #include "core/objective.h"
 #include "core/sim_backend.h"
@@ -26,19 +25,10 @@
 #include "sim/expectation.h"
 #include "sim/workspace_pool.h"
 
+#include "pool_size_guard.h"
+
 namespace treevqa {
 namespace {
-
-/** Sets the global pool to `threads` lanes for one test scope. */
-class PoolSizeGuard
-{
-  public:
-    explicit PoolSizeGuard(std::size_t threads)
-    {
-        ThreadPool::global().resize(threads);
-    }
-    ~PoolSizeGuard() { ThreadPool::global().resize(0); }
-};
 
 /** Unfused reference: one kernel call per source instruction. */
 Statevector

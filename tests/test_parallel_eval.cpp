@@ -27,19 +27,10 @@
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
 
+#include "pool_size_guard.h"
+
 namespace treevqa {
 namespace {
-
-/** Sets the global pool to `threads` lanes for one test scope. */
-class PoolSizeGuard
-{
-  public:
-    explicit PoolSizeGuard(std::size_t threads)
-    {
-        ThreadPool::global().resize(threads);
-    }
-    ~PoolSizeGuard() { ThreadPool::global().resize(0); }
-};
 
 TEST(ThreadPool, RunCoversEveryIndexExactlyOnce)
 {
@@ -133,9 +124,11 @@ makeThetas(int num_params, std::size_t batch, std::uint64_t seed)
 
 TEST(EvaluateBatch, BitIdenticalAcrossThreadCounts)
 {
-    // 17 qubits reach the OpenMP kernel branches (one pool lane runs
-    // probes on the caller, so the kernels fan out; more lanes run them
-    // serially on pool workers) and multi-block expectation reductions.
+    // 17 qubits span several amplitude blocks, so the expectation pass
+    // reduces multi-block partials. The gate kernels stay serial here:
+    // a one-lane pool never forks, and wider pools run the probes as
+    // pool tasks (Statevector.ResultsIndependentOfThreadSettings covers
+    // the parallel kernel loop).
     for (const auto &[n, batch] :
          {std::pair<int, std::size_t>{6, 8}, {17, 3}}) {
         const ClusterObjective obj = makeObjective(n);

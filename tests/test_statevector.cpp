@@ -5,11 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/rng.h"
 #include "sim/reference_kernels.h"
 #include "sim/statevector.h"
+
+#include "pool_size_guard.h"
 
 namespace treevqa {
 namespace {
@@ -373,14 +381,15 @@ TEST(Statevector, StrideKernelsMatchNaiveScans)
     }
 }
 
-/** 16-qubit spot check: dim = 2^16 crosses the OpenMP threshold, so
- * the parallel branches of every kernel must agree with the naive
- * references too. Every target q = 0..15 is swept with a general
+/** 16-qubit spot check: dim = 2^16 reaches the parallel chunk loop,
+ * so its serial and parallel branches must both agree with the naive
+ * references. Every target q = 0..15 is swept with a general
  * (non-Hermitian) 1-qubit gate, a diagonal, the swap/phase kernels and
  * two-qubit gates on the neighbour and the far qubit: that covers the
  * grouped low strides (q < 4), the contiguous runs and strides wider
  * than one chunk. */
-TEST(Statevector, SixteenQubitKernelsMatchReferences)
+void
+expectSixteenQubitKernelsMatchReferences()
 {
     const int n = 16;
     Rng rng(2026);
@@ -479,6 +488,68 @@ TEST(Statevector, SixteenQubitKernelsMatchReferences)
               [&](Statevector &s) { refApplyRyy(s, q, near, theta); });
     }
 }
+
+TEST(Statevector, SixteenQubitKernelsMatchReferences)
+{
+    // One lane runs the plain loop; four run the OpenMP team.
+    for (const std::size_t lanes : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << lanes << " pool lanes");
+        PoolSizeGuard guard(lanes);
+        expectSixteenQubitKernelsMatchReferences();
+    }
+}
+
+#ifdef _OPENMP
+/** Neither thread setting changes a result bit: a 17-qubit state built
+ * with a one-lane pool and one OpenMP thread must match, bit for bit,
+ * the same state built with four lanes and an OpenMP default of
+ * three, in its amplitudes, normSquared() and overlapSquared(). */
+TEST(Statevector, ResultsIndependentOfThreadSettings)
+{
+    const int n = 17;
+    struct Result
+    {
+        CVector amps;
+        double norm;
+        double overlap;
+    };
+    const auto layers = [n](Statevector &s, double phase) {
+        for (int q = 0; q < n; ++q) {
+            s.applyRy(q, phase + 0.11 * q);
+            s.applyRx(q, 0.5 - 0.07 * q);
+            s.applyRz(q, phase * q);
+        }
+        for (int q = 0; q + 1 < n; ++q)
+            s.applyRzz(q, q + 1, 0.3 + 0.05 * q);
+        for (int q = n - 1; q > 0; --q)
+            s.applyCx(q, q - 1);
+        s.applyCx(0, n - 1);
+    };
+    const auto build = [&](std::size_t lanes, int omp_threads) {
+        PoolSizeGuard guard(lanes);
+        omp_set_num_threads(omp_threads);
+        Statevector s(n), other(n);
+        layers(s, 0.4);
+        layers(s, -1.2);
+        layers(other, 0.9);
+        return Result{s.amplitudes(), s.normSquared(),
+                      s.overlapSquared(other)};
+    };
+    const int saved = omp_get_max_threads();
+    const Result serial = build(1, 1);
+    const Result parallel = build(4, 3);
+    omp_set_num_threads(saved);
+
+    ASSERT_EQ(serial.amps.size(), parallel.amps.size());
+    EXPECT_EQ(std::memcmp(serial.amps.data(), parallel.amps.data(),
+                          serial.amps.size() * sizeof(Complex)),
+              0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.norm),
+              std::bit_cast<std::uint64_t>(parallel.norm));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.overlap),
+              std::bit_cast<std::uint64_t>(parallel.overlap));
+}
+#endif
 
 TEST(Statevector, DiagonalKernelMatchesGate1)
 {
