@@ -192,7 +192,9 @@ stateBytes(int n)
  * so the copy has the in-place kernels' footprint (one state) and
  * moves half of stateBytes(n), read + write. From 16 qubits, where the
  * kernels' chunk loop goes parallel, it is split over the same pool
- * lanes in 64 KiB pieces.
+ * lanes in 64 KiB pieces; below that it is a plain loop, because an
+ * OpenMP region costs its fork/join even when its `if` is false and
+ * the kernels no longer pay that cost.
  */
 void
 benchMemcpy(int n)
@@ -203,11 +205,19 @@ benchMemcpy(int n)
     std::vector<char> state(2 * half, 1);
     char *src = state.data();
     char *dst = state.data() + half;
+    const auto copy = [&](std::ptrdiff_t p) {
+        std::memcpy(dst + p * piece, src + p * piece, piece);
+    };
     record("memcpy", n, timeNs([&] {
-#pragma omp parallel for if (n >= 16) \
+               if (n < 16) {
+                   for (std::ptrdiff_t p = 0; p < pieces; ++p)
+                       copy(p);
+               } else {
+#pragma omp parallel for \
     num_threads(static_cast<int>(ThreadPool::global().numThreads()))
-               for (std::ptrdiff_t p = 0; p < pieces; ++p)
-                   std::memcpy(dst + p * piece, src + p * piece, piece);
+                   for (std::ptrdiff_t p = 0; p < pieces; ++p)
+                       copy(p);
+               }
                std::swap(src, dst);
            }),
            0.0, stateBytes(n) / 2);
@@ -586,14 +596,13 @@ benchClaimPath()
     // so the claim/scan/record protocol and its beats are the *whole*
     // cost) and the rows report counters, not timings — store bytes
     // read per drained job, WorkClaim::tryAcquire round-trips per
-    // drained job, and scan rounds per drain. The full-rescan baseline (incrementalScan =
-    // false: the merged store re-read every round) is O(N) bytes per
-    // job and is measured at 500/2000 jobs; the incremental tail
-    // reader is measured at 2000/10000 — with shard rolling + tier
-    // folding live at 10000 — and must stay asymptotically flat. The
-    // ref column of dist_scan_bytes_job_incr_2000 is the equal-N
-    // full-rescan figure, so its speedup column is the measured I/O
-    // reduction.
+    // drained job, and scan rounds per drain. The full-rescan
+    // baseline (incrementalScan = false: the merged store re-read
+    // every round) is O(N) bytes per job and is measured at 500/2000
+    // jobs; the incremental tail reader is measured at 2000/10000 and
+    // must stay asymptotically flat. The ref column of
+    // dist_scan_bytes_job_incr_2000 is the equal-N full-rescan figure,
+    // so its speedup column is the measured I/O reduction.
     const std::filesystem::path root =
         std::filesystem::temp_directory_path()
         / ("treevqa_bench_claim_" + localWorkerId());
@@ -621,13 +630,12 @@ benchClaimPath()
         const char *tag;
         int jobs;
         bool incremental;
-        std::int64_t rollBytes;
     };
     const Config configs[] = {
-        {"full_500", 500, false, 0},
-        {"full_2000", 2000, false, 0},
-        {"incr_2000", 2000, true, 0},
-        {"incr_10000", 10000, true, 256 * 1024},
+        {"full_500", 500, false},
+        {"full_2000", 2000, false},
+        {"incr_2000", 2000, true},
+        {"incr_10000", 10000, true},
     };
     double full2000_bytes_job = 0.0;
     for (const Config &config : configs) {
@@ -644,7 +652,6 @@ benchClaimPath()
         options.pollMs = 1;
         options.claimBatch = 8;
         options.incrementalScan = config.incremental;
-        options.shardRollBytes = config.rollBytes;
         options.jobRunner = [](const ScenarioSpec &spec,
                                const ScenarioRunOptions &) {
             JobResult r;

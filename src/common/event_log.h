@@ -136,8 +136,6 @@ inline constexpr const char *kFleetRestart = "fleet.restart";
 inline constexpr const char *kFleetWatchdogKill = "fleet.watchdog_kill";
 inline constexpr const char *kFleetSlotRetired = "fleet.slot_retired";
 // Store maintenance.
-inline constexpr const char *kStoreShardRoll = "store.shard_roll";
-inline constexpr const char *kStoreTierFold = "store.tier_fold";
 inline constexpr const char *kStoreCompaction = "store.compaction";
 inline constexpr const char *kStoreQuarantine = "store.quarantine";
 } // namespace event_type

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 
 #include "common/event_log.h"
 #include "common/file_util.h"
@@ -18,11 +17,8 @@ namespace {
 struct MergeMetrics
 {
     Counter &compactions;
-    Counter &shardRolls;
-    Counter &tierFolds;
     Counter &quarantines;
     Histogram &compactNs;
-    Histogram &foldNs;
 };
 
 MergeMetrics &
@@ -30,27 +26,9 @@ mergeMetrics()
 {
     MetricsRegistry &reg = MetricsRegistry::instance();
     static MergeMetrics m{reg.counter("merge.compactions"),
-                          reg.counter("merge.shard_rolls"),
-                          reg.counter("merge.tier_folds"),
                           reg.counter("merge.quarantines"),
-                          reg.histogram("merge.compact_ns"),
-                          reg.histogram("merge.fold_ns")};
+                          reg.histogram("merge.compact_ns")};
     return m;
-}
-
-std::vector<std::string>
-sortedJsonlPaths(const std::string &dir)
-{
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".jsonl")
-            files.push_back(entry.path().string());
-    }
-    std::sort(files.begin(), files.end());
-    return files;
 }
 
 /** Shard paths in sorted order, so the merge input sequence (and
@@ -59,40 +37,16 @@ sortedJsonlPaths(const std::string &dir)
 std::vector<std::string>
 sortedShardPaths(const std::string &sweepDir)
 {
-    return sortedJsonlPaths(sweepShardDir(sweepDir));
-}
-
-/** The numeric level of a tier file ("L<k>-<tag>.jsonl"), or -1 for a
- * name not following the tier layout (still merged, just ordered
- * last). */
-int
-tierLevel(const std::string &path)
-{
-    const std::string name =
-        std::filesystem::path(path).filename().string();
-    if (name.size() < 2 || name[0] != 'L')
-        return -1;
-    int level = 0;
-    std::size_t i = 1;
-    for (; i < name.size() && name[i] >= '0' && name[i] <= '9'; ++i)
-        level = level * 10 + (name[i] - '0');
-    if (i == 1 || i >= name.size() || name[i] != '-')
-        return -1;
-    return level;
-}
-
-/** Tier paths ordered by (level, name) — numeric level first so
- * "L10-..." sorts after "L2-...". */
-std::vector<std::string>
-sortedTierPaths(const std::string &sweepDir)
-{
-    std::vector<std::string> tiers =
-        sortedJsonlPaths(sweepTierDir(sweepDir));
-    std::stable_sort(tiers.begin(), tiers.end(),
-                     [](const std::string &a, const std::string &b) {
-                         return tierLevel(a) < tierLevel(b);
-                     });
-    return tiers;
+    std::vector<std::string> files;
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             sweepShardDir(sweepDir), ec)) {
+        if (entry.is_regular_file()
+            && entry.path().extension() == ".jsonl")
+            files.push_back(entry.path().string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
 }
 
 /** One input store and what loading it saw. */
@@ -102,11 +56,10 @@ struct StoreInput
     StoreLoadStats stats;
 };
 
-/** Load one tier/shard file, reporting (via `vanished`) the case
- * where the file was deleted or renamed away by a racing fold before
- * we could open it — indistinguishable from an empty file at the
- * ResultStore level, so disambiguated by a post-load existence
- * check. */
+/** Load one shard file, reporting (via `vanished`) the case where
+ * the file was deleted by a racing drained compaction before we could
+ * open it — indistinguishable from an empty file at the ResultStore
+ * level, so disambiguated by a post-load existence check. */
 std::vector<JobResult>
 loadInput(StoreInput &input, bool &vanished)
 {
@@ -119,28 +72,27 @@ loadInput(StoreInput &input, bool &vanished)
 }
 
 /**
- * One consistent load pass over canonical + tiers + shards. A tier
- * fold running concurrently renames/deletes files between our
+ * One consistent load pass over canonical + shards. A drained
+ * worker's compaction running concurrently deletes shards between our
  * enumeration and our read; when that happens the pass is retried
- * from a fresh enumeration (the fold wrote its output before deleting
- * inputs, so a consistent snapshot always exists). Bounded: after
- * `kLoadRetries` colliding passes the partial view is used anyway —
- * callers treat the merged view as advisory (the drain decision
- * re-confirms, dedupe tolerates duplicates).
+ * from a fresh enumeration (the compaction rewrote the canonical
+ * store before deleting any shard, so a consistent snapshot always
+ * exists). Bounded: after `kLoadRetries` colliding passes the
+ * partial view is used anyway — callers treat the merged view as
+ * advisory (the drain decision re-confirms, dedupe tolerates
+ * duplicates).
  */
 constexpr int kLoadRetries = 5;
 
 std::vector<JobResult>
 loadAllRecords(const std::string &sweepDir,
-               std::vector<StoreInput> &shards,
-               std::vector<StoreInput> &tiers, std::size_t &input,
+               std::vector<StoreInput> &shards, std::size_t &input,
                std::size_t &corrupt)
 {
     std::vector<JobResult> records;
     for (int attempt = 0;; ++attempt) {
         records.clear();
         shards.clear();
-        tiers.clear();
         corrupt = 0;
         bool vanished = false;
 
@@ -148,26 +100,15 @@ loadAllRecords(const std::string &sweepDir,
         records =
             ResultStore(sweepStorePath(sweepDir)).load(&canonicalStats);
         corrupt = canonicalStats.corrupt();
-        for (const std::string &path : sortedTierPaths(sweepDir)) {
-            StoreInput tier;
-            tier.path = path;
-            bool gone = false;
-            for (JobResult &record : loadInput(tier, gone))
-                records.push_back(std::move(record));
-            vanished = vanished || gone;
-            corrupt += tier.stats.corrupt();
-            if (!gone)
-                tiers.push_back(std::move(tier));
-        }
         for (const std::string &path : sortedShardPaths(sweepDir)) {
             StoreInput shard;
             shard.path = path;
             bool gone = false;
             for (JobResult &record : loadInput(shard, gone))
                 records.push_back(std::move(record));
-            // A shard vanishing mid-pass is a roll (rename into
-            // tiers/): its records exist in a tier our enumeration
-            // may predate, so retry like a fold collision.
+            // A shard vanishing mid-pass was retired by a drained
+            // compaction: its records are in a canonical store our
+            // read may predate, so retry from a fresh pass.
             vanished = vanished || gone;
             corrupt += shard.stats.corrupt();
             if (!gone)
@@ -178,10 +119,9 @@ loadAllRecords(const std::string &sweepDir,
     }
     input = records.size();
 
-    // Canonical/tier/shard overlap is a normal state here (a
-    // standalone merge folds inputs without removing them), so
-    // collapse it silently instead of warning like the single-store
-    // loaders do.
+    // Canonical/shard overlap is a normal state here (a standalone
+    // merge folds shards without removing them), so collapse it
+    // silently instead of warning like the single-store loaders do.
     records = dedupeByFingerprint(std::move(records),
                                   /*warnOnDuplicates=*/false);
     std::sort(records.begin(), records.end(),
@@ -193,7 +133,7 @@ loadAllRecords(const std::string &sweepDir,
     return records;
 }
 
-/** Move a shard/tier whose load saw corruption into
+/** Move a shard whose load saw corruption into
  * `<dir>/quarantine/` (never deleting evidence; best-effort — a
  * failed rename leaves the file where it was). Returns whether the
  * file was moved. */
@@ -226,22 +166,6 @@ quarantineShard(const std::string &shardPath)
     return true;
 }
 
-/** Quarantine-or-delete the merged input files per the compaction
- * contract (see compactSweepStore). */
-void
-retireInputs(const std::vector<StoreInput> &inputs,
-             bool removeMerged, SweepMergeStats &stats)
-{
-    for (const StoreInput &input : inputs) {
-        if (input.stats.corrupt() > 0) {
-            if (quarantineShard(input.path))
-                ++stats.quarantinedShards;
-        } else if (removeMerged) {
-            std::remove(input.path.c_str());
-        }
-    }
-}
-
 } // namespace
 
 std::vector<JobResult>
@@ -249,11 +173,10 @@ loadMergedRecords(const std::string &sweepDir,
                   std::size_t *corruptLines)
 {
     std::vector<StoreInput> shards;
-    std::vector<StoreInput> tiers;
     std::size_t input = 0;
     std::size_t corrupt = 0;
     std::vector<JobResult> records =
-        loadAllRecords(sweepDir, shards, tiers, input, corrupt);
+        loadAllRecords(sweepDir, shards, input, corrupt);
     if (corruptLines)
         *corruptLines = corrupt;
     return records;
@@ -266,14 +189,11 @@ compactSweepStore(const std::string &sweepDir,
     TRACE_SPAN_TIMED("merge.compact", mergeMetrics().compactNs);
     mergeMetrics().compactions.inc();
     std::vector<StoreInput> shards;
-    std::vector<StoreInput> tiers;
     SweepMergeStats stats;
-    const std::vector<JobResult> records =
-        loadAllRecords(sweepDir, shards, tiers, stats.inputRecords,
-                       stats.corruptLines);
+    const std::vector<JobResult> records = loadAllRecords(
+        sweepDir, shards, stats.inputRecords, stats.corruptLines);
     stats.uniqueRecords = records.size();
     stats.shardFiles = shards.size();
-    stats.tierFiles = tiers.size();
 
     std::string store;
     for (const JobResult &record : records) {
@@ -284,15 +204,21 @@ compactSweepStore(const std::string &sweepDir,
     writeTextFileAtomic(sweepSummaryPath(sweepDir),
                         sweepSummaryJson(records).dump(2) + "\n");
 
-    // Shard/tier deletion requires the caller's drained proof (see
+    // Shard deletion requires the caller's drained proof (see
     // header): in a drained sweep every record they could still
     // receive is a deterministic duplicate of one already compacted,
     // so removal after the store is durably in place loses nothing. A
     // file that failed validation is quarantined instead of deleted,
     // whatever the caller asked for — corrupt bytes are evidence, not
     // waste.
-    retireInputs(shards, removeMergedShards, stats);
-    retireInputs(tiers, removeMergedShards, stats);
+    for (const StoreInput &shard : shards) {
+        if (shard.stats.corrupt() > 0) {
+            if (quarantineShard(shard.path))
+                ++stats.quarantinedShards;
+        } else if (removeMergedShards) {
+            std::remove(shard.path.c_str());
+        }
+    }
     {
         JsonValue detail = JsonValue::object();
         detail.set("inputRecords",
@@ -308,135 +234,6 @@ compactSweepStore(const std::string &sweepDir,
                                   std::move(detail));
     }
     return stats;
-}
-
-bool
-rollShardToTier(const std::string &sweepDir,
-                const std::string &workerId, std::uint64_t seq)
-{
-    namespace fs = std::filesystem;
-    const std::string shard = sweepShardPath(sweepDir, workerId);
-    std::error_code ec;
-    if (!fs::exists(shard, ec))
-        return false;
-    const std::string tierDir = sweepTierDir(sweepDir);
-    fs::create_directories(tierDir, ec);
-    const std::string tier = sweepTierPath(
-        sweepDir, 0,
-        sanitizeFileToken(workerId) + "-" + std::to_string(seq));
-    fs::rename(shard, tier, ec);
-    if (ec) {
-        std::fprintf(stderr,
-                     "treevqa: shard roll %s -> %s failed: %s\n",
-                     shard.c_str(), tier.c_str(),
-                     ec.message().c_str());
-        return false;
-    }
-    // The rename must be durable before the worker appends to a fresh
-    // shard, or a crash could resurrect the old shard name with only
-    // the new records.
-    fsyncDirectory(sweepShardDir(sweepDir));
-    fsyncDirectory(tierDir);
-    mergeMetrics().shardRolls.inc();
-    {
-        JsonValue detail = JsonValue::object();
-        detail.set("shard", JsonValue(workerId));
-        detail.set("tier", JsonValue(
-                               fs::path(tier).filename().string()));
-        EventLog::instance().emit(event_type::kStoreShardRoll, "",
-                                  std::move(detail));
-    }
-    return true;
-}
-
-std::size_t
-maintainTiers(const std::string &sweepDir, int fanout)
-{
-    namespace fs = std::filesystem;
-    if (fanout < 2)
-        return 0;
-    std::size_t folds = 0;
-    bool progressed = true;
-    // Cascade: a fold at level k can complete a fanout at level k+1.
-    while (progressed) {
-        progressed = false;
-        std::map<int, std::vector<std::string>> by_level;
-        for (const std::string &path : sortedTierPaths(sweepDir)) {
-            const int level = tierLevel(path);
-            if (level >= 0)
-                by_level[level].push_back(path);
-        }
-        for (auto &[level, files] : by_level) {
-            if (files.size() < static_cast<std::size_t>(fanout))
-                continue;
-            TraceSpan fold_span("merge.fold",
-                                &mergeMetrics().foldNs);
-            // Output name: a pure function of the folded input set,
-            // so a crash-then-retry (or a racing folder) regenerates
-            // the same file instead of a divergent duplicate.
-            std::string key;
-            for (const std::string &path : files)
-                key += fs::path(path).filename().string() + "\n";
-            const std::string out =
-                sweepTierPath(sweepDir, level + 1, crc32Hex(key));
-
-            std::vector<JobResult> records;
-            std::vector<std::string> clean;
-            std::vector<std::string> dirty;
-            bool aborted = false;
-            for (const std::string &path : files) {
-                StoreInput input;
-                input.path = path;
-                bool gone = false;
-                for (JobResult &record : loadInput(input, gone))
-                    records.push_back(std::move(record));
-                if (gone) {
-                    // A racing folder got here first; its output
-                    // carries these records. Abandon this fold.
-                    aborted = true;
-                    break;
-                }
-                (input.stats.corrupt() > 0 ? dirty : clean)
-                    .push_back(path);
-            }
-            if (aborted)
-                continue;
-            records = dedupeByFingerprint(std::move(records),
-                                          /*warnOnDuplicates=*/false);
-            std::error_code ec;
-            if (!fs::exists(out, ec)) {
-                std::string text;
-                for (const JobResult &record : records) {
-                    text += jobResultToStoredLine(record);
-                    text += '\n';
-                }
-                // Durably in place before any input dies: a crash
-                // here leaves inputs + output, a recoverable
-                // duplicate, never a loss.
-                writeTextFileAtomic(out, text);
-            }
-            for (const std::string &path : dirty)
-                quarantineShard(path);
-            for (const std::string &path : clean)
-                std::remove(path.c_str());
-            fsyncDirectory(sweepTierDir(sweepDir));
-            ++folds;
-            mergeMetrics().tierFolds.inc();
-            {
-                JsonValue detail = JsonValue::object();
-                detail.set("level",
-                           JsonValue(static_cast<std::int64_t>(
-                               level)));
-                detail.set("out", JsonValue(
-                                      fs::path(out).filename()
-                                          .string()));
-                EventLog::instance().emit(event_type::kStoreTierFold,
-                                          "", std::move(detail));
-            }
-            progressed = true;
-        }
-    }
-    return folds;
 }
 
 } // namespace treevqa

@@ -144,26 +144,25 @@ StoreTailReader::refresh()
     ++counters_.refreshes;
     tailMetrics().refreshes.inc();
     TRACE_SPAN_TIMED("store.tail_refresh", tailMetrics().refreshNs);
-    // A pass that loses a race with a concurrent roll/fold (a file
-    // vanishing between enumeration and read) resets and retries;
-    // a consistent snapshot always exists because every mutation
-    // writes its replacement before deleting its input.
+    // A pass that loses a race with a drained worker's compaction (a
+    // shard deleted between enumeration and read) resets and retries;
+    // a consistent snapshot always exists because compaction rewrites
+    // the canonical store before deleting any shard.
     for (int attempt = 0; attempt < 3; ++attempt) {
         std::vector<std::string> files;
         const std::string canonical = sweepStorePath(sweepDir_);
         std::error_code ec;
         if (std::filesystem::exists(canonical, ec))
             files.push_back(canonical);
-        collectJsonl(sweepTierDir(sweepDir_), files);
         collectJsonl(sweepShardDir(sweepDir_), files);
         std::sort(files.begin(), files.end());
 
         bool reset = forceRescan_;
         if (!reset) {
             // Any tracked file gone from the current set means the
-            // layout mutated (roll, fold, compaction): the map may
-            // hold folds of bytes that now live elsewhere, so the
-            // only safe continuation is from scratch.
+            // layout mutated (a compaction): the map may hold folds
+            // of bytes that now live elsewhere, so the only safe
+            // continuation is from scratch.
             for (const auto &[path, cursor] : cursors_) {
                 (void)cursor;
                 if (!std::binary_search(files.begin(), files.end(),

@@ -4,10 +4,10 @@
  * up to date in O(appended bytes) instead of O(store bytes).
  *
  * The reader keeps one byte cursor (inode + offset + line number) per
- * store file — the canonical store, every sealed tier and every worker
- * shard — and, per refresh, stats the current file set and parses only
- * the bytes appended since the last refresh, folding each decoded
- * record into an in-memory fingerprint → JobResolution map
+ * store file — the canonical store and every worker shard — and, per
+ * refresh, stats the current file set and parses only the bytes
+ * appended since the last refresh, folding each decoded record into
+ * an in-memory fingerprint → JobResolution map
  * (svc/result_store.h: the one record-fold rule). A full load is the
  * same read from offset 0: invalidate() then refresh().
  *
@@ -19,15 +19,15 @@
  * loader is rejected incrementally too, exactly once.
  *
  * Invalidation: the cursors are only valid while every tracked file
- * grows in place. Compaction rewrites the canonical store (new
- * inode), a shard roll renames a shard into `tiers/`, and a tier fold
- * deletes its inputs — any tracked file vanishing, shrinking or
- * changing identity collapses the whole view and the next refresh is
- * a clean full rescan (counted, so benches and tests can assert the
- * fallback fired). That keeps correctness trivially equivalent to a
- * full read at the cost of O(store) work per *store-mutating* event
- * rather than per scan — the events (rolls, folds, compactions) are
- * O(records / threshold), not O(scans).
+ * grows in place. Compaction rewrites the canonical store (new inode)
+ * and, once the sweep is drained, deletes the shards — any tracked
+ * file vanishing, shrinking or changing identity collapses the whole
+ * view and the next refresh is a clean full rescan (counted, so
+ * benches and tests can assert the fallback fired). That keeps
+ * correctness trivially equivalent to a full read at the cost of
+ * O(store) work per compaction rather than per scan; workers compact
+ * only once the sweep is drained (a standalone `--merge-only` is the
+ * one other compactor), so a drain rescans nothing mid-way.
  *
  * Single-threaded; each worker, supervisor or status probe owns its
  * own reader.
@@ -67,7 +67,7 @@ class StoreTailReader
 
     /**
      * Bring the view up to date: stat the current store file set
-     * (canonical + tiers + shards), fall back to a full rescan if any
+     * (canonical + shards), fall back to a full rescan if any
      * tracked file vanished / shrank / changed inode, then parse only
      * the newly appended complete lines into the resolution map.
      */

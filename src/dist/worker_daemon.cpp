@@ -102,9 +102,9 @@ workerScanOffset(const std::string &workerId)
 /**
  * True when a worker other than `self` holds a live (not stale) claim
  * in the sweep. Once every job is resolved, such a claim means its
- * owner is still committing a job — a worker appends, rolls its shard
- * and only then releases — so a compaction now would race that
- * commit. Unreadable or torn claims count as stale.
+ * owner is still committing a job — a worker appends and only then
+ * releases — so a compaction now would race that commit. Unreadable
+ * or torn claims count as stale.
  */
 bool
 peerHoldsLiveClaim(const std::string &sweepDir, const std::string &self,
@@ -182,14 +182,6 @@ WorkerDaemon::WorkerDaemon(WorkerOptions options)
         options_.jobTimeoutMs = 0;
     if (options_.claimBatch < 1)
         options_.claimBatch = 1;
-    if (options_.shardRollBytes < 0)
-        options_.shardRollBytes = 0;
-    if (options_.tierFanout < 2)
-        options_.tierFanout = 2;
-    // Wall-clock base makes roll names unique across restarts of one
-    // worker id — a roll must never rename onto a prior incarnation's
-    // still-unfolded tier.
-    rollSeq_ = static_cast<std::uint64_t>(unixTimeMs());
     health_.startedMs = unixTimeMs();
     // Declared beat cadence (--health staleness detection): the
     // slower of the idle poll and the heartbeat interval, since both
@@ -362,7 +354,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
                 // The incremental view is an optimization, never the
                 // drain proof: a read from offset 0 arbitrates. A
                 // mismatch (the tail over-resolved through a
-                // transient fold-overlap double count, or lost a
+                // canonical/shard overlap double count, or lost a
                 // race) leaves the rebuilt view and keeps scanning.
                 tail.invalidate();
                 tail.refresh();
@@ -374,8 +366,8 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
 
         if (pending.empty()) {
             // Compact only once no peer is mid-commit (see
-            // peerHoldsLiveClaim): its roll or release must not race
-            // the shard removal.
+            // peerHoldsLiveClaim): its append or release must not
+            // race the shard removal.
             const bool compacting = options_.drainAndExit
                 && options_.mergeOnDrain && !stop_.load();
             if (compacting
@@ -492,7 +484,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
 
     if (report.drained && options_.mergeOnDrain && !stop_.load()) {
         // Drained = every job recorded (full-read confirmed), so
-        // shard/tier removal is safe.
+        // shard removal is safe.
         beat([](WorkerHealth &h) { h.state = "draining"; });
         compactSweepStore(dir, /*removeMergedShards=*/true);
         report.merged = true;
@@ -504,25 +496,10 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
 }
 
 void
-WorkerDaemon::appendToShard(const JobResult &record,
-                            WorkerReport &report)
+WorkerDaemon::appendToShard(const JobResult &record)
 {
-    ResultStore shard(
-        sweepShardPath(options_.sweepDir, options_.workerId));
-    shard.append(record);
-    if (options_.shardRollBytes <= 0)
-        return;
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(shard.path(), ec);
-    if (ec || size < static_cast<std::uint64_t>(
-            options_.shardRollBytes))
-        return;
-    if (!rollShardToTier(options_.sweepDir, options_.workerId,
-                         rollSeq_++))
-        return;
-    ++report.shardRolls;
-    report.tierFolds +=
-        maintainTiers(options_.sweepDir, options_.tierFanout);
+    ResultStore(sweepShardPath(options_.sweepDir, options_.workerId))
+        .append(record);
 }
 
 WorkerDaemon::JobOutcome
@@ -819,7 +796,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             poison.failed = true;
             poison.errorMessage = last_error;
             poison.attempts = attempts_made;
-            appendToShard(poison, report);
+            appendToShard(poison);
             poisoned_.insert(fingerprint);
             ++report.poisoned;
             workerMetrics().jobsPoisoned.inc();
@@ -838,7 +815,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                 slot.priorAttempts + attempts_made,
                 options_.maxJobAttempts, last_error.c_str());
         } else {
-            appendToShard(result, report);
+            appendToShard(result);
             ++report.completed;
             workerMetrics().jobsCompleted.inc();
             if (result.resumed) {

@@ -20,17 +20,15 @@
  * resumes from that worker's last checkpoint — and its record is
  * appended to this worker's private JSONL shard
  * (`<dir>/workers/<id>.jsonl`; per-worker files make cross-process
- * append interleaving impossible). With `shardRollBytes` set the
- * shard is sealed into a `tiers/` L0 file once it passes the
- * threshold and same-level tiers are folded `tierFanout`-to-1
- * (store_merge.h), keeping the file set a reader must visit O(log) in
- * records. When the incremental view says the sweep is drained, one
- * re-read of every store from offset 0 confirms it (the incremental
- * view is an optimization, never the drain proof); then, once no
- * other worker still holds a live claim (a resolved job's live claim
- * means its owner is still committing: append, shard roll, release),
- * the daemon compacts everything into the canonical store and
- * summary.
+ * append interleaving impossible). The shard only grows while the
+ * sweep runs; nothing renames or deletes it before the drained
+ * compaction. When the incremental view says the sweep is drained,
+ * one re-read of every store from offset 0 confirms it (the
+ * incremental view is an optimization, never the drain proof); then,
+ * once no other worker still holds a live claim (a resolved job's
+ * live claim means its owner is still committing: append, release),
+ * the daemon compacts every shard into the canonical store and
+ * summary and deletes the shards (store_merge.h).
  *
  * A job that throws is retried within a per-job budget
  * (maxJobAttempts, exponential backoff); when the budget is spent the
@@ -67,10 +65,10 @@
  * record append — plus one beat file.
  *
  * Determinism: jobs are pure functions of their specs, so any worker
- * count, any claim batch size, any roll/fold schedule and any kill
- * schedule produce the same final energies — bit-identical, timing
- * excluded, to a single-process JobScheduler run (tests/test_dist.cpp
- * and the CI smoke jobs enforce this).
+ * count, any claim batch size and any kill schedule produce the same
+ * final energies — bit-identical, timing excluded, to a
+ * single-process JobScheduler run (tests/test_dist.cpp and the CI
+ * smoke jobs enforce this).
  */
 
 #ifndef TREEVQA_DIST_WORKER_DAEMON_H
@@ -115,7 +113,7 @@ struct WorkerOptions
     bool drainAndExit = true;
     /** Idle wait between scan rounds when nothing was claimable. */
     std::int64_t pollMs = 200;
-    /** Compact shards/tiers into the canonical store + summary.json
+    /** Compact the shards into the canonical store + summary.json
      * after draining (idempotent; concurrent drained workers may race
      * harmlessly). */
     bool mergeOnDrain = true;
@@ -150,17 +148,6 @@ struct WorkerOptions
      * either way.
      */
     bool incrementalScan = true;
-    /**
-     * Roll (seal) this worker's private shard into a `tiers/` L0 file
-     * once it exceeds this many bytes, then fold tiers `tierFanout`-
-     * to-1 (store_merge.h: rollShardToTier / maintainTiers). 0
-     * disables rolling — the right default below ~10^4 jobs, where
-     * one shard per worker stays cheap to tail.
-     */
-    std::int64_t shardRollBytes = 0;
-    /** Tier fold arity: fold a level once it accumulates this many
-     * files (min 2; only meaningful with shardRollBytes > 0). */
-    int tierFanout = 8;
     /**
      * Crash simulation for tests: halt the current job after this
      * many iterations *without* finalizing, releasing any claim
@@ -255,10 +242,6 @@ struct WorkerReport
     std::uint64_t fullRescans = 0;
     /** Times the sweep cross-product was (re-)expanded. */
     std::uint64_t specExpansions = 0;
-    /** Private-shard rolls into L0 tiers. */
-    std::size_t shardRolls = 0;
-    /** Tier folds performed by this worker. */
-    std::size_t tierFolds = 0;
 };
 
 /** One worker process's drain loop over a shared sweep directory. */
@@ -336,9 +319,8 @@ class WorkerDaemon
     JobOutcome runClaimedBatch(const JobSet &jobs,
                                std::vector<BatchSlot> &batch,
                                WorkerReport &report);
-    /** Append `record` to this worker's shard and roll/fold when past
-     * the size threshold. */
-    void appendToShard(const JobResult &record, WorkerReport &report);
+    /** Append `record` to this worker's shard. */
+    void appendToShard(const JobResult &record);
     /** Mutate the in-memory health status under its lock; the next
      * beat publishes it. */
     void updateHealth(const std::function<void(WorkerHealth &)> &fn);
@@ -367,9 +349,6 @@ class WorkerDaemon
      * validation), so a drain can never loop on re-running a job
      * this process has already given up on. */
     std::set<std::string> poisoned_;
-    /** Roll sequence base: unique across restarts of one worker id so
-     * a roll never renames onto a previous incarnation's tier. */
-    std::uint64_t rollSeq_ = 0;
 };
 
 } // namespace treevqa

@@ -138,11 +138,10 @@ quarantineDirFor(const std::string &storePath)
 {
     std::filesystem::path parent =
         std::filesystem::path(storePath).parent_path();
-    // Worker shards and sealed tiers live one level down
-    // (<sweep>/workers/<id>.jsonl, <sweep>/tiers/L<k>-<tag>.jsonl);
+    // Worker shards live one level down (<sweep>/workers/<id>.jsonl);
     // their quarantine belongs with the sweep's, in <sweep>/quarantine
     // (sweep_dir.h layout).
-    if (parent.filename() == "workers" || parent.filename() == "tiers")
+    if (parent.filename() == "workers")
         parent = parent.parent_path();
     return (parent / "quarantine").string();
 }

@@ -16,11 +16,6 @@
  *   <dir>/workers/<worker>.jsonl      per-worker store shard (merged
  *                                     into results.jsonl on
  *                                     compaction)
- *   <dir>/tiers/L<k>-<tag>.jsonl      sealed compaction tiers: rolled
- *                                     shards (L0) and their folds
- *                                     (L1, L2, ...), merged into
- *                                     results.jsonl at final
- *                                     compaction (dist/store_merge.h)
  *   <dir>/logs/<worker>.log           child stdout/stderr when spawned
  *                                     by the supervisor
  *   <dir>/traces/<worker>.trace.json  Chrome trace_event dump of the
@@ -100,24 +95,6 @@ sweepShardPath(const std::string &dir, const std::string &workerId)
 {
     return (std::filesystem::path(dir) / "workers"
             / (workerId + ".jsonl"))
-        .string();
-}
-
-inline std::string
-sweepTierDir(const std::string &dir)
-{
-    return (std::filesystem::path(dir) / "tiers").string();
-}
-
-/** One sealed tier file. `level` orders tiers oldest-fold-first at
- * merge time; `tag` makes the name unique and, for folded tiers,
- * deterministic in the set of inputs folded (store_merge.cpp). */
-inline std::string
-sweepTierPath(const std::string &dir, int level,
-              const std::string &tag)
-{
-    return (std::filesystem::path(dir) / "tiers"
-            / ("L" + std::to_string(level) + "-" + tag + ".jsonl"))
         .string();
 }
 

@@ -957,17 +957,15 @@ TEST(WorkerDaemon, BatchedClaimCrashAbandonsTheWholeBatch)
     EXPECT_EQ(summary, sweepSummaryJson(reference).dump(2) + "\n");
 }
 
-TEST(WorkerDaemon, BatchedRollingWorkersStayBitIdentical)
+TEST(WorkerDaemon, BatchedWorkersStayBitIdentical)
 {
-    // The full PR-8 claim path at once: two concurrent workers,
-    // batched leasing, shard rolling at a tiny threshold (every
-    // record triggers a roll) and fanout-2 tier folding — the final
+    // Two concurrent workers with batched leasing — the final
     // compacted store and summary must still be byte-identical to the
     // single-process reference, like every other schedule.
-    const auto dir = scratchDir("batch_roll");
+    const auto dir = scratchDir("batch_two");
     const std::vector<ScenarioSpec> specs = tinySweep(6);
     const std::vector<JobResult> reference =
-        referenceRun(specs, "batch_roll_ref");
+        referenceRun(specs, "batch_two_ref");
 
     const auto make_options = [&](const char *id) {
         WorkerOptions options;
@@ -976,8 +974,6 @@ TEST(WorkerDaemon, BatchedRollingWorkersStayBitIdentical)
         options.leaseMs = 60000;
         options.pollMs = 5;
         options.claimBatch = 3;
-        options.shardRollBytes = 1; // roll after every append
-        options.tierFanout = 2;
         return options;
     };
     WorkerDaemon wa(make_options("wa"));
@@ -990,7 +986,6 @@ TEST(WorkerDaemon, BatchedRollingWorkersStayBitIdentical)
 
     EXPECT_EQ(ra.completed + rb.completed, specs.size());
     EXPECT_EQ(ra.lostClaims + rb.lostClaims, 0u);
-    EXPECT_GE(ra.shardRolls + rb.shardRolls, specs.size());
     EXPECT_TRUE(ra.drained);
     EXPECT_TRUE(rb.drained);
 
@@ -1002,15 +997,13 @@ TEST(WorkerDaemon, BatchedRollingWorkersStayBitIdentical)
     std::string summary;
     ASSERT_TRUE(readTextFile(sweepSummaryPath(dir.string()), summary));
     EXPECT_EQ(summary, sweepSummaryJson(reference).dump(2) + "\n");
-    // Compaction retired every tier and shard.
+    // Compaction retired every shard.
     std::error_code ec;
     std::size_t leftovers = 0;
-    for (const auto *sub : {"tiers", "workers"}) {
-        for (const auto &entry : std::filesystem::directory_iterator(
-                 dir / sub, ec)) {
-            (void)entry;
-            ++leftovers;
-        }
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir / "workers", ec)) {
+        (void)entry;
+        ++leftovers;
     }
     EXPECT_EQ(leftovers, 0u);
 }

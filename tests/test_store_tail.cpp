@@ -2,10 +2,9 @@
  * @file
  * Tests for the PR-8 claim-path scaling layer: the incremental
  * StoreTailReader (torn-line handling, quarantine parity with the
- * full loader, cursor invalidation after compaction), the tiered
- * shard roll/fold pipeline, the stat-cached SweepIndex, and the
- * JobResolution fold: an incremental tail read and a full merged load
- * must reach the same verdicts.
+ * full loader, cursor invalidation after compaction), the stat-cached
+ * SweepIndex, and the JobResolution fold: an incremental tail read
+ * and a full merged load must reach the same verdicts.
  */
 
 #include <gtest/gtest.h>
@@ -230,99 +229,6 @@ TEST(StoreTailReader, CompactionInvalidatesCursorsAndForcesRescan)
     EXPECT_TRUE(tail.resolutions().at(b.fingerprint).completed);
 }
 
-// ------------------------------------------------------- tiered store
-
-TEST(TieredStore, RollAndFoldPreserveEveryRecordByteIdentically)
-{
-    std::vector<JobResult> records;
-    for (int j = 0; j < 6; ++j)
-        records.push_back(
-            syntheticRecord("job" + std::to_string(j), 0.4 + 0.1 * j));
-
-    // Reference: everything through one shard, straight compaction.
-    const auto ref_dir = scratchDir("tier_ref");
-    std::filesystem::create_directories(
-        sweepShardDir(ref_dir.string()));
-    {
-        ResultStore shard(sweepShardPath(ref_dir.string(), "w0"));
-        for (const JobResult &r : records)
-            shard.append(r);
-    }
-    compactSweepStore(ref_dir.string(), /*removeMergedShards=*/true);
-    std::string ref_store, ref_summary;
-    ASSERT_TRUE(
-        readTextFile(sweepStorePath(ref_dir.string()), ref_store));
-    ASSERT_TRUE(
-        readTextFile(sweepSummaryPath(ref_dir.string()), ref_summary));
-
-    // Tiered: two rolls, a fanout-2 fold, a live shard remainder.
-    const auto dir = scratchDir("tier_roll");
-    std::filesystem::create_directories(sweepShardDir(dir.string()));
-    const std::string shard = sweepShardPath(dir.string(), "w0");
-    ResultStore(shard).append(records[0]);
-    ResultStore(shard).append(records[1]);
-    ASSERT_TRUE(rollShardToTier(dir.string(), "w0", 1));
-    EXPECT_FALSE(std::filesystem::exists(shard));
-    ResultStore(shard).append(records[2]);
-    ResultStore(shard).append(records[3]);
-    ASSERT_TRUE(rollShardToTier(dir.string(), "w0", 2));
-    EXPECT_EQ(maintainTiers(dir.string(), 2), 1u);
-    ResultStore(shard).append(records[4]);
-    ResultStore(shard).append(records[5]);
-
-    // The merged view sees all six, whatever file they live in.
-    const std::vector<JobResult> merged =
-        loadMergedRecords(dir.string());
-    EXPECT_EQ(merged.size(), 6u);
-
-    // And the final compaction is byte-identical to the untiered run.
-    const SweepMergeStats stats =
-        compactSweepStore(dir.string(), /*removeMergedShards=*/true);
-    EXPECT_EQ(stats.tierFiles, 1u);
-    EXPECT_EQ(stats.shardFiles, 1u);
-    EXPECT_EQ(stats.uniqueRecords, 6u);
-    std::string store, summary;
-    ASSERT_TRUE(readTextFile(sweepStorePath(dir.string()), store));
-    ASSERT_TRUE(readTextFile(sweepSummaryPath(dir.string()), summary));
-    EXPECT_EQ(store, ref_store);
-    EXPECT_EQ(summary, ref_summary);
-    EXPECT_FALSE(std::filesystem::exists(shard));
-    std::size_t leftover_tiers = 0;
-    std::error_code ec;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             sweepTierDir(dir.string()), ec)) {
-        (void)entry;
-        ++leftover_tiers;
-    }
-    EXPECT_EQ(leftover_tiers, 0u);
-}
-
-TEST(TieredStore, FoldIsIdempotentAndCascades)
-{
-    const auto dir = scratchDir("tier_cascade");
-    std::filesystem::create_directories(sweepShardDir(dir.string()));
-    const std::string shard = sweepShardPath(dir.string(), "w0");
-    const auto roll_two = [&](int base) {
-        for (int j = base; j < base + 2; ++j) {
-            ResultStore(shard).append(syntheticRecord(
-                "c" + std::to_string(j), 0.4 + 0.1 * j));
-            ASSERT_TRUE(rollShardToTier(
-                dir.string(), "w0", static_cast<std::uint64_t>(j)));
-        }
-    };
-    // First pair: one L0→L1 fold, nothing to cascade yet.
-    roll_two(0);
-    EXPECT_EQ(maintainTiers(dir.string(), 2), 1u);
-    // Second pair: the L0→L1 fold completes a pair at L1, so the
-    // same pass cascades with an L1→L2 fold.
-    roll_two(2);
-    EXPECT_EQ(maintainTiers(dir.string(), 2), 2u);
-    EXPECT_EQ(maintainTiers(dir.string(), 2), 0u); // idempotent
-    const std::vector<JobResult> merged =
-        loadMergedRecords(dir.string());
-    EXPECT_EQ(merged.size(), 4u);
-}
-
 // -------------------------------------------------------- sweep index
 
 TEST(SweepIndex, ReexpandsOnlyWhenTheRequestChanges)
@@ -451,17 +357,14 @@ randomRecord(Rng &rng, const std::string &name, double field)
 
 TEST(StoreTailReader, VerdictsMatchAFullMergedLoad)
 {
-    // Two executions of one fold — an incremental tail read over
-    // canonical, tier and shard files, and a full merged load folded
+    // Two executions of one fold — an incremental tail read over a
+    // canonical store and two shards, and a full merged load folded
     // again — must agree on every job's verdict under every budget.
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         const auto dir = scratchDir("parity_" + std::to_string(seed));
         std::filesystem::create_directories(sweepShardDir(dir.string()));
-        std::filesystem::create_directories(sweepTierDir(dir.string()));
         const std::vector<std::string> files = {
             sweepStorePath(dir.string()),
-            sweepTierPath(dir.string(), 0, "w0-1"),
-            sweepTierPath(dir.string(), 1, "fold"),
             sweepShardPath(dir.string(), "w0"),
             sweepShardPath(dir.string(), "w1")};
 

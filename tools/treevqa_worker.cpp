@@ -29,12 +29,6 @@
  *   --claim-batch N  jobs leased per scan pass (default 8); the batch
  *                    shares one heartbeat thread and releases (or, on
  *                    a crash, abandons) together
- *   --shard-roll-bytes N
- *                    roll the private shard into DIR/tiers/ once it
- *                    reaches N bytes and fold tiers as they pile up
- *                    (default 0 = never roll; the drain-time
- *                    compaction handles everything)
- *   --tier-fanout N  sealed tier files per fold (default 8, min 2)
  *   --no-merge       skip the shard→store compaction after draining
  *   --merge-only     just run the merge/compaction pass and exit;
  *                    exits 1 when corrupt store lines were found (the
@@ -103,7 +97,6 @@ usage(const char *argv0, bool requested)
         "usage: %s --sweep-dir DIR [--spec FILE] [--worker-id ID]\n"
         "       [--lease-ms N] [--max-jobs N] [--drain-and-exit]\n"
         "       [--poll-ms N] [--claim-batch N]\n"
-        "       [--shard-roll-bytes N] [--tier-fanout N]\n"
         "       [--no-merge] [--merge-only]\n"
         "       [--max-job-attempts N] [--retry-backoff-ms N]\n"
         "       [--job-timeout-ms N] [--sigkill-after-checkpoints N]\n"
@@ -162,8 +155,6 @@ main(int argc, char **argv)
     long retry_backoff_ms = 50;
     long job_timeout_ms = 0;
     long claim_batch = 8;
-    long shard_roll_bytes = 0;
-    long tier_fanout = 8;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -196,10 +187,6 @@ main(int argc, char **argv)
             next_positive(poll_ms);
         } else if (arg == "--claim-batch") {
             next_positive(claim_batch);
-        } else if (arg == "--shard-roll-bytes") {
-            next_positive(shard_roll_bytes);
-        } else if (arg == "--tier-fanout") {
-            next_positive(tier_fanout);
         } else if (arg == "--drain-and-exit") {
             drain_and_exit = true;
         } else if (arg == "--no-merge") {
@@ -293,8 +280,6 @@ main(int argc, char **argv)
         options.retryBackoffMs = retry_backoff_ms;
         options.jobTimeoutMs = job_timeout_ms;
         options.claimBatch = static_cast<int>(claim_batch);
-        options.shardRollBytes = shard_roll_bytes;
-        options.tierFanout = static_cast<int>(tier_fanout);
         if (sigkill_storm > 0) {
             g_stormDir = (std::filesystem::path(sweep_dir)
                           / "killstorm")
@@ -375,8 +360,7 @@ main(int argc, char **argv)
                     report.merged ? "yes" : "no",
                     report.simulatedCrash ? " (simulated crash)" : "");
         std::printf("worker %s: scans=%llu claims=%llu "
-                    "store-bytes=%llu rescans=%llu expansions=%llu "
-                    "rolls=%llu folds=%llu\n",
+                    "store-bytes=%llu rescans=%llu expansions=%llu\n",
                     daemon.options().workerId.c_str(),
                     static_cast<unsigned long long>(
                         counter("worker.scan_rounds")),
@@ -387,11 +371,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         counter("store.tail_full_rescans")),
                     static_cast<unsigned long long>(
-                        gauge("worker.spec_expansions")),
-                    static_cast<unsigned long long>(
-                        counter("merge.shard_rolls")),
-                    static_cast<unsigned long long>(
-                        counter("merge.tier_folds")));
+                        gauge("worker.spec_expansions")));
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "treevqa_worker: %s\n", e.what());
