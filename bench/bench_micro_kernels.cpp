@@ -27,6 +27,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/hardware_efficient.h"
@@ -96,6 +97,36 @@ timeNs(const std::function<void()> &fn)
         total += ns;
     }
     return best;
+}
+
+/** timeNs for a kernel and its reference, alternating one sample of
+ * each per repetition so both minima come from the same time window:
+ * a shared VM's speed drifts over seconds, and timing one side after
+ * the other lets a slow spell land on one side only. */
+std::pair<double, double>
+timePairNs(const std::function<void()> &fast,
+           const std::function<void()> &ref)
+{
+    using clock = std::chrono::steady_clock;
+    const auto sample = [](const std::function<void()> &fn) {
+        const auto t0 = clock::now();
+        fn();
+        return std::chrono::duration<double, std::nano>(clock::now()
+                                                        - t0)
+            .count();
+    };
+    fast(); // warmup
+    ref();
+    double best_fast = 1e30, best_ref = 1e30;
+    double total = 0.0;
+    for (int rep = 0; rep < 64 && total < 160e6; ++rep) {
+        const double f = sample(fast);
+        const double r = sample(ref);
+        best_fast = std::min(best_fast, f);
+        best_ref = std::min(best_ref, r);
+        total += f + r;
+    }
+    return {best_fast, best_ref};
 }
 
 /** A pseudo-random normalized n-qubit state. */
@@ -288,18 +319,26 @@ benchGateKernels(int n)
  * The paper's scale (4-8 qubits, the 6-site TFIM families): per-call
  * dispatch, not bandwidth, sets the time, so these series carry no
  * bytes. Each sample times kReps calls, so the clock read does not
- * swamp a ~30 ns kernel.
+ * swamp a ~30 ns kernel, and kernel and reference samples alternate
+ * (timePairNs), so a drift of the VM's speed cannot land on one side
+ * only.
  */
 void
 benchPaperScaleKernels(int n)
 {
     constexpr int kReps = 256;
-    const auto perCall = [](const auto &fn) {
-        return timeNs([&] {
-                   for (int r = 0; r < kReps; ++r)
-                       fn();
-               })
-             / kReps;
+    const auto series = [](const char *name, int qubits,
+                           const auto &fast, const auto &ref) {
+        const auto [fast_ns, ref_ns] = timePairNs(
+            [&] {
+                for (int r = 0; r < kReps; ++r)
+                    fast();
+            },
+            [&] {
+                for (int r = 0; r < kReps; ++r)
+                    ref();
+            });
+        record(name, qubits, fast_ns / kReps, ref_ns / kReps, 0.0, true);
     };
     Statevector sv = randomState(n, 17);
     const int a = 1;
@@ -312,15 +351,12 @@ benchPaperScaleKernels(int n)
         return Gate1q{Complex(c, 0), Complex(-s, 0), Complex(s, 0),
                       Complex(c, 0)};
     };
-    record("ry", n,
-           perCall([&] { sv.applyRy(a, theta); theta += 1e-4; }),
-           perCall([&] { refApplyGate1(sv, a, ry()); }), 0.0, true);
-    record("rzz", n,
-           perCall([&] { sv.applyRzz(a, b, theta); theta += 1e-4; }),
-           perCall([&] { refApplyRzz(sv, a, b, theta); theta += 1e-4; }),
-           0.0, true);
-    record("cx", n, perCall([&] { sv.applyCx(a, b); }),
-           perCall([&] { refApplyCx(sv, a, b); }), 0.0, true);
+    series("ry", n, [&] { sv.applyRy(a, theta); theta += 1e-4; },
+           [&] { refApplyGate1(sv, a, ry()); });
+    series("rzz", n, [&] { sv.applyRzz(a, b, theta); theta += 1e-4; },
+           [&] { refApplyRzz(sv, a, b, theta); theta += 1e-4; });
+    series("cx", n, [&] { sv.applyCx(a, b); },
+           [&] { refApplyCx(sv, a, b); });
 }
 
 /** Bytes the batched evaluator reads: the whole state once per X-mask

@@ -4,10 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 #include <sstream>
-
-#include <unistd.h>
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -44,51 +41,6 @@ eventMetrics()
                           reg.counter("event.flush_failures"),
                           reg.counter("event.dropped_lines")};
     return m;
-}
-
-/**
- * Quarantine one corrupt journal line under
- * `<events>/quarantine/<journal>`, wrapped in a provenance envelope.
- * Best effort, and once per (journal, line, content) per process —
- * the exact discipline of quarantineStoreLine, re-implemented here so
- * the common layer does not reach up into svc/result_store.
- */
-void
-quarantineEventLine(const std::string &journalPath,
-                    std::size_t lineNumber, const std::string &line,
-                    const std::string &reason)
-{
-    static std::mutex mutex;
-    static std::set<std::string> seen;
-    const std::string key = journalPath + "#"
-        + std::to_string(lineNumber) + "#" + crc32Hex(line);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!seen.insert(key).second)
-            return;
-    }
-    try {
-        namespace fs = std::filesystem;
-        const fs::path journal(journalPath);
-        const fs::path dir = journal.parent_path() / "quarantine";
-        std::error_code ec;
-        fs::create_directories(dir, ec);
-        JsonValue envelope = JsonValue::object();
-        envelope.set("journal", JsonValue(journal.filename().string()));
-        envelope.set("line",
-                     JsonValue(static_cast<std::int64_t>(lineNumber)));
-        envelope.set("reason", JsonValue(reason));
-        envelope.set("content", JsonValue(line));
-        appendTextDurable((dir / journal.filename()).string(),
-                          envelope.dump() + "\n", Durability::BestEffort);
-        std::fprintf(stderr,
-                     "treevqa: quarantined corrupt event line %s:%zu "
-                     "(%s)\n",
-                     journalPath.c_str(), lineNumber, reason.c_str());
-    } catch (const std::exception &) {
-        // A quarantine that cannot be written must not turn a
-        // tolerated corruption into a crash.
-    }
 }
 
 } // namespace
@@ -249,14 +201,8 @@ decodeEventLine(const std::string &line, SweepEvent &event,
 {
     try {
         JsonValue parsed = JsonValue::parse(line);
-        if (!parsed.isObject())
-            throw std::runtime_error("not an object");
-        if (!parsed.contains("crc"))
-            throw std::runtime_error("missing crc");
-        const std::string expected = parsed.at("crc").asString();
-        parsed.erase("crc");
-        if (crc32Hex(parsed.dump()) != expected)
-            throw std::runtime_error("crc mismatch");
+        if (const char *why = checkAndStripCrc(parsed))
+            throw std::runtime_error(why);
         SweepEvent decoded;
         decoded.hlc = hlcFromJson(parsed.at("hlc"));
         decoded.type = parsed.at("type").asString();
@@ -285,8 +231,7 @@ void
 EventLog::open(const std::string &sweepDir, const std::string &id)
 {
     const std::string workerId = sanitizeFileToken(id);
-    const std::string origin =
-        workerId + "-p" + std::to_string(::getpid());
+    const std::string origin = sweepIncarnationToken(workerId);
     const std::string path = sweepEventPath(sweepDir, origin);
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -447,7 +392,12 @@ readEventJournal(const std::string &path, EventReadStats *stats)
             if (stats)
                 ++stats->events;
         } else {
-            quarantineEventLine(path, lineNumber, line, reason);
+            quarantineLine(
+                path, lineNumber, line, reason,
+                (std::filesystem::path(path).parent_path()
+                 / "quarantine")
+                    .string(),
+                Durability::BestEffort);
             if (stats)
                 ++stats->corruptLines;
         }
@@ -458,17 +408,9 @@ readEventJournal(const std::string &path, EventReadStats *stats)
 std::vector<SweepEvent>
 readSweepEvents(const std::string &sweepDir, EventReadStats *stats)
 {
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             sweepEventDir(sweepDir), ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".jsonl")
-            files.push_back(entry.path().string());
-    }
-    std::sort(files.begin(), files.end());
     std::vector<SweepEvent> events;
-    for (const std::string &path : files) {
+    for (const std::string &path :
+         listSortedFiles(sweepEventDir(sweepDir), ".jsonl")) {
         std::vector<SweepEvent> journal =
             readEventJournal(path, stats);
         events.insert(events.end(),

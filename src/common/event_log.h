@@ -27,9 +27,12 @@
  * power loss can lose at most the last flush cadence) with each line
  * CRC-stamped, and a flush failure (fault site "event.append") drops
  * the batch instead of crashing the protocol. Readers validate every
- * line's CRC and quarantine torn or corrupt lines — once per
- * (journal, line, content) per process — under
- * `<sweep>/events/quarantine/`, exactly the result store's discipline.
+ * line's CRC and quarantine torn or corrupt lines under
+ * `<sweep>/events/quarantine/`, through the same common/file_util
+ * rules the result store uses: checkAndStripCrc, and quarantineLine
+ * with its envelope and its once per (journal, line, content) per
+ * process gate. The journal's quarantine is best-effort where the
+ * store's is durable.
  */
 
 #ifndef TREEVQA_COMMON_EVENT_LOG_H

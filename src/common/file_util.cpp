@@ -1,5 +1,6 @@
 #include "common/file_util.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cerrno>
@@ -7,6 +8,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -14,6 +17,7 @@
 #include <unistd.h>
 
 #include "common/fault_injection.h"
+#include "common/json.h"
 #include "common/metrics.h"
 
 namespace treevqa {
@@ -460,6 +464,80 @@ crc32Hex(const std::string &data)
     for (int i = 7, shift = 0; i >= 0; --i, shift += 4)
         out[static_cast<std::size_t>(i)] = kDigits[(crc >> shift) & 0xfu];
     return out;
+}
+
+void
+stampCrc(JsonValue &record)
+{
+    // Appended last, so erasing it restores the exact checksummed
+    // bytes (JsonValue preserves member order).
+    record.set("crc", JsonValue(crc32Hex(record.dump())));
+}
+
+const char *
+checkAndStripCrc(JsonValue &record)
+{
+    const JsonValue *crc = record.isObject() ? record.find("crc")
+                                             : nullptr;
+    if (crc == nullptr || !crc->isString())
+        return "missing crc";
+    const std::string expected = crc->asString();
+    record.erase("crc");
+    return crc32Hex(record.dump()) == expected ? nullptr
+                                               : "crc mismatch";
+}
+
+bool
+quarantineLine(const std::string &file, std::size_t lineNumber,
+               const std::string &line, const std::string &reason,
+               const std::string &quarantineDir, Durability durability)
+{
+    static std::mutex mutex;
+    static std::set<std::string> seen;
+    const std::string key = file + ":" + std::to_string(lineNumber)
+        + ":" + crc32Hex(line);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!seen.insert(key).second)
+            return false;
+    }
+    std::fprintf(stderr,
+                 "treevqa: quarantining corrupt line %s:%zu (%s)\n",
+                 file.c_str(), lineNumber, reason.c_str());
+    try {
+        std::filesystem::create_directories(quarantineDir);
+        JsonValue envelope = JsonValue::object();
+        envelope.set("source", JsonValue(file));
+        envelope.set("line",
+                     JsonValue(static_cast<std::int64_t>(lineNumber)));
+        envelope.set("reason", JsonValue(reason));
+        envelope.set("data", JsonValue(line));
+        appendTextDurable(
+            (std::filesystem::path(quarantineDir)
+             / std::filesystem::path(file).filename())
+                .string(),
+            envelope.dump() + "\n", durability);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr,
+                     "treevqa: quarantine of %s:%zu failed (%s)\n",
+                     file.c_str(), lineNumber, e.what());
+    }
+    return true;
+}
+
+std::vector<std::string>
+listSortedFiles(const std::string &dir, const std::string &extension)
+{
+    std::vector<std::string> files;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        if (entry.is_regular_file()
+            && entry.path().extension() == extension)
+            files.push_back(entry.path().string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
 }
 
 std::int64_t

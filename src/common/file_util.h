@@ -41,8 +41,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace treevqa {
+
+class JsonValue;
 
 /** What a write must survive (see the file comment). */
 enum class Durability
@@ -115,8 +118,43 @@ void fsyncDirectory(const std::string &dirPath);
 std::uint32_t crc32(const std::string &data);
 
 /** crc32() as 8 lower-case hex chars — the checksum field format of
- * store records and checkpoints. */
+ * store records, checkpoints and event-journal lines. */
 std::string crc32Hex(const std::string &data);
+
+/**
+ * Stamp `record` (a JSON object) with a trailing "crc" member: the
+ * crc32Hex of its compact dump without it. The one checksum rule of
+ * store records, checkpoints and event-journal lines.
+ */
+void stampCrc(JsonValue &record);
+
+/**
+ * Verify and erase the "crc" member stampCrc wrote, leaving the
+ * checksummed record. Returns nullptr when it matched, else the
+ * rejection reason: "missing crc" (not an object, or no string "crc"
+ * member) or "crc mismatch".
+ */
+const char *checkAndStripCrc(JsonValue &record);
+
+/**
+ * Quarantine one corrupt line of `file`: append the envelope
+ * {source, line, reason, data} to `<quarantineDir>/<file name>` with
+ * `durability`. Once per (file, line, content) per process, because
+ * scan loops revisit a corrupt line many times over its lifetime;
+ * returns whether this call was that once. Never throws: a quarantine
+ * that cannot be written must not turn a tolerated corruption into a
+ * crash.
+ */
+bool quarantineLine(const std::string &file, std::size_t lineNumber,
+                    const std::string &line, const std::string &reason,
+                    const std::string &quarantineDir,
+                    Durability durability);
+
+/** The regular files in `dir` whose extension is `extension` (e.g.
+ * ".jsonl"), as paths sorted ascending, so every reader folds them in
+ * the same order; empty when `dir` is missing. */
+std::vector<std::string> listSortedFiles(const std::string &dir,
+                                         const std::string &extension);
 
 /** Milliseconds since the Unix epoch (system clock). Lease deadlines
  * use this because wall time is the only clock hosts sharing a

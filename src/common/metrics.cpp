@@ -276,16 +276,8 @@ std::vector<std::pair<std::string, JsonValue>>
 readMetricsDumps(const std::string &sweepDir)
 {
     std::vector<std::pair<std::string, JsonValue>> dumps;
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             sweepMetricsDir(sweepDir), ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".json")
-            files.push_back(entry.path().string());
-    }
-    std::sort(files.begin(), files.end());
-    for (const std::string &path : files) {
+    for (const std::string &path :
+         listSortedFiles(sweepMetricsDir(sweepDir), ".json")) {
         std::string text;
         if (!readTextFile(path, text))
             continue;

@@ -26,8 +26,6 @@ TraceRecorder::nowSteadyNs()
         .count();
 }
 
-#ifndef TREEVQA_NO_TRACE
-
 namespace {
 
 struct TraceEvent
@@ -388,30 +386,5 @@ struct TraceEnvBootstrapImpl
 const TraceEnvBootstrapImpl g_traceEnvBootstrap;
 
 } // namespace
-
-#else // TREEVQA_NO_TRACE
-
-TraceSpan::TraceSpan(const char *name, Histogram *hist)
-    : hist_(hist), active_(hist != nullptr)
-{
-    (void)name;
-    if (active_)
-        startNs_ = TraceRecorder::nowSteadyNs();
-}
-
-void
-TraceSpan::end()
-{
-    if (!active_)
-        return;
-    active_ = false;
-    const std::int64_t dur =
-        TraceRecorder::nowSteadyNs() - startNs_;
-    if (hist_ != nullptr)
-        hist_->observe(
-            dur < 0 ? 0 : static_cast<std::uint64_t>(dur));
-}
-
-#endif // TREEVQA_NO_TRACE
 
 } // namespace treevqa

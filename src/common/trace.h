@@ -7,16 +7,14 @@
  * (chrome://tracing, Perfetto) on normal exit, SIGTERM, and
  * fatal-signal paths.
  *
- * The cost model mirrors fault_injection.h exactly:
+ * The cost model mirrors fault_injection.h:
  *
  *  - disarmed (the production default): entering a TRACE_SPAN is one
  *    relaxed atomic load and a branch — no clock reads, no
  *    allocation;
  *  - armed (TREEVQA_TRACE=1): two steady_clock reads per span plus a
  *    fixed-size ring slot write under an uncontended per-thread
- *    mutex;
- *  - compiled out (-DTREEVQA_NO_TRACE): span sites vanish entirely,
- *    the baseline `trace_overhead_off` measures in the micro bench.
+ *    mutex.
  *
  * Ring buffers are bounded (TREEVQA_TRACE_BUFFER events per thread,
  * default 4096) and overwrite oldest-first, so a crashed worker's
@@ -30,7 +28,7 @@
  *   TREEVQA_TRACE_BUFFER=N   ring capacity per thread (events)
  *   TREEVQA_TRACE_DIR=<dir>  fallback export directory; CLIs that
  *                            know their sweep dir override the path
- *                            with <sweep>/traces/<id>.trace.json
+ *                            with <sweep>/traces/<id>-p<pid>.trace.json
  */
 
 #include <atomic>
@@ -40,8 +38,6 @@
 namespace treevqa {
 
 class Histogram;
-
-#ifndef TREEVQA_NO_TRACE
 
 class TraceRecorder
 {
@@ -144,64 +140,6 @@ class TraceSpan
 #define TRACE_SPAN_TIMED(name, hist)                                 \
     ::treevqa::TraceSpan TREEVQA_TRACE_CAT(treevqa_span_,            \
                                            __LINE__)(name, &(hist))
-
-#else // TREEVQA_NO_TRACE
-
-/** Compiled-out recorder: every query is constant-false/no-op so
- * call sites need no #ifdefs. */
-class TraceRecorder
-{
-  public:
-    static TraceRecorder &
-    instance()
-    {
-        static TraceRecorder recorder;
-        return recorder;
-    }
-    static bool armed() { return false; }
-    void arm(std::size_t = 0) {}
-    void disarm() {}
-    void setExportPath(const std::string &) {}
-    std::string exportPath() const { return {}; }
-    void record(const char *, std::int64_t, std::int64_t) {}
-    bool flushTo(const std::string &) { return true; }
-    bool flush() { return true; }
-    void maybePeriodicFlush(std::int64_t) {}
-    void installExitHandlers() {}
-    void clear() {}
-    std::size_t bufferedEvents() const { return 0; }
-    static std::int64_t nowSteadyNs();
-};
-
-/** Histogram-only span: spans that feed a latency histogram keep
- * timing under TREEVQA_NO_TRACE (metrics are not optional). */
-class TraceSpan
-{
-  public:
-    explicit TraceSpan(const char *name, Histogram *hist = nullptr);
-    ~TraceSpan() { end(); }
-
-    void end();
-
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
-
-  private:
-    Histogram *hist_;
-    std::int64_t startNs_ = 0;
-    bool active_;
-};
-
-#define TRACE_SPAN(name)                                             \
-    do {                                                             \
-    } while (0)
-#define TREEVQA_TRACE_CAT2(a, b) a##b
-#define TREEVQA_TRACE_CAT(a, b) TREEVQA_TRACE_CAT2(a, b)
-#define TRACE_SPAN_TIMED(name, hist)                                 \
-    ::treevqa::TraceSpan TREEVQA_TRACE_CAT(treevqa_span_,            \
-                                           __LINE__)(name, &(hist))
-
-#endif // TREEVQA_NO_TRACE
 
 } // namespace treevqa
 

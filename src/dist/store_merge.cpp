@@ -31,24 +31,6 @@ mergeMetrics()
     return m;
 }
 
-/** Shard paths in sorted order, so the merge input sequence (and
- * therefore the dedup pick among bit-equal duplicates) is independent
- * of directory enumeration order. */
-std::vector<std::string>
-sortedShardPaths(const std::string &sweepDir)
-{
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             sweepShardDir(sweepDir), ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".jsonl")
-            files.push_back(entry.path().string());
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-}
-
 /** One input store and what loading it saw. */
 struct StoreInput
 {
@@ -100,7 +82,11 @@ loadAllRecords(const std::string &sweepDir,
         records =
             ResultStore(sweepStorePath(sweepDir)).load(&canonicalStats);
         corrupt = canonicalStats.corrupt();
-        for (const std::string &path : sortedShardPaths(sweepDir)) {
+        // Sorted, so the merge input sequence (and therefore the
+        // dedup pick among bit-equal duplicates) is independent of
+        // directory enumeration order.
+        for (const std::string &path :
+             listSortedFiles(sweepShardDir(sweepDir), ".jsonl")) {
             StoreInput shard;
             shard.path = path;
             bool gone = false;

@@ -7,6 +7,7 @@
 
 #include <sys/stat.h>
 
+#include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "svc/sweep_dir.h"
@@ -40,18 +41,6 @@ tailMetrics()
         reg.counter("store.tail_full_rescans"),
         reg.histogram("store.tail_refresh_ns")};
     return m;
-}
-
-void
-collectJsonl(const std::string &dir, std::vector<std::string> &out)
-{
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file()
-            && entry.path().extension() == ".jsonl")
-            out.push_back(entry.path().string());
-    }
 }
 
 } // namespace
@@ -149,13 +138,14 @@ StoreTailReader::refresh()
     // a consistent snapshot always exists because compaction rewrites
     // the canonical store before deleting any shard.
     for (int attempt = 0; attempt < 3; ++attempt) {
-        std::vector<std::string> files;
+        // Sorted: `<dir>/results.jsonl` sorts before every
+        // `<dir>/workers/*.jsonl`, which the binary search needs.
+        std::vector<std::string> files =
+            listSortedFiles(sweepShardDir(sweepDir_), ".jsonl");
         const std::string canonical = sweepStorePath(sweepDir_);
         std::error_code ec;
         if (std::filesystem::exists(canonical, ec))
-            files.push_back(canonical);
-        collectJsonl(sweepShardDir(sweepDir_), files);
-        std::sort(files.begin(), files.end());
+            files.insert(files.begin(), canonical);
 
         bool reset = forceRescan_;
         if (!reset) {

@@ -205,30 +205,16 @@ removeClaimsOwnedBy(const std::string &sweepDir,
                     const std::string &workerId)
 {
     std::vector<std::string> freed;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(sweepClaimDir(sweepDir), ec);
-    if (ec)
-        return freed;
-    for (const auto &entry : it) {
-        if (entry.path().extension() != ".lock")
+    // A torn claim is not listed: it is left for the reap protocol.
+    for (const ClaimFile &claim : listClaims(sweepClaimDir(sweepDir))) {
+        if (claim.info.owner != workerId)
             continue;
-        std::string text;
-        if (!readTextFile(entry.path().string(), text))
-            continue;
-        try {
-            const ClaimInfo info =
-                claimFromJson(JsonValue::parse(text));
-            if (info.owner != workerId)
-                continue;
-            // Merge the dead owner's last stamp before journaling the
-            // reap, so the reap orders after its final heartbeat.
-            if (!info.hlc.empty())
-                HlcClock::instance().observe(info.hlc);
-            if (std::remove(entry.path().string().c_str()) == 0)
-                freed.push_back(info.fingerprint);
-        } catch (const std::exception &) {
-            // Torn claim: leave it for the reap protocol.
-        }
+        // Merge the dead owner's last stamp before journaling the
+        // reap, so the reap orders after its final heartbeat.
+        if (!claim.info.hlc.empty())
+            HlcClock::instance().observe(claim.info.hlc);
+        if (std::remove(claim.path.c_str()) == 0)
+            freed.push_back(claim.info.fingerprint);
     }
     return freed;
 }
@@ -368,24 +354,12 @@ Supervisor::watchdogScan(std::int64_t nowMs)
         return;
     TRACE_SPAN_TIMED("supervisor.watchdog_scan",
                      supervisorMetrics().watchdogScanNs);
-    std::error_code ec;
-    std::filesystem::directory_iterator it(
-        sweepClaimDir(options_.sweepDir), ec);
-    if (ec)
-        return;
     std::set<std::string> live_claims;
-    for (const auto &entry : it) {
-        if (entry.path().extension() != ".lock")
-            continue;
-        std::string text;
-        if (!readTextFile(entry.path().string(), text))
-            continue;
-        ClaimInfo info;
-        try {
-            info = claimFromJson(JsonValue::parse(text));
-        } catch (const std::exception &) {
-            continue; // torn claim, the reap protocol's problem
-        }
+    // Torn claims are not listed: they are the reap protocol's
+    // problem.
+    for (const ClaimFile &claim :
+         listClaims(sweepClaimDir(options_.sweepDir))) {
+        const ClaimInfo &info = claim.info;
         if (!info.hlc.empty())
             HlcClock::instance().observe(info.hlc);
         Slot *owner = nullptr;
@@ -619,8 +593,7 @@ Supervisor::beat(const std::string &state)
                JsonValue(static_cast<std::uint64_t>(
                    report_.retiredSlots.size())));
     writeMetricsSnapshot(options_.sweepDir, "supervisor",
-                         "supervisor-p" + std::to_string(::getpid()),
-                         status);
+                         sweepIncarnationToken("supervisor"), status);
     TraceRecorder::instance().maybePeriodicFlush(2000);
     EventLog::instance().flush();
 }

@@ -65,6 +65,40 @@ claimFromJson(const JsonValue &json)
     return info;
 }
 
+namespace {
+
+/** Claim-file bytes as a claim; nullopt when torn or corrupt. */
+std::optional<ClaimInfo>
+parseClaim(const std::string &text)
+{
+    try {
+        return claimFromJson(JsonValue::parse(text));
+    } catch (const std::exception &) {
+        return std::nullopt;
+    }
+}
+
+} // namespace
+
+std::optional<ClaimInfo>
+readClaimFile(const std::string &path)
+{
+    std::string text;
+    if (!readTextFile(path, text))
+        return std::nullopt;
+    return parseClaim(text);
+}
+
+std::vector<ClaimFile>
+listClaims(const std::string &claimDir)
+{
+    std::vector<ClaimFile> claims;
+    for (std::string &path : listSortedFiles(claimDir, ".lock"))
+        if (std::optional<ClaimInfo> info = readClaimFile(path))
+            claims.push_back({std::move(path), std::move(*info)});
+    return claims;
+}
+
 std::string
 WorkClaim::claimPath(const std::string &claimDir,
                      const std::string &fingerprint)
@@ -121,23 +155,18 @@ WorkClaim::tryAcquire(const std::string &claimDir,
     std::string text;
     if (!readTextFile(path, text))
         return std::nullopt; // released between our create and read
-    bool stale = false;
-    try {
-        const ClaimInfo held = claimFromJson(JsonValue::parse(text));
+    // Unparseable: the creator died mid-write (the window is one
+    // write() call) or the file was corrupted — reapable either way;
+    // a double claim only costs duplicate (identical) work.
+    if (const std::optional<ClaimInfo> held = parseClaim(text)) {
         // Merge the owner's stamp: everything we write from here on
         // (the takeover, the lease.reaped event) orders causally
         // after the dead owner's last heartbeat.
-        if (!held.hlc.empty())
-            HlcClock::instance().observe(held.hlc);
-        stale = claimIsStale(held, unixTimeMs(), skewGraceMs);
-    } catch (const std::exception &) {
-        // Unparseable: the creator died mid-write (the window is one
-        // write() call) or the file was corrupted — reapable either
-        // way; a double claim only costs duplicate (identical) work.
-        stale = true;
+        if (!held->hlc.empty())
+            HlcClock::instance().observe(held->hlc);
+        if (!claimIsStale(*held, unixTimeMs(), skewGraceMs))
+            return std::nullopt;
     }
-    if (!stale)
-        return std::nullopt;
 
     // Takeover: rename the stale lock to a reaper-private name.
     // rename() succeeds for exactly one contender (the source is gone
@@ -176,17 +205,11 @@ std::optional<ClaimInfo>
 WorkClaim::peek(const std::string &claimDir,
                 const std::string &fingerprint)
 {
-    std::string text;
-    if (!readTextFile(claimPath(claimDir, fingerprint), text))
-        return std::nullopt;
-    try {
-        ClaimInfo info = claimFromJson(JsonValue::parse(text));
-        if (!info.hlc.empty())
-            HlcClock::instance().observe(info.hlc);
-        return info;
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
+    std::optional<ClaimInfo> info =
+        readClaimFile(claimPath(claimDir, fingerprint));
+    if (info && !info->hlc.empty())
+        HlcClock::instance().observe(info->hlc);
+    return info;
 }
 
 bool
@@ -202,23 +225,15 @@ WorkClaim::renew(std::int64_t progress)
             path_.clear();
             return false;
         }
-    std::string text;
-    if (!readTextFile(path_, text)) {
-        path_.clear(); // reaped from under us
-        return false;
-    }
-    try {
-        const ClaimInfo held = claimFromJson(JsonValue::parse(text));
-        if (held.owner != info_.owner || held.fingerprint
-                != info_.fingerprint) {
-            path_.clear(); // someone took over after expiry
-            return false;
-        }
-        info_.renewals = held.renewals + 1;
-    } catch (const std::exception &) {
+    // Gone (reaped from under us), torn, or re-owned after a
+    // takeover: the lease is lost.
+    const std::optional<ClaimInfo> held = readClaimFile(path_);
+    if (!held || held->owner != info_.owner
+        || held->fingerprint != info_.fingerprint) {
         path_.clear();
         return false;
     }
+    info_.renewals = held->renewals + 1;
     info_.deadlineMs = unixTimeMs() + info_.leaseMs;
     if (progress >= 0)
         info_.progress = progress;
@@ -243,17 +258,11 @@ WorkClaim::release()
             return;
         }
     // Delete only if still ours: after a lost lease the file (if any)
-    // belongs to the worker that reaped it.
-    std::string text;
-    if (readTextFile(path_, text)) {
-        try {
-            if (claimFromJson(JsonValue::parse(text)).owner
-                == info_.owner)
-                std::remove(path_.c_str());
-        } catch (const std::exception &) {
-            // Corrupt content under our path: leave it for a reaper.
-        }
-    }
+    // belongs to the worker that reaped it, and corrupt content under
+    // our path is left for a reaper.
+    const std::optional<ClaimInfo> held = readClaimFile(path_);
+    if (held && held->owner == info_.owner)
+        std::remove(path_.c_str());
     path_.clear();
 }
 

@@ -37,6 +37,14 @@
  * optimization (don't run a job twice), never a correctness
  * requirement.
  *
+ * Readers: readClaimFile is the one claim-file parser and listClaims
+ * the one `claims/` listing. The worker's pre-compaction check, the
+ * supervisor's reap and hung-job watchdog, and `treevqa_run --status`
+ * and `--watch` all go through listClaims with their own filters;
+ * peek, renew and release read through readClaimFile. Only
+ * tryAcquire reads raw bytes, which its takeover compares after the
+ * rename.
+ *
  * Fault sites (common/fault_injection.h): "claim.acquire" (the
  * O_EXCL create behaves as failed → acquisition reports contended),
  * "claim.rename" (the takeover rename behaves as lost race),
@@ -51,6 +59,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/event_log.h"
 #include "common/json.h"
@@ -91,6 +100,23 @@ struct ClaimInfo
 
 JsonValue claimToJson(const ClaimInfo &info);
 ClaimInfo claimFromJson(const JsonValue &json);
+
+/** Read one claim file. nullopt when it is unreadable (absent,
+ * released) or torn/corrupt; callers decide what a torn claim means.
+ * The one claim-file parser: every reader of `claims/` goes through
+ * it or listClaims. Does not observe the claim's HLC stamp. */
+std::optional<ClaimInfo> readClaimFile(const std::string &path);
+
+/** One parseable claim file found by listClaims. */
+struct ClaimFile
+{
+    std::string path;
+    ClaimInfo info;
+};
+
+/** Every parseable `*.lock` under `claimDir`, sorted by path; torn
+ * or vanished claims are skipped. */
+std::vector<ClaimFile> listClaims(const std::string &claimDir);
 
 /** Default tolerated reaper/owner wall-clock skew (ms). */
 inline constexpr std::int64_t kClaimSkewGraceMs = 1000;

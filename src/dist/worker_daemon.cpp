@@ -110,22 +110,10 @@ bool
 peerHoldsLiveClaim(const std::string &sweepDir, const std::string &self,
                    std::int64_t skewGraceMs)
 {
-    std::error_code ec;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             sweepClaimDir(sweepDir), ec)) {
-        if (entry.path().extension() != ".lock")
-            continue;
-        std::string text;
-        if (!readTextFile(entry.path().string(), text))
-            continue;
-        try {
-            const ClaimInfo held = claimFromJson(JsonValue::parse(text));
-            if (held.owner != self
-                && !claimIsStale(held, unixTimeMs(), skewGraceMs))
-                return true;
-        } catch (const std::exception &) {
-        }
-    }
+    for (const ClaimFile &claim : listClaims(sweepClaimDir(sweepDir)))
+        if (claim.info.owner != self
+            && !claimIsStale(claim.info, unixTimeMs(), skewGraceMs))
+            return true;
     return false;
 }
 
@@ -224,8 +212,7 @@ WorkerDaemon::beat(const std::function<void(WorkerHealth &)> &fn)
         // The per-pid file token keeps a restarted slot from erasing
         // its predecessor's totals.
         writeMetricsSnapshot(options_.sweepDir, options_.workerId,
-                             options_.workerId + "-p"
-                                 + std::to_string(::getpid()),
+                             sweepIncarnationToken(options_.workerId),
                              beatStatus(health_));
     }
     // Keep the flight recorder's on-disk dump recent enough that a

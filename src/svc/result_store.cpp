@@ -49,37 +49,10 @@ quarantineStoreLine(const std::string &storePath,
                     std::size_t lineNumber, const std::string &line,
                     const std::string &reason)
 {
-    static std::mutex mutex;
-    static std::set<std::string> seen;
-    const std::string key = storePath + ":"
-        + std::to_string(lineNumber) + ":" + crc32Hex(line);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!seen.insert(key).second)
-            return;
-    }
-    std::fprintf(stderr,
-                 "treevqa: quarantining corrupt record %s:%zu (%s)\n",
-                 storePath.c_str(), lineNumber, reason.c_str());
-    try {
-        const std::filesystem::path dir = quarantineDirFor(storePath);
-        std::filesystem::create_directories(dir);
-        JsonValue envelope = JsonValue::object();
-        envelope.set("source", JsonValue(storePath));
-        envelope.set("line",
-                     JsonValue(static_cast<std::int64_t>(lineNumber)));
-        envelope.set("reason", JsonValue(reason));
-        envelope.set("data", JsonValue(line));
-        appendTextDurable(
-            (dir
-             / std::filesystem::path(storePath).filename())
-                .string(),
-            envelope.dump() + "\n");
-    } catch (const std::exception &e) {
-        std::fprintf(stderr,
-                     "treevqa: quarantine of %s:%zu failed (%s)\n",
-                     storePath.c_str(), lineNumber, e.what());
-    }
+    if (!quarantineLine(storePath, lineNumber, line, reason,
+                        quarantineDirFor(storePath),
+                        Durability::Durable))
+        return;
     JsonValue detail = JsonValue::object();
     detail.set("source",
                JsonValue(std::filesystem::path(storePath)
@@ -109,13 +82,9 @@ decodeStoredLine(const std::string &line, JobResult &record,
         reject(std::string("unparseable: ") + e.what());
         return StoredLineStatus::ParseFailure;
     }
-    if (json.isObject() && json.contains("crc")) {
-        const std::string expected = json.at("crc").asString();
-        json.erase("crc");
-        if (crc32Hex(json.dump()) != expected) {
-            reject("crc mismatch");
-            return StoredLineStatus::CrcMismatch;
-        }
+    if (const char *why = checkAndStripCrc(json)) {
+        reject(why);
+        return StoredLineStatus::CrcMismatch;
     }
     try {
         record = jobResultFromJson(json);
@@ -226,10 +195,7 @@ std::string
 jobResultToStoredLine(const JobResult &result)
 {
     JsonValue record = jobResultToJson(result);
-    // The CRC covers the serialization *without* the crc member; the
-    // member is appended last, so erasing it at load time restores
-    // the exact checksummed bytes (JsonValue preserves member order).
-    record.set("crc", JsonValue(crc32Hex(record.dump())));
+    stampCrc(record);
     return record.dump();
 }
 

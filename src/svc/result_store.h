@@ -6,14 +6,15 @@
  * Each completed job appends exactly one JSON object per line (spec +
  * fingerprint, energy trajectory, evaluation counts, wall time,
  * backend) carrying a trailing "crc" member — the CRC32 of the record
- * serialization without it — so a torn or corrupted line is
- * *detected*, never silently half-parsed. Lines are written under a
- * mutex through the durable append path (file_util: torn-line
- * sealing, EINTR retries, fsync), so a killed sweep loses at most the
- * line being written; load() quarantines any line that fails to
- * parse, fails its CRC, or whose stored fingerprint contradicts its
- * spec, copying it to `<dir>/quarantine/<store-file>` (once per
- * process) and skipping it — which together with the scheduler's
+ * serialization without it (common/file_util's stampCrc) — so a torn
+ * or corrupted line is *detected*, never silently half-parsed; a line
+ * without a "crc" member is rejected as a CRC mismatch. Lines are
+ * written under a mutex through the durable append path (file_util:
+ * torn-line sealing, EINTR retries, fsync), so a killed sweep loses at
+ * most the line being written; load() quarantines any line that fails
+ * to parse, lacks or fails its CRC, or whose stored fingerprint
+ * contradicts its spec, copying it to `<dir>/quarantine/<store-file>`
+ * (once per process) and skipping it — which together with the scheduler's
  * fingerprint skip makes the store the job-level resume ledger: a
  * quarantined record's job simply reruns.
  *
@@ -58,7 +59,8 @@ enum class StoredLineStatus
     /** The line did not parse as JSON, or parsed but was not a valid
      * record (missing/mistyped fields). */
     ParseFailure,
-    /** The line's trailing "crc" member contradicted its content. */
+    /** The line's trailing "crc" member was missing or contradicted
+     * its content. */
     CrcMismatch,
     /** The stored fingerprint contradicted the stored spec. */
     FingerprintMismatch
@@ -73,13 +75,10 @@ StoredLineStatus decodeStoredLine(const std::string &line,
                                   std::string *reason = nullptr);
 
 /**
- * Quarantine one corrupt store line: wrap it (with provenance and the
- * rejection reason) in a JSON envelope appended under
- * `quarantineDirFor(storePath)`. Best effort — a quarantine that
- * cannot be written must not turn a tolerated corruption into a crash
- * — and once per (store, line, content) per process, because scan
- * loops (full and incremental alike) revisit a corrupt line many
- * times over its lifetime.
+ * Quarantine one corrupt store line: common/file_util's quarantineLine
+ * appends its envelope durably under `quarantineDirFor(storePath)`,
+ * once per (store, line, content) per process, and that first time
+ * also journals a store.quarantine event.
  */
 void quarantineStoreLine(const std::string &storePath,
                          std::size_t lineNumber,
@@ -94,7 +93,8 @@ struct StoreLoadStats
     std::size_t records = 0;
     /** Lines that failed to parse as a record at all. */
     std::size_t parseFailures = 0;
-    /** Parseable lines whose CRC32 contradicted their content. */
+    /** Parseable lines with no CRC32 or one that contradicted their
+     * content. */
     std::size_t crcMismatches = 0;
     /** Records whose stored fingerprint contradicted their spec. */
     std::size_t fingerprintMismatches = 0;

@@ -84,8 +84,8 @@ checkpointPrevPath(const std::string &path)
 
 /**
  * Durable checkpoint write: the CRC32 of the compact serialization is
- * stamped in as a trailing "crc" member (restore erases it and
- * re-dumps to verify — common/json.h erase contract), the previous
+ * stamped in as a trailing "crc" member (stampCrc; restore rejects a
+ * file whose crc is missing or wrong), the previous
  * checkpoint is rotated to `<path>.prev` as the last-good fallback,
  * and the new file lands via atomic tmp + rename, so a kill at any
  * instant leaves at least one valid generation on disk. Fault site
@@ -101,7 +101,7 @@ writeCheckpoint(const std::string &path, const JsonValue &checkpoint)
     TRACE_SPAN_TIMED("runner.checkpoint_write",
                      runnerMetrics().checkpointNs);
     JsonValue stamped = checkpoint;
-    stamped.set("crc", JsonValue(crc32Hex(stamped.dump())));
+    stampCrc(stamped);
     std::string body = stamped.dump(2) + "\n";
     if (const FaultHit hit = FAULT_POINT("checkpoint.write")) {
         if (hit.action == FaultAction::FailErrno)
@@ -120,8 +120,8 @@ writeCheckpoint(const std::string &path, const JsonValue &checkpoint)
 }
 
 /** Restore loop state from one checkpoint file. Returns false (and
- * warns when the file existed) when it is absent, unreadable, fails
- * its CRC, or belongs to a different spec. */
+ * warns when the file existed) when it is absent, unreadable, lacks
+ * or fails its CRC, or belongs to a different spec. */
 bool
 tryRestoreFile(const std::string &path, const std::string &fingerprint,
                RunState &state, IterativeOptimizer &optimizer, Rng &rng)
@@ -131,14 +131,8 @@ tryRestoreFile(const std::string &path, const std::string &fingerprint,
         return false;
     try {
         JsonValue checkpoint = JsonValue::parse(text);
-        if (checkpoint.isObject() && checkpoint.contains("crc")) {
-            const std::string expected =
-                checkpoint.at("crc").asString();
-            checkpoint.erase("crc");
-            if (crc32Hex(checkpoint.dump()) != expected)
-                throw std::runtime_error("crc mismatch (torn or "
-                                         "corrupted write)");
-        }
+        if (const char *why = checkAndStripCrc(checkpoint))
+            throw std::runtime_error(why);
         if (checkpoint.at("version").asInt() != kCheckpointVersion)
             throw std::runtime_error("unsupported checkpoint version");
         if (checkpoint.at("fingerprint").asString() != fingerprint)

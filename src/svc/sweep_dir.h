@@ -18,10 +18,14 @@
  *                                     compaction)
  *   <dir>/logs/<worker>.log           child stdout/stderr when spawned
  *                                     by the supervisor
- *   <dir>/traces/<worker>.trace.json  Chrome trace_event dump of the
- *                                     worker's flight recorder
- *                                     (common/trace.h), written on
- *                                     exit and throttled heartbeats
+ *   <dir>/traces/<token>.trace.json   Chrome trace_event dump of one
+ *                                     process incarnation's flight
+ *                                     recorder (common/trace.h),
+ *                                     written on exit, fatal signals
+ *                                     and throttled beats; a
+ *                                     restarted slot adds a file
+ *                                     instead of overwriting the
+ *                                     killed incarnation's dump
  *   <dir>/metrics/<token>.json        per-process metrics-registry
  *                                     dump (common/metrics.h) with
  *                                     the process's health status
@@ -35,6 +39,8 @@
  *                                     HLC-stamped; merged by
  *                                     `treevqa_run --timeline` and
  *                                     `--events`
+ *
+ * `<token>` is sweepIncarnationToken(id): "<id>-p<pid>".
  */
 
 #ifndef TREEVQA_SVC_SWEEP_DIR_H
@@ -43,7 +49,19 @@
 #include <filesystem>
 #include <string>
 
+#include <unistd.h>
+
 namespace treevqa {
+
+/** "<id>-p<pid>": the file token of this process incarnation, so a
+ * restarted slot (same id, new pid) adds trace, metrics and journal
+ * files instead of overwriting its predecessor's. `id` must already
+ * be a filesystem-safe token (worker ids and "supervisor" are). */
+inline std::string
+sweepIncarnationToken(const std::string &id)
+{
+    return id + "-p" + std::to_string(::getpid());
+}
 
 inline std::string
 sweepSpecPath(const std::string &dir)
@@ -118,11 +136,13 @@ sweepTraceDir(const std::string &dir)
     return (std::filesystem::path(dir) / "traces").string();
 }
 
+/** One per-incarnation flight-recorder export (`fileToken` from
+ * sweepIncarnationToken). */
 inline std::string
-sweepTracePath(const std::string &dir, const std::string &workerId)
+sweepTracePath(const std::string &dir, const std::string &fileToken)
 {
     return (std::filesystem::path(dir) / "traces"
-            / (workerId + ".trace.json"))
+            / (fileToken + ".trace.json"))
         .string();
 }
 
@@ -132,8 +152,8 @@ sweepMetricsDir(const std::string &dir)
     return (std::filesystem::path(dir) / "metrics").string();
 }
 
-/** One per-process metrics dump. `fileToken` embeds the pid (e.g.
- * "<worker>-p1234") so restarted slots add files instead of
+/** One per-process metrics dump (`fileToken` from
+ * sweepIncarnationToken), so restarted slots add files instead of
  * overwriting their predecessor's totals. */
 inline std::string
 sweepMetricsPath(const std::string &dir,
@@ -150,8 +170,8 @@ sweepEventDir(const std::string &dir)
     return (std::filesystem::path(dir) / "events").string();
 }
 
-/** One per-incarnation event journal. `fileToken` embeds the pid
- * (e.g. "<worker>-p1234") so every incarnation appends to its own
+/** One per-incarnation event journal (`fileToken` from
+ * sweepIncarnationToken), so every incarnation appends to its own
  * journal and handoffs stay attributable. */
 inline std::string
 sweepEventPath(const std::string &dir, const std::string &fileToken)

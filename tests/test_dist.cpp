@@ -218,6 +218,7 @@ TEST(WorkClaim, TornClaimFileIsReapable)
 
 TEST(WorkClaim, InfoJsonRoundTrips)
 {
+    const auto dir = scratchDir("claim_roundtrip");
     ClaimInfo info;
     info.fingerprint = "abc123";
     info.owner = "host-42";
@@ -225,14 +226,42 @@ TEST(WorkClaim, InfoJsonRoundTrips)
     info.deadlineMs = 1753660830000;
     info.leaseMs = 30000;
     info.renewals = 7;
-    const ClaimInfo back =
-        claimFromJson(JsonValue::parse(claimToJson(info).dump()));
+    const std::string path = (dir / "abc123.lock").string();
+    writeTextFileAtomic(path, claimToJson(info).dump() + "\n");
+    const std::optional<ClaimInfo> read = readClaimFile(path);
+    ASSERT_TRUE(read.has_value());
+    const ClaimInfo &back = *read;
     EXPECT_EQ(back.fingerprint, info.fingerprint);
     EXPECT_EQ(back.owner, info.owner);
     EXPECT_EQ(back.acquiredMs, info.acquiredMs);
     EXPECT_EQ(back.deadlineMs, info.deadlineMs);
     EXPECT_EQ(back.leaseMs, info.leaseMs);
     EXPECT_EQ(back.renewals, info.renewals);
+}
+
+TEST(WorkClaim, ListClaimsReturnsParseableLocksSortedWithPaths)
+{
+    const auto dir = scratchDir("list_claims");
+    ASSERT_TRUE(WorkClaim::tryAcquire(dir.string(), "fpB", "w1", 60000)
+                    .has_value());
+    ASSERT_TRUE(WorkClaim::tryAcquire(dir.string(), "fpA", "w2", 60000)
+                    .has_value());
+    writeTextFileAtomic((dir / "fpC.lock").string(),
+                        "{\"owner\": \"half-writ");
+    ClaimInfo other;
+    other.fingerprint = "fpD";
+    other.owner = "w3";
+    writeTextFileAtomic((dir / "fpD.json").string(),
+                        claimToJson(other).dump() + "\n");
+
+    const std::vector<ClaimFile> claims = listClaims(dir.string());
+    ASSERT_EQ(claims.size(), 2u);
+    EXPECT_EQ(claims[0].path, WorkClaim::claimPath(dir.string(), "fpA"));
+    EXPECT_EQ(claims[0].info.fingerprint, "fpA");
+    EXPECT_EQ(claims[0].info.owner, "w2");
+    EXPECT_EQ(claims[1].path, WorkClaim::claimPath(dir.string(), "fpB"));
+    EXPECT_EQ(claims[1].info.fingerprint, "fpB");
+    EXPECT_EQ(claims[1].info.owner, "w1");
 }
 
 TEST(WorkClaim, StalenessToleratesClockSkewBothWays)

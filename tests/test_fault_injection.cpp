@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -252,8 +253,9 @@ TEST_F(FaultInjectionTest, StoreQuarantinesCorruptLinesAndRecovers)
     store.append(good);
 
     // Tamper: flip a digit inside the stored record so it still
-    // parses but fails its CRC, and add a torn fragment plus a
-    // consistent-looking record whose fingerprint lies about its spec.
+    // parses but fails its CRC, and add a torn fragment, a
+    // consistent-looking record whose fingerprint lies about its spec,
+    // and the good record with its crc stripped.
     std::string text;
     ASSERT_TRUE(readTextFile(path, text));
     const std::string key = "\"iterations\":";
@@ -269,15 +271,16 @@ TEST_F(FaultInjectionTest, StoreQuarantinesCorruptLinesAndRecovers)
     out << tampered;           // crc mismatch
     out << "{\"torn\": tru";   // unparseable fragment
     out << "\n" << forged.dump() << "\n"; // fingerprint mismatch
+    out << jobResultToJson(good).dump() << "\n"; // missing crc
     out.close();
 
     StoreLoadStats stats;
     const std::vector<JobResult> records = store.load(&stats);
     EXPECT_EQ(records.size(), 0u);
-    EXPECT_EQ(stats.crcMismatches, 1u);
+    EXPECT_EQ(stats.crcMismatches, 2u);
     EXPECT_EQ(stats.parseFailures, 1u);
     EXPECT_EQ(stats.fingerprintMismatches, 1u);
-    EXPECT_EQ(stats.corrupt(), 3u);
+    EXPECT_EQ(stats.corrupt(), 4u);
 
     // The corrupt lines were copied to the quarantine directory.
     const std::string qdir = quarantineDirFor(path);
@@ -289,6 +292,7 @@ TEST_F(FaultInjectionTest, StoreQuarantinesCorruptLinesAndRecovers)
     EXPECT_NE(quarantined.find("crc mismatch"), std::string::npos);
     EXPECT_NE(quarantined.find("unparseable"), std::string::npos);
     EXPECT_NE(quarantined.find("fingerprint"), std::string::npos);
+    EXPECT_NE(quarantined.find("missing crc"), std::string::npos);
 
     // Re-appending the good record makes the store whole again.
     store.append(good);
@@ -386,6 +390,39 @@ TEST_F(FaultInjectionTest, CorruptCheckpointFallsBackToLastGood)
     // Completion retires both generations.
     EXPECT_FALSE(std::filesystem::exists(ckpt));
     EXPECT_FALSE(std::filesystem::exists(ckpt + ".prev"));
+}
+
+TEST_F(FaultInjectionTest, CheckpointWithoutCrcFallsBackToLastGood)
+{
+    const auto dir = scratchDir("ckpt_nocrc");
+    const std::string ckpt = (dir / "job.json").string();
+    const ScenarioSpec spec = tinySpec("ckptjob4");
+
+    // Halt after iteration 9: the current generation holds iteration
+    // 8, the rotated .prev iteration 4.
+    ScenarioRunOptions options;
+    options.checkpointPath = ckpt;
+    options.haltAfterIterations = 9;
+    ASSERT_FALSE(runScenario(spec, options).completed);
+
+    // Strip the current generation's crc; the body stays valid.
+    std::string current;
+    ASSERT_TRUE(readTextFile(ckpt, current));
+    JsonValue stripped = JsonValue::parse(current);
+    ASSERT_TRUE(stripped.erase("crc"));
+    writeTextFileAtomic(ckpt, stripped.dump(2) + "\n");
+
+    // One iteration past the restored one shows which generation
+    // carried the resume: 5 from .prev, 9 from the stripped file.
+    std::atomic<std::int64_t> progress{-1};
+    ScenarioRunOptions resume;
+    resume.checkpointPath = ckpt;
+    resume.haltAfterIterations = 1;
+    resume.progressCounter = &progress;
+    const JobResult halted = runScenario(spec, resume);
+    ASSERT_FALSE(halted.completed);
+    EXPECT_TRUE(halted.resumed);
+    EXPECT_EQ(progress.load(), 5);
 }
 
 TEST_F(FaultInjectionTest, BothCheckpointsCorruptMeansFreshStart)

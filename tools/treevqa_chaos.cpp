@@ -390,63 +390,49 @@ auditObservabilityDumps(const std::string &dir)
     };
 
     for (const char *sub : {"metrics", "traces"}) {
-        std::error_code ec;
-        fs::directory_iterator it(fs::path(dir) / sub, ec);
-        if (ec)
-            continue;
-        for (const auto &entry : it) {
-            if (!entry.is_regular_file()
-                || entry.path().extension() != ".json")
-                continue;
+        for (const std::string &path :
+             listSortedFiles((fs::path(dir) / sub).string(), ".json")) {
             const std::string name =
-                entry.path().filename().string();
+                std::string(sub) + "/" + fs::path(path).filename().string();
             std::string text;
-            if (!readTextFile(entry.path().string(), text)) {
-                complain(std::string(sub) + "/" + name
-                         + ": unreadable");
+            if (!readTextFile(path, text)) {
+                complain(name + ": unreadable");
                 continue;
             }
             try {
                 JsonValue::parse(text);
             } catch (const std::exception &) {
-                complain(std::string(sub) + "/" + name
-                         + ": malformed JSON");
+                complain(name + ": malformed JSON");
             }
         }
     }
 
-    std::error_code ec;
-    fs::directory_iterator it(fs::path(dir) / "events", ec);
-    if (!ec)
-        for (const auto &entry : it) {
-            if (!entry.is_regular_file()
-                || entry.path().extension() != ".jsonl")
+    for (const std::string &path :
+         listSortedFiles((fs::path(dir) / "events").string(), ".jsonl")) {
+        std::string text;
+        if (!readTextFile(path, text))
+            continue;
+        std::istringstream lines(text);
+        std::string line;
+        std::size_t lineno = 0, bad = 0, last_bad = 0;
+        while (std::getline(lines, line)) {
+            ++lineno;
+            if (line.empty())
                 continue;
-            std::string text;
-            if (!readTextFile(entry.path().string(), text))
-                continue;
-            std::istringstream lines(text);
-            std::string line;
-            std::size_t lineno = 0, bad = 0, last_bad = 0;
-            while (std::getline(lines, line)) {
-                ++lineno;
-                if (line.empty())
-                    continue;
-                try {
-                    JsonValue::parse(line);
-                } catch (const std::exception &) {
-                    ++bad;
-                    last_bad = lineno;
-                }
+            try {
+                JsonValue::parse(line);
+            } catch (const std::exception &) {
+                ++bad;
+                last_bad = lineno;
             }
-            const bool torn_tail_only = bad == 1
-                && last_bad == lineno && !text.empty()
-                && text.back() != '\n';
-            if (bad > 0 && !torn_tail_only)
-                complain("events/" + entry.path().filename().string()
-                         + ": " + std::to_string(bad)
-                         + " malformed line(s)");
         }
+        const bool torn_tail_only = bad == 1 && last_bad == lineno
+            && !text.empty() && text.back() != '\n';
+        if (bad > 0 && !torn_tail_only)
+            complain("events/" + fs::path(path).filename().string()
+                     + ": " + std::to_string(bad)
+                     + " malformed line(s)");
+    }
     return problems;
 }
 

@@ -172,37 +172,14 @@ printStatus(const std::vector<ScenarioSpec> &specs,
     StoreTailReader tail(dir);
     tail.refresh();
 
+    // A torn claim mid-write is invisible this probe.
     std::map<std::string, ClaimInfo> claims;
-    {
-        std::error_code ec;
-        std::filesystem::directory_iterator it(sweepClaimDir(dir), ec);
-        if (!ec)
-            for (const auto &entry : it) {
-                if (entry.path().extension() != ".lock")
-                    continue;
-                std::string text;
-                if (!readTextFile(entry.path().string(), text))
-                    continue;
-                try {
-                    ClaimInfo info =
-                        claimFromJson(JsonValue::parse(text));
-                    std::string fp = info.fingerprint;
-                    claims.emplace(std::move(fp), std::move(info));
-                } catch (const std::exception &) {
-                    // Torn claim mid-write: invisible this probe.
-                }
-            }
-    }
+    for (const ClaimFile &claim : listClaims(sweepClaimDir(dir)))
+        claims.emplace(claim.info.fingerprint, claim.info);
     std::set<std::string> checkpointed;
-    {
-        std::error_code ec;
-        std::filesystem::directory_iterator it(sweepCheckpointDir(dir),
-                                               ec);
-        if (!ec)
-            for (const auto &entry : it)
-                if (entry.path().extension() == ".json")
-                    checkpointed.insert(entry.path().stem().string());
-    }
+    for (const std::string &path :
+         listSortedFiles(sweepCheckpointDir(dir), ".json"))
+        checkpointed.insert(std::filesystem::path(path).stem().string());
 
     // Detail rows walk the jobs in fingerprint order: a stable total
     // order the --after cursor can resume from, independent of the
@@ -492,24 +469,10 @@ std::vector<ClaimInfo>
 liveClaims(const std::string &dir, std::int64_t now)
 {
     std::vector<ClaimInfo> live;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(sweepClaimDir(dir), ec);
-    if (ec)
-        return live;
-    for (const auto &entry : it) {
-        if (entry.path().extension() != ".lock")
-            continue;
-        std::string text;
-        if (!readTextFile(entry.path().string(), text))
-            continue;
-        try {
-            ClaimInfo info = claimFromJson(JsonValue::parse(text));
-            if (now <= info.deadlineMs)
-                live.push_back(std::move(info));
-        } catch (const std::exception &) {
-            // Torn claim mid-write: invisible this probe.
-        }
-    }
+    // A torn claim mid-write is invisible this probe.
+    for (ClaimFile &claim : listClaims(sweepClaimDir(dir)))
+        if (now <= claim.info.deadlineMs)
+            live.push_back(std::move(claim.info));
     return live;
 }
 

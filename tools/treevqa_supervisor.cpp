@@ -257,11 +257,10 @@ main(int argc, char **argv)
 
         // Flight recorder: the supervisor's own spans (spawn, reap,
         // watchdog scans) land beside the workers' traces.
-        if (TraceRecorder::armed()) {
-            TraceRecorder::instance().setExportPath(
-                sweepTracePath(sweep_dir, "supervisor"));
-            TraceRecorder::instance().installExitHandlers();
-        }
+        // TREEVQA_TRACE arms it and installs the flush hooks.
+        if (TraceRecorder::armed())
+            TraceRecorder::instance().setExportPath(sweepTracePath(
+                sweep_dir, sweepIncarnationToken("supervisor")));
 
         const SupervisorReport report = supervisor.run();
         g_supervisor = nullptr;

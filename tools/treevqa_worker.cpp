@@ -310,13 +310,12 @@ main(int argc, char **argv)
         std::signal(SIGTERM, handleStopSignal);
 
         // Flight recorder: dump into the sweep's traces/ directory
-        // under this worker's identity, on normal exit, SIGTERM
-        // (clean drain path), and fatal signals alike.
-        if (TraceRecorder::armed()) {
+        // under this incarnation's token. TREEVQA_TRACE arms it and
+        // installs the exit and fatal-signal flush hooks at startup.
+        if (TraceRecorder::armed())
             TraceRecorder::instance().setExportPath(sweepTracePath(
-                sweep_dir, daemon.options().workerId));
-            TraceRecorder::instance().installExitHandlers();
-        }
+                sweep_dir,
+                sweepIncarnationToken(daemon.options().workerId)));
 
         const WorkerReport report = daemon.run();
         g_daemon = nullptr;
