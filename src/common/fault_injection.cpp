@@ -1,11 +1,15 @@
 #include "common/fault_injection.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <thread>
 
 #include "common/file_util.h"
@@ -41,10 +45,40 @@ struct FaultInjection::Entry
     double probability = 0.0;
     /** Max fires (0 = unlimited). */
     std::uint64_t times = 1;
+    /** Shared-budget token directory ("" = per-process budget). */
+    std::string tokens;
+    /** Position in the plan (names the entry's token files). */
+    std::size_t index = 0;
 
     std::uint64_t fired = 0;
+    /** Lowest token number not yet seen taken. */
+    std::uint64_t nextToken = 0;
     /** Dedicated Bernoulli stream (probability triggers). */
     Rng rng{0};
+
+    /**
+     * Claim one of the fleet-wide fire tokens. A raw
+     * open(O_CREAT|O_EXCL), not tryCreateExclusiveText: that helper's
+     * own `file.create_exclusive` site would re-enter evaluate()
+     * under its mutex. Tokens are never removed, so numbers below
+     * nextToken stay taken.
+     */
+    bool claimToken()
+    {
+        for (; nextToken < times; ++nextToken) {
+            const std::string path = tokens + "/fault-"
+                + std::to_string(index) + "-"
+                + std::to_string(nextToken);
+            const int fd =
+                ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+            if (fd >= 0) {
+                ::close(fd);
+                ++nextToken;
+                return true;
+            }
+        }
+        return false;
+    }
 };
 
 std::atomic<bool> &
@@ -57,8 +91,10 @@ FaultInjection::armedFlag()
 FaultInjection &
 FaultInjection::instance()
 {
-    static FaultInjection registry;
-    return registry;
+    // Leaked singleton: the trace recorder's atexit flush evaluates
+    // fault sites and may run after static destructors.
+    static FaultInjection *registry = new FaultInjection();
+    return *registry;
 }
 
 int
@@ -129,7 +165,7 @@ FaultInjection::arm(const std::string &planJson)
             jsonRejectUnknownKeys(spec,
                                   {"site", "action", "errno", "ms",
                                    "keepFraction", "hit",
-                                   "probability", "times"},
+                                   "probability", "times", "tokens"},
                                   "fault plan entry");
             Entry entry;
             entry.site = spec.at("site").asString();
@@ -155,6 +191,9 @@ FaultInjection::arm(const std::string &planJson)
             jsonMaybe(spec, "times", [&](const JsonValue &v) {
                 entry.times = v.asUint();
             });
+            jsonMaybe(spec, "tokens", [&](const JsonValue &v) {
+                entry.tokens = v.asString();
+            });
             if (entry.site.empty())
                 throw std::invalid_argument(
                     "fault plan: entry with empty site");
@@ -172,10 +211,18 @@ FaultInjection::arm(const std::string &planJson)
                 throw std::invalid_argument(
                     "fault plan: entry for \"" + entry.site
                     + "\" has both \"hit\" and \"probability\"");
-            entry.rng = Rng(deriveEntrySeed(seed, entries.size()));
+            if (!entry.tokens.empty() && entry.times == 0)
+                throw std::invalid_argument(
+                    "fault plan: entry for \"" + entry.site
+                    + "\" has \"tokens\" but no \"times\" budget");
+            entry.index = entries.size();
+            entry.rng = Rng(deriveEntrySeed(seed, entry.index));
             entries.push_back(std::move(entry));
         }
     });
+    for (const Entry &entry : entries)
+        if (!entry.tokens.empty())
+            std::filesystem::create_directories(entry.tokens);
 
     std::lock_guard<std::mutex> lock(mutex_);
     seed_ = seed;
@@ -222,7 +269,7 @@ FaultInjection::evaluate(const char *site)
                 // entries happened to fire.
                 fires = entry.rng.uniform() < entry.probability;
             }
-            if (!fires)
+            if (!fires || (!entry.tokens.empty() && !entry.claimToken()))
                 continue;
             ++entry.fired;
             ++count.fires;

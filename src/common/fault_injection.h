@@ -40,6 +40,14 @@
  *    identical fault schedule.
  *  - `"times": M` caps how often the entry fires (default 1; 0 means
  *    unlimited).
+ *  - `"tokens": "<dir>"` makes `times` one budget shared by every
+ *    process that arms the entry: before each fire the entry creates
+ *    a token file `<dir>/fault-<entry>-<k>` with O_EXCL (k < times),
+ *    and with no token left it does not fire. A supervised fleet that
+ *    restarts its crashed children re-arms the same plan in every
+ *    child, yet a `crash` entry with `"times": 2` kills exactly two
+ *    of them. The directory is created at arm(); `tokens` needs a
+ *    nonzero `times`.
  *
  * Actions, interpreted by the call site that owns the fault point:
  *
@@ -55,7 +63,17 @@
  *  - **delay-ms** — sleep `ms` at the site (performed inside
  *    evaluate(), then reported), for lease-expiry and race windows.
  *  - **crash** — raise SIGKILL at the site: a genuinely uncleaned
- *    death at a deterministic instant. Never returns.
+ *    death at a deterministic instant. Never returns. This is the
+ *    only way any program in the repository crashes on purpose: the
+ *    kill-and-resume drills (CI, treevqa_chaos) all arm a plan.
+ *
+ * Sites that only mark an instant, where `crash` and `delay-ms` are
+ * the meaningful actions:
+ *
+ *  - **checkpoint.written** — after a job's durable interval
+ *    checkpoint and its journal flush (scenario_runner.cpp). A crash
+ *    here leaves the checkpoint on disk for the next claimant, unlike
+ *    `checkpoint.write`, which fires before the write.
  *
  * The registry counts evaluations and fires per site (counters()), so
  * the chaos harness can assert a drill's faults actually happened.
@@ -152,9 +170,6 @@ class FaultInjection
 
     struct Entry;
 
-    /** Lazily consult TREEVQA_FAULT_PLAN exactly once per process. */
-    void armFromEnvironmentOnce();
-
     mutable std::mutex mutex_;
     std::vector<Entry> entries_;
     std::map<std::string, FaultSiteCounters> counters_;
@@ -167,19 +182,11 @@ class FaultInjection
  * its value; throws std::invalid_argument on an unknown name. */
 int faultErrnoFromName(const std::string &name);
 
-/**
- * The fault-site macro. Disarmed: one relaxed atomic load, no call.
- * Define TREEVQA_NO_FAULT_POINTS to compile every site to a literal
- * empty hit (paranoid production builds).
- */
-#ifdef TREEVQA_NO_FAULT_POINTS
-#define FAULT_POINT(site) (::treevqa::FaultHit{})
-#else
+/** The fault-site macro. Disarmed: one relaxed atomic load, no call. */
 #define FAULT_POINT(site)                                              \
     (::treevqa::FaultInjection::armed()                                \
          ? ::treevqa::FaultInjection::instance().evaluate(site)        \
          : ::treevqa::FaultHit{})
-#endif
 
 } // namespace treevqa
 

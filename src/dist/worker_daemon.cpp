@@ -629,7 +629,6 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             sweepCheckpointPath(options_.sweepDir, fingerprint);
         run_options.haltAfterIterations =
             options_.haltJobsAfterIterations;
-        run_options.onCheckpoint = options_.onCheckpoint;
         run_options.progressCounter = &progress_counter;
         run_options.shouldStop = [this] { return stop_.load(); };
 

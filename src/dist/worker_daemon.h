@@ -156,9 +156,6 @@ struct WorkerOptions
      * what a SIGKILL at that instant leaves.
      */
     int haltJobsAfterIterations = 0;
-    /** Invoked after each durable checkpoint write (the worker CLI's
-     * --sigkill-after-checkpoints hook). */
-    std::function<void()> onCheckpoint;
     /**
      * In-process hung-job watchdog (0 = disabled): when the job's
      * progress counter stays frozen this long while the heartbeat

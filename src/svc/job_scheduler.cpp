@@ -122,7 +122,6 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
         const std::size_t index = pending[p];
         ScenarioRunOptions options;
         options.checkpointPath = checkpointPathFor(specs[index]);
-        options.onCheckpoint = config_.onCheckpoint;
         options.haltAfterIterations = config_.haltJobsAfterIterations;
         JobResult result = runScenario(specs[index], options);
         if (store && result.completed)

@@ -28,7 +28,6 @@
 #ifndef TREEVQA_SVC_JOB_SCHEDULER_H
 #define TREEVQA_SVC_JOB_SCHEDULER_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,6 @@ struct SchedulerConfig
      * store still appends). */
     bool resume = true;
     /** Propagated to every job runner (see ScenarioRunOptions). */
-    std::function<void()> onCheckpoint;
     int haltJobsAfterIterations = 0;
 };
 

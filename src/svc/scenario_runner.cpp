@@ -288,22 +288,19 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
             writeCheckpoint(options.checkpointPath,
                             checkpointToJson(result.fingerprint, state,
                                              *optimizer, eval_rng));
-            {
-                // Flushed before onCheckpoint: the crash drills kill
-                // the process inside that hook, and the journal must
-                // already show the checkpoint the next claimant will
-                // resume from.
-                JsonValue detail = JsonValue::object();
-                detail.set("iteration",
-                           JsonValue(static_cast<std::int64_t>(
-                               state.iteration)));
-                EventLog::instance().emit(
-                    event_type::kJobCheckpointed, result.fingerprint,
-                    std::move(detail));
-                EventLog::instance().flush();
-            }
-            if (options.onCheckpoint)
-                options.onCheckpoint();
+            // Flushed before checkpoint.written: the kill-and-resume
+            // drills crash the process at that site, and the journal
+            // must already show the checkpoint the next claimant will
+            // resume from.
+            JsonValue detail = JsonValue::object();
+            detail.set("iteration", JsonValue(static_cast<std::int64_t>(
+                                        state.iteration)));
+            EventLog::instance().emit(event_type::kJobCheckpointed,
+                                      result.fingerprint,
+                                      std::move(detail));
+            EventLog::instance().flush();
+            if (const FaultHit hit = FAULT_POINT("checkpoint.written"))
+                (void)hit; // crash never returns; a delay is served
         }
         if (options.haltAfterIterations > 0
             && executed_this_call >= options.haltAfterIterations

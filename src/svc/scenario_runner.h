@@ -25,6 +25,11 @@
  *    an uninterrupted run, because JSON number round-trips are exact
  *    (common/json.h) and the iteration loop re-executes the same
  *    evaluation sequence.
+ *  - **Kill points.** After each interval checkpoint is durable and
+ *    journaled, the runner evaluates the `checkpoint.written` fault
+ *    site (common/fault_injection.h). A `crash` entry there is how
+ *    every kill-and-resume drill kills a job mid-run; in-process
+ *    tests use haltAfterIterations instead.
  */
 
 #ifndef TREEVQA_SVC_SCENARIO_RUNNER_H
@@ -104,9 +109,6 @@ struct ScenarioRunOptions
      * completion.
      */
     int haltAfterIterations = 0;
-    /** Invoked after each durable checkpoint write (the CLI's
-     * --abort-after-checkpoints hook). */
-    std::function<void()> onCheckpoint;
     /**
      * Live progress surface: when non-null, the runner stores the
      * completed-iteration count here after every optimizer step. The

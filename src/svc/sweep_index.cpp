@@ -5,6 +5,7 @@
 
 #include <sys/stat.h>
 
+#include "common/event_log.h"
 #include "common/file_util.h"
 #include "svc/sweep_dir.h"
 
@@ -26,6 +27,24 @@ fingerprintSpecs(const std::vector<ScenarioSpec> &specs)
         fingerprints.push_back(std::move(fp));
     }
     return fingerprints;
+}
+
+void
+seedSweepDir(const std::string &dir, const std::string &requestText,
+             const std::vector<ScenarioSpec> &specs,
+             const std::string &origin)
+{
+    std::filesystem::create_directories(dir);
+    writeTextFileAtomic(sweepSpecPath(dir), requestText);
+    EventLog &log = EventLog::instance();
+    log.open(dir, origin);
+    for (const ScenarioSpec &spec : specs) {
+        JsonValue detail = JsonValue::object();
+        detail.set("name", JsonValue(spec.name));
+        log.emit(event_type::kJobExpanded, scenarioFingerprint(spec),
+                 std::move(detail));
+    }
+    log.flush();
 }
 
 SweepIndex::SweepIndex(std::string sweepDir)

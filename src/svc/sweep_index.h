@@ -34,6 +34,18 @@ namespace treevqa {
 std::vector<std::string>
 fingerprintSpecs(const std::vector<ScenarioSpec> &specs);
 
+/**
+ * Seed `dir` with a sweep: create it, write `requestText` (which
+ * expands to `specs`) as sweep.json atomically, then journal one
+ * job.expanded per job under `origin` and flush, so the sweep's birth
+ * is on the record before anything can claim its jobs. `origin` is
+ * the journal identity ("run" for treevqa_run, "seed" for a --spec
+ * worker or supervisor).
+ */
+void seedSweepDir(const std::string &dir, const std::string &requestText,
+                  const std::vector<ScenarioSpec> &specs,
+                  const std::string &origin);
+
 class SweepIndex
 {
   public:

@@ -1074,18 +1074,24 @@ TEST(WorkerDaemon, GracefulStopSealsCheckpointAndResumesBitIdentical)
     const std::vector<JobResult> reference =
         referenceRun(specs, "graceful_ref");
 
-    // Stop is requested from inside the first durable checkpoint
-    // write (iteration 4 of 12) — the moment a SIGTERM handler would
-    // flip the same flag. The runner must seal a checkpoint at the
-    // current iteration, release the claim, and record nothing.
+    // Stop is requested once the job's progress counter reaches
+    // iteration 4 of 12 — the moment a SIGTERM handler would flip the
+    // same flag. The runner must seal a checkpoint at the current
+    // iteration, release the claim, and record nothing.
     WorkerDaemon *running = nullptr;
     WorkerOptions options;
     options.sweepDir = dir.string();
     options.workerId = "stopped";
     options.leaseMs = 60000;
-    options.onCheckpoint = [&running] {
-        if (running != nullptr)
-            running->requestStop();
+    options.jobRunner = [&running](const ScenarioSpec &spec,
+                                   const ScenarioRunOptions &run) {
+        ScenarioRunOptions stopping = run;
+        stopping.shouldStop = [&running, &run] {
+            if (run.progressCounter->load() >= 4)
+                running->requestStop();
+            return run.shouldStop();
+        };
+        return runScenario(spec, stopping);
     };
     WorkerDaemon daemon(options);
     running = &daemon;
@@ -1107,7 +1113,7 @@ TEST(WorkerDaemon, GracefulStopSealsCheckpointAndResumesBitIdentical)
     // The next claimant resumes from the sealed checkpoint and the
     // interruption is invisible in the results.
     options.workerId = "resumer";
-    options.onCheckpoint = nullptr;
+    options.jobRunner = nullptr;
     const WorkerReport resumed = WorkerDaemon(options).run(specs);
     EXPECT_EQ(resumed.completed, 1u);
     EXPECT_GE(resumed.resumed, 1u);

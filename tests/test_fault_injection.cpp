@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,7 @@
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/trace.h"
 #include "dist/store_merge.h"
 #include "dist/worker_daemon.h"
 #include "svc/result_store.h"
@@ -135,6 +138,73 @@ TEST_F(FaultInjectionTest, TimesCapsAndZeroMeansUnlimited)
            "errno": "EIO", "hit": 1, "times": 0}]})");
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(static_cast<bool>(FAULT_POINT("t.all")));
+}
+
+TEST_F(FaultInjectionTest, TokensShareTimesAcrossProcesses)
+{
+    const auto dir = scratchDir("tokens");
+    const std::string tokens = (dir / "budget").string();
+    const std::string plan =
+        R"({"faults": [{"site": "t.tok", "action": "fail-errno",
+        "errno": "EIO", "hit": 1, "times": 2, "tokens": ")"
+        + tokens + R"("}]})";
+    // Each arm() stands in for a fresh process re-arming the same
+    // plan: its own counters start at zero, the budget does not.
+    auto &fi = FaultInjection::instance();
+    int fires = 0;
+    for (int process = 0; process < 3; ++process) {
+        fi.arm(plan);
+        for (int i = 0; i < 5; ++i)
+            fires += static_cast<bool>(FAULT_POINT("t.tok")) ? 1 : 0;
+    }
+    EXPECT_EQ(fires, 2);
+    EXPECT_EQ(listSortedFiles(tokens, "").size(), 2u);
+
+    // A shared budget needs a bound.
+    EXPECT_THROW(fi.arm(R"({"faults": [{"site": "t.tok", "action":
+                "crash", "hit": 1, "times": 0, "tokens": ")"
+                        + tokens + R"("}]})"),
+                 std::invalid_argument);
+}
+
+TEST_F(FaultInjectionTest, CheckpointWrittenSiteMarksEachIntervalCheckpoint)
+{
+    // checkpointInterval 4 over 12 iterations: durable checkpoints at
+    // 4 and 8 (none at the final iteration), so two kill points.
+    const auto dir = scratchDir("ckpt_written");
+    FaultInjection::instance().arm(R"({"faults": []})");
+    ScenarioRunOptions options;
+    options.checkpointPath = (dir / "job.json").string();
+    ASSERT_TRUE(runScenario(tinySpec("written"), options).completed);
+    const auto counters = FaultInjection::instance().counters();
+    ASSERT_EQ(counters.count("checkpoint.written"), 1u);
+    EXPECT_EQ(counters.at("checkpoint.written").evaluations, 2u);
+    EXPECT_EQ(counters.at("checkpoint.written").fires, 0u);
+}
+
+TEST(FaultInjectionExit, ArmedRegistryOutlivesTheTraceExitFlush)
+{
+    // The trace recorder's atexit flush writes through fault sites. A
+    // registry built after that hook was installed would be destroyed
+    // before the hook runs, so the registry is never destroyed. The
+    // threadsafe style re-executes this test alone, so the registry
+    // really is built after the hook in the child.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto dir = scratchDir("exit_flush");
+    const std::string path = (dir / "exit.trace.json").string();
+    EXPECT_EXIT(
+        {
+            ::alarm(10); // a deadlocked exit dies of SIGALRM
+            TraceRecorder &trace = TraceRecorder::instance();
+            trace.arm();
+            trace.installExitHandlers();
+            trace.setExportPath(path);
+            FaultInjection::instance().arm(R"({"faults": []})");
+            trace.flush(); // as a worker's beat does: sites get counted
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "");
+    EXPECT_TRUE(std::filesystem::exists(path));
 }
 
 TEST_F(FaultInjectionTest, ProbabilityScheduleIsSeedDeterministic)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "svc/job_scheduler.h"
 #include "svc/result_store.h"
@@ -414,14 +415,18 @@ TEST(ScenarioRunner, KillAndResumeReachesIdenticalEnergies)
     EXPECT_TRUE(
         std::filesystem::exists(interrupted.checkpointPath));
 
-    int checkpoints_after_resume = 0;
+    const auto checkpoints_written = [] {
+        return MetricsRegistry::instance().snapshot().counters.at(
+            "runner.checkpoints_written");
+    };
+    const std::uint64_t written_before = checkpoints_written();
     ScenarioRunOptions resume;
     resume.checkpointPath = interrupted.checkpointPath;
-    resume.onCheckpoint = [&] { ++checkpoints_after_resume; };
     const JobResult resumed = runScenario(spec, resume);
     EXPECT_TRUE(resumed.completed);
     EXPECT_TRUE(resumed.resumed);
-    EXPECT_GT(checkpoints_after_resume, 0);
+    // Resumed from iteration 4: interval checkpoints at 8 and 12.
+    EXPECT_EQ(checkpoints_written() - written_before, 2u);
 
     expectJobsBitIdentical(reference, resumed);
     // A finished job retires its checkpoint.

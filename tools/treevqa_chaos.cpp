@@ -264,7 +264,9 @@ struct SupervisorDrill
 {
     std::string name;
     std::string faults; // "[]" = the fleet runs disarmed
-    std::vector<std::string> workerArgs;
+    /** Fleet-wide crash tokens the drill must leave behind in
+     * crashTokenDir (0 = its plan has no `tokens` entry). */
+    std::size_t expectTokens = 0;
     long jobTimeoutMs = 0;
     int crashLoopBudget = 5;
     int maxJobAttempts = 3;
@@ -277,19 +279,31 @@ struct SupervisorDrill
     bool checkAttemptBudget = false;
 };
 
+/** Where a supervisor drill's `tokens` entry keeps its budget. */
+std::string
+crashTokenDir(const std::string &outRoot, const std::string &drill)
+{
+    return (std::filesystem::path(outRoot) / drill / "crash-tokens")
+        .string();
+}
+
 std::vector<SupervisorDrill>
-supervisorDrillMatrix()
+supervisorDrillMatrix(const std::string &outRoot)
 {
     std::vector<SupervisorDrill> drills;
     {
-        // Child SIGKILL storm: exactly two fleet-wide kills via the
-        // worker's O_EXCL killstorm tokens (a per-process counter
-        // would re-fire in every restarted child). The supervisor
-        // restarts the dead slots and the fleet still drains itself.
+        // Child SIGKILL storm: every child crashes after a durable
+        // checkpoint while a token is left, and the plan's O_EXCL
+        // tokens make that exactly two kills fleet-wide (a
+        // per-process budget would re-fire in every restarted child).
+        // The supervisor restarts the dead slots and the fleet still
+        // drains itself.
         SupervisorDrill d;
         d.name = "supervisor-kill-storm";
-        d.faults = "[]";
-        d.workerArgs = {"--sigkill-storm", "2"};
+        d.faults =
+            R"([{"site": "checkpoint.written", "action": "crash", "hit": 1, "times": 2, "tokens": )"
+            + JsonValue(crashTokenDir(outRoot, d.name)).dump() + "}]";
+        d.expectTokens = 2;
         d.minCrashes = 2;
         drills.push_back(std::move(d));
     }
@@ -579,7 +593,7 @@ main(int argc, char **argv)
 
         const std::vector<Drill> drills = drillMatrix();
         const std::vector<SupervisorDrill> sup_drills =
-            supervisorDrillMatrix();
+            supervisorDrillMatrix(out_root);
         if (print_matrix) {
             for (std::size_t i = 0; i < drills.size(); ++i)
                 std::printf(
@@ -737,9 +751,6 @@ main(int argc, char **argv)
                 options.workerCommand.push_back(
                     std::to_string(drill.jobTimeoutMs));
             }
-            options.workerCommand.insert(options.workerCommand.end(),
-                                         drill.workerArgs.begin(),
-                                         drill.workerArgs.end());
 
             Supervisor supervisor(std::move(options));
             const SupervisorReport rep = supervisor.run();
@@ -772,6 +783,15 @@ main(int argc, char **argv)
                    "timeout records "
                        + std::to_string(rep.timeoutRecords) + " < "
                        + std::to_string(drill.minTimeoutRecords));
+            if (drill.expectTokens > 0) {
+                const std::size_t tokens =
+                    listSortedFiles(crashTokenDir(out_root, drill.name),
+                                    "")
+                        .size();
+                expect(tokens == drill.expectTokens,
+                       std::to_string(tokens) + " crash tokens, expected "
+                           + std::to_string(drill.expectTokens));
+            }
             const JsonValue health = aggregateHealthJson(
                 readMetricsDumps(dir), unixTimeMs());
             const auto &rows = health.at("workers").asArray();

@@ -8,7 +8,6 @@
  *
  *   treevqa_run SPEC.json [--out DIR] [--jobs N] [--fresh]
  *               [--print-specs] [--validate] [--summary-only]
- *               [--abort-after-checkpoints N]
  *   treevqa_run [SPEC.json] --status --out DIR [--limit N]
  *               [--after FINGERPRINT]
  *   treevqa_run --health --out DIR
@@ -78,18 +77,18 @@
  *                 sweeps); with --status, print only the totals line
  *                 (counts stream off the record scalars — no job
  *                 table, no record bodies, no checkpoint reads)
- *   --abort-after-checkpoints N
- *                 _Exit(75) after the Nth checkpoint write across all
- *                 jobs — a deterministic stand-in for SIGKILL used by
- *                 the kill-and-resume smoke test
+ *
+ * A mid-sweep kill is simulated through the fault plan, e.g.
+ * TREEVQA_FAULT_PLAN='{"faults": [{"site": "checkpoint.written",
+ * "action": "crash", "hit": 2}]}' SIGKILLs the run after the second
+ * durable checkpoint across all jobs (shell status 137); rerunning
+ * with the same --out resumes it.
  *
  * Exit codes: 0 success, 1 runtime error, 2 usage error, 3 a --status
- * probe found poisoned jobs or quarantined store lines (the CI gate),
- * 75 aborted by --abort-after-checkpoints.
+ * probe found poisoned jobs or quarantined store lines (the CI gate).
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -114,6 +113,7 @@
 #include "dist/worker_daemon.h"
 #include "svc/job_scheduler.h"
 #include "svc/sweep_dir.h"
+#include "svc/sweep_index.h"
 
 #include "cli_util.h"
 
@@ -127,7 +127,6 @@ usage(const char *argv0, bool requested)
     std::fprintf(requested ? stdout : stderr,
                  "usage: %s SPEC.json [--out DIR] [--jobs N] [--fresh]\n"
                  "       [--print-specs] [--validate] [--summary-only]\n"
-                 "       [--abort-after-checkpoints N]\n"
                  "       %s [SPEC.json] --status --out DIR [--limit N]"
                  " [--after FP]\n"
                  "       %s --health --out DIR\n"
@@ -142,8 +141,6 @@ usage(const char *argv0, bool requested)
                  argv0, argv0, argv0, argv0, argv0, argv0, argv0);
     return requested ? 0 : 2;
 }
-
-std::atomic<long> g_checkpointsUntilAbort{0};
 
 /**
  * --status: one line per job — recorded / claimed (owner, lease) /
@@ -554,7 +551,6 @@ main(int argc, char **argv)
     bool health = false;
     bool metrics = false;
     bool summary_only = false;
-    long abort_after = 0;
     std::string timeline_fp;
     bool events = false;
     bool watch = false;
@@ -640,13 +636,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "--watch-interval-ms must be an integer "
                              ">= 1\n");
-                return 2;
-            }
-        } else if (arg == "--abort-after-checkpoints") {
-            if (!parsePositive(next_value(), abort_after)) {
-                std::fprintf(stderr,
-                             "--abort-after-checkpoints must be an "
-                             "integer >= 1\n");
                 return 2;
             }
         } else if (arg == "--help" || arg == "-h") {
@@ -802,38 +791,10 @@ main(int argc, char **argv)
             std::filesystem::remove_all(sweepClaimDir(out_dir));
             std::filesystem::remove_all(sweepShardDir(out_dir));
         }
-        if (!out_dir.empty()) {
-            // Seed the directory with the request document so worker
-            // processes (treevqa_worker --sweep-dir) can join this
-            // sweep without being handed the spec file separately.
-            std::filesystem::create_directories(out_dir);
-            writeTextFileAtomic(sweepSpecPath(out_dir), request_text);
-            // The sweep's birth certificate: one job.expanded per
-            // job, journaled before anything can claim them. The
-            // scheduler reopens the log under its own identity later;
-            // that retarget flushes this batch first.
-            EventLog::instance().open(out_dir, "run");
-            for (const ScenarioSpec &spec : specs) {
-                JsonValue detail = JsonValue::object();
-                detail.set("name", JsonValue(spec.name));
-                EventLog::instance().emit(
-                    event_type::kJobExpanded,
-                    scenarioFingerprint(spec), std::move(detail));
-            }
-            EventLog::instance().flush();
-        }
-        if (abort_after > 0) {
-            g_checkpointsUntilAbort.store(abort_after);
-            config.onCheckpoint = [] {
-                if (g_checkpointsUntilAbort.fetch_sub(1) == 1) {
-                    std::fprintf(stderr,
-                                 "treevqa_run: aborting after "
-                                 "checkpoint (simulated kill)\n");
-                    std::fflush(nullptr);
-                    std::_Exit(75);
-                }
-            };
-        }
+        if (!out_dir.empty())
+            // Worker processes (treevqa_worker --sweep-dir) can join
+            // this sweep without being handed the spec file.
+            seedSweepDir(out_dir, request_text, specs, "run");
 
         JobScheduler scheduler(config);
         const SweepResult sweep = scheduler.run(specs);

@@ -63,11 +63,11 @@
 
 #include <unistd.h>
 
-#include "common/event_log.h"
 #include "common/file_util.h"
 #include "common/trace.h"
 #include "dist/supervisor.h"
 #include "svc/sweep_dir.h"
+#include "svc/sweep_index.h"
 
 #include "cli_util.h"
 
@@ -203,23 +203,9 @@ main(int argc, char **argv)
                              spec_path.c_str());
                 return 1;
             }
-            const std::vector<ScenarioSpec> seeded =
-                expandScenarios(JsonValue::parse(text));
-            std::filesystem::create_directories(sweep_dir);
-            writeTextFileAtomic(sweepSpecPath(sweep_dir), text);
-            // Journal the sweep's birth: one job.expanded per job,
-            // flushed before the fleet spawns. The supervisor's run
-            // loop reopens the log under its own identity; that
-            // retarget flushes this batch first.
-            EventLog::instance().open(sweep_dir, "seed");
-            for (const ScenarioSpec &spec : seeded) {
-                JsonValue detail = JsonValue::object();
-                detail.set("name", JsonValue(spec.name));
-                EventLog::instance().emit(
-                    event_type::kJobExpanded,
-                    scenarioFingerprint(spec), std::move(detail));
-            }
-            EventLog::instance().flush();
+            seedSweepDir(sweep_dir, text,
+                         expandScenarios(JsonValue::parse(text)),
+                         "seed");
         }
 
         if (worker_bin.empty())

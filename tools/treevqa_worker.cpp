@@ -13,7 +13,6 @@
  *   treevqa_worker --sweep-dir DIR [--spec FILE] [--worker-id ID]
  *                  [--lease-ms N] [--max-jobs N] [--drain-and-exit]
  *                  [--poll-ms N] [--no-merge] [--merge-only]
- *                  [--sigkill-after-checkpoints N]
  *
  *   --sweep-dir DIR  the shared sweep directory (required)
  *   --spec FILE      seed DIR/sweep.json from FILE (validated first);
@@ -45,43 +44,31 @@
  *                    abandons the lease so another worker can reap
  *                    the job (default off; the supervisor adds the
  *                    external SIGKILL variant)
- *   --sigkill-after-checkpoints N
- *                    raise(SIGKILL) after the Nth durable checkpoint
- *                    write — a genuinely uncleaned death at a
- *                    deterministic instant, used by the CI takeover
- *                    smoke test
- *   --sigkill-storm N
- *                    fleet-wide SIGKILL budget: at every checkpoint
- *                    the worker tries to claim one of N O_EXCL token
- *                    files under DIR/killstorm/ and SIGKILLs itself
- *                    on success — exactly N kills across the whole
- *                    (supervised, restarting) fleet, however many
- *                    times children re-arm. The supervised-restart
- *                    drill needs this: a per-process kill counter
- *                    would re-fire in every restarted child forever.
+ *
+ * Crash drills arm TREEVQA_FAULT_PLAN (common/fault_injection.h): a
+ * `crash` entry at site `checkpoint.written` with `"hit": N` SIGKILLs
+ * the worker after its Nth durable checkpoint, holding a live lease.
+ * Adding `"times": K, "tokens": "DIR/crash-tokens"` makes the K kills
+ * one budget for a whole supervised fleet, however often restarted
+ * children re-arm the plan.
  *
  * SIGINT/SIGTERM stop the loop after the job in flight. Exit codes:
- * 0 success, 1 runtime error, 2 usage error (a --sigkill death shows
+ * 0 success, 1 runtime error, 2 usage error (a planned crash shows
  * as signal 9 / shell status 137).
  */
 
-#include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <string>
-#include <vector>
 
-#include "common/event_log.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "dist/store_merge.h"
 #include "dist/worker_daemon.h"
 #include "svc/sweep_dir.h"
+#include "svc/sweep_index.h"
 
 #include "cli_util.h"
 
@@ -99,34 +86,12 @@ usage(const char *argv0, bool requested)
         "       [--poll-ms N] [--claim-batch N]\n"
         "       [--no-merge] [--merge-only]\n"
         "       [--max-job-attempts N] [--retry-backoff-ms N]\n"
-        "       [--job-timeout-ms N] [--sigkill-after-checkpoints N]\n"
-        "       [--sigkill-storm N]\n",
+        "       [--job-timeout-ms N]\n",
         argv0);
     return requested ? 0 : 2;
 }
 
 WorkerDaemon *g_daemon = nullptr;
-std::atomic<long> g_checkpointsUntilSigkill{0};
-std::string g_stormDir;
-long g_stormBudget = 0;
-
-/** Claim one of the fleet-wide kill tokens; SIGKILL on success. */
-void
-maybeStormSigkill()
-{
-    for (long k = 0; k < g_stormBudget; ++k) {
-        const std::string token =
-            g_stormDir + "/token-" + std::to_string(k);
-        if (tryCreateExclusiveText(token, "claimed\n")) {
-            std::fprintf(stderr,
-                         "treevqa_worker: SIGKILL storm token %ld "
-                         "claimed; dying (crash drill)\n",
-                         k);
-            std::fflush(nullptr);
-            ::raise(SIGKILL);
-        }
-    }
-}
 
 extern "C" void
 handleStopSignal(int)
@@ -149,8 +114,6 @@ main(int argc, char **argv)
     bool drain_and_exit = false;
     bool merge_on_drain = true;
     bool merge_only = false;
-    long sigkill_after = 0;
-    long sigkill_storm = 0;
     long max_job_attempts = 3;
     long retry_backoff_ms = 50;
     long job_timeout_ms = 0;
@@ -199,10 +162,6 @@ main(int argc, char **argv)
             next_positive(retry_backoff_ms);
         } else if (arg == "--job-timeout-ms") {
             next_positive(job_timeout_ms);
-        } else if (arg == "--sigkill-after-checkpoints") {
-            next_positive(sigkill_after);
-        } else if (arg == "--sigkill-storm") {
-            next_positive(sigkill_storm);
         } else if (arg == "--help" || arg == "-h") {
             return usage(argv[0], true);
         } else {
@@ -223,21 +182,9 @@ main(int argc, char **argv)
                              spec_path.c_str());
                 return 1;
             }
-            const std::vector<ScenarioSpec> seeded =
-                expandScenarios(JsonValue::parse(text));
-            std::filesystem::create_directories(sweep_dir);
-            writeTextFileAtomic(sweepSpecPath(sweep_dir), text);
-            // Journal the sweep's birth: one job.expanded per job,
-            // flushed before any worker can claim them.
-            EventLog::instance().open(sweep_dir, "seed");
-            for (const ScenarioSpec &spec : seeded) {
-                JsonValue detail = JsonValue::object();
-                detail.set("name", JsonValue(spec.name));
-                EventLog::instance().emit(
-                    event_type::kJobExpanded,
-                    scenarioFingerprint(spec), std::move(detail));
-            }
-            EventLog::instance().flush();
+            seedSweepDir(sweep_dir, text,
+                         expandScenarios(JsonValue::parse(text)),
+                         "seed");
         }
 
         if (merge_only) {
@@ -280,29 +227,6 @@ main(int argc, char **argv)
         options.retryBackoffMs = retry_backoff_ms;
         options.jobTimeoutMs = job_timeout_ms;
         options.claimBatch = static_cast<int>(claim_batch);
-        if (sigkill_storm > 0) {
-            g_stormDir = (std::filesystem::path(sweep_dir)
-                          / "killstorm")
-                             .string();
-            std::filesystem::create_directories(g_stormDir);
-            g_stormBudget = sigkill_storm;
-        }
-        if (sigkill_after > 0)
-            g_checkpointsUntilSigkill.store(sigkill_after);
-        if (sigkill_after > 0 || sigkill_storm > 0) {
-            options.onCheckpoint = [] {
-                if (g_stormBudget > 0)
-                    maybeStormSigkill();
-                if (g_checkpointsUntilSigkill.load() > 0
-                    && g_checkpointsUntilSigkill.fetch_sub(1) == 1) {
-                    std::fprintf(stderr,
-                                 "treevqa_worker: SIGKILLing self "
-                                 "after checkpoint (crash drill)\n");
-                    std::fflush(nullptr);
-                    ::raise(SIGKILL);
-                }
-            };
-        }
 
         WorkerDaemon daemon(options);
         g_daemon = &daemon;
