@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "circuit/hardware_efficient.h"
-#include "circuit/uccsd_min.h"
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -46,10 +45,8 @@
 #include "ham/spin_chains.h"
 #include "ham/synthetic_molecule.h"
 #include "paulprop/pauli_propagation.h"
-#include "sim/eval_plan.h"
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
-#include "sim/workspace_pool.h"
 #include "svc/job_scheduler.h"
 #include "svc/result_store.h"
 #include "svc/sweep_dir.h"
@@ -471,42 +468,6 @@ benchBatchedEvaluation()
         record("evaluate_batch_" + std::to_string(batch), n, fast,
                ref);
     }
-}
-
-void
-benchCompiledPrepSharedPrefix()
-{
-    // Shared-prefix batched preparation on an SPSA ± pair over the
-    // UCCSD-minimal ansatz. SPSA perturbs every parameter, so the
-    // sharing is exactly the fixed preamble (basis changes + CX
-    // ladders); the EvalPlan must do strictly less gate-application
-    // work than two independent preparations. Reported as applied-op
-    // counts (fast = plan, ref = independent), which is robust to a
-    // single-core CI container — the "speedup" column is the work
-    // ratio, not a timing.
-    const Ansatz ansatz = makeUccsdMinimalAnsatz();
-    Rng rng(77);
-    std::vector<double> x(ansatz.numParams());
-    for (auto &t : x)
-        t = rng.uniform(-1, 1);
-    const std::vector<double> delta = rng.rademacherVector(x.size());
-    std::vector<std::vector<double>> probes(2, x);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        probes[0][i] += 0.1 * delta[i];
-        probes[1][i] -= 0.1 * delta[i];
-    }
-
-    const EvalPlan plan(ansatz.compiled(), probes, ansatz.initialBits());
-    // Drive the plan once so the numbers reflect a real execution.
-    StatevectorPool pool(ansatz.numQubits());
-    std::size_t leaves = 0;
-    plan.execute(pool, [&](const std::vector<std::size_t> &p,
-                           const Statevector &) { leaves += p.size(); });
-
-    record("compiled_prep_shared_prefix", ansatz.numQubits(),
-           static_cast<double>(plan.stats().appliedOps),
-           static_cast<double>(plan.stats().independentOps));
-    (void)leaves;
 }
 
 void
@@ -1063,7 +1024,6 @@ main()
     }
     benchClusterObjective();
     benchBatchedEvaluation();
-    benchCompiledPrepSharedPrefix();
     benchPaulprop(10);
     benchSchedulerThroughput();
     benchClaimPath();

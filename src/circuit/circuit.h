@@ -101,8 +101,8 @@ class Circuit
      *
      * Convenience path for one-off applications: compiles the gate
      * list into a CompiledCircuit and executes it. Hot paths (Ansatz,
-     * ClusterObjective, EvalPlan) hold a compiled program directly —
-     * via CompilationCache — and skip the per-call compile.
+     * ClusterObjective) hold a compiled program directly — via
+     * CompilationCache — and skip the per-call compile.
      */
     void apply(Statevector &state,
                const std::vector<double> &theta) const;

@@ -176,35 +176,16 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit)
     }
     for (int q = 0; q < numQubits_; ++q)
         flush(q);
-
-    // Per-op parameter reads, flattened (EvalPlan's divergence test).
-    opParamOffset_.reserve(ops_.size() + 1);
-    opParamOffset_.push_back(0);
-    for (const CompiledOp &op : ops_) {
-        if (op.kind == CompiledOp::Kind::Fused1q) {
-            for (std::uint32_t s = op.slotBegin; s < op.slotEnd; ++s)
-                if (slots_[s].paramIndex >= 0)
-                    opParams_.push_back(slots_[s].paramIndex);
-        } else if (op.paramIndex >= 0) {
-            opParams_.push_back(op.paramIndex);
-        }
-        opParamOffset_.push_back(
-            static_cast<std::uint32_t>(opParams_.size()));
-    }
 }
 
 void
-CompiledCircuit::executeRange(Statevector &state,
-                              const std::vector<double> &theta,
-                              std::size_t op_begin,
-                              std::size_t op_end) const
+CompiledCircuit::execute(Statevector &state,
+                         const std::vector<double> &theta) const
 {
     assert(state.numQubits() == numQubits_);
     assert(static_cast<int>(theta.size()) >= numParams_);
-    assert(op_begin <= op_end && op_end <= ops_.size());
 
-    for (std::size_t i = op_begin; i < op_end; ++i) {
-        const CompiledOp &op = ops_[i];
+    for (const CompiledOp &op : ops_) {
         switch (op.kind) {
           case CompiledOp::Kind::Fused1q: {
             // Accumulate the run into one 2x2 in source order, exactly
@@ -249,13 +230,6 @@ CompiledCircuit::executeRange(Statevector &state,
             break;
         }
     }
-}
-
-void
-CompiledCircuit::execute(Statevector &state,
-                         const std::vector<double> &theta) const
-{
-    executeRange(state, theta, 0, ops_.size());
 }
 
 bool

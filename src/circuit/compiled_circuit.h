@@ -22,9 +22,8 @@
  * the same unitaries and agrees to 1e-12.
  *
  * The program is also the shared input of every backend: the
- * statevector executor consumes the fused ops, the Pauli-propagation
- * backend walks the retained source gate stream, and EvalPlan uses the
- * per-op parameter reads to build shared-prefix batch plans.
+ * statevector executor consumes the fused ops and the
+ * Pauli-propagation backend walks the retained source gate stream.
  */
 
 #ifndef TREEVQA_CIRCUIT_COMPILED_CIRCUIT_H
@@ -95,31 +94,6 @@ class CompiledCircuit
     void execute(Statevector &state,
                  const std::vector<double> &theta) const;
 
-    /** Run ops [op_begin, op_end) on `state`. */
-    void executeRange(Statevector &state, const std::vector<double> &theta,
-                      std::size_t op_begin, std::size_t op_end) const;
-
-    /** Parameter indices op `op` reads (fused ops read every bound slot
-     * in their run; fixed ops read none). */
-    const int *opParamsBegin(std::size_t op) const
-    {
-        return opParams_.data() + opParamOffset_[op];
-    }
-    const int *opParamsEnd(std::size_t op) const
-    {
-        return opParams_.data() + opParamOffset_[op + 1];
-    }
-
-    /** True when op `op` binds to identical angles under a and b. */
-    bool opBindsEqually(std::size_t op, const std::vector<double> &a,
-                        const std::vector<double> &b) const
-    {
-        for (const int *p = opParamsBegin(op); p != opParamsEnd(op); ++p)
-            if (a[*p] != b[*p])
-                return false;
-        return true;
-    }
-
     /** Structural hash of the source circuit (cache bucket key). */
     std::uint64_t fingerprint() const { return fingerprint_; }
 
@@ -134,10 +108,6 @@ class CompiledCircuit
     std::vector<GateInstr> gates_;
     std::vector<CompiledOp> ops_;
     std::vector<FusedGateSlot> slots_;
-    /** Flattened per-op parameter reads: op i reads
-     * opParams_[opParamOffset_[i], opParamOffset_[i+1]). */
-    std::vector<int> opParams_;
-    std::vector<std::uint32_t> opParamOffset_;
 };
 
 /** Structural hash of a circuit's program (qubits, params, gates). */

@@ -3,7 +3,23 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/thread_pool.h"
+
 namespace treevqa {
+
+Rng
+probeRng(std::uint64_t stream_base, std::size_t probe_index)
+{
+    // SplitMix64-style mix: adjacent probe indices land in
+    // decorrelated regions of the seed space, and the Rng constructor
+    // expands the result through SplitMix64 again.
+    std::uint64_t z = stream_base
+        + 0x9e3779b97f4a7c15ull
+            * (static_cast<std::uint64_t>(probe_index) + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return Rng(z ^ (z >> 31));
+}
 
 ClusterObjective::ClusterObjective(
     std::vector<PauliSum> task_hamiltonians, Ansatz ansatz,
@@ -49,7 +65,7 @@ ClusterObjective::ClusterObjective(
 
     // The backend borrows views of everything computed above and the
     // ansatz's cached compiled program (one program per ansatz shape,
-    // shared across evaluate/evaluateBatch/exact paths and across
+    // shared across the evaluation and exact paths and across
     // objectives built from the same ansatz).
     SimBackendInputs inputs;
     inputs.program = ansatz_.compiled();
@@ -90,7 +106,10 @@ ClusterObjective::evaluateBatch(
     // on thread count or completion order.
     const std::uint64_t base = rng.nextU64();
     std::vector<ClusterEvaluation> out(thetas.size());
-    backend_->evaluateBatch(thetas, base, out);
+    ThreadPool::global().run(thetas.size(), [&](std::size_t i) {
+        Rng probe_rng = probeRng(base, i);
+        out[i] = backend_->evaluate(thetas[i], probe_rng);
+    });
     return out;
 }
 

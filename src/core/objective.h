@@ -22,11 +22,9 @@
  *
  * Optimizers emit known-independent probe sets per iterate (the SPSA
  * +/- pair, simplex builds, stencils); evaluateBatch() evaluates such
- * a set in one parallel pass over the global thread pool — the
- * statevector backend additionally shares every common parameter
- * prefix of the batch through an EvalPlan — with per-probe RNG streams
- * that make the results bit-identical to serial evaluation at any
- * thread count.
+ * a set in one parallel pass over the global thread pool, each probe
+ * prepared on its own, with per-probe RNG streams that make the
+ * results bit-identical to serial evaluation at any thread count.
  */
 
 #ifndef TREEVQA_CORE_OBJECTIVE_H

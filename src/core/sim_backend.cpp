@@ -4,9 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.h"
 #include "paulprop/pauli_propagation.h"
-#include "sim/eval_plan.h"
 #include "sim/expectation.h"
 #include "sim/workspace_pool.h"
 
@@ -16,8 +14,7 @@ namespace {
 
 /**
  * Dense-statevector engine: exact per-term expectations + per-term
- * shot noise, with EvalPlan shared-prefix preparation on the batch
- * path.
+ * shot noise.
  */
 class StatevectorBackend final : public SimBackend
 {
@@ -36,28 +33,6 @@ class StatevectorBackend final : public SimBackend
                                Rng &rng) const override
     {
         return finish(termExpectations(theta), rng);
-    }
-
-    void evaluateBatch(const std::vector<std::vector<double>> &thetas,
-                       std::uint64_t stream_base,
-                       std::vector<ClusterEvaluation> &out) const override
-    {
-        assert(out.size() == thetas.size());
-        // The plan shares every common parameter prefix across the
-        // batch: each leaf state is bit-identical to straight-line
-        // preparation, and probes landing on the same leaf also share
-        // the expectation pass (noise streams stay per-probe).
-        const EvalPlan plan(in_.program, thetas, in_.initialBits);
-        plan.execute(
-            pool_, [&](const std::vector<std::size_t> &probes,
-                       const Statevector &state) {
-                const std::vector<double> values =
-                    perStringExpectations(state, in_.aligned->strings);
-                for (std::size_t i : probes) {
-                    Rng rng = probeRng(stream_base, i);
-                    out[i] = finish(values, rng);
-                }
-            });
     }
 
     std::vector<double> exactTaskEnergies(
@@ -129,8 +104,8 @@ class StatevectorBackend final : public SimBackend
     /** Reusable state buffers: objective evaluations are the
      * per-iterate hot path, and reallocating a 2^n complex vector per
      * call costs more than the gates at small n. The pool hands each
-     * concurrent evaluation (and each EvalPlan checkpoint) its own
-     * buffer, so all entry points are reentrant. */
+     * concurrent evaluation its own buffer, so all entry points are
+     * reentrant. */
     mutable StatevectorPool pool_;
 };
 
@@ -193,17 +168,6 @@ class PauliPropagationBackend final : public SimBackend
         return out;
     }
 
-    void evaluateBatch(const std::vector<std::vector<double>> &thetas,
-                       std::uint64_t stream_base,
-                       std::vector<ClusterEvaluation> &out) const override
-    {
-        assert(out.size() == thetas.size());
-        ThreadPool::global().run(thetas.size(), [&](std::size_t i) {
-            Rng rng = probeRng(stream_base, i);
-            out[i] = evaluate(thetas[i], rng);
-        });
-    }
-
     std::vector<double> exactTaskEnergies(
         const std::vector<double> &theta) const override
     {
@@ -231,20 +195,6 @@ class PauliPropagationBackend final : public SimBackend
 };
 
 } // namespace
-
-Rng
-probeRng(std::uint64_t stream_base, std::size_t probe_index)
-{
-    // SplitMix64-style mix: adjacent probe indices land in
-    // decorrelated regions of the seed space, and the Rng constructor
-    // expands the result through SplitMix64 again.
-    std::uint64_t z = stream_base
-        + 0x9e3779b97f4a7c15ull
-            * (static_cast<std::uint64_t>(probe_index) + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return Rng(z ^ (z >> 31));
-}
 
 std::unique_ptr<SimBackend>
 makeSimBackend(const std::string &name, SimBackendInputs inputs)

@@ -5,27 +5,24 @@
  *
  * A ClusterObjective owns exactly one SimBackend, selected *by name*
  * through makeSimBackend() (EngineConfig::backendName). Both shipped
- * engines implement the same five operations:
+ * engines implement the same four operations:
  *
  *  - "statevector": dense simulation. Per-term expectations via one
  *    grouped perStringExpectations pass, per-term shot noise, classical
  *    recombination; the exact energies (all members, one member, the
- *    mixed Hamiltonian) are recombinations of that same pass. Batches
- *    route through an EvalPlan so probes of one iterate share prefix
- *    state preparation.
+ *    mixed Hamiltonian) are recombinations of that same pass.
  *  - "paulprop": Heisenberg-picture Pauli propagation (joint
- *    multi-observable propagation, aggregate shot noise); batches fan
- *    the independent propagations over the thread pool, each one a
- *    serial walk of the live-string map.
+ *    multi-observable propagation, aggregate shot noise), each
+ *    evaluation a serial walk of the live-string map.
  *
  * Both consume the same immutable CompiledCircuit program (shared
  * ownership), which is the seam a future GPU backend plugs into: the
  * program's fused-op stream maps 1:1 onto device kernel launches.
  *
- * Determinism contract (inherited from PR 2): evaluate() draws only
- * from the caller's Rng; evaluateBatch(probes, base, out) writes
- * out[i] equal to evaluate(probes[i], probeRng(base, i)) bit-for-bit,
- * for any thread-pool size.
+ * Determinism contract: evaluate() draws only from the caller's Rng
+ * and is thread-safe, so ClusterObjective::evaluateBatch can fan a
+ * batch's probes over the thread pool and probe i, evaluated with
+ * probeRng(base, i), is bit-identical at any pool size.
  */
 
 #ifndef TREEVQA_CORE_SIM_BACKEND_H
@@ -80,16 +77,6 @@ class SimBackend
     /** Noisy evaluation at theta. Thread-safe. */
     virtual ClusterEvaluation evaluate(const std::vector<double> &theta,
                                        Rng &rng) const = 0;
-
-    /**
-     * Noisy evaluation of a probe batch: out[i] must equal
-     * evaluate(thetas[i], probeRng(stream_base, i)) bit-for-bit at any
-     * pool size. `out` is pre-sized by the caller.
-     */
-    virtual void evaluateBatch(
-        const std::vector<std::vector<double>> &thetas,
-        std::uint64_t stream_base,
-        std::vector<ClusterEvaluation> &out) const = 0;
 
     /** Exact (noiseless, infinite-shot) member energies at theta. */
     virtual std::vector<double> exactTaskEnergies(

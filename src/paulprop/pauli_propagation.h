@@ -28,8 +28,8 @@
  *
  * Each propagation is one serial walk of the live-string map, so its
  * result does not depend on the thread-pool size; batches of
- * propagations (the paulprop SimBackend's evaluateBatch) run in
- * parallel over the pool instead.
+ * propagations (ClusterObjective::evaluateBatch) run in parallel over
+ * the pool instead.
  *
  * The propagator consumes the same CompiledCircuit program as the
  * statevector backend (walking its retained source gate stream) and

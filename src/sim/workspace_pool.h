@@ -73,13 +73,6 @@ class StatevectorPool
 
     int numQubits() const { return numQubits_; }
 
-    /** Buffers currently parked in the pool (telemetry/tests). */
-    std::size_t idleCount() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return free_.size();
-    }
-
   private:
     void release(std::unique_ptr<Statevector> state)
     {
@@ -88,7 +81,7 @@ class StatevectorPool
     }
 
     int numQubits_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::vector<std::unique_ptr<Statevector>> free_;
 };
 

@@ -2,9 +2,8 @@
  * @file
  * Tests for the compiled execution-plan layer: CompiledCircuit vs
  * eager gate-by-gate application for every gate type, the process-wide
- * CompilationCache, EvalPlan prefix-tree checkpointing on crafted
- * probe sets, Pauli propagation's pool-size invariance, and SimBackend
- * selection by name.
+ * CompilationCache, Pauli propagation's pool-size invariance, and
+ * SimBackend selection by name.
  */
 
 #include <gtest/gtest.h>
@@ -15,15 +14,12 @@
 
 #include "circuit/compiled_circuit.h"
 #include "circuit/hardware_efficient.h"
-#include "circuit/uccsd_min.h"
 #include "common/rng.h"
 #include "core/config_io.h"
 #include "core/objective.h"
 #include "core/sim_backend.h"
 #include "ham/spin_chains.h"
-#include "sim/eval_plan.h"
 #include "sim/expectation.h"
-#include "sim/workspace_pool.h"
 
 #include "pool_size_guard.h"
 
@@ -156,55 +152,10 @@ TEST(CompiledCircuit, RandomMixedCircuitsMatchEager)
 TEST(CompiledCircuit, FusionCompressesSingleQubitRuns)
 {
     // A rotation layer plus entangler compiles to far fewer ops than
-    // source gates, and every op reports the parameters it reads.
+    // source gates.
     const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 2, 0);
     const CompiledCircuit &program = *ansatz.compiled();
     EXPECT_LT(program.numOps(), ansatz.circuit().numGates());
-
-    std::size_t bound_reads = 0;
-    for (std::size_t i = 0; i < program.numOps(); ++i)
-        bound_reads += static_cast<std::size_t>(
-            program.opParamsEnd(i) - program.opParamsBegin(i));
-    // Every bound source gate appears exactly once across the ops.
-    std::size_t bound_gates = 0;
-    for (const auto &g : ansatz.circuit().gates())
-        if (g.paramIndex >= 0)
-            ++bound_gates;
-    EXPECT_EQ(bound_reads, bound_gates);
-}
-
-TEST(CompiledCircuit, OpBindsEquallyComparesOnlyReadParams)
-{
-    Circuit c(2);
-    const int p0 = c.addParam();
-    const int p1 = c.addParam();
-    c.ryParam(0, p0);
-    c.cx(0, 1);
-    c.rzParam(1, p1);
-    const CompiledCircuit program(c);
-
-    const std::vector<double> a{0.5, 1.0};
-    const std::vector<double> b{0.5, 2.0}; // differs only in p1
-    // Find the op reading p0: it must bind equally; the op reading p1
-    // must not.
-    bool saw_p0 = false, saw_p1 = false;
-    for (std::size_t i = 0; i < program.numOps(); ++i) {
-        const int *begin = program.opParamsBegin(i);
-        const int *end = program.opParamsEnd(i);
-        if (begin == end) {
-            EXPECT_TRUE(program.opBindsEqually(i, a, b));
-            continue;
-        }
-        if (*begin == p0) {
-            saw_p0 = true;
-            EXPECT_TRUE(program.opBindsEqually(i, a, b));
-        } else if (*begin == p1) {
-            saw_p1 = true;
-            EXPECT_FALSE(program.opBindsEqually(i, a, b));
-        }
-    }
-    EXPECT_TRUE(saw_p0);
-    EXPECT_TRUE(saw_p1);
 }
 
 TEST(CompilationCache, SameCircuitSharesOneProgram)
@@ -222,170 +173,6 @@ TEST(CompilationCache, SameCircuitSharesOneProgram)
     // A different shape compiles separately.
     const Ansatz d = makeHardwareEfficientAnsatz(5, 3, 0);
     EXPECT_NE(d.compiled().get(), a.compiled().get());
-}
-
-/** Capture every leaf state of a plan, slotted per probe. */
-std::vector<CVector>
-runPlan(const EvalPlan &plan, StatevectorPool &pool, std::size_t probes)
-{
-    std::vector<CVector> states(probes);
-    plan.execute(pool, [&](const std::vector<std::size_t> &leaf_probes,
-                           const Statevector &state) {
-        for (std::size_t i : leaf_probes)
-            states[i] = state.amplitudes();
-    });
-    return states;
-}
-
-TEST(EvalPlan, SpsaPairSharesFixedPrefixOnUccsd)
-{
-    // An SPSA ± pair perturbs every parameter, so the shared prefix is
-    // the fixed preamble (basis changes + CX ladder of the first Pauli
-    // exponential). The plan must do strictly less gate-application
-    // work than two independent preparations, bit-identically.
-    const Ansatz ansatz = makeUccsdMinimalAnsatz();
-    Rng rng(42);
-    std::vector<double> x(ansatz.numParams());
-    for (auto &t : x)
-        t = rng.uniform(-1, 1);
-    const std::vector<double> delta = rng.rademacherVector(x.size());
-    std::vector<std::vector<double>> probes(2, x);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        probes[0][i] += 0.1 * delta[i];
-        probes[1][i] -= 0.1 * delta[i];
-    }
-
-    const EvalPlan plan(ansatz.compiled(), probes, ansatz.initialBits());
-    const EvalPlanStats &stats = plan.stats();
-    EXPECT_EQ(stats.independentOps, 2 * stats.programOps);
-    EXPECT_LT(stats.appliedOps, stats.independentOps);
-    EXPECT_GT(stats.sharedOps(), 0u);
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        Statevector ref(ansatz.numQubits());
-        ansatz.prepareInto(ref, probes[i]);
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-    }
-}
-
-TEST(EvalPlan, SimplexBuildSharesPerCoordinatePrefixes)
-{
-    // A simplex build perturbs one coordinate per probe: probe i
-    // shares the program prefix up to the first op reading param i.
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 2, 0b0101);
-    Rng rng(7);
-    std::vector<double> base(ansatz.numParams());
-    for (auto &t : base)
-        t = rng.uniform(-2, 2);
-
-    std::vector<std::vector<double>> probes;
-    probes.push_back(base);
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        probes.push_back(base);
-        probes.back()[i] += 0.25;
-    }
-
-    const EvalPlan plan(ansatz.compiled(), probes, ansatz.initialBits());
-    EXPECT_LT(plan.stats().appliedOps, plan.stats().independentOps);
-    EXPECT_GE(plan.stats().checkpointNodes, probes.size());
-
-    StatevectorPool pool(ansatz.numQubits());
-    for (const std::size_t threads : {1u, 4u}) {
-        PoolSizeGuard guard(threads);
-        const auto states = runPlan(plan, pool, probes.size());
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            Statevector ref(ansatz.numQubits());
-            ansatz.prepareInto(ref, probes[i]);
-            EXPECT_EQ(states[i], ref.amplitudes())
-                << "probe " << i << " threads " << threads;
-        }
-    }
-}
-
-TEST(EvalPlan, IdenticalProbesCollapseToOneLeaf)
-{
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(3, 1, 0);
-    const std::vector<double> theta(
-        static_cast<std::size_t>(ansatz.numParams()), 0.4);
-    const std::vector<std::vector<double>> probes(4, theta);
-
-    const EvalPlan plan(ansatz.compiled(), probes, 0);
-    // One straight-line preparation serves all four probes.
-    EXPECT_EQ(plan.stats().appliedOps, plan.stats().programOps);
-    EXPECT_EQ(plan.stats().checkpointNodes, 1u);
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    Statevector ref(ansatz.numQubits());
-    ansatz.prepareInto(ref, theta);
-    for (std::size_t i = 0; i < probes.size(); ++i)
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-}
-
-TEST(EvalPlan, FullyDivergentPairFallsBackToIndependentWork)
-{
-    // HEA's first compiled op already reads parameters, so a pair
-    // differing everywhere shares nothing — the plan must still be
-    // correct and cost exactly the independent amount.
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 1, 0);
-    const auto probes = [&] {
-        Rng rng(11);
-        std::vector<std::vector<double>> out(2);
-        for (auto &theta : out) {
-            theta.resize(ansatz.numParams());
-            for (auto &t : theta)
-                t = rng.uniform(-2, 2);
-        }
-        return out;
-    }();
-
-    const EvalPlan plan(ansatz.compiled(), probes, 0);
-    EXPECT_EQ(plan.stats().appliedOps, plan.stats().independentOps);
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        Statevector ref(ansatz.numQubits());
-        ansatz.prepareInto(ref, probes[i]);
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-    }
-}
-
-TEST(EvalPlan, LateSingleParamDivergenceSharesDeepPrefix)
-{
-    // Crafted probe set: rotations on every qubit, with only the very
-    // last parameter differing — the prefix tree should share all but
-    // the final fused op.
-    Circuit c(3);
-    std::vector<int> params;
-    for (int q = 0; q < 3; ++q) {
-        params.push_back(c.addParam());
-        c.ryParam(q, params.back());
-        c.cx(q, (q + 1) % 3);
-    }
-    const int last = c.addParam();
-    c.ryParam(2, last);
-    const Ansatz ansatz(std::move(c), 0);
-
-    std::vector<std::vector<double>> probes(
-        3, std::vector<double>{0.3, -0.6, 0.9, 0.0});
-    probes[1].back() = 0.5;
-    probes[2].back() = -0.5;
-
-    const EvalPlan plan(ansatz.compiled(), probes, 0);
-    // Shared ops: everything except each probe's final fused op.
-    EXPECT_EQ(plan.stats().appliedOps,
-              plan.stats().programOps - 1 + probes.size());
-
-    StatevectorPool pool(ansatz.numQubits());
-    const auto states = runPlan(plan, pool, probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        Statevector ref(ansatz.numQubits());
-        ansatz.prepareInto(ref, probes[i]);
-        EXPECT_EQ(states[i], ref.amplitudes()) << "probe " << i;
-    }
 }
 
 TEST(PauliPropagation, PoolSizeInvariant)
@@ -540,45 +327,6 @@ TEST(SimBackend, NamedBackendsAgreeOnExactEnergies)
         EXPECT_NEAR(ea[i], eb[i], 1e-8) << "task " << i;
     EXPECT_NEAR(a.exactMixedEnergy(theta), b.exactMixedEnergy(theta),
                 1e-8);
-}
-
-TEST(EvaluateBatchPlan, SharedPrefixBatchMatchesSerialBitwise)
-{
-    // evaluateBatch routes through EvalPlan; crafted batches with
-    // heavy prefix sharing (duplicates + single-coordinate probes)
-    // must still reproduce serial evaluate() bit-for-bit.
-    const auto fam = tfimFamily(5, 0.5, 1.5, 3);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(5, 2, 0b00110);
-    const ClusterObjective obj(fam, ansatz, EngineConfig{});
-
-    Rng theta_rng(41);
-    std::vector<double> base(ansatz.numParams());
-    for (auto &t : base)
-        t = theta_rng.uniform(-2, 2);
-    std::vector<std::vector<double>> probes;
-    probes.push_back(base);
-    probes.push_back(base); // exact duplicate
-    for (std::size_t i = 0; i < 4; ++i) {
-        probes.push_back(base);
-        probes.back()[i] += 0.3;
-    }
-
-    for (const std::size_t threads : {1u, 4u}) {
-        PoolSizeGuard guard(threads);
-        Rng rng(55);
-        const auto batch = obj.evaluateBatch(probes, rng);
-
-        Rng serial_rng(55);
-        const std::uint64_t stream = serial_rng.nextU64();
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            Rng probe = ClusterObjective::probeRng(stream, i);
-            const ClusterEvaluation ev = obj.evaluate(probes[i], probe);
-            EXPECT_EQ(batch[i].mixedEnergy, ev.mixedEnergy)
-                << "probe " << i << " threads " << threads;
-            EXPECT_EQ(batch[i].taskEnergies, ev.taskEnergies);
-            EXPECT_EQ(batch[i].shotsUsed, ev.shotsUsed);
-        }
-    }
 }
 
 } // namespace

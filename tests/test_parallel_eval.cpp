@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/objective.h"
+#include "core/sim_backend.h"
 #include "core/tree_controller.h"
 #include "ham/spin_chains.h"
 #include "opt/cobyla.h"
@@ -154,30 +156,89 @@ TEST(EvaluateBatch, BitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(EvaluateBatch, ReproducesSerialEvaluateWithProbeStreams)
+/** The probe shapes optimizers batch, around one iterate x. */
+std::vector<std::pair<const char *, std::vector<std::vector<double>>>>
+probeSets(const std::vector<double> &x, std::uint64_t seed)
+{
+    const std::size_t n = x.size();
+    Rng rng(seed);
+    const std::vector<double> delta = rng.rademacherVector(n);
+
+    // SPSA: one +/- pair perturbing every parameter.
+    std::vector<std::vector<double>> spsa(2, x);
+    for (std::size_t i = 0; i < n; ++i) {
+        spsa[0][i] += 0.1 * delta[i];
+        spsa[1][i] -= 0.1 * delta[i];
+    }
+    // Simplex build: the vertex, an exact duplicate of it, and one
+    // single-coordinate step per parameter.
+    std::vector<std::vector<double>> simplex(2, x);
+    for (std::size_t i = 0; i < n; ++i) {
+        simplex.push_back(x);
+        simplex.back()[i] += 0.25;
+    }
+    // Implicit-filtering stencil: x +/- h e_i for every coordinate.
+    std::vector<std::vector<double>> stencil;
+    for (std::size_t i = 0; i < n; ++i) {
+        stencil.push_back(x);
+        stencil.back()[i] += 0.05;
+        stencil.push_back(x);
+        stencil.back()[i] -= 0.05;
+    }
+    return {{"spsa pair", std::move(spsa)},
+            {"simplex build", std::move(simplex)},
+            {"stencil", std::move(stencil)}};
+}
+
+class EvaluateBatchEngines
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(EvaluateBatchEngines, ReproducesSerialEvaluateWithProbeStreams)
 {
     // The documented serial reference: probe i of a batch with stream
-    // base `b` evaluates exactly like evaluate(thetas[i], probeRng(b, i)).
-    const ClusterObjective obj = makeObjective();
-    const auto thetas =
-        makeThetas(obj.ansatz().numParams(), 6, 31);
+    // base `b` evaluates exactly like evaluate(thetas[i], probeRng(b, i)),
+    // for every engine, probe shape and pool size. Four qubits keep
+    // the propagation engine's ~450 evaluations cheap.
+    EngineConfig config;
+    config.backendName = GetParam();
+    const ClusterObjective obj(tfimFamily(4, 0.5, 1.5, 3),
+                               makeHardwareEfficientAnsatz(4, 2, 0b0101),
+                               config);
+    const auto x = makeThetas(obj.ansatz().numParams(), 1, 31).front();
 
-    PoolSizeGuard guard(4);
-    Rng rng(7);
-    const auto batch = obj.evaluateBatch(thetas, rng);
+    for (const auto &[shape, thetas] : probeSets(x, 37)) {
+        for (const std::size_t threads : {1u, 4u}) {
+            PoolSizeGuard guard(threads);
+            Rng rng(7);
+            const auto batch = obj.evaluateBatch(thetas, rng);
 
-    Rng serial_rng(7);
-    const std::uint64_t base = serial_rng.nextU64();
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-        Rng probe = ClusterObjective::probeRng(base, i);
-        const ClusterEvaluation ev = obj.evaluate(thetas[i], probe);
-        EXPECT_EQ(batch[i].mixedEnergy, ev.mixedEnergy) << "probe " << i;
-        EXPECT_EQ(batch[i].taskEnergies, ev.taskEnergies);
-        EXPECT_EQ(batch[i].shotsUsed, ev.shotsUsed);
+            Rng serial_rng(7);
+            const std::uint64_t base = serial_rng.nextU64();
+            ASSERT_EQ(batch.size(), thetas.size());
+            for (std::size_t i = 0; i < thetas.size(); ++i) {
+                Rng probe = ClusterObjective::probeRng(base, i);
+                const ClusterEvaluation ev = obj.evaluate(thetas[i], probe);
+                EXPECT_EQ(batch[i].mixedEnergy, ev.mixedEnergy)
+                    << shape << ", probe " << i << ", " << threads
+                    << " lanes";
+                EXPECT_EQ(batch[i].taskEnergies, ev.taskEnergies)
+                    << shape << ", probe " << i;
+                EXPECT_EQ(batch[i].shotsUsed, ev.shotsUsed);
+            }
+            // Both paths consumed the caller stream identically.
+            EXPECT_EQ(rng.nextU64(), serial_rng.nextU64());
+        }
     }
-    // Both paths consumed the caller stream identically.
-    EXPECT_EQ(rng.nextU64(), serial_rng.nextU64());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, EvaluateBatchEngines,
+    ::testing::ValuesIn(simBackendNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(EvaluateBatch, CallerStreamAdvanceIndependentOfBatchSize)
 {
