@@ -60,13 +60,14 @@ struct SweepMergeStats
  * Load every record of the sweep directory — the canonical store
  * first, then worker shards in sorted filename order — deduplicated
  * by fingerprint (newest complete record wins) and sorted by job name
- * (ties broken by fingerprint). The read-only merged view used by
- * worker scan loops and `treevqa_run --status`. A load that races a
- * drained worker's compaction (an enumerated shard deleted before it
- * could be read) is retried from scratch, bounded, so the returned
- * set never silently misses that shard's records. `corruptLines`,
- * when non-null, reports the count of lines that failed validation
- * (and were quarantined) across all inputs.
+ * (ties broken by fingerprint): a one-shot, read-only merged view for
+ * tests. Worker scans and `treevqa_run --status` read incrementally
+ * through StoreTailReader (dist/store_tail.h) instead. A load that
+ * races a drained worker's compaction (an enumerated shard deleted
+ * before it could be read) is retried from scratch, bounded, so the
+ * returned set never silently misses that shard's records.
+ * `corruptLines`, when non-null, reports the count of lines that
+ * failed validation (and were quarantined) across all inputs.
  */
 std::vector<JobResult>
 loadMergedRecords(const std::string &sweepDir,

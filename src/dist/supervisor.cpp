@@ -20,6 +20,7 @@
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "dist/backoff.h"
 #include "dist/health.h"
 #include "dist/work_claim.h"
 #include "dist/store_merge.h"
@@ -106,8 +107,6 @@ Supervisor::Supervisor(SupervisorOptions options)
             "supervisor: maxJobAttempts must be at least 1");
     if (options_.restartBackoffMs < 0)
         options_.restartBackoffMs = 0;
-    if (options_.maxRestartBackoffMs < options_.restartBackoffMs)
-        options_.maxRestartBackoffMs = options_.restartBackoffMs;
     if (options_.pollMs < 1)
         options_.pollMs = 1;
     if (options_.gracePeriodMs < 0)
@@ -117,6 +116,14 @@ Supervisor::Supervisor(SupervisorOptions options)
     slots_.resize(static_cast<std::size_t>(options_.workers));
     for (std::size_t k = 0; k < slots_.size(); ++k)
         slots_[k].id = options_.idPrefix + "-w" + std::to_string(k);
+}
+
+std::int64_t
+Supervisor::restartBackoff(Slot &slot) const
+{
+    return cappedBackoffMs(
+        std::max<std::int64_t>(1, options_.restartBackoffMs),
+        ++slot.failures);
 }
 
 bool
@@ -134,11 +141,7 @@ Supervisor::spawnSlot(Slot &slot, std::int64_t nowMs)
                          slot.id.c_str(), std::strerror(hit.err));
             // Treated like an instant crash: backoff, circuit breaker.
             slot.crashTimesMs.push_back(nowMs);
-            slot.backoffMs = slot.backoffMs == 0
-                ? std::max<std::int64_t>(1, options_.restartBackoffMs)
-                : std::min(slot.backoffMs * 2,
-                           options_.maxRestartBackoffMs);
-            slot.notBeforeMs = nowMs + slot.backoffMs;
+            slot.notBeforeMs = nowMs + restartBackoff(slot);
             return false;
         }
 
@@ -211,8 +214,7 @@ removeClaimsOwnedBy(const std::string &sweepDir,
             continue;
         // Merge the dead owner's last stamp before journaling the
         // reap, so the reap orders after its final heartbeat.
-        if (!claim.info.hlc.empty())
-            HlcClock::instance().observe(claim.info.hlc);
+        HlcClock::instance().observe(claim.info.hlc);
         if (std::remove(claim.path.c_str()) == 0)
             freed.push_back(claim.info.fingerprint);
     }
@@ -268,7 +270,7 @@ Supervisor::reapSlots(std::int64_t nowMs, bool /*drained*/)
             // the sweep drained). Restart promptly with the base
             // backoff; the drained check above us ends the loop when
             // there is truly nothing left.
-            slot.backoffMs = 0;
+            slot.failures = 0;
             slot.notBeforeMs = nowMs
                 + std::max<std::int64_t>(1, options_.restartBackoffMs);
             ++slot.restarts;
@@ -329,18 +331,15 @@ Supervisor::reapSlots(std::int64_t nowMs, bool /*drained*/)
             }
             continue;
         }
-        slot.backoffMs = slot.backoffMs == 0
-            ? std::max<std::int64_t>(1, options_.restartBackoffMs)
-            : std::min(slot.backoffMs * 2,
-                       options_.maxRestartBackoffMs);
-        slot.notBeforeMs = nowMs + slot.backoffMs;
+        const std::int64_t backoff_ms = restartBackoff(slot);
+        slot.notBeforeMs = nowMs + backoff_ms;
         ++slot.restarts;
         ++report_.restarts;
         supervisorMetrics().restarts.inc();
         {
             JsonValue detail = JsonValue::object();
             detail.set("slot", JsonValue(slot.id));
-            detail.set("backoffMs", JsonValue(slot.backoffMs));
+            detail.set("backoffMs", JsonValue(backoff_ms));
             slot.lastHlc = EventLog::instance().emit(
                 event_type::kFleetRestart, "", std::move(detail));
         }
@@ -360,8 +359,7 @@ Supervisor::watchdogScan(std::int64_t nowMs)
     for (const ClaimFile &claim :
          listClaims(sweepClaimDir(options_.sweepDir))) {
         const ClaimInfo &info = claim.info;
-        if (!info.hlc.empty())
-            HlcClock::instance().observe(info.hlc);
+        HlcClock::instance().observe(info.hlc);
         Slot *owner = nullptr;
         for (Slot &slot : slots_)
             if (slot.pid >= 0 && slot.id == info.owner)
@@ -417,7 +415,7 @@ Supervisor::watchdogScan(std::int64_t nowMs)
         }
         // A watchdog kill is the job's fault, not the slot's: restart
         // with the base backoff, no crash-window entry.
-        owner->backoffMs = 0;
+        owner->failures = 0;
         owner->notBeforeMs = nowMs
             + std::max<std::int64_t>(1, options_.restartBackoffMs);
         ++owner->restarts;

@@ -11,8 +11,8 @@
  *  - **Reap & restart.** Child exits are reaped with waitpid; an
  *    abnormal exit (signal, nonzero status) restarts the slot after an
  *    exponential backoff (restartBackoffMs, doubling per consecutive
- *    failure, capped at maxRestartBackoffMs). A clean exit before the
- *    sweep is drained — e.g. a worker bounded by --max-jobs — is a
+ *    failure up to kMaxBackoffMs, dist/backoff.h). A clean exit before
+ *    the sweep is drained — e.g. a worker bounded by --max-jobs — is a
  *    benign restart (backoff reset). Because slot ids are stable, a
  *    restarted child appends to the same shard and log, and resumes
  *    its predecessor's jobs from their checkpoints; the supervisor
@@ -83,9 +83,8 @@ struct SupervisorOptions
     /** Slot ids are `<idPrefix>-w<k>`; must be a filesystem token. */
     std::string idPrefix = "sup";
     /** Base restart backoff after an abnormal exit; doubles per
-     * consecutive failure of the slot. */
+     * consecutive failure of the slot, up to kMaxBackoffMs. */
     std::int64_t restartBackoffMs = 200;
-    std::int64_t maxRestartBackoffMs = 5000;
     /** Crash-loop circuit breaker: this many abnormal exits within
      * crashLoopWindowMs retires the slot. */
     int crashLoopBudget = 5;
@@ -154,7 +153,9 @@ class Supervisor
         pid_t pid = -1; // -1: not running
         /** Next spawn is allowed at this steady-clock ms (backoff). */
         std::int64_t notBeforeMs = 0;
-        std::int64_t backoffMs = 0;
+        /** Consecutive abnormal exits (spawn failures included);
+         * the next restart waits cappedBackoffMs(base, failures). */
+        int failures = 0;
         /** Steady-clock ms of recent abnormal exits (the crash-loop
          * window). */
         std::vector<std::int64_t> crashTimesMs;
@@ -177,6 +178,9 @@ class Supervisor
     };
 
     bool spawnSlot(Slot &slot, std::int64_t nowMs);
+    /** Count one more consecutive failure of `slot`; returns how long
+     * its next spawn waits. */
+    std::int64_t restartBackoff(Slot &slot) const;
     void reapSlots(std::int64_t nowMs, bool drained);
     void watchdogScan(std::int64_t nowMs);
     void shutdownCascade();

@@ -38,8 +38,7 @@ claimToJson(const ClaimInfo &info)
     out.set("leaseMs", JsonValue(info.leaseMs));
     out.set("renewals", JsonValue(info.renewals));
     out.set("progress", JsonValue(info.progress));
-    if (!info.hlc.empty())
-        out.set("hlc", hlcToJson(info.hlc));
+    out.set("hlc", hlcToJson(info.hlc));
     return out;
 }
 
@@ -53,15 +52,8 @@ claimFromJson(const JsonValue &json)
     info.deadlineMs = json.at("deadlineMs").asInt();
     info.leaseMs = json.at("leaseMs").asInt();
     info.renewals = json.at("renewals").asInt();
-    // Absent on claims written before progress stamping existed; -1
-    // reads as "owner never reported progress".
-    jsonMaybe(json, "progress", [&](const JsonValue &v) {
-        info.progress = v.asInt();
-    });
-    // Absent on claims written before HLC stamping; empty() then.
-    jsonMaybe(json, "hlc", [&](const JsonValue &v) {
-        info.hlc = hlcFromJson(v);
-    });
+    info.progress = json.at("progress").asInt();
+    info.hlc = hlcFromJson(json.at("hlc"));
     return info;
 }
 
@@ -162,8 +154,7 @@ WorkClaim::tryAcquire(const std::string &claimDir,
         // Merge the owner's stamp: everything we write from here on
         // (the takeover, the lease.reaped event) orders causally
         // after the dead owner's last heartbeat.
-        if (!held->hlc.empty())
-            HlcClock::instance().observe(held->hlc);
+        HlcClock::instance().observe(held->hlc);
         if (!claimIsStale(*held, unixTimeMs(), skewGraceMs))
             return std::nullopt;
     }
@@ -207,7 +198,7 @@ WorkClaim::peek(const std::string &claimDir,
 {
     std::optional<ClaimInfo> info =
         readClaimFile(claimPath(claimDir, fingerprint));
-    if (info && !info->hlc.empty())
+    if (info)
         HlcClock::instance().observe(info->hlc);
     return info;
 }

@@ -93,7 +93,8 @@ struct ClaimInfo
      * or latest renewal). Readers observe() it into their own clock,
      * so events a reaper emits after reading a dead owner's claim are
      * causally ordered after the owner's last heartbeat even under
-     * wall-clock skew. Empty on claims written before HLC stamping.
+     * wall-clock skew. Every writer stamps it, and a claim file
+     * without `hlc` or `progress` reads as torn (reapable).
      */
     Hlc hlc;
 };

@@ -17,6 +17,7 @@
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "dist/backoff.h"
 #include "dist/store_merge.h"
 #include "svc/result_store.h"
 #include "svc/sweep_dir.h"
@@ -107,12 +108,12 @@ workerScanOffset(const std::string &workerId)
  * or torn claims count as stale.
  */
 bool
-peerHoldsLiveClaim(const std::string &sweepDir, const std::string &self,
-                   std::int64_t skewGraceMs)
+peerHoldsLiveClaim(const std::string &sweepDir, const std::string &self)
 {
     for (const ClaimFile &claim : listClaims(sweepClaimDir(sweepDir)))
         if (claim.info.owner != self
-            && !claimIsStale(claim.info, unixTimeMs(), skewGraceMs))
+            && !claimIsStale(claim.info, unixTimeMs(),
+                             kClaimSkewGraceMs))
             return true;
     return false;
 }
@@ -164,8 +165,6 @@ WorkerDaemon::WorkerDaemon(WorkerOptions options)
             "worker: maxJobAttempts must be at least 1");
     if (options_.retryBackoffMs < 0)
         options_.retryBackoffMs = 0;
-    if (options_.skewGraceMs < 0)
-        options_.skewGraceMs = 0;
     if (options_.jobTimeoutMs < 0)
         options_.jobTimeoutMs = 0;
     if (options_.claimBatch < 1)
@@ -358,8 +357,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             const bool compacting = options_.drainAndExit
                 && options_.mergeOnDrain && !stop_.load();
             if (compacting
-                && peerHoldsLiveClaim(dir, options_.workerId,
-                                      options_.skewGraceMs)) {
+                && peerHoldsLiveClaim(dir, options_.workerId)) {
                 idle();
                 continue;
             }
@@ -396,8 +394,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             workerMetrics().claimAttempts.inc();
             std::optional<WorkClaim> claim = WorkClaim::tryAcquire(
                 sweepClaimDir(dir), fingerprints[index],
-                options_.workerId, options_.leaseMs, &reaped,
-                options_.skewGraceMs);
+                options_.workerId, options_.leaseMs, &reaped);
             if (!claim)
                 continue; // live lease elsewhere, or takeover lost
             workerMetrics().claimsAcquired.inc();
@@ -454,10 +451,6 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
 
         const JobOutcome outcome =
             runClaimedBatch(jobs, batch, report);
-        if (outcome == JobOutcome::SimulatedCrash) {
-            report.simulatedCrash = true;
-            return report; // whole batch's claims + checkpoint left
-        }
         if (outcome == JobOutcome::Interrupted) {
             // Graceful stop: checkpoint sealed, claims released.
             beat([](WorkerHealth &h) { h.state = "stopped"; });
@@ -627,8 +620,6 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         ScenarioRunOptions run_options;
         run_options.checkpointPath =
             sweepCheckpointPath(options_.sweepDir, fingerprint);
-        run_options.haltAfterIterations =
-            options_.haltJobsAfterIterations;
         run_options.progressCounter = &progress_counter;
         run_options.shouldStop = [this] { return stop_.load(); };
 
@@ -714,7 +705,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             if (attempt < attempt_budget
                 && options_.retryBackoffMs > 0)
                 std::this_thread::sleep_for(std::chrono::milliseconds(
-                    options_.retryBackoffMs << (attempt - 1)));
+                    cappedBackoffMs(options_.retryBackoffMs, attempt)));
         }
         job_span.end();
 
@@ -722,20 +713,15 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             break; // common timeout unwind below
 
         if (job_ok && !result.completed) {
-            if (stop_.load()) {
-                // Graceful stop: the runner sealed a checkpoint at
-                // the current iteration; release every lease so the
-                // next claimant can resume immediately.
-                ++report.interrupted;
-                workerMetrics().jobsInterrupted.inc();
-                join_heartbeat();
-                release_undone();
-                return JobOutcome::Interrupted;
-            }
-            // Simulated crash: leave every held claim and the
-            // checkpoint exactly as a SIGKILL would.
+            // Graceful stop, the only way the runner returns
+            // unfinished: it sealed a checkpoint at the current
+            // iteration; release every lease so the next claimant can
+            // resume immediately.
+            ++report.interrupted;
+            workerMetrics().jobsInterrupted.inc();
             join_heartbeat();
-            return JobOutcome::SimulatedCrash;
+            release_undone();
+            return JobOutcome::Interrupted;
         }
 
         // Record — confirm ownership, append, journal, release: the

@@ -67,8 +67,9 @@
  * Determinism: jobs are pure functions of their specs, so any worker
  * count, any claim batch size and any kill schedule produce the same
  * final energies — bit-identical, timing excluded, to a
- * single-process JobScheduler run (tests/test_dist.cpp and the CI
- * smoke jobs enforce this).
+ * single-process JobScheduler run (tests/test_dist.cpp and the
+ * `treevqa_chaos` drills, `ctest -L chaos` and `-L smoke`, enforce
+ * this).
  */
 
 #ifndef TREEVQA_DIST_WORKER_DAEMON_H
@@ -124,11 +125,8 @@ struct WorkerOptions
      * the drain can finish instead of wedging on a defective spec. */
     int maxJobAttempts = 3;
     /** Base backoff between attempts of a throwing job; attempt k
-     * waits retryBackoffMs << (k-1). */
+     * waits cappedBackoffMs(retryBackoffMs, k) (dist/backoff.h). */
     std::int64_t retryBackoffMs = 50;
-    /** Tolerated reaper/owner wall-clock skew for stale-lease
-     * takeover (work_claim.h: claimIsStale). */
-    std::int64_t skewGraceMs = kClaimSkewGraceMs;
     /**
      * Jobs leased per scan pass. A worker acquires up to this many
      * claims in one walk over the pending set, then runs them back to
@@ -148,14 +146,6 @@ struct WorkerOptions
      * either way.
      */
     bool incrementalScan = true;
-    /**
-     * Crash simulation for tests: halt the current job after this
-     * many iterations *without* finalizing, releasing any claim
-     * (including the rest of the batch), or continuing the loop — the
-     * on-disk state (stale claims + durable checkpoint) is exactly
-     * what a SIGKILL at that instant leaves.
-     */
-    int haltJobsAfterIterations = 0;
     /**
      * In-process hung-job watchdog (0 = disabled): when the job's
      * progress counter stays frozen this long while the heartbeat
@@ -222,8 +212,6 @@ struct WorkerReport
     bool drained = false;
     /** This worker ran the shard compaction. */
     bool merged = false;
-    /** The haltJobsAfterIterations hook fired. */
-    bool simulatedCrash = false;
 
     // Claim-path cost counters (the dist_scan_bytes_job_* /
     // dist_claim_ops_job_* bench currency).
@@ -296,7 +284,6 @@ class WorkerDaemon
     {
         Completed,
         LostClaim,
-        SimulatedCrash,
         /** Every attempt threw; a failed=true record was appended. */
         Poisoned,
         /** The in-process watchdog abandoned every held lease:

@@ -86,15 +86,12 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
             sweepCheckpointDir(config_.outDir));
         EventLog::instance().open(config_.outDir, "scheduler");
         store = std::make_unique<ResultStore>(resultStorePath());
-        if (config_.resume)
-            // A reused run directory may hold duplicate records for a
-            // fingerprint; the dedup pass keeps the newest complete
-            // one (warning once), so the skip decision is well-defined.
-            for (JobResult &record :
-                 dedupeByFingerprint(store->load()))
-                if (record.completed)
-                    recorded.emplace(record.fingerprint,
-                                     std::move(record));
+        // A reused run directory may hold duplicate records for a
+        // fingerprint; the dedup pass keeps the newest complete one
+        // (warning once), so the skip decision is well-defined.
+        for (JobResult &record : dedupeByFingerprint(store->load()))
+            if (record.completed)
+                recorded.emplace(record.fingerprint, std::move(record));
     }
 
     // Partition into skipped (already recorded) and pending jobs.
@@ -122,7 +119,6 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
         const std::size_t index = pending[p];
         ScenarioRunOptions options;
         options.checkpointPath = checkpointPathFor(specs[index]);
-        options.haltAfterIterations = config_.haltJobsAfterIterations;
         JobResult result = runScenario(specs[index], options);
         if (store && result.completed)
             store->append(result);

@@ -43,12 +43,6 @@ struct SchedulerConfig
      * <outDir>/checkpoints/<fingerprint>.json. Empty = in-memory run
      * (no checkpointing, no store, no resume). */
     std::string outDir;
-    /** When true (default), completed records found in the store are
-     * reused and their jobs skipped; false re-runs everything (the
-     * store still appends). */
-    bool resume = true;
-    /** Propagated to every job runner (see ScenarioRunOptions). */
-    int haltJobsAfterIterations = 0;
 };
 
 /** Outcome of one sweep submission. */
@@ -69,8 +63,7 @@ class JobScheduler
     explicit JobScheduler(SchedulerConfig config = {});
 
     /**
-     * Run every spec to completion (subject to the halt hook) and
-     * return records in spec order. Throws std::invalid_argument on
+     * Run every spec to completion and return records in spec order. Throws std::invalid_argument on
      * duplicate spec fingerprints (two identical jobs would race on
      * one checkpoint file).
      */

@@ -188,10 +188,10 @@ struct JobResolution
  * Collapse duplicate-fingerprint records to one per job by folding
  * each fingerprint's records (in the given order, i.e. append order)
  * through JobResolution: the survivor is the body fold() kept, stamped
- * with the folded `attempts` and `timedOut`. Duplicates arise when a
- * run directory is reused with resume disabled, or when per-worker
- * store shards from a distributed sweep are merged after a lease was
- * reclaimed mid-job. With `warnOnDuplicates`, warns on stderr once per
+ * with the folded `attempts` and `timedOut`. Duplicates arise when
+ * concurrent runs over one reused run directory record the same job,
+ * or when per-worker store shards from a distributed sweep are merged
+ * after a lease was reclaimed mid-job. With `warnOnDuplicates`, warns on stderr once per
  * duplicated fingerprint. Callers for whom overlap is expected (the
  * merged canonical+shard view of a distributed sweep after a
  * standalone merge) pass false to keep the warning meaningful for the

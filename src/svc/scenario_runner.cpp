@@ -255,7 +255,6 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
     if (options.progressCounter)
         options.progressCounter->store(state.iteration);
 
-    int executed_this_call = 0;
     bool halted = false;
     while (state.iteration < spec.maxIterations) {
         // The budget check uses the worst-case bound so the decision
@@ -273,7 +272,6 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
         const double loss = optimizer->stepBatch(batch);
         step_span.end();
         ++state.iteration;
-        ++executed_this_call;
         if (options.progressCounter)
             options.progressCounter->store(state.iteration);
         state.trajectory.push_back(loss);
@@ -301,12 +299,6 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
             EventLog::instance().flush();
             if (const FaultHit hit = FAULT_POINT("checkpoint.written"))
                 (void)hit; // crash never returns; a delay is served
-        }
-        if (options.haltAfterIterations > 0
-            && executed_this_call >= options.haltAfterIterations
-            && state.iteration < spec.maxIterations) {
-            halted = true;
-            break;
         }
         // Graceful stop (SIGTERM cascade): seal a checkpoint at this
         // exact iteration so the next claimant resumes here instead of
@@ -343,8 +335,8 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
     result.bestParams = state.bestParams;
 
     if (halted) {
-        // Simulated kill: leave the checkpoint on disk, report the
-        // partial state without finalizing.
+        // Sealed by a graceful stop: leave the checkpoint on disk,
+        // report the partial state without finalizing.
         result.completed = false;
         result.wallSeconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now()

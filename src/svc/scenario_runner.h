@@ -29,7 +29,7 @@
  *    journaled, the runner evaluates the `checkpoint.written` fault
  *    site (common/fault_injection.h). A `crash` entry there is how
  *    every kill-and-resume drill kills a job mid-run; in-process
- *    tests use haltAfterIterations instead.
+ *    tests crash the same way inside a death test.
  */
 
 #ifndef TREEVQA_SVC_SCENARIO_RUNNER_H
@@ -51,8 +51,9 @@ struct JobResult
 {
     ScenarioSpec spec;
     std::string fingerprint;
-    /** False when the run was halted before finishing (simulated
-     * kill); halted jobs are not finalized and not recorded. */
+    /** False when a graceful stop (ScenarioRunOptions::shouldStop)
+     * sealed the run before it finished; such jobs are not finalized
+     * and not recorded. */
     bool completed = false;
     /** True when the run continued from a checkpoint file. */
     bool resumed = false;
@@ -102,13 +103,6 @@ struct ScenarioRunOptions
     /** Checkpoint file path; empty disables checkpointing even when
      * the spec asks for an interval. */
     std::string checkpointPath;
-    /**
-     * Test/abort hook: stop (without finalizing, without deleting the
-     * checkpoint) after this many iterations *in this call* — the
-     * deterministic stand-in for a mid-job kill. 0 runs to
-     * completion.
-     */
-    int haltAfterIterations = 0;
     /**
      * Live progress surface: when non-null, the runner stores the
      * completed-iteration count here after every optimizer step. The

@@ -27,6 +27,8 @@
 #include "svc/job_scheduler.h"
 #include "svc/sweep_dir.h"
 
+#include "plan_crash.h"
+
 namespace treevqa {
 namespace {
 
@@ -41,6 +43,11 @@ scratchDir(const std::string &name)
     std::filesystem::create_directories(dir);
     return dir;
 }
+
+/** SIGKILL right after the first durable checkpoint of the run. */
+constexpr const char *kCrashAfterFirstCheckpoint =
+    R"({"faults": [{"site": "checkpoint.written", "action": "crash",
+    "hit": 1}]})";
 
 /** A tiny, fast scenario (4-qubit TFIM, 1-layer HEA, SPSA). */
 ScenarioSpec
@@ -237,6 +244,35 @@ TEST(WorkClaim, InfoJsonRoundTrips)
     EXPECT_EQ(back.deadlineMs, info.deadlineMs);
     EXPECT_EQ(back.leaseMs, info.leaseMs);
     EXPECT_EQ(back.renewals, info.renewals);
+}
+
+TEST(WorkClaim, ClaimMissingProgressOrHlcIsTornAndReapable)
+{
+    // Every writer stamps `progress` and `hlc`; a live-looking claim
+    // without either is malformed, so it reads as torn and the next
+    // claimant reaps it at once instead of waiting out its lease.
+    const auto dir = scratchDir("claim_missing_field");
+    for (const char *field : {"progress", "hlc"}) {
+        ClaimInfo held;
+        held.fingerprint = std::string("fp-") + field;
+        held.owner = "old";
+        held.acquiredMs = unixTimeMs();
+        held.deadlineMs = held.acquiredMs + 60000;
+        held.leaseMs = 60000;
+        JsonValue json = claimToJson(held);
+        ASSERT_TRUE(json.erase(field));
+        const std::string path =
+            WorkClaim::claimPath(dir.string(), held.fingerprint);
+        writeTextFileAtomic(path, json.dump() + "\n");
+        EXPECT_FALSE(readClaimFile(path).has_value()) << field;
+
+        bool reaped = false;
+        const auto claim = WorkClaim::tryAcquire(
+            dir.string(), held.fingerprint, "new", 60000, &reaped);
+        ASSERT_TRUE(claim.has_value()) << field;
+        EXPECT_TRUE(reaped) << field;
+        EXPECT_EQ(claim->info().owner, "new");
+    }
 }
 
 TEST(WorkClaim, ListClaimsReturnsParseableLocksSortedWithPaths)
@@ -589,10 +625,8 @@ TEST(WorkerDaemon, CrashedWorkersJobIsReclaimedFromItsCheckpoint)
     const std::vector<JobResult> reference =
         referenceRun(specs, "takeover_ref");
 
-    // Worker A "crashes" mid-job: the halt hook stops its first job
-    // after 6 iterations (durable checkpoint at 4) and the daemon
-    // returns without releasing the claim — the exact on-disk state a
-    // SIGKILL leaves behind.
+    // Worker A is SIGKILLed mid-job, right after its first job's
+    // first durable checkpoint (iteration 4), holding its claim.
     WorkerOptions crash_options;
     crash_options.sweepDir = dir.string();
     crash_options.workerId = "crasher";
@@ -600,11 +634,9 @@ TEST(WorkerDaemon, CrashedWorkersJobIsReclaimedFromItsCheckpoint)
     // One claim at a time so exactly one (the crashed job's) is left;
     // BatchedClaimCrashAbandonsTheWholeBatch covers claimBatch > 1.
     crash_options.claimBatch = 1;
-    crash_options.haltJobsAfterIterations = 6;
-    const WorkerReport crashed =
-        WorkerDaemon(crash_options).run(specs);
-    EXPECT_TRUE(crashed.simulatedCrash);
-    EXPECT_EQ(crashed.completed, 0u);
+    crashThroughPlan(kCrashAfterFirstCheckpoint,
+                     [&] { WorkerDaemon(crash_options).run(specs); });
+    EXPECT_TRUE(loadMergedRecords(dir.string()).empty());
 
     // Exactly one claim (the crashed job's) and its checkpoint remain.
     std::size_t leftover_claims = 0;
@@ -942,20 +974,17 @@ TEST(WorkerDaemon, BatchedClaimCrashAbandonsTheWholeBatch)
     const std::vector<JobResult> reference =
         referenceRun(specs, "batch_crash_ref");
 
-    // Worker A leases the whole sweep in one batch pass, then
-    // "crashes" on its first job: every claim in the batch — the
-    // running job's and the three queued ones — must be left on disk
-    // exactly as a SIGKILL would leave them.
+    // Worker A leases the whole sweep in one batch pass, then is
+    // SIGKILLed on its first job: every claim in the batch — the
+    // running job's and the three queued ones — stays on disk.
     WorkerOptions crash_options;
     crash_options.sweepDir = dir.string();
     crash_options.workerId = "crasher";
     crash_options.leaseMs = 200;
     crash_options.claimBatch = 8;
-    crash_options.haltJobsAfterIterations = 6;
-    const WorkerReport crashed =
-        WorkerDaemon(crash_options).run(specs);
-    EXPECT_TRUE(crashed.simulatedCrash);
-    EXPECT_EQ(crashed.completed, 0u);
+    crashThroughPlan(kCrashAfterFirstCheckpoint,
+                     [&] { WorkerDaemon(crash_options).run(specs); });
+    EXPECT_TRUE(loadMergedRecords(dir.string()).empty());
     for (const ScenarioSpec &spec : specs)
         EXPECT_TRUE(WorkClaim::peek(sweepClaimDir(dir.string()),
                                     scenarioFingerprint(spec))

@@ -26,6 +26,8 @@
 #include "svc/scenario_runner.h"
 #include "svc/sweep_dir.h"
 
+#include "plan_crash.h"
+
 namespace treevqa {
 namespace {
 
@@ -46,6 +48,13 @@ class FaultInjectionTest : public ::testing::Test
   protected:
     void TearDown() override { FaultInjection::instance().disarm(); }
 };
+
+/** SIGKILL right after the second durable checkpoint (iteration 8 of
+ * tinySpec): the current generation holds iteration 8, the rotated
+ * .prev iteration 4. */
+constexpr const char *kCrashAfterSecondCheckpoint =
+    R"({"faults": [{"site": "checkpoint.written", "action": "crash",
+    "hit": 2}]})";
 
 ScenarioSpec
 tinySpec(const std::string &name, int iterations = 12)
@@ -431,14 +440,13 @@ TEST_F(FaultInjectionTest, CorruptCheckpointFallsBackToLastGood)
 
     const JobResult reference = runScenario(spec);
 
-    // Interrupt after the second checkpoint (iteration 8), then
+    // Kill the run after the second checkpoint (iteration 8), then
     // corrupt the current checkpoint file: resume must fall back to
     // the rotated .prev generation and still converge bit-identically.
     ScenarioRunOptions options;
     options.checkpointPath = ckpt;
-    options.haltAfterIterations = 9;
-    const JobResult halted = runScenario(spec, options);
-    ASSERT_FALSE(halted.completed);
+    crashThroughPlan(kCrashAfterSecondCheckpoint,
+                     [&] { runScenario(spec, options); });
     ASSERT_TRUE(std::filesystem::exists(ckpt));
     ASSERT_TRUE(std::filesystem::exists(ckpt + ".prev"));
 
@@ -468,12 +476,10 @@ TEST_F(FaultInjectionTest, CheckpointWithoutCrcFallsBackToLastGood)
     const std::string ckpt = (dir / "job.json").string();
     const ScenarioSpec spec = tinySpec("ckptjob4");
 
-    // Halt after iteration 9: the current generation holds iteration
-    // 8, the rotated .prev iteration 4.
     ScenarioRunOptions options;
     options.checkpointPath = ckpt;
-    options.haltAfterIterations = 9;
-    ASSERT_FALSE(runScenario(spec, options).completed);
+    crashThroughPlan(kCrashAfterSecondCheckpoint,
+                     [&] { runScenario(spec, options); });
 
     // Strip the current generation's crc; the body stays valid.
     std::string current;
@@ -482,16 +488,17 @@ TEST_F(FaultInjectionTest, CheckpointWithoutCrcFallsBackToLastGood)
     ASSERT_TRUE(stripped.erase("crc"));
     writeTextFileAtomic(ckpt, stripped.dump(2) + "\n");
 
-    // One iteration past the restored one shows which generation
-    // carried the resume: 5 from .prev, 9 from the stripped file.
+    // Stopping one iteration past the restored one shows which
+    // generation carried the resume: 5 from .prev, 9 from the
+    // stripped file.
     std::atomic<std::int64_t> progress{-1};
     ScenarioRunOptions resume;
     resume.checkpointPath = ckpt;
-    resume.haltAfterIterations = 1;
+    resume.shouldStop = [] { return true; };
     resume.progressCounter = &progress;
-    const JobResult halted = runScenario(spec, resume);
-    ASSERT_FALSE(halted.completed);
-    EXPECT_TRUE(halted.resumed);
+    const JobResult stopped = runScenario(spec, resume);
+    ASSERT_FALSE(stopped.completed);
+    EXPECT_TRUE(stopped.resumed);
     EXPECT_EQ(progress.load(), 5);
 }
 
@@ -504,8 +511,8 @@ TEST_F(FaultInjectionTest, BothCheckpointsCorruptMeansFreshStart)
 
     ScenarioRunOptions options;
     options.checkpointPath = ckpt;
-    options.haltAfterIterations = 9;
-    ASSERT_FALSE(runScenario(spec, options).completed);
+    crashThroughPlan(kCrashAfterSecondCheckpoint,
+                     [&] { runScenario(spec, options); });
     writeTextFileAtomic(ckpt, "{\"garbage\": true}");
     writeTextFileAtomic(ckpt + ".prev", "not even json");
 
@@ -525,16 +532,15 @@ TEST_F(FaultInjectionTest, TornCheckpointWriteIsDetectedOnResume)
     const JobResult reference = runScenario(spec);
 
     // Tear the *second* checkpoint write through the fault layer, and
-    // halt right after it: on disk sits a renamed-whole but corrupt
-    // current file plus the good first generation.
-    FaultInjection::instance().arm(
-        R"({"faults": [{"site": "checkpoint.write",
-        "action": "torn-write", "keepFraction": 0.6, "hit": 2}]})");
+    // kill the run right after it: on disk sits a renamed-whole but
+    // corrupt current file plus the good first generation.
     ScenarioRunOptions options;
     options.checkpointPath = ckpt;
-    options.haltAfterIterations = 9;
-    ASSERT_FALSE(runScenario(spec, options).completed);
-    FaultInjection::instance().disarm();
+    crashThroughPlan(
+        R"({"faults": [{"site": "checkpoint.write",
+        "action": "torn-write", "keepFraction": 0.6, "hit": 2},
+        {"site": "checkpoint.written", "action": "crash", "hit": 2}]})",
+        [&] { runScenario(spec, options); });
 
     ScenarioRunOptions resume;
     resume.checkpointPath = ckpt;

@@ -23,6 +23,9 @@
 #include "svc/scenario_runner.h"
 #include "svc/scenario_spec.h"
 
+#include "plan_crash.h"
+#include "pool_size_guard.h"
+
 namespace treevqa {
 namespace {
 
@@ -403,17 +406,18 @@ TEST(ScenarioRunner, KillAndResumeReachesIdenticalEnergies)
     EXPECT_FALSE(reference.resumed);
     EXPECT_EQ(reference.iterations, 14);
 
-    // Interrupted run: halt after 6 iterations. The last durable
-    // checkpoint is at iteration 4, so iterations 5-6 are lost — as
-    // with a real kill — and re-executed on resume.
+    // Killed run: SIGKILLed as it starts the second checkpoint write
+    // (iteration 8). The last durable checkpoint is at iteration 4,
+    // so iterations 5-8 are lost and re-executed on resume.
     ScenarioRunOptions interrupted;
     interrupted.checkpointPath = (dir / "job.json").string();
-    interrupted.haltAfterIterations = 6;
-    const JobResult partial = runScenario(spec, interrupted);
-    EXPECT_FALSE(partial.completed);
-    EXPECT_EQ(partial.iterations, 6);
-    EXPECT_TRUE(
-        std::filesystem::exists(interrupted.checkpointPath));
+    crashThroughPlan(
+        R"({"faults": [{"site": "checkpoint.write", "action": "crash",
+        "hit": 2}]})",
+        [&] { runScenario(spec, interrupted); });
+    const auto peeked = peekCheckpoint(interrupted.checkpointPath);
+    ASSERT_TRUE(peeked.has_value());
+    EXPECT_EQ(peeked->iteration, 4);
 
     const auto checkpoints_written = [] {
         return MetricsRegistry::instance().snapshot().counters.at(
@@ -438,12 +442,13 @@ TEST(ScenarioRunner, MismatchedCheckpointRestartsFresh)
     const std::filesystem::path dir = scratchDir("mismatch");
     const std::string path = (dir / "job.json").string();
 
-    // Leave a checkpoint belonging to a *different* spec behind.
+    // Leave a checkpoint belonging to a *different* spec behind: a
+    // graceful stop seals one after the first iteration.
     ScenarioSpec other = tinySpec("other", 1.3, 10);
-    ScenarioRunOptions halt;
-    halt.checkpointPath = path;
-    halt.haltAfterIterations = 5;
-    runScenario(other, halt);
+    ScenarioRunOptions stop;
+    stop.checkpointPath = path;
+    stop.shouldStop = [] { return true; };
+    EXPECT_FALSE(runScenario(other, stop).completed);
     ASSERT_TRUE(std::filesystem::exists(path));
 
     ScenarioSpec spec = tinySpec("fresh", 0.7, 10);
@@ -469,24 +474,32 @@ TEST(JobScheduler, StoreResumeSkipsCompletedJobsAndMatchesFreshRun)
     EXPECT_EQ(fresh.executed, 3u);
     EXPECT_EQ(fresh.skipped, 0u);
 
-    // "Kill" a second sweep mid-flight: every job halts after 6
-    // iterations with a checkpoint at 4, nothing is recorded.
+    // Kill a second sweep mid-flight. On one lane the jobs run in
+    // order: "a" writes checkpoints at 4 and 8 and is recorded, then
+    // the kill lands right after "b"'s first checkpoint (the third
+    // across the sweep), before "c" starts.
     SchedulerConfig killed_config;
     killed_config.outDir = killed_dir.string();
-    killed_config.haltJobsAfterIterations = 6;
-    const SweepResult killed = JobScheduler(killed_config).run(specs);
-    for (const JobResult &job : killed.jobs)
-        EXPECT_FALSE(job.completed);
+    crashThroughPlan(
+        R"({"faults": [{"site": "checkpoint.written", "action": "crash",
+        "hit": 3}]})",
+        [&] {
+            PoolSizeGuard one_lane(1);
+            JobScheduler(killed_config).run(specs);
+        });
 
-    // Relaunch: all three resume from their checkpoints and complete.
+    // Relaunch: "a" is skipped, "b" resumes from its checkpoint, "c"
+    // starts fresh, and all three match the uninterrupted sweep.
     SchedulerConfig resume_config;
     resume_config.outDir = killed_dir.string();
     const SweepResult resumed =
         JobScheduler(resume_config).run(specs);
-    EXPECT_EQ(resumed.executed, 3u);
+    EXPECT_EQ(resumed.executed, 2u);
+    EXPECT_EQ(resumed.skipped, 1u);
+    EXPECT_TRUE(resumed.jobs[1].resumed);
+    EXPECT_FALSE(resumed.jobs[2].resumed);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         EXPECT_TRUE(resumed.jobs[i].completed);
-        EXPECT_TRUE(resumed.jobs[i].resumed);
         expectJobsBitIdentical(fresh.jobs[i], resumed.jobs[i]);
     }
 

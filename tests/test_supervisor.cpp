@@ -22,6 +22,7 @@
 
 #include "common/file_util.h"
 #include "common/metrics.h"
+#include "dist/backoff.h"
 #include "dist/health.h"
 #include "dist/store_merge.h"
 #include "dist/supervisor.h"
@@ -110,6 +111,30 @@ elapsedMsSince(std::chrono::steady_clock::time_point start)
 }
 
 // ----------------------------------------------------------- validation
+
+TEST(Backoff, DoublesFromTheBaseAndStopsAtTheCapForEveryAttempt)
+{
+    // Worker retries and supervisor restarts both wait
+    // cappedBackoffMs. Every attempt count must be defined: an
+    // uncapped `base << (attempt - 1)` is undefined from attempt 64
+    // (a UBSan build traps) and sleeps for hours long before that.
+    for (const std::int64_t base : {0, 1, 50, 200, 7000}) {
+        const std::int64_t cap = std::max(base, kMaxBackoffMs);
+        std::int64_t previous = 0;
+        for (int attempt = 1; attempt <= 100; ++attempt) {
+            const std::int64_t wait = cappedBackoffMs(base, attempt);
+            if (attempt == 1)
+                EXPECT_EQ(wait, base);
+            else
+                EXPECT_EQ(wait, std::min(previous * 2, cap))
+                    << "base " << base << " attempt " << attempt;
+            previous = wait;
+        }
+    }
+    EXPECT_EQ(cappedBackoffMs(50, 7), 3200);
+    EXPECT_EQ(cappedBackoffMs(50, 8), kMaxBackoffMs);
+    EXPECT_EQ(cappedBackoffMs(50, 100), kMaxBackoffMs);
+}
 
 TEST(Supervisor, RejectsBadOptions)
 {

@@ -8,6 +8,10 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 namespace treevqa {
 
@@ -37,6 +41,24 @@ parseNonNegative(const char *text, long &out)
         return false;
     out = value;
     return true;
+}
+
+/** The executable `name` in this program's own directory (the build
+ * tree or install prefix), falling back to a bare PATH lookup. */
+inline std::string
+siblingBinary(const char *name)
+{
+    char buf[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+    if (n > 0) {
+        buf[n] = '\0';
+        const std::filesystem::path sibling =
+            std::filesystem::path(buf).parent_path() / name;
+        std::error_code ec;
+        if (std::filesystem::exists(sibling, ec))
+            return sibling.string();
+    }
+    return name;
 }
 
 } // namespace treevqa

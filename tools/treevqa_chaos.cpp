@@ -1,183 +1,316 @@
 /**
  * @file
- * treevqa_chaos — deterministic chaos drills for the distributed
- * sweep stack.
+ * treevqa_chaos — the drill runner: every end-to-end contract of the
+ * sweep stack, checked by real processes under real kills.
  *
- * The harness asserts the stack's one end-to-end robustness claim:
- * under any injected fault schedule (failed syscalls, torn writes,
- * heartbeat loss, mid-job SIGKILL at every checkpoint index), a sweep
- * still drains to a `summary.json` byte-identical to the fault-free
- * run — because jobs are pure functions of their specs and every
- * recovery path (checkpoint resume, lease reaping, record
+ * The contract: under any fault schedule (failed syscalls, torn
+ * writes, heartbeat loss, hung jobs, SIGKILL at any checkpoint), a
+ * sweep still drains to a `summary.json` byte-identical to the
+ * single-process reference — jobs are pure functions of their specs,
+ * and every recovery path (checkpoint resume, lease reaping, record
  * re-execution, corrupt-line quarantine) converges on the same
  * records.
  *
- *   treevqa_chaos --seed S [--out DIR] [--jobs N] [--print-matrix]
+ *   treevqa_chaos --seed S [--out DIR] [--jobs N] [--only SELECTION]
+ *                 [--print-matrix]
  *
- *   --seed S         base seed for the drill matrix; the same seed
- *                    produces the identical fault schedule (drills,
- *                    plan seeds, probability streams)
+ *   --seed S         base seed: the same seed gives the identical fault
+ *                    schedule (plan seeds, probability streams)
  *   --out DIR        scratch root (default ./chaos_scratch); wiped
- *   --jobs N         sweep size (default 6 tiny 4-qubit TFIM jobs)
- *   --print-matrix   print the drill matrix (name + fault plan) and
- *                    exit — two invocations with the same seed must
- *                    print identical bytes
+ *   --jobs N         size of the chaos drills' sweep (default 6)
+ *   --only SELECTION the drills with this label (chaos, smoke, scale)
+ *                    or this name
+ *   --print-matrix   print the drill matrix (index, name, plan), exit
  *
- * Per drill: a fresh sweep directory, the fault plan written to disk,
- * one worker child re-executed with TREEVQA_FAULT_PLAN pointing at it
- * (arming happens in the child's static init; the parent stays
- * disarmed), then a fault-free recovery child to drain whatever the
- * faulted child left behind, then a byte compare of summary.json
- * against the fault-free reference, then a parse audit of every
- * observability dump the drill left (events/, metrics/, traces/):
- * a drill may lose dumps but a malformed one fails it. The fault
- * child prints its per-site fire counts (FaultInjection::counters())
- * on the way out, and a drill whose planned site never fired fails:
- * a fault that lands nowhere proves nothing. A site whose plan entry
- * is a crash counts as fired when the child died of SIGKILL (it
- * cannot report). Results land in `<out>/chaos_report.json`. Exit 0
- * iff every drill converged with its faults fired.
+ * A drill is one value with four parts: a sweep spec, a fault plan, a
+ * drain mode and its assertions. Every drill runs the same steps:
  *
- * The matrix ends with four supervisor drills exercising the
- * self-healing fleet layer: an in-process Supervisor fork/execs real
- * treevqa_worker children (which inherit the armed TREEVQA_FAULT_PLAN;
- * the parent consumed its own, empty, plan at static init and stays
- * disarmed) — a fleet-wide SIGKILL storm healed by restarts, a hung
- * job SIGKILLed by the frozen-progress watchdog, a crash-looping plan
- * that retires every slot through the circuit breaker, and a
- * poison-everything plan asserting the cumulative attempt budget is
- * fleet-wide (≤ max-job-attempts per job in total, not per worker).
- * Each supervisor drill ends with the same disarmed recovery worker
- * and byte compare against the fault-free reference. Their report
- * expectations (crashes, watchdog kills, poisoned-record budgets) are
- * what prove their faults fired.
+ *  1. the drain, its processes armed through TREEVQA_FAULT_PLAN (this
+ *     process stays disarmed). Modes: `worker`, one `--drill-child`
+ *     worker that prints its per-site fire counts on the way out;
+ *     `workers`, two treevqa_worker processes, only the first armed,
+ *     the second started once the first holds a claim; `fleet`,
+ *     treevqa_supervisor over treevqa_worker children, all armed (a
+ *     `tokens` plan entry shares one kill budget across restarted
+ *     children); `scheduler`, `treevqa_run SPEC --out DIR`;
+ *  2. the drill's own assertions on what the drain left;
+ *  3. the disarmed recovery run — one treevqa_worker, or treevqa_run
+ *     again for the scheduler — which drains whatever the faults left;
+ *  4. the checks every drill shares: the recovery exits 0, `--status`
+ *     counts every job done, summary.json and the completed energies
+ *     equal the single-process reference (`treevqa_run SPEC --jobs
+ *     1`, once per distinct sweep), every planned site fired (judged
+ *     from the armed process's fire report, or its SIGKILL death for a
+ *     crash entry; fleet drills prove it through the supervisor's
+ *     report), and every observability dump (events/, metrics/,
+ *     traces/) parses: a fault may lose dumps, never corrupt one.
  *
- * Internal --drill-child mode: run one drain-and-exit worker over
- * --sweep-dir (the harness re-execs itself instead of fork() — the
- * parent is threadless but the worker is not, and exec'ing fresh also
- * gives the child its own fault-plan bootstrap).
+ * Labels: `chaos` is the fault site/action matrix over a tiny sweep,
+ * `smoke` the end-to-end CLI cycles, `scale` the 10^4-job fleet
+ * drain. Drills run concurrently, at most kProcessSlots processes at
+ * once, and a drill runs the same alone or in the full matrix (its
+ * plan seed keys off its matrix index). Each run first checks that a
+ * re-executed `--print-matrix` prints the matrix this process
+ * renders. Results land in `<out>/chaos_report.json`; the exit status
+ * is 0 iff every selected drill passed.
  */
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <future>
+#include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/json.h"
-#include "common/metrics.h"
-#include "dist/health.h"
-#include "dist/store_merge.h"
-#include "dist/supervisor.h"
 #include "dist/worker_daemon.h"
 #include "svc/scenario_spec.h"
 #include "svc/sweep_dir.h"
 
 #include "cli_util.h"
 
+extern char **environ;
+
 using namespace treevqa;
 
 namespace {
 
+namespace fs = std::filesystem;
+using Args = std::vector<std::string>;
+
+/** Most child processes the drills of one run keep alive at once. */
+constexpr int kProcessSlots = 8;
+
+/** Wall-clock budget of one drill process; past it its process group
+ * is SIGKILLed (the 10^4-job drain takes ~10 s on 4 vCPUs). */
+constexpr std::chrono::seconds kProcessDeadline{300};
+
+/** Prefix of the drill child's fire-count report line. */
+constexpr const char *kFiresPrefix = "drill child fires: ";
+
+// ------------------------------------------------------------ processes
+
+/** One child process. Its stdout and stderr append to `out` and
+ * `err`; `plan` (TREEVQA_FAULT_PLAN) empty = disarmed. */
+struct Launch
+{
+    Args argv;
+    std::string plan;
+    bool trace = false; // TREEVQA_TRACE=1
+    std::string out, err;
+};
+
+/** Start `launch` in a process group of its own, so a deadline kill
+ * takes a supervisor's children with it. */
+pid_t
+start(const Launch &launch)
+{
+    Args env;
+    for (char **e = environ; *e != nullptr; ++e)
+        if (std::strncmp(*e, "TREEVQA_FAULT_PLAN=", 19) != 0
+            && std::strncmp(*e, "TREEVQA_TRACE=", 14) != 0)
+            env.push_back(*e);
+    if (!launch.plan.empty())
+        env.push_back("TREEVQA_FAULT_PLAN=" + launch.plan);
+    if (launch.trace)
+        env.push_back("TREEVQA_TRACE=1");
+    Args argv = launch.argv;
+    const auto pointers = [](Args &strings) {
+        std::vector<char *> out;
+        for (std::string &s : strings)
+            out.push_back(s.data());
+        out.push_back(nullptr);
+        return out;
+    };
+    std::vector<char *> argv_ptrs = pointers(argv), env_ptrs = pointers(env);
+
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    for (const auto &[fd, path] : {std::pair{1, &launch.out}, {2, &launch.err}})
+        posix_spawn_file_actions_addopen(&actions, fd, path->c_str(),
+                                         O_WRONLY | O_CREAT | O_APPEND, 0644);
+    posix_spawnattr_t attr;
+    posix_spawnattr_init(&attr);
+    posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP);
+    posix_spawnattr_setpgroup(&attr, 0);
+    pid_t pid = -1;
+    const int rc = posix_spawnp(&pid, argv_ptrs[0], &actions, &attr,
+                                argv_ptrs.data(), env_ptrs.data());
+    posix_spawn_file_actions_destroy(&actions);
+    posix_spawnattr_destroy(&attr);
+    if (rc != 0)
+        throw std::runtime_error("cannot start " + argv[0] + ": "
+                                 + std::strerror(rc));
+    return pid;
+}
+
+/** Wait for `pid`: its exit code, or 128 + the signal that ended it. */
 int
-usage(const char *argv0, bool requested)
+finish(pid_t pid)
 {
-    std::fprintf(requested ? stdout : stderr,
-                 "usage: %s --seed S [--out DIR] [--jobs N] "
-                 "[--print-matrix]\n",
-                 argv0);
-    return requested ? 0 : 2;
-}
-
-/** The same tiny, fast scenario family the dist tests drain (4-qubit
- * TFIM, 1-layer HEA, SPSA); checkpointInterval 4 over 12 iterations
- * gives every job interior checkpoints for the crash drills. */
-std::vector<ScenarioSpec>
-chaosSweep(int jobs)
-{
-    std::vector<ScenarioSpec> specs;
-    for (int j = 0; j < jobs; ++j) {
-        ScenarioSpec spec;
-        spec.name = "chaos" + std::to_string(j);
-        spec.problem = "tfim";
-        spec.size = 4;
-        spec.field = 0.5 + 0.2 * j;
-        spec.ansatz = "hea";
-        spec.layers = 1;
-        spec.engine.shotsPerTerm = 256;
-        spec.maxIterations = 12;
-        spec.seed = 99;
-        spec.checkpointInterval = 4;
-        specs.push_back(std::move(spec));
+    const auto deadline = std::chrono::steady_clock::now() + kProcessDeadline;
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            ::kill(-pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    return specs;
+    return WIFSIGNALED(status) ? 128 + WTERMSIG(status) : WEXITSTATUS(status);
 }
 
-/** One drill: a name and the TREEVQA_FAULT_PLAN document (without its
- * "seed" member, which the harness derives from --seed + index so the
- * whole schedule keys off one number). */
+std::string
+readOrEmpty(const std::string &path)
+{
+    std::string text;
+    readTextFile(path, text);
+    return text;
+}
+
+Args
+lines(const std::string &text)
+{
+    Args out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        out.push_back(line);
+    return out;
+}
+
+bool
+startsWith(const std::string &text, const std::string &prefix)
+{
+    return text.rfind(prefix, 0) == 0;
+}
+
+/** Every parseable line of a JSONL store (torn lines are skipped). */
+std::vector<JsonValue>
+storeRecords(const std::string &path)
+{
+    std::vector<JsonValue> records;
+    for (const std::string &line : lines(readOrEmpty(path))) {
+        try {
+            records.push_back(JsonValue::parse(line));
+        } catch (const std::exception &) {
+        }
+    }
+    return records;
+}
+
+/** Job name -> final energy of every completed record in a store. */
+std::map<std::string, double>
+completedEnergies(const std::string &storePath)
+{
+    std::map<std::string, double> energies;
+    for (const JsonValue &record : storeRecords(storePath))
+        if (const JsonValue *done = record.find("completed");
+            done && done->asBool())
+            energies[record.at("name").asString()] =
+                record.at("finalEnergy").asDouble();
+    return energies;
+}
+
+// --------------------------------------------------------------- drills
+
+/** `count` values first/scale, (first+step)/scale, ... as JSON. */
+std::string
+steps(int first, int step, int count, double scale)
+{
+    JsonValue values = JsonValue::array();
+    for (int k = 0; k < count; ++k)
+        values.push_back(JsonValue((first + step * k) / scale));
+    return values.dump();
+}
+
+/** The sweep a drill drains: a `size`-site TFIM on a 1-layer HEA with
+ * SPSA, one job per point of `axes` (the "sweep" member). */
+JsonValue
+tfimSweep(const std::string &name, int size, int iterations,
+          int checkpointInterval, int shots, const std::string &axes)
+{
+    JsonValue doc = JsonValue::parse(
+        R"({"problem": "tfim", "ansatz": "hea", "layers": 1, "seed": 7,
+            "optimizer": {"name": "spsa", "a": 0.2}})");
+    JsonValue engine = JsonValue::parse(R"({"backend": "statevector"})");
+    engine.set("shotsPerTerm", JsonValue(shots));
+    doc.set("name", JsonValue(name));
+    doc.set("size", JsonValue(size));
+    doc.set("engine", std::move(engine));
+    doc.set("maxIterations", JsonValue(iterations));
+    doc.set("checkpointInterval", JsonValue(checkpointInterval));
+    doc.set("sweep", JsonValue::parse(axes));
+    return doc;
+}
+
+/** A sweep over `jobs` transverse fields 0.5, 0.7, ... (1024 shots
+ * per term on 6 sites, 256 on the chaos drills' 4). */
+JsonValue
+fieldSweep(const std::string &name, int size, int iterations,
+           int checkpointInterval, int jobs)
+{
+    return tfimSweep(name, size, iterations, checkpointInterval,
+                     size > 4 ? 1024 : 256,
+                     "{\"field\": " + steps(5, 2, jobs, 10.0) + "}");
+}
+
+enum class Drain { Worker, Workers, Fleet, Scheduler };
+
+struct Run;
+
 struct Drill
 {
     std::string name;
-    std::string faults; // the "faults" array, as JSON text
+    std::string label; // chaos | smoke | scale
+    JsonValue sweep;
+    /** The plan's "faults" array as JSON text; "[]" = disarmed. */
+    std::string faults = "[]";
+    Drain drain = Drain::Worker;
+    /** Mode arguments: treevqa_run's for a scheduler, each worker's
+     * for two workers, the supervisor's (then `--` and the workers')
+     * for a fleet. */
+    Args args;
+    int workers = 3; // fleet size
+    /** The recovery's --max-job-attempts: above the drill's budget,
+     * so poisoned jobs re-run fault-free. */
+    int recoveryMaxAttempts = 3;
+    bool trace = false; // TREEVQA_TRACE=1 in the drain
+    /** The drill's assertions after the drain, and after recovery. */
+    std::function<void(Run &)> check, afterRecovery;
+
+    int processes() const
+    {
+        return drain == Drain::Fleet ? workers + 1
+            : drain == Drain::Workers ? 2
+                                      : 1;
+    }
 };
 
-/**
- * The fault matrix: ≥12 distinct site/action combinations covering
- * every recovery path — syscall failures on the atomic-write and
- * claim hot paths, torn store records and torn checkpoints (the CRC
- * quarantine paths), heartbeat loss, abandoned locks, injected I/O
- * latency, a probabilistic acquire-failure schedule, and mid-job
- * SIGKILL before the 1st/2nd/3rd/5th checkpoint write of the sweep
- * (crash at every checkpoint index a job has).
- */
-std::vector<Drill>
-drillMatrix()
+/** Where a drill's `tokens` plan entries keep their kill budget. */
+std::string
+crashTokens(const std::string &outRoot, const std::string &drill)
 {
-    return {
-        {"rename-fails-once",
-         R"([{"site": "file.write_atomic.rename", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
-        {"fsync-fails-once",
-         R"([{"site": "file.write_atomic.fsync", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
-        {"read-fails-once",
-         R"([{"site": "file.read", "action": "fail-errno", "errno": "EIO", "hit": 2}])"},
-        {"stage-write-torn",
-         R"([{"site": "file.write_atomic.stage", "action": "torn-write", "keepFraction": 0.5, "hit": 1}])"},
-        {"claim-acquire-fails",
-         R"([{"site": "claim.acquire", "action": "fail-errno", "errno": "EAGAIN", "hit": 1, "times": 3}])"},
-        {"claim-acquire-flaky",
-         R"([{"site": "claim.acquire", "action": "fail-errno", "errno": "EAGAIN", "probability": 0.3, "times": 0}])"},
-        {"heartbeat-loss",
-         R"([{"site": "claim.renew", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
-        {"release-leaves-lock",
-         R"([{"site": "claim.release", "action": "fail-errno", "errno": "EIO", "hit": 1, "times": 2}])"},
-        {"store-append-fails",
-         R"([{"site": "store.append", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
-        {"store-append-torn",
-         R"([{"site": "store.append", "action": "torn-write", "keepFraction": 0.4, "hit": 1}])"},
-        {"checkpoint-torn-then-crash",
-         R"([{"site": "checkpoint.write", "action": "torn-write", "keepFraction": 0.6, "hit": 2}, {"site": "checkpoint.write", "action": "crash", "hit": 3}])"},
-        {"checkpoint-write-slow",
-         R"([{"site": "checkpoint.write", "action": "delay-ms", "ms": 600, "hit": 1}])"},
-        {"crash-at-checkpoint-1",
-         R"([{"site": "checkpoint.write", "action": "crash", "hit": 1}])"},
-        {"crash-at-checkpoint-2",
-         R"([{"site": "checkpoint.write", "action": "crash", "hit": 2}])"},
-        {"crash-at-checkpoint-3",
-         R"([{"site": "checkpoint.write", "action": "crash", "hit": 3}])"},
-        {"crash-at-checkpoint-5",
-         R"([{"site": "checkpoint.write", "action": "crash", "hit": 5}])"},
-    };
+    return (fs::path(outRoot) / drill / "crash-tokens").string();
 }
 
 /** SplitMix64 step: per-drill plan seed from the base seed, so one
@@ -193,296 +326,723 @@ drillPlanSeed(std::uint64_t base, std::size_t index)
 }
 
 std::string
-drillPlanJson(const std::string &faults, std::uint64_t base,
-              std::size_t index)
+drillPlanJson(const std::string &faults, std::uint64_t base, std::size_t index)
 {
     return "{\"seed\": " + std::to_string(drillPlanSeed(base, index))
         + ", \"faults\": " + faults + "}";
 }
 
-/** Run one worker child over `sweepDir`; returns the shell status
- * decoded to "exit code or 128+signal". `planPath` empty = disarmed. */
-int
-runWorkerChild(const std::string &self, const std::string &sweepDir,
-               int jobs, const std::string &planPath,
-               const std::string &logPath)
+/** One drill's run: its paths, what its drain did, and the problems
+ * its assertions found. */
+struct Run
 {
-    if (planPath.empty())
-        ::unsetenv("TREEVQA_FAULT_PLAN");
-    else
-        ::setenv("TREEVQA_FAULT_PLAN", planPath.c_str(), 1);
-    const std::string command = "\"" + self + "\" --drill-child"
-        + " --sweep-dir \"" + sweepDir + "\" --jobs "
-        + std::to_string(jobs) + " >> \"" + logPath + "\" 2>&1";
-    const int status = std::system(command.c_str());
-    ::unsetenv("TREEVQA_FAULT_PLAN");
-    if (status == -1)
-        return -1;
-    if (WIFSIGNALED(status))
-        return 128 + WTERMSIG(status);
-    return WEXITSTATUS(status);
-}
+    std::string root; // <out>/<drill>: spec, plan, logs, view outputs
+    std::string dir;  // <root>/sweep: the sweep directory
+    std::string spec;
+    std::size_t jobs = 0;
+    /** Exit status and output of each drain process. */
+    std::vector<int> status;
+    Args logs;
+    std::string problems;
+    int views = 0;
 
-/** Seed `<dir>/sweep.json` with the chaos specs so the supervisor's
- * exec'd treevqa_worker children (and its drained check) expand them
- * to the exact fingerprints the drill-child reference produced —
- * scenarioToJson/scenarioFromJson round-trip bit-exactly. */
-void
-writeChaosSpec(const std::string &sweepDir, int jobs)
-{
-    JsonValue request = JsonValue::array();
-    for (const ScenarioSpec &spec : chaosSweep(jobs))
-        request.push_back(scenarioToJson(spec));
-    std::filesystem::create_directories(sweepDir);
-    writeTextFileAtomic(sweepSpecPath(sweepDir),
-                        request.dump(2) + "\n");
-}
-
-/** treevqa_worker beside this binary (the build tree), falling back
- * to a PATH lookup. */
-std::string
-chaosWorkerBin()
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        const std::filesystem::path sibling =
-            std::filesystem::path(buf).parent_path()
-            / "treevqa_worker";
-        std::error_code ec;
-        if (std::filesystem::exists(sibling, ec))
-            return sibling.string();
+    void expect(bool ok, const std::string &what)
+    {
+        if (!ok)
+            problems += (problems.empty() ? "" : "; ") + what;
     }
-    return "treevqa_worker";
-}
 
-/** One supervisor drill: fault plan, fleet knobs, expectations on the
- * SupervisorReport, and the recovery worker's attempt budget. */
-struct SupervisorDrill
-{
-    std::string name;
-    std::string faults; // "[]" = the fleet runs disarmed
-    /** Fleet-wide crash tokens the drill must leave behind in
-     * crashTokenDir (0 = its plan has no `tokens` entry). */
-    std::size_t expectTokens = 0;
-    long jobTimeoutMs = 0;
-    int crashLoopBudget = 5;
-    int maxJobAttempts = 3;
-    long recoveryMaxAttempts = 3;
-    bool expectDrained = true;
-    std::size_t expectRetired = 0;
-    std::size_t minCrashes = 0;
-    std::size_t minWatchdogKills = 0;
-    std::size_t minTimeoutRecords = 0;
-    bool checkAttemptBudget = false;
+    /** treevqa_run with `args`: its exit status and stdout. */
+    std::pair<int, std::string> view(Args args)
+    {
+        const std::string out = root + "/view-" + std::to_string(++views);
+        args.insert(args.begin(), siblingBinary("treevqa_run"));
+        const int rc =
+            finish(start({args, "", false, out, root + "/views.log"}));
+        return {rc, readOrEmpty(out)};
+    }
+
+    /** A view that must exit 0: its stdout. */
+    std::string viewOk(const Args &args)
+    {
+        auto [rc, text] = view(args);
+        expect(rc == 0, "treevqa_run " + args[0] + " exited "
+                            + std::to_string(rc));
+        return text;
+    }
+
+    /** The integer after the last " key=" in drain process `p`'s
+     * output; -1 when absent. */
+    long long reported(std::size_t p, const std::string &key) const
+    {
+        const std::size_t at = logs[p].rfind(" " + key + "=");
+        return at == std::string::npos
+            ? -1
+            : std::atoll(logs[p].c_str() + at + key.size() + 2);
+    }
+
+    bool printed(std::size_t p, const std::string &text) const
+    {
+        return logs[p].find(text) != std::string::npos;
+    }
+
+    void expectAtLeast(std::size_t p, const std::string &key, long long min)
+    {
+        const long long value = reported(p, key);
+        expect(value >= min, key + "=" + std::to_string(value)
+                                 + ", expected >= " + std::to_string(min));
+    }
+
+    /** The supervisor reported drained (or not) and `retired` slots. */
+    void expectFleet(bool drained, long long retired)
+    {
+        expect(printed(0, drained ? "drained=yes merged=yes" : "drained=no")
+                   && status[0] == (drained ? 0 : 1),
+               "supervisor exited " + std::to_string(status[0]) + ", expected "
+                   + (drained ? "drained=yes merged=yes" : "drained=no"));
+        expect(reported(0, "retired") == retired,
+               "retired=" + std::to_string(reported(0, "retired")));
+    }
+
+    /** The supervisor's beats put a supervisor row into --health. */
+    void expectSupervisorRow()
+    {
+        const JsonValue health =
+            JsonValue::parse(viewOk({"--health", "--out", dir}));
+        const auto &rows = health.at("workers").asArray();
+        expect(std::any_of(rows.begin(), rows.end(),
+                           [](const JsonValue &row) {
+                               return row.at("role").asString()
+                                   == "supervisor";
+                           }),
+               "no supervisor row in --health");
+    }
+
+    /** --validate accepts the sweep and counts its jobs. */
+    void expectValid()
+    {
+        const Args out = lines(viewOk({spec, "--validate"}));
+        expect(!out.empty()
+                   && out.back()
+                       == std::to_string(jobs) + " job(s), all valid",
+               "--validate did not count every job valid");
+    }
 };
 
-/** Where a supervisor drill's `tokens` entry keeps its budget. */
-std::string
-crashTokenDir(const std::string &outRoot, const std::string &drill)
+/** One `--events` row: "<wall>.<ctr>@<origin> <type> <worker> <job>
+ * <detail>". */
+struct EventRow
 {
-    return (std::filesystem::path(outRoot) / drill / "crash-tokens")
-        .string();
+    std::string key, origin, type, job;
+    JsonValue detail;
+};
+
+std::vector<EventRow>
+eventRows(const std::string &text)
+{
+    std::vector<EventRow> rows;
+    for (const std::string &line : lines(text)) {
+        std::istringstream in(line);
+        EventRow row;
+        std::string worker, detail;
+        in >> row.key >> row.type >> worker >> row.job;
+        std::getline(in >> std::ws, detail);
+        row.origin = row.key.substr(row.key.find('@') + 1);
+        try {
+            row.detail = JsonValue::parse(detail);
+        } catch (const std::exception &) {
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
 }
 
-std::vector<SupervisorDrill>
-supervisorDrillMatrix(const std::string &outRoot)
+/**
+ * Resume after a kill picks up the newest durable checkpoint: every
+ * job the killed process (the one that journaled the sweep's first
+ * checkpoint) journaled a checkpoint for is resumed by another process
+ * from that iteration or later. A journal can lag the disk (a
+ * concurrent lane's checkpoint lands before its event is flushed) but
+ * never lead it.
+ */
+void
+expectResumedFromNewestCheckpoint(Run &run)
 {
-    std::vector<SupervisorDrill> drills;
-    {
-        // Child SIGKILL storm: every child crashes after a durable
-        // checkpoint while a token is left, and the plan's O_EXCL
-        // tokens make that exactly two kills fleet-wide (a
-        // per-process budget would re-fire in every restarted child).
-        // The supervisor restarts the dead slots and the fleet still
-        // drains itself.
-        SupervisorDrill d;
-        d.name = "supervisor-kill-storm";
-        d.faults =
-            R"([{"site": "checkpoint.written", "action": "crash", "hit": 1, "times": 2, "tokens": )"
-            + JsonValue(crashTokenDir(outRoot, d.name)).dump() + "}]";
-        d.expectTokens = 2;
-        d.minCrashes = 2;
-        drills.push_back(std::move(d));
+    std::string killed;
+    std::map<std::string, std::int64_t> newest, resumed;
+    for (const EventRow &row :
+         eventRows(run.viewOk({"--events", "--out", run.dir}))) {
+        const JsonValue *it =
+            row.detail.isObject() ? row.detail.find("iteration") : nullptr;
+        if (!it)
+            continue;
+        if (row.type == "job.checkpointed" && killed.empty())
+            killed = row.origin;
+        if (row.type == "job.checkpointed" && row.origin == killed)
+            newest[row.job] = std::max(newest[row.job], it->asInt());
+        if (row.type == "job.resumed" && row.origin != killed)
+            resumed[row.job] = std::max(resumed[row.job], it->asInt());
     }
-    {
-        // Hung job: worker.hang wedges the second scenario iteration
-        // of every child life for 3 s. The heartbeat keeps renewing
-        // the lease with a frozen progress stamp, so the supervisor
-        // watchdog SIGKILLs the child and appends a timedOut attempt
-        // record. Restarted children re-arm and hang again, so every
-        // job drains by exhausting the fleet-wide attempt budget; the
-        // disarmed recovery worker then re-runs them all.
-        SupervisorDrill d;
-        d.name = "supervisor-hang-timeout";
-        d.faults =
-            R"([{"site": "worker.hang", "action": "delay-ms", "ms": 3000, "hit": 2}])";
-        d.jobTimeoutMs = 300;
-        d.expectDrained = true;
-        d.minWatchdogKills = 1;
-        d.minTimeoutRecords = 1;
-        d.recoveryMaxAttempts = 100;
-        drills.push_back(std::move(d));
-    }
-    {
-        // Crash loop: every child life SIGKILLs at its first
-        // checkpoint write, so the circuit breaker retires all three
-        // slots (two abnormal exits each) and the supervisor gives up
-        // without draining. The disarmed recovery worker converges.
-        SupervisorDrill d;
-        d.name = "supervisor-crash-loop-retire";
-        d.faults =
-            R"([{"site": "checkpoint.write", "action": "crash", "hit": 1}])";
-        d.crashLoopBudget = 2;
-        d.expectDrained = false;
-        d.expectRetired = 3;
-        d.minCrashes = 6;
-        drills.push_back(std::move(d));
-    }
-    {
-        // Fleet-wide poison: every attempt of every job throws in
-        // every child. The cumulative attempt records must cap each
-        // job at maxJobAttempts across the whole fleet — not
-        // maxJobAttempts per worker — after which every worker skips
-        // it durably and the sweep drains degraded (all failed).
-        SupervisorDrill d;
-        d.name = "fleet-poison-skip";
-        d.faults =
-            R"([{"site": "worker.job", "action": "fail-errno", "errno": "EIO", "hit": 1, "times": 0}])";
-        d.checkAttemptBudget = true;
-        d.recoveryMaxAttempts = 100;
-        drills.push_back(std::move(d));
-    }
+    run.expect(!newest.empty(), "the killed process journaled no checkpoint");
+    for (const auto &[job, iteration] : newest)
+        run.expect(resumed.count(job) != 0 && resumed[job] >= iteration,
+                   "job " + job + " checkpointed at "
+                       + std::to_string(iteration) + " but resumed from "
+                       + (resumed.count(job) ? std::to_string(resumed[job])
+                                             : std::string("scratch")));
+}
+
+/** Supervisor flags, then `--` and the workers' flags. */
+Args
+fleetArgs(Args supervisor, const Args &workers)
+{
+    supervisor.push_back("--");
+    supervisor.insert(supervisor.end(), workers.begin(), workers.end());
+    return supervisor;
+}
+
+/** The chaos fleets: 3 slots, fast leases and backoffs. */
+Args
+chaosFleetArgs(Args extra)
+{
+    Args supervisor = {"--id-prefix", "chaos", "--restart-backoff-ms",
+                       "50", "--crash-loop-window-ms", "60000",
+                       "--grace-ms", "2000", "--poll-ms", "25"};
+    supervisor.insert(supervisor.end(), extra.begin(), extra.end());
+    return fleetArgs(supervisor, {"--no-merge", "--lease-ms", "400",
+                                  "--poll-ms", "25", "--retry-backoff-ms",
+                                  "10"});
+}
+
+/** The smoke fleets' flags, slot ids `<prefix>-w<k>`. */
+Args
+smokeFleetArgs(const std::string &prefix, Args extra = {})
+{
+    Args supervisor = {"--id-prefix", prefix, "--restart-backoff-ms",
+                       "100", "--poll-ms", "50"};
+    supervisor.insert(supervisor.end(), extra.begin(), extra.end());
+    return fleetArgs(supervisor, {"--lease-ms", "3000", "--poll-ms", "50",
+                                  "--retry-backoff-ms", "50"});
+}
+
+/** `times` child kills fleet-wide, each after a durable checkpoint. */
+std::string
+fleetKills(const std::string &outRoot, const std::string &drill, int times)
+{
+    return R"({"site": "checkpoint.written", "action": "crash", "hit": 1, "times": )"
+        + std::to_string(times) + ", \"tokens\": "
+        + JsonValue(crashTokens(outRoot, drill)).dump() + "}";
+}
+
+void checkObservability(Run &run);
+void checkTimeline(Run &run);
+void checkScale(Run &run);
+
+/**
+ * The drill matrix. The chaos drills cover every recovery path:
+ * syscall failures on the atomic-write and claim hot paths, torn store
+ * records and checkpoints (the CRC quarantine paths), heartbeat loss,
+ * abandoned locks, injected I/O latency, a probabilistic
+ * acquire-failure schedule, SIGKILL before the 1st/2nd/3rd/5th
+ * checkpoint write, and the self-healing fleet.
+ */
+std::vector<Drill>
+drillMatrix(const std::string &outRoot, int chaosJobs)
+{
+    std::vector<Drill> drills;
+    // Every job has interior checkpoints (4 and 8) for the crash drills.
+    const JsonValue chaos = fieldSweep("chaos", 4, 12, 4, chaosJobs);
+    for (const auto &[name, faults] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"rename-fails-once",
+              R"([{"site": "file.write_atomic.rename", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
+             {"fsync-fails-once",
+              R"([{"site": "file.write_atomic.fsync", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
+             {"read-fails-once",
+              R"([{"site": "file.read", "action": "fail-errno", "errno": "EIO", "hit": 2}])"},
+             {"stage-write-torn",
+              R"([{"site": "file.write_atomic.stage", "action": "torn-write", "keepFraction": 0.5, "hit": 1}])"},
+             {"claim-acquire-fails",
+              R"([{"site": "claim.acquire", "action": "fail-errno", "errno": "EAGAIN", "hit": 1, "times": 3}])"},
+             {"claim-acquire-flaky",
+              R"([{"site": "claim.acquire", "action": "fail-errno", "errno": "EAGAIN", "probability": 0.3, "times": 0}])"},
+             {"heartbeat-loss",
+              R"([{"site": "claim.renew", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
+             {"release-leaves-lock",
+              R"([{"site": "claim.release", "action": "fail-errno", "errno": "EIO", "hit": 1, "times": 2}])"},
+             {"store-append-fails",
+              R"([{"site": "store.append", "action": "fail-errno", "errno": "EIO", "hit": 1}])"},
+             {"store-append-torn",
+              R"([{"site": "store.append", "action": "torn-write", "keepFraction": 0.4, "hit": 1}])"},
+             {"checkpoint-torn-then-crash",
+              R"([{"site": "checkpoint.write", "action": "torn-write", "keepFraction": 0.6, "hit": 2}, {"site": "checkpoint.write", "action": "crash", "hit": 3}])"},
+             {"checkpoint-write-slow",
+              R"([{"site": "checkpoint.write", "action": "delay-ms", "ms": 600, "hit": 1}])"},
+             {"crash-at-checkpoint-1",
+              R"([{"site": "checkpoint.write", "action": "crash", "hit": 1}])"},
+             {"crash-at-checkpoint-2",
+              R"([{"site": "checkpoint.write", "action": "crash", "hit": 2}])"},
+             {"crash-at-checkpoint-3",
+              R"([{"site": "checkpoint.write", "action": "crash", "hit": 3}])"},
+             {"crash-at-checkpoint-5",
+              R"([{"site": "checkpoint.write", "action": "crash", "hit": 5}])"},
+         })
+        drills.push_back({name, "chaos", chaos, faults});
+
+    const auto fleet = [&](const char *name, std::string faults,
+                           Args extra, std::function<void(Run &)> check) {
+        Drill d{name, "chaos", chaos, std::move(faults), Drain::Fleet,
+                chaosFleetArgs(std::move(extra))};
+        d.check = std::move(check);
+        return d;
+    };
+    // Child SIGKILL storm: every child crashes after a durable
+    // checkpoint while a token is left, and the O_EXCL tokens make that
+    // exactly two kills fleet-wide (a per-process budget would re-fire
+    // in every restarted child). The fleet still drains itself.
+    const std::string storm = "supervisor-kill-storm";
+    drills.push_back(fleet(
+        storm.c_str(), "[" + fleetKills(outRoot, storm, 2) + "]", {},
+        [tokens = crashTokens(outRoot, storm)](Run &run) {
+            run.expectFleet(true, 0);
+            run.expectAtLeast(0, "crashes", 2);
+            const std::size_t left = listSortedFiles(tokens, "").size();
+            run.expect(left == 2, std::to_string(left) + " crash tokens");
+            run.expectSupervisorRow();
+        }));
+    // Hung job: worker.hang wedges the second iteration of every child
+    // life for 3 s while the heartbeat keeps renewing with a frozen
+    // progress stamp, so the watchdog SIGKILLs the child and records a
+    // timedOut attempt. Every job drains by exhausting the fleet-wide
+    // budget. One claim per child, so the slots hang on different jobs
+    // at once instead of taking turns on one batch (the supervisor
+    // smoke drill hangs a whole batch).
+    drills.push_back(fleet(
+        "supervisor-hang-timeout",
+        R"([{"site": "worker.hang", "action": "delay-ms", "ms": 3000, "hit": 2}])",
+        {"--job-timeout-ms", "300"}, [](Run &run) {
+            run.expectFleet(true, 0);
+            run.expectAtLeast(0, "watchdog-kills", 1);
+            run.expectAtLeast(0, "timeout-records", 1);
+            run.expectSupervisorRow();
+        }));
+    drills.back().args.insert(drills.back().args.end(),
+                              {"--claim-batch", "1"});
+    drills.back().recoveryMaxAttempts = 100;
+    // Crash loop: every child life SIGKILLs at its first checkpoint
+    // write, so the circuit breaker retires all three slots (two
+    // abnormal exits each) and the supervisor gives up undrained.
+    drills.push_back(fleet(
+        "supervisor-crash-loop-retire",
+        R"([{"site": "checkpoint.write", "action": "crash", "hit": 1}])",
+        {"--crash-loop-k", "2"}, [](Run &run) {
+            run.expectFleet(false, 3);
+            run.expectAtLeast(0, "crashes", 6);
+            run.expectSupervisorRow();
+        }));
+    // Fleet-wide poison: every attempt of every job throws in every
+    // child. The attempt records must cap each job at the budget (3)
+    // across the whole fleet, not per worker; the sweep drains degraded.
+    drills.push_back(fleet(
+        "fleet-poison-skip",
+        R"([{"site": "worker.job", "action": "fail-errno", "errno": "EIO", "hit": 1, "times": 0}])",
+        {}, [](Run &run) {
+            run.expectFleet(true, 0);
+            std::size_t failed = 0, over_budget = 0;
+            for (const JsonValue &record :
+                 storeRecords(sweepStorePath(run.dir))) {
+                const JsonValue *f = record.find("failed");
+                if (!f || !f->asBool())
+                    continue;
+                ++failed;
+                const std::int64_t attempts = record.at("attempts").asInt();
+                over_budget += attempts < 1 || attempts > 3;
+            }
+            run.expect(failed == run.jobs,
+                       std::to_string(failed) + " poisoned jobs");
+            run.expect(over_budget == 0,
+                       std::to_string(over_budget)
+                           + " job(s) over the fleet-wide budget");
+            run.expectSupervisorRow();
+        }));
+    drills.back().recoveryMaxAttempts = 100;
+
+    // ---- smoke: the end-to-end CLI cycles ----
+    const JsonValue fleet_sweep = fieldSweep("fleet-tfim", 6, 40, 5, 6);
+    const std::string kill_at_2 =
+        R"([{"site": "checkpoint.written", "action": "crash", "hit": 2}])";
+    // treevqa_run at 4 lanes SIGKILLed after the sweep's second durable
+    // checkpoint; the rerun resumes every job from its newest one.
+    drills.push_back({"orchestration", "smoke",
+                      tfimSweep("orch-tfim", 6, 40, 10, 1024,
+                                "{\"field\": " + steps(6, 4, 3, 10.0) + "}"),
+                      kill_at_2, Drain::Scheduler, {"--jobs", "4"}});
+    drills.back().check = [](Run &run) {
+        run.expect(run.status[0] == 128 + SIGKILL,
+                   "killed run exited " + std::to_string(run.status[0]));
+    };
+    drills.back().afterRecovery = expectResumedFromNewestCheckpoint;
+    // Two workers: the first holds every claim (one batch) and SIGKILLs
+    // itself after its second durable checkpoint; the survivor reaps
+    // the dead leases, resumes the job, drains and compacts.
+    drills.push_back({"distributed", "smoke", fleet_sweep, kill_at_2,
+                      Drain::Workers,
+                      {"--lease-ms", "400", "--poll-ms", "25"}});
+    drills.back().check = [](Run &run) {
+        run.expectValid();
+        const std::string bad = run.root + "/bad.json";
+        writeTextFileAtomic(bad, "{\"problem\": \"nope\"}\n");
+        run.expect(run.view({bad, "--validate"}).first != 0,
+                   "--validate accepted a broken spec");
+        run.expect(run.status[0] == 128 + SIGKILL && run.status[1] == 0,
+                   "worker exits " + std::to_string(run.status[0]) + ","
+                       + std::to_string(run.status[1]));
+        run.expectAtLeast(1, "reaped", 1);
+        run.expectAtLeast(1, "resumed", 1);
+        run.expect(run.printed(1, "drained=yes merged=yes"),
+                   "w2 did not drain and compact");
+        expectResumedFromNewestCheckpoint(run);
+    };
+    // A 3-child fleet through a failure storm: two fleet-wide SIGKILLs
+    // after durable checkpoints, and a hang at each child's 25th
+    // iteration until the watchdog kills it.
+    drills.push_back(
+        {"supervisor", "smoke", fleet_sweep,
+         "[" + fleetKills(outRoot, "supervisor", 2)
+             + R"(, {"site": "worker.hang", "action": "delay-ms", "ms": 3000, "hit": 25}])",
+         Drain::Fleet,
+         smokeFleetArgs("sup", {"--job-timeout-ms", "300", "--grace-ms",
+                                "3000", "--no-merge"})});
+    drills.back().recoveryMaxAttempts = 100;
+    drills.back().check = [](Run &run) {
+        run.expectAtLeast(0, "crashes", 2);
+        run.expectAtLeast(0, "restarts", 1);
+        run.expectAtLeast(0, "watchdog-kills", 1);
+        run.expectAtLeast(0, "timeout-records", 1);
+        run.expectSupervisorRow();
+    };
+    // A traced fleet drains through one SIGKILL; 400 iterations keep
+    // the sweep running past the restart backoff, so the replacement
+    // incarnation writes a trace of its own.
+    drills.push_back({"observability", "smoke",
+                      fieldSweep("obs-tfim", 6, 400, 5, 6),
+                      "[" + fleetKills(outRoot, "observability", 1) + "]",
+                      Drain::Fleet, smokeFleetArgs("obs")});
+    drills.back().trace = true;
+    drills.back().check = checkObservability;
+    // A fleet drains through one SIGKILL; the journals must then tell
+    // the resumed job's story.
+    drills.push_back({"timeline", "smoke", fleet_sweep,
+                      "[" + fleetKills(outRoot, "timeline", 1) + "]",
+                      Drain::Fleet, smokeFleetArgs("tl")});
+    drills.back().check = checkTimeline;
+    // 10^4 jobs (100 fields x 100 seeds of a 2-qubit TFIM, one
+    // iteration each: claim-path cost, not simulation) through a
+    // 4-slot fleet with batched claims and the incremental tail reader.
+    drills.push_back(
+        {"dist-scale", "scale",
+         tfimSweep("scale-tfim", 2, 1, 0, 16,
+                   "{\"field\": " + steps(50, 1, 100, 100.0)
+                       + ", \"seed\": " + steps(1, 1, 100, 1.0) + "}"),
+         "[]", Drain::Fleet,
+         fleetArgs({"--id-prefix", "scale", "--poll-ms", "100"},
+                   {"--claim-batch", "16", "--lease-ms", "10000",
+                    "--poll-ms", "20"}),
+         4});
+    drills.back().check = checkScale;
     return drills;
 }
 
-/** Disarmed recovery worker (the real binary) draining whatever the
- * supervised fleet left behind; decoded shell status like
- * runWorkerChild. `maxAttempts` above the drill's budget makes
- * poisoned records unresolved again so the jobs re-run fault-free. */
-int
-runRecoveryWorker(const std::string &workerBin,
-                  const std::string &sweepDir, long maxAttempts,
-                  const std::string &logPath)
+void
+checkObservability(Run &run)
 {
-    ::unsetenv("TREEVQA_FAULT_PLAN");
-    const std::string command = "\"" + workerBin + "\" --sweep-dir \""
-        + sweepDir
-        + "\" --drain-and-exit --worker-id recovery --lease-ms 400"
-        + " --poll-ms 25 --retry-backoff-ms 10 --max-job-attempts "
-        + std::to_string(maxAttempts) + " >> \"" + logPath
-        + "\" 2>&1";
-    const int status = std::system(command.c_str());
-    if (status == -1)
-        return -1;
-    if (WIFSIGNALED(status))
-        return 128 + WTERMSIG(status);
-    return WEXITSTATUS(status);
+    run.expectFleet(true, 0);
+    run.expectAtLeast(0, "crashes", 1);
+    run.expectAtLeast(0, "restarts", 1);
+    run.expectAtLeast(0, "spawns", 4);
+
+    // Every process incarnation left parseable Chrome trace JSON, and
+    // the SIGKILLed one's dump survives beside its replacement's.
+    std::size_t files = 0, events = 0;
+    const Args traces = listSortedFiles(run.dir + "/traces", ".json");
+    for (const std::string id : {"obs-w0", "obs-w1", "obs-w2", "supervisor"}) {
+        std::size_t mine = 0;
+        for (const std::string &path : traces) {
+            if (!startsWith(fs::path(path).filename().string(), id + "-p"))
+                continue;
+            ++mine;
+            try {
+                const JsonValue doc = JsonValue::parse(readOrEmpty(path));
+                run.expect(doc.at("displayTimeUnit").asString() == "ms",
+                           path + ": displayTimeUnit");
+                for (const JsonValue &e : doc.at("traceEvents").asArray()) {
+                    run.expect(e.at("ph").asString() == "X"
+                                   && e.at("cat").asString() == "treevqa",
+                               path + ": not a complete treevqa span");
+                    ++events;
+                }
+            } catch (const std::exception &e) {
+                run.expect(false, path + ": " + e.what());
+            }
+        }
+        run.expect(mine > 0, "no trace from " + id);
+        files += mine;
+    }
+    run.expect(files > 4, std::to_string(files) + " trace files");
+    run.expect(events > 0, "no trace events");
+
+    // Merged metrics count exactly the drained jobs: the SIGKILLed
+    // incarnation flushed its completions with each beat, and its
+    // replacement never re-counts recorded jobs.
+    const JsonValue m =
+        JsonValue::parse(run.viewOk({"--metrics", "--out", run.dir}));
+    const auto counter = [&](const char *name) {
+        const JsonValue *v = m.at("counters").find(name);
+        return v ? v->asInt() : -1;
+    };
+    const auto jobs = static_cast<std::int64_t>(run.jobs);
+    const std::int64_t completed = counter("worker.jobs_completed");
+    run.expect(m.at("processes").asInt() >= 4, "fewer than 4 dumps");
+    run.expect(completed == jobs,
+               "worker.jobs_completed=" + std::to_string(completed));
+    run.expect(counter("worker.claims_acquired") >= jobs,
+               "too few claims_acquired");
+    run.expect(counter("supervisor.spawns") >= 3
+                   && counter("supervisor.restarts") >= 1,
+               "supervisor spawn/restart counters");
+    for (const char *phase : {"runner.step_ns", "worker.job_ns",
+                              "worker.scan_ns", "supervisor.spawn_ns"}) {
+        const JsonValue *p = m.at("phases").find(phase);
+        run.expect(p && p->at("count").asInt() > 0,
+                   std::string("phase ") + phase + " never ran");
+    }
+
+    // --health carries staleness verdicts, and sums the same counters
+    // over every incarnation.
+    const JsonValue h =
+        JsonValue::parse(run.viewOk({"--health", "--out", run.dir}));
+    run.expect(h.contains("staleWorkers"), "--health: no staleWorkers");
+    for (const JsonValue &row : h.at("workers").asArray())
+        run.expect(row.contains("staleSeconds") && row.contains("stale")
+                       && row.at("flushIntervalMs").asInt() > 0,
+                   "--health row without staleness fields");
+    run.expect(h.at("jobsCompleted").asInt() == completed,
+               "--health jobsCompleted differs from --metrics");
 }
 
-/**
- * Post-drill observability audit. A fault schedule may legitimately
- * lose dumps (dropped batches, failed snapshot writes) but must never
- * leave a malformed one behind: metrics/trace snapshots are atomic
- * renames (whole-document or absent) and event journals are appended
- * a whole line batch at a time. The one tolerated exception is a torn
- * *final* journal line — a mid-append kill — which the CRC check
- * quarantines at read time by design. Returns a "; "-joined problem
- * list, empty when every dump parses.
- */
-std::string
-auditObservabilityDumps(const std::string &dir)
+void
+checkTimeline(Run &run)
 {
-    namespace fs = std::filesystem;
-    std::string problems;
-    const auto complain = [&](const std::string &what) {
-        if (!problems.empty())
-            problems += "; ";
-        problems += what;
+    run.expectFleet(true, 0);
+    run.expectAtLeast(0, "crashes", 1);
+    run.expectAtLeast(0, "restarts", 1);
+    const std::string out = run.dir, n = std::to_string(run.jobs);
+    const auto count = [&](const Args &args) {
+        return lines(run.viewOk(args)).size();
+    };
+    const auto any_starts = [](const Args &rows, const std::string &head) {
+        return std::any_of(rows.begin(), rows.end(),
+                           [&](const std::string &row) {
+                               return startsWith(row, head);
+                           });
     };
 
-    for (const char *sub : {"metrics", "traces"}) {
-        for (const std::string &path :
-             listSortedFiles((fs::path(dir) / sub).string(), ".json")) {
-            const std::string name =
-                std::string(sub) + "/" + fs::path(path).filename().string();
-            std::string text;
-            if (!readTextFile(path, text)) {
-                complain(name + ": unreadable");
-                continue;
-            }
-            try {
-                JsonValue::parse(text);
-            } catch (const std::exception &) {
-                complain(name + ": malformed JSON");
-            }
-        }
+    // Paged status: --limit caps the rows, --after resumes strictly
+    // past a cursor, and the totals line always covers the sweep.
+    const Args page1 =
+        lines(run.viewOk({"--status", "--out", out, "--limit", "2"}));
+    run.expect(page1.size() == 4
+                   && any_starts(page1, n + " jobs: " + n + " done,"),
+               "--status --limit 2: unexpected page");
+    if (page1.size() == 4) {
+        const std::string cursor = page1[2].substr(0, page1[2].find(' '));
+        const Args page2 = lines(run.viewOk(
+            {"--status", "--out", out, "--limit", "2", "--after", cursor}));
+        run.expect(page2.size() == 4 && !any_starts(page2, cursor + " "),
+                   "--status --after: unexpected page");
     }
 
-    for (const std::string &path :
-         listSortedFiles((fs::path(dir) / "events").string(), ".jsonl")) {
-        std::string text;
-        if (!readTextFile(path, text))
-            continue;
-        std::istringstream lines(text);
-        std::string line;
-        std::size_t lineno = 0, bad = 0, last_bad = 0;
-        while (std::getline(lines, line)) {
-            ++lineno;
-            if (line.empty())
-                continue;
-            try {
-                JsonValue::parse(line);
-            } catch (const std::exception &) {
-                ++bad;
-                last_bad = lineno;
-            }
-        }
-        const bool torn_tail_only = bad == 1 && last_bad == lineno
-            && !text.empty() && text.back() != '\n';
-        if (bad > 0 && !torn_tail_only)
-            complain("events/" + fs::path(path).filename().string()
-                     + ": " + std::to_string(bad)
-                     + " malformed line(s)");
+    // A quarantined store line turns --status into exit 3.
+    const std::string bad = run.root + "/sweep-bad";
+    fs::copy(out, bad, fs::copy_options::recursive);
+    appendTextDurable(sweepStorePath(bad), "not json at all\n");
+    run.expect(
+        run.view({"--status", "--out", bad, "--summary-only"}).first == 3,
+        "--status did not exit 3 on a quarantined line");
+
+    // The resumed job's timeline tells the handoff story in causal
+    // order, across at least two process incarnations.
+    const std::vector<EventRow> resumed = eventRows(
+        run.viewOk({"--events", "--out", out, "--type", "job.resumed"}));
+    run.expect(!resumed.empty(), "no job.resumed event");
+    if (resumed.empty())
+        return;
+    const std::string fp = resumed[0].job;
+    const std::string timeline = run.viewOk({"--timeline", fp, "--out", out});
+    const Args tl = lines(timeline);
+    run.expect(!tl.empty() && startsWith(tl[0], "timeline for job "),
+               "--timeline: no header");
+    Args types;
+    std::vector<std::tuple<long long, long long, std::string>> keys;
+    std::set<std::string> origins;
+    for (std::size_t i = 1; i < tl.size(); ++i) {
+        std::istringstream in(tl[i]);
+        std::string stamp, origin, type;
+        in >> stamp >> origin >> type;
+        keys.emplace_back(std::atoll(stamp.c_str()),
+                          std::atoll(stamp.c_str() + stamp.find('.') + 1),
+                          origin);
+        types.push_back(type);
+        origins.insert(origin);
     }
-    return problems;
+    auto last = types.begin();
+    for (const char *step : {"job.claimed", "fleet.crash", "lease.reaped",
+                             "job.resumed", "job.completed"}) {
+        const auto it = std::find(types.begin(), types.end(), step);
+        run.expect(it != types.end() && it >= last,
+                   std::string("--timeline: ") + step
+                       + " missing or out of order");
+        last = it == types.end() ? last : std::max(last, it);
+    }
+    run.expect(std::adjacent_find(keys.begin(), keys.end(),
+                                  std::greater_equal<>())
+                   == keys.end(),
+               "--timeline: HLC keys not strictly increasing");
+    run.expect(origins.size() >= 2, "--timeline: one incarnation only");
+
+    // The bytes do not depend on the order the journals are read in.
+    const std::string rev = run.root + "/sweep-rev";
+    fs::create_directories(rev + "/events");
+    Args journals = listSortedFiles(out + "/events", ".jsonl");
+    std::reverse(journals.begin(), journals.end());
+    for (std::size_t i = 0; i < journals.size(); ++i)
+        fs::copy_file(journals[i],
+                      rev + "/events/z" + std::to_string(100 + i) + "-"
+                          + fs::path(journals[i]).filename().string());
+    run.expect(run.viewOk({"--timeline", fp, "--out", rev}) == timeline,
+               "--timeline bytes depend on journal read order");
+
+    // --events filters compose and page in HLC order.
+    const std::string all = run.viewOk({"--events", "--out", out});
+    const std::vector<EventRow> rows = eventRows(all);
+    run.expect(std::count_if(rows.begin(), rows.end(),
+                             [](const EventRow &r) {
+                                 return r.type == "job.completed";
+                             })
+                   >= static_cast<long>(run.jobs),
+               "--events: missing job.completed rows");
+    run.expect(count({"--events", "--out", out, "--type", "job.expanded"})
+                   == run.jobs,
+               "--events --type job.expanded: not one row per job");
+    run.expect(count({"--events", "--out", out, "--job", fp}) >= 5,
+               "--events --job: fewer than 5 rows");
+    const std::string p1 =
+        run.viewOk({"--events", "--out", out, "--limit", "5"});
+    const std::vector<EventRow> p1_rows = eventRows(p1);
+    run.expect(!p1_rows.empty()
+                   && p1 + run.viewOk({"--events", "--out", out, "--after",
+                                       p1_rows.back().key})
+                       == all,
+               "--events paging lost or repeated rows");
+    if (rows.size() >= 3)
+        run.expect(count({"--events", "--out", out, "--since-hlc",
+                          rows[2].key, "--until-hlc", rows[2].key})
+                       == 1,
+                   "--since-hlc/--until-hlc did not bracket one event");
+
+    // --metrics --since over the same dumps: totals carry, deltas and
+    // rates are zero.
+    const std::string prior = run.root + "/metrics1.json";
+    writeTextFileAtomic(prior, run.viewOk({"--metrics", "--out", out}));
+    const JsonValue d = JsonValue::parse(
+        run.viewOk({"--metrics", "--out", out, "--since", prior}));
+    run.expect(d.at("asOfMs").asInt() > 0
+                   && d.at("sinceMs").asInt() == d.at("asOfMs").asInt()
+                   && d.at("intervalSeconds").asDouble() == 0.0,
+               "--metrics --since: wrong interval");
+    const JsonValue &row = d.at("counters").at("worker.jobs_completed");
+    run.expect(row.at("total").asInt() >= static_cast<std::int64_t>(run.jobs)
+                   && row.at("delta").asInt() == 0
+                   && row.at("perSec").asDouble() == 0.0,
+               "--metrics --since: wrong jobs_completed row");
+    for (const auto &[name, counter] : d.at("counters").asObject())
+        run.expect(counter.contains("delta") && counter.contains("perSec"),
+                   "--metrics --since: " + name + " without a rate");
+
+    // --watch diffs successive rounds.
+    const std::string watch =
+        run.viewOk({"--watch", "--out", out, "--watch-rounds", "2",
+                    "--watch-interval-ms", "200"});
+    run.expect(watch.find("watch 1: totals jobs=") != std::string::npos
+                   && watch.find("watch 2: jobs/s ") != std::string::npos,
+               "--watch did not print two rounds");
 }
 
-/** Prefix of the fault child's fire-count report line. */
-constexpr const char *kFiresPrefix = "drill child fires: ";
+void
+checkScale(Run &run)
+{
+    run.expectValid();
+    run.expectFleet(true, 0);
+    // Compaction on drain folded every shard into the canonical store.
+    run.expect(fs::is_empty(run.dir + "/workers"), "shards left in workers/");
+    long long claims = 0, bytes_read = 0;
+    for (const std::string &path :
+         listSortedFiles(run.dir + "/logs", ".log")) {
+        const std::string text = readOrEmpty(path);
+        for (const auto &[key, total] :
+             {std::pair{" claims=", &claims}, {" store-bytes=", &bytes_read}})
+            for (std::size_t at = text.find(key); at != std::string::npos;
+                 at = text.find(key, at + 1))
+                *total += std::atoll(text.c_str() + at + std::strlen(key));
+    }
+    const auto store =
+        static_cast<long long>(fs::file_size(sweepStorePath(run.dir)));
+    const auto jobs = static_cast<long long>(run.jobs);
+    // Batched claims: about one lock round-trip per drained job.
+    run.expect(claims < 2 * jobs, std::to_string(claims) + " claim attempts");
+    // Incremental tail scanning: each worker reads each appended byte
+    // once, plus the full re-reads of the drain confirmation and after
+    // compaction (~8x the final store with 4 workers). A full rescan
+    // per scan round reads scan-rounds x store and blows far past 16x.
+    run.expect(bytes_read < 16 * store,
+               std::to_string(bytes_read) + " store bytes read, store is "
+                   + std::to_string(store));
+    std::printf("dist-scale: claims/job=%.3f bytes-read/store=%.1fx\n",
+                static_cast<double>(claims) / static_cast<double>(jobs),
+                static_cast<double>(bytes_read) / static_cast<double>(store));
+    run.viewOk({"--health", "--out", run.dir});
+}
+
+// -------------------------------------------------------------- running
 
 /**
- * Planned sites of `faults` (a plan's "faults" array) that the fault
- * child never fired, comma-joined in plan order, judged from its
- * output `childLog` (the kFiresPrefix report line) and its decoded
- * exit `status`. A site is proven by a nonzero fire count, or — since
- * a crashed child cannot report — by a SIGKILL death when one of its
- * entries is a crash. Empty = every planned site fired.
+ * Planned sites of `faults` that the armed process never fired,
+ * comma-joined in plan order, judged from its output `log` (the
+ * kFiresPrefix line) and its exit `status`. A site is proven by a
+ * nonzero fire count or — a crashed process cannot report — by a
+ * SIGKILL death when one of its entries is a crash.
  */
 std::string
-unfiredSites(const std::string &faults, const std::string &childLog,
-             int status)
+unfiredSites(const std::string &faults, const std::string &log, int status)
 {
     JsonValue fires = JsonValue::object();
-    const std::size_t at = childLog.rfind(kFiresPrefix);
+    const std::size_t at = log.rfind(kFiresPrefix);
     if (at != std::string::npos) {
         const std::size_t begin = at + std::strlen(kFiresPrefix);
         fires = JsonValue::parse(
-            childLog.substr(begin, childLog.find('\n', begin) - begin));
+            log.substr(begin, log.find('\n', begin) - begin));
     }
-    const bool killed = status == 128 + SIGKILL;
-    const JsonValue plan = JsonValue::parse(faults);
-    std::vector<std::string> sites;
+    Args sites;
     std::set<std::string> proven;
+    const JsonValue plan = JsonValue::parse(faults);
     for (const JsonValue &entry : plan.asArray()) {
         const std::string site = entry.at("site").asString();
         if (std::find(sites.begin(), sites.end(), site) == sites.end())
             sites.push_back(site);
         const JsonValue *count = fires.find(site);
         if ((count && count->asInt() > 0)
-            || (killed && entry.at("action").asString() == "crash"))
+            || (status == 128 + SIGKILL
+                && entry.at("action").asString() == "crash"))
             proven.insert(site);
     }
     std::string unfired;
@@ -492,42 +1052,244 @@ unfiredSites(const std::string &faults, const std::string &childLog,
     return unfired;
 }
 
-int
-runDrillWorker(const std::string &sweepDir, int jobs)
+/**
+ * A fault schedule may lose observability dumps but must never leave a
+ * malformed one: metrics/trace snapshots are atomic renames and
+ * journals append whole line batches. The one tolerated exception is
+ * a torn *final* journal line (a mid-append kill), which the CRC check
+ * quarantines at read time. Returns the problems, "; "-joined.
+ */
+std::string
+auditObservabilityDumps(const std::string &dir)
 {
-    WorkerOptions options;
-    options.sweepDir = sweepDir;
-    // Short leases keep the abandoned-lock / heartbeat-loss drills
-    // fast: recovery only ever waits lease + skew grace (clamped to
-    // leaseMs/2) before reaping.
-    options.leaseMs = 400;
-    options.pollMs = 25;
-    options.drainAndExit = true;
-    options.mergeOnDrain = true;
-    options.maxJobAttempts = 3;
-    options.retryBackoffMs = 10;
-    WorkerDaemon daemon(options);
-    const WorkerReport report = daemon.run(chaosSweep(jobs));
-    std::printf("drill child: completed=%zu resumed=%zu reaped=%zu "
-                "lost=%zu poisoned=%zu drained=%s\n",
-                report.completed, report.resumed, report.reapedLeases,
-                report.lostClaims, report.poisoned,
-                report.drained ? "yes" : "no");
-    return report.drained ? 0 : 1;
+    std::string problems;
+    const auto complain = [&](const std::string &what) {
+        problems += (problems.empty() ? "" : "; ") + what;
+    };
+    for (const std::string sub : {"metrics", "traces"})
+        for (const std::string &path :
+             listSortedFiles(dir + "/" + sub, ".json")) {
+            try {
+                JsonValue::parse(readOrEmpty(path));
+            } catch (const std::exception &) {
+                complain(sub + "/" + fs::path(path).filename().string()
+                         + ": malformed JSON");
+            }
+        }
+    for (const std::string &path :
+         listSortedFiles(dir + "/events", ".jsonl")) {
+        const std::string text = readOrEmpty(path);
+        const Args rows = lines(text);
+        std::size_t bad = 0, last_bad = 0;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            try {
+                if (!rows[i].empty())
+                    JsonValue::parse(rows[i]);
+            } catch (const std::exception &) {
+                ++bad;
+                last_bad = i + 1;
+            }
+        }
+        const bool torn_tail_only = bad == 1 && last_bad == rows.size()
+            && text.back() != '\n';
+        if (bad > 0 && !torn_tail_only)
+            complain("events/" + fs::path(path).filename().string() + ": "
+                     + std::to_string(bad) + " malformed line(s)");
+    }
+    return problems;
 }
 
-/** The --drill-child entry: one drain, then the per-site fire counts
- * the parent's fired-fault check reads (printed even when the drain
- * throws). */
+/** A single-process reference: summary.json and completed energies. */
+using Reference = std::pair<std::string, std::map<std::string, double>>;
+
+/** `treevqa_run SPEC --jobs 1` into `dir`. */
+Reference
+runReference(const std::string &spec, const std::string &dir)
+{
+    const int rc = finish(start({{siblingBinary("treevqa_run"), spec, "--out",
+                                  dir, "--jobs", "1"},
+                                 "", false, dir + ".log", dir + ".log"}));
+    std::string summary;
+    if (rc != 0 || !readTextFile(sweepSummaryPath(dir), summary))
+        throw std::runtime_error("reference run " + dir + " exited "
+                                 + std::to_string(rc));
+    return {summary, completedEnergies(sweepStorePath(dir))};
+}
+
+/** The drain of `drill`, or with `armed` false its recovery run. */
+std::vector<Launch>
+drainLaunches(const Drill &drill, const Run &run, const std::string &plan,
+              bool armed, const std::string &self)
+{
+    const auto launch = [&](Args argv, std::size_t k) {
+        const std::string log = run.root
+            + (armed ? "/drain-" : "/recovery-") + std::to_string(k) + ".log";
+        return Launch{std::move(argv), armed ? plan : "",
+                      armed && drill.trace, log, log};
+    };
+    const auto with_args = [&](Args argv) {
+        argv.insert(argv.end(), drill.args.begin(), drill.args.end());
+        return argv;
+    };
+    const std::string worker = siblingBinary("treevqa_worker");
+    if (drill.drain == Drain::Scheduler)
+        return {launch(with_args({siblingBinary("treevqa_run"), run.spec,
+                                  "--out", run.dir}),
+                       0)};
+    if (!armed)
+        return {launch({worker, "--sweep-dir", run.dir, "--drain-and-exit",
+                        "--worker-id", "recovery", "--lease-ms", "400",
+                        "--poll-ms", "25", "--retry-backoff-ms", "10",
+                        "--max-job-attempts",
+                        std::to_string(drill.recoveryMaxAttempts)},
+                       0)};
+    if (drill.drain == Drain::Fleet)
+        return {launch(with_args({siblingBinary("treevqa_supervisor"),
+                                  "--sweep-dir", run.dir, "--spec", run.spec,
+                                  "--workers", std::to_string(drill.workers)}),
+                       0)};
+    if (drill.drain == Drain::Worker)
+        return {launch({self, "--drill-child", "--sweep-dir", run.dir}, 0)};
+    std::vector<Launch> both;
+    for (std::size_t k = 0; k < 2; ++k)
+        both.push_back(launch(with_args({worker, "--sweep-dir", run.dir,
+                                         "--worker-id",
+                                         "w" + std::to_string(k + 1),
+                                         "--drain-and-exit"}),
+                              k));
+    both[1].plan.clear(); // only the first is armed
+    return both;
+}
+
+/** The outcome of one drill, for the console and the report. */
+struct Verdict
+{
+    std::vector<int> drain;
+    int recovery = -1;
+    std::string summary = "MISSING"; // | identical | DIFFERENT
+    std::string unfired, problems;
+    bool passed = false;
+    double seconds = 0.0;
+};
+
+Verdict
+runDrill(const Drill &drill, std::size_t index, std::uint64_t seed,
+         const std::string &outRoot, const std::string &self,
+         std::size_t jobs, const std::shared_future<Reference> &reference)
+{
+    Run run{(fs::path(outRoot) / drill.name).string()};
+    run.dir = run.root + "/sweep";
+    run.spec = run.root + "/spec.json";
+    run.jobs = jobs;
+    fs::create_directories(run.root);
+    const std::string sweep_text = drill.sweep.dump(2) + "\n";
+    writeTextFileAtomic(run.spec, sweep_text);
+    const std::string plan = run.root + "/plan.json";
+    writeTextFileAtomic(plan, drillPlanJson(drill.faults, seed, index) + "\n");
+    const bool armed = drill.faults != "[]";
+    if (drill.drain == Drain::Worker || drill.drain == Drain::Workers) {
+        fs::create_directories(run.dir);
+        writeTextFileAtomic(sweepSpecPath(run.dir), sweep_text);
+    }
+
+    Verdict v;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+        // 1. The drain. The second of two workers starts once the
+        // first holds a claim, so the armed one always has work.
+        const std::vector<Launch> launches =
+            drainLaunches(drill, run, armed ? plan : "", true, self);
+        std::vector<pid_t> pids;
+        for (const Launch &launch : launches) {
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (!pids.empty()
+                   && listSortedFiles(sweepClaimDir(run.dir), ".lock").empty()
+                   && std::chrono::steady_clock::now() < give_up)
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            pids.push_back(start(launch));
+        }
+        for (std::size_t k = 0; k < pids.size(); ++k) {
+            run.status.push_back(finish(pids[k]));
+            run.logs.push_back(readOrEmpty(launches[k].out));
+        }
+        v.drain = run.status;
+        if (armed && drill.drain != Drain::Fleet)
+            v.unfired =
+                unfiredSites(drill.faults, run.logs[0], run.status[0]);
+        // 2. The drill's own assertions.
+        if (drill.check)
+            drill.check(run);
+        // 3. The disarmed recovery run.
+        v.recovery =
+            finish(start(drainLaunches(drill, run, "", false, self)[0]));
+        if (drill.afterRecovery)
+            drill.afterRecovery(run);
+        // 4. The shared checks.
+        run.expect(v.recovery == 0,
+                   "recovery exited " + std::to_string(v.recovery));
+        const std::string n = std::to_string(jobs);
+        const std::string status =
+            run.viewOk({"--status", "--out", run.dir, "--summary-only"});
+        run.expect(startsWith(status, n + " jobs: " + n + " done,"),
+                   "--status: " + status.substr(0, status.find('\n')));
+        const auto &[ref_summary, ref_energies] = reference.get();
+        std::string summary;
+        if (readTextFile(sweepSummaryPath(run.dir), summary))
+            v.summary = summary == ref_summary ? "identical" : "DIFFERENT";
+        run.expect(ref_energies.size() == jobs
+                       && completedEnergies(sweepStorePath(run.dir))
+                           == ref_energies,
+                   "completed energies differ from the reference store");
+        const std::string dumps = auditObservabilityDumps(run.dir);
+        run.expect(dumps.empty(), "observability dumps: " + dumps);
+    } catch (const std::exception &e) {
+        run.expect(false, e.what());
+    }
+    v.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    v.problems = run.problems;
+    v.passed = v.problems.empty() && v.summary == "identical"
+        && v.unfired.empty();
+    return v;
+}
+
+/** "<index> <name> <plan>" per drill: what --print-matrix prints. */
+std::string
+renderMatrix(const std::vector<Drill> &drills, std::uint64_t seed)
+{
+    std::string out;
+    for (std::size_t i = 0; i < drills.size(); ++i)
+        out += std::to_string(i) + " " + drills[i].name + " "
+            + drillPlanJson(drills[i].faults, seed, i) + "\n";
+    return out;
+}
+
 int
-runDrillChild(const std::string &sweepDir, int jobs)
+runDrillChild(const std::string &sweepDir)
 {
     int rc = 1;
     try {
-        rc = runDrillWorker(sweepDir, jobs);
+        WorkerOptions options;
+        options.sweepDir = sweepDir;
+        // Short leases keep the abandoned-lock / heartbeat-loss drills
+        // fast: recovery only ever waits lease + skew grace (clamped to
+        // leaseMs/2) before reaping.
+        options.leaseMs = 400;
+        options.pollMs = 25;
+        options.retryBackoffMs = 10;
+        const WorkerReport report = WorkerDaemon(options).run();
+        std::printf("drill child: completed=%zu resumed=%zu reaped=%zu "
+                    "lost=%zu poisoned=%zu drained=%s\n",
+                    report.completed, report.resumed, report.reapedLeases,
+                    report.lostClaims, report.poisoned,
+                    report.drained ? "yes" : "no");
+        rc = report.drained ? 0 : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "drill child: %s\n", e.what());
     }
+    // Printed even when the drain throws: the fired-fault check reads it.
     JsonValue fires = JsonValue::object();
     for (const auto &[site, counters] :
          FaultInjection::instance().counters())
@@ -536,19 +1298,49 @@ runDrillChild(const std::string &sweepDir, int jobs)
     return rc;
 }
 
+/** Run `tasks` concurrently, at most kProcessSlots processes' worth at
+ * once (a task needing more runs alone). */
+void
+runConcurrently(std::vector<std::pair<int, std::function<void()>>> tasks)
+{
+    std::mutex mutex;
+    std::condition_variable freed;
+    int free_slots = kProcessSlots;
+    std::vector<std::thread> threads;
+    for (auto &[need, task] : tasks) {
+        const int take = std::min(need, kProcessSlots);
+        std::unique_lock<std::mutex> lock(mutex);
+        freed.wait(lock, [&] { return free_slots >= take; });
+        free_slots -= take;
+        threads.emplace_back([&, take, fn = std::move(task)] {
+            fn();
+            std::lock_guard<std::mutex> done(mutex);
+            free_slots += take;
+            freed.notify_all();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+}
+
+int
+usage(const char *argv0, bool requested)
+{
+    std::fprintf(requested ? stdout : stderr,
+                 "usage: %s --seed S [--out DIR] [--jobs N] "
+                 "[--only LABEL|DRILL] [--print-matrix]\n",
+                 argv0);
+    return requested ? 0 : 2;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::uint64_t seed = 0;
-    bool have_seed = false;
-    std::string out_root = "chaos_scratch";
-    long jobs = 6;
-    bool print_matrix = false;
-    bool drill_child = false;
-    std::string sweep_dir;
-
+    std::string seed_text, only, sweep_dir, out_root = "chaos_scratch";
+    long chaos_jobs = 6;
+    bool print_matrix = false, drill_child = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto next_value = [&]() -> const char * {
@@ -559,15 +1351,16 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seed") {
-            seed = std::strtoull(next_value(), nullptr, 10);
-            have_seed = true;
+            seed_text = next_value();
         } else if (arg == "--out") {
             out_root = next_value();
         } else if (arg == "--jobs") {
-            if (!parsePositive(next_value(), jobs)) {
+            if (!parsePositive(next_value(), chaos_jobs)) {
                 std::fprintf(stderr, "--jobs must be >= 1\n");
                 return 2;
             }
+        } else if (arg == "--only") {
+            only = next_value();
         } else if (arg == "--print-matrix") {
             print_matrix = true;
         } else if (arg == "--drill-child") {
@@ -583,318 +1376,123 @@ main(int argc, char **argv)
     }
 
     try {
-        if (drill_child) {
-            if (sweep_dir.empty())
-                return usage(argv[0], false);
-            return runDrillChild(sweep_dir, static_cast<int>(jobs));
-        }
-        if (!have_seed)
+        if (drill_child)
+            return sweep_dir.empty() ? usage(argv[0], false)
+                                     : runDrillChild(sweep_dir);
+        if (seed_text.empty())
             return usage(argv[0], false);
-
-        const std::vector<Drill> drills = drillMatrix();
-        const std::vector<SupervisorDrill> sup_drills =
-            supervisorDrillMatrix(out_root);
+        const std::uint64_t seed =
+            std::strtoull(seed_text.c_str(), nullptr, 10);
+        const std::vector<Drill> drills =
+            drillMatrix(out_root, static_cast<int>(chaos_jobs));
         if (print_matrix) {
-            for (std::size_t i = 0; i < drills.size(); ++i)
-                std::printf(
-                    "%zu %s %s\n", i, drills[i].name.c_str(),
-                    drillPlanJson(drills[i].faults, seed, i).c_str());
-            for (std::size_t k = 0; k < sup_drills.size(); ++k) {
-                const std::size_t i = drills.size() + k;
-                std::printf(
-                    "%zu %s %s\n", i, sup_drills[k].name.c_str(),
-                    drillPlanJson(sup_drills[k].faults, seed, i)
-                        .c_str());
-            }
+            std::printf("%s", renderMatrix(drills, seed).c_str());
             return 0;
         }
-
-        namespace fs = std::filesystem;
+        std::vector<std::size_t> selected;
+        for (std::size_t i = 0; i < drills.size(); ++i)
+            if (only.empty() || drills[i].label == only
+                || drills[i].name == only)
+                selected.push_back(i);
+        if (selected.empty()) {
+            std::fprintf(stderr, "no drill is labelled or named %s\n",
+                         only.c_str());
+            return 2;
+        }
         fs::remove_all(out_root);
         fs::create_directories(out_root);
-        const std::string self = argv[0];
+        const std::string self = siblingBinary("treevqa_chaos");
 
-        // Fault-free reference: the bytes every drill must converge to.
-        const std::string ref_dir =
-            (fs::path(out_root) / "reference").string();
-        fs::create_directories(ref_dir);
-        const int ref_status = runWorkerChild(
-            self, ref_dir, static_cast<int>(jobs), "",
-            (fs::path(out_root) / "reference.log").string());
-        std::string reference;
-        if (ref_status != 0
-            || !readTextFile(sweepSummaryPath(ref_dir), reference)) {
-            std::fprintf(stderr,
-                         "treevqa_chaos: fault-free reference run "
-                         "failed (status %d)\n",
-                         ref_status);
-            return 1;
+        // The matrix is seed-stable: a re-executed --print-matrix
+        // prints what this process renders, every drill once.
+        const std::string printed = out_root + "/matrix.txt";
+        finish(start({{self, "--seed", seed_text, "--out", out_root,
+                       "--print-matrix"},
+                      "", false, printed, out_root + "/matrix.log"}));
+        std::set<std::string> names;
+        for (const Drill &drill : drills)
+            names.insert(drill.name);
+        const bool stable = readOrEmpty(printed) == renderMatrix(drills, seed)
+            && names.size() == drills.size();
+        std::printf("matrix: %s\n",
+                    stable ? "seed-stable" : "UNSTABLE or duplicate names");
+
+        // One reference per distinct sweep, started at once and awaited
+        // by each drill's compare.
+        std::map<std::string, std::shared_future<Reference>> references;
+        std::map<std::string, std::size_t> job_counts;
+        for (const std::size_t i : selected) {
+            const std::string name = drills[i].sweep.at("name").asString();
+            if (references.count(name) != 0)
+                continue;
+            job_counts[name] = expandScenarios(drills[i].sweep).size();
+            const std::string dir = out_root + "/reference-" + name;
+            writeTextFileAtomic(dir + ".json", drills[i].sweep.dump(2) + "\n");
+            references[name] = std::async(std::launch::async, runReference,
+                                          dir + ".json", dir)
+                                   .share();
         }
 
-        JsonValue report_drills = JsonValue::array();
-        std::size_t failures = 0;
-        for (std::size_t i = 0; i < drills.size(); ++i) {
-            const Drill &drill = drills[i];
-            const std::string dir =
-                (fs::path(out_root) / drill.name).string();
-            const std::string log =
-                (fs::path(out_root) / (drill.name + ".log")).string();
-            fs::create_directories(dir);
-            const std::string plan_path =
-                (fs::path(out_root) / (drill.name + ".plan.json"))
-                    .string();
-            writeTextFileAtomic(
-                plan_path, drillPlanJson(drill.faults, seed, i) + "\n");
+        // Fleets first: they take the longest and the most slots.
+        std::stable_sort(selected.begin(), selected.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return drills[a].processes()
+                                 > drills[b].processes();
+                         });
+        std::vector<Verdict> verdicts(drills.size());
+        std::mutex print_mutex;
+        std::vector<std::pair<int, std::function<void()>>> tasks;
+        for (const std::size_t i : selected)
+            tasks.emplace_back(drills[i].processes(), [&, i] {
+                const Drill &drill = drills[i];
+                const std::string sweep = drill.sweep.at("name").asString();
+                const Verdict v =
+                    runDrill(drill, i, seed, out_root, self,
+                             job_counts.at(sweep), references.at(sweep));
+                std::string drain;
+                for (const int s : v.drain)
+                    drain += (drain.empty() ? "" : ",") + std::to_string(s);
+                std::lock_guard<std::mutex> lock(print_mutex);
+                std::printf("drill %-28s %-5s %5.1fs drain=%-7s "
+                            "recovery=%-3d summary=%s fired=%s%s%s\n",
+                            drill.name.c_str(), drill.label.c_str(),
+                            v.seconds, drain.c_str(), v.recovery,
+                            v.summary.c_str(),
+                            v.unfired.empty() ? "yes"
+                                              : ("NO:" + v.unfired).c_str(),
+                            v.problems.empty() ? "" : " PROBLEMS: ",
+                            v.problems.c_str());
+                std::fflush(stdout);
+                verdicts[i] = v;
+            });
+        runConcurrently(std::move(tasks));
 
-            const int faulted_status = runWorkerChild(
-                self, dir, static_cast<int>(jobs), plan_path, log);
-            // The log holds only the faulted child's output so far.
-            std::string faulted_log;
-            readTextFile(log, faulted_log);
-            const std::string unfired =
-                unfiredSites(drill.faults, faulted_log, faulted_status);
-            // Always run a disarmed recovery pass: it drains whatever
-            // the faulted child left (stale claims, torn records,
-            // corrupt checkpoints) and is a no-op when the faulted
-            // child already finished.
-            const int recovery_status = runWorkerChild(
-                self, dir, static_cast<int>(jobs), "", log);
-
-            std::string summary;
-            const bool summary_read =
-                readTextFile(sweepSummaryPath(dir), summary);
-            const std::string obs_problems =
-                auditObservabilityDumps(dir);
-            const bool converged = recovery_status == 0 && summary_read
-                && summary == reference && obs_problems.empty()
-                && unfired.empty();
-            if (!converged)
-                ++failures;
-            std::printf("drill %-28s fault-child=%-3d recovery=%-3d "
-                        "summary=%s fired=%s%s%s\n",
-                        drill.name.c_str(), faulted_status,
-                        recovery_status,
-                        summary_read && summary == reference
-                            ? "identical"
-                            : summary_read ? "DIFFERENT"
-                                           : "MISSING",
-                        unfired.empty() ? "yes"
-                                        : ("NO:" + unfired).c_str(),
-                        obs_problems.empty() ? "" : " DUMPS: ",
-                        obs_problems.c_str());
-
+        std::sort(selected.begin(), selected.end());
+        JsonValue report = JsonValue::object(), entries = JsonValue::array();
+        std::size_t passed = 0;
+        for (const std::size_t i : selected) {
+            const Verdict &v = verdicts[i];
+            passed += v.passed ? 1 : 0;
             JsonValue entry = JsonValue::object();
-            entry.set("name", JsonValue(drill.name));
+            entry.set("name", JsonValue(drills[i].name));
+            entry.set("label", JsonValue(drills[i].label));
             entry.set("plan", JsonValue::parse(
-                                  drillPlanJson(drill.faults, seed, i)));
-            entry.set("faultedChildStatus", JsonValue(faulted_status));
-            entry.set("recoveryStatus", JsonValue(recovery_status));
-            entry.set("summaryIdentical",
-                      JsonValue(summary_read && summary == reference));
-            entry.set("unfiredSites", JsonValue(unfired));
-            entry.set("observabilityProblems",
-                      JsonValue(obs_problems));
-            entry.set("converged", JsonValue(converged));
-            report_drills.push_back(std::move(entry));
+                                  drillPlanJson(drills[i].faults, seed, i)));
+            entry.set("recoveryStatus", JsonValue(v.recovery));
+            entry.set("summary", JsonValue(v.summary));
+            entry.set("unfiredSites", JsonValue(v.unfired));
+            entry.set("problems", JsonValue(v.problems));
+            entry.set("passed", JsonValue(v.passed));
+            entries.push_back(std::move(entry));
         }
-
-        // --- Supervisor drills: the self-healing fleet layer. ---
-        const std::string worker_bin = chaosWorkerBin();
-        for (std::size_t k = 0; k < sup_drills.size(); ++k) {
-            const SupervisorDrill &drill = sup_drills[k];
-            const std::size_t plan_index = drills.size() + k;
-            const std::string dir =
-                (fs::path(out_root) / drill.name).string();
-            const std::string log =
-                (fs::path(out_root) / (drill.name + ".log")).string();
-            fs::create_directories(dir);
-            writeChaosSpec(dir, static_cast<int>(jobs));
-
-            const bool armed = drill.faults != "[]";
-            if (armed) {
-                const std::string plan_path =
-                    (fs::path(out_root) / (drill.name + ".plan.json"))
-                        .string();
-                writeTextFileAtomic(
-                    plan_path,
-                    drillPlanJson(drill.faults, seed, plan_index)
-                        + "\n");
-                // The in-process Supervisor already consumed the (
-                // empty) env plan at static init; only the exec'd
-                // worker children arm from this.
-                ::setenv("TREEVQA_FAULT_PLAN", plan_path.c_str(), 1);
-            } else {
-                ::unsetenv("TREEVQA_FAULT_PLAN");
-            }
-
-            SupervisorOptions options;
-            options.sweepDir = dir;
-            options.workers = 3;
-            options.idPrefix = "chaos";
-            options.restartBackoffMs = 50;
-            options.crashLoopBudget = drill.crashLoopBudget;
-            options.crashLoopWindowMs = 60000;
-            options.jobTimeoutMs = drill.jobTimeoutMs;
-            options.maxJobAttempts = drill.maxJobAttempts;
-            options.gracePeriodMs = 2000;
-            options.pollMs = 25;
-            options.workerCommand = {
-                worker_bin,       "--sweep-dir",
-                dir,              "--drain-and-exit",
-                "--no-merge",     "--lease-ms",
-                "400",            "--poll-ms",
-                "25",             "--retry-backoff-ms",
-                "10",             "--max-job-attempts",
-                std::to_string(drill.maxJobAttempts)};
-            if (drill.jobTimeoutMs > 0) {
-                options.workerCommand.push_back("--job-timeout-ms");
-                options.workerCommand.push_back(
-                    std::to_string(drill.jobTimeoutMs));
-            }
-
-            Supervisor supervisor(std::move(options));
-            const SupervisorReport rep = supervisor.run();
-            ::unsetenv("TREEVQA_FAULT_PLAN");
-
-            std::string problems;
-            const auto expect = [&](bool ok, const std::string &what) {
-                if (!ok) {
-                    if (!problems.empty())
-                        problems += "; ";
-                    problems += what;
-                }
-            };
-            expect(rep.drained == drill.expectDrained,
-                   std::string("drained=")
-                       + (rep.drained ? "yes" : "no") + " expected "
-                       + (drill.expectDrained ? "yes" : "no"));
-            expect(rep.retiredSlots.size() == drill.expectRetired,
-                   "retired " + std::to_string(rep.retiredSlots.size())
-                       + " slots, expected "
-                       + std::to_string(drill.expectRetired));
-            expect(rep.crashes >= drill.minCrashes,
-                   "crashes " + std::to_string(rep.crashes) + " < "
-                       + std::to_string(drill.minCrashes));
-            expect(rep.watchdogKills >= drill.minWatchdogKills,
-                   "watchdog kills " + std::to_string(rep.watchdogKills)
-                       + " < "
-                       + std::to_string(drill.minWatchdogKills));
-            expect(rep.timeoutRecords >= drill.minTimeoutRecords,
-                   "timeout records "
-                       + std::to_string(rep.timeoutRecords) + " < "
-                       + std::to_string(drill.minTimeoutRecords));
-            if (drill.expectTokens > 0) {
-                const std::size_t tokens =
-                    listSortedFiles(crashTokenDir(out_root, drill.name),
-                                    "")
-                        .size();
-                expect(tokens == drill.expectTokens,
-                       std::to_string(tokens) + " crash tokens, expected "
-                           + std::to_string(drill.expectTokens));
-            }
-            const JsonValue health = aggregateHealthJson(
-                readMetricsDumps(dir), unixTimeMs());
-            const auto &rows = health.at("workers").asArray();
-            expect(std::any_of(rows.begin(), rows.end(),
-                               [](const JsonValue &row) {
-                                   return row.at("role").asString()
-                                       == "supervisor";
-                               }),
-                   "no supervisor row in the --health view");
-            if (drill.checkAttemptBudget) {
-                // The fleet-wide circuit breaker's contract: per job,
-                // cumulative attempts ≤ budget even with 3 workers.
-                std::size_t failed_records = 0;
-                std::size_t over_budget = 0;
-                for (const JobResult &r : loadMergedRecords(dir)) {
-                    if (!r.failed)
-                        continue;
-                    ++failed_records;
-                    if (r.attempts < 1
-                        || r.attempts > drill.maxJobAttempts)
-                        ++over_budget;
-                }
-                expect(failed_records
-                           == static_cast<std::size_t>(jobs),
-                       std::to_string(failed_records)
-                           + " poisoned jobs, expected "
-                           + std::to_string(jobs));
-                expect(over_budget == 0,
-                       std::to_string(over_budget)
-                           + " job(s) exceeded the fleet-wide "
-                             "attempt budget");
-            }
-
-            const int recovery_status = runRecoveryWorker(
-                worker_bin, dir, drill.recoveryMaxAttempts, log);
-            std::string summary;
-            const bool summary_read =
-                readTextFile(sweepSummaryPath(dir), summary);
-            const std::string obs_problems =
-                auditObservabilityDumps(dir);
-            expect(obs_problems.empty(),
-                   "observability dumps: " + obs_problems);
-            const bool converged = problems.empty()
-                && recovery_status == 0 && summary_read
-                && summary == reference;
-            if (!converged)
-                ++failures;
-            std::printf("drill %-28s supervisor(sp=%zu re=%zu cr=%zu "
-                        "wd=%zu rt=%zu) recovery=%-3d summary=%s%s%s\n",
-                        drill.name.c_str(), rep.spawns, rep.restarts,
-                        rep.crashes, rep.watchdogKills,
-                        rep.retiredSlots.size(), recovery_status,
-                        !summary_read          ? "MISSING"
-                            : summary == reference ? "identical"
-                                                   : "DIFFERENT",
-                        problems.empty() ? "" : " PROBLEMS: ",
-                        problems.c_str());
-
-            JsonValue entry = JsonValue::object();
-            entry.set("name", JsonValue(drill.name));
-            entry.set("mode", JsonValue(std::string("supervisor")));
-            entry.set("plan",
-                      JsonValue::parse(drillPlanJson(
-                          drill.faults, seed, plan_index)));
-            entry.set("spawns", JsonValue(static_cast<std::int64_t>(
-                                    rep.spawns)));
-            entry.set("restarts", JsonValue(static_cast<std::int64_t>(
-                                      rep.restarts)));
-            entry.set("crashes", JsonValue(static_cast<std::int64_t>(
-                                     rep.crashes)));
-            entry.set("watchdogKills",
-                      JsonValue(static_cast<std::int64_t>(
-                          rep.watchdogKills)));
-            entry.set("timeoutRecords",
-                      JsonValue(static_cast<std::int64_t>(
-                          rep.timeoutRecords)));
-            entry.set("retiredSlots",
-                      JsonValue(static_cast<std::int64_t>(
-                          rep.retiredSlots.size())));
-            entry.set("drained", JsonValue(rep.drained));
-            entry.set("problems", JsonValue(problems));
-            entry.set("recoveryStatus", JsonValue(recovery_status));
-            entry.set("summaryIdentical", JsonValue(converged));
-            report_drills.push_back(std::move(entry));
-        }
-
-        JsonValue report = JsonValue::object();
         report.set("seed", JsonValue(seed));
-        report.set("jobs", JsonValue(static_cast<std::int64_t>(jobs)));
-        report.set("drills", std::move(report_drills));
-        report.set("failures",
-                   JsonValue(static_cast<std::int64_t>(failures)));
-        writeTextFileAtomic(
-            (fs::path(out_root) / "chaos_report.json").string(),
-            report.dump(2) + "\n");
-
-        const std::size_t total = drills.size() + sup_drills.size();
-        std::printf("chaos: %zu/%zu drills converged (report: %s)\n",
-                    total - failures, total,
-                    (fs::path(out_root) / "chaos_report.json")
-                        .string()
-                        .c_str());
-        return failures == 0 ? 0 : 1;
+        report.set("matrixStable", JsonValue(stable));
+        report.set("drills", std::move(entries));
+        const std::string report_path = out_root + "/chaos_report.json";
+        writeTextFileAtomic(report_path, report.dump(2) + "\n");
+        std::printf("chaos: %zu/%zu drills passed (report: %s)\n", passed,
+                    selected.size(), report_path.c_str());
+        return stable && passed == selected.size() ? 0 : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "treevqa_chaos: %s\n", e.what());
         return 1;

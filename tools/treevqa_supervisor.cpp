@@ -57,11 +57,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/file_util.h"
 #include "common/trace.h"
@@ -97,27 +94,6 @@ handleStopSignal(int)
 {
     if (g_supervisor != nullptr)
         g_supervisor->requestStop();
-}
-
-/** Default worker binary: treevqa_worker in this executable's own
- * directory (the build tree or install prefix), falling back to a
- * bare PATH lookup. */
-std::string
-defaultWorkerBin()
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        const std::filesystem::path sibling =
-            std::filesystem::path(buf).parent_path()
-            / "treevqa_worker";
-        std::error_code ec;
-        if (std::filesystem::exists(sibling, ec))
-            return sibling.string();
-    }
-    return "treevqa_worker";
 }
 
 } // namespace
@@ -209,7 +185,7 @@ main(int argc, char **argv)
         }
 
         if (worker_bin.empty())
-            worker_bin = defaultWorkerBin();
+            worker_bin = siblingBinary("treevqa_worker");
 
         SupervisorOptions options;
         options.sweepDir = sweep_dir;

@@ -263,7 +263,7 @@ main(int argc, char **argv)
         std::printf("worker %s: completed=%llu resumed=%llu "
                     "reaped=%llu lost=%llu poisoned=%llu "
                     "timedout=%llu interrupted=%llu drained=%s "
-                    "merged=%s%s\n",
+                    "merged=%s\n",
                     daemon.options().workerId.c_str(),
                     static_cast<unsigned long long>(
                         counter("worker.jobs_completed")),
@@ -280,8 +280,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         counter("worker.jobs_interrupted")),
                     report.drained ? "yes" : "no",
-                    report.merged ? "yes" : "no",
-                    report.simulatedCrash ? " (simulated crash)" : "");
+                    report.merged ? "yes" : "no");
         std::printf("worker %s: scans=%llu claims=%llu "
                     "store-bytes=%llu rescans=%llu expansions=%llu\n",
                     daemon.options().workerId.c_str(),
