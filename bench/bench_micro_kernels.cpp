@@ -388,6 +388,41 @@ benchBatchedExpectations(int n)
                  expectationBytes(n, strings));
 }
 
+/**
+ * The planned expectation pass against planning on every call: one
+ * TFIM Hamiltonian's strings, evaluated through a prebuilt
+ * ExpectationPlan (fast) and through the one-off
+ * perStringExpectations (ref), single lane. At the paper's sizes the
+ * plan costs more than the pass it sets up, so the speedup column is
+ * what keeping one plan per objective saves.
+ */
+void
+benchExpectationPlan(int n)
+{
+    const int reps = n <= 8 ? 256 : 1;
+    const Statevector sv = randomState(n, 29);
+    std::vector<PauliString> strings;
+    for (const auto &term : transverseFieldIsing(n, 1.0, 0.7).terms())
+        strings.push_back(term.string);
+    const ExpectationPlan plan(strings, n);
+    ThreadPool::global().resize(1);
+    const auto [fast_ns, ref_ns] = timePairNs(
+        [&] {
+            for (int r = 0; r < reps; ++r) {
+                auto v = plan.evaluate(sv);
+                (void)v;
+            }
+        },
+        [&] {
+            for (int r = 0; r < reps; ++r) {
+                auto v = perStringExpectations(sv, strings);
+                (void)v;
+            }
+        });
+    ThreadPool::global().resize(0);
+    record("expectation_plan", n, fast_ns / reps, ref_ns / reps);
+}
+
 void
 benchCircuitApply(int n)
 {
@@ -1014,6 +1049,9 @@ main()
         std::printf("--- %d qubits (paper scale) ---\n", n);
         benchPaperScaleKernels(n);
     }
+    std::printf("--- planned expectations (TFIM, 1 lane) ---\n");
+    for (int n : {2, 6, 16})
+        benchExpectationPlan(n);
     for (int n : {10, 12, 14, 16, 18}) {
         std::printf("--- %d qubits ---\n", n);
         benchGateKernels(n);

@@ -4,11 +4,11 @@
  *
  * Every parallel surface of the framework — multi-theta probe batches
  * (ClusterObjective::evaluateBatch), threaded Pauli expectations
- * (perStringExpectations) and sharded cluster rounds (TreeController) —
- * fans out over the single process-wide pool returned by global(), so
- * the thread count is one knob and nested parallel regions cannot
- * oversubscribe the machine: a run() issued from inside a pool task
- * executes inline on the calling worker.
+ * (ExpectationPlan::evaluate) and sharded cluster rounds
+ * (TreeController) — fans out over the single process-wide pool
+ * returned by global(), so the thread count is one knob and nested
+ * parallel regions cannot oversubscribe the machine: a run() issued
+ * from inside a pool task executes inline on the calling worker.
  *
  * Determinism contract: run(count, fn) invokes fn(0..count-1) exactly
  * once each, in unspecified interleaving. Callers that need

@@ -20,8 +20,21 @@ class StatevectorBackend final : public SimBackend
 {
   public:
     explicit StatevectorBackend(SimBackendInputs in)
-        : in_(std::move(in)), pool_(in_.program->numQubits())
+        : in_(std::move(in)),
+          plan_(in_.aligned->strings, in_.program->numQubits()),
+          pool_(in_.program->numQubits())
     {
+        const std::vector<PauliString> &strings = in_.aligned->strings;
+        identity_.reserve(strings.size());
+        for (const PauliString &string : strings)
+            identity_.push_back(string.isIdentity());
+        if (!in_.noise->isNoiseless()) {
+            const int layers = in_.program->entanglingLayers();
+            damping_.reserve(strings.size());
+            for (const PauliString &string : strings)
+                damping_.push_back(
+                    in_.noise->dampingFactor(string, layers));
+        }
     }
 
     std::string name() const override
@@ -67,7 +80,7 @@ class StatevectorBackend final : public SimBackend
         StatevectorPool::Lease state = pool_.acquire();
         state->setBasisState(in_.initialBits);
         in_.program->execute(*state, theta);
-        return perStringExpectations(*state, in_.aligned->strings);
+        return plan_.evaluate(*state);
     }
 
     /** Noise injection + classical recombination of per-term values. */
@@ -76,20 +89,13 @@ class StatevectorBackend final : public SimBackend
         ClusterEvaluation out;
         out.shotsUsed = in_.shotsPerEval;
 
-        // Device noise: per-term damping.
-        if (!in_.noise->isNoiseless()) {
-            const int layers = in_.program->entanglingLayers();
-            for (std::size_t k = 0; k < values.size(); ++k)
-                values[k] *= in_.noise->dampingFactor(
-                    in_.aligned->strings[k], layers);
-        }
+        // Device noise: per-term damping (empty when noiseless).
+        for (std::size_t k = 0; k < damping_.size(); ++k)
+            values[k] *= damping_[k];
         // Shot noise: exact asymptotic variance per term, injected by
         // the estimator's vectorized normal pass.
         in_.estimator->injectTermNoise(
-            values,
-            [&](std::size_t k) {
-                return in_.aligned->strings[k].isIdentity();
-            },
+            values, [&](std::size_t k) { return identity_[k] != 0; },
             in_.measuredTerms, rng);
         // Classical recombination for the mixed and member energies.
         out.mixedEnergy = recombine(*in_.mixedCoefs, values);
@@ -101,6 +107,13 @@ class StatevectorBackend final : public SimBackend
     }
 
     SimBackendInputs in_;
+    /** The measured strings' expectation plan, built once: every
+     * evaluation measures the same aligned terms. */
+    ExpectationPlan plan_;
+    /** Per-term identity flags and device-noise damping factors
+     * (empty when noiseless), fixed for the backend's lifetime. */
+    std::vector<char> identity_;
+    std::vector<double> damping_;
     /** Reusable state buffers: objective evaluations are the
      * per-iterate hot path, and reallocating a 2^n complex vector per
      * call costs more than the gates at small n. The pool hands each

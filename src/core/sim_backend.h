@@ -8,7 +8,8 @@
  * engines implement the same four operations:
  *
  *  - "statevector": dense simulation. Per-term expectations via one
- *    grouped perStringExpectations pass, per-term shot noise, classical
+ *    grouped pass of the backend's ExpectationPlan (built once for
+ *    the objective's terms), per-term shot noise, classical
  *    recombination; the exact energies (all members, one member, the
  *    mixed Hamiltonian) are recombinations of that same pass.
  *  - "paulprop": Heisenberg-picture Pauli propagation (joint

@@ -222,4 +222,18 @@ compactSweepStore(const std::string &sweepDir,
     return stats;
 }
 
+bool
+sweepStoreCompacted(const std::string &sweepDir)
+{
+    namespace fs = std::filesystem;
+    if (!listSortedFiles(sweepShardDir(sweepDir), ".jsonl").empty())
+        return false;
+    std::error_code summary_ec, store_ec;
+    const auto summary =
+        fs::last_write_time(sweepSummaryPath(sweepDir), summary_ec);
+    const auto store =
+        fs::last_write_time(sweepStorePath(sweepDir), store_ec);
+    return !summary_ec && !store_ec && summary >= store;
+}
+
 } // namespace treevqa

@@ -94,6 +94,16 @@ loadMergedRecords(const std::string &sweepDir,
 SweepMergeStats compactSweepStore(const std::string &sweepDir,
                                   bool removeMergedShards);
 
+/**
+ * Whether the sweep directory is already compacted: no worker shard
+ * is left to fold and `summary.json` is at least as new as
+ * `results.jsonl` (a compaction writes the store, then the summary,
+ * then removes the shards). A drained worker that finds this has
+ * nothing to merge, so it skips compactSweepStore's full re-read and
+ * rewrite of both files.
+ */
+bool sweepStoreCompacted(const std::string &sweepDir);
+
 } // namespace treevqa
 
 #endif // TREEVQA_DIST_STORE_MERGE_H

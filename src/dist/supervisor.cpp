@@ -654,10 +654,11 @@ Supervisor::run()
     }
 
     if (report_.drained && options_.mergeOnDrain) {
-        // Usually a no-op: a drainAndExit worker merged already.
-        // Idempotent, and it folds the supervisor's own timeout shard
-        // into the canonical store.
-        compactSweepStore(dir, /*removeMergedShards=*/true);
+        // Usually a no-op: a drainAndExit worker merged already, and
+        // then nothing is rewritten. Otherwise it folds the
+        // supervisor's own timeout shard into the canonical store.
+        if (!sweepStoreCompacted(dir))
+            compactSweepStore(dir, /*removeMergedShards=*/true);
         report_.merged = true;
     }
     beat(report_.drained ? "stopped" : "shutting-down");

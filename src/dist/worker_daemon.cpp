@@ -464,11 +464,15 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
 
     if (report.drained && options_.mergeOnDrain && !stop_.load()) {
         // Drained = every job recorded (full-read confirmed), so
-        // shard removal is safe.
-        beat([](WorkerHealth &h) { h.state = "draining"; });
-        compactSweepStore(dir, /*removeMergedShards=*/true);
+        // shard removal is safe. A store a peer already compacted is
+        // canonical as it stands: rewriting it would re-read every
+        // record for nothing.
+        if (!sweepStoreCompacted(dir)) {
+            beat([](WorkerHealth &h) { h.state = "draining"; });
+            compactSweepStore(dir, /*removeMergedShards=*/true);
+            tail.invalidate(); // canonical store was rewritten under us
+        }
         report.merged = true;
-        tail.invalidate(); // canonical store was rewritten under us
     }
     beat([](WorkerHealth &h) { h.state = "stopped"; });
     EventLog::instance().flush();

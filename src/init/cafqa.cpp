@@ -22,9 +22,15 @@ cafqaSearch(const PauliSum &hamiltonian, const Ansatz &ansatz, Rng &rng,
     CafqaResult best;
     best.energy = std::numeric_limits<double>::infinity();
 
+    // The Hamiltonian is planned once and every candidate is prepared
+    // into one reused buffer: the search's energies are bitwise those
+    // of expectation(ansatz.prepare(theta), hamiltonian).
+    const ExpectationPlan plan(hamiltonian);
+    const std::vector<double> coefficients = termCoefficients(hamiltonian);
+    Statevector state(ansatz.numQubits());
     const auto evaluate = [&](const std::vector<double> &theta) {
-        const Statevector state = ansatz.prepare(theta);
-        return expectation(state, hamiltonian);
+        ansatz.prepareInto(state, theta);
+        return recombine(coefficients, plan.evaluate(state));
     };
 
     for (int restart = 0; restart < restarts; ++restart) {

@@ -45,9 +45,13 @@ pooledQaoaInit(const std::vector<WeightedGraph> &graphs, int layers,
     // while shallower ones stay frozen.
     std::vector<double> angles(static_cast<std::size_t>(2 * layers),
                                0.0);
+    // One plan and one state buffer serve every grid point.
+    const ExpectationPlan plan(cost);
+    const std::vector<double> coefficients = termCoefficients(cost);
+    Statevector state(standard.numQubits());
     const auto evaluate = [&](const std::vector<double> &theta) {
-        const Statevector state = standard.prepare(theta);
-        return expectation(state, cost);
+        standard.prepareInto(state, theta);
+        return recombine(coefficients, plan.evaluate(state));
     };
 
     for (int layer = 0; layer < layers; ++layer) {

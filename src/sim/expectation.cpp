@@ -1,10 +1,10 @@
 #include "sim/expectation.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 
 #include "common/thread_pool.h"
 #include "sim/bit_ops.h"
@@ -34,14 +34,6 @@ namespace {
 /** Amplitudes per block: 3 doubles/entry keeps a block well inside L1. */
 constexpr std::size_t kBlockSize = 1024;
 
-/** One X-mask group member, flattened for the hot loop. */
-struct GroupMember
-{
-    std::uint64_t zMask;
-    std::size_t outIndex;
-    double weight; ///< +-2 (off-diagonal) or +-1 (diagonal) phase factor
-};
-
 /** |x|^2 in real arithmetic. */
 inline double
 norm2(const Complex &x)
@@ -49,38 +41,12 @@ norm2(const Complex &x)
     return x.real() * x.real() + x.imag() * x.imag();
 }
 
-/**
- * One X-mask group, prepared for block-parallel evaluation. The block
- * loop is the hot path; every (group, block) pair is an independent
- * task whose per-member dot products land in block-indexed partial
- * slots, and the final reduction walks blocks in ascending order —
- * so the summation order (and therefore the result, bitwise) is the
- * same for any thread count, including the serial path.
- *
- * Every member's Z-parity sign splits as sign(k) = sign(k0) * sign(j)
- * for a block-aligned k0, so the per-j factor is the same for every
- * block: it is built once per group as a +-1 lookup table, and the
- * member loop over a block becomes a pure multiply-accumulate stream
- * with no per-element popcount.
- */
-struct GroupTask
-{
-    std::uint64_t xm = 0;
-    std::size_t hbit = 0; ///< pairing bit (0 for diagonal groups)
-    std::size_t range = 0; ///< dim (diagonal) or dim/2 (off-diagonal)
-    std::size_t nblocks = 0;
-    std::size_t lutLen = 0;
-    std::vector<GroupMember> membersRe, membersIm;
-    std::vector<double> lutRe, lutIm;
-    /** Per-block partial sums, nblocks x members, block-major. */
-    std::vector<double> partialRe, partialIm;
-};
-
 /** Per-member (-1)^{popcount(j & zMask)} tables for j < lut_len, built
  * by doubling: each Z bit below lut_len negates the upper half. */
+template <typename Member>
 void
-buildLuts(const std::vector<GroupMember> &members,
-          std::vector<double> &luts, std::size_t lut_len)
+buildLuts(const std::vector<Member> &members, std::vector<double> &luts,
+          std::size_t lut_len)
 {
     luts.resize(members.size() * lut_len);
     for (std::size_t m = 0; m < members.size(); ++m) {
@@ -114,17 +80,109 @@ signedSum(const double *lut, const double *t, std::size_t n)
          + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }
 
+/** The strings of a Pauli sum, in term order. */
+std::vector<PauliString>
+termStrings(const PauliSum &hamiltonian)
+{
+    std::vector<PauliString> strings;
+    strings.reserve(hamiltonian.numTerms());
+    for (const auto &term : hamiltonian.terms())
+        strings.push_back(term.string);
+    return strings;
+}
+
+} // namespace
+
+/**
+ * Every (group, block) work item lands its per-member dot products in
+ * block-indexed partial slots, and the final reduction walks blocks in
+ * ascending order — so the summation order (and therefore the result,
+ * bitwise) is the same for any thread count, including the serial
+ * path.
+ *
+ * Every member's Z-parity sign splits as sign(k) = sign(k0) * sign(j)
+ * for a block-aligned k0, so the per-j factor is the same for every
+ * block: it is built once per group as a +-1 lookup table, and the
+ * member loop over a block becomes a pure multiply-accumulate stream
+ * with no per-element popcount.
+ */
+ExpectationPlan::ExpectationPlan(const std::vector<PauliString> &strings,
+                                 int num_qubits)
+    : numQubits_(num_qubits), numStrings_(strings.size())
+{
+    const std::size_t dim = std::size_t{1} << num_qubits;
+
+    // Group string indices by X mask, in first-appearance order.
+    std::unordered_map<std::uint64_t, std::size_t> group_of;
+    for (std::size_t k = 0; k < strings.size(); ++k) {
+        assert(strings[k].numQubits() == num_qubits);
+        if (strings[k].isIdentity()) {
+            identities_.push_back(k);
+            continue;
+        }
+        const std::uint64_t xm = strings[k].xMask();
+        const auto [it, inserted] = group_of.emplace(xm, groups_.size());
+        if (inserted) {
+            Group group;
+            group.xm = xm;
+            // See the file comment for the pairing symmetry behind the
+            // off-diagonal path: pairing on the *highest* X bit keeps
+            // both amplitude streams (nearly) sequential.
+            group.hbit = xm == 0 ? 0 : std::bit_floor(xm);
+            group.range = xm == 0 ? dim : dim >> 1;
+            group.nblocks = (group.range + kBlockSize - 1) / kBlockSize;
+            group.lutLen = std::min(kBlockSize, group.range);
+            groups_.push_back(std::move(group));
+        }
+        Group &group = groups_[it->second];
+        const std::uint64_t zm = strings[k].zMask();
+        if (xm == 0) {
+            group.membersRe.push_back(Member{zm, k, 1.0});
+            continue;
+        }
+        // Member signs are evaluated in the compressed index space k
+        // with parity(b & z) == parity(k & compress(z)); members split
+        // by Y-count parity — even-|Y| members read Re(t), odd-|Y|
+        // members read Im(t), with weight +-2 folding the canonical
+        // i^{|Y|} phase.
+        const std::size_t hbit = group.hbit;
+        const int y = strings[k].yCount();
+        const double w = (y % 4 == 0 || y % 4 == 3) ? 2.0 : -2.0;
+        const std::uint64_t zmc =
+            (zm & (hbit - 1)) | ((zm >> 1) & ~(hbit - 1));
+        (y % 2 == 0 ? group.membersRe : group.membersIm)
+            .push_back(Member{zmc, k, w});
+    }
+
+    // Sign tables, partial-buffer slices and the flat work list.
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        Group &group = groups_[g];
+        buildLuts(group.membersRe, group.lutRe, group.lutLen);
+        buildLuts(group.membersIm, group.lutIm, group.lutLen);
+        group.partialRe = partialSize_;
+        partialSize_ += group.nblocks * group.membersRe.size();
+        group.partialIm = partialSize_;
+        partialSize_ += group.nblocks * group.membersIm.size();
+        for (std::size_t b = 0; b < group.nblocks; ++b)
+            work_.push_back(WorkItem{g, b});
+    }
+}
+
+ExpectationPlan::ExpectationPlan(const PauliSum &hamiltonian)
+    : ExpectationPlan(termStrings(hamiltonian), hamiltonian.numQubits())
+{
+}
+
 /** Evaluate one block of one group into its partial slots. */
 void
-processBlock(const GroupTask &task, std::size_t block,
-             const Complex *amps, double *partial_re,
-             double *partial_im)
+ExpectationPlan::processBlock(const Group &group, std::size_t block,
+                              const Complex *amps, double *partial)
 {
     alignas(64) double tre[kBlockSize], tim[kBlockSize];
     const std::size_t k0 = block * kBlockSize;
-    const std::size_t kn = std::min(kBlockSize, task.range - k0);
+    const std::size_t kn = std::min(kBlockSize, group.range - k0);
 
-    if (task.hbit == 0) {
+    if (group.hbit == 0) {
         // Diagonal group: one probability pass serves all members.
         const Complex *p = amps + k0;
         for (std::size_t j = 0; j < kn; ++j)
@@ -135,11 +193,11 @@ processBlock(const GroupTask &task, std::size_t block,
         // b ^ x both advance by one, so the run is two contiguous
         // streams.
         const std::size_t run =
-            std::min(std::size_t{1} << std::countr_zero(task.xm), kn);
+            std::min(std::size_t{1} << std::countr_zero(group.xm), kn);
         for (std::size_t s = 0; s < kn; s += run) {
-            const std::size_t b = expandBit(k0 + s, task.hbit);
+            const std::size_t b = expandBit(k0 + s, group.hbit);
             const Complex *pa = amps + b;
-            const Complex *pb = amps + (b ^ task.xm);
+            const Complex *pb = amps + (b ^ group.xm);
             for (std::size_t j = 0; j < run; ++j) {
                 const Complex t = cmul(std::conj(pb[j]), pa[j]);
                 tre[s + j] = t.real();
@@ -148,116 +206,58 @@ processBlock(const GroupTask &task, std::size_t block,
         }
     }
 
-    for (std::size_t m = 0; m < task.membersRe.size(); ++m)
-        partial_re[m] = paritySign(k0, task.membersRe[m].zMask)
-                      * signedSum(task.lutRe.data() + m * task.lutLen,
+    const std::size_t nre = group.membersRe.size();
+    const std::size_t nim = group.membersIm.size();
+    double *partial_re = partial + group.partialRe + block * nre;
+    double *partial_im = partial + group.partialIm + block * nim;
+    for (std::size_t m = 0; m < nre; ++m)
+        partial_re[m] = paritySign(k0, group.membersRe[m].zMask)
+                      * signedSum(group.lutRe.data() + m * group.lutLen,
                                   tre, kn);
-    for (std::size_t m = 0; m < task.membersIm.size(); ++m)
-        partial_im[m] = paritySign(k0, task.membersIm[m].zMask)
-                      * signedSum(task.lutIm.data() + m * task.lutLen,
+    for (std::size_t m = 0; m < nim; ++m)
+        partial_im[m] = paritySign(k0, group.membersIm[m].zMask)
+                      * signedSum(group.lutIm.data() + m * group.lutLen,
                                   tim, kn);
 }
 
-} // namespace
+std::vector<double>
+ExpectationPlan::evaluate(const Statevector &state) const
+{
+    assert(state.numQubits() == numQubits_);
+    const Complex *amps = state.amplitudes().data();
+    std::vector<double> out(numStrings_, 0.0);
+    for (std::size_t k : identities_)
+        out[k] = 1.0;
+
+    std::vector<double> partial(partialSize_);
+    ThreadPool::global().run(work_.size(), [&](std::size_t w) {
+        processBlock(groups_[work_[w].group], work_[w].block, amps,
+                     partial.data());
+    });
+
+    // Ordered reduction: blocks in ascending order per member, which
+    // reproduces the serial accumulation order bit-for-bit.
+    const auto reduce = [&](const std::vector<Member> &members,
+                            std::size_t offset, std::size_t nblocks) {
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            double acc = 0.0;
+            for (std::size_t b = 0; b < nblocks; ++b)
+                acc += partial[offset + b * members.size() + m];
+            out[members[m].outIndex] = members[m].weight * acc;
+        }
+    };
+    for (const Group &group : groups_) {
+        reduce(group.membersRe, group.partialRe, group.nblocks);
+        reduce(group.membersIm, group.partialIm, group.nblocks);
+    }
+    return out;
+}
 
 std::vector<double>
 perStringExpectations(const Statevector &state,
                       const std::vector<PauliString> &strings)
 {
-    const CVector &amps = state.amplitudes();
-    const std::size_t dim = amps.size();
-    std::vector<double> out(strings.size(), 0.0);
-
-    // Group string indices by X mask.
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
-    groups.reserve(strings.size());
-    for (std::size_t k = 0; k < strings.size(); ++k) {
-        assert(strings[k].numQubits() == state.numQubits());
-        if (strings[k].isIdentity()) {
-            out[k] = 1.0;
-            continue;
-        }
-        groups[strings[k].xMask()].push_back(k);
-    }
-
-    // Prepare one GroupTask per X-mask group (members, sign LUTs,
-    // block-indexed partial slots). See file comment for the pairing
-    // symmetry behind the off-diagonal path: pairing on the *highest*
-    // X bit keeps both amplitude streams (nearly) sequential, member
-    // signs are evaluated in the compressed index space k with
-    // parity(b & z) == parity(k & compress(z)), and members split by
-    // Y-count parity — even-|Y| members read Re(t), odd-|Y| members
-    // read Im(t), with weight +-2 folding the canonical i^{|Y|} phase.
-    std::vector<GroupTask> tasks;
-    tasks.reserve(groups.size());
-    for (const auto &[xm, indices] : groups) {
-        GroupTask task;
-        task.xm = xm;
-        if (xm == 0) {
-            task.hbit = 0;
-            task.range = dim;
-            for (std::size_t idx : indices)
-                task.membersRe.push_back(
-                    GroupMember{strings[idx].zMask(), idx, 1.0});
-        } else {
-            const std::size_t hbit = std::bit_floor(xm);
-            task.hbit = hbit;
-            task.range = dim >> 1;
-            for (std::size_t idx : indices) {
-                const int y = strings[idx].yCount();
-                const double w =
-                    (y % 4 == 0 || y % 4 == 3) ? 2.0 : -2.0;
-                const std::uint64_t zm = strings[idx].zMask();
-                const std::uint64_t zmc = (zm & (hbit - 1))
-                    | ((zm >> 1) & ~(hbit - 1));
-                const GroupMember gm{zmc, idx, w};
-                if (y % 2 == 0)
-                    task.membersRe.push_back(gm);
-                else
-                    task.membersIm.push_back(gm);
-            }
-        }
-        task.nblocks = (task.range + kBlockSize - 1) / kBlockSize;
-        task.lutLen = std::min(kBlockSize, task.range);
-        buildLuts(task.membersRe, task.lutRe, task.lutLen);
-        buildLuts(task.membersIm, task.lutIm, task.lutLen);
-        task.partialRe.resize(task.nblocks * task.membersRe.size());
-        task.partialIm.resize(task.nblocks * task.membersIm.size());
-        tasks.push_back(std::move(task));
-    }
-
-    // Flatten to (group, block) work items and fan out over the pool.
-    std::vector<std::pair<std::size_t, std::size_t>> work;
-    for (std::size_t g = 0; g < tasks.size(); ++g)
-        for (std::size_t b = 0; b < tasks[g].nblocks; ++b)
-            work.emplace_back(g, b);
-    ThreadPool::global().run(work.size(), [&](std::size_t w) {
-        const auto [g, b] = work[w];
-        GroupTask &task = tasks[g];
-        processBlock(task, b, amps.data(),
-                     task.partialRe.data() + b * task.membersRe.size(),
-                     task.partialIm.data() + b * task.membersIm.size());
-    });
-
-    // Ordered reduction: blocks in ascending order per member, which
-    // reproduces the serial accumulation order bit-for-bit.
-    for (const GroupTask &task : tasks) {
-        for (std::size_t m = 0; m < task.membersRe.size(); ++m) {
-            double acc = 0.0;
-            for (std::size_t b = 0; b < task.nblocks; ++b)
-                acc += task.partialRe[b * task.membersRe.size() + m];
-            out[task.membersRe[m].outIndex] =
-                task.membersRe[m].weight * acc;
-        }
-        for (std::size_t m = 0; m < task.membersIm.size(); ++m) {
-            double acc = 0.0;
-            for (std::size_t b = 0; b < task.nblocks; ++b)
-                acc += task.partialIm[b * task.membersIm.size() + m];
-            out[task.membersIm[m].outIndex] =
-                task.membersIm[m].weight * acc;
-        }
-    }
-    return out;
+    return ExpectationPlan(strings, state.numQubits()).evaluate(state);
 }
 
 double
@@ -269,16 +269,18 @@ expectation(const Statevector &state, const PauliString &string)
 double
 expectation(const Statevector &state, const PauliSum &hamiltonian)
 {
-    std::vector<PauliString> strings;
+    return recombine(termCoefficients(hamiltonian),
+                     ExpectationPlan(hamiltonian).evaluate(state));
+}
+
+std::vector<double>
+termCoefficients(const PauliSum &hamiltonian)
+{
     std::vector<double> coefficients;
-    strings.reserve(hamiltonian.numTerms());
     coefficients.reserve(hamiltonian.numTerms());
-    for (const auto &term : hamiltonian.terms()) {
-        strings.push_back(term.string);
+    for (const auto &term : hamiltonian.terms())
         coefficients.push_back(term.coefficient);
-    }
-    return recombine(coefficients,
-                     perStringExpectations(state, strings));
+    return coefficients;
 }
 
 double

@@ -19,6 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
+#include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "dist/store_merge.h"
@@ -576,6 +579,77 @@ TEST(WorkerDaemon, SingleWorkerDrainsMatchingTheScheduler)
             WorkClaim::peek(sweepClaimDir(dir.string()),
                             scenarioFingerprint(specs[i]))
                 .has_value());
+}
+
+/** Inode of `path` (0 when it cannot be stat'ed). */
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+/** store.compaction events in the sweep's journals. */
+std::size_t
+compactionEvents(const std::string &dir)
+{
+    EventLog::instance().flush();
+    std::size_t count = 0;
+    for (const SweepEvent &event : readSweepEvents(dir))
+        count += event.type == event_type::kStoreCompaction ? 1 : 0;
+    return count;
+}
+
+TEST(WorkerDaemon, SecondWorkerOnACompactedSweepRewritesNothing)
+{
+    const auto dir = scratchDir("no_op_drain");
+    const std::string d = dir.string();
+    const std::vector<ScenarioSpec> specs = tinySweep(3);
+
+    const auto make_options = [&](const char *id) {
+        WorkerOptions options;
+        options.sweepDir = d;
+        options.workerId = id;
+        options.leaseMs = 60000;
+        return options;
+    };
+    ASSERT_TRUE(WorkerDaemon(make_options("w1")).run(specs).merged);
+    ASSERT_TRUE(sweepStoreCompacted(d));
+    ASSERT_EQ(compactionEvents(d), 1u);
+
+    std::string store, summary;
+    ASSERT_TRUE(readTextFile(sweepStorePath(d), store));
+    ASSERT_TRUE(readTextFile(sweepSummaryPath(d), summary));
+    const ino_t store_inode = inodeOf(sweepStorePath(d));
+    const ino_t summary_inode = inodeOf(sweepSummaryPath(d));
+
+    // A drained, compacted sweep: the late worker runs nothing, still
+    // reports the merge, and leaves both files untouched.
+    const WorkerReport report = WorkerDaemon(make_options("w2")).run(specs);
+    EXPECT_EQ(report.completed, 0u);
+    EXPECT_TRUE(report.drained);
+    EXPECT_TRUE(report.merged);
+    std::string store_after, summary_after;
+    ASSERT_TRUE(readTextFile(sweepStorePath(d), store_after));
+    ASSERT_TRUE(readTextFile(sweepSummaryPath(d), summary_after));
+    EXPECT_EQ(store_after, store);
+    EXPECT_EQ(summary_after, summary);
+    EXPECT_EQ(inodeOf(sweepStorePath(d)), store_inode);
+    EXPECT_EQ(inodeOf(sweepSummaryPath(d)), summary_inode);
+    EXPECT_EQ(compactionEvents(d), 1u);
+
+    // A store newer than its summary, or any shard left to fold, still
+    // needs a compaction.
+    namespace fs = std::filesystem;
+    fs::last_write_time(sweepStorePath(d),
+                        fs::last_write_time(sweepSummaryPath(d))
+                            + std::chrono::seconds(1));
+    EXPECT_FALSE(sweepStoreCompacted(d));
+    fs::last_write_time(sweepSummaryPath(d),
+                        fs::last_write_time(sweepStorePath(d)));
+    EXPECT_TRUE(sweepStoreCompacted(d));
+    writeTextFileAtomic(sweepShardPath(d, "w3"), "");
+    EXPECT_FALSE(sweepStoreCompacted(d));
 }
 
 TEST(WorkerDaemon, TwoConcurrentWorkersShareOneSweep)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for exact Pauli expectations on statevectors: the grouped
- * batch evaluator and the expectation overloads built on it, against
- * the naive full-scan references.
+ * Tests for exact Pauli expectations on statevectors: the planned
+ * grouped evaluator (ExpectationPlan), the one-off wrappers built on
+ * it, and their agreement with the naive full-scan references.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,12 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ham/spin_chains.h"
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
+
+#include "pool_size_guard.h"
 
 namespace treevqa {
 namespace {
@@ -129,7 +132,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchExpectationSweep,
                          ::testing::Values(1ull, 2ull, 3ull, 4ull, 5ull,
                                            6ull, 7ull, 8ull));
 
-/** A pseudo-random normalized n-qubit state. */
+/** A pseudo-random normalized n-qubit state (no CX on one qubit). */
 Statevector
 randomStateN(int n, std::uint64_t seed)
 {
@@ -142,7 +145,10 @@ randomStateN(int n, std::uint64_t seed)
           case 0: s.applyRx(q, rng.uniform(-3, 3)); break;
           case 1: s.applyRy(q, rng.uniform(-3, 3)); break;
           case 2: s.applyRz(q, rng.uniform(-3, 3)); break;
-          case 3: s.applyCx(q, p); break;
+          case 3:
+            if (p != q)
+                s.applyCx(q, p);
+            break;
           default: s.applyH(q); break;
         }
     }
@@ -267,6 +273,163 @@ TEST(Expectation, ExpectationBoundsRespected)
             const double e = expectation(s, p);
             EXPECT_LE(std::fabs(e), 1.0 + 1e-12);
         }
+}
+
+/** Bitwise equality of two expectation vectors. */
+void
+expectBitwiseEqual(const std::vector<double> &a,
+                   const std::vector<double> &b, const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t k = 0; k < a.size(); ++k)
+        EXPECT_EQ(a[k], b[k]) << what << ", string " << k;
+}
+
+/**
+ * A string list exercising every planning case on n qubits: identities
+ * (twice), every Y count the width allows (so each Y count mod 4 picks
+ * its weight sign and Re/Im split), random strings, duplicates of
+ * earlier strings, and siblings sharing an X mask.
+ */
+std::vector<PauliString>
+planningStrings(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const char ops[4] = {'I', 'X', 'Y', 'Z'};
+    std::vector<PauliString> strings;
+    strings.push_back(PauliString(n));
+    for (int y = 1; y <= std::min(n, 7); ++y) {
+        PauliString p(n);
+        for (int q = 0; q < n; ++q)
+            p.setOp(q, q < y ? 'Y' : ops[rng.uniformInt(4) == 0 ? 1 : 3]);
+        strings.push_back(p);
+    }
+    for (int trial = 0; trial < 24; ++trial) {
+        PauliString p(n);
+        for (int q = 0; q < n; ++q)
+            p.setOp(q, ops[rng.uniformInt(4)]);
+        strings.push_back(p);
+        // Same X mask, Z flipped on one qubit: a second group member.
+        const int q = static_cast<int>(rng.uniformInt(n));
+        const char c = p.opAt(q);
+        p.setOp(q, c == 'I' ? 'Z' : c == 'Z' ? 'I' : c == 'X' ? 'Y' : 'X');
+        strings.push_back(p);
+    }
+    strings.push_back(strings[3 % strings.size()]);
+    strings.push_back(strings[strings.size() / 2]);
+    strings.push_back(PauliString(n));
+    return strings;
+}
+
+/** The all-diagonal list: only Z/I strings, one group. */
+std::vector<PauliString>
+diagonalStrings(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<PauliString> strings;
+    for (int trial = 0; trial < 16; ++trial) {
+        PauliString p(n);
+        for (int q = 0; q < n; ++q)
+            p.setOp(q, rng.uniformInt(2) == 0 ? 'I' : 'Z');
+        strings.push_back(p);
+    }
+    return strings;
+}
+
+/**
+ * Property: a plan's evaluate() is bitwise equal to the one-off
+ * perStringExpectations call and to the single-lane result, and within
+ * 1e-12 of the naive reference, for 1-12 qubits at pool sizes 1, 2
+ * and 4.
+ */
+class ExpectationPlanSweep : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(ExpectationPlanSweep, MatchesOneOffAndReference)
+{
+    for (int n = 1; n <= 12; ++n) {
+        const Statevector s = randomStateN(n, 4000 + n);
+        for (const auto &strings :
+             {planningStrings(n, 50 + n), diagonalStrings(n, 90 + n)}) {
+            const std::string what = std::to_string(n) + "q";
+            std::vector<double> single_lane;
+            {
+                PoolSizeGuard guard(1);
+                single_lane = ExpectationPlan(strings, n).evaluate(s);
+            }
+            PoolSizeGuard guard(GetParam());
+            const ExpectationPlan plan(strings, n);
+            ASSERT_EQ(plan.numStrings(), strings.size());
+            const std::vector<double> planned = plan.evaluate(s);
+            expectBitwiseEqual(planned, perStringExpectations(s, strings),
+                               what + " one-off");
+            expectBitwiseEqual(planned, single_lane, what + " 1 lane");
+            const std::vector<double> ref =
+                refPerStringExpectations(s, strings);
+            for (std::size_t k = 0; k < strings.size(); ++k)
+                EXPECT_NEAR(planned[k], ref[k], 1e-12)
+                    << what << " " << strings[k].toLabel();
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, ExpectationPlanSweep,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{4}));
+
+TEST(ExpectationPlan, ReusedAcrossManyStatesInSequence)
+{
+    // One plan, many states: no state leaks into the next evaluation.
+    const int n = 7;
+    const std::vector<PauliString> strings = planningStrings(n, 3);
+    const ExpectationPlan plan(strings, n);
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        const Statevector s = randomStateN(n, 700 + seed);
+        expectBitwiseEqual(plan.evaluate(s),
+                           perStringExpectations(s, strings),
+                           "seed " + std::to_string(seed));
+    }
+}
+
+TEST(ExpectationPlan, ConcurrentEvaluationsFromPoolTasks)
+{
+    // One shared plan evaluated from pool tasks on different states
+    // (each task's own fan-out runs inline), against serial results.
+    const int n = 12; // two blocks per off-diagonal group
+    const std::vector<PauliString> strings = planningStrings(n, 11);
+    const ExpectationPlan plan(strings, n);
+    std::vector<Statevector> states;
+    std::vector<std::vector<double>> serial;
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        states.push_back(randomStateN(n, 900 + seed));
+        serial.push_back(plan.evaluate(states.back()));
+    }
+    PoolSizeGuard guard(4);
+    std::vector<std::vector<double>> concurrent(states.size());
+    ThreadPool::global().run(states.size(), [&](std::size_t i) {
+        concurrent[i] = plan.evaluate(states[i]);
+    });
+    for (std::size_t i = 0; i < states.size(); ++i)
+        expectBitwiseEqual(concurrent[i], serial[i],
+                           "state " + std::to_string(i));
+}
+
+TEST(ExpectationPlan, PauliSumPlanRecombinesToTheOverload)
+{
+    // The Pauli-sum overload is recombine(termCoefficients(H),
+    // ExpectationPlan(H).evaluate(state)), bitwise.
+    const PauliSum h = xxzChain(5, 1.0, 0.6);
+    const ExpectationPlan plan(h);
+    ASSERT_EQ(plan.numStrings(), h.numTerms());
+    ASSERT_EQ(plan.numQubits(), 5);
+    const std::vector<double> coefficients = termCoefficients(h);
+    ASSERT_EQ(coefficients.size(), h.numTerms());
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        const Statevector s = randomStateN(5, 60 + seed);
+        EXPECT_EQ(recombine(coefficients, plan.evaluate(s)),
+                  expectation(s, h));
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "circuit/hardware_efficient.h"
 #include "core/objective.h"
 #include "ham/spin_chains.h"
+#include "sim/expectation.h"
 
 namespace treevqa {
 namespace {
@@ -147,6 +148,34 @@ TEST(Objective, NoiseDampsTowardTrace)
     const double e_noisy = obj_noisy.evaluate(theta, rng).mixedEnergy;
     const double trace = fam[0].normalizedTrace(); // 0 for TFIM
     EXPECT_LT(std::fabs(e_noisy - trace), std::fabs(e_clean - trace));
+}
+
+TEST(Objective, DeviceNoiseDampsEachTermByItsFactor)
+{
+    // Without shot noise, a noisy evaluation is the recombination of
+    // the exact per-term values, each multiplied once by its damping
+    // factor: bitwise, whatever the backend precomputes.
+    const auto fam = xxzFamily(4, 0.5, 1.5, 3);
+    const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 2, 0b0101);
+    EngineConfig noisy = noiselessExact();
+    noisy.noise = NoiseModel(0.97, 0.93, "test-device");
+    ClusterObjective obj(fam, ansatz, noisy);
+    Rng rng(8);
+    std::vector<double> theta(ansatz.numParams());
+    for (auto &t : theta)
+        t = rng.uniform(-1, 1);
+
+    const AlignedTerms aligned = alignTerms(fam);
+    std::vector<double> values =
+        perStringExpectations(ansatz.prepare(theta), aligned.strings);
+    const int layers = ansatz.compiled()->entanglingLayers();
+    for (std::size_t k = 0; k < values.size(); ++k)
+        values[k] *= noisy.noise.dampingFactor(aligned.strings[k], layers);
+    const ClusterEvaluation ev = obj.evaluate(theta, rng);
+    for (std::size_t i = 0; i < fam.size(); ++i)
+        EXPECT_EQ(ev.taskEnergies[i],
+                  recombine(aligned.coefficients[i], values))
+            << "task " << i;
 }
 
 TEST(Objective, ExactMixedEnergyConsistent)
