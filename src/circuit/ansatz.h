@@ -40,12 +40,11 @@ class Ansatz
     const Circuit &circuit() const { return circuit_; }
 
     /**
-     * The ansatz's compiled program, built once at construction through
-     * the process-wide CompilationCache: every copy of this ansatz
-     * (withInitialBits re-bindings, split children, post-processing
-     * probes) shares the same immutable fused-op program, so the fusion
-     * pass never reruns per evaluation. Null only for a
-     * default-constructed ansatz.
+     * The ansatz's compiled program, built once at construction: every
+     * copy of this ansatz (withInitialBits re-bindings, split children,
+     * post-processing probes, baseline tasks) shares the same immutable
+     * fused-op program, so the fusion pass never reruns per evaluation.
+     * Null only for a default-constructed ansatz.
      */
     const std::shared_ptr<const CompiledCircuit> &compiled() const
     {

@@ -153,8 +153,8 @@ Circuit::apply(Statevector &state, const std::vector<double> &theta) const
     assert(static_cast<int>(theta.size()) >= numParams_);
 
     // The fusion pass lives in CompiledCircuit; compiling here keeps
-    // apply() a one-call convenience while the hot paths reuse a cached
-    // program (see Ansatz and CompilationCache).
+    // apply() a one-call convenience while the hot paths reuse the
+    // program their Ansatz compiled once (see Ansatz::compiled).
     CompiledCircuit(*this).execute(state, theta);
 }
 

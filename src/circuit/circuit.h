@@ -41,13 +41,6 @@ struct GateInstr
     int paramIndex = -1; ///< -1: fixed angle; else index into theta
     double scale = 1.0;  ///< angle = scale * theta[paramIndex] + offset
     double offset = 0.0;
-
-    bool operator==(const GateInstr &other) const
-    {
-        return op == other.op && q0 == other.q0 && q1 == other.q1
-            && paramIndex == other.paramIndex && scale == other.scale
-            && offset == other.offset;
-    }
 };
 
 /** A parameterized circuit on a fixed register. */
@@ -101,8 +94,8 @@ class Circuit
      *
      * Convenience path for one-off applications: compiles the gate
      * list into a CompiledCircuit and executes it. Hot paths (Ansatz,
-     * ClusterObjective) hold a compiled program directly — via
-     * CompilationCache — and skip the per-call compile.
+     * ClusterObjective) hold the program the Ansatz compiled at
+     * construction and skip the per-call compile.
      */
     void apply(Statevector &state,
                const std::vector<double> &theta) const;

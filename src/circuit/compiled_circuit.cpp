@@ -59,37 +59,12 @@ boundAngle(int param_index, double scale, double offset,
                             : offset;
 }
 
-std::uint64_t
-mix64(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h;
-}
-
 } // namespace
-
-std::uint64_t
-circuitFingerprint(const Circuit &circuit)
-{
-    std::uint64_t h = 0x7ee5c0de;
-    h = mix64(h, static_cast<std::uint64_t>(circuit.numQubits()));
-    h = mix64(h, static_cast<std::uint64_t>(circuit.numParams()));
-    h = mix64(h, static_cast<std::uint64_t>(circuit.entanglingLayers()));
-    for (const GateInstr &g : circuit.gates()) {
-        h = mix64(h, static_cast<std::uint64_t>(g.op));
-        h = mix64(h, static_cast<std::uint64_t>(g.q0 + 1));
-        h = mix64(h, static_cast<std::uint64_t>(g.q1 + 1));
-        h = mix64(h, static_cast<std::uint64_t>(g.paramIndex + 1));
-        h = mix64(h, std::bit_cast<std::uint64_t>(g.scale));
-        h = mix64(h, std::bit_cast<std::uint64_t>(g.offset));
-    }
-    return h;
-}
 
 CompiledCircuit::CompiledCircuit(const Circuit &circuit)
     : numQubits_(circuit.numQubits()), numParams_(circuit.numParams()),
       entanglingLayers_(circuit.entanglingLayers()),
-      fingerprint_(circuitFingerprint(circuit)), gates_(circuit.gates())
+      gates_(circuit.gates())
 {
     // The same fusion discipline as the former eager pass in
     // Circuit::apply, decided structurally so it binds to any theta:
@@ -230,64 +205,6 @@ CompiledCircuit::execute(Statevector &state,
             break;
         }
     }
-}
-
-bool
-CompiledCircuit::matchesSource(const Circuit &circuit) const
-{
-    return numQubits_ == circuit.numQubits()
-        && numParams_ == circuit.numParams()
-        && entanglingLayers_ == circuit.entanglingLayers()
-        && gates_ == circuit.gates();
-}
-
-CompilationCache &
-CompilationCache::global()
-{
-    static CompilationCache cache;
-    return cache;
-}
-
-std::shared_ptr<const CompiledCircuit>
-CompilationCache::compile(const Circuit &circuit)
-{
-    const std::uint64_t key = circuitFingerprint(circuit);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &bucket = entries_[key];
-    // Prune expired entries while scanning for an exact match.
-    std::size_t keep = 0;
-    std::shared_ptr<const CompiledCircuit> found;
-    for (auto &weak : bucket) {
-        std::shared_ptr<const CompiledCircuit> program = weak.lock();
-        if (!program)
-            continue;
-        if (!found && program->matchesSource(circuit))
-            found = program;
-        bucket[keep++] = std::move(weak);
-    }
-    bucket.resize(keep);
-    if (found) {
-        ++hits_;
-        return found;
-    }
-    ++misses_;
-    auto program = std::make_shared<const CompiledCircuit>(circuit);
-    bucket.emplace_back(program);
-    return program;
-}
-
-std::size_t
-CompilationCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::size_t
-CompilationCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
 }
 
 } // namespace treevqa

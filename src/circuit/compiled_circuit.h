@@ -30,9 +30,6 @@
 #define TREEVQA_CIRCUIT_COMPILED_CIRCUIT_H
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -94,53 +91,13 @@ class CompiledCircuit
     void execute(Statevector &state,
                  const std::vector<double> &theta) const;
 
-    /** Structural hash of the source circuit (cache bucket key). */
-    std::uint64_t fingerprint() const { return fingerprint_; }
-
-    /** Exact source match (guards against fingerprint collisions). */
-    bool matchesSource(const Circuit &circuit) const;
-
   private:
     int numQubits_;
     int numParams_;
     int entanglingLayers_;
-    std::uint64_t fingerprint_;
     std::vector<GateInstr> gates_;
     std::vector<CompiledOp> ops_;
     std::vector<FusedGateSlot> slots_;
-};
-
-/** Structural hash of a circuit's program (qubits, params, gates). */
-std::uint64_t circuitFingerprint(const Circuit &circuit);
-
-/**
- * Process-wide cache of compiled programs keyed on circuit identity.
- *
- * Every Ansatz compiles through here, so the many objects built from
- * one ansatz shape — clusters split from the same root, post-processing
- * probes, baseline runners — share a single immutable program instead
- * of re-fusing the same gate list. Entries are weak: a program lives
- * exactly as long as some Ansatz/objective still holds it.
- */
-class CompilationCache
-{
-  public:
-    static CompilationCache &global();
-
-    /** The shared program for `circuit`, compiling on first sight. */
-    std::shared_ptr<const CompiledCircuit> compile(const Circuit &circuit);
-
-    /** Cache-hit / miss counters (telemetry, tests). */
-    std::size_t hits() const;
-    std::size_t misses() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::weak_ptr<const CompiledCircuit>>>
-        entries_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
 };
 
 } // namespace treevqa

@@ -11,7 +11,7 @@ namespace {
 
 Ansatz::Ansatz(Circuit circuit, std::uint64_t initial_bits)
     : circuit_(std::move(circuit)),
-      compiled_(CompilationCache::global().compile(circuit_)),
+      compiled_(std::make_shared<const CompiledCircuit>(circuit_)),
       initialBits_(initial_bits)
 {
 }

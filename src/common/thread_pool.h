@@ -4,8 +4,8 @@
  *
  * Every parallel surface of the framework — multi-theta probe batches
  * (ClusterObjective::evaluateBatch), threaded Pauli expectations
- * (ExpectationPlan::evaluate) and sharded cluster rounds
- * (TreeController) — fans out over the single process-wide pool
+ * (ExpectationPlan::evaluate) and cluster rounds (TreeController) —
+ * fans out over the single process-wide pool
  * returned by global(), so the thread count is one knob and nested
  * parallel regions cannot oversubscribe the machine: a run() issued
  * from inside a pool task executes inline on the calling worker.

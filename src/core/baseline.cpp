@@ -2,23 +2,11 @@
 
 #include <cassert>
 #include <limits>
+#include <memory>
+
+#include "core/vqa_cluster.h"
 
 namespace treevqa {
-
-namespace {
-
-/** Per-task independent VQE state. */
-struct TaskRunner
-{
-    std::unique_ptr<ClusterObjective> objective;
-    std::unique_ptr<IterativeOptimizer> optimizer;
-    Rng rng{0};
-    std::uint64_t shotsUsed = 0;
-    int iterations = 0;
-    bool exhausted = false;
-};
-
-} // namespace
 
 BaselineResult
 runBaseline(const std::vector<VqaTask> &tasks, const Ansatz &ansatz,
@@ -35,89 +23,74 @@ runBaseline(const std::vector<VqaTask> &tasks, const Ansatz &ansatz,
     if (start.empty())
         start.assign(static_cast<std::size_t>(ansatz.numParams()), 0.0);
 
-    std::vector<TaskRunner> runners(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        runners[i].objective = std::make_unique<ClusterObjective>(
+    // One single-task cluster per task, each charging its own ledger
+    // against its share of the budget. A lone task never splits, so
+    // the split requests of step() are ignored.
+    std::vector<std::unique_ptr<VqaCluster>> clusters;
+    std::vector<ShotLedger> ledgers(n);
+    for (std::size_t i = 0; i < n; ++i)
+        clusters.push_back(std::make_unique<VqaCluster>(
+            static_cast<int>(i), 1, -1, std::vector<std::size_t>{i},
             std::vector<PauliSum>{tasks[i].hamiltonian},
-            ansatz.withInitialBits(tasks[i].initialBits), config.engine);
-        runners[i].optimizer = optimizer_prototype.cloneConfig();
-        runners[i].optimizer->reset(start);
-        runners[i].rng = root_rng.split();
-    }
+            ansatz.withInitialBits(tasks[i].initialBits), config.engine,
+            ClusterConfig{}, optimizer_prototype.cloneConfig(), start,
+            root_rng.split()));
 
     std::vector<double> best_energies(
         n, std::numeric_limits<double>::infinity());
+    const auto track_best = [&](std::size_t i) {
+        const VqaCluster &cluster = *clusters[i];
+        const double energy =
+            cluster.objective().exactTaskEnergy(0, cluster.params());
+        if (energy < best_energies[i])
+            best_energies[i] = energy;
+    };
+    const auto total_shots = [&] {
+        std::uint64_t total = 0;
+        for (const ShotLedger &ledger : ledgers)
+            total += ledger.total();
+        return total;
+    };
 
     BaselineResult result;
-    ShotLedger ledger;
     int round = 0;
-
     const auto record = [&](int at_round) {
         TraceSample sample;
-        sample.shots = ledger.total();
+        sample.shots = total_shots();
         sample.iteration = at_round;
         sample.numClusters = n;
         sample.bestEnergies = best_energies;
         result.trace.push_back(std::move(sample));
     };
 
+    // Round-robin over the tasks so the trace is one monotone
+    // shots-vs-progress series; a task stops once its ledger reaches
+    // its share or it hits the iteration cap.
     bool any_active = true;
     while (any_active) {
         ++round;
         any_active = false;
         for (std::size_t i = 0; i < n; ++i) {
-            TaskRunner &runner = runners[i];
-            if (runner.exhausted)
-                continue;
-            if (runner.shotsUsed >= per_task_budget
+            if (ledgers[i].total() >= per_task_budget
                 || (config.maxIterationsPerTask > 0
-                    && runner.iterations
-                           >= config.maxIterationsPerTask)) {
-                runner.exhausted = true;
+                    && clusters[i]->iterations()
+                           >= config.maxIterationsPerTask))
                 continue;
-            }
             any_active = true;
-
-            // Probe batches fan out over the thread pool exactly as in
-            // the clustered path, so baseline comparisons share the
-            // same evaluation engine.
-            const BatchObjective f =
-                [&](const std::vector<std::vector<double>> &thetas) {
-                    const std::vector<ClusterEvaluation> evs =
-                        runner.objective->evaluateBatch(thetas,
-                                                        runner.rng);
-                    std::vector<double> losses(evs.size());
-                    for (std::size_t p = 0; p < evs.size(); ++p) {
-                        runner.shotsUsed += evs[p].shotsUsed;
-                        ledger.charge(evs[p].shotsUsed);
-                        losses[p] = evs[p].mixedEnergy;
-                    }
-                    return losses;
-                };
-            runner.optimizer->stepBatch(f);
-            ++runner.iterations;
-
-            if (round % config.metricsInterval == 0) {
-                const double energy = runner.objective->exactTaskEnergy(
-                    0, runner.optimizer->params());
-                if (energy < best_energies[i])
-                    best_energies[i] = energy;
-            }
+            clusters[i]->step(ledgers[i]);
+            if (round % config.metricsInterval == 0)
+                track_best(i);
         }
         if (round % config.metricsInterval == 0)
             record(round);
     }
 
     // Final exact evaluation for every task.
-    for (std::size_t i = 0; i < n; ++i) {
-        const double energy = runners[i].objective->exactTaskEnergy(
-            0, runners[i].optimizer->params());
-        if (energy < best_energies[i])
-            best_energies[i] = energy;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        track_best(i);
     record(round);
 
-    result.totalShots = ledger.total();
+    result.totalShots = total_shots();
     result.rounds = round;
     result.outcomes.resize(n);
     for (std::size_t i = 0; i < n; ++i) {

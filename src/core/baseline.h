@@ -2,9 +2,12 @@
  * @file
  * The conventional-VQA baseline (paper Section 7.3): every task is
  * executed as its own independent VQE/QAOA instance with an equal share
- * of the shot budget. Tasks are advanced round-robin so the recorded
- * trace is a single monotone shots-vs-progress series comparable to
- * TreeVQA's, but no information flows between tasks.
+ * of the shot budget. Each task is a single-task VqaCluster, so a
+ * baseline iteration is exactly the clustered path's step (same
+ * objective, batched probe evaluation and optimizer), with its own
+ * shot ledger for its share. Tasks are advanced round-robin so the
+ * recorded trace is a single monotone shots-vs-progress series
+ * comparable to TreeVQA's, but no information flows between tasks.
  */
 
 #ifndef TREEVQA_CORE_BASELINE_H
@@ -29,7 +32,7 @@ struct BaselineConfig
     /** Record exact energies every this many rounds. */
     int metricsInterval = 5;
     /** Execution model; engine.backendName selects the SimBackend by
-     * name ("statevector" | "paulprop") for every task runner. */
+     * name ("statevector" | "paulprop") for every task. */
     EngineConfig engine;
     std::uint64_t seed = 0xba5e;
 };

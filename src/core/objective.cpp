@@ -64,9 +64,9 @@ ClusterObjective::ClusterObjective(
     }
 
     // The backend borrows views of everything computed above and the
-    // ansatz's cached compiled program (one program per ansatz shape,
-    // shared across the evaluation and exact paths and across
-    // objectives built from the same ansatz).
+    // ansatz's compiled program (shared across the evaluation and
+    // exact paths and across objectives built from copies of the same
+    // ansatz).
     SimBackendInputs inputs;
     inputs.program = ansatz_.compiled();
     inputs.initialBits = ansatz_.initialBits();

@@ -15,10 +15,9 @@
  * (EngineConfig::backendName; see sim_backend.h): "statevector" for
  * dense problems (<= ~20 qubits), "paulprop" for the paper's
  * large-scale path (Section 8.4). The backend runs the ansatz's
- * compiled program — built once per ansatz shape through the
- * process-wide CompilationCache and shared by evaluate(),
- * evaluateBatch() and the exact-energy paths, so no call re-derives
- * per-circuit state.
+ * compiled program — built once when the Ansatz was constructed,
+ * shared by every copy of it and by evaluate(), evaluateBatch() and
+ * the exact-energy paths, so no call re-derives per-circuit state.
  *
  * Optimizers emit known-independent probe sets per iterate (the SPSA
  * +/- pair, simplex builds, stencils); evaluateBatch() evaluates such

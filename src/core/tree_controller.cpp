@@ -104,42 +104,22 @@ TreeController::run()
         // One VQA-Cluster-Step per active cluster (Algorithm 1 line 5).
         // Active clusters are the leaves of the tree and mutually
         // independent (private RNG streams, private optimizers, pooled
-        // workspaces), so a whole round can be sharded across the
-        // thread pool. Sharding is only legal when the round provably
-        // fits the remaining budget: the serial loop stops mid-round
-        // once the budget is hit, so near the budget boundary we fall
-        // back to the serial order to keep results identical.
+        // workspaces, atomic ledger), so the whole round is one fan-out
+        // over the thread pool; at one lane it runs inline in index
+        // order. The budget is checked only at the top of the round.
         std::vector<std::size_t> active;
         for (std::size_t c = 0; c < clusters_.size(); ++c)
             if (clusters_[c].active)
                 active.push_back(c);
 
-        std::uint64_t round_bound = 0;
-        for (std::size_t c : active)
-            round_bound += clusters_[c].cluster->maxStepShots();
-
+        std::vector<VqaCluster::Status> statuses(active.size());
+        ThreadPool::global().run(active.size(), [&](std::size_t i) {
+            statuses[i] = clusters_[active[i]].cluster->step(ledger);
+        });
         std::vector<std::size_t> to_split;
-        if (ThreadPool::global().numThreads() > 1 && active.size() > 1
-            && ledger.total() + round_bound <= config_.shotBudget) {
-            std::vector<VqaCluster::Status> statuses(active.size());
-            ThreadPool::global().run(
-                active.size(), [&](std::size_t i) {
-                    statuses[i] =
-                        clusters_[active[i]].cluster->step(ledger);
-                });
-            for (std::size_t i = 0; i < active.size(); ++i)
-                if (statuses[i] == VqaCluster::Status::SplitRequested)
-                    to_split.push_back(active[i]);
-        } else {
-            for (std::size_t c : active) {
-                const VqaCluster::Status status =
-                    clusters_[c].cluster->step(ledger);
-                if (status == VqaCluster::Status::SplitRequested)
-                    to_split.push_back(c);
-                if (ledger.total() >= config_.shotBudget)
-                    break;
-            }
-        }
+        for (std::size_t i = 0; i < active.size(); ++i)
+            if (statuses[i] == VqaCluster::Status::SplitRequested)
+                to_split.push_back(active[i]);
 
         // Execute splits: replace the cluster with two children that
         // inherit its parameters (Algorithm 1 line 9).
@@ -184,24 +164,21 @@ TreeController::run()
     result.maxTreeLevel = max_level;
 
     // Critical depth: iterations along the deepest root-to-leaf chain
-    // over total iterations across all clusters.
-    std::map<int, int> iters_by_id;
-    std::map<int, int> parent_by_id;
+    // over total iterations across all clusters. Ids are assigned in
+    // spawn order, so a cluster's id is its index in clusters_.
     long total_iters = 0;
-    for (const auto &record : clusters_) {
-        iters_by_id[record.cluster->id()] = record.cluster->iterations();
-        parent_by_id[record.cluster->id()] = record.cluster->parentId();
+    for (const auto &record : clusters_)
         total_iters += record.cluster->iterations();
-    }
     long critical = 0;
     for (const auto &record : clusters_) {
         if (!record.active)
             continue;
         long path = 0;
-        int id = record.cluster->id();
-        while (id >= 0) {
-            path += iters_by_id[id];
-            id = parent_by_id[id];
+        for (int id = record.cluster->id(); id >= 0;) {
+            const VqaCluster &node =
+                *clusters_[static_cast<std::size_t>(id)].cluster;
+            path += node.iterations();
+            id = node.parentId();
         }
         critical = std::max(critical, path);
     }

@@ -3,12 +3,14 @@
  * TreeVQA Central Controller (paper Section 5.1, Algorithm 1).
  *
  * The controller owns the cluster tree: it seeds one root cluster per
- * unique initial state, round-robins VQA iterations over the active
- * clusters under a global shot budget, executes splits proposed by the
- * clusters (spectral partition, parameter inheritance), records the
- * experiment trace, and finishes with the post-processing pass that
- * evaluates every Hamiltonian on every final cluster state and keeps
- * the best (Section 5.3).
+ * unique initial state and then runs rounds. A round starts only while
+ * the global shot budget is not yet spent (the one budget check of
+ * Algorithm 1's while), steps every active cluster once through one
+ * fan-out over the thread pool, executes the splits the clusters
+ * proposed (spectral partition, parameter inheritance) and records the
+ * experiment trace. The run finishes with the post-processing pass
+ * that evaluates every Hamiltonian on every final cluster state and
+ * keeps the best (Section 5.3).
  */
 
 #ifndef TREEVQA_CORE_TREE_CONTROLLER_H
@@ -26,7 +28,10 @@ namespace treevqa {
 /** Full configuration of a TreeVQA run. */
 struct TreeVqaConfig
 {
-    /** Global shot budget S_max (Algorithm 1). */
+    /** Global shot budget S_max (Algorithm 1), checked once per round
+     * before the round starts: a round that starts below the budget
+     * runs to its end, so the total can exceed S_max by at most one
+     * round of every active cluster. */
     std::uint64_t shotBudget = 0;
     /** Safety cap on controller rounds (0 = unlimited). */
     int maxRounds = 100000;

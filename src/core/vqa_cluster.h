@@ -112,16 +112,6 @@ class VqaCluster
      */
     Status step(ShotLedger &ledger);
 
-    /** Upper bound on the shots one step() can charge (the optimizer's
-     * worst-case evaluation count x the per-evaluation cost). The
-     * controller uses it to prove a whole round fits the remaining
-     * budget before sharding the round across the thread pool. */
-    std::uint64_t maxStepShots() const
-    {
-        return static_cast<std::uint64_t>(optimizer_->maxEvalsPerStep())
-             * objective_.evalCost();
-    }
-
     /** Exact member energies at the current parameters (metrics). */
     std::vector<double> exactTaskEnergies() const;
 

@@ -169,6 +169,7 @@ StoreTailReader::refresh()
             ++counters_.fullRescans;
             tailMetrics().fullRescans.inc();
         }
+        lastRefreshWasFull_ = cursors_.empty();
 
         bool collided = false;
         for (const std::string &path : files) {

@@ -90,6 +90,11 @@ class StoreTailReader
 
     const TailCounters &counters() const { return counters_; }
 
+    /** True when the last refresh() built the whole view from offset
+     * 0 (a fresh reader, or one just invalidated or reset): the view
+     * is then exactly what invalidate() + refresh() would rebuild. */
+    bool lastRefreshWasFull() const { return lastRefreshWasFull_; }
+
   private:
     struct Cursor
     {
@@ -113,6 +118,7 @@ class StoreTailReader
     std::map<std::string, JobResolution> resolutions_;
     TailCounters counters_;
     bool forceRescan_ = false;
+    bool lastRefreshWasFull_ = false;
 };
 
 } // namespace treevqa

@@ -338,13 +338,16 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             if (pending.empty()
                 && drain_confirmed_for != jobs.expansions) {
                 // The incremental view is an optimization, never the
-                // drain proof: a read from offset 0 arbitrates. A
-                // mismatch (the tail over-resolved through a
+                // drain proof: a read from offset 0 arbitrates (a view
+                // this scan already read from offset 0 is that read).
+                // A mismatch (the tail over-resolved through a
                 // canonical/shard overlap double count, or lost a
                 // race) leaves the rebuilt view and keeps scanning.
-                tail.invalidate();
-                tail.refresh();
-                collect_pending();
+                if (!tail.lastRefreshWasFull()) {
+                    tail.invalidate();
+                    tail.refresh();
+                    collect_pending();
+                }
                 if (pending.empty())
                     drain_confirmed_for = jobs.expansions;
             }

@@ -83,9 +83,9 @@ class IterativeOptimizer
     /**
      * Worst-case evaluations a single step can consume in the
      * optimizer's *current* state (e.g. a Nelder-Mead shrink or a
-     * COBYLA simplex rebuild). The TreeController uses this bound to
-     * decide whether a whole round of cluster steps fits the remaining
-     * shot budget and can therefore be sharded across threads.
+     * COBYLA simplex rebuild). The scenario runner checks its shot
+     * budget against this bound before every step, so a resumed run
+     * stops where an uninterrupted one would.
      */
     virtual int maxEvalsPerStep() const { return evalsPerIteration(); }
 

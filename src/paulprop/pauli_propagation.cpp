@@ -172,7 +172,7 @@ PauliPropagator::PauliPropagator(
 
 PauliPropagator::PauliPropagator(const Circuit &circuit,
                                  PauliPropConfig config)
-    : PauliPropagator(CompilationCache::global().compile(circuit),
+    : PauliPropagator(std::make_shared<const CompiledCircuit>(circuit),
                       config)
 {
 }

@@ -69,8 +69,8 @@ class PauliPropagator
         std::shared_ptr<const CompiledCircuit> program,
         PauliPropConfig config = {});
 
-    /** Compile-on-construct convenience (goes through the process-wide
-     * CompilationCache; safe with temporary circuits). */
+    /** Compile-on-construct convenience (the propagator owns the
+     * program; safe with temporary circuits). */
     explicit PauliPropagator(const Circuit &circuit,
                              PauliPropConfig config = {});
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared bit-manipulation primitives for the statevector kernels and
- * the expectation evaluators.
+ * Shared primitives for the statevector kernels and the expectation
+ * evaluators: bit manipulation and the one rule for when a state pass
+ * goes parallel.
  */
 
 #ifndef TREEVQA_SIM_BIT_OPS_H
@@ -12,6 +13,11 @@
 #include <cstdint>
 
 namespace treevqa {
+
+/** Minimum amplitude count before a parallel pass pays for itself:
+ * below it the gate kernels and ExpectationPlan::evaluate run serially
+ * and never wake the thread pool. */
+inline constexpr std::size_t kParallelMinDim = std::size_t{1} << 16;
 
 /** Insert a zero bit at the position of `bit` (a power of two):
  * maps a compressed index k onto the full index space where that bit

@@ -230,10 +230,15 @@ ExpectationPlan::evaluate(const Statevector &state) const
         out[k] = 1.0;
 
     std::vector<double> partial(partialSize_);
-    ThreadPool::global().run(work_.size(), [&](std::size_t w) {
+    const auto item = [&](std::size_t w) {
         processBlock(groups_[work_[w].group], work_[w].block, amps,
                      partial.data());
-    });
+    };
+    if (state.dim() >= kParallelMinDim)
+        ThreadPool::global().run(work_.size(), item);
+    else
+        for (std::size_t w = 0; w < work_.size(); ++w)
+            item(w);
 
     // Ordered reduction: blocks in ascending order per member, which
     // reproduces the serial accumulation order bit-for-bit.

@@ -43,10 +43,12 @@ namespace treevqa {
  * The constructor does all the planning: X-mask groups with compressed
  * Z masks, the Y-parity split and +-2/+-1 weights, per-member sign
  * tables, the block layout and the flat (group, block) work list.
- * evaluate() then only streams the amplitudes: the work items fan out
- * over the global thread pool into block-indexed partial slots of one
- * per-call buffer, and the final reduction walks blocks in ascending
- * order, so results are bit-identical for any pool size (including 1).
+ * evaluate() then only streams the amplitudes into block-indexed
+ * partial slots of one per-call buffer: from kParallelMinDim
+ * amplitudes up (the gate kernels' rule) the work items fan out over
+ * the global thread pool, below it they run serially. The final
+ * reduction walks blocks in ascending order, so results are
+ * bit-identical for any pool size (including 1).
  * The plan is immutable after construction, so one plan may be
  * evaluated concurrently on different states.
  */

@@ -32,9 +32,6 @@ namespace {
 /** Pairs (or quadruples) per chunk: the unit forChunks distributes. */
 constexpr std::size_t kChunk = 4096;
 
-/** Minimum amplitude count before a parallel loop pays for itself. */
-constexpr std::size_t kParallelMinDim = std::size_t{1} << 16;
-
 /**
  * body(c) for every chunk c in [0, count) of a dim-amplitude state: the
  * one parallel loop of the kernels. It is a plain loop for small

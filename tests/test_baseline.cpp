@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "circuit/hardware_efficient.h"
@@ -136,6 +137,46 @@ TEST(Baseline, DeterministicForSameSeed)
     for (std::size_t i = 0; i < a.outcomes.size(); ++i)
         EXPECT_DOUBLE_EQ(a.outcomes[i].bestEnergy,
                          b.outcomes[i].bestEnergy);
+}
+
+TEST(Baseline, SingleTaskRunsMatchBitForBit)
+{
+    // Two single-task baselines from the same seeds, one stopped by
+    // its budget, the other by the iteration cap: outcomes and every
+    // trace sample agree bit for bit.
+    const auto tasks = tfimTasks(3, 1);
+    const Ansatz ansatz = makeHardwareEfficientAnsatz(3, 2, 0);
+    for (const std::uint64_t budget : {1'000'000ull, 1ull << 62}) {
+        const Spsa proto_a(SpsaConfig{}, 8);
+        const Spsa proto_b(SpsaConfig{}, 8);
+        const BaselineResult a =
+            runBaseline(tasks, ansatz, proto_a, quickConfig(budget, 60));
+        const BaselineResult b =
+            runBaseline(tasks, ansatz, proto_b, quickConfig(budget, 60));
+        if (budget < (1ull << 62)) {
+            EXPECT_GE(a.totalShots, budget);
+            EXPECT_LT(a.rounds, 60);
+        }
+        EXPECT_EQ(a.totalShots, b.totalShots);
+        EXPECT_EQ(a.rounds, b.rounds);
+        ASSERT_EQ(a.outcomes.size(), 1u);
+        ASSERT_EQ(b.outcomes.size(), 1u);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.outcomes[0].bestEnergy),
+                  std::bit_cast<std::uint64_t>(b.outcomes[0].bestEnergy));
+        ASSERT_EQ(a.trace.size(), b.trace.size());
+        ASSERT_GE(a.trace.size(), 2u);
+        for (std::size_t s = 0; s < a.trace.size(); ++s) {
+            EXPECT_EQ(a.trace[s].shots, b.trace[s].shots) << s;
+            EXPECT_EQ(a.trace[s].iteration, b.trace[s].iteration) << s;
+            EXPECT_EQ(a.trace[s].numClusters, b.trace[s].numClusters);
+            ASSERT_EQ(a.trace[s].bestEnergies.size(), 1u);
+            ASSERT_EQ(b.trace[s].bestEnergies.size(), 1u);
+            EXPECT_EQ(
+                std::bit_cast<std::uint64_t>(a.trace[s].bestEnergies[0]),
+                std::bit_cast<std::uint64_t>(b.trace[s].bestEnergies[0]))
+                << s;
+        }
+    }
 }
 
 } // namespace

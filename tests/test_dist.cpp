@@ -652,6 +652,49 @@ TEST(WorkerDaemon, SecondWorkerOnACompactedSweepRewritesNothing)
     EXPECT_FALSE(sweepStoreCompacted(d));
 }
 
+TEST(WorkerDaemon, FreshWorkerOnADrainedSweepReadsTheStoreOnce)
+{
+    const auto dir = scratchDir("drain_proof_reads");
+    const std::string d = dir.string();
+    const std::vector<ScenarioSpec> specs = tinySweep(4);
+
+    const auto make_options = [&](const char *id) {
+        WorkerOptions options;
+        options.sweepDir = d;
+        options.workerId = id;
+        options.leaseMs = 60000;
+        options.mergeOnDrain = false;
+        return options;
+    };
+    // One job per scan: every scan after the first folds appends.
+    WorkerOptions one_by_one = make_options("w1");
+    one_by_one.claimBatch = 1;
+    const WorkerReport first = WorkerDaemon(one_by_one).run(specs);
+    ASSERT_EQ(first.completed, specs.size());
+    ASSERT_TRUE(first.drained);
+    ASSERT_FALSE(sweepStoreCompacted(d));
+
+    namespace fs = std::filesystem;
+    std::uint64_t store_bytes = 0;
+    if (fs::exists(sweepStorePath(d)))
+        store_bytes += fs::file_size(sweepStorePath(d));
+    for (const auto &entry : fs::directory_iterator(sweepShardDir(d)))
+        if (entry.path().extension() == ".jsonl")
+            store_bytes += fs::file_size(entry.path());
+    ASSERT_GT(store_bytes, 0u);
+
+    // The worker that ran the jobs folded its own appends
+    // incrementally, so its drain proof re-read everything once more.
+    EXPECT_EQ(first.storeBytesRead, 2 * store_bytes);
+
+    // A fresh worker's first view is already a read from offset 0,
+    // which is the drain proof: it reads the store once, not twice.
+    const WorkerReport late = WorkerDaemon(make_options("w2")).run(specs);
+    EXPECT_EQ(late.completed, 0u);
+    EXPECT_TRUE(late.drained);
+    EXPECT_EQ(late.storeBytesRead, store_bytes);
+}
+
 TEST(WorkerDaemon, TwoConcurrentWorkersShareOneSweep)
 {
     const auto dir = scratchDir("two_workers");

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "ham/spin_chains.h"
+#include "sim/bit_ops.h"
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
 
@@ -377,6 +379,30 @@ TEST_P(ExpectationPlanSweep, MatchesOneOffAndReference)
 INSTANTIATE_TEST_SUITE_P(Lanes, ExpectationPlanSweep,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{4}));
+
+TEST(ExpectationPlan, PoolPassFromThresholdMatchesOneLane)
+{
+    // The sweep above stays below kParallelMinDim, where evaluate()
+    // runs serially; at the threshold the work items go to the pool.
+    const int n = std::bit_width(kParallelMinDim) - 1;
+    const Statevector s = randomStateN(n, 4100);
+    const std::vector<PauliString> strings = planningStrings(n, 66);
+    const ExpectationPlan plan(strings, n);
+    std::vector<double> single_lane;
+    {
+        PoolSizeGuard guard(1);
+        single_lane = plan.evaluate(s);
+    }
+    const std::vector<double> ref = refPerStringExpectations(s, strings);
+    for (std::size_t k = 0; k < strings.size(); ++k)
+        EXPECT_NEAR(single_lane[k], ref[k], 1e-12)
+            << strings[k].toLabel();
+    for (const std::size_t lanes : {2u, 4u}) {
+        PoolSizeGuard guard(lanes);
+        expectBitwiseEqual(plan.evaluate(s), single_lane,
+                           std::to_string(lanes) + " lanes");
+    }
+}
 
 TEST(ExpectationPlan, ReusedAcrossManyStatesInSequence)
 {

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -144,6 +145,8 @@ TEST_P(PaperClaim, TreeSavesShotsOverSeparateVqe)
 
         const double top = std::min(maxFidelity(tree.trace, family.tasks),
                                     maxFidelity(base.trace, family.tasks));
+        std::printf("seed %llu savings at 70/80/90%%:",
+                    static_cast<unsigned long long>(GetParam()));
         for (const double frac : {0.7, 0.8, 0.9}) {
             const std::uint64_t t =
                 shotsToReachFidelity(tree.trace, family.tasks, top * frac);
@@ -156,7 +159,9 @@ TEST_P(PaperClaim, TreeSavesShotsOverSeparateVqe)
                 EXPECT_GT(saving, 1.0)
                     << "no shot saving at fidelity " << top * frac;
             savings.push_back(saving);
+            std::printf(" %.4fx", saving);
         }
+        std::printf("\n");
     }
     EXPECT_GE(median(savings), 2.0);
 }

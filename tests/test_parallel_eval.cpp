@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -416,9 +417,12 @@ TEST(BatchOptimizers, SimplexBuildsGoOutAsOneBatch)
 
 TEST(TreeController, RunIsInvariantToPoolSize)
 {
-    // The full pipeline — sharded cluster rounds, batched probe
-    // evaluation, threaded expectations — must give bit-identical
-    // results at any pool size.
+    // The full pipeline — cluster rounds fanned out over the pool,
+    // batched probe evaluation, threaded expectations — must give
+    // bit-identical results at any pool size, both when the round cap
+    // ends the run and when the shot budget does. The budget is
+    // checked only before a round, so a binding budget ends the run
+    // at the same round boundary at every pool size.
     const auto fam = tfimFamily(4, 0.5, 1.5, 4);
     auto tasks = makeTasks("tfim", fam, 0);
     solveGroundEnergies(tasks);
@@ -426,22 +430,55 @@ TEST(TreeController, RunIsInvariantToPoolSize)
     Spsa proto(SpsaConfig{}, 6);
 
     TreeVqaConfig cfg;
-    cfg.shotBudget = 1ull << 62;
     cfg.maxRounds = 60;
     cfg.seed = 11;
+    // A round of every task as its own cluster, each an SPSA pair.
+    const std::uint64_t max_round_shots = tasks.size() * 2
+        * cfg.engine.shotsPerTerm * tasks[0].hamiltonian.numMeasuredTerms();
 
-    std::vector<TreeVqaResult> results;
-    for (std::size_t threads : {1u, 4u}) {
-        PoolSizeGuard guard(threads);
-        TreeController controller(tasks, ansatz, proto, cfg);
-        results.push_back(controller.run());
+    // Unlimited, then binding after the run's one split (near round
+    // 51 of 60), inside a two-cluster round: the first cluster's step
+    // crosses the budget, and the second still runs.
+    for (const std::uint64_t budget : {1ull << 62, 3'650'000ull}) {
+        cfg.shotBudget = budget;
+        std::vector<TreeVqaResult> results;
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+            PoolSizeGuard guard(threads);
+            TreeController controller(tasks, ansatz, proto, cfg);
+            results.push_back(controller.run());
+        }
+        const TreeVqaResult ref = results[0];
+        EXPECT_GE(ref.splitCount, 1) << "budget " << budget;
+        if (budget < (1ull << 62)) {
+            EXPECT_LT(ref.rounds, cfg.maxRounds);
+            EXPECT_GE(ref.totalShots, budget);
+            EXPECT_LT(ref.totalShots, budget + max_round_shots);
+            // Every cluster finished the last round: the run equals
+            // one capped at the same round count without a budget.
+            TreeVqaConfig capped = cfg;
+            capped.shotBudget = 1ull << 62;
+            capped.maxRounds = ref.rounds;
+            results.push_back(
+                TreeController(tasks, ansatz, proto, capped).run());
+        } else {
+            EXPECT_EQ(ref.rounds, cfg.maxRounds);
+        }
+        for (std::size_t r = 1; r < results.size(); ++r) {
+            const TreeVqaResult &res = results[r];
+            const std::string what = "budget " + std::to_string(budget)
+                + ", run " + std::to_string(r);
+            EXPECT_EQ(res.totalShots, ref.totalShots) << what;
+            EXPECT_EQ(res.rounds, ref.rounds) << what;
+            EXPECT_EQ(res.splitCount, ref.splitCount) << what;
+            ASSERT_EQ(res.outcomes.size(), ref.outcomes.size()) << what;
+            for (std::size_t i = 0; i < ref.outcomes.size(); ++i)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              res.outcomes[i].bestEnergy),
+                          std::bit_cast<std::uint64_t>(
+                              ref.outcomes[i].bestEnergy))
+                    << what << ", task " << i;
+        }
     }
-    ASSERT_EQ(results[0].outcomes.size(), results[1].outcomes.size());
-    for (std::size_t i = 0; i < results[0].outcomes.size(); ++i)
-        EXPECT_DOUBLE_EQ(results[0].outcomes[i].bestEnergy,
-                         results[1].outcomes[i].bestEnergy);
-    EXPECT_EQ(results[0].totalShots, results[1].totalShots);
-    EXPECT_EQ(results[0].splitCount, results[1].splitCount);
 }
 
 TEST(ShotLedger, ConcurrentChargesSumExactly)
