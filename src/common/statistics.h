@@ -72,6 +72,9 @@ class SlidingWindow
     /** Most recent sample; requires non-empty window. */
     double back() const { return values_.back(); }
 
+    /** Current contents, oldest first. */
+    const std::deque<double> &values() const { return values_; }
+
     /** Drop all samples. */
     void clear() { values_.clear(); }
 

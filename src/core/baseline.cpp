@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 
+#include "common/thread_pool.h"
 #include "core/vqa_cluster.h"
 
 namespace treevqa {
@@ -63,27 +64,31 @@ runBaseline(const std::vector<VqaTask> &tasks, const Ansatz &ansatz,
         result.trace.push_back(std::move(sample));
     };
 
-    // Round-robin over the tasks so the trace is one monotone
+    // Rounds over the tasks so the trace is one monotone
     // shots-vs-progress series; a task stops once its ledger reaches
-    // its share or it hits the iteration cap.
-    bool any_active = true;
-    while (any_active) {
+    // its share or it hits the iteration cap. A round's tasks step
+    // through one pool fan-out, as a tree round's clusters do; each
+    // owns its RNG, ledger and best slot, so any pool size agrees.
+    std::vector<std::size_t> active;
+    do {
         ++round;
-        any_active = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (ledgers[i].total() >= per_task_budget
-                || (config.maxIterationsPerTask > 0
-                    && clusters[i]->iterations()
-                           >= config.maxIterationsPerTask))
-                continue;
-            any_active = true;
+        active.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            if (ledgers[i].total() < per_task_budget
+                && (config.maxIterationsPerTask <= 0
+                    || clusters[i]->iterations()
+                           < config.maxIterationsPerTask))
+                active.push_back(i);
+        const bool metrics_round = round % config.metricsInterval == 0;
+        ThreadPool::global().run(active.size(), [&](std::size_t a) {
+            const std::size_t i = active[a];
             clusters[i]->step(ledgers[i]);
-            if (round % config.metricsInterval == 0)
+            if (metrics_round)
                 track_best(i);
-        }
-        if (round % config.metricsInterval == 0)
+        });
+        if (metrics_round)
             record(round);
-    }
+    } while (!active.empty());
 
     // Final exact evaluation for every task.
     for (std::size_t i = 0; i < n; ++i)

@@ -5,9 +5,11 @@
  * of the shot budget. Each task is a single-task VqaCluster, so a
  * baseline iteration is exactly the clustered path's step (same
  * objective, batched probe evaluation and optimizer), with its own
- * shot ledger for its share. Tasks are advanced round-robin so the
+ * shot ledger for its share. Tasks are advanced in rounds so the
  * recorded trace is a single monotone shots-vs-progress series
- * comparable to TreeVQA's, but no information flows between tasks.
+ * comparable to TreeVQA's, but no information flows between tasks,
+ * and a round's tasks step concurrently with the same result at any
+ * pool size.
  */
 
 #ifndef TREEVQA_CORE_BASELINE_H

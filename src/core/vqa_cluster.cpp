@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "cluster/similarity.h"
 #include "cluster/spectral.h"
@@ -16,6 +17,24 @@ relativeSlope(const SlidingWindow &window)
 {
     const double denom = std::max(std::fabs(window.windowMean()), 1e-12);
     return window.slope() / denom;
+}
+
+JsonValue
+windowToJson(const SlidingWindow &window)
+{
+    return paramsToJson({window.values().begin(), window.values().end()});
+}
+
+SlidingWindow
+windowFromJson(const JsonValue &json, std::size_t capacity)
+{
+    SlidingWindow window(capacity);
+    for (const JsonValue &v : json.asArray())
+        window.push(v.asDouble());
+    if (window.size() != json.asArray().size())
+        throw std::runtime_error("VqaCluster: window state exceeds "
+                                 "the window length");
+    return window;
 }
 
 } // namespace
@@ -169,6 +188,62 @@ VqaCluster::overrideParams(const std::vector<double> &params)
     params_ = params;
     optimizer_->reset(params_);
     rearmMonitor();
+}
+
+JsonValue
+VqaCluster::saveState() const
+{
+    JsonValue out = JsonValue::object();
+    out.set("optimizer", optimizer_->saveState());
+    out.set("rng", rngStateToJson(rng_.state()));
+    out.set("params", paramsToJson(params_));
+    out.set("iterations",
+            JsonValue(static_cast<std::int64_t>(iterations_)));
+    out.set("monitorHoldUntil",
+            JsonValue(static_cast<std::int64_t>(monitorHoldUntil_)));
+    out.set("lastLoss", jsonNumberOrNull(lastLoss_));
+    out.set("mixedWindow", windowToJson(mixedWindow_));
+    JsonValue task_windows = JsonValue::array();
+    for (const SlidingWindow &window : taskWindows_)
+        task_windows.push_back(windowToJson(window));
+    out.set("taskWindows", std::move(task_windows));
+    return out;
+}
+
+void
+VqaCluster::loadState(const JsonValue &state)
+{
+    // Everything is parsed into temporaries first, so a throw leaves
+    // the cluster as it was.
+    std::vector<double> params = paramsFromJson(state.at("params"));
+    const std::vector<JsonValue> &task_json =
+        state.at("taskWindows").asArray();
+    if (params.size() != params_.size()
+        || task_json.size() != taskWindows_.size())
+        throw std::runtime_error(
+            "VqaCluster: state belongs to a cluster of another shape");
+    SlidingWindow mixed =
+        windowFromJson(state.at("mixedWindow"), mixedWindow_.capacity());
+    std::vector<SlidingWindow> task_windows;
+    for (const JsonValue &window : task_json)
+        task_windows.push_back(
+            windowFromJson(window, mixedWindow_.capacity()));
+    std::unique_ptr<IterativeOptimizer> optimizer =
+        optimizer_->cloneConfig();
+    optimizer->loadState(state.at("optimizer"));
+    const RngState rng = rngStateFromJson(state.at("rng"));
+    const int iterations = static_cast<int>(state.at("iterations").asInt());
+    const int hold = static_cast<int>(state.at("monitorHoldUntil").asInt());
+    const JsonValue &last = state.at("lastLoss");
+    lastLoss_ = last.isNull() ? std::numeric_limits<double>::quiet_NaN()
+                              : last.asDouble();
+    iterations_ = iterations;
+    monitorHoldUntil_ = hold;
+    optimizer_ = std::move(optimizer);
+    rng_.setState(rng);
+    params_ = std::move(params);
+    mixedWindow_ = std::move(mixed);
+    taskWindows_ = std::move(task_windows);
 }
 
 } // namespace treevqa

@@ -134,6 +134,21 @@ class VqaCluster
      * the forced-split study of Fig. 13). */
     void overrideParams(const std::vector<double> &params);
 
+    /**
+     * Serialize the cluster's *dynamic* state: optimizer saveState,
+     * private RNG, parameters, iteration count, monitor hold, last loss
+     * and both slide windows. Construction arguments are not included,
+     * so the state is loaded into a cluster built from the same ones;
+     * after b.loadState(a.saveState()) the two step bit-identically
+     * (losses, parameters, ledger charges and Status).
+     */
+    JsonValue saveState() const;
+
+    /** Restore a saveState() snapshot. Throws std::runtime_error on
+     * malformed or mismatched state and then leaves the cluster as it
+     * was. */
+    void loadState(const JsonValue &state);
+
   private:
     bool monitoringActive() const;
 

@@ -24,7 +24,6 @@ Cobyla::reset(const std::vector<double> &x0)
     values_.clear();
     simplexBuilt_ = false;
     k_ = 0;
-    lastEvals_ = 0;
 }
 
 void
@@ -42,7 +41,6 @@ Cobyla::buildSimplex(const BatchObjective &objective)
         points_.push_back(std::move(p));
     }
     values_ = objective(points_);
-    lastEvals_ = static_cast<int>(n + 1);
 
     const auto best_it = std::min_element(values_.begin(), values_.end());
     bestValue_ = *best_it;
@@ -71,7 +69,6 @@ double
 Cobyla::stepBatch(const BatchObjective &objective)
 {
     assert(!best_.empty());
-    lastEvals_ = 0;
 
     if (!simplexBuilt_) {
         buildSimplex(objective);
@@ -104,7 +101,6 @@ Cobyla::stepBatch(const BatchObjective &objective)
     for (std::size_t i = 0; i < n; ++i)
         trial[i] -= rho_ * g[i] / gnorm;
     const double f_trial = objective({trial})[0];
-    lastEvals_ = 1;
     ++k_;
 
     if (f_trial < bestValue_) {
@@ -156,8 +152,6 @@ Cobyla::saveState() const
     out.set("bestValue", JsonValue(bestValue_));
     out.set("simplexBuilt", JsonValue(simplexBuilt_));
     out.set("k", JsonValue(static_cast<std::int64_t>(k_)));
-    out.set("lastEvals",
-            JsonValue(static_cast<std::int64_t>(lastEvals_)));
     return out;
 }
 
@@ -177,7 +171,6 @@ Cobyla::loadState(const JsonValue &state)
     bestValue_ = state.at("bestValue").asDouble();
     simplexBuilt_ = state.at("simplexBuilt").asBool();
     k_ = static_cast<int>(state.at("k").asInt());
-    lastEvals_ = static_cast<int>(state.at("lastEvals").asInt());
 }
 
 } // namespace treevqa

@@ -43,13 +43,6 @@ class Cobyla : public IterativeOptimizer
      * probe batch, the trust-region trial as a single probe. */
     double stepBatch(const BatchObjective &objective) override;
     const std::vector<double> &params() const override { return best_; }
-    int lastStepEvals() const override { return lastEvals_; }
-    int evalsPerIteration() const override { return 1; }
-    /** Worst case: a (re)build of the n+1-point simplex. */
-    int maxEvalsPerStep() const override
-    {
-        return static_cast<int>(best_.size()) + 1;
-    }
     int iteration() const override { return k_; }
     std::string name() const override { return "COBYLA"; }
     std::unique_ptr<IterativeOptimizer> cloneConfig() const override;
@@ -73,7 +66,6 @@ class Cobyla : public IterativeOptimizer
     double bestValue_ = 0.0;
     bool simplexBuilt_ = false;
     int k_ = 0;
-    int lastEvals_ = 0;
 };
 
 } // namespace treevqa

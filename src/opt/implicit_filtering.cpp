@@ -18,19 +18,16 @@ ImplicitFiltering::reset(const std::vector<double> &x0)
     h_ = config_.initialStencil;
     haveFx_ = false;
     k_ = 0;
-    lastEvals_ = 0;
 }
 
 double
 ImplicitFiltering::stepBatch(const BatchObjective &objective)
 {
     assert(!x_.empty());
-    lastEvals_ = 0;
     const std::size_t n = x_.size();
 
     if (!haveFx_) {
         fx_ = objective({x_})[0];
-        ++lastEvals_;
         haveFx_ = true;
     }
     if (converged()) {
@@ -51,7 +48,6 @@ ImplicitFiltering::stepBatch(const BatchObjective &objective)
         stencil.push_back(std::move(xm));
     }
     const std::vector<double> stencil_values = objective(stencil);
-    lastEvals_ += static_cast<int>(2 * n);
 
     // Gradient plus the best stencil point (classic implicit-filtering
     // safeguard).
@@ -87,7 +83,6 @@ ImplicitFiltering::stepBatch(const BatchObjective &objective)
             for (std::size_t i = 0; i < n; ++i)
                 trial[i] -= step_size * gradient[i];
             const double ft = objective({trial})[0];
-            ++lastEvals_;
             if (ft < fx_) {
                 x_ = std::move(trial);
                 fx_ = ft;
@@ -128,8 +123,6 @@ ImplicitFiltering::saveState() const
     out.set("fx", jsonNumberOrNull(fx_));
     out.set("haveFx", JsonValue(haveFx_));
     out.set("k", JsonValue(static_cast<std::int64_t>(k_)));
-    out.set("lastEvals",
-            JsonValue(static_cast<std::int64_t>(lastEvals_)));
     return out;
 }
 
@@ -146,7 +139,6 @@ ImplicitFiltering::loadState(const JsonValue &state)
     fx_ = fx.isNull() ? 0.0 : fx.asDouble();
     haveFx_ = state.at("haveFx").asBool();
     k_ = static_cast<int>(state.at("k").asInt());
-    lastEvals_ = static_cast<int>(state.at("lastEvals").asInt());
 }
 
 } // namespace treevqa

@@ -44,17 +44,6 @@ class ImplicitFiltering : public IterativeOptimizer
      * each depends on the previous one failing). */
     double stepBatch(const BatchObjective &objective) override;
     const std::vector<double> &params() const override { return x_; }
-    int lastStepEvals() const override { return lastEvals_; }
-    int evalsPerIteration() const override
-    {
-        return 2 * static_cast<int>(x_.size()) + 1;
-    }
-    /** Worst case: center + full stencil + every line-search probe. */
-    int maxEvalsPerStep() const override
-    {
-        return 1 + 2 * static_cast<int>(x_.size())
-             + config_.lineSearchSteps;
-    }
     int iteration() const override { return k_; }
     std::string name() const override { return "ImplicitFiltering"; }
     std::unique_ptr<IterativeOptimizer> cloneConfig() const override;
@@ -73,7 +62,6 @@ class ImplicitFiltering : public IterativeOptimizer
     double fx_ = 0.0;
     bool haveFx_ = false;
     int k_ = 0;
-    int lastEvals_ = 0;
 };
 
 } // namespace treevqa

@@ -21,7 +21,6 @@ NelderMead::reset(const std::vector<double> &x0)
     values_.clear();
     simplexBuilt_ = false;
     k_ = 0;
-    lastEvals_ = 0;
 }
 
 void
@@ -37,7 +36,6 @@ NelderMead::buildSimplex(const BatchObjective &objective)
         points_.push_back(std::move(p));
     }
     values_ = objective(points_);
-    lastEvals_ = static_cast<int>(n + 1);
     simplexBuilt_ = true;
     sortSimplex();
 }
@@ -75,7 +73,6 @@ double
 NelderMead::stepBatch(const BatchObjective &objective)
 {
     assert(!best_.empty());
-    lastEvals_ = 0;
 
     if (!simplexBuilt_) {
         buildSimplex(objective);
@@ -104,7 +101,6 @@ NelderMead::stepBatch(const BatchObjective &objective)
         reflected[j] =
             centroid[j] + config_.alpha * (centroid[j] - worst[j]);
     const double f_r = eval1(reflected);
-    ++lastEvals_;
 
     if (f_r < values_.front()) {
         // Try expansion.
@@ -113,7 +109,6 @@ NelderMead::stepBatch(const BatchObjective &objective)
             expanded[j] =
                 centroid[j] + config_.gamma * (reflected[j] - centroid[j]);
         const double f_e = eval1(expanded);
-        ++lastEvals_;
         if (f_e < f_r) {
             points_.back() = std::move(expanded);
             values_.back() = f_e;
@@ -131,7 +126,6 @@ NelderMead::stepBatch(const BatchObjective &objective)
             contracted[j] =
                 centroid[j] + config_.rho * (worst[j] - centroid[j]);
         const double f_c = eval1(contracted);
-        ++lastEvals_;
         if (f_c < values_.back()) {
             points_.back() = std::move(contracted);
             values_.back() = f_c;
@@ -145,10 +139,8 @@ NelderMead::stepBatch(const BatchObjective &objective)
             const std::vector<std::vector<double>> shrunk(
                 points_.begin() + 1, points_.end());
             const std::vector<double> shrunk_values = objective(shrunk);
-            for (std::size_t i = 1; i < points_.size(); ++i) {
+            for (std::size_t i = 1; i < points_.size(); ++i)
                 values_[i] = shrunk_values[i - 1];
-                ++lastEvals_;
-            }
         }
     }
 
@@ -176,8 +168,6 @@ NelderMead::saveState() const
     out.set("best", paramsToJson(best_));
     out.set("simplexBuilt", JsonValue(simplexBuilt_));
     out.set("k", JsonValue(static_cast<std::int64_t>(k_)));
-    out.set("lastEvals",
-            JsonValue(static_cast<std::int64_t>(lastEvals_)));
     return out;
 }
 
@@ -195,7 +185,6 @@ NelderMead::loadState(const JsonValue &state)
     best_ = paramsFromJson(state.at("best"));
     simplexBuilt_ = state.at("simplexBuilt").asBool();
     k_ = static_cast<int>(state.at("k").asInt());
-    lastEvals_ = static_cast<int>(state.at("lastEvals").asInt());
 }
 
 } // namespace treevqa

@@ -37,14 +37,6 @@ class NelderMead : public IterativeOptimizer
      * shrink (n vertices) each go out as one probe batch. */
     double stepBatch(const BatchObjective &objective) override;
     const std::vector<double> &params() const override { return best_; }
-    int lastStepEvals() const override { return lastEvals_; }
-    int evalsPerIteration() const override { return 2; }
-    /** Worst case: build n+1 before the first step, else reflect +
-     * contract + full shrink = n+2. */
-    int maxEvalsPerStep() const override
-    {
-        return static_cast<int>(best_.size()) + 2;
-    }
     int iteration() const override { return k_; }
     std::string name() const override { return "NelderMead"; }
     std::unique_ptr<IterativeOptimizer> cloneConfig() const override;
@@ -64,7 +56,6 @@ class NelderMead : public IterativeOptimizer
     std::vector<double> best_;
     bool simplexBuilt_ = false;
     int k_ = 0;
-    int lastEvals_ = 0;
 };
 
 } // namespace treevqa

@@ -5,8 +5,8 @@
  * TreeVQA drives optimizers one iteration at a time (Algorithm 2: each
  * VQA-Cluster-Step optimizes, records losses, checks split conditions),
  * so the interface is a stateful stepper rather than a run-to-convergence
- * minimizer. Implementations report how many objective evaluations a step
- * costs, which the caller converts to shots.
+ * minimizer. The caller meters cost itself: it counts the evaluations
+ * (and charges their shots) inside the objective it hands to a step.
  *
  * The framework treats optimizers as black boxes that only need objective
  * values — the paper's plug-and-play claim (Sections 5.2.2, 8.6, 9.2) —
@@ -16,10 +16,11 @@
  * sets of parameter probes per iteration (the SPSA +/- pair, simplex
  * builds and shrinks, the full implicit-filtering stencil), so the
  * primary entry point is stepBatch(), which hands whole probe sets to a
- * BatchObjective that may evaluate them in parallel. step() with a
- * plain one-at-a-time Objective remains available and evaluates each
- * batch serially in submission order, so the two paths see identical
- * evaluation sequences and produce identical iterates.
+ * BatchObjective that may evaluate them in parallel. Outside this
+ * directory its one caller is VqaCluster::step, the VQA iteration of
+ * tree rounds, the baseline and scenario jobs alike. step() with a plain one-at-a-time Objective remains available and
+ * evaluates each batch serially in submission order, so the two paths
+ * see identical evaluation sequences and produce identical iterates.
  */
 
 #ifndef TREEVQA_OPT_OPTIMIZER_H
@@ -73,21 +74,6 @@ class IterativeOptimizer
 
     /** Current parameter iterate. */
     virtual const std::vector<double> &params() const = 0;
-
-    /** Objective evaluations consumed by the *last* step call. */
-    virtual int lastStepEvals() const = 0;
-
-    /** Typical evaluations per iteration (SPSA: 2; COBYLA: ~1). */
-    virtual int evalsPerIteration() const = 0;
-
-    /**
-     * Worst-case evaluations a single step can consume in the
-     * optimizer's *current* state (e.g. a Nelder-Mead shrink or a
-     * COBYLA simplex rebuild). The scenario runner checks its shot
-     * budget against this bound before every step, so a resumed run
-     * stops where an uninterrupted one would.
-     */
-    virtual int maxEvalsPerStep() const { return evalsPerIteration(); }
 
     /** Iterations executed since reset. */
     virtual int iteration() const = 0;

@@ -45,9 +45,6 @@ class Spsa : public IterativeOptimizer
     /** One iteration: the +/- perturbed pair goes out as one batch. */
     double stepBatch(const BatchObjective &objective) override;
     const std::vector<double> &params() const override { return x_; }
-    int lastStepEvals() const override { return 2; }
-    int evalsPerIteration() const override { return 2; }
-    int maxEvalsPerStep() const override { return 2; }
     int iteration() const override { return k_; }
     std::string name() const override { return "SPSA"; }
     std::unique_ptr<IterativeOptimizer> cloneConfig() const override;

@@ -11,13 +11,13 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/metrics.h"
-#include "core/objective.h"
+#include "core/vqa_cluster.h"
 
 namespace treevqa {
 
 namespace {
 
-constexpr std::int64_t kCheckpointVersion = 1;
+constexpr std::int64_t kCheckpointVersion = 2;
 
 /** Registry instruments for the per-job phases, looked up once. */
 struct RunnerMetrics
@@ -44,34 +44,14 @@ runnerMetrics()
     return m;
 }
 
-/** Mutable loop state shared between fresh start, checkpoint save and
- * restore. */
+/** The runner's own loop state beside the cluster's and the shot
+ * ledger's: what a checkpoint stores next to VqaCluster::saveState(). */
 struct RunState
 {
-    int iteration = 0;
-    std::uint64_t shots = 0;
     std::vector<double> trajectory;
     double bestLoss = std::numeric_limits<double>::infinity();
     std::vector<double> bestParams;
 };
-
-JsonValue
-checkpointToJson(const std::string &fingerprint, const RunState &state,
-                 const IterativeOptimizer &optimizer, const Rng &rng)
-{
-    JsonValue out = JsonValue::object();
-    out.set("version", JsonValue(kCheckpointVersion));
-    out.set("fingerprint", JsonValue(fingerprint));
-    out.set("iteration",
-            JsonValue(static_cast<std::int64_t>(state.iteration)));
-    out.set("shots", JsonValue(state.shots));
-    out.set("trajectory", paramsToJson(state.trajectory));
-    out.set("bestLoss", jsonNumberOrNull(state.bestLoss));
-    out.set("bestParams", paramsToJson(state.bestParams));
-    out.set("optimizer", optimizer.saveState());
-    out.set("evalRng", rngStateToJson(rng.state()));
-    return out;
-}
 
 /** The last-good previous checkpoint generation kept beside the
  * current file (rotated on every write, consumed by restore when the
@@ -119,63 +99,57 @@ writeCheckpoint(const std::string &path, const JsonValue &checkpoint)
     runnerMetrics().checkpointsWritten.inc();
 }
 
-/** Restore loop state from one checkpoint file. Returns false (and
- * warns when the file existed) when it is absent, unreadable, lacks
- * or fails its CRC, or belongs to a different spec. */
-bool
-tryRestoreFile(const std::string &path, const std::string &fingerprint,
-               RunState &state, IterativeOptimizer &optimizer, Rng &rng)
-{
-    std::string text;
-    if (!readTextFile(path, text))
-        return false;
-    try {
-        JsonValue checkpoint = JsonValue::parse(text);
-        if (const char *why = checkAndStripCrc(checkpoint))
-            throw std::runtime_error(why);
-        if (checkpoint.at("version").asInt() != kCheckpointVersion)
-            throw std::runtime_error("unsupported checkpoint version");
-        if (checkpoint.at("fingerprint").asString() != fingerprint)
-            throw std::runtime_error(
-                "checkpoint belongs to a different spec");
-        RunState restored;
-        restored.iteration =
-            static_cast<int>(checkpoint.at("iteration").asInt());
-        restored.shots = checkpoint.at("shots").asUint();
-        restored.trajectory =
-            paramsFromJson(checkpoint.at("trajectory"));
-        const JsonValue &best = checkpoint.at("bestLoss");
-        restored.bestLoss = best.isNull()
-            ? std::numeric_limits<double>::infinity()
-            : best.asDouble();
-        restored.bestParams = paramsFromJson(checkpoint.at("bestParams"));
-        optimizer.loadState(checkpoint.at("optimizer"));
-        rng.setState(rngStateFromJson(checkpoint.at("evalRng")));
-        state = std::move(restored);
-        return true;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr,
-                     "treevqa: ignoring checkpoint %s (%s)\n",
-                     path.c_str(), e.what());
-        return false;
-    }
-}
-
-/** Restore from the current checkpoint, falling back to the rotated
- * last-good `.prev` generation when the current file fails
- * validation. False = fresh start. */
+/**
+ * Restore loop state and cluster from the current checkpoint, falling
+ * back to the rotated last-good `.prev` generation when the current
+ * file fails validation. A generation is skipped (with a warning when
+ * the file existed) when it is absent, unreadable, lacks or fails its
+ * CRC, belongs to a different spec or does not load; the cluster's
+ * loadState is all-or-nothing, so a skipped generation leaves it
+ * fresh. False = fresh start.
+ */
 bool
 tryRestore(const std::string &path, const std::string &fingerprint,
-           RunState &state, IterativeOptimizer &optimizer, Rng &rng)
+           RunState &state, VqaCluster &cluster, ShotLedger &ledger)
 {
-    if (tryRestoreFile(path, fingerprint, state, optimizer, rng))
-        return true;
-    if (tryRestoreFile(checkpointPrevPath(path), fingerprint, state,
-                       optimizer, rng)) {
-        std::fprintf(stderr,
-                     "treevqa: restored last-good checkpoint %s\n",
-                     checkpointPrevPath(path).c_str());
-        return true;
+    for (const std::string &file : {path, checkpointPrevPath(path)}) {
+        std::string text;
+        if (!readTextFile(file, text))
+            continue;
+        try {
+            JsonValue checkpoint = JsonValue::parse(text);
+            if (const char *why = checkAndStripCrc(checkpoint))
+                throw std::runtime_error(why);
+            if (checkpoint.at("version").asInt() != kCheckpointVersion)
+                throw std::runtime_error(
+                    "unsupported checkpoint version");
+            if (checkpoint.at("fingerprint").asString() != fingerprint)
+                throw std::runtime_error(
+                    "checkpoint belongs to a different spec");
+            const std::uint64_t shots = checkpoint.at("shots").asUint();
+            RunState restored;
+            restored.trajectory =
+                paramsFromJson(checkpoint.at("trajectory"));
+            const JsonValue &best = checkpoint.at("bestLoss");
+            restored.bestLoss = best.isNull()
+                ? std::numeric_limits<double>::infinity()
+                : best.asDouble();
+            restored.bestParams =
+                paramsFromJson(checkpoint.at("bestParams"));
+            cluster.loadState(checkpoint.at("cluster"));
+            state = std::move(restored);
+            ledger.charge(shots);
+            if (file != path)
+                std::fprintf(stderr,
+                             "treevqa: restored last-good checkpoint "
+                             "%s\n",
+                             file.c_str());
+            return true;
+        } catch (const std::exception &e) {
+            std::fprintf(stderr,
+                         "treevqa: ignoring checkpoint %s (%s)\n",
+                         file.c_str(), e.what());
+        }
     }
     return false;
 }
@@ -197,71 +171,77 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
     const VqaTask task = buildScenarioTask(spec);
     const Ansatz ansatz =
         buildScenarioAnsatz(spec, task).withInitialBits(task.initialBits);
-    ClusterObjective objective({task.hamiltonian}, ansatz, spec.engine);
-    result.backend = objective.backendName();
+    // A scenario job is a tree of one node: a single-task cluster,
+    // stepped exactly as a tree round or a baseline task steps it (a
+    // lone task never splits, so split requests are ignored). Its
+    // optimizer and evaluation-noise stream derive from the spec seed
+    // alone, so results are independent of scheduling.
+    VqaCluster cluster(
+        0, 1, -1, {0}, {task.hamiltonian}, ansatz, spec.engine,
+        ClusterConfig{}, makeScenarioOptimizer(spec),
+        std::vector<double>(static_cast<std::size_t>(ansatz.numParams()),
+                            0.0),
+        Rng(deriveScenarioSeed(spec.seed, 0xe7a1)));
+    result.backend = cluster.objective().backendName();
     result.groundEnergy = task.groundEnergy;
-
-    auto optimizer = makeScenarioOptimizer(spec);
     compile_span.end();
-    // The evaluation-noise stream: private to the job, derived from
-    // the spec seed, so results are independent of scheduling.
-    Rng eval_rng(deriveScenarioSeed(spec.seed, 0xe7a1));
 
     RunState state;
+    ShotLedger ledger;
     TraceSpan prep_span("runner.prep", &runnerMetrics().prepNs);
     if (!options.checkpointPath.empty()
         && tryRestore(options.checkpointPath, result.fingerprint, state,
-                      *optimizer, eval_rng)) {
+                      cluster, ledger)) {
         result.resumed = true;
         JsonValue detail = JsonValue::object();
         detail.set("iteration",
                    JsonValue(static_cast<std::int64_t>(
-                       state.iteration)));
+                       cluster.iterations())));
         EventLog::instance().emit(event_type::kJobResumed,
                                   result.fingerprint,
                                   std::move(detail));
         EventLog::instance().flush();
-    } else {
-        // A failed restore may have partially applied loadState (e.g.
-        // a corrupt evalRng block after a valid optimizer block), and
-        // reset() does not re-seed private optimizer RNGs — rebuild
-        // from the spec so the fallback is a true fresh start.
-        optimizer = makeScenarioOptimizer(spec);
-        eval_rng = Rng(deriveScenarioSeed(spec.seed, 0xe7a1));
-        optimizer->reset(std::vector<double>(
-            static_cast<std::size_t>(ansatz.numParams()), 0.0));
     }
     prep_span.end();
 
-    const BatchObjective batch =
-        [&](const std::vector<std::vector<double>> &thetas) {
-            const std::vector<ClusterEvaluation> evals =
-                objective.evaluateBatch(thetas, eval_rng);
-            std::vector<double> losses;
-            losses.reserve(evals.size());
-            for (const ClusterEvaluation &eval : evals) {
-                state.shots += eval.shotsUsed;
-                losses.push_back(eval.mixedEnergy);
-            }
-            return losses;
-        };
-
-    const std::uint64_t step_bound =
-        static_cast<std::uint64_t>(optimizer->maxEvalsPerStep())
-        * objective.evalCost();
     const bool checkpoints_enabled = !options.checkpointPath.empty()
         && spec.checkpointInterval > 0;
+    const auto checkpoint = [&](bool graceful) {
+        JsonValue out = JsonValue::object();
+        out.set("version", JsonValue(kCheckpointVersion));
+        out.set("fingerprint", JsonValue(result.fingerprint));
+        out.set("iteration", JsonValue(static_cast<std::int64_t>(
+                                 cluster.iterations())));
+        out.set("shots", JsonValue(ledger.total()));
+        out.set("trajectory", paramsToJson(state.trajectory));
+        out.set("bestLoss", jsonNumberOrNull(state.bestLoss));
+        out.set("bestParams", paramsToJson(state.bestParams));
+        out.set("cluster", cluster.saveState());
+        writeCheckpoint(options.checkpointPath, out);
+        // Flushed before checkpoint.written: the kill-and-resume
+        // drills crash the process at that site, and the journal must
+        // already show the checkpoint the next claimant will resume
+        // from.
+        JsonValue detail = JsonValue::object();
+        detail.set("iteration", JsonValue(static_cast<std::int64_t>(
+                                    cluster.iterations())));
+        if (graceful)
+            detail.set("graceful", JsonValue(true));
+        EventLog::instance().emit(event_type::kJobCheckpointed,
+                                  result.fingerprint, std::move(detail));
+        EventLog::instance().flush();
+    };
 
     if (options.progressCounter)
-        options.progressCounter->store(state.iteration);
+        options.progressCounter->store(cluster.iterations());
 
+    // Algorithm 1's budget rule, as in tree rounds and the baseline:
+    // step while the spent shots are below the budget. The check reads
+    // only checkpointed state, so a resumed job stops where an
+    // uninterrupted one does.
     bool halted = false;
-    while (state.iteration < spec.maxIterations) {
-        // The budget check uses the worst-case bound so the decision
-        // is identical whether or not the run was interrupted here.
-        if (spec.shotBudget != 0
-            && state.shots + step_bound > spec.shotBudget)
-            break;
+    while (cluster.iterations() < spec.maxIterations
+           && (spec.shotBudget == 0 || ledger.total() < spec.shotBudget)) {
         // Injectable wedge (delay-ms): the optimizer step stalls while
         // the heartbeat thread keeps renewing the lease with an
         // unchanged progress stamp — exactly the signature the
@@ -269,34 +249,22 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
         if (const FaultHit hit = FAULT_POINT("worker.hang"))
             (void)hit; // delay already served inside evaluate()
         TraceSpan step_span("runner.step", &runnerMetrics().stepNs);
-        const double loss = optimizer->stepBatch(batch);
+        cluster.step(ledger);
         step_span.end();
-        ++state.iteration;
+        const int iteration = cluster.iterations();
         if (options.progressCounter)
-            options.progressCounter->store(state.iteration);
+            options.progressCounter->store(iteration);
+        const double loss = cluster.lastLoss();
         state.trajectory.push_back(loss);
         if (loss < state.bestLoss) {
             state.bestLoss = loss;
-            state.bestParams = optimizer->params();
+            state.bestParams = cluster.params();
         }
 
         if (checkpoints_enabled
-            && state.iteration % spec.checkpointInterval == 0
-            && state.iteration < spec.maxIterations) {
-            writeCheckpoint(options.checkpointPath,
-                            checkpointToJson(result.fingerprint, state,
-                                             *optimizer, eval_rng));
-            // Flushed before checkpoint.written: the kill-and-resume
-            // drills crash the process at that site, and the journal
-            // must already show the checkpoint the next claimant will
-            // resume from.
-            JsonValue detail = JsonValue::object();
-            detail.set("iteration", JsonValue(static_cast<std::int64_t>(
-                                        state.iteration)));
-            EventLog::instance().emit(event_type::kJobCheckpointed,
-                                      result.fingerprint,
-                                      std::move(detail));
-            EventLog::instance().flush();
+            && iteration % spec.checkpointInterval == 0
+            && iteration < spec.maxIterations) {
+            checkpoint(false);
             if (const FaultHit hit = FAULT_POINT("checkpoint.written"))
                 (void)hit; // crash never returns; a delay is served
         }
@@ -304,30 +272,17 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
         // exact iteration so the next claimant resumes here instead of
         // replaying from the last interval-aligned write, then report
         // the job as interrupted (completed=false, nothing recorded).
-        if (options.shouldStop && state.iteration < spec.maxIterations
+        if (options.shouldStop && iteration < spec.maxIterations
             && options.shouldStop()) {
-            if (checkpoints_enabled) {
-                writeCheckpoint(options.checkpointPath,
-                                checkpointToJson(result.fingerprint,
-                                                 state, *optimizer,
-                                                 eval_rng));
-                JsonValue detail = JsonValue::object();
-                detail.set("iteration",
-                           JsonValue(static_cast<std::int64_t>(
-                               state.iteration)));
-                detail.set("graceful", JsonValue(true));
-                EventLog::instance().emit(
-                    event_type::kJobCheckpointed, result.fingerprint,
-                    std::move(detail));
-                EventLog::instance().flush();
-            }
+            if (checkpoints_enabled)
+                checkpoint(true);
             halted = true;
             break;
         }
     }
 
-    result.iterations = state.iteration;
-    result.shotsUsed = state.shots;
+    result.iterations = cluster.iterations();
+    result.shotsUsed = ledger.total();
     result.trajectory = state.trajectory;
     result.bestLoss = state.trajectory.empty()
         ? std::numeric_limits<double>::quiet_NaN()
@@ -346,9 +301,9 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
     }
 
     const std::vector<double> &final_params =
-        state.bestParams.empty() ? optimizer->params()
-                                 : state.bestParams;
-    result.finalEnergy = objective.exactTaskEnergy(0, final_params);
+        state.bestParams.empty() ? cluster.params() : state.bestParams;
+    result.finalEnergy =
+        cluster.objective().exactTaskEnergy(0, final_params);
     if (task.hasGroundEnergy())
         result.fidelity =
             energyFidelity(result.finalEnergy, task.groundEnergy);

@@ -4,27 +4,30 @@
  * deterministic optimization job.
  *
  * The runner materializes the spec (problem -> task, ansatz,
- * ClusterObjective with the spec's EngineConfig, optimizer), then
- * drives the optimizer one stepBatch at a time against the objective's
- * parallel batched evaluation. Every random stream derives from the
- * spec seed alone (deriveScenarioSeed), so a job's result is a pure
- * function of its spec — independent of scheduler concurrency,
+ * optimizer) as one single-task VqaCluster with the spec's
+ * EngineConfig, and steps it while iterations are left and its shots
+ * are below spec.shotBudget: a scenario job is a tree of one node, so
+ * its iteration and budget rule are a tree round's (Algorithm 1), and
+ * its split requests are ignored. Every random stream derives
+ * from the spec seed alone (deriveScenarioSeed), so a job's result is
+ * a pure function of its spec — independent of scheduler concurrency,
  * completion order, and of whether the run was interrupted:
  *
  *  - **Checkpointing.** Every spec.checkpointInterval iterations the
- *    full dynamic state — optimizer internals (saveState), the
- *    evaluation-noise RNG, the shot ledger balance, the loss
- *    trajectory and the best-so-far parameters — is serialized to a
- *    per-job file (atomic tmp+rename, keyed by the spec fingerprint)
- *    carrying a CRC32 self-check; the previous generation is rotated
- *    to `<path>.prev` as the last-good fallback.
+ *    cluster's saveState (optimizer internals, evaluation-noise RNG,
+ *    parameters, split-monitor windows), the shot balance, the loss
+ *    trajectory, the best-so-far parameters and the iteration are
+ *    serialized to a per-job file (atomic tmp+rename, keyed by the
+ *    spec fingerprint) carrying a CRC32 self-check; the previous
+ *    generation is rotated to `<path>.prev` as the last-good
+ *    fallback. Only the current format version is read.
  *  - **Resume.** When the checkpoint file exists, passes its CRC and
  *    matches the fingerprint, the runner restores it and continues; a
  *    corrupt current file falls back to `.prev`, and a job resumed
  *    from either generation reaches bit-identical final energies to
  *    an uninterrupted run, because JSON number round-trips are exact
- *    (common/json.h) and the iteration loop re-executes the same
- *    evaluation sequence.
+ *    (common/json.h), the loop re-executes the same evaluation
+ *    sequence, and the budget check reads only checkpointed shots.
  *  - **Kill points.** After each interval checkpoint is durable and
  *    journaled, the runner evaluates the `checkpoint.written` fault
  *    site (common/fault_injection.h). A `crash` entry there is how

@@ -89,7 +89,10 @@ struct ScenarioSpec
     /** Execution model (backend selected by name). */
     EngineConfig engine;
     int maxIterations = 100;
-    /** Shot budget for this job (0 = bounded by maxIterations only). */
+    /** Shot budget for this job (0 = bounded by maxIterations only).
+     * Algorithm 1's rule, as for tree rounds: the job steps while its
+     * shots are below the budget, so it stops at the first iteration
+     * whose shots reach it. */
     std::uint64_t shotBudget = 0;
     /** Root seed; the evaluation-noise stream and the optimizer's
      * private stream both derive from it (deriveScenarioSeed), so a

@@ -13,6 +13,8 @@
 #include "ham/spin_chains.h"
 #include "opt/spsa.h"
 
+#include "pool_size_guard.h"
+
 namespace treevqa {
 namespace {
 
@@ -34,6 +36,39 @@ quickConfig(std::uint64_t budget, int iters)
     cfg.metricsInterval = 5;
     cfg.seed = 21;
     return cfg;
+}
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Shots, rounds, outcomes and every trace sample agree bit for bit. */
+void
+expectBaselinesBitIdentical(const BaselineResult &a,
+                            const BaselineResult &b)
+{
+    EXPECT_EQ(a.totalShots, b.totalShots);
+    EXPECT_EQ(a.rounds, b.rounds);
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+    for (std::size_t i = 0; i < a.outcomes.size(); ++i)
+        EXPECT_EQ(bits(a.outcomes[i].bestEnergy),
+                  bits(b.outcomes[i].bestEnergy))
+            << "task " << i;
+    ASSERT_EQ(a.trace.size(), b.trace.size());
+    ASSERT_GE(a.trace.size(), 2u);
+    for (std::size_t s = 0; s < a.trace.size(); ++s) {
+        EXPECT_EQ(a.trace[s].shots, b.trace[s].shots) << s;
+        EXPECT_EQ(a.trace[s].iteration, b.trace[s].iteration) << s;
+        EXPECT_EQ(a.trace[s].numClusters, b.trace[s].numClusters);
+        ASSERT_EQ(a.trace[s].bestEnergies.size(), a.outcomes.size());
+        ASSERT_EQ(b.trace[s].bestEnergies.size(), a.outcomes.size());
+        for (std::size_t i = 0; i < a.outcomes.size(); ++i)
+            EXPECT_EQ(bits(a.trace[s].bestEnergies[i]),
+                      bits(b.trace[s].bestEnergies[i]))
+                << "sample " << s << " task " << i;
+    }
 }
 
 TEST(Baseline, SharesBudgetEqually)
@@ -157,24 +192,34 @@ TEST(Baseline, SingleTaskRunsMatchBitForBit)
             EXPECT_GE(a.totalShots, budget);
             EXPECT_LT(a.rounds, 60);
         }
-        EXPECT_EQ(a.totalShots, b.totalShots);
-        EXPECT_EQ(a.rounds, b.rounds);
         ASSERT_EQ(a.outcomes.size(), 1u);
-        ASSERT_EQ(b.outcomes.size(), 1u);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.outcomes[0].bestEnergy),
-                  std::bit_cast<std::uint64_t>(b.outcomes[0].bestEnergy));
-        ASSERT_EQ(a.trace.size(), b.trace.size());
-        ASSERT_GE(a.trace.size(), 2u);
-        for (std::size_t s = 0; s < a.trace.size(); ++s) {
-            EXPECT_EQ(a.trace[s].shots, b.trace[s].shots) << s;
-            EXPECT_EQ(a.trace[s].iteration, b.trace[s].iteration) << s;
-            EXPECT_EQ(a.trace[s].numClusters, b.trace[s].numClusters);
-            ASSERT_EQ(a.trace[s].bestEnergies.size(), 1u);
-            ASSERT_EQ(b.trace[s].bestEnergies.size(), 1u);
-            EXPECT_EQ(
-                std::bit_cast<std::uint64_t>(a.trace[s].bestEnergies[0]),
-                std::bit_cast<std::uint64_t>(b.trace[s].bestEnergies[0]))
-                << s;
+        expectBaselinesBitIdentical(a, b);
+    }
+}
+
+TEST(Baseline, RoundFanOutIsInvariantToPoolSize)
+{
+    // The tasks of a round step through one pool fan-out; the result
+    // at 2 and 4 lanes equals the inline 1-lane run bit for bit, both
+    // when the budget ends the run and when the iteration cap does.
+    const auto tasks = tfimTasks(4, 4);
+    const Ansatz ansatz = makeHardwareEfficientAnsatz(4, 2, 0);
+    const Spsa proto(SpsaConfig{}, 9);
+    for (const std::uint64_t budget : {4'000'000ull, 1ull << 62}) {
+        const BaselineConfig cfg = quickConfig(budget, 40);
+        BaselineResult reference;
+        {
+            PoolSizeGuard one_lane(1);
+            reference = runBaseline(tasks, ansatz, proto, cfg);
+        }
+        if (budget < (1ull << 62)) {
+            EXPECT_LT(reference.rounds, 40);
+        }
+        for (const std::size_t lanes : {2u, 4u}) {
+            SCOPED_TRACE(lanes);
+            PoolSizeGuard guard(lanes);
+            expectBaselinesBitIdentical(
+                reference, runBaseline(tasks, ansatz, proto, cfg));
         }
     }
 }

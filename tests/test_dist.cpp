@@ -1068,8 +1068,28 @@ TEST(WorkerDaemon, PoisonBudgetIsFleetWideAcrossWorkers)
         EXPECT_EQ(record.attempts, 2);
     }
 
+    // Worker D, budget 3, with the fault still armed: the attempts are
+    // split across workers, so D spends only the remainder — one per
+    // job — and the recorded attempts add up to its budget.
+    FaultInjection::instance().arm(
+        R"({"seed": 1, "faults": [{"site": "worker.job",
+            "action": "fail-errno", "errno": "EIO",
+            "hit": 1, "times": 0}]})");
+    options.workerId = "wd";
+    options.maxJobAttempts = 3;
+    const WorkerReport remainder = WorkerDaemon(options).run(specs);
+    FaultInjection::instance().disarm();
+    EXPECT_EQ(remainder.failedAttempts, specs.size());
+    EXPECT_EQ(remainder.poisoned, specs.size());
+    EXPECT_EQ(remainder.completed, 0u);
+    EXPECT_TRUE(remainder.drained);
+    for (const JobResult &record : loadMergedRecords(dir.string())) {
+        EXPECT_TRUE(record.failed);
+        EXPECT_EQ(record.attempts, 3);
+    }
+
     // Worker C with a larger budget sees the jobs as unresolved again
-    // (2 of 5 attempts spent), re-runs them fault-free, and the
+    // (3 of 5 attempts spent), re-runs them fault-free, and the
     // completed records supersede the failure history bit-identically.
     options.workerId = "wc";
     options.maxJobAttempts = 5;

@@ -65,7 +65,6 @@ TEST(ImplicitFiltering, EvalAccounting)
     // First step: f(x0) + 2n stencil + <= lineSearchSteps probes.
     EXPECT_GE(calls, 5);
     EXPECT_LE(calls, 8);
-    EXPECT_EQ(opt.lastStepEvals(), calls);
 }
 
 TEST(ImplicitFiltering, ConvergedFlagAtMinStencil)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -435,6 +436,54 @@ TEST(ScenarioRunner, KillAndResumeReachesIdenticalEnergies)
     expectJobsBitIdentical(reference, resumed);
     // A finished job retires its checkpoint.
     EXPECT_FALSE(std::filesystem::exists(resume.checkpointPath));
+}
+
+TEST(ScenarioRunner, BindingBudgetStopsAtTheSameIterationOnResume)
+{
+    const std::filesystem::path dir = scratchDir("budget");
+    ScenarioSpec spec = tinySpec("budget", 1.1, 12);
+    spec.checkpointInterval = 2;
+    spec.computeReference = true;
+
+    // SPSA spends the same shots every iteration: read the cost off an
+    // unlimited run, then bind the budget inside iteration 7.
+    const JobResult unlimited = runScenario(spec);
+    ASSERT_EQ(unlimited.iterations, 12);
+    const std::uint64_t per_iteration = unlimited.shotsUsed / 12;
+    ASSERT_EQ(unlimited.shotsUsed, 12 * per_iteration);
+    spec.shotBudget = 6 * per_iteration + per_iteration / 2;
+
+    // Algorithm 1's rule: step while shots < budget, so the job stops
+    // at the first iteration whose shots reach it, on the unlimited
+    // run's path.
+    const JobResult reference = runScenario(spec);
+    ASSERT_TRUE(reference.completed);
+    EXPECT_EQ(reference.iterations, 7);
+    EXPECT_EQ(reference.shotsUsed, 7 * per_iteration);
+    EXPECT_GE(reference.shotsUsed, spec.shotBudget);
+    EXPECT_LT(reference.shotsUsed - per_iteration, spec.shotBudget);
+    for (std::size_t i = 0; i < reference.trajectory.size(); ++i)
+        EXPECT_EQ(reference.trajectory[i], unlimited.trajectory[i]) << i;
+
+    // Killed after the third durable checkpoint (iteration 6), the
+    // resumed job runs one iteration and stops where the uninterrupted
+    // one did.
+    ScenarioRunOptions options;
+    options.checkpointPath = (dir / "job.json").string();
+    crashThroughPlan(
+        R"({"faults": [{"site": "checkpoint.written", "action": "crash",
+        "hit": 3}]})",
+        [&] { runScenario(spec, options); });
+    const auto peeked = peekCheckpoint(options.checkpointPath);
+    ASSERT_TRUE(peeked.has_value());
+    EXPECT_EQ(peeked->iteration, 6);
+
+    const JobResult resumed = runScenario(spec, options);
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_TRUE(resumed.resumed);
+    expectJobsBitIdentical(reference, resumed);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.fidelity),
+              std::bit_cast<std::uint64_t>(resumed.fidelity));
 }
 
 TEST(ScenarioRunner, MismatchedCheckpointRestartsFresh)

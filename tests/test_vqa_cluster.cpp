@@ -1,19 +1,23 @@
 /**
  * @file
  * Tests for the VQA cluster (Algorithm 2): stepping, loss windows,
- * split triggers and spectral partitioning.
+ * split triggers, spectral partitioning and state save/load.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "circuit/hardware_efficient.h"
 #include "cluster/similarity.h"
 #include "core/vqa_cluster.h"
 #include "ham/spin_chains.h"
 #include "opt/spsa.h"
+
+#include "pool_size_guard.h"
 
 namespace treevqa {
 namespace {
@@ -216,6 +220,90 @@ TEST(VqaCluster, OverrideParamsResetsState)
     std::vector<double> fresh(cluster->params().size(), 0.5);
     cluster->overrideParams(fresh);
     EXPECT_EQ(cluster->params(), fresh);
+}
+
+/** One step's observable outcome, compared bit for bit. */
+struct StepRecord
+{
+    VqaCluster::Status status;
+    std::uint64_t lossBits;
+    std::vector<double> params;
+    std::uint64_t shots;
+
+    bool operator==(const StepRecord &) const = default;
+};
+
+/** Step once, re-arming on a split request as the tree does for a
+ * lone task. */
+StepRecord
+stepAndRearm(VqaCluster &cluster, ShotLedger &ledger)
+{
+    const std::uint64_t before = ledger.total();
+    const VqaCluster::Status status = cluster.step(ledger);
+    if (status == VqaCluster::Status::SplitRequested)
+        cluster.rearmMonitor();
+    return {status, std::bit_cast<std::uint64_t>(cluster.lastLoss()),
+            cluster.params(), ledger.total() - before};
+}
+
+TEST(VqaCluster, SavedStateResumesBitIdentically)
+{
+    // Short warm-up, window and grace with a loose stall threshold, so
+    // split requests recur every few steps. The state is saved mid-
+    // grace after a re-arm: both windows hold part of a window and the
+    // monitor hold is set.
+    const auto fam = tfimFamily(4, 0.5, 1.5, 3);
+    ClusterConfig ccfg;
+    ccfg.warmupIterations = 4;
+    ccfg.windowSize = 4;
+    ccfg.postSplitGrace = 2;
+    ccfg.epsSplit = 10.0;
+
+    std::vector<StepRecord> first_lane_run;
+    for (const std::size_t lanes : {1u, 4u}) {
+        SCOPED_TRACE(lanes);
+        PoolSizeGuard guard(lanes);
+        auto original = makeCluster(fam, ccfg, true, 5);
+        ShotLedger warmup;
+        for (int i = 0; i < 7; ++i)
+            stepAndRearm(*original, warmup);
+
+        auto restored = makeCluster(fam, ccfg, true, 5);
+        restored->loadState(
+            JsonValue::parse(original->saveState().dump()));
+        EXPECT_EQ(restored->iterations(), 7);
+        EXPECT_EQ(restored->params(), original->params());
+
+        ShotLedger ledger_a, ledger_b;
+        std::vector<StepRecord> run;
+        int splits = 0;
+        for (int i = 0; i < 20; ++i) {
+            const StepRecord a = stepAndRearm(*original, ledger_a);
+            const StepRecord b = stepAndRearm(*restored, ledger_b);
+            ASSERT_EQ(a, b) << "step " << i;
+            splits += a.status == VqaCluster::Status::SplitRequested;
+            run.push_back(a);
+        }
+        EXPECT_GE(splits, 2);
+        EXPECT_EQ(ledger_a.total(), ledger_b.total());
+        if (first_lane_run.empty())
+            first_lane_run = run;
+        else
+            EXPECT_TRUE(run == first_lane_run);
+    }
+}
+
+TEST(VqaCluster, LoadStateRejectsAMismatchedCluster)
+{
+    ClusterConfig ccfg;
+    auto three = makeCluster(tfimFamily(4, 0.5, 1.5, 3), ccfg);
+    auto two = makeCluster(tfimFamily(4, 0.5, 1.5, 2), ccfg);
+    auto smaller = makeCluster(tfimFamily(3, 0.5, 1.5, 3), ccfg);
+    ShotLedger ledger;
+    three->step(ledger);
+    const JsonValue state = three->saveState();
+    EXPECT_THROW(two->loadState(state), std::runtime_error);
+    EXPECT_THROW(smaller->loadState(state), std::runtime_error);
 }
 
 } // namespace
