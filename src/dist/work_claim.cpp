@@ -1,6 +1,7 @@
 #include "dist/work_claim.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
@@ -147,9 +148,21 @@ WorkClaim::tryAcquire(const std::string &claimDir,
     std::string text;
     if (!readTextFile(path, text))
         return std::nullopt; // released between our create and read
-    // Unparseable: the creator died mid-write (the window is one
-    // write() call) or the file was corrupted — reapable either way;
-    // a double claim only costs duplicate (identical) work.
+    // Empty: most likely a live creator between its O_EXCL create and
+    // its one write(). Reaping it would admit two owners, so it counts
+    // as contended until the staleness grace has passed since then.
+    if (text.empty()) {
+        std::error_code ec;
+        const auto age = std::filesystem::file_time_type::clock::now()
+            - std::filesystem::last_write_time(path, ec);
+        if (!ec
+            && age < std::chrono::milliseconds(
+                   std::min(skewGraceMs, leaseMs / 2)))
+            return std::nullopt;
+    }
+    // Unparseable: the creator died mid-write or the file was
+    // corrupted — reapable either way; a double claim only costs
+    // duplicate (identical) work.
     if (const std::optional<ClaimInfo> held = parseClaim(text)) {
         // Merge the owner's stamp: everything we write from here on
         // (the takeover, the lease.reaped event) orders causally
@@ -208,22 +221,9 @@ WorkClaim::renew(std::int64_t progress)
 {
     if (path_.empty())
         return false;
-    if (const FaultHit hit = FAULT_POINT("claim.renew"))
-        if (hit.action == FaultAction::FailErrno) {
-            // Injected heartbeat loss: the owner believes the lease
-            // is gone and abandons the claim, leaving the (now
-            // unrenewed) lock for a reaper.
-            path_.clear();
-            return false;
-        }
-    // Gone (reaped from under us), torn, or re-owned after a
-    // takeover: the lease is lost.
-    const std::optional<ClaimInfo> held = readClaimFile(path_);
-    if (!held || held->owner != info_.owner
-        || held->fingerprint != info_.fingerprint) {
-        path_.clear();
+    const std::optional<ClaimInfo> held = readOwned();
+    if (!held)
         return false;
-    }
     info_.renewals = held->renewals + 1;
     info_.deadlineMs = unixTimeMs() + info_.leaseMs;
     if (progress >= 0)
@@ -234,6 +234,34 @@ WorkClaim::renew(std::int64_t progress)
     writeTextFileAtomic(path_, claimToJson(info_).dump() + "\n",
                         Durability::BestEffort);
     return true;
+}
+
+bool
+WorkClaim::confirm()
+{
+    return !path_.empty() && readOwned().has_value();
+}
+
+std::optional<ClaimInfo>
+WorkClaim::readOwned()
+{
+    if (const FaultHit hit = FAULT_POINT("claim.renew"))
+        if (hit.action == FaultAction::FailErrno) {
+            // Injected heartbeat loss: the owner believes the lease
+            // is gone and abandons the claim, leaving the (now
+            // unrenewed) lock for a reaper.
+            path_.clear();
+            return std::nullopt;
+        }
+    // Gone (reaped from under us), torn, or re-owned after a
+    // takeover: the lease is lost.
+    std::optional<ClaimInfo> held = readClaimFile(path_);
+    if (!held || held->owner != info_.owner
+        || held->fingerprint != info_.fingerprint) {
+        path_.clear();
+        return std::nullopt;
+    }
+    return held;
 }
 
 void

@@ -41,16 +41,17 @@
  * the one `claims/` listing. The worker's pre-compaction check, the
  * supervisor's reap and hung-job watchdog, and `treevqa_run --status`
  * and `--watch` all go through listClaims with their own filters;
- * peek, renew and release read through readClaimFile. Only
+ * peek, renew, confirm and release read through readClaimFile. Only
  * tryAcquire reads raw bytes, which its takeover compares after the
  * rename.
  *
  * Fault sites (common/fault_injection.h): "claim.acquire" (the
  * O_EXCL create behaves as failed → acquisition reports contended),
  * "claim.rename" (the takeover rename behaves as lost race),
- * "claim.renew" (the heartbeat rewrite fails → lease reported lost,
- * the injectable heartbeat-loss drill), "claim.release" (the unlink
- * is skipped → lock left behind for a reaper).
+ * "claim.renew" (a renewal or a read-only ownership check fails →
+ * lease reported lost, the injectable heartbeat-loss drill),
+ * "claim.release" (the unlink is skipped → lock left behind for a
+ * reaper).
  */
 
 #ifndef TREEVQA_DIST_WORK_CLAIM_H
@@ -157,7 +158,9 @@ class WorkClaim
      * nullopt when another worker holds an unexpired lease (or won a
      * takeover race). An expired (per claimIsStale, under
      * `skewGraceMs`) or unparseable (torn) claim is reaped via the
-     * rename protocol; `reapedStale`, when non-null, reports whether
+     * rename protocol — except an empty one younger than the
+     * staleness grace, whose creator is most likely still between its
+     * create and its write; `reapedStale`, when non-null, reports whether
      * this acquisition took over a stale lease.
      */
     static std::optional<WorkClaim>
@@ -178,6 +181,12 @@ class WorkClaim
      * (file gone or re-owned after a takeover). */
     bool renew(std::int64_t progress = -1);
 
+    /** Read-only ownership check: true while the lock file still
+     * names this owner and fingerprint. Unlike renew() it writes
+     * nothing and keeps the deadline; false invalidates this claim,
+     * like a failed renewal. */
+    bool confirm();
+
     /** Delete the lock if still owned; safe to call when already
      * released or lost. */
     void release();
@@ -190,6 +199,10 @@ class WorkClaim
         : path_(std::move(path)), info_(std::move(info))
     {
     }
+
+    /** The lock file's content while it still names this owner and
+     * fingerprint; otherwise nullopt, and this claim is invalidated. */
+    std::optional<ClaimInfo> readOwned();
 
     std::string path_;
     ClaimInfo info_;

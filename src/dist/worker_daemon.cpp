@@ -482,13 +482,6 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
     return report;
 }
 
-void
-WorkerDaemon::appendToShard(const JobResult &record)
-{
-    ResultStore(sweepShardPath(options_.sweepDir, options_.workerId))
-        .append(record);
-}
-
 WorkerDaemon::JobOutcome
 WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                               std::vector<BatchSlot> &batch,
@@ -503,23 +496,37 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
     // watchdog reads it for stall detection.
     std::atomic<std::int64_t> progress_counter{-1};
 
-    // Serializes every WorkClaim touch (renew/release) and the
-    // done/lost flags between this thread and the heartbeat.
+    // Serializes every WorkClaim touch (renew/confirm/release) and the
+    // started/done/lost flags between this thread and the heartbeat.
     std::mutex batch_mutex;
+
+    // Hands back the leases of the queued jobs the loop never started.
+    // The loop sets `started` under batch_mutex, so a slot is either
+    // run or released here, never both.
+    const auto release_unstarted = [&] {
+        std::lock_guard<std::mutex> lock(batch_mutex);
+        for (BatchSlot &slot : batch)
+            if (!slot.started && !slot.done) {
+                slot.claim.release();
+                slot.done = true;
+            }
+    };
 
     // Heartbeat: every held lease is renewed round-robin on one timer
     // thread (checkpoint cadence is spec-controlled and may be slower
-    // than the lease). Renewals stamp a batch-wide monotonic tick
-    // that advances whenever the running job's progress moves — so
-    // queued claims of a live worker keep advancing for the
-    // supervisor's external watchdog, and only a genuine wedge
-    // freezes the whole batch. It is also the in-process hung-job
-    // watchdog: when the progress stamp freezes past jobTimeoutMs it
-    // stops renewing — deliberately letting every lease expire so
-    // reapers can take the jobs — because a wedged runScenario cannot
-    // be interrupted from inside. A jthread, so an exception escaping
-    // the job loop below (a record append that fails) stops and joins
-    // it on unwind — destroying a joinable std::thread would terminate
+    // than the lease) — queued, running and completed-but-uncommitted
+    // jobs alike. Renewals stamp a batch-wide monotonic tick that
+    // advances whenever the running job's progress moves — so queued
+    // claims of a live worker keep advancing for the supervisor's
+    // external watchdog, and only a genuine wedge freezes the whole
+    // batch. It is also the in-process hung-job watchdog: when the
+    // progress stamp freezes past jobTimeoutMs it releases the queued
+    // jobs' leases at once, so idle peers can claim them, and stops
+    // renewing — deliberately letting the wedged job's lease expire so
+    // a reaper can take it — because a wedged runScenario cannot be
+    // interrupted from inside. A jthread, so an exception escaping the
+    // job loop below (a record append that fails) stops and joins it
+    // on unwind — destroying a joinable std::thread would terminate
     // the worker — and the held leases expire for reapers, as after a
     // crash.
     std::mutex hb_mutex;
@@ -546,7 +553,12 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                            > std::chrono::milliseconds(
                                options_.jobTimeoutMs)) {
                 hb_timed_out.store(true);
-                return; // abandon every lease for the reapers
+                try {
+                    release_unstarted();
+                } catch (const std::exception &) {
+                    // Unreleased leases expire for reapers.
+                }
+                return; // abandon the remaining leases for the reapers
             }
             // A renewal I/O failure (ENOSPC, network-filesystem
             // hiccup) must degrade to "lease lost" — the recoverable
@@ -602,24 +614,149 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
             slot.done = true;
         }
     };
+    // Caller holds batch_mutex.
+    const auto drop_lost = [&](BatchSlot &slot) {
+        ++report.lostClaims;
+        workerMetrics().claimsLost.inc();
+        slot.lost = true;
+        slot.claim.release();
+        slot.done = true;
+    };
 
+    // The store buffer: resolved records wait here, their leases still
+    // held, until one commit makes them durable together.
+    struct Buffered
+    {
+        BatchSlot *slot;
+        JobResult record;
+    };
+    std::vector<Buffered> buffered;
+    // The batch commit, timed as worker.record (the beat apart):
+    // confirm ownership, one append with one fsync, retire the
+    // checkpoints, journal, beat, and only then release — a claim
+    // release is the fence that publishes its record, so no claim is
+    // released before its record is durable.
+    const auto commit = [&] {
+        if (buffered.empty())
+            return;
+        TraceSpan record_span("worker.record",
+                              &workerMetrics().recordNs);
+        // Append only while provably still the owner; a lost lease
+        // means the reaper will record the (bit-identical) result
+        // instead. With more than 2/3 of the lease left no reaper can
+        // have taken it, so a read suffices; closer to the deadline
+        // the check renews. An I/O failure here degrades to "lease
+        // lost" rather than killing the worker with claims held.
+        std::vector<JobResult> records;
+        std::vector<BatchSlot *> slots;
+        {
+            std::lock_guard<std::mutex> lock(batch_mutex);
+            for (Buffered &entry : buffered) {
+                BatchSlot &slot = *entry.slot;
+                bool owner = !slot.lost;
+                if (owner) {
+                    try {
+                        owner = 3 * (slot.claim.info().deadlineMs
+                                     - unixTimeMs())
+                                > 2 * options_.leaseMs
+                            ? slot.claim.confirm()
+                            : slot.claim.renew();
+                    } catch (const std::exception &) {
+                        owner = false;
+                    }
+                }
+                if (!owner) {
+                    drop_lost(slot);
+                    continue;
+                }
+                records.push_back(std::move(entry.record));
+                slots.push_back(&slot);
+            }
+        }
+        buffered.clear();
+        if (records.empty())
+            return;
+        ResultStore(sweepShardPath(options_.sweepDir, options_.workerId))
+            .append(records);
+
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const JobResult &record = records[i];
+            const BatchSlot &slot = *slots[i];
+            if (record.failed) {
+                // Poison quarantine: the record carries exactly the
+                // attempts *this* claim session spent, so the merged
+                // view's accumulated count stays a true fleet-wide
+                // total; the job is resolved locally. Whether the rest
+                // of the fleet agrees depends on the accumulated count
+                // reaching the budget.
+                poisoned_.insert(record.fingerprint);
+                ++report.poisoned;
+                workerMetrics().jobsPoisoned.inc();
+                JsonValue detail = JsonValue::object();
+                detail.set("attempts",
+                           JsonValue(static_cast<std::int64_t>(
+                               slot.priorAttempts + record.attempts)));
+                detail.set("error", JsonValue(record.errorMessage));
+                EventLog::instance().emit(event_type::kJobPoisoned,
+                                          record.fingerprint,
+                                          std::move(detail));
+                std::fprintf(
+                    stderr,
+                    "treevqa: worker %s: quarantined poison job %s "
+                    "after %d/%d fleet-wide attempts (%s)\n",
+                    options_.workerId.c_str(),
+                    record.spec.name.c_str(),
+                    slot.priorAttempts + record.attempts,
+                    options_.maxJobAttempts,
+                    record.errorMessage.c_str());
+                continue;
+            }
+            removeCheckpoint(sweepCheckpointPath(options_.sweepDir,
+                                                 record.fingerprint));
+            ++report.completed;
+            workerMetrics().jobsCompleted.inc();
+            if (record.resumed) {
+                ++report.resumed;
+                workerMetrics().jobsResumed.inc();
+            }
+            JsonValue detail = JsonValue::object();
+            detail.set("resumed", JsonValue(record.resumed));
+            EventLog::instance().emit(event_type::kJobCompleted,
+                                      record.fingerprint,
+                                      std::move(detail));
+        }
+        EventLog::instance().flush();
+        record_span.end();
+        // The commit beat keeps merged --metrics and --health exact
+        // across a SIGKILL: the dump counts these jobs before their
+        // claims are released and the next batch starts.
+        beat(idleAfterJob);
+        TraceSpan release_span("worker.record",
+                               &workerMetrics().recordNs);
+        std::lock_guard<std::mutex> lock(batch_mutex);
+        for (BatchSlot *slot : slots) {
+            slot->claim.release();
+            slot->done = true;
+        }
+    };
+
+    JobOutcome outcome = JobOutcome::Completed;
     for (BatchSlot &slot : batch) {
-        if (hb_timed_out.load())
-            break;
         if (stop_.load()) {
             // Stop requested between jobs: nothing to seal for the
-            // queued jobs — just hand their leases back.
-            join_heartbeat();
-            release_undone();
-            return JobOutcome::Interrupted;
+            // queued jobs — commit what finished, hand the rest back.
+            outcome = JobOutcome::Interrupted;
+            break;
         }
-        if (slot_lost(slot)) {
-            ++report.lostClaims;
-            workerMetrics().claimsLost.inc();
+        {
             std::lock_guard<std::mutex> lock(batch_mutex);
-            slot.claim.release();
-            slot.done = true;
-            continue;
+            if (slot.done)
+                break; // the watchdog released the queued leases
+            if (slot.lost) {
+                drop_lost(slot);
+                continue;
+            }
+            slot.started = true;
         }
         const ScenarioSpec &spec = specs[slot.index];
         const std::string &fingerprint = fingerprints[slot.index];
@@ -631,8 +768,8 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         run_options.shouldStop = [this] { return stop_.load(); };
 
         TraceSpan job_span("worker.job", &workerMetrics().jobNs);
-        // In memory only: the next beat (heartbeat, or this job's
-        // resolution) publishes the running row.
+        // In memory only: the next beat (heartbeat, or the commit)
+        // publishes the running row.
         updateHealth([&](WorkerHealth &h) {
             h.state = "running";
             h.jobFingerprint = fingerprint;
@@ -722,113 +859,40 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         if (job_ok && !result.completed) {
             // Graceful stop, the only way the runner returns
             // unfinished: it sealed a checkpoint at the current
-            // iteration; release every lease so the next claimant can
-            // resume immediately.
+            // iteration; commit what finished and release every other
+            // lease so the next claimant can resume immediately.
             ++report.interrupted;
             workerMetrics().jobsInterrupted.inc();
-            join_heartbeat();
-            release_undone();
-            return JobOutcome::Interrupted;
+            outcome = JobOutcome::Interrupted;
+            break;
         }
-
-        // Record — confirm ownership, append, journal, release: the
-        // job's commit, timed as worker.record.
-        TraceSpan record_span("worker.record",
-                              &workerMetrics().recordNs);
-        // Append only while provably still the owner; a lost lease
-        // means the reaper will record the (bit-identical) result
-        // instead. Like the heartbeat, an I/O failure during this
-        // ownership re-check degrades to "lease lost" rather than
-        // killing the worker with claims still held.
-        bool still_owner;
-        {
-            std::lock_guard<std::mutex> lock(batch_mutex);
-            still_owner = !slot.lost;
-            if (still_owner) {
-                try {
-                    still_owner = slot.claim.renew();
-                } catch (const std::exception &) {
-                    still_owner = false;
-                }
-                if (!still_owner)
-                    slot.lost = true;
-            }
-        }
-        if (!still_owner) {
-            ++report.lostClaims;
-            workerMetrics().claimsLost.inc();
-            std::lock_guard<std::mutex> lock(batch_mutex);
-            slot.claim.release();
-            slot.done = true;
+        if (job_ok) {
+            buffered.push_back({&slot, std::move(result)});
             continue;
         }
-        if (!job_ok) {
-            // Poison quarantine: record the failure — carrying
-            // exactly the attempts *this* claim session spent, so the
-            // merged view's accumulated count stays a true fleet-wide
-            // total — and treat the job as resolved locally. Whether
-            // the rest of the fleet agrees depends on the accumulated
-            // count reaching the budget.
-            JobResult poison;
-            poison.spec = spec;
-            poison.fingerprint = fingerprint;
-            poison.failed = true;
-            poison.errorMessage = last_error;
-            poison.attempts = attempts_made;
-            appendToShard(poison);
-            poisoned_.insert(fingerprint);
-            ++report.poisoned;
-            workerMetrics().jobsPoisoned.inc();
-            JsonValue detail = JsonValue::object();
-            detail.set("attempts",
-                       JsonValue(static_cast<std::int64_t>(
-                           slot.priorAttempts + attempts_made)));
-            detail.set("error", JsonValue(last_error));
-            EventLog::instance().emit(event_type::kJobPoisoned,
-                                      fingerprint, std::move(detail));
-            std::fprintf(
-                stderr,
-                "treevqa: worker %s: quarantined poison job %s "
-                "after %d/%d fleet-wide attempts (%s)\n",
-                options_.workerId.c_str(), spec.name.c_str(),
-                slot.priorAttempts + attempts_made,
-                options_.maxJobAttempts, last_error.c_str());
-        } else {
-            appendToShard(result);
-            ++report.completed;
-            workerMetrics().jobsCompleted.inc();
-            if (result.resumed) {
-                ++report.resumed;
-                workerMetrics().jobsResumed.inc();
-            }
-            JsonValue detail = JsonValue::object();
-            detail.set("resumed", JsonValue(result.resumed));
-            EventLog::instance().emit(event_type::kJobCompleted,
-                                      fingerprint, std::move(detail));
-        }
-        EventLog::instance().flush();
-        {
-            std::lock_guard<std::mutex> lock(batch_mutex);
-            slot.claim.release();
-            slot.done = true;
-        }
-        record_span.end();
-        // The resolution beat keeps merged --metrics and --health
-        // exact across a SIGKILL: the dump counts this job before the
-        // next one starts.
-        beat(idleAfterJob);
-        if (options_.maxJobs > 0
-            && report.completed
-                >= static_cast<std::size_t>(options_.maxJobs))
-            break; // queued leases released below
+        // A failed (poisoned) record is committed at once, with the
+        // buffer ahead of it: the fleet-wide poison budget must never
+        // under-count the attempts this worker has spent.
+        JobResult poison;
+        poison.spec = spec;
+        poison.fingerprint = fingerprint;
+        poison.failed = true;
+        poison.errorMessage = last_error;
+        poison.attempts = attempts_made;
+        buffered.push_back({&slot, std::move(poison)});
+        commit();
     }
 
+    // One commit on every exit: batch end, graceful stop, interrupted
+    // job, or timeout (whatever a wedged job eventually returned is
+    // dropped; the jobs finished before it still commit if owned).
+    commit();
     join_heartbeat();
     if (hb_timed_out.load()) {
-        // The watchdog abandoned every lease while runScenario was
-        // wedged; whatever it eventually returned is stale — the jobs
-        // belong to whoever reaps the expired claims (or to the
-        // supervisor's SIGKILL, whichever lands first).
+        // The watchdog released the queued leases and abandoned the
+        // wedged job's while runScenario was wedged; that job belongs
+        // to whoever reaps the expired claim (or to the supervisor's
+        // SIGKILL, whichever lands first).
         ++report.timedOut;
         workerMetrics().jobsTimedOut.inc();
         {
@@ -851,10 +915,9 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                      static_cast<long long>(options_.jobTimeoutMs));
         return JobOutcome::TimedOut;
     }
-    // Normal exit (or maxJobs cutoff): hand back any leases we never
-    // got to.
+    // Hand back any leases we never got to.
     release_undone();
-    return JobOutcome::Completed;
+    return outcome;
 }
 
 } // namespace treevqa

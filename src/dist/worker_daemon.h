@@ -17,8 +17,8 @@
  * per-job claim traffic is one acquire and one release amortized over
  * a batch, not one scan each. Each job drives the existing
  * checkpointed ScenarioRunner — a job interrupted by a crashed worker
- * resumes from that worker's last checkpoint — and its record is
- * appended to this worker's private JSONL shard
+ * resumes from that worker's last checkpoint — and the batch's
+ * records are committed together to this worker's private JSONL shard
  * (`<dir>/workers/<id>.jsonl`; per-worker files make cross-process
  * append interleaving impossible). The shard only grows while the
  * sweep runs; nothing renames or deletes it before the drained
@@ -26,9 +26,37 @@
  * one re-read of every store from offset 0 confirms it (the
  * incremental view is an optimization, never the drain proof); then,
  * once no other worker still holds a live claim (a resolved job's
- * live claim means its owner is still committing: append, release),
- * the daemon compacts every shard into the canonical store and
- * summary and deletes the shards (store_merge.h).
+ * live claim means its owner is still committing: fsync, beat,
+ * release), the daemon compacts every shard into the canonical store
+ * and summary and deletes the shards (store_merge.h).
+ *
+ * Commit protocol — group commit per claim batch. A finished job's
+ * record waits in memory (a store buffer), its lease still held and
+ * renewed by the heartbeat. At the batch's end, and on every early
+ * exit (graceful stop, a sealed job, a watchdog timeout), one commit
+ * runs, in this order:
+ *  1. ownership: each buffered slot's claim is confirmed — a read
+ *     while more than 2/3 of the lease is left (no reaper can take it
+ *     before the deadline), a renewal closer to it — and a slot whose
+ *     lease was lost is dropped (its reaper records the bit-identical
+ *     result);
+ *  2. one ResultStore batch append of every surviving line: one
+ *     write, one fsync (fault site "store.append");
+ *  3. the committed jobs' checkpoints are retired (both generations);
+ *  4. their job.completed / job.poisoned events, one journal flush;
+ *  5. one beat;
+ *  6. only then the claims are released.
+ * Releasing a claim is the fence that publishes its record (the
+ * store-buffer argument of "Reasoning About TSO Programs Using
+ * Reduction and Abstraction"): no claim is released before its
+ * record's fsync has returned. A failed (poisoned) record forces an
+ * immediate commit of the buffer plus that record, so it is durable
+ * before the next job starts and the fleet-wide poison budget never
+ * under-counts. A SIGKILL before the fsync costs only the buffered
+ * jobs: their claims and checkpoints are still on disk, so reapers
+ * resume them from their newest checkpoints, and since jobs are pure
+ * and JobResolution::fold keeps the later body, the summary bytes do
+ * not change.
  *
  * A job that throws is retried within a per-job budget
  * (maxJobAttempts, exponential backoff); when the budget is spent the
@@ -49,20 +77,22 @@
  * claims of a live worker keep advancing and only a genuine wedge
  * freezes them. With jobTimeoutMs set, leases whose renewals keep
  * landing while progress stays frozen past the timeout are a *hung*
- * batch — the heartbeat stops renewing (abandoning every lease so
- * other workers can reap them) and the attempt is reported as timed
- * out. The fleet supervisor (dist/supervisor.h) watches the same
- * progress stamps from outside and SIGKILLs the wedged process.
+ * batch: the heartbeat releases the leases of the jobs the loop never
+ * started at once (idle peers claim them right away), stops renewing
+ * the rest (the wedged job's lease expires for a reaper), and the
+ * attempt is reported as timed out. The fleet supervisor
+ * (dist/supervisor.h) watches the same progress stamps from outside
+ * and SIGKILLs the wedged process.
  *
  * Each worker also *beats*: it writes its metrics dump with its
  * health status embedded (`<dir>/metrics/<id>-p<pid>.json`,
- * dist/health.h), its trace tail and its journal when a job resolves
- * (completed, poisoned or timed out), on the heartbeat cadence, on
- * idle polls, at drain and at stop — pure observability, never read
- * by the protocol, and written best-effort (no fsync). The `running`
- * and per-attempt transitions only update the in-memory status, which
- * the next beat publishes. So a job costs one durable fsync — its
- * record append — plus one beat file.
+ * dist/health.h), its trace tail and its journal at every commit and
+ * timeout, on the heartbeat cadence, on idle polls, at drain and at
+ * stop — pure observability, never read by the protocol, and written
+ * best-effort (no fsync). The `running` and per-attempt transitions
+ * only update the in-memory status, which the next beat publishes. So
+ * a claim batch costs one durable fsync — its append — plus one beat
+ * file, whatever its size.
  *
  * Determinism: jobs are pure functions of their specs, so any worker
  * count, any claim batch size and any kill schedule produce the same
@@ -131,8 +161,10 @@ struct WorkerOptions
      * Jobs leased per scan pass. A worker acquires up to this many
      * claims in one walk over the pending set, then runs them back to
      * back under a single heartbeat, so claim-file round-trips per
-     * drained job stay O(1) instead of one scan pass each. 1
-     * degenerates to the pre-batching claim-per-scan behavior.
+     * drained job stay O(1) instead of one scan pass each. The batch
+     * is also the unit of commit: one append, one fsync and one beat
+     * (see the file comment). 1 degenerates to claim, commit and beat
+     * per job.
      */
     int claimBatch = 8;
     /**
@@ -149,9 +181,10 @@ struct WorkerOptions
     /**
      * In-process hung-job watchdog (0 = disabled): when the job's
      * progress counter stays frozen this long while the heartbeat
-     * thread is alive, the heartbeat *stops renewing* — abandoning
-     * every held lease so other workers can reap the batch — and the
-     * attempt is reported as timed out. Must comfortably exceed the
+     * thread is alive, the heartbeat releases the batch's
+     * never-started jobs at once and *stops renewing* the rest, so
+     * other workers can claim the queue now and reap the wedged job
+     * after its lease — and the attempt is reported as timed out. Must comfortably exceed the
      * wall time of one optimizer iteration. The supervisor enforces
      * the same timeout from outside with a SIGKILL
      * (dist/supervisor.h).
@@ -265,8 +298,11 @@ class WorkerDaemon
         std::size_t index = 0;
         WorkClaim claim;
         int priorAttempts = 0;
-        /** Job finished (claim released/abandoned); heartbeat must
-         * not touch the claim anymore. */
+        /** The loop began running this job; the watchdog releases
+         * only slots that never started. */
+        bool started = false;
+        /** Claim released or abandoned; heartbeat must not touch it
+         * anymore. */
         bool done = false;
         /** Lease lost (renewal failed or watchdog abandoned it). */
         bool lost = false;
@@ -282,16 +318,15 @@ class WorkerDaemon
 
     enum class JobOutcome
     {
+        /** The batch ran to its end and committed. */
         Completed,
-        LostClaim,
-        /** Every attempt threw; a failed=true record was appended. */
-        Poisoned,
-        /** The in-process watchdog abandoned every held lease:
-         * progress stalled past jobTimeoutMs. No record; reapers
-         * rerun. */
+        /** The in-process watchdog abandoned the batch: progress
+         * stalled past jobTimeoutMs. No record for the wedged job;
+         * reapers rerun it. */
         TimedOut,
-        /** requestStop sealed the job mid-run (checkpoint written,
-         * claims released, no record). */
+        /** requestStop ended the batch (a job sealed mid-run, or a
+         * stop between jobs): finished jobs committed, every other
+         * claim released. */
         Interrupted
     };
 
@@ -303,8 +338,6 @@ class WorkerDaemon
     JobOutcome runClaimedBatch(const JobSet &jobs,
                                std::vector<BatchSlot> &batch,
                                WorkerReport &report);
-    /** Append `record` to this worker's shard. */
-    void appendToShard(const JobResult &record);
     /** Mutate the in-memory health status under its lock; the next
      * beat publishes it. */
     void updateHealth(const std::function<void(WorkerHealth &)> &fn);

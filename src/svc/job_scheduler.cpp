@@ -120,8 +120,10 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
         ScenarioRunOptions options;
         options.checkpointPath = checkpointPathFor(specs[index]);
         JobResult result = runScenario(specs[index], options);
-        if (store && result.completed)
+        if (store && result.completed) {
             store->append(result);
+            removeCheckpoint(options.checkpointPath);
+        }
         if (result.completed) {
             JsonValue detail = JsonValue::object();
             detail.set("name", JsonValue(specs[index].name));

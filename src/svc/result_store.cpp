@@ -244,7 +244,22 @@ ResultStore::load(StoreLoadStats *stats) const
 void
 ResultStore::append(const JobResult &result)
 {
-    std::string line = jobResultToStoredLine(result) + "\n";
+    appendLines(jobResultToStoredLine(result) + "\n");
+}
+
+void
+ResultStore::append(const std::vector<JobResult> &results)
+{
+    std::string lines;
+    for (const JobResult &result : results)
+        lines += jobResultToStoredLine(result) + "\n";
+    if (!lines.empty())
+        appendLines(std::move(lines));
+}
+
+void
+ResultStore::appendLines(std::string lines)
+{
     std::lock_guard<std::mutex> lock(mutex_);
     if (const FaultHit hit = FAULT_POINT("store.append")) {
         if (hit.action == FaultAction::FailErrno)
@@ -252,9 +267,9 @@ ResultStore::append(const JobResult &result)
                 "result store: cannot append to " + path_ + ": "
                 + std::strerror(hit.err));
         if (hit.action == FaultAction::TornWrite)
-            line.resize(hit.tornPrefix(line.size()));
+            lines.resize(hit.tornPrefix(lines.size()));
     }
-    appendTextDurable(path_, line);
+    appendTextDurable(path_, lines);
 }
 
 bool

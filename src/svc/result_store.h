@@ -11,12 +11,13 @@
  * without a "crc" member is rejected as a CRC mismatch. Lines are
  * written under a mutex through the durable append path (file_util:
  * torn-line sealing, EINTR retries, fsync), so a killed sweep loses at
- * most the line being written; load() quarantines any line that fails
- * to parse, lacks or fails its CRC, or whose stored fingerprint
- * contradicts its spec, copying it to `<dir>/quarantine/<store-file>`
- * (once per process) and skipping it — which together with the scheduler's
- * fingerprint skip makes the store the job-level resume ledger: a
- * quarantined record's job simply reruns.
+ * most the lines being written (one record, or one worker batch);
+ * load() quarantines any line that fails to parse, lacks or fails its
+ * CRC, or whose stored fingerprint contradicts its spec, copying it to
+ * `<dir>/quarantine/<store-file>` (once per process) and skipping it —
+ * which together with the scheduler's fingerprint skip makes the store
+ * the job-level resume ledger: a quarantined record's job simply
+ * reruns.
  *
  * Line *order* is completion order (nondeterministic under a
  * concurrent scheduler); record *content* is deterministic except for
@@ -124,7 +125,16 @@ class ResultStore
      * (fsynced; fault site "store.append"). Thread-safe. */
     void append(const JobResult &result);
 
+    /** Group commit: append every record, one line each, with one
+     * write and one fsync. The "store.append" site is evaluated once
+     * for the whole batch, so a torn write keeps a prefix of it: the
+     * whole lines before the tear stand, the torn one is quarantined
+     * on load. No-op on an empty batch. Thread-safe. */
+    void append(const std::vector<JobResult> &results);
+
   private:
+    void appendLines(std::string lines);
+
     std::string path_;
     std::mutex mutex_;
 };

@@ -308,19 +308,22 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
         result.fidelity =
             energyFidelity(result.finalEnergy, task.groundEnergy);
     result.completed = true;
-
-    // The job is durably finished; its record supersedes the
-    // checkpoint (both generations).
-    if (!options.checkpointPath.empty()) {
-        std::remove(options.checkpointPath.c_str());
-        std::remove(
-            checkpointPrevPath(options.checkpointPath).c_str());
-    }
+    // The checkpoint stays until the caller's record is durable
+    // (removeCheckpoint): a kill before that resumes from it.
 
     result.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
     return result;
+}
+
+void
+removeCheckpoint(const std::string &path)
+{
+    if (path.empty())
+        return;
+    std::remove(path.c_str());
+    std::remove(checkpointPrevPath(path).c_str());
 }
 
 std::optional<CheckpointPeek>

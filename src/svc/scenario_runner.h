@@ -28,6 +28,9 @@
  *    an uninterrupted run, because JSON number round-trips are exact
  *    (common/json.h), the loop re-executes the same evaluation
  *    sequence, and the budget check reads only checkpointed shots.
+ *  - **Retirement.** A completed job's checkpoint outlives the run:
+ *    the caller removes it (removeCheckpoint) once the job's record
+ *    is durable, so no kill leaves a job with neither.
  *  - **Kill points.** After each interval checkpoint is durable and
  *    journaled, the runner evaluates the `checkpoint.written` fault
  *    site (common/fault_injection.h). A `crash` entry there is how
@@ -132,6 +135,13 @@ struct ScenarioRunOptions
  * energy records at any thread-pool size. */
 JobResult runScenario(const ScenarioSpec &spec,
                       const ScenarioRunOptions &options = {});
+
+/** Retire a finished job's checkpoint, both generations (no-op on an
+ * empty path). The runner never does this itself: the caller commits
+ * the job's record first — the scheduler after its append, the worker
+ * after its batch fsync — so a kill before the record is durable
+ * still resumes from the newest checkpoint. */
+void removeCheckpoint(const std::string &path);
 
 /** The little a progress view needs from a checkpoint file. */
 struct CheckpointPeek

@@ -28,6 +28,7 @@
 #include "dist/work_claim.h"
 #include "dist/worker_daemon.h"
 #include "svc/job_scheduler.h"
+#include "svc/result_store.h"
 #include "svc/sweep_dir.h"
 
 #include "plan_crash.h"
@@ -222,6 +223,29 @@ TEST(WorkClaim, TornClaimFileIsReapable)
     bool reaped = false;
     auto claim = WorkClaim::tryAcquire(dir.string(), "fp", "w", 60000,
                                        &reaped);
+    ASSERT_TRUE(claim.has_value());
+    EXPECT_TRUE(reaped);
+}
+
+TEST(WorkClaim, EmptyClaimIsContendedUntilTheGraceHasPassed)
+{
+    // An empty lock is what a live creator shows between its O_EXCL
+    // create and its write: reaping it would admit two owners.
+    const auto dir = scratchDir("claim_empty");
+    const std::string path = WorkClaim::claimPath(dir.string(), "fp");
+    std::ofstream(path).close();
+    bool reaped = false;
+    EXPECT_FALSE(WorkClaim::tryAcquire(dir.string(), "fp", "w", 60000,
+                                       &reaped)
+                     .has_value());
+    EXPECT_FALSE(reaped);
+
+    // Left empty past the grace, its creator is dead: reapable.
+    std::filesystem::last_write_time(
+        path, std::filesystem::last_write_time(path)
+                  - std::chrono::milliseconds(2 * kClaimSkewGraceMs));
+    const auto claim = WorkClaim::tryAcquire(dir.string(), "fp", "w",
+                                             60000, &reaped);
     ASSERT_TRUE(claim.has_value());
     EXPECT_TRUE(reaped);
 }
@@ -1150,6 +1174,190 @@ TEST(WorkerDaemon, BatchedClaimCrashAbandonsTheWholeBatch)
     std::string summary;
     ASSERT_TRUE(readTextFile(sweepSummaryPath(dir.string()), summary));
     EXPECT_EQ(summary, sweepSummaryJson(reference).dump(2) + "\n");
+}
+
+/** Every spec's claim file is still on disk. */
+void
+expectEveryClaimHeld(const std::string &dir,
+                     const std::vector<ScenarioSpec> &specs)
+{
+    for (const ScenarioSpec &spec : specs)
+        EXPECT_TRUE(WorkClaim::peek(sweepClaimDir(dir),
+                                    scenarioFingerprint(spec))
+                        .has_value())
+            << spec.name;
+}
+
+/** A survivor drains the sweep bit-identically to `reference`, each
+ * job exactly once in the compacted store, no checkpoint left. */
+WorkerReport
+survivorDrainsIdentically(const std::filesystem::path &dir,
+                          const std::vector<ScenarioSpec> &specs,
+                          const std::vector<JobResult> &reference)
+{
+    WorkerOptions survivor_options;
+    survivor_options.sweepDir = dir.string();
+    survivor_options.workerId = "survivor";
+    survivor_options.leaseMs = 60000;
+    survivor_options.pollMs = 10;
+    const WorkerReport survived =
+        WorkerDaemon(survivor_options).run(specs);
+    EXPECT_TRUE(survived.drained);
+    EXPECT_TRUE(survived.merged);
+    const std::vector<JobResult> merged =
+        loadMergedRecords(dir.string());
+    EXPECT_EQ(merged.size(), specs.size());
+    for (std::size_t i = 0; i < merged.size(); ++i)
+        expectJobsBitIdentical(merged[i], reference[i]);
+    std::string summary;
+    EXPECT_TRUE(readTextFile(sweepSummaryPath(dir.string()), summary));
+    EXPECT_EQ(summary, sweepSummaryJson(reference).dump(2) + "\n");
+    EXPECT_EQ(
+        ResultStore(sweepStorePath(dir.string())).load().size(),
+        specs.size());
+    EXPECT_TRUE(
+        std::filesystem::is_empty(sweepCheckpointDir(dir.string())));
+    return survived;
+}
+
+TEST(WorkerDaemon, KillBeforeTheBatchCommitResumesFromTheNewestCheckpoint)
+{
+    const auto dir = scratchDir("kill_before_commit");
+    const std::vector<ScenarioSpec> specs = tinySweep(3);
+    const std::vector<JobResult> reference =
+        referenceRun(specs, "kill_before_commit_ref");
+
+    // SIGKILL as the batch's second job starts: the first job has
+    // finished, its record still waiting in memory for the commit.
+    WorkerOptions crash_options;
+    crash_options.sweepDir = dir.string();
+    crash_options.workerId = "crasher";
+    crash_options.leaseMs = 200;
+    crashThroughPlan(
+        R"({"faults": [{"site": "worker.job", "action": "crash",
+        "hit": 2}]})",
+        [&] { WorkerDaemon(crash_options).run(specs); });
+    EXPECT_TRUE(loadMergedRecords(dir.string()).empty());
+    expectEveryClaimHeld(dir.string(), specs);
+
+    // The finished job's checkpoint outlived it (checkpoints at 4 and
+    // 8 of 12 iterations): it is the only one, at iteration 8.
+    std::string finished_fp;
+    for (const ScenarioSpec &spec : specs) {
+        const std::string fp = scenarioFingerprint(spec);
+        if (const auto peeked = peekCheckpoint(
+                sweepCheckpointPath(dir.string(), fp))) {
+            EXPECT_TRUE(finished_fp.empty()) << spec.name;
+            finished_fp = fp;
+            EXPECT_EQ(peeked->iteration, 8);
+        }
+    }
+    ASSERT_FALSE(finished_fp.empty());
+
+    // The survivor resumes exactly that job from iteration 8, and the
+    // record is bit-identical to the uninterrupted one.
+    const WorkerReport survived =
+        survivorDrainsIdentically(dir, specs, reference);
+    EXPECT_EQ(survived.completed, specs.size());
+    EXPECT_EQ(survived.resumed, 1u);
+    EventLog::instance().flush();
+    std::size_t resumes = 0;
+    for (const SweepEvent &event : readSweepEvents(dir.string()))
+        if (event.type == event_type::kJobResumed) {
+            ++resumes;
+            EXPECT_EQ(event.job, finished_fp);
+            EXPECT_EQ(event.detail.at("iteration").asInt(), 8);
+        }
+    EXPECT_EQ(resumes, 1u);
+}
+
+TEST(WorkerDaemon, CrashBeforeTheBatchFsyncReleasesNoClaim)
+{
+    const auto dir = scratchDir("crash_before_fsync");
+    const std::vector<ScenarioSpec> specs = tinySweep(3);
+    const std::vector<JobResult> reference =
+        referenceRun(specs, "crash_before_fsync_ref");
+
+    // SIGKILL between the batch's write and its fsync (journal appends
+    // are best-effort and never reach the site; the shard append is
+    // the first durable one).
+    WorkerOptions crash_options;
+    crash_options.sweepDir = dir.string();
+    crash_options.workerId = "crasher";
+    crash_options.leaseMs = 200;
+    crashThroughPlan(
+        R"({"faults": [{"site": "file.append.fsync", "action": "crash",
+        "hit": 1}]})",
+        [&] { WorkerDaemon(crash_options).run(specs); });
+
+    // Claims are released and checkpoints retired only after the
+    // fsync returns: every one is still on disk.
+    expectEveryClaimHeld(dir.string(), specs);
+    for (const ScenarioSpec &spec : specs)
+        EXPECT_TRUE(peekCheckpoint(sweepCheckpointPath(
+                                       dir.string(),
+                                       scenarioFingerprint(spec)))
+                        .has_value())
+            << spec.name;
+
+    // The written lines outlive a SIGKILL in the page cache, so the
+    // survivor finds the jobs recorded; once the dead leases go stale
+    // it compacts each job exactly once and retires the checkpoints.
+    survivorDrainsIdentically(dir, specs, reference);
+}
+
+TEST(WorkerDaemon, HungJobReleasesItsQueuedClaimsAtOnce)
+{
+    const auto dir = scratchDir("hung_batch");
+    const std::vector<ScenarioSpec> specs = tinySweep(4);
+    constexpr std::int64_t kLeaseMs = 3000;
+
+    // Worker A leases the whole sweep in one batch and wedges on its
+    // first job; its watchdog fires at the first heartbeat (a third of
+    // the lease) and must hand the three queued jobs back at once.
+    std::atomic<bool> unwedge{false};
+    std::atomic<int> calls{0};
+    WorkerOptions hung;
+    hung.sweepDir = dir.string();
+    hung.workerId = "hung";
+    hung.leaseMs = kLeaseMs;
+    hung.jobTimeoutMs = 50;
+    hung.pollMs = 5;
+    hung.mergeOnDrain = false;
+    hung.jobRunner = [&](const ScenarioSpec &spec,
+                         const ScenarioRunOptions &run) {
+        if (calls.fetch_add(1) == 0)
+            while (!unwedge.load())
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return runScenario(spec, run);
+    };
+    WorkerReport ra;
+    std::thread ta([&] { ra = WorkerDaemon(hung).run(specs); });
+    while (listSortedFiles(sweepClaimDir(dir.string()), ".lock").size()
+           < specs.size())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    // Peer B takes the queued jobs well before one lease has elapsed,
+    // and as released claims, not reaped ones.
+    WorkerOptions peer = hung;
+    peer.workerId = "peer";
+    peer.jobRunner = nullptr;
+    peer.jobTimeoutMs = 0;
+    peer.maxJobs = static_cast<int>(specs.size()) - 1;
+    const auto t0 = std::chrono::steady_clock::now();
+    const WorkerReport rb = WorkerDaemon(peer).run(specs);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    unwedge.store(true);
+    ta.join();
+
+    EXPECT_EQ(rb.completed, specs.size() - 1);
+    EXPECT_EQ(rb.reapedLeases, 0u);
+    EXPECT_LT(waited, std::chrono::milliseconds(2 * kLeaseMs / 3));
+    // A gets its wedged job back once it returns, and drains.
+    EXPECT_EQ(ra.timedOut, 1u);
+    EXPECT_EQ(ra.completed, 1u);
+    EXPECT_TRUE(ra.drained);
+    EXPECT_EQ(loadMergedRecords(dir.string()).size(), specs.size());
 }
 
 TEST(WorkerDaemon, BatchedWorkersStayBitIdentical)

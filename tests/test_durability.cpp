@@ -2,9 +2,11 @@
  * @file
  * Tests for the durability budget: the Durable / BestEffort write
  * classes of common/file_util (io.* accounting, fsync fault sites only
- * on durable writes, atomicity without fsync), the worker's per-job
- * fsync budget with its byte-identical summary, and the metrics and
- * `--health` exactness a SIGKILL between jobs must not break.
+ * on durable writes, atomicity without fsync), the worker's batch
+ * commit point (one fsync and one beat per claim batch, with its
+ * byte-identical summary; poison records and lost leases at the
+ * commit), and the metrics and `--health` exactness a SIGKILL between
+ * or inside batches must not break.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,8 +29,10 @@
 #include "common/metrics.h"
 #include "dist/health.h"
 #include "dist/store_merge.h"
+#include "dist/work_claim.h"
 #include "dist/worker_daemon.h"
 #include "svc/job_scheduler.h"
+#include "svc/result_store.h"
 #include "svc/sweep_dir.h"
 
 namespace treevqa {
@@ -188,7 +193,7 @@ TEST(Durability, ReaderRacingBestEffortAtomicWritesNeverSeesTornContent)
 
 // ----------------------------------------------------- worker budget
 
-TEST(Durability, WorkerDrainSpendsAtMostTwoDurableFsyncsPerJob)
+TEST(Durability, WorkerDrainSpendsOneDurableFsyncPerBatch)
 {
     constexpr int kJobs = 20;
     const std::vector<ScenarioSpec> specs = noCheckpointSweep(kJobs);
@@ -204,15 +209,15 @@ TEST(Durability, WorkerDrainSpendsAtMostTwoDurableFsyncsPerJob)
     ASSERT_TRUE(report.merged);
     ASSERT_EQ(report.completed, static_cast<std::size_t>(kJobs));
 
-    // One durable append per record, plus the compaction's store and
-    // summary replaces (file + directory fsyncs each).
-    const std::uint64_t fsyncs = counterTotal("io.durable_fsyncs");
-    EXPECT_GE(fsyncs, static_cast<std::uint64_t>(kJobs));
-    EXPECT_LE(fsyncs, static_cast<std::uint64_t>(2 * kJobs));
-    // Per job: one lease renewal before the append and one beat (the
-    // metrics dump); plus the start, drain and stop beats.
-    EXPECT_LE(counterTotal("io.best_effort_renames"),
-              static_cast<std::uint64_t>(2 * kJobs + 3));
+    // Group commit: one durable append per claim batch, plus the
+    // compaction's store and summary replaces (file + directory fsync
+    // each).
+    const std::uint64_t batches =
+        (kJobs + options.claimBatch - 1) / options.claimBatch;
+    EXPECT_EQ(counterTotal("io.durable_fsyncs"), batches + 4);
+    // One beat (the metrics dump) per batch, plus the start, drain and
+    // stop beats. Commits confirm a fresh lease without rewriting it.
+    EXPECT_LE(counterTotal("io.best_effort_renames"), batches + 3);
     EXPECT_FALSE(std::filesystem::exists(dir / "health"));
 
     std::string summary;
@@ -236,76 +241,204 @@ TEST(Durability, WorkerDrainSpendsAtMostTwoDurableFsyncsPerJob)
               kJobs);
 }
 
-TEST(Durability, SigkilledWorkerLeavesMergedMetricsCountingItsFirstJob)
+/** A trivially completed record for `spec` (synthetic job body). */
+JobResult
+syntheticRecord(const ScenarioSpec &spec)
 {
-    const std::vector<ScenarioSpec> specs = noCheckpointSweep(3);
+    JobResult r;
+    r.spec = spec;
+    r.fingerprint = scenarioFingerprint(spec);
+    r.completed = true;
+    r.iterations = 1;
+    r.finalEnergy = -1.0;
+    return r;
+}
 
-    // The child completes its first job, then dies to SIGKILL 10 ms
-    // into the second one, so the dumps must count exactly that job.
-    // A 15 ms lease puts the heartbeat on a 5 ms cadence: heartbeat
-    // beats run during the 20 ms first job and race its resolution
-    // beat. Random 8 ms rename delays hold some heartbeat dumps in
-    // flight across the resolution, and the 10 ms before the kill let
-    // them land — over the resolution beat's dump, with an older
-    // count, unless beats rename in snapshot order.
+/**
+ * Fork a worker (15 ms lease, so a 5 ms heartbeat) over `specs` that
+ * dies to SIGKILL 10 ms into its `killCall`-th job, and wait for it.
+ * Job 1 takes 20 ms, the others 10 ms, so heartbeat beats race the
+ * commit beats. Random 8 ms rename delays hold some heartbeat dumps in
+ * flight across a commit, and the 10 ms before the kill let them land
+ * — over the commit beat's dump, with an older count, unless beats
+ * rename in snapshot order.
+ */
+void
+sigkillWorkerInJob(const std::filesystem::path &dir,
+                   const std::vector<ScenarioSpec> &specs, int claimBatch,
+                   int killCall, int seed)
+{
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        try {
+            MetricsRegistry::instance().reset(); // parent's totals
+            FaultInjection::instance().arm(
+                "{\"seed\": " + std::to_string(seed)
+                + R"(, "faults": [{"site": "file.write_atomic.rename",
+                    "action": "delay-ms", "ms": 8,
+                    "probability": 0.3, "times": 0}]})");
+            int calls = 0;
+            WorkerOptions options;
+            options.sweepDir = dir.string();
+            options.workerId = "victim";
+            options.leaseMs = 15;
+            options.claimBatch = claimBatch;
+            options.jobRunner = [&](const ScenarioSpec &spec,
+                                    const ScenarioRunOptions &) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(++calls == 1 ? 20 : 10));
+                if (calls == killCall)
+                    ::raise(SIGKILL);
+                return syntheticRecord(spec);
+            };
+            WorkerDaemon(options).run(specs);
+        } catch (...) {
+        }
+        std::_Exit(3); // the kill never came
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+}
+
+/** The killed worker's dumps count exactly `jobs` completions, and
+ * exactly that many records are on disk. */
+void
+expectDumpsCountRecordsOnDisk(const std::filesystem::path &dir,
+                              std::int64_t jobs, int round)
+{
+    const auto dumps = readMetricsDumps(dir.string());
+    const JsonValue merged = aggregateMetricsJson(dumps);
+    EXPECT_EQ(merged.at("processes").asInt(), 1);
+    const JsonValue *completed =
+        merged.at("counters").find("worker.jobs_completed");
+    EXPECT_EQ(completed ? completed->asInt() : 0, jobs)
+        << "round " << round;
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  loadMergedRecords(dir.string()).size()),
+              jobs)
+        << "round " << round;
+
+    const JsonValue health = aggregateHealthJson(dumps, unixTimeMs());
+    ASSERT_EQ(health.at("processes").asInt(), 1);
+    const JsonValue &row = health.at("workers").asArray().at(0);
+    EXPECT_EQ(row.at("id").asString(), "victim");
+    EXPECT_EQ(row.at("jobsCompleted").asInt(), jobs) << "round " << round;
+    EXPECT_EQ(health.at("jobsCompleted").asInt(), jobs);
+}
+
+TEST(Durability, SigkilledWorkerLeavesMergedMetricsCountingItsFirstBatch)
+{
+    // Batches of two: the kill lands in the first job of the second
+    // batch, so the dumps must count exactly the committed first batch.
+    const std::vector<ScenarioSpec> specs = noCheckpointSweep(4);
     for (int round = 0; round < 5; ++round) {
         const std::filesystem::path dir =
             scratchDir("sigkill" + std::to_string(round));
-        const pid_t child = ::fork();
-        ASSERT_GE(child, 0);
-        if (child == 0) {
-            try {
-                MetricsRegistry::instance().reset(); // parent's totals
-                FaultInjection::instance().arm(
-                    "{\"seed\": " + std::to_string(round + 1)
-                    + R"(, "faults": [{"site": "file.write_atomic.rename",
-                        "action": "delay-ms", "ms": 8,
-                        "probability": 0.3, "times": 0}]})");
-                int calls = 0;
-                WorkerOptions options;
-                options.sweepDir = dir.string();
-                options.workerId = "victim";
-                options.leaseMs = 15;
-                options.jobRunner = [&calls](const ScenarioSpec &spec,
-                                             const ScenarioRunOptions &) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(++calls == 1 ? 20
-                                                               : 10));
-                    if (calls == 2)
-                        ::raise(SIGKILL);
-                    JobResult r;
-                    r.spec = spec;
-                    r.fingerprint = scenarioFingerprint(spec);
-                    r.completed = true;
-                    r.iterations = 1;
-                    r.finalEnergy = -1.0;
-                    return r;
-                };
-                WorkerDaemon(options).run(specs);
-            } catch (...) {
-            }
-            std::_Exit(3); // the kill never came
-        }
-        int status = 0;
-        ASSERT_EQ(::waitpid(child, &status, 0), child);
-        ASSERT_TRUE(WIFSIGNALED(status));
-        ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-        const auto dumps = readMetricsDumps(dir.string());
-        const JsonValue merged = aggregateMetricsJson(dumps);
-        EXPECT_EQ(merged.at("processes").asInt(), 1);
-        EXPECT_EQ(
-            merged.at("counters").at("worker.jobs_completed").asInt(), 1)
-            << "round " << round;
-        EXPECT_EQ(loadMergedRecords(dir.string()).size(), 1u);
-
-        const JsonValue health = aggregateHealthJson(dumps, unixTimeMs());
-        ASSERT_EQ(health.at("processes").asInt(), 1);
-        const JsonValue &row = health.at("workers").asArray().at(0);
-        EXPECT_EQ(row.at("id").asString(), "victim");
-        EXPECT_EQ(row.at("jobsCompleted").asInt(), 1) << "round " << round;
-        EXPECT_EQ(health.at("jobsCompleted").asInt(), 1);
+        sigkillWorkerInJob(dir, specs, 2, 3, round + 1);
+        expectDumpsCountRecordsOnDisk(dir, 2, round);
     }
+}
+
+TEST(Durability, SigkilledWorkerMidBatchLeavesNothingCounted)
+{
+    // The kill lands in the second job of the first batch: the first
+    // job's record was still buffered, so nothing is on disk and the
+    // dumps count nothing.
+    const std::vector<ScenarioSpec> specs = noCheckpointSweep(3);
+    for (int round = 0; round < 3; ++round) {
+        const std::filesystem::path dir =
+            scratchDir("sigkill_mid" + std::to_string(round));
+        sigkillWorkerInJob(dir, specs, 8, 2, round + 1);
+        expectDumpsCountRecordsOnDisk(dir, 0, round);
+    }
+}
+
+// ------------------------------------------------------ commit point
+
+TEST(Durability, PoisonedJobCommitsTheBufferAtOnce)
+{
+    // Job 1 completes and waits in the buffer; job 2 throws its whole
+    // budget. Before job 3 starts, job 1's record and job 2's poison
+    // record must both be durable in the shard.
+    const std::vector<ScenarioSpec> specs = noCheckpointSweep(3);
+    const std::filesystem::path dir = scratchDir("poison_commit");
+    int calls = 0;
+    std::vector<JobResult> seen_by_job3;
+    WorkerOptions options;
+    options.sweepDir = dir.string();
+    options.workerId = "w0";
+    options.maxJobAttempts = 1;
+    options.mergeOnDrain = false;
+    options.jobRunner = [&](const ScenarioSpec &spec,
+                            const ScenarioRunOptions &) {
+        if (++calls == 2)
+            throw std::runtime_error("defective spec");
+        if (calls == 3)
+            seen_by_job3 =
+                ResultStore(sweepShardPath(dir.string(), "w0")).load();
+        return syntheticRecord(spec);
+    };
+    const WorkerReport report = WorkerDaemon(options).run(specs);
+    EXPECT_EQ(report.completed, 2u);
+    EXPECT_EQ(report.poisoned, 1u);
+    ASSERT_EQ(seen_by_job3.size(), 2u);
+    EXPECT_TRUE(seen_by_job3[0].completed);
+    EXPECT_TRUE(seen_by_job3[1].failed);
+    EXPECT_EQ(seen_by_job3[1].attempts, 1);
+    EXPECT_EQ(seen_by_job3[1].errorMessage, "defective spec");
+    EXPECT_EQ(ResultStore(sweepShardPath(dir.string(), "w0")).load().size(),
+              3u);
+}
+
+TEST(Durability, LeaseLostBeforeTheCommitDropsOnlyThatRecord)
+{
+    // While job 1 waits in the buffer, a reaper takes its lease (its
+    // claim file now names another owner, already stale). The commit
+    // must drop job 1's record and commit the others; the worker then
+    // reaps the stale lease and runs job 1 again.
+    const std::vector<ScenarioSpec> specs = noCheckpointSweep(3);
+    const std::filesystem::path dir = scratchDir("lost_commit");
+    const std::string claim_dir = sweepClaimDir(dir.string());
+    int calls = 0;
+    std::string stolen;
+    std::vector<JobResult> seen_on_rerun;
+    WorkerOptions options;
+    options.sweepDir = dir.string();
+    options.workerId = "w0";
+    options.leaseMs = 60000;
+    options.pollMs = 5;
+    options.mergeOnDrain = false;
+    options.jobRunner = [&](const ScenarioSpec &spec,
+                            const ScenarioRunOptions &) {
+        const std::string fp = scenarioFingerprint(spec);
+        if (++calls == 1) {
+            stolen = fp;
+        } else if (calls == 2) {
+            ClaimInfo thief = *WorkClaim::peek(claim_dir, stolen);
+            thief.owner = "reaper";
+            thief.deadlineMs = unixTimeMs() - 60000;
+            writeTextFileAtomic(WorkClaim::claimPath(claim_dir, stolen),
+                                claimToJson(thief).dump() + "\n");
+        } else if (fp == stolen) {
+            seen_on_rerun =
+                ResultStore(sweepShardPath(dir.string(), "w0")).load();
+        }
+        return syntheticRecord(spec);
+    };
+    const WorkerReport report = WorkerDaemon(options).run(specs);
+    EXPECT_EQ(calls, 4);
+    EXPECT_EQ(report.lostClaims, 1u);
+    EXPECT_EQ(report.completed, 3u);
+    EXPECT_GE(report.reapedLeases, 1u);
+    EXPECT_TRUE(report.drained);
+    // The first commit held the two other jobs, never the stolen one.
+    ASSERT_EQ(seen_on_rerun.size(), 2u);
+    for (const JobResult &record : seen_on_rerun)
+        EXPECT_NE(record.fingerprint, stolen);
+    EXPECT_EQ(loadMergedRecords(dir.string()).size(), specs.size());
 }
 
 // ---------------------------------------------------------------- crc

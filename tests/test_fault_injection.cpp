@@ -465,7 +465,11 @@ TEST_F(FaultInjectionTest, CorruptCheckpointFallsBackToLastGood)
     ASSERT_EQ(finished.trajectory.size(), reference.trajectory.size());
     for (std::size_t i = 0; i < finished.trajectory.size(); ++i)
         EXPECT_EQ(finished.trajectory[i], reference.trajectory[i]);
-    // Completion retires both generations.
+    // Completion leaves both generations to the record's committer,
+    // which retires them once the record is durable.
+    EXPECT_TRUE(std::filesystem::exists(ckpt));
+    EXPECT_TRUE(std::filesystem::exists(ckpt + ".prev"));
+    removeCheckpoint(ckpt);
     EXPECT_FALSE(std::filesystem::exists(ckpt));
     EXPECT_FALSE(std::filesystem::exists(ckpt + ".prev"));
 }

@@ -434,8 +434,13 @@ TEST(ScenarioRunner, KillAndResumeReachesIdenticalEnergies)
     EXPECT_EQ(checkpoints_written() - written_before, 2u);
 
     expectJobsBitIdentical(reference, resumed);
-    // A finished job retires its checkpoint.
+    // The runner keeps a finished job's checkpoint until its caller has
+    // made the record durable; removeCheckpoint then retires both
+    // generations.
+    EXPECT_TRUE(std::filesystem::exists(resume.checkpointPath));
+    removeCheckpoint(resume.checkpointPath);
     EXPECT_FALSE(std::filesystem::exists(resume.checkpointPath));
+    EXPECT_FALSE(std::filesystem::exists(resume.checkpointPath + ".prev"));
 }
 
 TEST(ScenarioRunner, BindingBudgetStopsAtTheSameIterationOnResume)
@@ -536,6 +541,13 @@ TEST(JobScheduler, StoreResumeSkipsCompletedJobsAndMatchesFreshRun)
             PoolSizeGuard one_lane(1);
             JobScheduler(killed_config).run(specs);
         });
+    // "a" retired its checkpoint after its record's append; "b" keeps
+    // the one it resumes from.
+    JobScheduler killed(killed_config);
+    EXPECT_FALSE(
+        std::filesystem::exists(killed.checkpointPathFor(specs[0])));
+    EXPECT_TRUE(
+        std::filesystem::exists(killed.checkpointPathFor(specs[1])));
 
     // Relaunch: "a" is skipped, "b" resumes from its checkpoint, "c"
     // starts fresh, and all three match the uninterrupted sweep.
@@ -550,6 +562,8 @@ TEST(JobScheduler, StoreResumeSkipsCompletedJobsAndMatchesFreshRun)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         EXPECT_TRUE(resumed.jobs[i].completed);
         expectJobsBitIdentical(fresh.jobs[i], resumed.jobs[i]);
+        EXPECT_FALSE(
+            std::filesystem::exists(killed.checkpointPathFor(specs[i])));
     }
 
     // Relaunch again: everything is in the store now, nothing runs,

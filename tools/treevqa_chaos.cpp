@@ -340,7 +340,8 @@ struct Run
     std::string dir;  // <root>/sweep: the sweep directory
     std::string spec;
     std::size_t jobs = 0;
-    /** Exit status and output of each drain process. */
+    /** Process id, exit status and output of each drain process. */
+    std::vector<pid_t> pids;
     std::vector<int> status;
     Args logs;
     std::string problems;
@@ -459,16 +460,28 @@ eventRows(const std::string &text)
 
 /**
  * Resume after a kill picks up the newest durable checkpoint: every
- * job the killed process (the one that journaled the sweep's first
- * checkpoint) journaled a checkpoint for is resumed by another process
- * from that iteration or later. A journal can lag the disk (a
- * concurrent lane's checkpoint lands before its event is flushed) but
- * never lead it.
+ * job the killed process (the drain process that exited by SIGKILL;
+ * its journal origin is "<id>-p<pid>") journaled a checkpoint for is
+ * resumed by another process from that iteration or later. A journal
+ * can lag the disk (a concurrent lane's checkpoint lands before its
+ * event is flushed) but never lead it.
  */
 void
 expectResumedFromNewestCheckpoint(Run &run)
 {
-    std::string killed;
+    const auto killed_at =
+        std::find(run.status.begin(), run.status.end(), 128 + SIGKILL);
+    run.expect(killed_at != run.status.end(), "no drain process was killed");
+    if (killed_at == run.status.end())
+        return;
+    const std::string killed_suffix =
+        "-p" + std::to_string(run.pids[killed_at - run.status.begin()]);
+    const auto is_killed = [&](const std::string &origin) {
+        return origin.size() > killed_suffix.size()
+            && origin.compare(origin.size() - killed_suffix.size(),
+                              killed_suffix.size(), killed_suffix)
+            == 0;
+    };
     std::map<std::string, std::int64_t> newest, resumed;
     for (const EventRow &row :
          eventRows(run.viewOk({"--events", "--out", run.dir}))) {
@@ -476,11 +489,9 @@ expectResumedFromNewestCheckpoint(Run &run)
             row.detail.isObject() ? row.detail.find("iteration") : nullptr;
         if (!it)
             continue;
-        if (row.type == "job.checkpointed" && killed.empty())
-            killed = row.origin;
-        if (row.type == "job.checkpointed" && row.origin == killed)
+        if (row.type == "job.checkpointed" && is_killed(row.origin))
             newest[row.job] = std::max(newest[row.job], it->asInt());
-        if (row.type == "job.resumed" && row.origin != killed)
+        if (row.type == "job.resumed" && !is_killed(row.origin))
             resumed[row.job] = std::max(resumed[row.job], it->asInt());
     }
     run.expect(!newest.empty(), "the killed process journaled no checkpoint");
@@ -544,7 +555,8 @@ void checkScale(Run &run);
  * records and checkpoints (the CRC quarantine paths), heartbeat loss,
  * abandoned locks, injected I/O latency, a probabilistic
  * acquire-failure schedule, SIGKILL before the 1st/2nd/3rd/5th
- * checkpoint write, and the self-healing fleet.
+ * checkpoint write and between a claim batch's write and its fsync,
+ * and the self-healing fleet.
  */
 std::vector<Drill>
 drillMatrix(const std::string &outRoot, int chaosJobs)
@@ -588,6 +600,25 @@ drillMatrix(const std::string &outRoot, int chaosJobs)
               R"([{"site": "checkpoint.write", "action": "crash", "hit": 5}])"},
          })
         drills.push_back({name, "chaos", chaos, faults});
+    // Group commit: SIGKILL between the claim batch's shard write and
+    // its fsync (journal appends are best-effort and never reach the
+    // site). No claim was released and no checkpoint retired; the
+    // recovery must still record every job exactly once.
+    drills.push_back(
+        {"crash-before-batch-fsync", "chaos", chaos,
+         R"([{"site": "file.append.fsync", "action": "crash", "hit": 1}])"});
+    drills.back().afterRecovery = [](Run &run) {
+        std::set<std::string> fingerprints;
+        const std::vector<JsonValue> records =
+            storeRecords(sweepStorePath(run.dir));
+        for (const JsonValue &record : records)
+            fingerprints.insert(record.at("fingerprint").asString());
+        run.expect(records.size() == run.jobs
+                       && fingerprints.size() == run.jobs,
+                   std::to_string(records.size()) + " records of "
+                       + std::to_string(fingerprints.size())
+                       + " jobs in the store");
+    };
 
     const auto fleet = [&](const char *name, std::string faults,
                            Args extra, std::function<void(Run &)> check) {
@@ -1213,6 +1244,7 @@ runDrill(const Drill &drill, std::size_t index, std::uint64_t seed,
             run.status.push_back(finish(pids[k]));
             run.logs.push_back(readOrEmpty(launches[k].out));
         }
+        run.pids = pids;
         v.drain = run.status;
         if (armed && drill.drain != Drain::Fleet)
             v.unfired =

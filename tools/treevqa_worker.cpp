@@ -3,10 +3,10 @@
  * treevqa_worker — one distributed-sweep worker process.
  *
  * N of these (on any hosts sharing a filesystem) cooperatively drain
- * one sweep directory: each scans for unrecorded jobs, claims one via
- * an atomic lease file, runs it through the checkpointed scenario
- * runner (heartbeating the lease), and appends the record to its
- * private store shard. A crashed worker's lease expires and a
+ * one sweep directory: each scans for unrecorded jobs, claims a batch
+ * of them via atomic lease files, runs them through the checkpointed
+ * scenario runner (heartbeating the leases), and commits the batch's
+ * records to its private store shard with one append and one fsync. A crashed worker's lease expires and a
  * survivor resumes the job from its last checkpoint. See
  * src/dist/worker_daemon.h for the protocol.
  *
@@ -26,8 +26,9 @@
  *                    polling sweep.json for new work)
  *   --poll-ms N      idle rescan interval (default 200)
  *   --claim-batch N  jobs leased per scan pass (default 8); the batch
- *                    shares one heartbeat thread and releases (or, on
- *                    a crash, abandons) together
+ *                    shares one heartbeat thread, commits its records
+ *                    with one fsync and releases (or, on a crash,
+ *                    abandons) together
  *   --no-merge       skip the shard→store compaction after draining
  *   --merge-only     just run the merge/compaction pass and exit;
  *                    exits 1 when corrupt store lines were found (the
@@ -41,8 +42,9 @@
  *   --job-timeout-ms N
  *                    in-process hung-job watchdog: when the job's
  *                    progress counter stalls this long the heartbeat
- *                    abandons the lease so another worker can reap
- *                    the job (default off; the supervisor adds the
+ *                    releases the batch's queued jobs and abandons
+ *                    the wedged job's lease so another worker can
+ *                    reap it (default off; the supervisor adds the
  *                    external SIGKILL variant)
  *
  * Crash drills arm TREEVQA_FAULT_PLAN (common/fault_injection.h): a
