@@ -871,35 +871,48 @@ benchFleetSupervision()
 void
 benchObservability()
 {
-    // PR 9 observability series, same convention as the fault_points_*
+    // Observability series, same convention as the fault_points_*
     // guards: a disarmed TRACE_SPAN must cost one relaxed atomic load
     // (trace_overhead_off is the bare loop, so the disarmed row's delta
     // over it is the span's whole disarmed price), the armed row prices
-    // the two clock reads + ring write, and metrics_counter_inc guards
-    // the sharded counter's uncontended fast path. ref of the disarmed
-    // and armed rows is the bare loop, so their speedup columns read
-    // "fraction of the loop the instrumentation costs" (~1.0x disarmed
-    // = within noise of no instrumentation at all).
+    // the two clock reads + one journal emit, and metrics_counter_inc
+    // guards the sharded counter's uncontended fast path. ref of the
+    // disarmed and armed rows is the bare loop, so their speedup
+    // columns read "fraction of the loop the instrumentation costs"
+    // (~1.0x disarmed = within noise of no instrumentation at all).
     constexpr int kCalls = 4096;
     volatile std::uint64_t sink = 0;
     const auto bare_loop = [&] {
         for (int i = 0; i < kCalls; ++i)
             sink = sink + 1;
     };
-    const auto span_loop = [&] {
-        for (int i = 0; i < kCalls; ++i) {
+    const auto span_loop = [&](int calls) {
+        for (int i = 0; i < calls; ++i) {
             TRACE_SPAN("bench.span");
             sink = sink + 1;
         }
     };
 
-    TraceRecorder::instance().disarm();
+    TraceSpan::setArmed(false);
     const double off = timeNs(bare_loop) / kCalls;
-    const double disarmed = timeNs(span_loop) / kCalls;
-    TraceRecorder::instance().arm(kCalls);
-    const double armed = timeNs(span_loop) / kCalls;
-    TraceRecorder::instance().disarm();
-    TraceRecorder::instance().clear();
+    const double disarmed = timeNs([&] { span_loop(kCalls); }) / kCalls;
+    // Armed spans go into an open journal (an unopened one returns
+    // early), kSpans per sample as in event_append, so the minimum
+    // sample never includes an auto-flush's disk write.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path()
+        / ("treevqa_bench_span_" + localWorkerId());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    EventLog::instance().open(dir.string(), "bench");
+    constexpr int kSpans = 512;
+    static_assert(kSpans < EventLog::kAutoFlushLines,
+                  "span series must not hit the auto-flush");
+    TraceSpan::setArmed(true);
+    const double armed = timeNs([&] { span_loop(kSpans); }) / kSpans;
+    TraceSpan::setArmed(false);
+    EventLog::instance().close();
+    std::filesystem::remove_all(dir);
     record("trace_overhead_off", 0, off, 0.0);
     record("trace_overhead_disarmed", 0, disarmed, off);
     record("trace_overhead_armed", 0, armed, off);

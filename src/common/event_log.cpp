@@ -277,6 +277,32 @@ EventLog::emit(const std::string &type, const std::string &job,
     std::lock_guard<std::mutex> lock(mutex_);
     if (path_.empty())
         return Hlc{};
+    return appendLocked(type, job,
+                        detail.isObject() && !detail.asObject().empty()
+                            ? detail.dump()
+                            : "{}");
+}
+
+Hlc
+EventLog::emitSpan(const char *name, std::int64_t durUs)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (path_.empty())
+        return Hlc{};
+    // {"name", "durUs"} in insertion order: the bytes
+    // JsonValue::dump() gives for the same object.
+    std::string detail = "{\"name\":";
+    jsonAppendString(detail, name);
+    detail += ",\"durUs\":";
+    appendInt(detail, durUs);
+    detail += '}';
+    return appendLocked(event_type::kTraceSpan, "", detail);
+}
+
+Hlc
+EventLog::appendLocked(const std::string &type, const std::string &job,
+                       const std::string &detailJson)
+{
     Hlc stamp = HlcClock::instance().tick();
     stamp.origin = origin_;
 
@@ -301,9 +327,7 @@ EventLog::emit(const std::string &type, const std::string &job,
     body += ",\"job\":";
     jsonAppendString(body, job);
     body += ",\"detail\":";
-    body += detail.isObject() && !detail.asObject().empty()
-        ? detail.dump()
-        : "{}";
+    body += detailJson;
     buffer_ += body;
     buffer_ += ",\"crc\":\"";
     body += '}';
@@ -323,6 +347,8 @@ EventLog::flush()
     return flushLocked();
 }
 
+// No TraceSpan may be timed in here (or in anything it calls): an
+// armed span's emit would take mutex_, which the caller holds.
 bool
 EventLog::flushLocked()
 {

@@ -141,6 +141,9 @@ inline constexpr const char *kFleetSlotRetired = "fleet.slot_retired";
 // Store maintenance.
 inline constexpr const char *kStoreCompaction = "store.compaction";
 inline constexpr const char *kStoreQuarantine = "store.quarantine";
+// Observability: one armed TraceSpan (common/trace.h), detail
+// {"name", "durUs"}, no job.
+inline constexpr const char *kTraceSpan = "trace.span";
 } // namespace event_type
 
 /** One journal entry. `worker` is the emitting process's plain id
@@ -206,6 +209,10 @@ class EventLog
     Hlc emit(const std::string &type, const std::string &job = "",
              JsonValue detail = JsonValue::object());
 
+    /** emit(kTraceSpan, "", {"name": name, "durUs": durUs}), with the
+     * detail serialized directly instead of through a JsonValue. */
+    Hlc emitSpan(const char *name, std::int64_t durUs);
+
     /** Append the buffered batch (no fsync). True when nothing was
      * buffered or the append succeeded; false (batch dropped) on an
      * injected or real append failure. */
@@ -216,6 +223,10 @@ class EventLog
     static constexpr std::size_t kAutoFlushLines = 1024;
 
   private:
+    /** Stamp, serialize and buffer one line whose detail is already
+     * a compact JSON object. Caller holds mutex_ on an open log. */
+    Hlc appendLocked(const std::string &type, const std::string &job,
+                     const std::string &detailJson);
     bool flushLocked();
 
     mutable std::mutex mutex_;

@@ -91,8 +91,9 @@ FaultInjection::armedFlag()
 FaultInjection &
 FaultInjection::instance()
 {
-    // Leaked singleton: the trace recorder's atexit flush evaluates
-    // fault sites and may run after static destructors.
+    // Leaked singleton: a site evaluated during exit (a pool thread
+    // or another static's destructor still writing) must never find
+    // the registry already destroyed.
     static FaultInjection *registry = new FaultInjection();
     return *registry;
 }

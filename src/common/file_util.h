@@ -54,7 +54,7 @@ enum class Durability
      * stores, sweep.json and summary.json. */
     Durable,
     /** Not fsync'd: survives SIGKILL, a power loss may lose the last
-     * write. Telemetry (metrics dumps, traces, journals) and lease
+     * write. Telemetry (metrics dumps, journals) and lease
      * renewals. */
     BestEffort
 };

@@ -356,8 +356,9 @@ Supervisor::watchdogScan(std::int64_t nowMs)
     std::set<std::string> live_claims;
     // Torn claims are not listed: they are the reap protocol's
     // problem.
-    for (const ClaimFile &claim :
-         listClaims(sweepClaimDir(options_.sweepDir))) {
+    const std::vector<ClaimFile> claims =
+        listClaims(sweepClaimDir(options_.sweepDir));
+    for (const ClaimFile &claim : claims) {
         const ClaimInfo &info = claim.info;
         HlcClock::instance().observe(info.hlc);
         Slot *owner = nullptr;
@@ -390,11 +391,19 @@ Supervisor::watchdogScan(std::int64_t nowMs)
         // renewing it) but the progress stamp froze past the timeout.
         // Kill the owner — a wedged child cannot save itself — record
         // the failed attempt against the fleet-wide budget, and free
-        // the claim for the next claimant.
+        // the claim for the next claimant. Every claim of the owner's
+        // batch froze together, so the charge goes to the one its
+        // heartbeat marked running, or to none: a queued or finished
+        // job never hung.
+        std::string hung;
+        for (const ClaimFile &held : claims)
+            if (held.info.owner == owner->id && held.info.running)
+                hung = held.info.fingerprint;
         std::fprintf(stderr,
                      "treevqa: supervisor: %s hung on job %s (no "
                      "progress for %lld ms); killing pid %d\n",
-                     owner->id.c_str(), info.fingerprint.c_str(),
+                     owner->id.c_str(),
+                     hung.empty() ? "(none running)" : hung.c_str(),
                      static_cast<long long>(nowMs
                                             - watch->second.sinceMs),
                      static_cast<int>(owner->pid));
@@ -410,7 +419,7 @@ Supervisor::watchdogScan(std::int64_t nowMs)
             detail.set("stalledMs",
                        JsonValue(nowMs - watch->second.sinceMs));
             owner->lastHlc = EventLog::instance().emit(
-                event_type::kFleetWatchdogKill, info.fingerprint,
+                event_type::kFleetWatchdogKill, hung,
                 std::move(detail));
         }
         // A watchdog kill is the job's fault, not the slot's: restart
@@ -424,17 +433,20 @@ Supervisor::watchdogScan(std::int64_t nowMs)
             removeClaimsOwnedBy(options_.sweepDir, owner->id),
             owner->id);
 
-        const ScenarioSpec *spec =
-            index_ ? index_->byFingerprint(info.fingerprint) : nullptr;
-        // Rare (one per kill), so read every store from offset 0.
-        tail_.invalidate();
-        tail_.refresh();
+        const ScenarioSpec *spec = index_ && !hung.empty()
+            ? index_->byFingerprint(hung)
+            : nullptr;
+        if (spec) {
+            // Rare (one per kill), so read every store from offset 0.
+            tail_.invalidate();
+            tail_.refresh();
+        }
         if (spec
-            && !tail_.resolution(info.fingerprint)
-                    .resolved(options_.maxJobAttempts)) {
+            && !tail_.resolution(hung).resolved(
+                options_.maxJobAttempts)) {
             JobResult timeout;
             timeout.spec = *spec;
-            timeout.fingerprint = info.fingerprint;
+            timeout.fingerprint = hung;
             timeout.failed = true;
             timeout.timedOut = true;
             timeout.attempts = 1;
@@ -451,7 +463,7 @@ Supervisor::watchdogScan(std::int64_t nowMs)
                 std::fprintf(stderr,
                              "treevqa: supervisor: cannot record "
                              "timeout for %s: %s\n",
-                             info.fingerprint.c_str(), e.what());
+                             hung.c_str(), e.what());
             }
         }
         watches_.erase(watch);
@@ -592,7 +604,6 @@ Supervisor::beat(const std::string &state)
                    report_.retiredSlots.size())));
     writeMetricsSnapshot(options_.sweepDir, "supervisor",
                          sweepIncarnationToken("supervisor"), status);
-    TraceRecorder::instance().maybePeriodicFlush(2000);
     EventLog::instance().flush();
 }
 

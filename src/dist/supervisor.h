@@ -30,8 +30,10 @@
  *    deadline keeps being renewed, the live-heartbeat/dead-work
  *    signature — gets its owner SIGKILLed; the supervisor appends a
  *    failed=true, timedOut=true, attempts=1 record to its own shard
- *    (counting against the fleet-wide poison budget) and removes the
- *    dead child's claim so the job is immediately retryable.
+ *    (counting against the fleet-wide poison budget) for the owner's
+ *    claim its heartbeat marked `running` (none when no claim is:
+ *    the batch's queued and finished jobs never hung) and removes the
+ *    dead child's claims so the jobs are immediately retryable.
  *  - **Shutdown cascade.** requestStop (the CLI's SIGTERM/SIGINT
  *    handler) forwards SIGTERM to every child, waits gracePeriodMs
  *    for them to seal their in-flight checkpoints and exit, then

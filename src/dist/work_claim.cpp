@@ -39,6 +39,8 @@ claimToJson(const ClaimInfo &info)
     out.set("leaseMs", JsonValue(info.leaseMs));
     out.set("renewals", JsonValue(info.renewals));
     out.set("progress", JsonValue(info.progress));
+    if (info.running)
+        out.set("running", JsonValue(true));
     out.set("hlc", hlcToJson(info.hlc));
     return out;
 }
@@ -54,6 +56,8 @@ claimFromJson(const JsonValue &json)
     info.leaseMs = json.at("leaseMs").asInt();
     info.renewals = json.at("renewals").asInt();
     info.progress = json.at("progress").asInt();
+    const JsonValue *running = json.find("running");
+    info.running = running && running->asBool();
     info.hlc = hlcFromJson(json.at("hlc"));
     return info;
 }
@@ -217,7 +221,7 @@ WorkClaim::peek(const std::string &claimDir,
 }
 
 bool
-WorkClaim::renew(std::int64_t progress)
+WorkClaim::renew(std::int64_t progress, bool running)
 {
     if (path_.empty())
         return false;
@@ -228,6 +232,7 @@ WorkClaim::renew(std::int64_t progress)
     info_.deadlineMs = unixTimeMs() + info_.leaseMs;
     if (progress >= 0)
         info_.progress = progress;
+    info_.running = running;
     info_.hlc = HlcClock::instance().tick();
     // Best effort, like the exclusive create: a renewal lost to a
     // power cut is a lease that expires, which reaping already covers.

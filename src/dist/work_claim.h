@@ -90,6 +90,14 @@ struct ClaimInfo
      */
     std::int64_t progress = -1;
     /**
+     * The owner's loop is running this job, stamped by the heartbeat
+     * (the other claims of a batch are queued or finished). Every
+     * claim of a wedged batch freezes together, so this is how the
+     * supervisor's watchdog tells which job hung. Written only when
+     * true; a missing field reads as false.
+     */
+    bool running = false;
+    /**
      * The writer's hybrid-logical-clock stamp at the write (acquire
      * or latest renewal). Readers observe() it into their own clock,
      * so events a reaper emits after reading a dead owner's claim are
@@ -176,10 +184,11 @@ class WorkClaim
 
     /** Extend the lease by another leaseMs from now (heartbeat),
      * optionally stamping the owner's current progress counter into
-     * the claim (`progress` < 0 keeps the previous stamp). Returns
-     * false — and invalidates this claim — when the lock was lost
-     * (file gone or re-owned after a takeover). */
-    bool renew(std::int64_t progress = -1);
+     * the claim (`progress` < 0 keeps the previous stamp) and whether
+     * the owner's loop is running this job. Returns false — and
+     * invalidates this claim — when the lock was lost (file gone or
+     * re-owned after a takeover). */
+    bool renew(std::int64_t progress = -1, bool running = false);
 
     /** Read-only ownership check: true while the lock file still
      * names this owner and fingerprint. Unlike renew() it writes

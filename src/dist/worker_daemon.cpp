@@ -129,6 +129,20 @@ idleAfterJob(WorkerHealth &h)
     h.jobAttempt = 0;
 }
 
+/** The heartbeat's renewal cadence: a third of the lease and, when
+ * set, of the job timeout (watchdogs judge the progress stamps only
+ * renewals write; a lease/3 cadence alone leaves a healthy batch's
+ * stamps frozen for longer than a short timeout, with no claim yet
+ * marked running), kept within [5 ms, 5 s]. */
+std::int64_t
+heartbeatMs(const WorkerOptions &options)
+{
+    std::int64_t ms = options.leaseMs / 3;
+    if (options.jobTimeoutMs > 0)
+        ms = std::min(ms, options.jobTimeoutMs / 3);
+    return std::clamp<std::int64_t>(ms, 5, 5000);
+}
+
 } // namespace
 
 std::int64_t
@@ -173,9 +187,9 @@ WorkerDaemon::WorkerDaemon(WorkerOptions options)
     // Declared beat cadence (--health staleness detection): the
     // slower of the idle poll and the heartbeat interval, since both
     // paths beat.
-    health_.flushIntervalMs = std::max(
-        jitteredPollMs(options_.pollMs, options_.workerId),
-        std::clamp<std::int64_t>(options_.leaseMs / 3, 5, 5000));
+    health_.flushIntervalMs =
+        std::max(jitteredPollMs(options_.pollMs, options_.workerId),
+                 heartbeatMs(options_));
 }
 
 void
@@ -214,11 +228,8 @@ WorkerDaemon::beat(const std::function<void(WorkerHealth &)> &fn)
                              sweepIncarnationToken(options_.workerId),
                              beatStatus(health_));
     }
-    // Keep the flight recorder's on-disk dump recent enough that a
-    // SIGKILL mid-batch still leaves a useful tail behind.
-    TraceRecorder::instance().maybePeriodicFlush(2000);
-    // Same contract for the event journal: ride the beat so an
-    // unflushed process loses at most one beat's events.
+    // The event journal rides the beat, so an unflushed process
+    // loses at most one beat's events (armed trace spans included).
     EventLog::instance().flush();
 }
 
@@ -277,11 +288,17 @@ WorkerDaemon::runLoop(const std::function<JobSet()> &source)
 {
     loopThread_ = std::this_thread::get_id();
     runStart_ = std::chrono::steady_clock::now();
-    TRACE_SPAN("worker.wall");
-    StoreTailReader tail(options_.sweepDir);
-    WorkerReport report = scanLoop(source, tail);
-    report.storeBytesRead = tail.counters().bytesRead;
-    report.fullRescans = tail.counters().fullRescans;
+    WorkerReport report;
+    {
+        TRACE_SPAN("worker.wall");
+        StoreTailReader tail(options_.sweepDir);
+        report = scanLoop(source, tail);
+        report.storeBytesRead = tail.counters().bytesRead;
+        report.fullRescans = tail.counters().fullRescans;
+    }
+    // Spans that close after the loop's last beat (this one and that
+    // beat's own) reach the journal here.
+    EventLog::instance().flush();
     return report;
 }
 
@@ -519,22 +536,23 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
     // advances whenever the running job's progress moves — so queued
     // claims of a live worker keep advancing for the supervisor's
     // external watchdog, and only a genuine wedge freezes the whole
-    // batch. It is also the in-process hung-job watchdog: when the
-    // progress stamp freezes past jobTimeoutMs it releases the queued
-    // jobs' leases at once, so idle peers can claim them, and stops
-    // renewing — deliberately letting the wedged job's lease expire so
-    // a reaper can take it — because a wedged runScenario cannot be
-    // interrupted from inside. A jthread, so an exception escaping the
-    // job loop below (a record append that fails) stops and joins it
-    // on unwind — destroying a joinable std::thread would terminate
-    // the worker — and the held leases expire for reapers, as after a
-    // crash.
+    // batch — and mark the running job's claim, so that watchdog
+    // charges the job that hung. It is also the in-process hung-job
+    // watchdog: when the progress stamp freezes past jobTimeoutMs it
+    // releases the queued jobs' leases at once, so idle peers can
+    // claim them, and stops renewing — deliberately letting the
+    // wedged job's lease expire so a reaper can take it — because a
+    // wedged runScenario cannot be interrupted from inside. A
+    // jthread, so an exception escaping the job loop below (a record
+    // append that fails) stops and joins it on unwind — destroying a
+    // joinable std::thread would terminate the worker — and the held
+    // leases expire for reapers, as after a crash.
     std::mutex hb_mutex;
     std::condition_variable_any hb_cv;
     std::atomic<bool> hb_timed_out{false};
     std::int64_t batch_tick = 0;
-    const auto hb_interval = std::chrono::milliseconds(
-        std::clamp<std::int64_t>(options_.leaseMs / 3, 5, 5000));
+    const auto hb_interval =
+        std::chrono::milliseconds(heartbeatMs(options_));
     std::jthread heartbeat([&](std::stop_token stop) {
         std::int64_t last_progress = progress_counter.load();
         auto last_advance = std::chrono::steady_clock::now();
@@ -575,7 +593,8 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                     const std::string &fp =
                         fingerprints[slot.index];
                     try {
-                        if (slot.claim.renew(batch_tick)) {
+                        if (slot.claim.renew(batch_tick,
+                                             slot.running)) {
                             workerMetrics().heartbeatRenewals.inc();
                             JsonValue detail = JsonValue::object();
                             detail.set("tick",
@@ -757,6 +776,7 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                 continue;
             }
             slot.started = true;
+            slot.running = true;
         }
         const ScenarioSpec &spec = specs[slot.index];
         const std::string &fingerprint = fingerprints[slot.index];
@@ -852,6 +872,10 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                     cappedBackoffMs(options_.retryBackoffMs, attempt)));
         }
         job_span.end();
+        {
+            std::lock_guard<std::mutex> lock(batch_mutex);
+            slot.running = false;
+        }
 
         if (hb_timed_out.load())
             break; // common timeout unwind below

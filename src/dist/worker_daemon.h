@@ -75,19 +75,21 @@
  * monotonic progress tick (advanced whenever the running job's
  * optimizer iteration moves) into every lease renewal, so queued
  * claims of a live worker keep advancing and only a genuine wedge
- * freezes them. With jobTimeoutMs set, leases whose renewals keep
+ * freezes them; it also marks the claim of the job the loop is
+ * running, and with jobTimeoutMs set it renews at least three times
+ * per timeout. With jobTimeoutMs set, leases whose renewals keep
  * landing while progress stays frozen past the timeout are a *hung*
  * batch: the heartbeat releases the leases of the jobs the loop never
  * started at once (idle peers claim them right away), stops renewing
  * the rest (the wedged job's lease expires for a reaper), and the
  * attempt is reported as timed out. The fleet supervisor
- * (dist/supervisor.h) watches the same progress stamps from outside
- * and SIGKILLs the wedged process.
+ * (dist/supervisor.h) watches the same progress stamps from outside,
+ * SIGKILLs the wedged process and charges the claim marked running.
  *
  * Each worker also *beats*: it writes its metrics dump with its
  * health status embedded (`<dir>/metrics/<id>-p<pid>.json`,
- * dist/health.h), its trace tail and its journal at every commit and
- * timeout, on the heartbeat cadence, on idle polls, at drain and at
+ * dist/health.h) and flushes its journal (armed trace spans ride it
+ * as `trace.span` events) at every commit and timeout, on the heartbeat cadence, on idle polls, at drain and at
  * stop — pure observability, never read by the protocol, and written
  * best-effort (no fsync). The `running` and per-attempt transitions
  * only update the in-memory status, which the next beat publishes. So
@@ -301,6 +303,9 @@ class WorkerDaemon
         /** The loop began running this job; the watchdog releases
          * only slots that never started. */
         bool started = false;
+        /** The loop is running this job now; the heartbeat stamps it
+         * into the claim for the supervisor's watchdog. */
+        bool running = false;
         /** Claim released or abandoned; heartbeat must not touch it
          * anymore. */
         bool done = false;
@@ -343,8 +348,8 @@ class WorkerDaemon
     void updateHealth(const std::function<void(WorkerHealth &)> &fn);
     /** Writing beat: apply `fn` (if any) to the health status, then
      * write the metrics dump with the status embedded (stamping the
-     * `worker.wall_ns` root gauge first), a throttled trace flush and
-     * the journal — all best-effort. Timed as `worker.beat` on the
+     * `worker.wall_ns` root gauge first), then flush the journal —
+     * both best-effort. Timed as `worker.beat` on the
      * loop thread. */
     void beat(const std::function<void(WorkerHealth &)> &fn = nullptr);
     /** Idle poll: beat as idle, then sleep one jittered poll interval

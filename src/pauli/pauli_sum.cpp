@@ -139,30 +139,6 @@ PauliSum::applyTo(const CVector &x, CVector &y) const
     }
 }
 
-double
-PauliSum::expectation(const CVector &x) const
-{
-    const std::size_t dim = std::size_t{1} << numQubits_;
-    assert(x.size() == dim);
-
-    static const Complex kPhases[4] = {
-        Complex(1, 0), Complex(0, 1), Complex(-1, 0), Complex(0, -1)};
-
-    Complex total(0.0, 0.0);
-    for (const auto &term : terms_) {
-        const std::uint64_t xm = term.string.xMask();
-        const std::uint64_t zm = term.string.zMask();
-        const Complex base = kPhases[term.string.yCount() % 4];
-        Complex acc(0.0, 0.0);
-        for (std::size_t b = 0; b < dim; ++b) {
-            const int sign = std::popcount(b & zm) & 1 ? -1 : 1;
-            acc += std::conj(x[b ^ xm]) * static_cast<double>(sign) * x[b];
-        }
-        total += term.coefficient * base * acc;
-    }
-    return std::real(total);
-}
-
 void
 PauliSum::scaleCoefficients(double factor)
 {

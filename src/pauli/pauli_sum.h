@@ -76,9 +76,6 @@ class PauliSum
     /** y = H x on a dense 2^n statevector. y is resized as needed. */
     void applyTo(const CVector &x, CVector &y) const;
 
-    /** <x|H|x> for a normalized dense vector. */
-    double expectation(const CVector &x) const;
-
     /** Scale all coefficients in place. */
     void scaleCoefficients(double factor);
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "pauli/pauli_string.h"
+#include "pauli/pauli_sum.h"
 #include "sim/statevector.h"
 
 namespace treevqa {
@@ -46,6 +47,9 @@ void refApplyGate2(Statevector &state, int q0, int q1,
 
 /** <psi|P|psi> by the direct full-scan formula (no pairing trick). */
 double refExpectation(const Statevector &state, const PauliString &string);
+
+/** <x|H|x> for a normalized dense vector: one full scan per term. */
+double refSumExpectation(const PauliSum &sum, const CVector &x);
 
 /** Pre-optimization gate kernels: full 2^n scan, branch per element. */
 void refApplyGate1(Statevector &state, int q, const Gate1q &gate);

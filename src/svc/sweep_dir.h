@@ -18,14 +18,6 @@
  *                                     compaction)
  *   <dir>/logs/<worker>.log           child stdout/stderr when spawned
  *                                     by the supervisor
- *   <dir>/traces/<token>.trace.json   Chrome trace_event dump of one
- *                                     process incarnation's flight
- *                                     recorder (common/trace.h),
- *                                     written on exit, fatal signals
- *                                     and throttled beats; a
- *                                     restarted slot adds a file
- *                                     instead of overwriting the
- *                                     killed incarnation's dump
  *   <dir>/metrics/<token>.json        per-process metrics-registry
  *                                     dump (common/metrics.h) with
  *                                     the process's health status
@@ -38,7 +30,10 @@
  *                                     journal (common/event_log.h),
  *                                     HLC-stamped; merged by
  *                                     `treevqa_run --timeline` and
- *                                     `--events`
+ *                                     `--events`; under TREEVQA_TRACE
+ *                                     it also carries the process's
+ *                                     `trace.span` events
+ *                                     (common/trace.h)
  *
  * `<token>` is sweepIncarnationToken(id): "<id>-p<pid>".
  */
@@ -54,7 +49,7 @@
 namespace treevqa {
 
 /** "<id>-p<pid>": the file token of this process incarnation, so a
- * restarted slot (same id, new pid) adds trace, metrics and journal
+ * restarted slot (same id, new pid) adds metrics and journal
  * files instead of overwriting its predecessor's. `id` must already
  * be a filesystem-safe token (worker ids and "supervisor" are). */
 inline std::string
@@ -127,22 +122,6 @@ sweepLogPath(const std::string &dir, const std::string &workerId)
 {
     return (std::filesystem::path(dir) / "logs"
             / (workerId + ".log"))
-        .string();
-}
-
-inline std::string
-sweepTraceDir(const std::string &dir)
-{
-    return (std::filesystem::path(dir) / "traces").string();
-}
-
-/** One per-incarnation flight-recorder export (`fileToken` from
- * sweepIncarnationToken). */
-inline std::string
-sweepTracePath(const std::string &dir, const std::string &fileToken)
-{
-    return (std::filesystem::path(dir) / "traces"
-            / (fileToken + ".trace.json"))
         .string();
 }
 

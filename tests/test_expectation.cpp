@@ -85,7 +85,7 @@ TEST(Expectation, MatchesPauliSumExpectation)
     for (std::size_t k = 0; k < h.numTerms(); ++k)
         EXPECT_NEAR(terms[k], refExpectation(s, strings[k]), 1e-12)
             << strings[k].toLabel();
-    EXPECT_NEAR(expectation(s, h), h.expectation(s.amplitudes()), 1e-10);
+    EXPECT_NEAR(expectation(s, h), refSumExpectation(h, s.amplitudes()), 1e-10);
 }
 
 TEST(Expectation, RecombineIsDotProduct)

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -19,7 +17,6 @@
 
 #include "common/fault_injection.h"
 #include "common/file_util.h"
-#include "common/trace.h"
 #include "dist/store_merge.h"
 #include "dist/worker_daemon.h"
 #include "svc/result_store.h"
@@ -189,31 +186,6 @@ TEST_F(FaultInjectionTest, CheckpointWrittenSiteMarksEachIntervalCheckpoint)
     ASSERT_EQ(counters.count("checkpoint.written"), 1u);
     EXPECT_EQ(counters.at("checkpoint.written").evaluations, 2u);
     EXPECT_EQ(counters.at("checkpoint.written").fires, 0u);
-}
-
-TEST(FaultInjectionExit, ArmedRegistryOutlivesTheTraceExitFlush)
-{
-    // The trace recorder's atexit flush writes through fault sites. A
-    // registry built after that hook was installed would be destroyed
-    // before the hook runs, so the registry is never destroyed. The
-    // threadsafe style re-executes this test alone, so the registry
-    // really is built after the hook in the child.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const auto dir = scratchDir("exit_flush");
-    const std::string path = (dir / "exit.trace.json").string();
-    EXPECT_EXIT(
-        {
-            ::alarm(10); // a deadlocked exit dies of SIGALRM
-            TraceRecorder &trace = TraceRecorder::instance();
-            trace.arm();
-            trace.installExitHandlers();
-            trace.setExportPath(path);
-            FaultInjection::instance().arm(R"({"faults": []})");
-            trace.flush(); // as a worker's beat does: sites get counted
-            std::exit(0);
-        },
-        ::testing::ExitedWithCode(0), "");
-    EXPECT_TRUE(std::filesystem::exists(path));
 }
 
 TEST_F(FaultInjectionTest, ProbabilityScheduleIsSeedDeterministic)

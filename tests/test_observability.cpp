@@ -1,30 +1,26 @@
 /**
  * @file
  * Tests for the observability layer: the metrics registry (sharded
- * counters, mergeable log2 histograms, deterministic dumps) and the
- * flight-recorder tracer (ring-buffer wraparound, Chrome-trace
- * export on clean and crashing exits, fault-site coverage of the
- * flush path).
+ * counters, mergeable log2 histograms, deterministic dumps) and trace
+ * spans (histograms always fed, armed spans journaled as `trace.span`
+ * events, dropped while no journal is open).
  */
 
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
+#include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "svc/sweep_dir.h"
 
 namespace treevqa {
 namespace {
@@ -39,8 +35,9 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-/** Registry, recorder and fault injection are process-wide: every
- * test restores all three on the way out, pass or fail. */
+/** Registry, trace arming, journal and fault injection are
+ * process-wide: every test restores all four on the way out, pass or
+ * fail. */
 class ObservabilityTest : public ::testing::Test
 {
   protected:
@@ -48,12 +45,28 @@ class ObservabilityTest : public ::testing::Test
     TearDown() override
     {
         FaultInjection::instance().disarm();
-        TraceRecorder::instance().disarm();
-        TraceRecorder::instance().clear();
-        TraceRecorder::instance().setExportPath("");
+        TraceSpan::setArmed(false);
+        EventLog::instance().close();
         MetricsRegistry::instance().reset();
     }
 };
+
+/** Every journal line under `dir` (none when nothing was
+ * flushed). */
+std::vector<std::string>
+journalLines(const std::filesystem::path &dir)
+{
+    std::vector<std::string> out;
+    for (const std::string &path :
+         listSortedFiles((dir / "events").string(), ".jsonl")) {
+        std::string text;
+        EXPECT_TRUE(readTextFile(path, text));
+        std::istringstream lines(text);
+        for (std::string line; std::getline(lines, line);)
+            out.push_back(line);
+    }
+    return out;
+}
 
 // ------------------------------------------------------------ counters
 
@@ -238,125 +251,61 @@ TEST_F(ObservabilityTest, WriteAndReadDumpsThroughSweepDir)
 
 // -------------------------------------------------------------- traces
 
-TEST_F(ObservabilityTest, RingBufferKeepsNewestEventsInOrder)
+TEST_F(ObservabilityTest, ArmedSpanJournalsOneTraceSpanEvent)
 {
-    auto &recorder = TraceRecorder::instance();
-    recorder.arm(/*capacity=*/8);
-
-    // Stable names: the recorder stores the pointer until flush.
-    static const char *names[20] = {
-        "s00", "s01", "s02", "s03", "s04", "s05", "s06",
-        "s07", "s08", "s09", "s10", "s11", "s12", "s13",
-        "s14", "s15", "s16", "s17", "s18", "s19",
-    };
-    const std::int64_t base = TraceRecorder::nowSteadyNs();
-    for (int i = 0; i < 20; ++i)
-        recorder.record(names[i], base + i * 10000, 5000);
-    EXPECT_EQ(recorder.bufferedEvents(), 8u);
-
-    const auto path = scratchDir("ring") / "ring.trace.json";
-    ASSERT_TRUE(recorder.flushTo(path.string()));
-
-    std::string text;
-    ASSERT_TRUE(readTextFile(path.string(), text));
-    const JsonValue doc = JsonValue::parse(text);
-    const JsonValue &events = doc.at("traceEvents");
-    ASSERT_EQ(events.asArray().size(), 8u);
-    std::int64_t last_ts = -1;
-    for (int i = 0; i < 8; ++i) {
-        const JsonValue &event = events.asArray()[i];
-        // Oldest-first within the surviving window: exactly the last
-        // 8 of the 20 recorded spans, wraparound resolved.
-        EXPECT_EQ(event.at("name").asString(),
-                  names[12 + i]);
-        EXPECT_EQ(event.at("ph").asString(), "X");
-        EXPECT_GT(event.at("ts").asInt(), last_ts);
-        last_ts = event.at("ts").asInt();
+    const auto dir = scratchDir("armed");
+    EventLog::instance().open(dir.string(), "obs");
+    TraceSpan::setArmed(true);
+    Histogram hist;
+    {
+        TRACE_SPAN_TIMED("obs.armed", hist);
     }
+    TraceSpan::setArmed(false);
+    EXPECT_EQ(hist.snapshot().count, 1u);
+    ASSERT_TRUE(EventLog::instance().flush());
+
+    const std::vector<std::string> lines = journalLines(dir);
+    ASSERT_EQ(lines.size(), 1u);
+    SweepEvent event;
+    std::string reason;
+    ASSERT_TRUE(decodeEventLine(lines[0], event, &reason)) << reason;
+    EXPECT_EQ(event.type, event_type::kTraceSpan);
+    EXPECT_EQ(event.worker, "obs");
+    EXPECT_EQ(event.job, "");
+    EXPECT_EQ(event.detail.at("name").asString(), "obs.armed");
+    EXPECT_GE(event.detail.at("durUs").asInt(), 0);
+}
+
+TEST_F(ObservabilityTest, SpanWithNoJournalOpenWritesNothing)
+{
+    TraceSpan::setArmed(true);
+    EXPECT_NO_THROW({ TRACE_SPAN("obs.unjournaled"); });
+    EXPECT_EQ(EventLog::instance().buffered(), 0u);
+
+    // Opening a journal afterwards does not resurrect the span.
+    const auto dir = scratchDir("nolog");
+    EventLog::instance().open(dir.string(), "obs");
+    ASSERT_TRUE(EventLog::instance().flush());
+    EXPECT_TRUE(journalLines(dir).empty());
 }
 
 TEST_F(ObservabilityTest, DisarmedSpanStillFeedsItsHistogram)
 {
-    auto &recorder = TraceRecorder::instance();
-    recorder.disarm();
+    const auto dir = scratchDir("disarmed");
+    EventLog::instance().open(dir.string(), "obs");
+    TraceSpan::setArmed(false);
     Histogram hist;
     {
         TRACE_SPAN_TIMED("obs.timed", hist);
     }
     EXPECT_EQ(hist.snapshot().count, 1u);
-    EXPECT_EQ(recorder.bufferedEvents(), 0u);
+    EXPECT_EQ(EventLog::instance().buffered(), 0u);
 
-    // Plain spans are free while disarmed: nothing is buffered.
+    // Plain spans are free while disarmed: nothing is journaled.
     {
         TRACE_SPAN("obs.plain");
     }
-    EXPECT_EQ(recorder.bufferedEvents(), 0u);
-}
-
-TEST_F(ObservabilityTest, FlushFaultSiteFailsClosed)
-{
-    auto &recorder = TraceRecorder::instance();
-    recorder.arm(16);
-    recorder.record("obs.fault", TraceRecorder::nowSteadyNs(), 100);
-
-    FaultInjection::instance().arm(
-        R"({"faults": [{"site": "trace.flush",
-        "action": "fail-errno", "errno": "EIO", "hit": 1}]})");
-    const auto path = scratchDir("flt") / "flt.trace.json";
-    EXPECT_FALSE(recorder.flushTo(path.string()));
-    EXPECT_FALSE(std::filesystem::exists(path));
-    // The buffer is untouched: the next (unfaulted) flush succeeds.
-    EXPECT_TRUE(recorder.flushTo(path.string()));
-    EXPECT_TRUE(std::filesystem::exists(path));
-}
-
-TEST_F(ObservabilityTest, EmptyExportPathIsANoOp)
-{
-    auto &recorder = TraceRecorder::instance();
-    recorder.arm(16);
-    recorder.setExportPath("");
-    recorder.record("obs.nopath", TraceRecorder::nowSteadyNs(), 100);
-    EXPECT_TRUE(recorder.flush());
-}
-
-TEST_F(ObservabilityTest, FatalSignalExportsTraceFromCrashedChild)
-{
-    const auto dir = scratchDir("crash");
-    const std::string path =
-        sweepTracePath(dir.string(), "crashed");
-
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        // Child: arm, record some work, install the crash hooks,
-        // then die the way a wild pointer would. The handler must
-        // flush the flight recorder before the default disposition
-        // takes the process down.
-        auto &recorder = TraceRecorder::instance();
-        recorder.arm(64);
-        recorder.setExportPath(path);
-        recorder.installExitHandlers();
-        {
-            TRACE_SPAN("child.work");
-        }
-        std::raise(SIGABRT);
-        ::_exit(97); // not reached
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    EXPECT_EQ(WTERMSIG(status), SIGABRT);
-
-    std::string text;
-    ASSERT_TRUE(readTextFile(path, text));
-    const JsonValue doc = JsonValue::parse(text);
-    const JsonValue &events = doc.at("traceEvents");
-    ASSERT_GE(events.asArray().size(), 1u);
-    bool found = false;
-    for (const JsonValue &event : events.asArray())
-        if (event.at("name").asString() == "child.work")
-            found = true;
-    EXPECT_TRUE(found);
+    EXPECT_EQ(EventLog::instance().buffered(), 0u);
 }
 
 } // namespace

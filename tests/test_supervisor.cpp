@@ -267,14 +267,15 @@ TEST(Supervisor, WatchdogKillsHungClaimAndRecordsTimeout)
     const ScenarioSpec spec = seedSweep(dir.string(), "hung_job");
     const std::string fp = scenarioFingerprint(spec);
 
-    // Simulate a wedged worker: its claim exists under the slot's id
-    // with a frozen progress stamp (never renewed with progress), while
-    // the child process itself — a sleeper stub — stays alive. The
+    // Simulate a wedged worker: its claim exists under the slot's id,
+    // marked running, with a frozen progress stamp, while the child
+    // process itself — a sleeper stub — stays alive. The
     // live-lease/dead-work signature the watchdog exists to catch.
     std::filesystem::create_directories(sweepClaimDir(dir.string()));
     auto claim = WorkClaim::tryAcquire(sweepClaimDir(dir.string()), fp,
                                        "sup-w0", 600000);
     ASSERT_TRUE(claim.has_value());
+    ASSERT_TRUE(claim->renew(0, /*running=*/true));
 
     SupervisorOptions options = stubOptions(
         dir.string(), {"/bin/sh", "-c", "while :; do sleep 0.01; done"});
@@ -302,6 +303,60 @@ TEST(Supervisor, WatchdogKillsHungClaimAndRecordsTimeout)
     EXPECT_EQ(records[0].attempts, 1);
     EXPECT_NE(records[0].errorMessage.find("watchdog"),
               std::string::npos);
+}
+
+TEST(Supervisor, WatchdogChargesTheRunningClaimNotTheQueuedOne)
+{
+    const auto dir = scratchDir("watchdog_running");
+    const ScenarioSpec a = tinySpec("job_a", 1.0);
+    const ScenarioSpec b = tinySpec("job_b", 1.5);
+    JsonValue sweep = JsonValue::array();
+    sweep.push_back(scenarioToJson(a));
+    sweep.push_back(scenarioToJson(b));
+    writeTextFileAtomic(sweepSpecPath(dir.string()), sweep.dump(2) + "\n");
+    // Path order is fingerprint order: the queued claim comes first.
+    std::string queued = scenarioFingerprint(a);
+    std::string running = scenarioFingerprint(b);
+    if (running < queued)
+        std::swap(queued, running);
+
+    // A stub owner's wedged batch: both claims frozen together, the
+    // loop running the second.
+    const std::string claim_dir = sweepClaimDir(dir.string());
+    std::filesystem::create_directories(claim_dir);
+    auto first = WorkClaim::tryAcquire(claim_dir, queued, "sup-w0", 600000);
+    auto second =
+        WorkClaim::tryAcquire(claim_dir, running, "sup-w0", 600000);
+    ASSERT_TRUE(first.has_value() && second.has_value());
+    ASSERT_TRUE(first->renew(0, /*running=*/false));
+    ASSERT_TRUE(second->renew(0, /*running=*/true));
+
+    SupervisorOptions options = stubOptions(
+        dir.string(), {"/bin/sh", "-c", "while :; do sleep 0.01; done"});
+    options.jobTimeoutMs = 120;
+    options.maxJobAttempts = 1;
+    Supervisor supervisor(std::move(options));
+    // The queued job never resolves (the stubs run nothing), so stop
+    // the fleet after the kill; the scan that kills also records.
+    const Counter &kills =
+        MetricsRegistry::instance().counter("supervisor.watchdog_kills");
+    const std::uint64_t kills_before = kills.total();
+    std::thread stopper([&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        while (kills.total() == kills_before && elapsedMsSince(t0) < 10000)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        supervisor.requestStop();
+    });
+    const SupervisorReport report = supervisor.run();
+    stopper.join();
+
+    EXPECT_EQ(report.watchdogKills, 1u);
+    EXPECT_EQ(report.timeoutRecords, 1u);
+    const std::vector<JobResult> records =
+        loadMergedRecords(dir.string());
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].fingerprint, running);
+    EXPECT_TRUE(records[0].timedOut);
 }
 
 // -------------------------------------------------------------- health

@@ -42,8 +42,8 @@
  *     1`, once per distinct sweep), every planned site fired (judged
  *     from the armed process's fire report, or its SIGKILL death for a
  *     crash entry; fleet drills prove it through the supervisor's
- *     report), and every observability dump (events/, metrics/,
- *     traces/) parses: a fault may lose dumps, never corrupt one.
+ *     report), and every observability dump (events/, metrics/)
+ *     parses: a fault may lose dumps, never corrupt one.
  *
  * Labels: `chaos` is the fault site/action matrix over a tiny sweep,
  * `smoke` the end-to-end CLI cycles, `scale` the 10^4-job fleet
@@ -79,6 +79,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/json.h"
@@ -434,7 +435,7 @@ struct Run
  * <detail>". */
 struct EventRow
 {
-    std::string key, origin, type, job;
+    std::string key, origin, type, worker, job;
     JsonValue detail;
 };
 
@@ -445,8 +446,8 @@ eventRows(const std::string &text)
     for (const std::string &line : lines(text)) {
         std::istringstream in(line);
         EventRow row;
-        std::string worker, detail;
-        in >> row.key >> row.type >> worker >> row.job;
+        std::string detail;
+        in >> row.key >> row.type >> row.worker >> row.job;
         std::getline(in >> std::ws, detail);
         row.origin = row.key.substr(row.key.find('@') + 1);
         try {
@@ -751,10 +752,25 @@ drillMatrix(const std::string &outRoot, int chaosJobs)
         run.expectAtLeast(0, "watchdog-kills", 1);
         run.expectAtLeast(0, "timeout-records", 1);
         run.expectSupervisorRow();
+        // Each watchdog kill charges the job its slot was running: the
+        // slot's last job.claimed before the kill.
+        std::map<std::string, std::string> running;
+        for (const EventRow &row : eventRows(run.viewOk({"--events", "--out", run.dir}))) {
+            if (row.type == "job.claimed")
+                running[row.worker] = row.job;
+            if (row.type != "fleet.watchdog_kill")
+                continue;
+            const JsonValue *slot =
+                row.detail.isObject() ? row.detail.find("slot") : nullptr;
+            const std::string id = slot ? slot->asString() : "";
+            run.expect(row.job == running[id],
+                       "watchdog kill of " + id + " charged " + row.job
+                           + ", not its running job " + running[id]);
+        }
     };
     // A traced fleet drains through one SIGKILL; 400 iterations keep
     // the sweep running past the restart backoff, so the replacement
-    // incarnation writes a trace of its own.
+    // incarnation journals spans of its own.
     drills.push_back({"observability", "smoke",
                       fieldSweep("obs-tfim", 6, 400, 5, 6),
                       "[" + fleetKills(outRoot, "observability", 1) + "]",
@@ -792,35 +808,43 @@ checkObservability(Run &run)
     run.expectAtLeast(0, "restarts", 1);
     run.expectAtLeast(0, "spawns", 4);
 
-    // Every process incarnation left parseable Chrome trace JSON, and
-    // the SIGKILLed one's dump survives beside its replacement's.
-    std::size_t files = 0, events = 0;
-    const Args traces = listSortedFiles(run.dir + "/traces", ".json");
-    for (const std::string id : {"obs-w0", "obs-w1", "obs-w2", "supervisor"}) {
-        std::size_t mine = 0;
-        for (const std::string &path : traces) {
-            if (!startsWith(fs::path(path).filename().string(), id + "-p"))
+    // Every identity journaled its armed spans, and the SIGKILLed
+    // incarnation's spans survive beside its replacement's: more
+    // journals carry spans than there are identities. Every span
+    // decodes (CRC included) with a name and a duration.
+    const Args ids = {"obs-w0", "obs-w1", "obs-w2", "supervisor"};
+    std::map<std::string, std::size_t> span_journals;
+    std::size_t journals = 0;
+    for (const std::string &path : listSortedFiles(run.dir + "/events", ".jsonl")) {
+        const std::string file = fs::path(path).filename().string();
+        std::size_t spans = 0;
+        for (const std::string &line : lines(readOrEmpty(path))) {
+            if (line.find("\"type\":\"trace.span\"") == std::string::npos)
                 continue;
-            ++mine;
-            try {
-                const JsonValue doc = JsonValue::parse(readOrEmpty(path));
-                run.expect(doc.at("displayTimeUnit").asString() == "ms",
-                           path + ": displayTimeUnit");
-                for (const JsonValue &e : doc.at("traceEvents").asArray()) {
-                    run.expect(e.at("ph").asString() == "X"
-                                   && e.at("cat").asString() == "treevqa",
-                               path + ": not a complete treevqa span");
-                    ++events;
-                }
-            } catch (const std::exception &e) {
-                run.expect(false, path + ": " + e.what());
+            SweepEvent event;
+            std::string reason;
+            if (!decodeEventLine(line, event, &reason)) {
+                run.expect(false, file + ": undecodable span: " + reason);
+                continue;
             }
+            const JsonValue *name = event.detail.find("name");
+            const JsonValue *dur = event.detail.find("durUs");
+            run.expect(event.type == event_type::kTraceSpan && name
+                           && name->isString() && dur && dur->asInt() >= 0,
+                       file + ": malformed span " + event.detail.dump());
+            ++spans;
         }
-        run.expect(mine > 0, "no trace from " + id);
-        files += mine;
+        if (spans == 0)
+            continue;
+        ++journals;
+        for (const std::string &id : ids)
+            if (startsWith(file, id + "-p"))
+                ++span_journals[id];
     }
-    run.expect(files > 4, std::to_string(files) + " trace files");
-    run.expect(events > 0, "no trace events");
+    for (const std::string &id : ids)
+        run.expect(span_journals[id] > 0, "no span journal from " + id);
+    run.expect(journals > 4, std::to_string(journals) + " journals with spans");
+    run.expect(!fs::exists(run.dir + "/traces"), "a traces/ directory was written");
 
     // Merged metrics count exactly the drained jobs: the SIGKILLed
     // incarnation flushed its completions with each beat, and its
@@ -871,6 +895,8 @@ checkTimeline(Run &run)
     const auto count = [&](const Args &args) {
         return lines(run.viewOk(args)).size();
     };
+    run.expect(count({"--events", "--out", out, "--type", "trace.span"}) == 0,
+               "an untraced fleet journaled trace.span events");
     const auto any_starts = [](const Args &rows, const std::string &head) {
         return std::any_of(rows.begin(), rows.end(),
                            [&](const std::string &row) {
@@ -1085,7 +1111,7 @@ unfiredSites(const std::string &faults, const std::string &log, int status)
 
 /**
  * A fault schedule may lose observability dumps but must never leave a
- * malformed one: metrics/trace snapshots are atomic renames and
+ * malformed one: metrics snapshots are atomic renames and
  * journals append whole line batches. The one tolerated exception is
  * a torn *final* journal line (a mid-append kill), which the CRC check
  * quarantines at read time. Returns the problems, "; "-joined.
@@ -1097,16 +1123,14 @@ auditObservabilityDumps(const std::string &dir)
     const auto complain = [&](const std::string &what) {
         problems += (problems.empty() ? "" : "; ") + what;
     };
-    for (const std::string sub : {"metrics", "traces"})
-        for (const std::string &path :
-             listSortedFiles(dir + "/" + sub, ".json")) {
-            try {
-                JsonValue::parse(readOrEmpty(path));
-            } catch (const std::exception &) {
-                complain(sub + "/" + fs::path(path).filename().string()
-                         + ": malformed JSON");
-            }
+    for (const std::string &path : listSortedFiles(dir + "/metrics", ".json")) {
+        try {
+            JsonValue::parse(readOrEmpty(path));
+        } catch (const std::exception &) {
+            complain("metrics/" + fs::path(path).filename().string()
+                     + ": malformed JSON");
         }
+    }
     for (const std::string &path :
          listSortedFiles(dir + "/events", ".jsonl")) {
         const std::string text = readOrEmpty(path);

@@ -61,9 +61,7 @@
 #include <vector>
 
 #include "common/file_util.h"
-#include "common/trace.h"
 #include "dist/supervisor.h"
-#include "svc/sweep_dir.h"
 #include "svc/sweep_index.h"
 
 #include "cli_util.h"
@@ -216,13 +214,6 @@ main(int argc, char **argv)
         g_supervisor = &supervisor;
         std::signal(SIGINT, handleStopSignal);
         std::signal(SIGTERM, handleStopSignal);
-
-        // Flight recorder: the supervisor's own spans (spawn, reap,
-        // watchdog scans) land beside the workers' traces.
-        // TREEVQA_TRACE arms it and installs the flush hooks.
-        if (TraceRecorder::armed())
-            TraceRecorder::instance().setExportPath(sweepTracePath(
-                sweep_dir, sweepIncarnationToken("supervisor")));
 
         const SupervisorReport report = supervisor.run();
         g_supervisor = nullptr;

@@ -66,7 +66,6 @@
 
 #include "common/file_util.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 #include "dist/store_merge.h"
 #include "dist/worker_daemon.h"
 #include "svc/sweep_dir.h"
@@ -234,14 +233,6 @@ main(int argc, char **argv)
         g_daemon = &daemon;
         std::signal(SIGINT, handleStopSignal);
         std::signal(SIGTERM, handleStopSignal);
-
-        // Flight recorder: dump into the sweep's traces/ directory
-        // under this incarnation's token. TREEVQA_TRACE arms it and
-        // installs the exit and fatal-signal flush hooks at startup.
-        if (TraceRecorder::armed())
-            TraceRecorder::instance().setExportPath(sweepTracePath(
-                sweep_dir,
-                sweepIncarnationToken(daemon.options().workerId)));
 
         const WorkerReport report = daemon.run();
         g_daemon = nullptr;
