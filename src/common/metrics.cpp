@@ -294,38 +294,51 @@ readMetricsDumps(const std::string &sweepDir)
 
 namespace {
 
-/** The worker's root wall gauge and the loop-thread phases that
- * partition it (sequential, never nested in one another). */
-constexpr const char *kWallGauge = "worker.wall_ns";
-constexpr const char *kWallPhases[] = {
-    "worker.scan_ns",   "worker.claim_ns", "worker.job_ns",
-    "worker.record_ns", "worker.beat_ns",  "worker.idle_ns",
-    "merge.compact_ns"};
+/** Each drain loop's root wall gauge and the phases of its calling
+ * thread that partition it (sequential, never nested in one another):
+ * the worker's loop, and the scheduler's store load, pool run and
+ * final commit. */
+struct WallLedger
+{
+    const char *root;
+    std::vector<const char *> phases;
+};
+
+const WallLedger kWallPhases[] = {
+    {"worker.wall_ns",
+     {"worker.scan_ns", "worker.claim_ns", "worker.job_ns",
+      "worker.record_ns", "worker.beat_ns", "worker.idle_ns",
+      "merge.compact_ns"}},
+    {"scheduler.wall_ns",
+     {"scheduler.load_ns", "scheduler.pool_ns", "scheduler.commit_ns"}}};
 
 /** One process's wall ledger row, or null when its dump carries no
  * root wall gauge. */
 JsonValue
 wallRow(const MetricsSnapshot &snap)
 {
-    const auto wall = snap.gauges.find(kWallGauge);
-    if (wall == snap.gauges.end() || wall->second <= 0)
-        return JsonValue();
-    std::uint64_t attributed = 0;
-    for (const char *phase : kWallPhases) {
-        const auto it = snap.histograms.find(phase);
-        if (it != snap.histograms.end())
-            attributed += it->second.sum;
+    for (const WallLedger &ledger : kWallPhases) {
+        const auto wall = snap.gauges.find(ledger.root);
+        if (wall == snap.gauges.end() || wall->second <= 0)
+            continue;
+        std::uint64_t attributed = 0;
+        for (const char *phase : ledger.phases) {
+            const auto it = snap.histograms.find(phase);
+            if (it != snap.histograms.end())
+                attributed += it->second.sum;
+        }
+        const double wall_ms = static_cast<double>(wall->second) / 1e6;
+        const double attributed_ms = static_cast<double>(attributed) / 1e6;
+        JsonValue row = JsonValue::object();
+        row.set("root", JsonValue(std::string(ledger.root)));
+        row.set("wallMs", JsonValue(wall_ms));
+        row.set("attributedMs", JsonValue(attributed_ms));
+        row.set("unattributedMs", JsonValue(wall_ms - attributed_ms));
+        row.set("unattributedPct",
+                JsonValue(100.0 * (wall_ms - attributed_ms) / wall_ms));
+        return row;
     }
-    const double wall_ms = static_cast<double>(wall->second) / 1e6;
-    const double attributed_ms = static_cast<double>(attributed) / 1e6;
-    JsonValue row = JsonValue::object();
-    row.set("root", JsonValue(std::string(kWallGauge)));
-    row.set("wallMs", JsonValue(wall_ms));
-    row.set("attributedMs", JsonValue(attributed_ms));
-    row.set("unattributedMs", JsonValue(wall_ms - attributed_ms));
-    row.set("unattributedPct",
-            JsonValue(100.0 * (wall_ms - attributed_ms) / wall_ms));
-    return row;
+    return JsonValue();
 }
 
 } // namespace

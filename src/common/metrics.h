@@ -235,8 +235,9 @@ readMetricsDumps(const std::string &sweepDir);
  * gauges, folds histograms, and derives per-phase latency stats
  * (count, total/mean ms, p50/p90/p99) from the merged buckets. The
  * `wall` object holds one row per dump that carries a root wall gauge
- * (`worker.wall_ns`): its wall time, the part its loop-thread phases
- * account for (attributed), and the rest (unattributed ms and %).
+ * (`worker.wall_ns` or `scheduler.wall_ns`): its wall time, the part
+ * its calling-thread phases account for (attributed), and the rest
+ * (unattributed ms and %).
  * Output depends only on the dump contents, never on wall-clock.
  */
 JsonValue aggregateMetricsJson(

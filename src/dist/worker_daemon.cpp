@@ -19,6 +19,7 @@
 #include "common/trace.h"
 #include "dist/backoff.h"
 #include "dist/store_merge.h"
+#include "svc/group_commit.h"
 #include "svc/result_store.h"
 #include "svc/sweep_dir.h"
 #include "svc/sweep_index.h"
@@ -651,10 +652,11 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
     };
     std::vector<Buffered> buffered;
     // The batch commit, timed as worker.record (the beat apart):
-    // confirm ownership, one append with one fsync, retire the
-    // checkpoints, journal, beat, and only then release — a claim
-    // release is the fence that publishes its record, so no claim is
-    // released before its record is durable.
+    // confirm ownership, the shared group commit (svc/group_commit.h:
+    // one append with one fsync, checkpoint retirement, events, one
+    // journal flush), beat, and only then release — a claim release
+    // publishes its record to the fleet, so no claim is released
+    // before its record is durable.
     const auto commit = [&] {
         if (buffered.empty())
             return;
@@ -695,56 +697,45 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         buffered.clear();
         if (records.empty())
             return;
-        ResultStore(sweepShardPath(options_.sweepDir, options_.workerId))
-            .append(records);
-
-        for (std::size_t i = 0; i < records.size(); ++i) {
+        // Poison quarantine: the record carries exactly the attempts
+        // *this* claim session spent, so the merged view's accumulated
+        // count stays a true fleet-wide total; the job is resolved
+        // locally. Whether the rest of the fleet agrees depends on the
+        // accumulated count reaching the budget.
+        const auto poisoned = [&](std::size_t i) {
             const JobResult &record = records[i];
-            const BatchSlot &slot = *slots[i];
-            if (record.failed) {
-                // Poison quarantine: the record carries exactly the
-                // attempts *this* claim session spent, so the merged
-                // view's accumulated count stays a true fleet-wide
-                // total; the job is resolved locally. Whether the rest
-                // of the fleet agrees depends on the accumulated count
-                // reaching the budget.
-                poisoned_.insert(record.fingerprint);
-                ++report.poisoned;
-                workerMetrics().jobsPoisoned.inc();
-                JsonValue detail = JsonValue::object();
-                detail.set("attempts",
-                           JsonValue(static_cast<std::int64_t>(
-                               slot.priorAttempts + record.attempts)));
-                detail.set("error", JsonValue(record.errorMessage));
-                EventLog::instance().emit(event_type::kJobPoisoned,
-                                          record.fingerprint,
-                                          std::move(detail));
-                std::fprintf(
-                    stderr,
-                    "treevqa: worker %s: quarantined poison job %s "
-                    "after %d/%d fleet-wide attempts (%s)\n",
-                    options_.workerId.c_str(),
-                    record.spec.name.c_str(),
-                    slot.priorAttempts + record.attempts,
-                    options_.maxJobAttempts,
-                    record.errorMessage.c_str());
+            const int attempts = slots[i]->priorAttempts + record.attempts;
+            poisoned_.insert(record.fingerprint);
+            ++report.poisoned;
+            workerMetrics().jobsPoisoned.inc();
+            JsonValue detail = JsonValue::object();
+            detail.set("attempts",
+                       JsonValue(static_cast<std::int64_t>(attempts)));
+            detail.set("error", JsonValue(record.errorMessage));
+            EventLog::instance().emit(event_type::kJobPoisoned,
+                                      record.fingerprint,
+                                      std::move(detail));
+            std::fprintf(stderr,
+                         "treevqa: worker %s: quarantined poison job %s "
+                         "after %d/%d fleet-wide attempts (%s)\n",
+                         options_.workerId.c_str(),
+                         record.spec.name.c_str(), attempts,
+                         options_.maxJobAttempts,
+                         record.errorMessage.c_str());
+        };
+        ResultStore shard(
+            sweepShardPath(options_.sweepDir, options_.workerId));
+        commitJobRecords(shard, options_.sweepDir, records, poisoned);
+        for (const JobResult &record : records) {
+            if (!record.completed)
                 continue;
-            }
-            removeCheckpoint(sweepCheckpointPath(options_.sweepDir,
-                                                 record.fingerprint));
             ++report.completed;
             workerMetrics().jobsCompleted.inc();
             if (record.resumed) {
                 ++report.resumed;
                 workerMetrics().jobsResumed.inc();
             }
-            JsonValue detail = JsonValue::object();
-            detail.set("resumed", JsonValue(record.resumed));
-            EventLog::instance().emit(event_type::kJobCompleted,
-                                      record.fingerprint,
-                                      std::move(detail));
         }
-        EventLog::instance().flush();
         record_span.end();
         // The commit beat keeps merged --metrics and --health exact
         // across a SIGKILL: the dump counts these jobs before their

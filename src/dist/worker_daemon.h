@@ -30,7 +30,8 @@
  * release), the daemon compacts every shard into the canonical store
  * and summary and deletes the shards (store_merge.h).
  *
- * Commit protocol — group commit per claim batch. A finished job's
+ * Commit protocol — group commit per claim batch, the rule
+ * svc/group_commit.h states for every drain loop. A finished job's
  * record waits in memory (a store buffer), its lease still held and
  * renewed by the heartbeat. At the batch's end, and on every early
  * exit (graceful stop, a sealed job, a watchdog timeout), one commit
@@ -40,15 +41,15 @@
  *     before the deadline), a renewal closer to it — and a slot whose
  *     lease was lost is dropped (its reaper records the bit-identical
  *     result);
- *  2. one ResultStore batch append of every surviving line: one
- *     write, one fsync (fault site "store.append");
- *  3. the committed jobs' checkpoints are retired (both generations);
- *  4. their job.completed / job.poisoned events, one journal flush;
- *  5. one beat;
- *  6. only then the claims are released.
- * Releasing a claim is the fence that publishes its record (the
- * store-buffer argument of "Reasoning About TSO Programs Using
- * Reduction and Abstraction"): no claim is released before its
+ *  2. commitJobRecords on this worker's shard: one append with one
+ *     fsync, checkpoint retirement, the job.completed events (the
+ *     poison bookkeeping and job.poisoned events ride its failed-
+ *     record hook), one journal flush;
+ *  3. one beat;
+ *  4. only then the claims are released.
+ * Releasing a claim is the fence that publishes its record to the
+ * fleet (the store-buffer argument of "Reasoning About TSO Programs
+ * Using Reduction and Abstraction"): no claim is released before its
  * record's fsync has returned. A failed (poisoned) record forces an
  * immediate commit of the buffer plus that record, so it is durable
  * before the next job starts and the fleet-wide poison budget never
@@ -120,6 +121,7 @@
 #include "dist/health.h"
 #include "dist/store_tail.h"
 #include "dist/work_claim.h"
+#include "svc/group_commit.h"
 #include "svc/scenario_runner.h"
 
 namespace treevqa {
@@ -168,7 +170,7 @@ struct WorkerOptions
      * (see the file comment). 1 degenerates to claim, commit and beat
      * per job.
      */
-    int claimBatch = 8;
+    int claimBatch = kGroupCommitBatch;
     /**
      * Refresh the tail-reader record view incrementally (O(appended
      * bytes) per scan). False invalidates the view before every

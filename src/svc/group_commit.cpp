@@ -1,0 +1,36 @@
+#include "svc/group_commit.h"
+
+#include "common/event_log.h"
+#include "svc/sweep_dir.h"
+
+namespace treevqa {
+
+void
+commitJobRecords(ResultStore &store, const std::string &sweepDir,
+                 const std::vector<JobResult> &records,
+                 const std::function<void(std::size_t)> &onFailed)
+{
+    if (records.empty())
+        return;
+    store.append(records);
+    for (const JobResult &record : records)
+        if (record.completed)
+            removeCheckpoint(
+                sweepCheckpointPath(sweepDir, record.fingerprint));
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const JobResult &record = records[i];
+        if (!record.completed) {
+            if (record.failed && onFailed)
+                onFailed(i);
+            continue;
+        }
+        JsonValue detail = JsonValue::object();
+        detail.set("name", JsonValue(record.spec.name));
+        detail.set("resumed", JsonValue(record.resumed));
+        EventLog::instance().emit(event_type::kJobCompleted,
+                                  record.fingerprint, std::move(detail));
+    }
+    EventLog::instance().flush();
+}
+
+} // namespace treevqa

@@ -1,14 +1,18 @@
 #include "svc/job_scheduler.h"
 
+#include <chrono>
+#include <exception>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "common/event_log.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "svc/group_commit.h"
 #include "svc/sweep_dir.h"
 
 namespace treevqa {
@@ -20,6 +24,13 @@ struct SchedulerMetrics
     Counter &jobsExecuted;
     Counter &jobsSkipped;
     Histogram &jobNs;
+    /** Root wall measurement of a drain with an output directory: ns
+     * from run()'s start to its metrics dump. The calling-thread
+     * phases below partition it. */
+    Gauge &wallNs;
+    Histogram &loadNs;
+    Histogram &poolNs;
+    Histogram &commitNs;
 };
 
 SchedulerMetrics &
@@ -29,7 +40,11 @@ schedulerMetrics()
     static SchedulerMetrics m{
         reg.counter("scheduler.jobs_executed"),
         reg.counter("scheduler.jobs_skipped"),
-        reg.histogram("scheduler.job_ns")};
+        reg.histogram("scheduler.job_ns"),
+        reg.gauge("scheduler.wall_ns"),
+        reg.histogram("scheduler.load_ns"),
+        reg.histogram("scheduler.pool_ns"),
+        reg.histogram("scheduler.commit_ns")};
     return m;
 }
 
@@ -51,15 +66,21 @@ JobScheduler::resultStorePath() const
 std::string
 JobScheduler::checkpointPathFor(const ScenarioSpec &spec) const
 {
+    return checkpointPath(scenarioFingerprint(spec));
+}
+
+std::string
+JobScheduler::checkpointPath(const std::string &fingerprint) const
+{
     if (config_.outDir.empty())
         return "";
-    return sweepCheckpointPath(config_.outDir,
-                               scenarioFingerprint(spec));
+    return sweepCheckpointPath(config_.outDir, fingerprint);
 }
 
 SweepResult
 JobScheduler::run(const std::vector<ScenarioSpec> &specs)
 {
+    const auto start = std::chrono::steady_clock::now();
     // Fingerprints key checkpoints and store records; duplicates would
     // alias state across jobs, so reject them up front.
     std::map<std::string, std::string> seen;
@@ -79,6 +100,7 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
     SweepResult sweep;
     sweep.jobs.resize(specs.size());
 
+    TraceSpan load_span("scheduler.load", &schedulerMetrics().loadNs);
     std::unique_ptr<ResultStore> store;
     std::map<std::string, JobResult> recorded;
     if (!config_.outDir.empty()) {
@@ -94,48 +116,87 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
                 recorded.emplace(record.fingerprint, std::move(record));
     }
 
-    // Partition into skipped (already recorded) and pending jobs.
+    // Partition into skipped (already recorded) and pending jobs. A
+    // recorded job's checkpoint is stale: a kill between its commit's
+    // fsync and the retirement left it, so retire it now.
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const auto it = recorded.find(fingerprints[i]);
         if (it != recorded.end()) {
+            removeCheckpoint(checkpointPath(fingerprints[i]));
             sweep.jobs[i] = it->second;
             ++sweep.skipped;
         } else {
             pending.push_back(i);
         }
     }
+    load_span.end();
     sweep.executed = pending.size();
     schedulerMetrics().jobsExecuted.inc(pending.size());
     schedulerMetrics().jobsSkipped.inc(sweep.skipped);
+
+    // Group commit: finished records wait here, their checkpoints on
+    // disk, until kGroupCommitBatch of them fill the buffer; the lane
+    // that fills it commits the batch outside the lock while the other
+    // lanes keep running jobs (the store's mutex orders the appends).
+    std::mutex buffer_mutex;
+    std::vector<JobResult> buffer;
 
     // One pool run is the whole scheduling loop: lanes claim jobs
     // dynamically, inner probe batches evaluate inline on the same
     // lanes. Job results are keyed by index, and each job's streams
     // derive from its spec, so concurrency and completion order
     // cannot change any record.
-    ThreadPool::global().run(pending.size(), [&](std::size_t p) {
-        TRACE_SPAN_TIMED("scheduler.job", schedulerMetrics().jobNs);
-        const std::size_t index = pending[p];
-        ScenarioRunOptions options;
-        options.checkpointPath = checkpointPathFor(specs[index]);
-        JobResult result = runScenario(specs[index], options);
-        if (store && result.completed) {
-            store->append(result);
-            removeCheckpoint(options.checkpointPath);
-        }
-        if (result.completed) {
-            JsonValue detail = JsonValue::object();
-            detail.set("name", JsonValue(specs[index].name));
-            detail.set("resumed", JsonValue(result.resumed));
-            EventLog::instance().emit(event_type::kJobCompleted,
-                                      fingerprints[index],
-                                      std::move(detail));
-        }
-        sweep.jobs[index] = std::move(result);
-    });
-    EventLog::instance().flush();
+    std::exception_ptr failure;
+    TraceSpan pool_span("scheduler.pool", &schedulerMetrics().poolNs);
+    try {
+        ThreadPool::global().run(pending.size(), [&](std::size_t p) {
+            TRACE_SPAN_TIMED("scheduler.job", schedulerMetrics().jobNs);
+            const std::size_t index = pending[p];
+            ScenarioRunOptions options;
+            options.checkpointPath = checkpointPath(fingerprints[index]);
+            JobResult result = runScenario(specs[index], options);
+            if (store && result.completed) {
+                std::vector<JobResult> batch;
+                {
+                    std::lock_guard<std::mutex> lock(buffer_mutex);
+                    buffer.push_back(result);
+                    if (buffer.size()
+                        >= static_cast<std::size_t>(kGroupCommitBatch))
+                        batch.swap(buffer);
+                }
+                if (!batch.empty()) {
+                    // Inside scheduler.pool: a span, not a phase.
+                    TRACE_SPAN("scheduler.commit");
+                    commitJobRecords(*store, config_.outDir, batch);
+                }
+            }
+            sweep.jobs[index] = std::move(result);
+        });
+    } catch (...) {
+        // A throwing job must not cost the records of the jobs that
+        // finished: they commit below before the rethrow.
+        failure = std::current_exception();
+    }
+    pool_span.end();
 
+    if (store) {
+        {
+            TraceSpan span("scheduler.commit",
+                           &schedulerMetrics().commitNs);
+            commitJobRecords(*store, config_.outDir, buffer);
+        }
+        schedulerMetrics().wallNs.set(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        writeMetricsSnapshot(config_.outDir, "scheduler",
+                             sweepIncarnationToken("scheduler"));
+    }
+    // Armed spans that closed after the last commit's flush.
+    EventLog::instance().flush();
+    if (failure)
+        std::rethrow_exception(failure);
     return sweep;
 }
 

@@ -17,12 +17,26 @@
  * concurrency and any completion order. Results are returned in spec
  * order regardless of completion order.
  *
- * Resume: with an output directory configured, completed jobs are
- * recorded in the ResultStore JSONL and partial jobs leave per-job
- * checkpoint files under <outDir>/checkpoints/. A rerun of the same
- * sweep skips recorded jobs (fingerprint match) and resumes
- * checkpointed ones, reaching the same final energies as an
+ * Resume: with an output directory configured, every job keeps a
+ * checkpoint file under <outDir>/checkpoints/ (per its spec's
+ * interval) until its record is durable, and completed records are
+ * group-committed to the ResultStore JSONL (svc/group_commit.h):
+ * finished records wait in a buffer, and the lane whose record fills
+ * it to kGroupCommitBatch commits the batch (one write, one fsync,
+ * then checkpoint retirement and `job.completed` events) while the
+ * other lanes keep running; the remainder commits after the pool run,
+ * also when a job threw, before the rethrow. A SIGKILL therefore
+ * costs at most the unflushed batch. A rerun of the same sweep skips
+ * recorded jobs (fingerprint match), retiring any checkpoint a kill
+ * after the fsync left behind, and resumes the others from their
+ * newest checkpoints, reaching the same final energies as an
  * uninterrupted run.
+ *
+ * Observability: a drain with an output directory journals to
+ * <outDir>/events/scheduler-p<pid>.jsonl and, at its end, writes one
+ * best-effort metrics dump (<outDir>/metrics/scheduler-p<pid>.json)
+ * whose `scheduler.wall_ns` root gauge is partitioned by the
+ * calling thread's phases: store load, pool run and final commit.
  */
 
 #ifndef TREEVQA_SVC_JOB_SCHEDULER_H
@@ -78,6 +92,10 @@ class JobScheduler
     std::string checkpointPathFor(const ScenarioSpec &spec) const;
 
   private:
+    /** The checkpoint file of the job with `fingerprint` ("" when
+     * in-memory). */
+    std::string checkpointPath(const std::string &fingerprint) const;
+
     SchedulerConfig config_;
 };
 

@@ -23,8 +23,10 @@
  *                                     the process's health status
  *                                     embedded (dist/health.h); one
  *                                     file per process incarnation,
- *                                     the only file a beat writes;
- *                                     folded by `treevqa_run
+ *                                     the only file a beat writes
+ *                                     (a JobScheduler drain writes
+ *                                     one, without status, at its
+ *                                     end); folded by `treevqa_run
  *                                     --metrics` and `--health`
  *   <dir>/events/<token>.jsonl        per-incarnation causal event
  *                                     journal (common/event_log.h),

@@ -5,8 +5,9 @@
  * on durable writes, atomicity without fsync), the worker's batch
  * commit point (one fsync and one beat per claim batch, with its
  * byte-identical summary; poison records and lost leases at the
- * commit), and the metrics and `--health` exactness a SIGKILL between
- * or inside batches must not break.
+ * commit), the scheduler's group commit (one fsync per batch, its
+ * wall ledger), and the metrics and `--health` exactness a SIGKILL
+ * between or inside batches must not break.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +35,8 @@
 #include "svc/job_scheduler.h"
 #include "svc/result_store.h"
 #include "svc/sweep_dir.h"
+
+#include "pool_size_guard.h"
 
 namespace treevqa {
 namespace {
@@ -239,6 +242,58 @@ TEST(Durability, WorkerDrainSpendsOneDurableFsyncPerBatch)
               row.at("wallMs").asDouble());
     EXPECT_EQ(merged.at("counters").at("worker.jobs_completed").asInt(),
               kJobs);
+}
+
+TEST(Durability, SchedulerDrainSpendsOneDurableFsyncPerBatch)
+{
+    constexpr int kJobs = 20;
+    const std::vector<ScenarioSpec> specs = noCheckpointSweep(kJobs);
+    const std::string in_memory =
+        sweepSummaryJson(JobScheduler().run(specs).jobs).dump(2);
+    for (const std::size_t lanes : {1u, 4u}) {
+        const std::filesystem::path dir =
+            scratchDir("scheduler_drain" + std::to_string(lanes));
+        PoolSizeGuard pool(lanes);
+        MetricsRegistry::instance().reset();
+        SchedulerConfig config;
+        config.outDir = dir.string();
+        const SweepResult sweep = JobScheduler(config).run(specs);
+        ASSERT_EQ(sweep.executed, static_cast<std::size_t>(kJobs));
+
+        // Group commit: one durable append per kGroupCommitBatch
+        // records, and nothing else durable (journal and metrics dump
+        // are best-effort).
+        EXPECT_EQ(counterTotal("io.durable_fsyncs"),
+                  (kJobs + kGroupCommitBatch - 1) / kGroupCommitBatch)
+            << lanes << " lanes";
+        EXPECT_EQ(sweepSummaryJson(sweep.jobs).dump(2), in_memory);
+        if (lanes == 1) {
+            // One lane commits in job order: the store is line for
+            // line what one append per record wrote.
+            std::string expected;
+            for (const JobResult &job : sweep.jobs)
+                expected += jobResultToStoredLine(job) + "\n";
+            std::string stored;
+            ASSERT_TRUE(readTextFile(sweepStorePath(dir.string()), stored));
+            EXPECT_EQ(stored, expected);
+        }
+
+        // The drain-end dump carries the root wall gauge, and the
+        // calling thread's phases never account for more than it.
+        const JsonValue merged =
+            aggregateMetricsJson(readMetricsDumps(dir.string()));
+        const JsonValue &wall = merged.at("wall");
+        ASSERT_EQ(wall.asObject().size(), 1u);
+        const JsonValue &row = wall.asObject().front().second;
+        EXPECT_EQ(row.at("root").asString(), "scheduler.wall_ns");
+        EXPECT_GT(row.at("attributedMs").asDouble(), 0.0);
+        EXPECT_LE(row.at("attributedMs").asDouble(),
+                  row.at("wallMs").asDouble())
+            << lanes << " lanes";
+        EXPECT_EQ(
+            merged.at("counters").at("scheduler.jobs_executed").asInt(),
+            kJobs);
+    }
 }
 
 /** A trivially completed record for `spec` (synthetic job body). */

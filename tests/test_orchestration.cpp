@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -529,9 +530,11 @@ TEST(JobScheduler, StoreResumeSkipsCompletedJobsAndMatchesFreshRun)
     EXPECT_EQ(fresh.skipped, 0u);
 
     // Kill a second sweep mid-flight. On one lane the jobs run in
-    // order: "a" writes checkpoints at 4 and 8 and is recorded, then
-    // the kill lands right after "b"'s first checkpoint (the third
-    // across the sweep), before "c" starts.
+    // order: "a" writes checkpoints at 4 and 8 and finishes, then the
+    // kill lands right after "b"'s first checkpoint (the third across
+    // the sweep), before "c" starts. "a"'s record was still in the
+    // group-commit buffer, so the kill costs it: the store is empty,
+    // and "a" and "b" keep the newest checkpoints they resume from.
     SchedulerConfig killed_config;
     killed_config.outDir = killed_dir.string();
     crashThroughPlan(
@@ -541,22 +544,26 @@ TEST(JobScheduler, StoreResumeSkipsCompletedJobsAndMatchesFreshRun)
             PoolSizeGuard one_lane(1);
             JobScheduler(killed_config).run(specs);
         });
-    // "a" retired its checkpoint after its record's append; "b" keeps
-    // the one it resumes from.
     JobScheduler killed(killed_config);
-    EXPECT_FALSE(
-        std::filesystem::exists(killed.checkpointPathFor(specs[0])));
-    EXPECT_TRUE(
-        std::filesystem::exists(killed.checkpointPathFor(specs[1])));
+    EXPECT_TRUE(ResultStore(killed.resultStorePath()).load().empty());
+    const auto a_checkpoint =
+        peekCheckpoint(killed.checkpointPathFor(specs[0]));
+    const auto b_checkpoint =
+        peekCheckpoint(killed.checkpointPathFor(specs[1]));
+    ASSERT_TRUE(a_checkpoint.has_value());
+    ASSERT_TRUE(b_checkpoint.has_value());
+    EXPECT_EQ(a_checkpoint->iteration, 8);
+    EXPECT_EQ(b_checkpoint->iteration, 4);
 
-    // Relaunch: "a" is skipped, "b" resumes from its checkpoint, "c"
-    // starts fresh, and all three match the uninterrupted sweep.
+    // Relaunch: "a" and "b" resume from their checkpoints, "c" starts
+    // fresh, and all three match the uninterrupted sweep.
     SchedulerConfig resume_config;
     resume_config.outDir = killed_dir.string();
     const SweepResult resumed =
         JobScheduler(resume_config).run(specs);
-    EXPECT_EQ(resumed.executed, 2u);
-    EXPECT_EQ(resumed.skipped, 1u);
+    EXPECT_EQ(resumed.executed, 3u);
+    EXPECT_EQ(resumed.skipped, 0u);
+    EXPECT_TRUE(resumed.jobs[0].resumed);
     EXPECT_TRUE(resumed.jobs[1].resumed);
     EXPECT_FALSE(resumed.jobs[2].resumed);
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -578,6 +585,66 @@ TEST(JobScheduler, StoreResumeSkipsCompletedJobsAndMatchesFreshRun)
     // The two stores' deterministic summaries agree byte-for-byte.
     EXPECT_EQ(sweepSummaryJson(fresh.jobs).dump(2),
               sweepSummaryJson(skipped.jobs).dump(2));
+}
+
+TEST(JobScheduler, RerunRetiresTheCheckpointOfARecordedJob)
+{
+    // A kill between a commit's fsync and its checkpoint retirement
+    // leaves a recorded job's checkpoint behind; the rerun that skips
+    // the job retires it, and the summary does not change.
+    const std::filesystem::path dir = scratchDir("stale_checkpoint");
+    const std::vector<ScenarioSpec> specs = {tinySpec("a", 0.6),
+                                             tinySpec("b", 1.0)};
+    SchedulerConfig config;
+    config.outDir = dir.string();
+    const std::string summary =
+        sweepSummaryJson(JobScheduler(config).run(specs).jobs).dump(2);
+
+    // A real checkpoint of "a": a graceful stop seals one after the
+    // first iteration, then a second write rotates it to `.prev`.
+    JobScheduler scheduler(config);
+    ScenarioRunOptions stop;
+    stop.checkpointPath = scheduler.checkpointPathFor(specs[0]);
+    stop.shouldStop = [] { return true; };
+    EXPECT_FALSE(runScenario(specs[0], stop).completed);
+    EXPECT_FALSE(runScenario(specs[0], stop).completed);
+    ASSERT_TRUE(std::filesystem::exists(stop.checkpointPath));
+    ASSERT_TRUE(std::filesystem::exists(stop.checkpointPath + ".prev"));
+
+    const SweepResult rerun = scheduler.run(specs);
+    EXPECT_EQ(rerun.executed, 0u);
+    EXPECT_EQ(rerun.skipped, 2u);
+    EXPECT_FALSE(std::filesystem::exists(stop.checkpointPath));
+    EXPECT_FALSE(std::filesystem::exists(stop.checkpointPath + ".prev"));
+    EXPECT_EQ(sweepSummaryJson(rerun.jobs).dump(2), summary);
+}
+
+TEST(JobScheduler, ThrowingJobKeepsTheRecordsOfFinishedJobs)
+{
+    // On one lane "a" finishes into the group-commit buffer, then "b"
+    // throws at its first checkpoint write. run() rethrows only after
+    // committing "a": its record is durable and its checkpoint gone.
+    const std::filesystem::path dir = scratchDir("throwing_job");
+    const std::vector<ScenarioSpec> specs = {tinySpec("a", 0.6),
+                                             tinySpec("b", 1.0),
+                                             tinySpec("c", 1.4)};
+    SchedulerConfig config;
+    config.outDir = dir.string();
+    JobScheduler scheduler(config);
+    {
+        PoolSizeGuard one_lane(1);
+        FaultInjection::instance().arm(
+            R"({"faults": [{"site": "checkpoint.write",
+            "action": "fail-errno", "errno": "EIO", "hit": 3}]})");
+        EXPECT_THROW(scheduler.run(specs), std::runtime_error);
+        FaultInjection::instance().disarm();
+    }
+    const std::vector<JobResult> stored =
+        ResultStore(scheduler.resultStorePath()).load();
+    ASSERT_EQ(stored.size(), 1u);
+    expectJobsBitIdentical(stored[0], runScenario(specs[0]));
+    EXPECT_FALSE(
+        std::filesystem::exists(scheduler.checkpointPathFor(specs[0])));
 }
 
 // --------------------------------------------------------- result store

@@ -84,6 +84,7 @@
 #include "common/file_util.h"
 #include "common/json.h"
 #include "dist/worker_daemon.h"
+#include "svc/group_commit.h"
 #include "svc/scenario_spec.h"
 #include "svc/sweep_dir.h"
 
@@ -459,13 +460,38 @@ eventRows(const std::string &text)
     return rows;
 }
 
+/** The fingerprints of the canonical store's parseable records. */
+std::set<std::string>
+recordedJobs(const Run &run)
+{
+    std::set<std::string> fingerprints;
+    for (const JsonValue &record : storeRecords(sweepStorePath(run.dir)))
+        fingerprints.insert(record.at("fingerprint").asString());
+    return fingerprints;
+}
+
+/** A kill between a batch's write and its fsync: the recovery records
+ * every job exactly once in the canonical store. */
+void
+expectEachJobRecordedOnce(Run &run)
+{
+    const std::size_t records = storeRecords(sweepStorePath(run.dir)).size();
+    const std::size_t jobs = recordedJobs(run).size();
+    run.expect(records == run.jobs && jobs == run.jobs,
+               std::to_string(records) + " records of " + std::to_string(jobs)
+                   + " jobs in the store");
+}
+
 /**
  * Resume after a kill picks up the newest durable checkpoint: every
  * job the killed process (the drain process that exited by SIGKILL;
  * its journal origin is "<id>-p<pid>") journaled a checkpoint for is
- * resumed by another process from that iteration or later. A journal
- * can lag the disk (a concurrent lane's checkpoint lands before its
- * event is flushed) but never lead it.
+ * either completed by another process that resumed it from that
+ * iteration or later, or completed by no other process because the
+ * killed one had already written its record (a kill between a group
+ * commit's write and its fsync) — then the record must be in the
+ * store. A journal can lag the disk (a concurrent lane's checkpoint
+ * lands before its event is flushed) but never lead it.
  */
 void
 expectResumedFromNewestCheckpoint(Run &run)
@@ -484,8 +510,11 @@ expectResumedFromNewestCheckpoint(Run &run)
             == 0;
     };
     std::map<std::string, std::int64_t> newest, resumed;
+    std::set<std::string> rerun; // completed by a surviving process
     for (const EventRow &row :
          eventRows(run.viewOk({"--events", "--out", run.dir}))) {
+        if (row.type == "job.completed" && !is_killed(row.origin))
+            rerun.insert(row.job);
         const JsonValue *it =
             row.detail.isObject() ? row.detail.find("iteration") : nullptr;
         if (!it)
@@ -496,12 +525,20 @@ expectResumedFromNewestCheckpoint(Run &run)
             resumed[row.job] = std::max(resumed[row.job], it->asInt());
     }
     run.expect(!newest.empty(), "the killed process journaled no checkpoint");
+    const std::set<std::string> stored = recordedJobs(run);
     for (const auto &[job, iteration] : newest)
-        run.expect(resumed.count(job) != 0 && resumed[job] >= iteration,
-                   "job " + job + " checkpointed at "
-                       + std::to_string(iteration) + " but resumed from "
-                       + (resumed.count(job) ? std::to_string(resumed[job])
-                                             : std::string("scratch")));
+        if (rerun.count(job) == 0)
+            run.expect(stored.count(job) != 0,
+                       "job " + job + " checkpointed at "
+                           + std::to_string(iteration)
+                           + " but neither resumed nor recorded");
+        else
+            run.expect(resumed.count(job) != 0 && resumed[job] >= iteration,
+                       "job " + job + " checkpointed at "
+                           + std::to_string(iteration) + " but resumed from "
+                           + (resumed.count(job)
+                                  ? std::to_string(resumed[job])
+                                  : std::string("scratch")));
 }
 
 /** Supervisor flags, then `--` and the workers' flags. */
@@ -556,8 +593,8 @@ void checkScale(Run &run);
  * records and checkpoints (the CRC quarantine paths), heartbeat loss,
  * abandoned locks, injected I/O latency, a probabilistic
  * acquire-failure schedule, SIGKILL before the 1st/2nd/3rd/5th
- * checkpoint write and between a claim batch's write and its fsync,
- * and the self-healing fleet.
+ * checkpoint write and between a commit batch's write and its fsync
+ * (in a worker and in the scheduler), and the self-healing fleet.
  */
 std::vector<Drill>
 drillMatrix(const std::string &outRoot, int chaosJobs)
@@ -605,20 +642,26 @@ drillMatrix(const std::string &outRoot, int chaosJobs)
     // its fsync (journal appends are best-effort and never reach the
     // site). No claim was released and no checkpoint retired; the
     // recovery must still record every job exactly once.
-    drills.push_back(
-        {"crash-before-batch-fsync", "chaos", chaos,
-         R"([{"site": "file.append.fsync", "action": "crash", "hit": 1}])"});
+    const char *crash_before_fsync =
+        R"([{"site": "file.append.fsync", "action": "crash", "hit": 1}])";
+    drills.push_back({"crash-before-batch-fsync", "chaos", chaos,
+                      crash_before_fsync});
+    drills.back().afterRecovery = expectEachJobRecordedOnce;
+    // The same kill in `treevqa_run --jobs 4`, on a sweep of more jobs
+    // than one commit batch, so lanes are mid-job when the first batch
+    // is written. The rerun skips the written batch's jobs, retiring
+    // the checkpoints they left, and resumes the rest.
+    drills.push_back({"scheduler-crash-before-batch-fsync", "chaos",
+                      fieldSweep("chaos-batch", 4, 12, 4, kGroupCommitBatch + 4),
+                      crash_before_fsync, Drain::Scheduler, {"--jobs", "4"}});
     drills.back().afterRecovery = [](Run &run) {
-        std::set<std::string> fingerprints;
-        const std::vector<JsonValue> records =
-            storeRecords(sweepStorePath(run.dir));
-        for (const JsonValue &record : records)
-            fingerprints.insert(record.at("fingerprint").asString());
-        run.expect(records.size() == run.jobs
-                       && fingerprints.size() == run.jobs,
-                   std::to_string(records.size()) + " records of "
-                       + std::to_string(fingerprints.size())
-                       + " jobs in the store");
+        expectEachJobRecordedOnce(run);
+        for (const std::string &fp : recordedJobs(run)) {
+            const std::string path = sweepCheckpointPath(run.dir, fp);
+            run.expect(!fs::exists(path) && !fs::exists(path + ".prev"),
+                       "checkpoint of recorded job " + fp + " left");
+        }
+        expectResumedFromNewestCheckpoint(run);
     };
 
     const auto fleet = [&](const char *name, std::string faults,

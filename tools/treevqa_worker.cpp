@@ -118,7 +118,7 @@ main(int argc, char **argv)
     long max_job_attempts = 3;
     long retry_backoff_ms = 50;
     long job_timeout_ms = 0;
-    long claim_batch = 8;
+    long claim_batch = kGroupCommitBatch;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
