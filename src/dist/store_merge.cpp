@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 
 #include "common/event_log.h"
 #include "common/file_util.h"
@@ -153,34 +152,6 @@ quarantineShard(const std::string &shardPath)
     return true;
 }
 
-/**
- * Remove every checkpoint file (either generation, or a staging copy)
- * of a job that has a completed record. Committers retire a job's
- * checkpoint right after its record is durable; a kill between the
- * two leaves one behind, and a drained compaction is where it goes.
- */
-void
-retireRecordedCheckpoints(const std::string &sweepDir,
-                          const std::vector<JobResult> &records)
-{
-    std::vector<std::filesystem::path> files;
-    std::error_code ec;
-    for (const auto &entry : std::filesystem::directory_iterator(
-             sweepCheckpointDir(sweepDir), ec))
-        files.push_back(entry.path());
-    if (files.empty())
-        return;
-    std::set<std::string> completed;
-    for (const JobResult &record : records)
-        if (record.completed)
-            completed.insert(record.fingerprint);
-    for (const std::filesystem::path &file : files) {
-        const std::string name = file.filename().string();
-        if (completed.count(name.substr(0, name.find('.'))) != 0)
-            std::remove(file.c_str());
-    }
-}
-
 } // namespace
 
 std::vector<JobResult>
@@ -235,7 +206,7 @@ compactSweepStore(const std::string &sweepDir,
         }
     }
     if (removeMergedShards)
-        retireRecordedCheckpoints(sweepDir, records);
+        retireCheckpoints(sweepDir, records);
     {
         JsonValue detail = JsonValue::object();
         detail.set("inputRecords",

@@ -78,9 +78,10 @@ loadMergedRecords(const std::string &sweepDir,
  * `results.jsonl` with the deduplicated name-sorted record set and
  * write the deterministic `summary.json`.
  *
- * `removeMergedShards` deletes the shard files afterwards, and the
- * checkpoints left behind by completed jobs (a kill between a record
- * landing and its committer retiring the checkpoint); pass true
+ * `removeMergedShards` deletes the shard files afterwards, and
+ * retires (retireCheckpoints) the checkpoint files left behind by
+ * completed jobs (a kill between a record landing and its committer
+ * retiring the checkpoint); pass true
  * only when the sweep is provably drained (every job recorded — the
  * worker daemon's merge-on-drain path), because a live worker could
  * otherwise append a completed job's record to a shard between our

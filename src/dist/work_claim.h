@@ -81,12 +81,12 @@ struct ClaimInfo
     /** Heartbeat count (diagnostic; shown by --status). */
     std::int64_t renewals = 0;
     /**
-     * Monotonic job-progress counter (the optimizer iteration)
-     * stamped into the claim by the owner's heartbeat. The hung-job
-     * watchdog's signal: a lease whose deadline keeps advancing while
-     * `progress` does not is a wedged job, not a live one — the
-     * heartbeat thread is alive but the work it guards is stuck. -1
-     * until the owner first reports progress.
+     * The owner heartbeat's batch tick, shared by every claim of its
+     * batch: +1 per heartbeat that saw the running job's iteration
+     * move, so not an iteration count. The hung-job watchdog's
+     * signal: a lease whose deadline keeps advancing while `progress`
+     * does not is a wedged job, not a live one. -1 until the owner
+     * first reports progress.
      */
     std::int64_t progress = -1;
     /**

@@ -243,19 +243,6 @@ WorkerDaemon::idle()
         jitteredPollMs(options_.pollMs, options_.workerId)));
 }
 
-std::vector<ScenarioSpec>
-WorkerDaemon::loadSweepSpecs(const std::string &sweepDir)
-{
-    std::string text;
-    const std::string path = sweepSpecPath(sweepDir);
-    if (!readTextFile(path, text))
-        throw std::runtime_error(
-            "worker: cannot read " + path
-            + " (seed the sweep directory with treevqa_run --out or "
-              "treevqa_worker --spec)");
-    return expandScenarios(JsonValue::parse(text));
-}
-
 WorkerReport
 WorkerDaemon::run()
 {

@@ -276,11 +276,6 @@ class WorkerDaemon
 
     const WorkerOptions &options() const { return options_; }
 
-    /** Parse `<sweepDir>/sweep.json` and expand it into the job list.
-     * Throws std::runtime_error when the file is missing. */
-    static std::vector<ScenarioSpec>
-    loadSweepSpecs(const std::string &sweepDir);
-
     /** Drain loop over the sweep.json job list (re-checked every scan
      * round in daemon mode; re-expanded only on change). */
     WorkerReport run();

@@ -1,7 +1,6 @@
 #include "svc/group_commit.h"
 
 #include "common/event_log.h"
-#include "svc/sweep_dir.h"
 
 namespace treevqa {
 
@@ -13,10 +12,7 @@ commitJobRecords(ResultStore &store, const std::string &sweepDir,
     if (records.empty())
         return;
     store.append(records);
-    for (const JobResult &record : records)
-        if (record.completed)
-            removeCheckpoint(
-                sweepCheckpointPath(sweepDir, record.fingerprint));
+    retireCheckpoints(sweepDir, records);
     for (std::size_t i = 0; i < records.size(); ++i) {
         const JobResult &record = records[i];
         if (!record.completed) {

@@ -9,8 +9,10 @@
  * checkpoint still on disk. One commit then runs, in this order:
  *  1. one ResultStore batch append of every record: one write, one
  *     fsync (fault sites "store.append", "file.append.fsync");
- *  2. each completed record's checkpoint is retired (both
- *     generations);
+ *  2. retireCheckpoints (svc/scenario_runner.h) deletes every
+ *     checkpoint file of the completed records' jobs: both
+ *     generations and any staging copy a kill left behind; a batch
+ *     of jobs that never checkpoint costs no syscall here;
  *  3. a `job.completed` event per completed record, detail
  *     `{"name", "resumed"}`, and the caller's hook per failed
  *     (poisoned) record, in record order;

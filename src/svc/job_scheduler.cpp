@@ -116,20 +116,21 @@ JobScheduler::run(const std::vector<ScenarioSpec> &specs)
                 recorded.emplace(record.fingerprint, std::move(record));
     }
 
-    // Partition into skipped (already recorded) and pending jobs. A
-    // recorded job's checkpoint is stale: a kill between its commit's
-    // fsync and the retirement left it, so retire it now.
+    // Partition into skipped (already recorded) and pending jobs.
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const auto it = recorded.find(fingerprints[i]);
         if (it != recorded.end()) {
-            removeCheckpoint(checkpointPath(fingerprints[i]));
             sweep.jobs[i] = it->second;
             ++sweep.skipped;
         } else {
             pending.push_back(i);
         }
     }
+    // A skipped job's checkpoint files are stale: a kill between its
+    // commit's fsync and the retirement left them. The pending slots
+    // are still empty records, which retire nothing.
+    retireCheckpoints(config_.outDir, sweep.jobs);
     load_span.end();
     sweep.executed = pending.size();
     schedulerMetrics().jobsExecuted.inc(pending.size());

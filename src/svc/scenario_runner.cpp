@@ -3,6 +3,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <set>
 #include <stdexcept>
 
 #include "common/event_log.h"
@@ -12,6 +15,7 @@
 #include "common/trace.h"
 #include "core/metrics.h"
 #include "core/vqa_cluster.h"
+#include "svc/sweep_dir.h"
 
 namespace treevqa {
 
@@ -100,17 +104,16 @@ writeCheckpoint(const std::string &path, const JsonValue &checkpoint)
 }
 
 /**
- * Restore loop state and cluster from the current checkpoint, falling
- * back to the rotated last-good `.prev` generation when the current
- * file fails validation. A generation is skipped (with a warning when
- * the file existed) when it is absent, unreadable, lacks or fails its
- * CRC, belongs to a different spec or does not load; the cluster's
- * loadState is all-or-nothing, so a skipped generation leaves it
- * fresh. False = fresh start.
+ * Hand `use` each checkpoint generation of `path` in restore order,
+ * the current file and then the rotated last-good `.prev`, parsed with
+ * its CRC checked and stripped and its format version checked, until
+ * `use` returns without throwing. An absent file is skipped silently,
+ * a failing one with a warning when `warn`. Returns the accepted file,
+ * or "" when there was none.
  */
-bool
-tryRestore(const std::string &path, const std::string &fingerprint,
-           RunState &state, VqaCluster &cluster, ShotLedger &ledger)
+std::string
+useNewestGoodCheckpoint(const std::string &path, bool warn,
+                        const std::function<void(const JsonValue &)> &use)
 {
     for (const std::string &file : {path, checkpointPrevPath(path)}) {
         std::string text;
@@ -123,6 +126,30 @@ tryRestore(const std::string &path, const std::string &fingerprint,
             if (checkpoint.at("version").asInt() != kCheckpointVersion)
                 throw std::runtime_error(
                     "unsupported checkpoint version");
+            use(checkpoint);
+            return file;
+        } catch (const std::exception &e) {
+            if (warn)
+                std::fprintf(stderr,
+                             "treevqa: ignoring checkpoint %s (%s)\n",
+                             file.c_str(), e.what());
+        }
+    }
+    return "";
+}
+
+/**
+ * Restore loop state and cluster from the newest good checkpoint
+ * generation that belongs to `fingerprint` and loads; the cluster's
+ * loadState is all-or-nothing, so a skipped generation leaves it
+ * fresh. False = fresh start.
+ */
+bool
+tryRestore(const std::string &path, const std::string &fingerprint,
+           RunState &state, VqaCluster &cluster, ShotLedger &ledger)
+{
+    const std::string used = useNewestGoodCheckpoint(
+        path, true, [&](const JsonValue &checkpoint) {
             if (checkpoint.at("fingerprint").asString() != fingerprint)
                 throw std::runtime_error(
                     "checkpoint belongs to a different spec");
@@ -139,19 +166,11 @@ tryRestore(const std::string &path, const std::string &fingerprint,
             cluster.loadState(checkpoint.at("cluster"));
             state = std::move(restored);
             ledger.charge(shots);
-            if (file != path)
-                std::fprintf(stderr,
-                             "treevqa: restored last-good checkpoint "
-                             "%s\n",
-                             file.c_str());
-            return true;
-        } catch (const std::exception &e) {
-            std::fprintf(stderr,
-                         "treevqa: ignoring checkpoint %s (%s)\n",
-                         file.c_str(), e.what());
-        }
-    }
-    return false;
+        });
+    if (!used.empty() && used != path)
+        std::fprintf(stderr, "treevqa: restored last-good checkpoint %s\n",
+                     used.c_str());
+    return !used.empty();
 }
 
 } // namespace
@@ -186,10 +205,14 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
     result.groundEnergy = task.groundEnergy;
     compile_span.end();
 
+    // The fingerprint covers checkpointInterval, so a job that never
+    // writes a checkpoint never has one to restore either.
+    const bool checkpoints_enabled = !options.checkpointPath.empty()
+        && spec.checkpointInterval > 0;
     RunState state;
     ShotLedger ledger;
     TraceSpan prep_span("runner.prep", &runnerMetrics().prepNs);
-    if (!options.checkpointPath.empty()
+    if (checkpoints_enabled
         && tryRestore(options.checkpointPath, result.fingerprint, state,
                       cluster, ledger)) {
         result.resumed = true;
@@ -204,8 +227,6 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
     }
     prep_span.end();
 
-    const bool checkpoints_enabled = !options.checkpointPath.empty()
-        && spec.checkpointInterval > 0;
     const auto checkpoint = [&](bool graceful) {
         JsonValue out = JsonValue::object();
         out.set("version", JsonValue(kCheckpointVersion));
@@ -309,7 +330,7 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
             energyFidelity(result.finalEnergy, task.groundEnergy);
     result.completed = true;
     // The checkpoint stays until the caller's record is durable
-    // (removeCheckpoint): a kill before that resumes from it.
+    // (retireCheckpoints): a kill before that resumes from it.
 
     result.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
@@ -318,30 +339,36 @@ runScenario(const ScenarioSpec &spec, const ScenarioRunOptions &options)
 }
 
 void
-removeCheckpoint(const std::string &path)
+retireCheckpoints(const std::string &sweepDir,
+                  const std::vector<JobResult> &records)
 {
-    if (path.empty())
+    std::set<std::string> retired;
+    for (const JobResult &record : records)
+        if (record.completed && record.spec.checkpointInterval > 0)
+            retired.insert(record.fingerprint);
+    if (retired.empty())
         return;
-    std::remove(path.c_str());
-    std::remove(checkpointPrevPath(path).c_str());
+    // Every file of a job starts with its fingerprint and a '.':
+    // `<fp>.json`, `<fp>.json.prev`, `<fp>.json.tmp.<pid>.<n>`.
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             sweepCheckpointDir(sweepDir), ec)) {
+        const std::string name = entry.path().filename().string();
+        if (retired.count(name.substr(0, name.find('.'))) != 0)
+            std::remove(entry.path().c_str());
+    }
 }
 
 std::optional<CheckpointPeek>
 peekCheckpoint(const std::string &path)
 {
-    std::string text;
-    if (!readTextFile(path, text))
-        return std::nullopt;
-    try {
-        const JsonValue checkpoint = JsonValue::parse(text);
-        CheckpointPeek peek;
-        peek.fingerprint = checkpoint.at("fingerprint").asString();
-        peek.iteration =
-            static_cast<int>(checkpoint.at("iteration").asInt());
-        return peek;
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
+    std::optional<CheckpointPeek> peek;
+    useNewestGoodCheckpoint(path, false, [&](const JsonValue &checkpoint) {
+        peek = CheckpointPeek{
+            checkpoint.at("fingerprint").asString(),
+            static_cast<int>(checkpoint.at("iteration").asInt())};
+    });
+    return peek;
 }
 
 } // namespace treevqa

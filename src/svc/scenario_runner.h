@@ -29,8 +29,9 @@
  *    (common/json.h), the loop re-executes the same evaluation
  *    sequence, and the budget check reads only checkpointed shots.
  *  - **Retirement.** A completed job's checkpoint outlives the run:
- *    the caller removes it (removeCheckpoint) once the job's record
- *    is durable, so no kill leaves a job with neither.
+ *    retireCheckpoints, the only code that deletes checkpoint files,
+ *    removes all of them (staging copies included) once the job's
+ *    record is durable, so no kill leaves a job with neither.
  *  - **Kill points.** After each interval checkpoint is durable and
  *    journaled, the runner evaluates the `checkpoint.written` fault
  *    site (common/fault_injection.h). A `crash` entry there is how
@@ -136,12 +137,17 @@ struct ScenarioRunOptions
 JobResult runScenario(const ScenarioSpec &spec,
                       const ScenarioRunOptions &options = {});
 
-/** Retire a finished job's checkpoint, both generations (no-op on an
- * empty path). The runner never does this itself: the caller commits
- * the job's record first — the scheduler after its append, the worker
- * after its batch fsync — so a kill before the record is durable
- * still resumes from the newest checkpoint. */
-void removeCheckpoint(const std::string &path);
+/**
+ * Delete the checkpoint files (`.json`, `.json.prev`, staging copies)
+ * of `records`' completed jobs whose spec checkpoints, in one listing
+ * of `sweepDir`'s checkpoints/; with no such record, no syscall. Call
+ * it after the records' fsync: the group commit, a rerun's skip and
+ * the drained compaction do. In a live fleet a lost-lease zombie may
+ * be writing a staging copy of a job its reaper just committed: its
+ * rename then fails and its commit's ownership confirm drops it.
+ */
+void retireCheckpoints(const std::string &sweepDir,
+                       const std::vector<JobResult> &records);
 
 /** The little a progress view needs from a checkpoint file. */
 struct CheckpointPeek
@@ -151,8 +157,8 @@ struct CheckpointPeek
 };
 
 /** Read a checkpoint's identity and progress without restoring it
- * (the `treevqa_run --status` view). nullopt when the file is absent
- * or unparseable. */
+ * (the `treevqa_run --status` view), in restore order: `path`, then
+ * `<path>.prev`. nullopt when neither passes its CRC. */
 std::optional<CheckpointPeek> peekCheckpoint(const std::string &path);
 
 } // namespace treevqa

@@ -11,7 +11,10 @@
  *                                     list)
  *   <dir>/results.jsonl               canonical append-only store
  *   <dir>/summary.json                deterministic aggregate view
- *   <dir>/checkpoints/<fp>.json       per-job resume state
+ *   <dir>/checkpoints/<fp>.json       per-job resume state; `.prev`
+ *                                     is its last-good generation,
+ *                                     `.tmp.<pid>.<n>` a staging copy
+ *                                     (svc/scenario_runner.h)
  *   <dir>/claims/<fp>.lock            per-job work claim (lease)
  *   <dir>/workers/<worker>.jsonl      per-worker store shard (merged
  *                                     into results.jsonl on

@@ -30,6 +30,7 @@
 #include "svc/job_scheduler.h"
 #include "svc/result_store.h"
 #include "svc/sweep_dir.h"
+#include "svc/sweep_index.h"
 
 #include "plan_crash.h"
 
@@ -873,15 +874,16 @@ TEST(WorkerDaemon, RejectsBadOptionsAndDuplicateSpecs)
 
 TEST(WorkerDaemon, LoadsSweepSpecsFromTheSharedDirectory)
 {
+    // WorkerDaemon::run() reads its job list through SweepIndex.
     const auto dir = scratchDir("spec_file");
-    EXPECT_THROW(WorkerDaemon::loadSweepSpecs(dir.string()),
-                 std::runtime_error);
+    SweepIndex index(dir.string());
+    EXPECT_THROW(index.refresh(), std::runtime_error);
     writeTextFileAtomic(
         sweepSpecPath(dir.string()),
         R"({"name": "s", "problem": "tfim", "size": 4,
             "sweep": {"field": [0.5, 1.0]}})");
-    const std::vector<ScenarioSpec> specs =
-        WorkerDaemon::loadSweepSpecs(dir.string());
+    index.refresh();
+    const std::vector<ScenarioSpec> &specs = index.specs();
     ASSERT_EQ(specs.size(), 2u);
     EXPECT_EQ(specs[0].name, "s/field=0.5");
 }

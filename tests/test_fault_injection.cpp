@@ -407,8 +407,10 @@ TEST_F(FaultInjectionTest, MergeQuarantinesCorruptShardInsteadOfDeleting)
 TEST_F(FaultInjectionTest, CorruptCheckpointFallsBackToLastGood)
 {
     const auto dir = scratchDir("ckpt");
-    const std::string ckpt = (dir / "job.json").string();
     const ScenarioSpec spec = tinySpec("ckptjob");
+    std::filesystem::create_directories(sweepCheckpointDir(dir.string()));
+    const std::string ckpt =
+        sweepCheckpointPath(dir.string(), scenarioFingerprint(spec));
 
     const JobResult reference = runScenario(spec);
 
@@ -441,9 +443,48 @@ TEST_F(FaultInjectionTest, CorruptCheckpointFallsBackToLastGood)
     // which retires them once the record is durable.
     EXPECT_TRUE(std::filesystem::exists(ckpt));
     EXPECT_TRUE(std::filesystem::exists(ckpt + ".prev"));
-    removeCheckpoint(ckpt);
+    retireCheckpoints(dir.string(), {finished});
     EXPECT_FALSE(std::filesystem::exists(ckpt));
     EXPECT_FALSE(std::filesystem::exists(ckpt + ".prev"));
+}
+
+TEST_F(FaultInjectionTest, PeekFollowsTheRestoreOrderToPrev)
+{
+    const auto dir = scratchDir("ckpt_peek");
+    const std::string ckpt = (dir / "job.json").string();
+    const ScenarioSpec spec = tinySpec("ckptjob5");
+
+    ScenarioRunOptions options;
+    options.checkpointPath = ckpt;
+    crashThroughPlan(kCrashAfterSecondCheckpoint,
+                     [&] { runScenario(spec, options); });
+
+    // A current generation without its crc is one restore skips, so
+    // the peek reads the .prev generation too.
+    std::string current;
+    ASSERT_TRUE(readTextFile(ckpt, current));
+    JsonValue stripped = JsonValue::parse(current);
+    ASSERT_TRUE(stripped.erase("crc"));
+    writeTextFileAtomic(ckpt, stripped.dump(2) + "\n");
+    std::optional<CheckpointPeek> peek = peekCheckpoint(ckpt);
+    ASSERT_TRUE(peek.has_value());
+    EXPECT_EQ(peek->iteration, 4);
+
+    // A kill between the next write's rotate and its atomic write
+    // leaves only `.prev`: the peek and the resume both find it.
+    writeTextFileAtomic(ckpt, current);
+    std::filesystem::rename(ckpt, ckpt + ".prev");
+    peek = peekCheckpoint(ckpt);
+    ASSERT_TRUE(peek.has_value());
+    EXPECT_EQ(peek->fingerprint, scenarioFingerprint(spec));
+    EXPECT_EQ(peek->iteration, 8);
+    std::atomic<std::int64_t> progress{-1};
+    ScenarioRunOptions resume;
+    resume.checkpointPath = ckpt;
+    resume.shouldStop = [] { return true; };
+    resume.progressCounter = &progress;
+    EXPECT_TRUE(runScenario(spec, resume).resumed);
+    EXPECT_EQ(progress.load(), 9);
 }
 
 TEST_F(FaultInjectionTest, CheckpointWithoutCrcFallsBackToLastGood)

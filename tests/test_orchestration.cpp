@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/file_util.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -24,6 +25,7 @@
 #include "svc/result_store.h"
 #include "svc/scenario_runner.h"
 #include "svc/scenario_spec.h"
+#include "svc/sweep_dir.h"
 
 #include "plan_crash.h"
 #include "pool_size_guard.h"
@@ -412,7 +414,9 @@ TEST(ScenarioRunner, KillAndResumeReachesIdenticalEnergies)
     // (iteration 8). The last durable checkpoint is at iteration 4,
     // so iterations 5-8 are lost and re-executed on resume.
     ScenarioRunOptions interrupted;
-    interrupted.checkpointPath = (dir / "job.json").string();
+    std::filesystem::create_directories(sweepCheckpointDir(dir.string()));
+    interrupted.checkpointPath =
+        sweepCheckpointPath(dir.string(), scenarioFingerprint(spec));
     crashThroughPlan(
         R"({"faults": [{"site": "checkpoint.write", "action": "crash",
         "hit": 2}]})",
@@ -436,12 +440,29 @@ TEST(ScenarioRunner, KillAndResumeReachesIdenticalEnergies)
 
     expectJobsBitIdentical(reference, resumed);
     // The runner keeps a finished job's checkpoint until its caller has
-    // made the record durable; removeCheckpoint then retires both
+    // made the record durable; retireCheckpoints then retires both
     // generations.
     EXPECT_TRUE(std::filesystem::exists(resume.checkpointPath));
-    removeCheckpoint(resume.checkpointPath);
-    EXPECT_FALSE(std::filesystem::exists(resume.checkpointPath));
-    EXPECT_FALSE(std::filesystem::exists(resume.checkpointPath + ".prev"));
+    EXPECT_TRUE(std::filesystem::exists(resume.checkpointPath + ".prev"));
+    retireCheckpoints(dir.string(), {resumed});
+    EXPECT_TRUE(std::filesystem::is_empty(sweepCheckpointDir(dir.string())));
+}
+
+TEST(ScenarioRunner, JobWithoutCheckpointIntervalNeverOpensACheckpoint)
+{
+    const std::filesystem::path dir = scratchDir("no_interval");
+    ScenarioSpec spec = tinySpec("no-interval", 0.8, 6);
+    spec.checkpointInterval = 0;
+    ScenarioRunOptions options;
+    options.checkpointPath = (dir / "job.json").string();
+    Counter &read_opens =
+        MetricsRegistry::instance().counter("io.read_opens");
+    const std::uint64_t before = read_opens.total();
+    const JobResult result = runScenario(spec, options);
+    EXPECT_TRUE(result.completed);
+    EXPECT_FALSE(result.resumed);
+    EXPECT_EQ(read_opens.total(), before);
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
 }
 
 TEST(ScenarioRunner, BindingBudgetStopsAtTheSameIterationOnResume)
@@ -611,12 +632,47 @@ TEST(JobScheduler, RerunRetiresTheCheckpointOfARecordedJob)
     ASSERT_TRUE(std::filesystem::exists(stop.checkpointPath));
     ASSERT_TRUE(std::filesystem::exists(stop.checkpointPath + ".prev"));
 
+    // And the staging copy a kill leaves mid-write. A checkpoint of a
+    // job the store does not hold stays.
+    const std::string staging = stop.checkpointPath + ".tmp.4242.7";
+    writeTextFileAtomic(staging, "{}");
+    const std::string unrecorded =
+        scheduler.checkpointPathFor(tinySpec("c", 1.4));
+    writeTextFileAtomic(unrecorded, "{}");
+
     const SweepResult rerun = scheduler.run(specs);
     EXPECT_EQ(rerun.executed, 0u);
     EXPECT_EQ(rerun.skipped, 2u);
     EXPECT_FALSE(std::filesystem::exists(stop.checkpointPath));
     EXPECT_FALSE(std::filesystem::exists(stop.checkpointPath + ".prev"));
+    EXPECT_FALSE(std::filesystem::exists(staging));
+    EXPECT_TRUE(std::filesystem::exists(unrecorded));
     EXPECT_EQ(sweepSummaryJson(rerun.jobs).dump(2), summary);
+}
+
+TEST(JobScheduler, RetireCheckpointsSkipsJobsThatNeverCheckpoint)
+{
+    // A record whose spec has no checkpoint interval cannot own a
+    // checkpoint, so its retirement does not even list the directory:
+    // a file under its fingerprint stays.
+    const std::filesystem::path dir = scratchDir("retire_interval0");
+    ScenarioSpec spec = tinySpec("a", 0.6);
+    spec.checkpointInterval = 0;
+    JobResult record;
+    record.spec = spec;
+    record.fingerprint = scenarioFingerprint(spec);
+    record.completed = true;
+    std::filesystem::create_directories(sweepCheckpointDir(dir.string()));
+    const std::string path =
+        sweepCheckpointPath(dir.string(), record.fingerprint);
+    writeTextFileAtomic(path, "{}");
+    retireCheckpoints(dir.string(), {record});
+    EXPECT_TRUE(std::filesystem::exists(path));
+
+    // The same record with an interval retires it.
+    record.spec.checkpointInterval = 4;
+    retireCheckpoints(dir.string(), {record});
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(JobScheduler, ThrowingJobKeepsTheRecordsOfFinishedJobs)

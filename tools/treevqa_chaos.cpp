@@ -36,8 +36,9 @@
  *  2. the drill's own assertions on what the drain left;
  *  3. the disarmed recovery run — one treevqa_worker, or treevqa_run
  *     again for the scheduler — which drains whatever the faults left;
- *  4. the checks every drill shares: the recovery exits 0, `--status`
- *     counts every job done, summary.json and the completed energies
+ *  4. the checks every drill shares: the recovery exits 0, no
+ *     checkpoint file of a completed job is left (staging copies
+ *     included), `--status` counts every job done, summary.json and the completed energies
  *     equal the single-process reference (`treevqa_run SPEC --jobs
  *     1`, once per distinct sweep), every planned site fired (judged
  *     from the armed process's fire report, or its SIGKILL death for a
@@ -482,6 +483,59 @@ expectEachJobRecordedOnce(Run &run)
                    + " jobs in the store");
 }
 
+/** Once the recovery has drained, no checkpoint file of a completed
+ * job is left: neither generation, nor a staging copy a kill left
+ * mid-write. */
+void
+expectNoCheckpointOfACompletedJob(Run &run)
+{
+    std::set<std::string> completed;
+    for (const JsonValue &record : storeRecords(sweepStorePath(run.dir)))
+        if (const JsonValue *done = record.find("completed");
+            done && done->asBool())
+            completed.insert(record.at("fingerprint").asString());
+    std::error_code ec;
+    for (const auto &entry :
+         fs::directory_iterator(sweepCheckpointDir(run.dir), ec)) {
+        const std::string name = entry.path().filename().string();
+        run.expect(completed.count(name.substr(0, name.find('.'))) == 0,
+                   "checkpoint file " + name + " of a completed job left");
+    }
+}
+
+/**
+ * A kill between a checkpoint write's rotate and its atomic write
+ * leaves only `<fp>.json.prev`, which a resume restores. On a copy of
+ * the killed sweep made so, `--status` must show that job paused at
+ * the `.prev` iteration, not pending.
+ */
+void
+expectPausedFromPrevGeneration(Run &run)
+{
+    const std::string copy = run.root + "/sweep-prev";
+    fs::copy(run.dir, copy, fs::copy_options::recursive);
+    const Args current = listSortedFiles(sweepCheckpointDir(copy), ".json");
+    run.expect(!current.empty(), "the killed run left no checkpoint");
+    if (current.empty())
+        return;
+    const std::string prev = current[0] + ".prev";
+    fs::rename(current[0], prev);
+    const std::string fp = fs::path(current[0]).stem().string();
+    const std::string iteration = std::to_string(
+        JsonValue::parse(readOrEmpty(prev)).at("iteration").asInt());
+    const Args rows = lines(run.viewOk({"--status", "--out", copy}));
+    run.expect(std::any_of(rows.begin(), rows.end(),
+                           [&](const std::string &row) {
+                               return startsWith(row, fp + " ")
+                                   && row.find(" paused ") != std::string::npos
+                                   && row.find("checkpoint at iter " + iteration
+                                               + "/")
+                                       != std::string::npos;
+                           }),
+               "--status: job " + fp + " with only .prev is not paused at "
+                   + iteration);
+}
+
 /**
  * Resume after a kill picks up the newest durable checkpoint: every
  * job the killed process (the drain process that exited by SIGKILL;
@@ -650,17 +704,13 @@ drillMatrix(const std::string &outRoot, int chaosJobs)
     // The same kill in `treevqa_run --jobs 4`, on a sweep of more jobs
     // than one commit batch, so lanes are mid-job when the first batch
     // is written. The rerun skips the written batch's jobs, retiring
-    // the checkpoints they left, and resumes the rest.
+    // the checkpoint files they left (staging copies of lanes killed
+    // mid-write included), and resumes the rest.
     drills.push_back({"scheduler-crash-before-batch-fsync", "chaos",
                       fieldSweep("chaos-batch", 4, 12, 4, kGroupCommitBatch + 4),
                       crash_before_fsync, Drain::Scheduler, {"--jobs", "4"}});
     drills.back().afterRecovery = [](Run &run) {
         expectEachJobRecordedOnce(run);
-        for (const std::string &fp : recordedJobs(run)) {
-            const std::string path = sweepCheckpointPath(run.dir, fp);
-            run.expect(!fs::exists(path) && !fs::exists(path + ".prev"),
-                       "checkpoint of recorded job " + fp + " left");
-        }
         expectResumedFromNewestCheckpoint(run);
     };
 
@@ -755,6 +805,7 @@ drillMatrix(const std::string &outRoot, int chaosJobs)
     drills.back().check = [](Run &run) {
         run.expect(run.status[0] == 128 + SIGKILL,
                    "killed run exited " + std::to_string(run.status[0]));
+        expectPausedFromPrevGeneration(run);
     };
     drills.back().afterRecovery = expectResumedFromNewestCheckpoint;
     // Two workers: the first holds every claim (one batch) and SIGKILLs
@@ -1327,6 +1378,7 @@ runDrill(const Drill &drill, std::size_t index, std::uint64_t seed,
         // 4. The shared checks.
         run.expect(v.recovery == 0,
                    "recovery exited " + std::to_string(v.recovery));
+        expectNoCheckpointOfACompletedJob(run);
         const std::string n = std::to_string(jobs);
         const std::string status =
             run.viewOk({"--status", "--out", run.dir, "--summary-only"});

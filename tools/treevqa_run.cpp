@@ -68,9 +68,7 @@
  *   --watch       live fleet dashboard: every interval, diff the
  *                 merged metrics dumps against the previous round
  *                 into rates (jobs/s, bytes/s, claim
- *                 conflicts/s) and flag stragglers whose in-flight
- *                 job (read from the live claims) is pacing slower
- *                 than 8x the fleet's p90 runner.step_ns
+ *                 conflicts/s) and count the live claims
  *   --summary-only
  *                 print only the deterministic summary JSON (no
  *                 table; what CI diffs between fresh and resumed
@@ -173,10 +171,19 @@ printStatus(const std::vector<ScenarioSpec> &specs,
     std::map<std::string, ClaimInfo> claims;
     for (const ClaimFile &claim : listClaims(sweepClaimDir(dir)))
         claims.emplace(claim.info.fingerprint, claim.info);
+    // A job is checkpointed when a resume would find a generation:
+    // `<fp>.json` or the rotated `<fp>.json.prev` (a kill between the
+    // rotate and the atomic write leaves only the latter). A staging
+    // copy alone restores nothing.
     std::set<std::string> checkpointed;
-    for (const std::string &path :
-         listSortedFiles(sweepCheckpointDir(dir), ".json"))
-        checkpointed.insert(std::filesystem::path(path).stem().string());
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             sweepCheckpointDir(dir), ec)) {
+        const std::string name = entry.path().filename().string();
+        const std::string fp = name.substr(0, name.find('.'));
+        if (name == fp + ".json" || name == fp + ".json.prev")
+            checkpointed.insert(fp);
+    }
 
     // Detail rows walk the jobs in fingerprint order: a stable total
     // order the --after cursor can resume from, independent of the
@@ -413,10 +420,6 @@ metricsDeltaJson(const JsonValue &prior, const JsonValue &current)
     return out;
 }
 
-/** A job pacing slower than this multiple of the fleet's p90
- * runner.step_ns is flagged as a straggler by --watch. */
-constexpr double kStragglerFactor = 8.0;
-
 /** One --watch probe: the fleet counters a dashboard round diffs. */
 struct WatchSample
 {
@@ -424,7 +427,6 @@ struct WatchSample
     double jobsDone = 0;
     double bytesRead = 0;
     double conflicts = 0;
-    double p90StepMs = 0;
 };
 
 double
@@ -451,25 +453,17 @@ takeWatchSample(const std::string &dir)
     // (another worker won the create race or held the lease).
     s.conflicts = aggCounter(agg, "worker.claim_attempts")
         - aggCounter(agg, "worker.claims_acquired");
-    jsonMaybe(agg, "phases", [&](const JsonValue &phases) {
-        jsonMaybe(phases, "runner.step_ns", [&](const JsonValue &r) {
-            jsonMaybe(r, "p90Ms", [&](const JsonValue &v) {
-                s.p90StepMs = v.asDouble();
-            });
-        });
-    });
     return s;
 }
 
-/** Live claims (unexpired leases) for the straggler check. */
-std::vector<ClaimInfo>
+/** Live claims (unexpired leases): the running count. */
+std::size_t
 liveClaims(const std::string &dir, std::int64_t now)
 {
-    std::vector<ClaimInfo> live;
+    std::size_t live = 0;
     // A torn claim mid-write is invisible this probe.
-    for (ClaimFile &claim : listClaims(sweepClaimDir(dir)))
-        if (now <= claim.info.deadlineMs)
-            live.push_back(std::move(claim.info));
+    for (const ClaimFile &claim : listClaims(sweepClaimDir(dir)))
+        live += now <= claim.info.deadlineMs;
     return live;
 }
 
@@ -477,11 +471,10 @@ liveClaims(const std::string &dir, std::int64_t now)
  * --watch: a fixed-cadence dashboard over a live sweep directory.
  * Round 1 prints the absolute fleet totals (no previous round to
  * diff); every later round prints per-second rates — counter deltas
- * over the measured wall interval between the two probes — plus any
- * stragglers: jobs whose lease is live but whose per-iteration pace
- * since acquiring the claim runs slower than kStragglerFactor times
- * the fleet's p90 runner.step_ns. Pure reads throughout; safe to
- * point at a sweep a fleet is actively running.
+ * over the measured wall interval between the two probes. Both print
+ * the number of live claims (queued jobs of a claimed batch count).
+ * Pure reads throughout; safe to point at a sweep a fleet is actively
+ * running.
  */
 int
 runWatch(const std::string &dir, long rounds, long intervalMs)
@@ -489,13 +482,12 @@ runWatch(const std::string &dir, long rounds, long intervalMs)
     WatchSample prev;
     for (long round = 1; rounds <= 0 || round <= rounds; ++round) {
         const WatchSample cur = takeWatchSample(dir);
-        const std::vector<ClaimInfo> live =
-            liveClaims(dir, cur.wallMs);
+        const std::size_t live = liveClaims(dir, cur.wallMs);
         if (round == 1) {
             std::printf("watch %ld: totals jobs=%.0f bytes=%.0f "
                         "conflicts=%.0f running=%zu\n",
                         round, cur.jobsDone, cur.bytesRead,
-                        cur.conflicts, live.size());
+                        cur.conflicts, live);
         } else {
             const double dt = static_cast<double>(cur.wallMs
                                                   - prev.wallMs)
@@ -506,26 +498,8 @@ runWatch(const std::string &dir, long rounds, long intervalMs)
                 "conflicts/s %.2f  running=%zu\n",
                 round, (cur.jobsDone - prev.jobsDone) / safe_dt,
                 (cur.bytesRead - prev.bytesRead) / safe_dt,
-                (cur.conflicts - prev.conflicts) / safe_dt,
-                live.size());
+                (cur.conflicts - prev.conflicts) / safe_dt, live);
         }
-        if (cur.p90StepMs > 0.0)
-            for (const ClaimInfo &claim : live) {
-                const double iters = static_cast<double>(
-                    std::max<std::int64_t>(claim.progress, 1));
-                const double pace =
-                    static_cast<double>(cur.wallMs
-                                        - claim.acquiredMs)
-                    / iters;
-                if (pace > kStragglerFactor * cur.p90StepMs)
-                    std::printf(
-                        "  straggler %s worker=%s progress=%lld "
-                        "pace=%.1fms/iter fleet-p90=%.3fms\n",
-                        claim.fingerprint.c_str(),
-                        claim.owner.c_str(),
-                        static_cast<long long>(claim.progress),
-                        pace, cur.p90StepMs);
-            }
         std::fflush(stdout);
         prev = cur;
         if (rounds > 0 && round == rounds)
