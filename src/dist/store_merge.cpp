@@ -60,9 +60,9 @@ loadInput(StoreInput &input, bool &vanished)
  * from a fresh enumeration (the compaction rewrote the canonical
  * store before deleting any shard, so a consistent snapshot always
  * exists). Bounded: after `kLoadRetries` colliding passes the
- * partial view is used anyway — callers treat the merged view as
- * advisory (the drain decision re-confirms, dedupe tolerates
- * duplicates).
+ * partial view is used anyway — a partial view can only miss records,
+ * so a drain proof over it fails and nothing is written, and dedupe
+ * tolerates duplicates.
  */
 constexpr int kLoadRetries = 5;
 
@@ -170,16 +170,19 @@ loadMergedRecords(const std::string &sweepDir,
 
 SweepMergeStats
 compactSweepStore(const std::string &sweepDir,
-                  bool removeMergedShards)
+                  bool removeMergedShards, const DrainProof &proof)
 {
     TRACE_SPAN_TIMED("merge.compact", mergeMetrics().compactNs);
-    mergeMetrics().compactions.inc();
     std::vector<StoreInput> shards;
     SweepMergeStats stats;
     const std::vector<JobResult> records = loadAllRecords(
         sweepDir, shards, stats.inputRecords, stats.corruptLines);
     stats.uniqueRecords = records.size();
     stats.shardFiles = shards.size();
+    if (proof && !proof(records))
+        return stats;
+    mergeMetrics().compactions.inc();
+    stats.written = true;
 
     std::string store;
     for (const JobResult &record : records) {

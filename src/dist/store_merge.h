@@ -29,6 +29,7 @@
 #define TREEVQA_DIST_STORE_MERGE_H
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,17 @@ struct SweepMergeStats
      * canonical store; the file is preserved only as forensic
      * evidence. */
     std::size_t quarantinedShards = 0;
+    /** The store and summary were rewritten: false only when the
+     * caller's drain proof rejected the load, and then nothing was
+     * written, moved or removed. */
+    bool written = false;
 };
+
+/** A drain proof over one load: true when the deduplicated record
+ * set (fold survivors stamped with their folded attempts, see
+ * dedupeByFingerprint) resolves every job of the caller's list. */
+using DrainProof =
+    std::function<bool(const std::vector<JobResult> &records)>;
 
 /**
  * Load every record of the sweep directory — the canonical store
@@ -93,9 +104,16 @@ loadMergedRecords(const std::string &sweepDir,
  * it is renamed into `<dir>/quarantine/` (counted in
  * quarantinedShards) so the corrupt evidence survives compaction. The
  * `--merge-only` CLI exits non-zero when corruptLines > 0.
+ *
+ * With a `proof`, the compaction's own load is the drain proof: the
+ * record set it loaded from offset 0 is written only when `proof`
+ * accepts it; otherwise nothing is written (stats.written false) and
+ * the caller keeps scanning. So a drained worker decodes every record
+ * once for both the proof and the rewrite.
  */
 SweepMergeStats compactSweepStore(const std::string &sweepDir,
-                                  bool removeMergedShards);
+                                  bool removeMergedShards,
+                                  const DrainProof &proof = nullptr);
 
 /**
  * Whether the sweep directory is already compacted: no worker shard

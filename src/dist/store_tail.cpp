@@ -1,6 +1,7 @@
 #include "dist/store_tail.h"
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -26,6 +27,7 @@ struct TailMetrics
     Counter &linesParsed;
     Counter &quarantinedLines;
     Counter &fullRescans;
+    Counter &ownRecordsFolded;
     Histogram &refreshNs;
 };
 
@@ -39,6 +41,7 @@ tailMetrics()
         reg.counter("store.tail_lines_parsed"),
         reg.counter("store.tail_lines_quarantined"),
         reg.counter("store.tail_full_rescans"),
+        reg.counter("store.tail_own_folded"),
         reg.histogram("store.tail_refresh_ns")};
     return m;
 }
@@ -62,6 +65,55 @@ void
 StoreTailReader::invalidate()
 {
     forceRescan_ = true;
+}
+
+void
+StoreTailReader::fold(const JobResult &record)
+{
+    // A rebuilt view is re-judged whole, so only deltas to a view the
+    // caller has already taken are worth listing.
+    if (resolutions_[record.fingerprint].fold(record) && !delta_.rebuilt)
+        delta_.changed.push_back(record.fingerprint);
+}
+
+StoreTailReader::Delta
+StoreTailReader::takeDelta()
+{
+    Delta delta = std::move(delta_);
+    delta_ = Delta{};
+    return delta;
+}
+
+bool
+StoreTailReader::foldOwnAppend(const std::string &path,
+                               const std::vector<JobResult> &records,
+                               std::uint64_t bytes)
+{
+    if (forceRescan_)
+        return false; // the next refresh rebuilds the view anyway
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return false;
+    const auto it = cursors_.find(path);
+    Cursor cursor = it == cursors_.end() ? Cursor{} : it->second;
+    const std::uint64_t inode = static_cast<std::uint64_t>(st.st_ino);
+    // Exactly our bytes past the cursor, in the file the cursor
+    // tracks: anything else (a torn write, a sealing newline ahead of
+    // them, an unread torn tail, a replaced file) is left to refresh().
+    if ((cursor.inode != 0 && cursor.inode != inode)
+        || static_cast<std::uint64_t>(st.st_size)
+            != cursor.offset + bytes)
+        return false;
+    cursor.inode = inode;
+    cursor.offset += bytes;
+    cursor.lines += records.size();
+    cursors_[path] = cursor;
+    for (const JobResult &record : records)
+        fold(record);
+    counters_.ownRecordsFolded += records.size();
+    tailMetrics().ownRecordsFolded.inc(records.size());
+    lastRefreshWasFull_ = false;
+    return true;
 }
 
 bool
@@ -112,7 +164,7 @@ StoreTailReader::consumeAppends(const std::string &path,
             std::string reason;
             if (decodeStoredLine(line, record, &reason)
                 == StoredLineStatus::Ok) {
-                resolutions_[record.fingerprint].fold(record);
+                fold(record);
             } else {
                 ++counters_.quarantinedLines;
                 tailMetrics().quarantinedLines.inc();
@@ -165,6 +217,7 @@ StoreTailReader::refresh()
         if (reset) {
             cursors_.clear();
             resolutions_.clear();
+            delta_ = Delta{/*rebuilt=*/true, {}};
             forceRescan_ = false;
             ++counters_.fullRescans;
             tailMetrics().fullRescans.inc();
@@ -182,6 +235,75 @@ StoreTailReader::refresh()
             return;
         forceRescan_ = true;
     }
+}
+
+void
+PendingJobs::rebuild(const std::vector<std::string> &fingerprints,
+                     const Judge &pending)
+{
+    const std::size_t n = fingerprints.size();
+    indexOf_.clear();
+    indexOf_.reserve(n);
+    pending_.assign(n, 0);
+    tree_.assign(n + 1, 0);
+    count_ = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        indexOf_.emplace(fingerprints[i], i);
+        if (pending(fingerprints[i])) {
+            pending_[i] = 1;
+            ++count_;
+        }
+    }
+    // Linear Fenwick build: each node passes its sum to its parent.
+    for (std::size_t i = 1; i <= n; ++i) {
+        tree_[i] += static_cast<std::size_t>(pending_[i - 1]);
+        const std::size_t parent = i + (i & (~i + 1));
+        if (parent <= n)
+            tree_[parent] += tree_[i];
+    }
+}
+
+void
+PendingJobs::update(const std::vector<std::string> &changed,
+                    const Judge &pending)
+{
+    for (const std::string &fingerprint : changed) {
+        const auto it = indexOf_.find(fingerprint);
+        if (it != indexOf_.end())
+            set(it->second, pending(fingerprint));
+    }
+}
+
+void
+PendingJobs::set(std::size_t index, bool pending)
+{
+    if ((pending_[index] != 0) == pending)
+        return;
+    pending_[index] = pending ? 1 : 0;
+    if (pending)
+        ++count_;
+    else
+        --count_;
+    for (std::size_t i = index + 1; i < tree_.size(); i += i & (~i + 1))
+        if (pending)
+            ++tree_[i];
+        else
+            --tree_[i];
+}
+
+std::size_t
+PendingJobs::at(std::size_t rank) const
+{
+    // Descend to the last position whose prefix sum is <= rank; the
+    // next one holds the rank-th pending index.
+    const std::size_t n = tree_.size() - 1;
+    std::size_t pos = 0;
+    for (std::size_t step = std::bit_floor(n); step != 0; step >>= 1)
+        if (pos + step <= n && tree_[pos + step] <= rank) {
+            pos += step;
+            rank -= tree_[pos];
+        }
+    return pos;
 }
 
 } // namespace treevqa

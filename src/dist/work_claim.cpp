@@ -283,10 +283,16 @@ WorkClaim::release()
         }
     // Delete only if still ours: after a lost lease the file (if any)
     // belongs to the worker that reaped it, and corrupt content under
-    // our path is left for a reaper.
-    const std::optional<ClaimInfo> held = readClaimFile(path_);
-    if (held && held->owner == info_.owner)
+    // our path is left for a reaper. With more than 2/3 of the lease
+    // left no reaper can have taken it (the rule the worker's commit
+    // confirms ownership by), so the read is skipped.
+    if (3 * (info_.deadlineMs - unixTimeMs()) > 2 * info_.leaseMs) {
         std::remove(path_.c_str());
+    } else {
+        const std::optional<ClaimInfo> held = readClaimFile(path_);
+        if (held && held->owner == info_.owner)
+            std::remove(path_.c_str());
+    }
     path_.clear();
 }
 

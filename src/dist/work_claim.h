@@ -197,7 +197,9 @@ class WorkClaim
     bool confirm();
 
     /** Delete the lock if still owned; safe to call when already
-     * released or lost. */
+     * released or lost. Ownership is read back from the file only
+     * when 2/3 of the lease or less is left; with more, no reaper can
+     * have taken the claim, and the lock is unlinked unread. */
     void release();
 
     bool held() const { return !path_.empty(); }

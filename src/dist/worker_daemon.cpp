@@ -7,8 +7,10 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include <unistd.h>
 
@@ -304,10 +306,6 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
     const std::size_t scan_salt = workerScanOffset(options_.workerId);
     beat([](WorkerHealth &h) { h.state = "idle"; });
 
-    // Drained verdicts are confirmed by one full re-read; remembering
-    // which job-list generation was confirmed keeps a daemon-mode idle
-    // loop from paying that O(N) read every poll.
-    std::uint64_t drain_confirmed_for = 0;
     // incrementalScan = false is the O(N)-per-round baseline: every
     // refresh re-reads the stores from offset 0.
     const auto refresh_view = [&] {
@@ -315,10 +313,60 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             tail.invalidate();
         tail.refresh();
     };
+    const auto is_pending = [&](const std::string &fingerprint) {
+        return !poisoned_.count(fingerprint)
+            && !tail.resolution(fingerprint)
+                    .resolved(options_.maxJobAttempts);
+    };
+    // The pending set follows the tail reader's deltas; the O(N) walk
+    // runs only for a new job-list generation or a view rebuilt from
+    // offset 0.
+    PendingJobs pending;
+    std::optional<std::uint64_t> pending_for;
+    // The drain proof is cached per job-list generation, so a
+    // daemon-mode idle loop does not pay its O(N) load every poll.
+    std::uint64_t drain_proven_for = 0;
+
+    // The view is an optimization, never the drain proof: one load of
+    // every store from offset 0 must resolve every job, by the same
+    // JobResolution fold (dedupeByFingerprint stamps each survivor with
+    // its folded attempts, so folding the survivor alone reproduces
+    // the verdict), the same budget and the same local poison guard.
+    // When a compaction follows, that load is the compaction's own, so
+    // the records are decoded once for both; otherwise a view this
+    // scan built from offset 0 already is that load.
+    const auto prove_drained = [&](const JobSet &jobs, bool compacting) {
+        const DrainProof resolves_every_job =
+            [&](const std::vector<JobResult> &records) {
+                std::unordered_map<std::string, const JobResult *> by_fp;
+                for (const JobResult &record : records)
+                    by_fp.emplace(record.fingerprint, &record);
+                for (const std::string &fp : *jobs.fingerprints) {
+                    if (poisoned_.count(fp))
+                        continue;
+                    const auto it = by_fp.find(fp);
+                    if (it == by_fp.end())
+                        return false;
+                    JobResolution resolution;
+                    resolution.fold(*it->second);
+                    if (!resolution.resolved(options_.maxJobAttempts))
+                        return false;
+                }
+                return true;
+            };
+        if (compacting && !sweepStoreCompacted(dir)) {
+            beat([](WorkerHealth &h) { h.state = "draining"; });
+            return compactSweepStore(dir, /*removeMergedShards=*/true,
+                                     resolves_every_job)
+                .written;
+        }
+        TRACE_SPAN_TIMED("worker.scan", workerMetrics().scanNs);
+        return tail.lastRefreshWasFull()
+            || resolves_every_job(loadMergedRecords(dir));
+    };
 
     while (!stop_.load()) {
         const JobSet jobs = source();
-        const std::vector<ScenarioSpec> &specs = *jobs.specs;
         const std::vector<std::string> &fingerprints =
             *jobs.fingerprints;
         report.specExpansions = jobs.expansions;
@@ -327,39 +375,20 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         workerMetrics().specExpansions.set(
             static_cast<std::int64_t>(jobs.expansions));
 
-        std::vector<std::size_t> pending;
-        const auto collect_pending = [&] {
-            pending.clear();
-            for (std::size_t i = 0; i < specs.size(); ++i)
-                if (!poisoned_.count(fingerprints[i])
-                    && !tail.resolution(fingerprints[i])
-                            .resolved(options_.maxJobAttempts))
-                    pending.push_back(i);
-        };
         {
             TRACE_SPAN_TIMED("worker.scan", workerMetrics().scanNs);
             refresh_view();
-            collect_pending();
-            if (pending.empty()
-                && drain_confirmed_for != jobs.expansions) {
-                // The incremental view is an optimization, never the
-                // drain proof: a read from offset 0 arbitrates (a view
-                // this scan already read from offset 0 is that read).
-                // A mismatch (the tail over-resolved through a
-                // canonical/shard overlap double count, or lost a
-                // race) leaves the rebuilt view and keeps scanning.
-                if (!tail.lastRefreshWasFull()) {
-                    tail.invalidate();
-                    tail.refresh();
-                    collect_pending();
-                }
-                if (pending.empty())
-                    drain_confirmed_for = jobs.expansions;
+            const StoreTailReader::Delta delta = tail.takeDelta();
+            if (delta.rebuilt || pending_for != jobs.expansions) {
+                pending.rebuild(fingerprints, is_pending);
+                pending_for = jobs.expansions;
+            } else {
+                pending.update(delta.changed, is_pending);
             }
         }
 
         if (pending.empty()) {
-            // Compact only once no peer is mid-commit (see
+            // Prove and compact only once no peer is mid-commit (see
             // peerHoldsLiveClaim): its append or release must not
             // race the shard removal.
             const bool compacting = options_.drainAndExit
@@ -369,7 +398,18 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
                 idle();
                 continue;
             }
+            if (drain_proven_for != jobs.expansions) {
+                if (!prove_drained(jobs, compacting)) {
+                    // A job the view resolved is unresolved on disk
+                    // (the view over-resolved, or lost a race): nothing
+                    // was written; rebuild the view and keep scanning.
+                    tail.invalidate();
+                    continue;
+                }
+                drain_proven_for = jobs.expansions;
+            }
             report.drained = true;
+            report.merged = compacting;
             if (options_.drainAndExit)
                 break;
             idle();
@@ -396,7 +436,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         for (std::size_t k = 0; k < pending.size() && !stop_.load();
              ++k) {
             const std::size_t index =
-                pending[(k + offset) % pending.size()];
+                pending.at((k + offset) % pending.size());
             bool reaped = false;
             ++report.claimAttempts;
             workerMetrics().claimAttempts.inc();
@@ -458,7 +498,14 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
         }
 
         const JobOutcome outcome =
-            runClaimedBatch(jobs, batch, report);
+            runClaimedBatch(jobs, batch, tail, report);
+        // The batch's own verdict changes reach the view through
+        // foldOwnAppend's delta, but a local poison verdict whose fold
+        // was declined (a torn append) does not: re-judge the batch.
+        std::vector<std::string> batch_fps;
+        for (const BatchSlot &slot : batch)
+            batch_fps.push_back(fingerprints[slot.index]);
+        pending.update(batch_fps, is_pending);
         if (outcome == JobOutcome::Interrupted) {
             // Graceful stop: checkpoint sealed, claims released.
             beat([](WorkerHealth &h) { h.state = "stopped"; });
@@ -470,18 +517,6 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
             return report;
     }
 
-    if (report.drained && options_.mergeOnDrain && !stop_.load()) {
-        // Drained = every job recorded (full-read confirmed), so
-        // shard removal is safe. A store a peer already compacted is
-        // canonical as it stands: rewriting it would re-read every
-        // record for nothing.
-        if (!sweepStoreCompacted(dir)) {
-            beat([](WorkerHealth &h) { h.state = "draining"; });
-            compactSweepStore(dir, /*removeMergedShards=*/true);
-            tail.invalidate(); // canonical store was rewritten under us
-        }
-        report.merged = true;
-    }
     beat([](WorkerHealth &h) { h.state = "stopped"; });
     EventLog::instance().flush();
     return report;
@@ -490,6 +525,7 @@ WorkerDaemon::scanLoop(const std::function<JobSet()> &source,
 WorkerDaemon::JobOutcome
 WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                               std::vector<BatchSlot> &batch,
+                              StoreTailReader &tail,
                               WorkerReport &report)
 {
     const std::vector<ScenarioSpec> &specs = *jobs.specs;
@@ -710,9 +746,15 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
                          options_.maxJobAttempts,
                          record.errorMessage.c_str());
         };
-        ResultStore shard(
-            sweepShardPath(options_.sweepDir, options_.workerId));
-        commitJobRecords(shard, options_.sweepDir, records, poisoned);
+        const std::string shard_path =
+            sweepShardPath(options_.sweepDir, options_.workerId);
+        ResultStore shard(shard_path);
+        const std::uint64_t bytes =
+            commitJobRecords(shard, options_.sweepDir, records, poisoned);
+        // The fsync has returned: fold the batch into the view from
+        // memory, so the tail reader never decodes this shard's bytes
+        // (unless the append tore or sealed a torn tail).
+        tail.foldOwnAppend(shard_path, records, bytes);
         for (const JobResult &record : records) {
             if (!record.completed)
                 continue;

@@ -11,7 +11,11 @@
  * parsed; a read from offset 0 is the fallback after compaction or
  * any cursor invalidation), and walks the
  * still-unrecorded jobs in a worker-specific rotation (so a fleet
- * doesn't stampede the same claim file). It claims up to `claimBatch`
+ * doesn't stampede the same claim file). The pending set is kept from
+ * the view's deltas (PendingJobs): each round re-judges only the jobs
+ * whose verdicts changed since the last, plus the batch just run, and
+ * the O(N) walk over every job runs only for a new job-list
+ * generation or a view rebuilt from offset 0. It claims up to `claimBatch`
  * jobs per pass (WorkClaim) and runs them back to back under one
  * heartbeat thread that renews every held lease round-robin — so the
  * per-job claim traffic is one acquire and one release amortized over
@@ -22,13 +26,27 @@
  * (`<dir>/workers/<id>.jsonl`; per-worker files make cross-process
  * append interleaving impossible). The shard only grows while the
  * sweep runs; nothing renames or deletes it before the drained
- * compaction. When the incremental view says the sweep is drained,
- * one re-read of every store from offset 0 confirms it (the
- * incremental view is an optimization, never the drain proof); then,
- * once no other worker still holds a live claim (a resolved job's
- * live claim means its owner is still committing: fsync, beat,
- * release), the daemon compacts every shard into the canonical store
- * and summary and deletes the shards (store_merge.h).
+ * compaction. A worker never reads its own commits back: after each
+ * batch's fsync it folds the committed records into its view from
+ * memory (StoreTailReader::foldOwnAppend), which declines, leaving
+ * the bytes to the next refresh, unless a stat proves the shard grew
+ * by exactly those bytes.
+ *
+ * Drain proof: the incremental view is an optimization, never the
+ * proof. When it says drained, the daemon first waits until no other
+ * worker holds a live claim (a resolved job's live claim means its
+ * owner is still committing: fsync, beat, release). Then one load of
+ * every store from offset 0 must resolve every job, by the same
+ * JobResolution fold, budget and local poison guard as the view; that
+ * load is the compaction's own (compactSweepStore's DrainProof), so
+ * the very record set it proved becomes the canonical store and
+ * summary, and the shards are deleted (store_merge.h). If the load
+ * leaves a job unresolved, nothing is written: the view is rebuilt
+ * and the scan goes on. Where no compaction follows (daemon mode,
+ * mergeOnDrain false, or a store a peer already compacted) the proof
+ * is the same load, or the view itself when this scan built it from
+ * offset 0, cached per job-list generation. So a one-worker drain of
+ * N jobs decodes N store lines (`store.lines_decoded`).
  *
  * Commit protocol — group commit per claim batch, the rule
  * svc/group_commit.h states for every drain loop. A finished job's
@@ -46,7 +64,8 @@
  *     poison bookkeeping and job.poisoned events ride its failed-
  *     record hook), one journal flush;
  *  3. one beat;
- *  4. only then the claims are released.
+ *  4. only then the claims are released (unlinked unread while more
+ *     than 2/3 of the lease is left, by step 1's rule).
  * Releasing a claim is the fence that publishes its record to the
  * fleet (the store-buffer argument of "Reasoning About TSO Programs
  * Using Reduction and Abstraction"): no claim is released before its
@@ -178,8 +197,7 @@ struct WorkerOptions
      * O(N)-rescan baseline that
      * WorkerDaemon.RescanBaselineReadsMoreThanIncrementalScan and the
      * dist_scan_bytes_job_* bench series measure the incremental scan
-     * against. The drain decision is confirmed by a full re-read
-     * either way.
+     * against. The drain proof is one load from offset 0 either way.
      */
     bool incrementalScan = true;
     /**
@@ -256,9 +274,10 @@ struct WorkerReport
     std::size_t scanRounds = 0;
     /** WorkClaim::tryAcquire round-trips (successful or not). */
     std::size_t claimAttempts = 0;
-    /** Store bytes the tail reader consumed (incremental: appends,
-     * plus re-reads after invalidation and drain confirmation;
-     * rescan mode: the whole store per refresh). */
+    /** Store bytes the tail reader consumed (incremental: peers'
+     * appends and any own append it could not fold from memory, plus
+     * re-reads after invalidation; rescan mode: the whole store per
+     * refresh). The drain proof's load is not a tail read. */
     std::uint64_t storeBytesRead = 0;
     /** Tail-reader cursor invalidations that forced a full rescan. */
     std::uint64_t fullRescans = 0;
@@ -339,6 +358,7 @@ class WorkerDaemon
                           StoreTailReader &tail);
     JobOutcome runClaimedBatch(const JobSet &jobs,
                                std::vector<BatchSlot> &batch,
+                               StoreTailReader &tail,
                                WorkerReport &report);
     /** Mutate the in-memory health status under its lock; the next
      * beat publishes it. */

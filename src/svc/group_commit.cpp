@@ -4,14 +4,14 @@
 
 namespace treevqa {
 
-void
+std::uint64_t
 commitJobRecords(ResultStore &store, const std::string &sweepDir,
                  const std::vector<JobResult> &records,
                  const std::function<void(std::size_t)> &onFailed)
 {
     if (records.empty())
-        return;
-    store.append(records);
+        return 0;
+    const std::uint64_t bytes = store.append(records);
     retireCheckpoints(sweepDir, records);
     for (std::size_t i = 0; i < records.size(); ++i) {
         const JobResult &record = records[i];
@@ -27,6 +27,7 @@ commitJobRecords(ResultStore &store, const std::string &sweepDir,
                                   record.fingerprint, std::move(detail));
     }
     EventLog::instance().flush();
+    return bytes;
 }
 
 } // namespace treevqa

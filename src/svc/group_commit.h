@@ -30,6 +30,7 @@
 #define TREEVQA_SVC_GROUP_COMMIT_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -47,9 +48,12 @@ inline constexpr int kGroupCommitBatch = 8;
  * under `sweepDir`'s checkpoints/. `onFailed(i)` runs at step 3 for
  * each failed record `records[i]` (null: failed records only get
  * appended). No-op on an empty batch. An append failure throws before
- * any later step, leaving every checkpoint in place.
+ * any later step, leaving every checkpoint in place. Returns the
+ * bytes of the appended lines (ResultStore::append), which a caller
+ * folding its own commits (dist/store_tail.h) checks the file
+ * against.
  */
-void commitJobRecords(
+std::uint64_t commitJobRecords(
     ResultStore &store, const std::string &sweepDir,
     const std::vector<JobResult> &records,
     const std::function<void(std::size_t)> &onFailed = nullptr);

@@ -14,6 +14,7 @@
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/metrics.h"
 
 namespace treevqa {
 
@@ -69,6 +70,9 @@ StoredLineStatus
 decodeStoredLine(const std::string &line, JobResult &record,
                  std::string *reason)
 {
+    static Counter &decoded =
+        MetricsRegistry::instance().counter("store.lines_decoded");
+    decoded.inc();
     const auto reject = [&](const std::string &why) {
         if (reason)
             *reason = why;
@@ -247,14 +251,16 @@ ResultStore::append(const JobResult &result)
     appendLines(jobResultToStoredLine(result) + "\n");
 }
 
-void
+std::uint64_t
 ResultStore::append(const std::vector<JobResult> &results)
 {
     std::string lines;
     for (const JobResult &result : results)
         lines += jobResultToStoredLine(result) + "\n";
+    const std::uint64_t bytes = lines.size();
     if (!lines.empty())
         appendLines(std::move(lines));
+    return bytes;
 }
 
 void

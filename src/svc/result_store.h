@@ -70,7 +70,9 @@ enum class StoredLineStatus
 /** Run the full validation chain on one stored line. On Ok, `record`
  * receives the decoded record; otherwise `reason` (when non-null)
  * receives a human-readable rejection reason. Pure — quarantining is
- * the caller's job (quarantineStoreLine). */
+ * the caller's job (quarantineStoreLine) — apart from counting every
+ * call in `store.lines_decoded`, the currency of the decodes-per-job
+ * checks. */
 StoredLineStatus decodeStoredLine(const std::string &line,
                                   JobResult &record,
                                   std::string *reason = nullptr);
@@ -129,8 +131,10 @@ class ResultStore
      * write and one fsync. The "store.append" site is evaluated once
      * for the whole batch, so a torn write keeps a prefix of it: the
      * whole lines before the tear stand, the torn one is quarantined
-     * on load. No-op on an empty batch. Thread-safe. */
-    void append(const std::vector<JobResult> &results);
+     * on load. No-op on an empty batch. Thread-safe. Returns the
+     * bytes the lines take (what an untorn append adds, not counting
+     * a newline that seals a torn tail). */
+    std::uint64_t append(const std::vector<JobResult> &results);
 
   private:
     void appendLines(std::string lines);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/metrics.h"
 #include "dist/store_merge.h"
 #include "dist/work_claim.h"
 #include "dist/worker_daemon.h"
@@ -211,6 +213,48 @@ TEST(WorkClaim, StaleLeaseIsReapedAndLoserLearnsIt)
     const auto peeked = WorkClaim::peek(dir.string(), "fp");
     ASSERT_TRUE(peeked.has_value());
     EXPECT_EQ(peeked->owner, "survivor");
+}
+
+TEST(WorkClaim, ReleaseReadsTheLockOnlyPastTwoThirdsOfTheLease)
+{
+    const auto dir = scratchDir("claim_release_read");
+    const Counter &read_opens =
+        MetricsRegistry::instance().counter("io.read_opens");
+
+    // Most of the lease left: no reaper can have taken it, so the lock
+    // is unlinked without being read back.
+    auto fresh = WorkClaim::tryAcquire(dir.string(), "fresh", "w1",
+                                       60000);
+    ASSERT_TRUE(fresh.has_value());
+    const std::uint64_t reads = read_opens.total();
+    fresh->release();
+    EXPECT_EQ(read_opens.total(), reads);
+    EXPECT_FALSE(WorkClaim::peek(dir.string(), "fresh").has_value());
+
+    // Past the margin the release reads, and a reaper's claim survives
+    // it even though this holder never learned of the takeover.
+    auto late = WorkClaim::tryAcquire(dir.string(), "late", "w1", 30);
+    ASSERT_TRUE(late.has_value());
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    bool reaped = false;
+    auto taken = WorkClaim::tryAcquire(dir.string(), "late", "reaper",
+                                       60000, &reaped);
+    ASSERT_TRUE(taken.has_value());
+    EXPECT_TRUE(reaped);
+    late->release();
+    const auto held = WorkClaim::peek(dir.string(), "late");
+    ASSERT_TRUE(held.has_value());
+    EXPECT_EQ(held->owner, "reaper");
+
+    // The fault site still fires ahead of the unread unlink.
+    auto kept = WorkClaim::tryAcquire(dir.string(), "kept", "w1", 60000);
+    ASSERT_TRUE(kept.has_value());
+    FaultInjection::instance().arm(
+        R"({"faults": [{"site": "claim.release", "action": "fail-errno", "errno": "EIO", "hit": 1}]})");
+    kept->release();
+    FaultInjection::instance().disarm();
+    EXPECT_TRUE(WorkClaim::peek(dir.string(), "kept").has_value());
+    EXPECT_FALSE(kept->held());
 }
 
 TEST(WorkClaim, TornClaimFileIsReapable)
@@ -568,6 +612,74 @@ TEST(StoreMerge, FoldsShardsIntoTheCanonicalStore)
               sweepSummaryJson(merged).dump(2) + "\n");
 }
 
+/** Inode of `path` (0 when it cannot be stat'ed). */
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st {};
+    return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+/** store.compaction events in the sweep's journals. */
+std::size_t
+compactionEvents(const std::string &dir)
+{
+    EventLog::instance().flush();
+    std::size_t count = 0;
+    for (const SweepEvent &event : readSweepEvents(dir))
+        count += event.type == event_type::kStoreCompaction ? 1 : 0;
+    return count;
+}
+
+TEST(StoreMerge, CompactionWhoseDrainProofFailsWritesNothing)
+{
+    const auto dir = scratchDir("merge_unproven");
+    const std::string d = dir.string();
+    std::filesystem::create_directories(sweepShardDir(d));
+    const std::vector<ScenarioSpec> specs = tinySweep(3);
+    const std::vector<std::string> fingerprints = fingerprintSpecs(specs);
+    // Two of the three jobs are recorded.
+    for (std::size_t i = 0; i < 2; ++i) {
+        JobResult record;
+        record.spec = specs[i];
+        record.fingerprint = fingerprints[i];
+        record.completed = true;
+        ResultStore(sweepShardPath(d, "w" + std::to_string(i)))
+            .append(record);
+    }
+    const DrainProof every_job = [&](const std::vector<JobResult> &records) {
+        std::set<std::string> recorded;
+        for (const JobResult &record : records)
+            recorded.insert(record.fingerprint);
+        for (const std::string &fp : fingerprints)
+            if (!recorded.count(fp))
+                return false;
+        return true;
+    };
+
+    const SweepMergeStats stats = compactSweepStore(
+        d, /*removeMergedShards=*/true, every_job);
+    EXPECT_FALSE(stats.written);
+    EXPECT_EQ(stats.uniqueRecords, 2u);
+    EXPECT_FALSE(std::filesystem::exists(sweepStorePath(d)));
+    EXPECT_FALSE(std::filesystem::exists(sweepSummaryPath(d)));
+    EXPECT_TRUE(std::filesystem::exists(sweepShardPath(d, "w0")));
+    EXPECT_TRUE(std::filesystem::exists(sweepShardPath(d, "w1")));
+    EXPECT_EQ(compactionEvents(d), 0u);
+
+    // Once the last job lands, the same proof accepts its own load.
+    JobResult last;
+    last.spec = specs[2];
+    last.fingerprint = fingerprints[2];
+    last.completed = true;
+    ResultStore(sweepShardPath(d, "w1")).append(last);
+    EXPECT_TRUE(
+        compactSweepStore(d, /*removeMergedShards=*/true, every_job)
+            .written);
+    EXPECT_EQ(loadMergedRecords(d).size(), 3u);
+    EXPECT_FALSE(std::filesystem::exists(sweepShardPath(d, "w0")));
+}
+
 // -------------------------------------------------------- worker daemon
 
 TEST(WorkerDaemon, SingleWorkerDrainsMatchingTheScheduler)
@@ -604,25 +716,6 @@ TEST(WorkerDaemon, SingleWorkerDrainsMatchingTheScheduler)
             WorkClaim::peek(sweepClaimDir(dir.string()),
                             scenarioFingerprint(specs[i]))
                 .has_value());
-}
-
-/** Inode of `path` (0 when it cannot be stat'ed). */
-ino_t
-inodeOf(const std::string &path)
-{
-    struct stat st {};
-    return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
-}
-
-/** store.compaction events in the sweep's journals. */
-std::size_t
-compactionEvents(const std::string &dir)
-{
-    EventLog::instance().flush();
-    std::size_t count = 0;
-    for (const SweepEvent &event : readSweepEvents(dir))
-        count += event.type == event_type::kStoreCompaction ? 1 : 0;
-    return count;
 }
 
 TEST(WorkerDaemon, SecondWorkerOnACompactedSweepRewritesNothing)
@@ -708,16 +801,152 @@ TEST(WorkerDaemon, FreshWorkerOnADrainedSweepReadsTheStoreOnce)
             store_bytes += fs::file_size(entry.path());
     ASSERT_GT(store_bytes, 0u);
 
-    // The worker that ran the jobs folded its own appends
-    // incrementally, so its drain proof re-read everything once more.
-    EXPECT_EQ(first.storeBytesRead, 2 * store_bytes);
+    // The worker that ran the jobs folded its own commits from
+    // memory: its tail reader read none of their bytes back.
+    EXPECT_EQ(first.storeBytesRead, 0u);
 
     // A fresh worker's first view is already a read from offset 0,
-    // which is the drain proof: it reads the store once, not twice.
+    // which is the drain proof: it reads and decodes the store once.
+    const Counter &decoded =
+        MetricsRegistry::instance().counter("store.lines_decoded");
+    const std::uint64_t decoded_before = decoded.total();
     const WorkerReport late = WorkerDaemon(make_options("w2")).run(specs);
     EXPECT_EQ(late.completed, 0u);
     EXPECT_TRUE(late.drained);
     EXPECT_EQ(late.storeBytesRead, store_bytes);
+    EXPECT_EQ(decoded.total() - decoded_before, specs.size());
+}
+
+/** A no-op job body: a completed record of `spec`, no simulation. */
+JobResult
+syntheticJob(const ScenarioSpec &spec, const ScenarioRunOptions &)
+{
+    JobResult record;
+    record.spec = spec;
+    record.fingerprint = scenarioFingerprint(spec);
+    record.completed = true;
+    record.iterations = 1;
+    record.trajectory = {-spec.field};
+    record.finalEnergy = -spec.field;
+    return record;
+}
+
+TEST(WorkerDaemon, OneWorkerDrainDecodesEachRecordOnce)
+{
+    // Own commits are folded from memory and the compaction's load is
+    // the drain proof, so a drain of N jobs decodes N store lines: the
+    // tail reader decodes none, the proof-and-compaction load each
+    // record once.
+    const auto dir = scratchDir("decode_once");
+    std::vector<ScenarioSpec> specs;
+    for (int j = 0; j < 24; ++j)
+        specs.push_back(tinySpec("d" + std::to_string(j), 0.3 + 0.1 * j));
+    WorkerOptions options;
+    options.sweepDir = dir.string();
+    options.workerId = "w";
+    options.leaseMs = 60000;
+    options.jobRunner = syntheticJob;
+
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    const Counter &decoded = reg.counter("store.lines_decoded");
+    const Counter &tail_parsed = reg.counter("store.tail_lines_parsed");
+    const std::uint64_t decoded_before = decoded.total();
+    const std::uint64_t tail_before = tail_parsed.total();
+    const WorkerReport report = WorkerDaemon(options).run(specs);
+    EXPECT_EQ(report.completed, specs.size());
+    EXPECT_TRUE(report.drained);
+    EXPECT_TRUE(report.merged);
+    EXPECT_EQ(report.storeBytesRead, 0u);
+    EXPECT_EQ(tail_parsed.total() - tail_before, 0u);
+    EXPECT_EQ(decoded.total() - decoded_before, specs.size());
+    EXPECT_EQ(loadMergedRecords(dir.string()).size(), specs.size());
+}
+
+TEST(WorkerDaemon, TornAppendIsNotFoldedAndItsJobsRerun)
+{
+    const auto dir = scratchDir("torn_append");
+    const std::string d = dir.string();
+    const std::vector<ScenarioSpec> specs = tinySweep(8);
+    const std::vector<JobResult> reference =
+        referenceRun(specs, "torn_append_ref");
+
+    WorkerOptions options;
+    options.sweepDir = d;
+    options.workerId = "w";
+    options.leaseMs = 60000;
+    const Counter &tail_parsed =
+        MetricsRegistry::instance().counter("store.tail_lines_parsed");
+    const std::uint64_t tail_before = tail_parsed.total();
+    // The first batch's one append keeps 40% of its bytes.
+    FaultInjection::instance().arm(
+        R"({"faults": [{"site": "store.append", "action": "torn-write", "keepFraction": 0.4, "hit": 1}]})");
+    const WorkerReport report = WorkerDaemon(options).run(specs);
+    FaultInjection::instance().disarm();
+
+    EXPECT_TRUE(report.drained);
+    EXPECT_TRUE(report.merged);
+    // The torn batch was not folded from memory: the tail reader read
+    // it back, and the jobs whose lines tore stayed pending and ran
+    // again.
+    EXPECT_GT(tail_parsed.total() - tail_before, 0u);
+    EXPECT_GT(report.completed, specs.size());
+    std::string summary;
+    ASSERT_TRUE(readTextFile(sweepSummaryPath(d), summary));
+    EXPECT_EQ(summary, sweepSummaryJson(reference).dump(2) + "\n");
+    // The torn line was quarantined once, and its shard kept as
+    // evidence.
+    std::string envelopes;
+    ASSERT_TRUE(readTextFile(
+        (std::filesystem::path(d) / "quarantine" / "w.jsonl").string(),
+        envelopes));
+    EXPECT_EQ(std::count(envelopes.begin(), envelopes.end(), '\n'), 1);
+    EXPECT_TRUE(std::filesystem::exists(
+        std::filesystem::path(d) / "quarantine" / "w.jsonl.shard"));
+}
+
+TEST(WorkerDaemon, DrainProofThatMissesAJobWritesNothingAndKeepsScanning)
+{
+    const auto dir = scratchDir("proof_misses");
+    const std::string d = dir.string();
+    const std::vector<ScenarioSpec> specs = tinySweep(4);
+    const std::vector<JobResult> reference =
+        referenceRun(specs, "proof_misses_ref");
+
+    WorkerOptions options;
+    options.sweepDir = d;
+    options.workerId = "w";
+    options.leaseMs = 60000;
+    options.claimBatch = 1;
+    // Bit rot under a record the view already holds from memory: the
+    // second job flips a byte of the first committed line in place
+    // (same inode, same size), so the view still says drained while
+    // the store on disk lacks that job.
+    const std::string shard = sweepShardPath(d, "w");
+    bool flipped = false;
+    options.jobRunner = [&](const ScenarioSpec &spec,
+                            const ScenarioRunOptions &run) {
+        if (!flipped && std::filesystem::exists(shard)) {
+            std::fstream io(shard,
+                            std::ios::in | std::ios::out | std::ios::binary);
+            io.seekp(9); // inside the first record's "name" value
+            io.put('X');
+            flipped = true;
+        }
+        return runScenario(spec, run);
+    };
+    const WorkerReport report = WorkerDaemon(options).run(specs);
+
+    ASSERT_TRUE(flipped);
+    EXPECT_TRUE(report.drained);
+    EXPECT_TRUE(report.merged);
+    // The failed proof wrote nothing and forced a rescan, which found
+    // the job pending and ran it again.
+    EXPECT_EQ(report.completed, specs.size() + 1);
+    EXPECT_GE(report.fullRescans, 1u);
+    EXPECT_EQ(compactionEvents(d), 1u);
+    std::string summary;
+    ASSERT_TRUE(readTextFile(sweepSummaryPath(d), summary));
+    EXPECT_EQ(summary, sweepSummaryJson(reference).dump(2) + "\n");
 }
 
 TEST(WorkerDaemon, TwoConcurrentWorkersShareOneSweep)

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -227,6 +228,187 @@ TEST(StoreTailReader, CompactionInvalidatesCursorsAndForcesRescan)
     ASSERT_EQ(tail.resolutions().size(), 2u);
     EXPECT_TRUE(tail.resolutions().at(a.fingerprint).completed);
     EXPECT_TRUE(tail.resolutions().at(b.fingerprint).completed);
+}
+
+TEST(StoreTailReader, OwnAppendFoldsFromMemoryOnlyWhenTheBytesAreOurs)
+{
+    const auto dir = scratchDir("own_fold");
+    std::filesystem::create_directories(sweepShardDir(dir.string()));
+    const std::string shard = sweepShardPath(dir.string(), "w0");
+    StoreTailReader tail(dir.string());
+    tail.refresh();
+    ASSERT_TRUE(tail.takeDelta().rebuilt);
+
+    // A clean append to a new file: folded from memory, never read.
+    const std::vector<JobResult> first = {syntheticRecord("a", 0.5),
+                                          syntheticRecord("b", 0.7)};
+    std::uint64_t bytes = ResultStore(shard).append(first);
+    EXPECT_EQ(bytes, fileSize(shard));
+    EXPECT_TRUE(tail.foldOwnAppend(shard, first, bytes));
+    EXPECT_TRUE(tail.resolution(first[1].fingerprint).completed);
+    const StoreTailReader::Delta delta = tail.takeDelta();
+    EXPECT_FALSE(delta.rebuilt);
+    EXPECT_EQ(delta.changed,
+              (std::vector<std::string>{first[0].fingerprint,
+                                        first[1].fingerprint}));
+    tail.refresh();
+    EXPECT_EQ(tail.counters().bytesRead, 0u);
+    EXPECT_EQ(tail.counters().linesParsed, 0u);
+    EXPECT_EQ(tail.counters().ownRecordsFolded, 2u);
+
+    // A torn append is not ours byte for byte: declined, and the
+    // refresh reads its whole lines and leaves the fragment.
+    const std::vector<JobResult> torn = {syntheticRecord("c", 0.9),
+                                         syntheticRecord("d", 1.1)};
+    const std::string torn_lines = jobResultToStoredLine(torn[0]) + "\n"
+        + jobResultToStoredLine(torn[1]) + "\n";
+    {
+        std::ofstream out(shard, std::ios::app | std::ios::binary);
+        out << torn_lines.substr(0, torn_lines.size() - 10);
+    }
+    EXPECT_FALSE(tail.foldOwnAppend(shard, torn, torn_lines.size()));
+    EXPECT_EQ(tail.resolutions().count(torn[0].fingerprint), 0u);
+    tail.refresh();
+    EXPECT_TRUE(tail.resolution(torn[0].fingerprint).completed);
+    EXPECT_EQ(tail.resolutions().count(torn[1].fingerprint), 0u);
+
+    // The next append seals the fragment with a newline first, so it
+    // is one byte more than ours: declined again, and the refresh
+    // quarantines the fragment and folds the new record.
+    const std::vector<JobResult> sealed = {syntheticRecord("e", 1.3)};
+    bytes = ResultStore(shard).append(sealed);
+    EXPECT_FALSE(tail.foldOwnAppend(shard, sealed, bytes));
+    tail.refresh();
+    EXPECT_EQ(tail.counters().quarantinedLines, 1u);
+    EXPECT_TRUE(tail.resolution(sealed[0].fingerprint).completed);
+
+    // In step again: the cursor is at the end of the file.
+    const std::vector<JobResult> again = {syntheticRecord("f", 1.5)};
+    const std::uint64_t parsed = tail.counters().linesParsed;
+    bytes = ResultStore(shard).append(again);
+    EXPECT_TRUE(tail.foldOwnAppend(shard, again, bytes));
+    tail.refresh();
+    EXPECT_EQ(tail.counters().linesParsed, parsed);
+
+    // A replaced file (new inode) is never folded into.
+    std::string text;
+    ASSERT_TRUE(readTextFile(shard, text));
+    writeTextFileAtomic(shard, text);
+    const std::vector<JobResult> late = {syntheticRecord("g", 1.7)};
+    bytes = ResultStore(shard).append(late);
+    EXPECT_FALSE(tail.foldOwnAppend(shard, late, bytes));
+    EXPECT_EQ(tail.counters().fullRescans, 0u);
+}
+
+TEST(PendingJobs, DeltaKeptSetEqualsAFreshWalk)
+{
+    // Two executions of one pending rule: the set a worker keeps from
+    // the tail reader's deltas, and a fresh O(N) walk over the same
+    // view, must agree after every step of a random history of peer
+    // records, own commits (some torn), local poison verdicts, view
+    // invalidations and a growing job list.
+    const int budget = 3;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const auto dir = scratchDir("pending_" + std::to_string(seed));
+        std::filesystem::create_directories(sweepShardDir(dir.string()));
+        const std::string own = sweepShardPath(dir.string(), "me");
+        const std::string peer = sweepShardPath(dir.string(), "peer");
+
+        Rng rng(seed);
+        StoreTailReader tail(dir.string());
+        std::set<std::string> poisoned;
+        std::vector<std::string> fingerprints;
+        std::uint64_t generation = 0;
+        const auto grow = [&](int jobs) {
+            for (int k = 0; k < jobs; ++k) {
+                const int job = static_cast<int>(fingerprints.size());
+                fingerprints.push_back(scenarioFingerprint(
+                    tinySpec("q" + std::to_string(job), 0.1 * job)));
+            }
+            ++generation;
+        };
+        const auto random_record = [&] {
+            const int job = static_cast<int>(
+                rng.uniformInt(fingerprints.size()));
+            const std::string name = "q" + std::to_string(job);
+            return rng.uniformInt(3) == 0
+                ? syntheticRecord(name, 0.1 * job)
+                : syntheticFailure(
+                      name, 0.1 * job,
+                      1 + static_cast<int>(rng.uniformInt(budget)));
+        };
+        const PendingJobs::Judge judge = [&](const std::string &fp) {
+            return !poisoned.count(fp)
+                && !tail.resolution(fp).resolved(budget);
+        };
+
+        grow(10);
+        PendingJobs pending;
+        std::uint64_t built_for = 0;
+        for (int step = 0; step < 40; ++step) {
+            std::vector<std::string> touched;
+            switch (rng.uniformInt(6)) {
+            case 0: // a peer's commit
+                ResultStore(peer).append(random_record());
+                tail.refresh();
+                break;
+            case 1: { // an own commit, torn one time in four
+                std::vector<JobResult> batch;
+                const std::uint64_t size = 1 + rng.uniformInt(3);
+                for (std::uint64_t k = 0; k < size; ++k)
+                    batch.push_back(random_record());
+                std::string lines;
+                for (const JobResult &record : batch)
+                    lines += jobResultToStoredLine(record) + "\n";
+                appendTextDurable(own, rng.uniformInt(4) == 0
+                                           ? lines.substr(0, lines.size() / 2)
+                                           : lines);
+                tail.foldOwnAppend(own, batch, lines.size());
+                for (const JobResult &record : batch)
+                    touched.push_back(record.fingerprint);
+                break;
+            }
+            case 2: { // a local poison verdict
+                const std::string &fp =
+                    fingerprints[rng.uniformInt(fingerprints.size())];
+                poisoned.insert(fp);
+                touched.push_back(fp);
+                break;
+            }
+            case 3:
+                tail.invalidate();
+                tail.refresh();
+                break;
+            case 4:
+                grow(1 + static_cast<int>(rng.uniformInt(3)));
+                break;
+            default:
+                tail.refresh();
+                break;
+            }
+
+            // The worker's sync: rebuild after a rebuilt view or a new
+            // job list, else apply the delta and the batch's own jobs.
+            const StoreTailReader::Delta delta = tail.takeDelta();
+            if (delta.rebuilt || built_for != generation) {
+                pending.rebuild(fingerprints, judge);
+                built_for = generation;
+            } else {
+                pending.update(delta.changed, judge);
+            }
+            pending.update(touched, judge);
+
+            std::vector<std::size_t> walk;
+            for (std::size_t i = 0; i < fingerprints.size(); ++i)
+                if (judge(fingerprints[i]))
+                    walk.push_back(i);
+            std::vector<std::size_t> kept;
+            for (std::size_t r = 0; r < pending.size(); ++r)
+                kept.push_back(pending.at(r));
+            ASSERT_EQ(kept, walk) << "step " << step;
+        }
+    }
 }
 
 // -------------------------------------------------------- sweep index

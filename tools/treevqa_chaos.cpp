@@ -1151,10 +1151,11 @@ checkScale(Run &run)
     const auto jobs = static_cast<long long>(run.jobs);
     // Batched claims: about one lock round-trip per drained job.
     run.expect(claims < 2 * jobs, std::to_string(claims) + " claim attempts");
-    // Incremental tail scanning: each worker reads each appended byte
-    // once, plus the full re-reads of the drain confirmation and after
-    // compaction (~8x the final store with 4 workers). A full rescan
-    // per scan round reads scan-rounds x store and blows far past 16x.
+    // Incremental tail scanning: each worker reads each peer's
+    // appended byte once (its own commits are folded from memory),
+    // plus a full re-read after a peer's compaction (~3x the final
+    // store with 4 workers). A full rescan per scan round reads
+    // scan-rounds x store and blows far past 16x.
     run.expect(bytes_read < 16 * store,
                std::to_string(bytes_read) + " store bytes read, store is "
                    + std::to_string(store));
