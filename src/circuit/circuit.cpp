@@ -155,7 +155,7 @@ Circuit::apply(Statevector &state, const std::vector<double> &theta) const
     // The fusion pass lives in CompiledCircuit; compiling here keeps
     // apply() a one-call convenience while the hot paths reuse the
     // program their Ansatz compiled once (see Ansatz::compiled).
-    CompiledCircuit(*this).execute(state, theta);
+    CompiledCircuit(*this).apply(state, theta);
 }
 
 Circuit

@@ -29,11 +29,12 @@ Ansatz::prepareInto(Statevector &state,
                     const std::vector<double> &theta) const
 {
     assert(state.numQubits() == circuit_.numQubits());
-    state.setBasisState(initialBits_);
-    if (compiled_)
-        compiled_->execute(state, theta);
-    else
-        circuit_.apply(state, theta); // default-constructed ansatz
+    if (compiled_) {
+        compiled_->execute(state, theta, initialBits_);
+    } else {
+        state.setBasisState(initialBits_); // default-constructed ansatz
+        circuit_.apply(state, theta);
+    }
 }
 
 Ansatz

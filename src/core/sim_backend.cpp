@@ -78,8 +78,7 @@ class StatevectorBackend final : public SimBackend
         const std::vector<double> &theta) const
     {
         StatevectorPool::Lease state = pool_.acquire();
-        state->setBasisState(in_.initialBits);
-        in_.program->execute(*state, theta);
+        in_.program->execute(*state, theta, in_.initialBits);
         return plan_.evaluate(*state);
     }
 

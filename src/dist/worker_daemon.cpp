@@ -749,13 +749,15 @@ WorkerDaemon::runClaimedBatch(const JobSet &jobs,
         const std::string shard_path =
             sweepShardPath(options_.sweepDir, options_.workerId);
         ResultStore shard(shard_path);
-        const std::uint64_t bytes =
+        const StoreAppend appended =
             commitJobRecords(shard, options_.sweepDir, records, poisoned);
         // The fsync has returned: fold the batch into the view from
         // memory, so the tail reader never decodes this shard's bytes
         // (unless the append tore or sealed a torn tail).
-        tail.foldOwnAppend(shard_path, records, bytes);
-        for (const JobResult &record : records) {
+        tail.foldOwnAppend(shard_path, records, appended.bytes);
+        // Only the records that landed count; a torn one reruns.
+        for (std::size_t i = 0; i < appended.landed; ++i) {
+            const JobResult &record = records[i];
             if (!record.completed)
                 continue;
             ++report.completed;

@@ -4,16 +4,26 @@
 
 namespace treevqa {
 
-std::uint64_t
+StoreAppend
 commitJobRecords(ResultStore &store, const std::string &sweepDir,
                  const std::vector<JobResult> &records,
                  const std::function<void(std::size_t)> &onFailed)
 {
     if (records.empty())
-        return 0;
-    const std::uint64_t bytes = store.append(records);
-    retireCheckpoints(sweepDir, records);
-    for (std::size_t i = 0; i < records.size(); ++i) {
+        return {};
+    const StoreAppend appended = store.append(records);
+    // Only the records that landed whole are published; a torn one
+    // keeps its checkpoints and its job stays pending.
+    if (appended.landed == records.size())
+        retireCheckpoints(sweepDir, records);
+    else
+        retireCheckpoints(sweepDir,
+                          std::vector<JobResult>(
+                              records.begin(),
+                              records.begin()
+                                  + static_cast<std::ptrdiff_t>(
+                                      appended.landed)));
+    for (std::size_t i = 0; i < appended.landed; ++i) {
         const JobResult &record = records[i];
         if (!record.completed) {
             if (record.failed && onFailed)
@@ -27,7 +37,7 @@ commitJobRecords(ResultStore &store, const std::string &sweepDir,
                                   record.fingerprint, std::move(detail));
     }
     EventLog::instance().flush();
-    return bytes;
+    return appended;
 }
 
 } // namespace treevqa

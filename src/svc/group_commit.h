@@ -45,15 +45,18 @@ inline constexpr int kGroupCommitBatch = 8;
 
 /**
  * Commit `records` to `store` by the steps above; checkpoints live
- * under `sweepDir`'s checkpoints/. `onFailed(i)` runs at step 3 for
- * each failed record `records[i]` (null: failed records only get
- * appended). No-op on an empty batch. An append failure throws before
- * any later step, leaving every checkpoint in place. Returns the
- * bytes of the appended lines (ResultStore::append), which a caller
- * folding its own commits (dist/store_tail.h) checks the file
- * against.
+ * under `sweepDir`'s checkpoints/. Steps 2 and 3 act only on the
+ * records that landed whole (a torn append keeps a prefix of the
+ * batch): the rest keep their checkpoints, get no event and stay
+ * pending. `onFailed(i)` runs at step 3 for each landed failed record
+ * `records[i]` (null: failed records only get appended). No-op on an
+ * empty batch. An append failure throws before any later step,
+ * leaving every checkpoint in place. Returns what the append wrote
+ * (ResultStore::append): a caller counts only the `landed` records,
+ * and one folding its own commits (dist/store_tail.h) checks the file
+ * against `bytes`.
  */
-std::uint64_t commitJobRecords(
+StoreAppend commitJobRecords(
     ResultStore &store, const std::string &sweepDir,
     const std::vector<JobResult> &records,
     const std::function<void(std::size_t)> &onFailed = nullptr);

@@ -251,19 +251,27 @@ ResultStore::append(const JobResult &result)
     appendLines(jobResultToStoredLine(result) + "\n");
 }
 
-std::uint64_t
+StoreAppend
 ResultStore::append(const std::vector<JobResult> &results)
 {
     std::string lines;
-    for (const JobResult &result : results)
+    std::vector<std::size_t> ends;
+    ends.reserve(results.size());
+    for (const JobResult &result : results) {
         lines += jobResultToStoredLine(result) + "\n";
-    const std::uint64_t bytes = lines.size();
-    if (!lines.empty())
-        appendLines(std::move(lines));
-    return bytes;
+        ends.push_back(lines.size());
+    }
+    StoreAppend out;
+    out.bytes = lines.size();
+    if (lines.empty())
+        return out;
+    const std::size_t kept = appendLines(std::move(lines));
+    out.landed = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), kept) - ends.begin());
+    return out;
 }
 
-void
+std::size_t
 ResultStore::appendLines(std::string lines)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -276,6 +284,7 @@ ResultStore::appendLines(std::string lines)
             lines.resize(hit.tornPrefix(lines.size()));
     }
     appendTextDurable(path_, lines);
+    return lines.size();
 }
 
 bool

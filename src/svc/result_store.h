@@ -108,6 +108,17 @@ struct StoreLoadStats
     }
 };
 
+/** What a group-commit append wrote. */
+struct StoreAppend
+{
+    /** Bytes the lines take: what an untorn append adds, not counting
+     * a newline that seals a torn tail. */
+    std::uint64_t bytes = 0;
+    /** Records whose lines landed whole: the first `landed` of the
+     * batch (a torn write keeps a prefix of it). */
+    std::size_t landed = 0;
+};
+
 /** Append-only JSONL file of job records. */
 class ResultStore
 {
@@ -131,13 +142,14 @@ class ResultStore
      * write and one fsync. The "store.append" site is evaluated once
      * for the whole batch, so a torn write keeps a prefix of it: the
      * whole lines before the tear stand, the torn one is quarantined
-     * on load. No-op on an empty batch. Thread-safe. Returns the
-     * bytes the lines take (what an untorn append adds, not counting
-     * a newline that seals a torn tail). */
-    std::uint64_t append(const std::vector<JobResult> &results);
+     * on load. No-op on an empty batch. Thread-safe. Reports the
+     * lines' bytes and how many records landed whole. */
+    StoreAppend append(const std::vector<JobResult> &results);
 
   private:
-    void appendLines(std::string lines);
+    /** Append `lines` durably; returns how many of its bytes were
+     * written (fewer when the "store.append" site tears the write). */
+    std::size_t appendLines(std::string lines);
 
     std::string path_;
     std::mutex mutex_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "ham/spin_chains.h"
 #include "sim/expectation.h"
 
+#include "parent_digests.h"
 #include "pool_size_guard.h"
 
 namespace treevqa {
@@ -72,7 +74,7 @@ checkCompiledMatchesEager(const Circuit &c,
 {
     const CompiledCircuit program(c);
     Statevector compiled(c.numQubits());
-    program.execute(compiled, theta);
+    program.execute(compiled, theta, 0);
     const Statevector ref = eagerReference(c, theta);
     expectStatesNear(compiled, ref, 1e-12);
 }
@@ -118,35 +120,152 @@ TEST(CompiledCircuit, EveryGateTypeMatchesEager)
 
 TEST(CompiledCircuit, RandomMixedCircuitsMatchEager)
 {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        Rng rng(seed * 7919);
-        const int n = 5;
-        Circuit c(n);
-        const int p0 = c.addParam();
-        const int p1 = c.addParam();
-        for (int g = 0; g < 150; ++g) {
-            const int q = static_cast<int>(rng.uniformInt(n));
-            const int r =
-                static_cast<int>((q + 1 + rng.uniformInt(n - 1)) % n);
-            switch (rng.uniformInt(14)) {
-              case 0: c.rx(q, rng.uniform(-3, 3)); break;
-              case 1: c.ry(q, rng.uniform(-3, 3)); break;
-              case 2: c.rz(q, rng.uniform(-3, 3)); break;
-              case 3: c.h(q); break;
-              case 4: c.x(q); break;
-              case 5: c.s(q); break;
-              case 6: c.sdg(q); break;
-              case 7: c.cx(q, r); break;
-              case 8: c.cz(q, r); break;
-              case 9: c.rzz(q, r, rng.uniform(-3, 3)); break;
-              case 10: c.rxx(q, r, rng.uniform(-3, 3)); break;
-              case 11: c.ryy(q, r, rng.uniform(-3, 3)); break;
-              case 12: c.rxParam(q, p0, rng.uniform(-1, 1)); break;
-              default: c.rzzParam(q, r, p1, rng.uniform(-1, 1)); break;
-            }
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+        checkCompiledMatchesEager(randomMixedCircuit(seed), {0.41, -1.27});
+}
+
+/** Digests of every digest case's state under each binding, prepared
+ * into one reused (initially dirty) buffer per circuit. */
+std::vector<std::pair<std::string, std::uint64_t>>
+stateDigests()
+{
+    std::vector<std::pair<std::string, std::uint64_t>> rows;
+    for (const DigestCircuit &c : digestCircuits()) {
+        Statevector state(c.ansatz.numQubits());
+        for (Complex &a : state.amplitudes())
+            a = Complex(0.5, -0.25);
+        for (const auto &[angles, theta] :
+             digestAngles(c.ansatz.numParams(), 17)) {
+            c.ansatz.prepareInto(state, theta);
+            ValueDigest digest;
+            for (const Complex &a : state.amplitudes())
+                digest.add(a);
+            rows.emplace_back(c.name + "/" + angles, digest.value());
         }
-        checkCompiledMatchesEager(c, {0.41, -1.27});
     }
+    return rows;
+}
+
+/** stateDigests() on the parent of the product-state prefix. */
+const PinnedDigest kParentStateDigests[] = {
+    {"hea2_b0/rand", 0x8807156f7fe13f62ull},
+    {"hea2_b0/zero", 0x59caaceb145eceb8ull},
+    {"hea2_b0/pi", 0xc5d5de896baeb0e2ull},
+    {"hea2_b1/rand", 0xc895975b222a54a3ull},
+    {"hea2_b1/zero", 0x68f2f7260a273af8ull},
+    {"hea2_b1/pi", 0x26343eeb17f987e3ull},
+    {"hea4_b0/rand", 0x99d38f33bb96c5fcull},
+    {"hea4_b0/zero", 0x510f9cf398f0f6b8ull},
+    {"hea4_b0/pi", 0xfc2534cd48e2bbdfull},
+    {"hea4_b5/rand", 0xc78d6aedbe69e826ull},
+    {"hea4_b5/zero", 0x3a89fa1c715c9578ull},
+    {"hea4_b5/pi", 0x4fc08d8e825c127full},
+    {"hea6_b0/rand", 0x7b52ec3f5efa4fbaull},
+    {"hea6_b0/zero", 0x3bc8cec04fe996b8ull},
+    {"hea6_b0/pi", 0x92b90fdef51123dbull},
+    {"hea6_b21/rand", 0x414f33e5ab40d586ull},
+    {"hea6_b21/zero", 0x2193053f9c98f1f8ull},
+    {"hea6_b21/pi", 0x0ce2eb2eb5c29461ull},
+    {"hea8_b0/rand", 0x5f09057c65a61958ull},
+    {"hea8_b0/zero", 0xfb84724476cc16b8ull},
+    {"hea8_b0/pi", 0x9e3a38a95788d5afull},
+    {"hea8_b85/rand", 0x7aa29807255fcf57ull},
+    {"hea8_b85/zero", 0x541e353f4a986978ull},
+    {"hea8_b85/pi", 0x65beb9cdd79d0cbdull},
+    {"hea16_b0/rand", 0x380274d9fcdd3807ull},
+    {"hea16_b0/zero", 0xef6813fd8b9e16b8ull},
+    {"hea16_b0/pi", 0x176d0b567a5bf542ull},
+    {"hea16_b21845/rand", 0x3967813c575cf918ull},
+    {"hea16_b21845/zero", 0xe59410cbf2a9a978ull},
+    {"hea16_b21845/pi", 0xde6028c28c057d55ull},
+    {"maqaoa6/rand", 0xa711e40aa1babc8dull},
+    {"maqaoa6/zero", 0x31ae5b7407145125ull},
+    {"maqaoa6/pi", 0x10db9581265c96adull},
+    {"uccsd_min/rand", 0x009355863f68f52full},
+    {"uccsd_min/zero", 0x7ad501fa1980eab7ull},
+    {"uccsd_min/pi", 0xda2b548d61b7daf9ull},
+    {"mixed1/rand", 0x76d1a3d82e87dd87ull},
+    {"mixed1/zero", 0x1b72b575916af590ull},
+    {"mixed1/pi", 0x701514b57c73a9a3ull},
+    {"mixed2/rand", 0x1393c94281fa6f7aull},
+    {"mixed2/zero", 0x6d20fffed518f40eull},
+    {"mixed2/pi", 0xb3bdf3f5095947caull},
+    {"mixed3/rand", 0x1ba253f56dd639a3ull},
+    {"mixed3/zero", 0xe5a653f6da58afb8ull},
+    {"mixed3/pi", 0x745b486d8ee52204ull},
+    {"mixed4/rand", 0x14d294763ab66bc4ull},
+    {"mixed4/zero", 0x9b65818db4948a26ull},
+    {"mixed4/pi", 0xfdac0e4c31b12587ull},
+    {"mixed5/rand", 0xc3b8cbdf98ee3583ull},
+    {"mixed5/zero", 0x6dd7138452866661ull},
+    {"mixed5/pi", 0x529f1511654d3b73ull},
+    {"mixed6/rand", 0xabe3bbc6d0db1370ull},
+    {"mixed6/zero", 0xdac06ad0cbd8e5d7ull},
+    {"mixed6/pi", 0xc0227a37befd299eull},
+};
+
+TEST(CompiledCircuit, ExecuteMatchesParentDigests)
+{
+    for (const std::size_t lanes : {1u, 4u}) {
+        PoolSizeGuard guard(lanes);
+        const auto rows = stateDigests();
+        EXPECT_EQ(rows.size(), std::size(kParentStateDigests));
+        for (std::size_t i = 0;
+             i < std::min(rows.size(), std::size(kParentStateDigests)); ++i) {
+            EXPECT_EQ(rows[i].first, kParentStateDigests[i].key);
+            EXPECT_EQ(rows[i].second, kParentStateDigests[i].value)
+                << rows[i].first << " at " << lanes << " lanes";
+        }
+        if (HasFailure()) {
+            printDigestTable(rows);
+            return;
+        }
+    }
+}
+
+TEST(CompiledCircuit, ProductPrefixMatchesRunningEveryOp)
+{
+    // The prefix is built by doubling from the basis state; apply()
+    // runs the same table op by op. Cover a prefix in scrambled qubit
+    // order behind Cx/Cz, a fixed diagonal prefix run, a qubit only a
+    // Cx touches and one no op touches (their initial bits must
+    // survive), and a prefix cut short by an Rzz.
+    Circuit c(6);
+    const int p = c.addParam();
+    c.ryParam(3, p, 0.7);
+    c.cz(3, 4);
+    c.rxParam(0, p, -1.1);
+    c.cx(3, 0);
+    c.rz(2, 0.4);
+    c.cx(1, 2);
+    c.rzz(0, 3, 0.9);
+    c.h(4);
+    c.ryParam(2, p);
+    c.cx(2, 4);
+    const CompiledCircuit program(c);
+    EXPECT_EQ(program.prefixOps(), 3u);
+    const auto fold = [](const Statevector &s) {
+        std::vector<double> parts;
+        for (const Complex &a : s.amplitudes()) {
+            parts.push_back(a.real() + 0.0);
+            parts.push_back(a.imag() + 0.0);
+        }
+        return parts;
+    };
+    for (const std::uint64_t bits : {0u, 0b000010u, 0b110110u, 0b111111u})
+        for (const double theta : {0.0, 0.83, 3.14159}) {
+            Statevector built(6);
+            for (Complex &a : built.amplitudes())
+                a = Complex(0.25, -0.5); // stale contents
+            program.execute(built, {theta}, bits);
+            Statevector stepped(6);
+            stepped.setBasisState(bits);
+            program.apply(stepped, {theta});
+            EXPECT_EQ(fold(built), fold(stepped))
+                << "bits " << bits << " theta " << theta;
+        }
+    const Ansatz hea = makeHardwareEfficientAnsatz(6, 2, 0);
+    EXPECT_EQ(hea.compiled()->prefixOps(), 6u);
 }
 
 TEST(CompiledCircuit, FusionCompressesSingleQubitRuns)

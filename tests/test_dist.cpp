@@ -877,6 +877,9 @@ TEST(WorkerDaemon, TornAppendIsNotFoldedAndItsJobsRerun)
     const Counter &tail_parsed =
         MetricsRegistry::instance().counter("store.tail_lines_parsed");
     const std::uint64_t tail_before = tail_parsed.total();
+    const Counter &jobs_completed =
+        MetricsRegistry::instance().counter("worker.jobs_completed");
+    const std::uint64_t completed_before = jobs_completed.total();
     // The first batch's one append keeps 40% of its bytes.
     FaultInjection::instance().arm(
         R"({"faults": [{"site": "store.append", "action": "torn-write", "keepFraction": 0.4, "hit": 1}]})");
@@ -887,9 +890,22 @@ TEST(WorkerDaemon, TornAppendIsNotFoldedAndItsJobsRerun)
     EXPECT_TRUE(report.merged);
     // The torn batch was not folded from memory: the tail reader read
     // it back, and the jobs whose lines tore stayed pending and ran
-    // again.
+    // again. Only records that landed count, so every job counts once.
     EXPECT_GT(tail_parsed.total() - tail_before, 0u);
-    EXPECT_GT(report.completed, specs.size());
+    EXPECT_EQ(report.completed, specs.size());
+    // The journal and the counters agree with the store: one
+    // job.completed per job, and the counter counts exactly those.
+    std::set<std::string> completed_jobs;
+    std::size_t completed_events = 0;
+    for (const SweepEvent &event : readSweepEvents(d))
+        if (event.type == event_type::kJobCompleted) {
+            completed_jobs.insert(event.job);
+            ++completed_events;
+        }
+    EXPECT_EQ(completed_events, specs.size());
+    EXPECT_EQ(jobs_completed.total() - completed_before,
+              completed_jobs.size());
+    EXPECT_EQ(completed_jobs.size(), specs.size());
     std::string summary;
     ASSERT_TRUE(readTextFile(sweepSummaryPath(d), summary));
     EXPECT_EQ(summary, sweepSummaryJson(reference).dump(2) + "\n");

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -17,6 +18,7 @@
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
 
+#include "parent_digests.h"
 #include "pool_size_guard.h"
 
 namespace treevqa {
@@ -439,6 +441,164 @@ TEST(ExpectationPlan, ConcurrentEvaluationsFromPoolTasks)
     for (std::size_t i = 0; i < states.size(); ++i)
         expectBitwiseEqual(concurrent[i], serial[i],
                            "state " + std::to_string(i));
+}
+
+/** Digests of the TFIM and XXZ plan outputs on every digest case's
+ * states (see parent_digests.h). */
+std::vector<std::pair<std::string, std::uint64_t>>
+planDigests()
+{
+    std::vector<std::pair<std::string, std::uint64_t>> rows;
+    for (const DigestCircuit &c : digestCircuits()) {
+        const int n = c.ansatz.numQubits();
+        const ExpectationPlan tfim(transverseFieldIsing(n, 1.0, 0.7));
+        const ExpectationPlan xxz(xxzChain(n, 1.0, 0.6));
+        Statevector state(n);
+        for (const auto &[angles, theta] :
+             digestAngles(c.ansatz.numParams(), 17)) {
+            c.ansatz.prepareInto(state, theta);
+            for (const auto &[ham, plan] :
+                 {std::pair{"tfim", &tfim}, std::pair{"xxz", &xxz}}) {
+                ValueDigest digest;
+                for (const double v : plan->evaluate(state))
+                    digest.add(v);
+                rows.emplace_back(c.name + "/" + angles + "/" + ham,
+                                  digest.value());
+            }
+        }
+    }
+    return rows;
+}
+
+/** planDigests() on the parent of the product-state prefix. */
+const PinnedDigest kParentPlanDigests[] = {
+    {"hea2_b0/rand/tfim", 0x6d6c243a11e234fcull},
+    {"hea2_b0/rand/xxz", 0x6d0a5cd823831e61ull},
+    {"hea2_b0/zero/tfim", 0xbd85f5df2322cbb8ull},
+    {"hea2_b0/zero/xxz", 0x8208b0d7006a7278ull},
+    {"hea2_b0/pi/tfim", 0x47f339ed62f9575full},
+    {"hea2_b0/pi/xxz", 0xe5b2012062383048ull},
+    {"hea2_b1/rand/tfim", 0x0a0102fb7d2b513aull},
+    {"hea2_b1/rand/xxz", 0x5cace938f59785b6ull},
+    {"hea2_b1/zero/tfim", 0xbd85f5df2322cbb8ull},
+    {"hea2_b1/zero/xxz", 0x8208b0d7006a7278ull},
+    {"hea2_b1/pi/tfim", 0xa12d12c50c52efd9ull},
+    {"hea2_b1/pi/xxz", 0x236851c423064148ull},
+    {"hea4_b0/rand/tfim", 0x987567d388c178a9ull},
+    {"hea4_b0/rand/xxz", 0x55981fec583c34d2ull},
+    {"hea4_b0/zero/tfim", 0xf6aa8c74168bc258ull},
+    {"hea4_b0/zero/xxz", 0xaf8e06f96e34a7d8ull},
+    {"hea4_b0/pi/tfim", 0x7dc00c9696f5044cull},
+    {"hea4_b0/pi/xxz", 0x6c5635e3a4ec6b61ull},
+    {"hea4_b5/rand/tfim", 0x63bd778060e78705ull},
+    {"hea4_b5/rand/xxz", 0x0f72a5bd62a261d3ull},
+    {"hea4_b5/zero/tfim", 0x894b43c15de22dd8ull},
+    {"hea4_b5/zero/xxz", 0xb888e90f6ec60e58ull},
+    {"hea4_b5/pi/tfim", 0xa876c483eee08178ull},
+    {"hea4_b5/pi/xxz", 0x03bedc64284f6190ull},
+    {"hea6_b0/rand/tfim", 0x1591e22d62ce2376ull},
+    {"hea6_b0/rand/xxz", 0xc1ff9160fa2f9e84ull},
+    {"hea6_b0/zero/tfim", 0x29afb7fab6d6ce78ull},
+    {"hea6_b0/zero/xxz", 0x86180ebad06412b8ull},
+    {"hea6_b0/pi/tfim", 0x59e8920316b3cd17ull},
+    {"hea6_b0/pi/xxz", 0x03d3c0af3b1b6586ull},
+    {"hea6_b21/rand/tfim", 0x9082788715b831e2ull},
+    {"hea6_b21/rand/xxz", 0x9605df9d6cab800full},
+    {"hea6_b21/zero/tfim", 0xb53dd95bcfbeb578ull},
+    {"hea6_b21/zero/xxz", 0xea2a50284a2179b8ull},
+    {"hea6_b21/pi/tfim", 0xc42eff11c278b1ffull},
+    {"hea6_b21/pi/xxz", 0x1499465f7a4f85b9ull},
+    {"hea8_b0/rand/tfim", 0x06c3778ded902a24ull},
+    {"hea8_b0/rand/xxz", 0x8d3c2bb428f5ed3dull},
+    {"hea8_b0/zero/tfim", 0x5b08ee243c2e5718ull},
+    {"hea8_b0/zero/xxz", 0x1e008a87e16fc818ull},
+    {"hea8_b0/pi/tfim", 0xfc193aed477bec78ull},
+    {"hea8_b0/pi/xxz", 0x3e5a0084ff1021a0ull},
+    {"hea8_b85/rand/tfim", 0xc7442c92c11127c9ull},
+    {"hea8_b85/rand/xxz", 0xcc69925c991af9e2ull},
+    {"hea8_b85/zero/tfim", 0x7d886b730f7b1b98ull},
+    {"hea8_b85/zero/xxz", 0x5850f80baecc7598ull},
+    {"hea8_b85/pi/tfim", 0x67e5f7e641f78e0dull},
+    {"hea8_b85/pi/xxz", 0x2f1e0f71483f4f60ull},
+    {"hea16_b0/rand/tfim", 0x453ce1fe2eeb24a4ull},
+    {"hea16_b0/rand/xxz", 0x405b9ca0c541a50dull},
+    {"hea16_b0/zero/tfim", 0x5dca7a2a33d64098ull},
+    {"hea16_b0/zero/xxz", 0x91c68a7b1e31e498ull},
+    {"hea16_b0/pi/tfim", 0xc8b9fe127a46a501ull},
+    {"hea16_b0/pi/xxz", 0xd156fc98550d11abull},
+    {"hea16_b21845/rand/tfim", 0x6bc86bed8d06a448ull},
+    {"hea16_b21845/rand/xxz", 0x29fc99f9cc2b2ec7ull},
+    {"hea16_b21845/zero/tfim", 0xae736958920e8e18ull},
+    {"hea16_b21845/zero/xxz", 0xa5fb151319ced218ull},
+    {"hea16_b21845/pi/tfim", 0xecfb01b055b09374ull},
+    {"hea16_b21845/pi/xxz", 0x16ca5c5cc05727f8ull},
+    {"maqaoa6/rand/tfim", 0x1c2437504b4035caull},
+    {"maqaoa6/rand/xxz", 0x35045ce2abfbc246ull},
+    {"maqaoa6/zero/tfim", 0xd071766df3c19835ull},
+    {"maqaoa6/zero/xxz", 0xa8b16197ec6ae4caull},
+    {"maqaoa6/pi/tfim", 0xd7a1289b1090c7b8ull},
+    {"maqaoa6/pi/xxz", 0xb366d6f095ef46a6ull},
+    {"uccsd_min/rand/tfim", 0x926ac9a79cace007ull},
+    {"uccsd_min/rand/xxz", 0xe431d42d3f6a6bc7ull},
+    {"uccsd_min/zero/tfim", 0xf059c649dc99d948ull},
+    {"uccsd_min/zero/xxz", 0x1569ba07f7271dc8ull},
+    {"uccsd_min/pi/tfim", 0xe66d778c74602fceull},
+    {"uccsd_min/pi/xxz", 0x9ff84d6e56a904ceull},
+    {"mixed1/rand/tfim", 0x1a15266211bed833ull},
+    {"mixed1/rand/xxz", 0xaab9421832b48399ull},
+    {"mixed1/zero/tfim", 0x35b3beca5923c57eull},
+    {"mixed1/zero/xxz", 0xb48db898c38bb4beull},
+    {"mixed1/pi/tfim", 0x1d1027b817b6a430ull},
+    {"mixed1/pi/xxz", 0xeb8e9f001ff34173ull},
+    {"mixed2/rand/tfim", 0x349d1c88a1592ec6ull},
+    {"mixed2/rand/xxz", 0x7b9722a713f54a1full},
+    {"mixed2/zero/tfim", 0x0202f76429906d22ull},
+    {"mixed2/zero/xxz", 0x108fdd893ebb68f6ull},
+    {"mixed2/pi/tfim", 0xb72b8a5ed4bdd8d3ull},
+    {"mixed2/pi/xxz", 0xe4d2ff472ea9d322ull},
+    {"mixed3/rand/tfim", 0xea199f6a6f074dacull},
+    {"mixed3/rand/xxz", 0xbd6219f793c4c530ull},
+    {"mixed3/zero/tfim", 0xed5209a4e9073eb0ull},
+    {"mixed3/zero/xxz", 0x74718303a9d54ef3ull},
+    {"mixed3/pi/tfim", 0xf4950a8109299025ull},
+    {"mixed3/pi/xxz", 0x9b09e40bcabe4898ull},
+    {"mixed4/rand/tfim", 0x27dcbde2dab99862ull},
+    {"mixed4/rand/xxz", 0x576e6e2596fa178cull},
+    {"mixed4/zero/tfim", 0xf1b0492a94f2440aull},
+    {"mixed4/zero/xxz", 0x11f06c2fe188aac0ull},
+    {"mixed4/pi/tfim", 0x4e3fc87ddeca9c57ull},
+    {"mixed4/pi/xxz", 0xa8adcb6eeb001f3aull},
+    {"mixed5/rand/tfim", 0xc5e4fb2f22f6c388ull},
+    {"mixed5/rand/xxz", 0xcc6713288f7c8f91ull},
+    {"mixed5/zero/tfim", 0xaf67c44a63b27bb0ull},
+    {"mixed5/zero/xxz", 0x7f61a6ef0d4b4ec1ull},
+    {"mixed5/pi/tfim", 0xd3f89eecc6140bf1ull},
+    {"mixed5/pi/xxz", 0x405fa744aa792c6aull},
+    {"mixed6/rand/tfim", 0xc7d1cad4bf3ff162ull},
+    {"mixed6/rand/xxz", 0x0a95890ea7d46472ull},
+    {"mixed6/zero/tfim", 0x5761184b7273eebcull},
+    {"mixed6/zero/xxz", 0x8407c1fdc6caaaf0ull},
+    {"mixed6/pi/tfim", 0xba9f7eb395b790e3ull},
+    {"mixed6/pi/xxz", 0x19edec30e3e7947cull},
+};
+
+TEST(ExpectationPlan, MatchesParentDigests)
+{
+    for (const std::size_t lanes : {1u, 4u}) {
+        PoolSizeGuard guard(lanes);
+        const auto rows = planDigests();
+        EXPECT_EQ(rows.size(), std::size(kParentPlanDigests));
+        for (std::size_t i = 0;
+             i < std::min(rows.size(), std::size(kParentPlanDigests)); ++i) {
+            EXPECT_EQ(rows[i].first, kParentPlanDigests[i].key);
+            EXPECT_EQ(rows[i].second, kParentPlanDigests[i].value)
+                << rows[i].first << " at " << lanes << " lanes";
+        }
+        if (HasFailure()) {
+            printDigestTable(rows);
+            return;
+        }
+    }
 }
 
 TEST(ExpectationPlan, PauliSumPlanRecombinesToTheOverload)

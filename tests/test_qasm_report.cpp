@@ -1,16 +1,12 @@
 /**
  * @file
- * Tests for OpenQASM export and run reporting.
+ * Tests for OpenQASM export.
  */
 
 #include <gtest/gtest.h>
 
 #include "circuit/hardware_efficient.h"
 #include "circuit/qasm_export.h"
-#include "core/report.h"
-#include "core/tree_controller.h"
-#include "ham/spin_chains.h"
-#include "opt/spsa.h"
 
 namespace treevqa {
 namespace {
@@ -79,52 +75,6 @@ TEST(Qasm, AllGateKindsRender)
          {"h ", "x ", "s ", "sdg ", "cx ", "cz ", "rx(", "ry(",
           "rz("})
         EXPECT_NE(qasm.find(token), std::string::npos) << token;
-}
-
-TEST(Report, SummaryAndJsonShapes)
-{
-    auto tasks = makeTasks("t", tfimFamily(3, 0.8, 1.2, 3), 0);
-    solveGroundEnergies(tasks);
-    const Ansatz ansatz = makeHardwareEfficientAnsatz(3, 1, 0);
-    Spsa proto(SpsaConfig{}, 1);
-    TreeVqaConfig cfg;
-    cfg.shotBudget = 1ull << 62;
-    cfg.maxRounds = 30;
-    TreeController controller(tasks, ansatz, proto, cfg);
-    const TreeVqaResult res = controller.run();
-
-    const std::string summary = summarize(res, tasks);
-    EXPECT_NE(summary.find("TreeVQA run:"), std::string::npos);
-    EXPECT_NE(summary.find("t[0]"), std::string::npos);
-
-    const std::string json = toJson(res, tasks);
-    EXPECT_NE(json.find("\"method\":\"treevqa\""), std::string::npos);
-    EXPECT_NE(json.find("\"tasks\":["), std::string::npos);
-    EXPECT_NE(json.find("\"trace\":["), std::string::npos);
-    // Balanced braces/brackets (cheap well-formedness check).
-    long depth = 0;
-    for (char ch : json) {
-        if (ch == '{' || ch == '[')
-            ++depth;
-        if (ch == '}' || ch == ']')
-            --depth;
-        EXPECT_GE(depth, 0);
-    }
-    EXPECT_EQ(depth, 0);
-}
-
-TEST(Report, JsonWithoutTrace)
-{
-    std::vector<VqaTask> tasks =
-        makeTasks("t", tfimFamily(3, 1.0, 1.0, 1), 0);
-    BaselineResult res;
-    res.outcomes.resize(1);
-    res.outcomes[0].bestEnergy = -1.5;
-    const std::string json = toJson(res, tasks, false);
-    EXPECT_EQ(json.find("\"trace\""), std::string::npos);
-    EXPECT_NE(json.find("\"method\":\"baseline\""), std::string::npos);
-    // NaN fidelity renders as null.
-    EXPECT_NE(json.find("\"fidelity\":null"), std::string::npos);
 }
 
 } // namespace

@@ -242,7 +242,7 @@ TEST(StoreTailReader, OwnAppendFoldsFromMemoryOnlyWhenTheBytesAreOurs)
     // A clean append to a new file: folded from memory, never read.
     const std::vector<JobResult> first = {syntheticRecord("a", 0.5),
                                           syntheticRecord("b", 0.7)};
-    std::uint64_t bytes = ResultStore(shard).append(first);
+    std::uint64_t bytes = ResultStore(shard).append(first).bytes;
     EXPECT_EQ(bytes, fileSize(shard));
     EXPECT_TRUE(tail.foldOwnAppend(shard, first, bytes));
     EXPECT_TRUE(tail.resolution(first[1].fingerprint).completed);
@@ -276,7 +276,7 @@ TEST(StoreTailReader, OwnAppendFoldsFromMemoryOnlyWhenTheBytesAreOurs)
     // is one byte more than ours: declined again, and the refresh
     // quarantines the fragment and folds the new record.
     const std::vector<JobResult> sealed = {syntheticRecord("e", 1.3)};
-    bytes = ResultStore(shard).append(sealed);
+    bytes = ResultStore(shard).append(sealed).bytes;
     EXPECT_FALSE(tail.foldOwnAppend(shard, sealed, bytes));
     tail.refresh();
     EXPECT_EQ(tail.counters().quarantinedLines, 1u);
@@ -285,7 +285,7 @@ TEST(StoreTailReader, OwnAppendFoldsFromMemoryOnlyWhenTheBytesAreOurs)
     // In step again: the cursor is at the end of the file.
     const std::vector<JobResult> again = {syntheticRecord("f", 1.5)};
     const std::uint64_t parsed = tail.counters().linesParsed;
-    bytes = ResultStore(shard).append(again);
+    bytes = ResultStore(shard).append(again).bytes;
     EXPECT_TRUE(tail.foldOwnAppend(shard, again, bytes));
     tail.refresh();
     EXPECT_EQ(tail.counters().linesParsed, parsed);
@@ -295,7 +295,7 @@ TEST(StoreTailReader, OwnAppendFoldsFromMemoryOnlyWhenTheBytesAreOurs)
     ASSERT_TRUE(readTextFile(shard, text));
     writeTextFileAtomic(shard, text);
     const std::vector<JobResult> late = {syntheticRecord("g", 1.7)};
-    bytes = ResultStore(shard).append(late);
+    bytes = ResultStore(shard).append(late).bytes;
     EXPECT_FALSE(tail.foldOwnAppend(shard, late, bytes));
     EXPECT_EQ(tail.counters().fullRescans, 0u);
 }
