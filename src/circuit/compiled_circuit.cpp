@@ -281,16 +281,13 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit)
     };
     for (const bool prefix : {true, false})
         for (std::size_t i = 0; i < ops.size(); ++i)
-            if ((inPrefix[i] != 0) == prefix) {
+            if ((inPrefix[i] != 0) == prefix)
                 resolve(ops[i]);
-                if (prefix)
-                    prefix_.emplace_back(table_.back().abit, 0);
-            }
+    prefixOps_ = static_cast<std::size_t>(
+        std::count(inPrefix.begin(), inPrefix.end(), 1));
     for (std::size_t i = 0; i < table_.size(); ++i)
         if (fixed[i])
             table_[i].arg += static_cast<std::uint32_t>(boundArgs_);
-    for (std::size_t i = 0; i < prefix_.size(); ++i)
-        prefix_[i].second = table_[i].arg;
 }
 
 Gate1q
@@ -348,12 +345,12 @@ CompiledCircuit::execute(Statevector &state,
     ArgBuffer args(std::max<std::size_t>(numArgs(), 1));
     bind(theta, args.data());
     ProductFactor factors[64];
-    for (std::size_t i = 0; i < prefix_.size(); ++i)
-        factors[i] = ProductFactor{prefix_[i].first,
-                                   args.data() + prefix_[i].second};
+    for (std::size_t i = 0; i < prefixOps_; ++i)
+        factors[i] = ProductFactor{table_[i].abit,
+                                   args.data() + table_[i].arg};
     buildProductState(state.amplitudes().data(), state.dim(),
-                      initial_bits, factors, prefix_.size());
-    run(state, args.data(), prefix_.size());
+                      initial_bits, factors, prefixOps_);
+    run(state, args.data(), prefixOps_);
 }
 
 void

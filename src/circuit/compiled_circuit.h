@@ -42,7 +42,6 @@
 #define TREEVQA_CIRCUIT_COMPILED_CIRCUIT_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -63,7 +62,7 @@ class CompiledCircuit
     /** Fused ops in the program, the prefix included. */
     std::size_t numOps() const { return table_.size(); }
     /** Ops of the product-state prefix (the first of the table). */
-    std::size_t prefixOps() const { return prefix_.size(); }
+    std::size_t prefixOps() const { return prefixOps_; }
 
     /** The source instruction stream (retained verbatim): the input of
      * gate-by-gate consumers such as the Pauli-propagation backend. */
@@ -140,9 +139,8 @@ class CompiledCircuit
     std::size_t boundArgs_ = 0;
     std::vector<KernelArg> fixedArgs_;
     std::vector<TableOp> table_;
-    /** The prefix ops' qubit masks and arguments, in program order
-     * (table_'s first prefix_.size() ops). */
-    std::vector<std::pair<std::size_t, std::uint32_t>> prefix_;
+    /** The product-state prefix is table_'s first prefixOps_ ops. */
+    std::size_t prefixOps_ = 0;
 };
 
 } // namespace treevqa

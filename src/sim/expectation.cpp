@@ -45,89 +45,6 @@ norm2(const Complex &x)
     return x.real() * x.real() + x.imag() * x.imag();
 }
 
-/**
- * t[j] = conj(a[b ^ x]) * a[b], b = expandBit(k0 + j, hbit), for
- * j < kn. Over an aligned run as long as the lowest X bit, b and its
- * partner b ^ x both advance by one, so the run is two contiguous
- * streams.
- */
-void
-pairProductRuns(std::uint64_t xm, std::size_t hbit, std::size_t k0,
-                std::size_t kn, const Complex *amps, double *tre,
-                double *tim)
-{
-    const std::size_t run =
-        std::min(std::size_t{1} << std::countr_zero(xm), kn);
-    for (std::size_t s = 0; s < kn; s += run) {
-        const std::size_t b = expandBit(k0 + s, hbit);
-        const Complex *pa = amps + b;
-        const Complex *pb = amps + (b ^ xm);
-        for (std::size_t j = 0; j < run; ++j) {
-            const Complex t = cmul(std::conj(pb[j]), pa[j]);
-            tre[s + j] = t.real();
-            tim[s + j] = t.imag();
-        }
-    }
-}
-
-#ifdef __AVX512F__
-/**
- * pairProductRuns for kn a multiple of 8, eight k at a time in one
- * flat walk: no loop per run, which is one pair long for X_0. Eight
- * aligned k and their partners lie in two 8-amplitude windows (the 16
- * amplitudes from b = 2k when the pairing bit is below 8, else the
- * run's 8 and the partner's aligned 8), so two permutes and a blend
- * gather each of Re a, Im a, Re partner and Im partner. Each part is
- * one fused product plus the rounded product of the partner's
- * imaginary part: the contraction of the run loop's cmul, so t keeps
- * its bits.
- */
-void
-pairProducts8(std::uint64_t xm, std::size_t hbit, std::size_t k0,
-              std::size_t kn, const Complex *amps, double *tre,
-              double *tim)
-{
-    // Window positions (in doubles, 0..31) of each lane's amplitude
-    // and partner; position 16 and up is the second window.
-    alignas(64) std::int64_t pos[4][8];
-    for (std::size_t i = 0; i < 8; ++i) {
-        const std::size_t a = hbit < 8 ? expandBit(i, hbit) : i;
-        const std::size_t p = hbit < 8 ? a ^ xm : 8 + (i ^ (xm & 7));
-        pos[0][i] = static_cast<std::int64_t>(2 * a);
-        pos[1][i] = static_cast<std::int64_t>(2 * a + 1);
-        pos[2][i] = static_cast<std::int64_t>(2 * p);
-        pos[3][i] = static_cast<std::int64_t>(2 * p + 1);
-    }
-    __m512i idx[4];
-    __mmask8 second[4];
-    for (int v = 0; v < 4; ++v) {
-        idx[v] = _mm512_load_si512(pos[v]);
-        second[v] = _mm512_test_epi64_mask(idx[v], _mm512_set1_epi64(16));
-    }
-    const double *d = reinterpret_cast<const double *>(amps);
-    for (std::size_t j = 0; j < kn; j += 8) {
-        const std::size_t k = k0 + j;
-        const std::size_t w0 = hbit < 8 ? 2 * k : expandBit(k, hbit);
-        const std::size_t w1 = hbit < 8 ? w0 + 8 : w0 ^ (xm & ~7ull);
-        const __m512d lo0 = _mm512_loadu_pd(d + 2 * w0);
-        const __m512d hi0 = _mm512_loadu_pd(d + 2 * w0 + 8);
-        const __m512d lo1 = _mm512_loadu_pd(d + 2 * w1);
-        const __m512d hi1 = _mm512_loadu_pd(d + 2 * w1 + 8);
-        __m512d v[4];
-        for (int q = 0; q < 4; ++q)
-            v[q] = _mm512_mask_blend_pd(
-                second[q], _mm512_permutex2var_pd(lo0, idx[q], hi0),
-                _mm512_permutex2var_pd(lo1, idx[q], hi1));
-        _mm512_store_pd(tre + j,
-                        _mm512_fmadd_pd(v[2], v[0],
-                                        _mm512_mul_pd(v[3], v[1])));
-        _mm512_store_pd(tim + j,
-                        _mm512_fmsub_pd(v[2], v[1],
-                                        _mm512_mul_pd(v[3], v[0])));
-    }
-}
-#endif
-
 /** Per-member (-1)^{popcount(j & zMask)} tables for j < lut_len, built
  * by doubling: each Z bit below lut_len negates the upper half. */
 template <typename Member>
@@ -179,6 +96,88 @@ termStrings(const PauliSum &hamiltonian)
 }
 
 } // namespace
+
+namespace detail {
+
+/** Over an aligned run as long as the lowest X bit, b and its partner
+ * b ^ x both advance by one, so the run is two contiguous streams. */
+void
+pairProductRuns(std::uint64_t xm, std::size_t hbit, std::size_t k0,
+                std::size_t kn, const Complex *amps, double *tre,
+                double *tim)
+{
+    const std::size_t run =
+        std::min(std::size_t{1} << std::countr_zero(xm), kn);
+    for (std::size_t s = 0; s < kn; s += run) {
+        const std::size_t b = expandBit(k0 + s, hbit);
+        const Complex *pa = amps + b;
+        const Complex *pb = amps + (b ^ xm);
+        for (std::size_t j = 0; j < run; ++j) {
+            const Complex t = cmulFused(std::conj(pb[j]), pa[j]);
+            tre[s + j] = t.real();
+            tim[s + j] = t.imag();
+        }
+    }
+}
+
+#ifdef __AVX512F__
+/**
+ * Eight k at a time in one flat walk: no loop per run, which is one
+ * pair long for X_0. Eight aligned k and their partners lie in two
+ * 8-amplitude windows (the 16 amplitudes from b = 2k when the pairing
+ * bit is below 8, else the run's 8 and the partner's aligned 8), so
+ * two permutes and a blend gather each of Re a, Im a, Re partner and
+ * Im partner. Each part is one fused product plus the rounded product
+ * of the partner's imaginary part: cmulFused's contraction, as in
+ * pairProductRuns.
+ */
+void
+pairProducts8(std::uint64_t xm, std::size_t hbit, std::size_t k0,
+              std::size_t kn, const Complex *amps, double *tre,
+              double *tim)
+{
+    // Window positions (in doubles, 0..31) of each lane's amplitude
+    // and partner; position 16 and up is the second window.
+    alignas(64) std::int64_t pos[4][8];
+    for (std::size_t i = 0; i < 8; ++i) {
+        const std::size_t a = hbit < 8 ? expandBit(i, hbit) : i;
+        const std::size_t p = hbit < 8 ? a ^ xm : 8 + (i ^ (xm & 7));
+        pos[0][i] = static_cast<std::int64_t>(2 * a);
+        pos[1][i] = static_cast<std::int64_t>(2 * a + 1);
+        pos[2][i] = static_cast<std::int64_t>(2 * p);
+        pos[3][i] = static_cast<std::int64_t>(2 * p + 1);
+    }
+    __m512i idx[4];
+    __mmask8 second[4];
+    for (int v = 0; v < 4; ++v) {
+        idx[v] = _mm512_load_si512(pos[v]);
+        second[v] = _mm512_test_epi64_mask(idx[v], _mm512_set1_epi64(16));
+    }
+    const double *d = reinterpret_cast<const double *>(amps);
+    for (std::size_t j = 0; j < kn; j += 8) {
+        const std::size_t k = k0 + j;
+        const std::size_t w0 = hbit < 8 ? 2 * k : expandBit(k, hbit);
+        const std::size_t w1 = hbit < 8 ? w0 + 8 : w0 ^ (xm & ~7ull);
+        const __m512d lo0 = _mm512_loadu_pd(d + 2 * w0);
+        const __m512d hi0 = _mm512_loadu_pd(d + 2 * w0 + 8);
+        const __m512d lo1 = _mm512_loadu_pd(d + 2 * w1);
+        const __m512d hi1 = _mm512_loadu_pd(d + 2 * w1 + 8);
+        __m512d v[4];
+        for (int q = 0; q < 4; ++q)
+            v[q] = _mm512_mask_blend_pd(
+                second[q], _mm512_permutex2var_pd(lo0, idx[q], hi0),
+                _mm512_permutex2var_pd(lo1, idx[q], hi1));
+        _mm512_store_pd(tre + j,
+                        _mm512_fmadd_pd(v[2], v[0],
+                                        _mm512_mul_pd(v[3], v[1])));
+        _mm512_store_pd(tim + j,
+                        _mm512_fmsub_pd(v[2], v[1],
+                                        _mm512_mul_pd(v[3], v[0])));
+    }
+}
+#endif
+
+} // namespace detail
 
 /**
  * Every (group, block) work item lands its per-member dot products in
@@ -278,11 +277,12 @@ ExpectationPlan::processBlock(const Group &group, std::size_t block,
         // t = conj(a[b ^ x]) * a[b] for b = expandBit(k, hbit).
 #ifdef __AVX512F__
         if (kn % 8 == 0)
-            pairProducts8(group.xm, group.hbit, k0, kn, amps, tre, tim);
+            detail::pairProducts8(group.xm, group.hbit, k0, kn, amps, tre,
+                                  tim);
         else
 #endif
-            pairProductRuns(group.xm, group.hbit, k0, kn, amps, tre,
-                            tim);
+            detail::pairProductRuns(group.xm, group.hbit, k0, kn, amps,
+                                    tre, tim);
     }
 
     const std::size_t nre = group.membersRe.size();

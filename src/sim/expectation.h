@@ -135,6 +135,27 @@ std::vector<double> termCoefficients(const PauliSum &hamiltonian);
 double recombine(const std::vector<double> &coefficients,
                  const std::vector<double> &term_expectations);
 
+namespace detail {
+
+/**
+ * The pair products of one block of an X-mask group:
+ * t[j] = conj(a[b ^ xm]) * a[b] with b = expandBit(k0 + j, hbit) and
+ * hbit xm's highest bit, for j < kn, real parts into tre and imaginary
+ * parts into tim. Each product is cmulFused's, so both walks give it
+ * the same bits. ExpectationPlan takes pairProducts8 (AVX-512 builds,
+ * kn a multiple of 8) where it can, pairProductRuns otherwise.
+ */
+void pairProductRuns(std::uint64_t xm, std::size_t hbit, std::size_t k0,
+                     std::size_t kn, const Complex *amps, double *tre,
+                     double *tim);
+#ifdef __AVX512F__
+void pairProducts8(std::uint64_t xm, std::size_t hbit, std::size_t k0,
+                   std::size_t kn, const Complex *amps, double *tre,
+                   double *tim);
+#endif
+
+} // namespace detail
+
 } // namespace treevqa
 
 #endif // TREEVQA_SIM_EXPECTATION_H

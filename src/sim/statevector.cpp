@@ -253,29 +253,6 @@ unpackGate(const KernelArg &arg)
                   Complex(v[4], v[5]), Complex(v[6], v[7])};
 }
 
-/** x * y + z, rounded once where the target has FMA. */
-inline double
-fmadd(double x, double y, double z)
-{
-#ifdef __FP_FAST_FMA
-    return std::fma(x, y, z);
-#else
-    return x * y + z;
-#endif
-}
-
-/** cmul with its contraction spelled out: each part's first product
- * is fused with the rounded second one. That is what the compiler
- * makes of cmul in a scalar loop; left to itself it contracts some
- * vectorized loop shapes differently, which would make a gate's bits
- * depend on its stride. */
-inline Complex
-cmulFused(const Complex &a, const Complex &b)
-{
-    return Complex(fmadd(a.real(), b.real(), -(a.imag() * b.imag())),
-                   fmadd(a.real(), b.imag(), a.imag() * b.real()));
-}
-
 /** The pair expression of every arbitrary single-qubit gate. */
 inline void
 gate1Pair(const Gate1q &g, Complex &x0, Complex &x1)

@@ -16,6 +16,7 @@
 #ifndef TREEVQA_SIM_STATEVECTOR_H
 #define TREEVQA_SIM_STATEVECTOR_H
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -30,6 +31,29 @@ cmul(const Complex &a, const Complex &b)
 {
     return Complex(a.real() * b.real() - a.imag() * b.imag(),
                    a.real() * b.imag() + a.imag() * b.real());
+}
+
+/** x * y + z, rounded once where the target has FMA. */
+inline double
+fmadd(double x, double y, double z)
+{
+#ifdef __FP_FAST_FMA
+    return std::fma(x, y, z);
+#else
+    return x * y + z;
+#endif
+}
+
+/** cmul with its contraction spelled out: each part's first product
+ * is fused with the rounded second one. That is what the compiler
+ * makes of cmul in a scalar loop; left to itself it contracts some
+ * vectorized loop shapes differently, which would make a kernel's bits
+ * depend on its stride or loop shape. */
+inline Complex
+cmulFused(const Complex &a, const Complex &b)
+{
+    return Complex(fmadd(a.real(), b.real(), -(a.imag() * b.imag())),
+                   fmadd(a.real(), b.imag(), a.imag() * b.real()));
 }
 
 /** A 2x2 complex matrix in row-major order (single-qubit gate). */

@@ -10,17 +10,32 @@
  * were produced by this same code on the commit before the
  * product-state prefix and the flat op table landed, so a kernel or
  * executor change that moves any amplitude's bits fails them.
+ *
+ * The bits depend on the build: where the target has FMA, which
+ * products are fused; without it, none is. So each test pins one
+ * table per configuration it was generated and checked in: x86-64 GCC
+ * with FMA (-march=native on an AVX-512 host and -march=haswell, an
+ * AVX2-only target, give the same table) and x86-64 GCC without (the
+ * portable default, at -O2 and -O3, with and without ASan + UBSan).
+ * Other builds skip the pinned comparison; the build-relative checks
+ * (gate passes at every stride, Cx moves, the two pair-product walks)
+ * run everywhere.
  */
 
 #ifndef TREEVQA_TESTS_PARENT_DIGESTS_H
 #define TREEVQA_TESTS_PARENT_DIGESTS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <numbers>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "circuit/hardware_efficient.h"
 #include "circuit/ma_qaoa.h"
@@ -28,6 +43,8 @@
 #include "common/rng.h"
 #include "ham/spin_chains.h"
 #include "sim/expectation.h"
+
+#include "pool_size_guard.h"
 
 namespace treevqa {
 
@@ -146,14 +163,64 @@ struct PinnedDigest
     std::uint64_t value;
 };
 
+using DigestRows = std::vector<std::pair<std::string, std::uint64_t>>;
+
 /** Print a computed table in the pinned tables' initializer form. */
 inline void
-printDigestTable(const std::vector<std::pair<std::string,
-                                             std::uint64_t>> &rows)
+printDigestTable(const DigestRows &rows)
 {
     for (const auto &[key, value] : rows)
         std::printf("    {\"%s\", 0x%016llxull},\n", key.c_str(),
                     static_cast<unsigned long long>(value));
+}
+
+/** The pinned configuration this build belongs to. */
+enum class DigestBuild
+{
+    Fused,   ///< x86-64 GCC, target with FMA
+    Unfused, ///< x86-64 GCC, target without FMA
+    Unpinned
+};
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#ifdef __FP_FAST_FMA
+constexpr DigestBuild kDigestBuild = DigestBuild::Fused;
+#else
+constexpr DigestBuild kDigestBuild = DigestBuild::Unfused;
+#endif
+#else
+constexpr DigestBuild kDigestBuild = DigestBuild::Unpinned;
+#endif
+
+/**
+ * Expect compute() to give this build's pinned table at pool sizes 1
+ * and 4; on a mismatch, print the computed table. Skips the test in a
+ * configuration no table was pinned for.
+ */
+template <typename Compute>
+void
+expectPinnedDigests(Compute compute, std::span<const PinnedDigest> fused,
+                    std::span<const PinnedDigest> unfused)
+{
+    if (kDigestBuild == DigestBuild::Unpinned)
+        GTEST_SKIP() << "no digests pinned for this compiler and target";
+    const std::span<const PinnedDigest> pinned =
+        kDigestBuild == DigestBuild::Fused ? fused : unfused;
+    for (const std::size_t lanes : {1u, 4u}) {
+        PoolSizeGuard guard(lanes);
+        const DigestRows rows = compute();
+        EXPECT_EQ(rows.size(), pinned.size());
+        for (std::size_t i = 0; i < std::min(rows.size(), pinned.size());
+             ++i) {
+            EXPECT_EQ(rows[i].first, pinned[i].key);
+            EXPECT_EQ(rows[i].second, pinned[i].value)
+                << rows[i].first << " at " << lanes << " lanes";
+        }
+        if (::testing::Test::HasFailure()) {
+            printDigestTable(rows);
+            return;
+        }
+    }
 }
 
 } // namespace treevqa

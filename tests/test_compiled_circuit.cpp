@@ -126,10 +126,10 @@ TEST(CompiledCircuit, RandomMixedCircuitsMatchEager)
 
 /** Digests of every digest case's state under each binding, prepared
  * into one reused (initially dirty) buffer per circuit. */
-std::vector<std::pair<std::string, std::uint64_t>>
+DigestRows
 stateDigests()
 {
-    std::vector<std::pair<std::string, std::uint64_t>> rows;
+    DigestRows rows;
     for (const DigestCircuit &c : digestCircuits()) {
         Statevector state(c.ansatz.numQubits());
         for (Complex &a : state.amplitudes())
@@ -146,8 +146,9 @@ stateDigests()
     return rows;
 }
 
-/** stateDigests() on the parent of the product-state prefix. */
-const PinnedDigest kParentStateDigests[] = {
+/** stateDigests() on the parent of the product-state prefix, built
+ * with FMA. */
+const PinnedDigest kParentStateDigestsFused[] = {
     {"hea2_b0/rand", 0x8807156f7fe13f62ull},
     {"hea2_b0/zero", 0x59caaceb145eceb8ull},
     {"hea2_b0/pi", 0xc5d5de896baeb0e2ull},
@@ -204,23 +205,68 @@ const PinnedDigest kParentStateDigests[] = {
     {"mixed6/pi", 0xc0227a37befd299eull},
 };
 
+/** The same, built without FMA. */
+const PinnedDigest kParentStateDigestsUnfused[] = {
+    {"hea2_b0/rand", 0xf3a2da13ffd7f5b4ull},
+    {"hea2_b0/zero", 0x59caaceb145eceb8ull},
+    {"hea2_b0/pi", 0x91de0246738c9e61ull},
+    {"hea2_b1/rand", 0x5459fb8957d0cd49ull},
+    {"hea2_b1/zero", 0x68f2f7260a273af8ull},
+    {"hea2_b1/pi", 0xba1fa49dfaa456d9ull},
+    {"hea4_b0/rand", 0x644be81901511ee4ull},
+    {"hea4_b0/zero", 0x510f9cf398f0f6b8ull},
+    {"hea4_b0/pi", 0x387d42222ae7fd00ull},
+    {"hea4_b5/rand", 0xf4edaa7d96ddee5full},
+    {"hea4_b5/zero", 0x3a89fa1c715c9578ull},
+    {"hea4_b5/pi", 0x1e6f00a873db1297ull},
+    {"hea6_b0/rand", 0x1e663d88ff995817ull},
+    {"hea6_b0/zero", 0x3bc8cec04fe996b8ull},
+    {"hea6_b0/pi", 0x851c772af9f2aa02ull},
+    {"hea6_b21/rand", 0xa6a61f52f382d9d7ull},
+    {"hea6_b21/zero", 0x2193053f9c98f1f8ull},
+    {"hea6_b21/pi", 0xf0c8f6d135904164ull},
+    {"hea8_b0/rand", 0x5aa1db17f1e6a698ull},
+    {"hea8_b0/zero", 0xfb84724476cc16b8ull},
+    {"hea8_b0/pi", 0x31a79094a75618bdull},
+    {"hea8_b85/rand", 0x62b907a13074a0bdull},
+    {"hea8_b85/zero", 0x541e353f4a986978ull},
+    {"hea8_b85/pi", 0xa20c68e1a8a1a617ull},
+    {"hea16_b0/rand", 0x35681076840a4e39ull},
+    {"hea16_b0/zero", 0xef6813fd8b9e16b8ull},
+    {"hea16_b0/pi", 0x1caf5a1eb3e3fb8dull},
+    {"hea16_b21845/rand", 0x0e1ad75b2dde3df6ull},
+    {"hea16_b21845/zero", 0xe59410cbf2a9a978ull},
+    {"hea16_b21845/pi", 0xfa15f4a1366b1546ull},
+    {"maqaoa6/rand", 0x10d87fcd0f333165ull},
+    {"maqaoa6/zero", 0x31ae5b7407145125ull},
+    {"maqaoa6/pi", 0x1bdcfc71443d1595ull},
+    {"uccsd_min/rand", 0x8c98c24e91e70a24ull},
+    {"uccsd_min/zero", 0x7ad501fa1980eab7ull},
+    {"uccsd_min/pi", 0x7e7249772329f1eeull},
+    {"mixed1/rand", 0xb5cecf0a7e8961c9ull},
+    {"mixed1/zero", 0x34df6b245c9f1bdaull},
+    {"mixed1/pi", 0xb1dd57a5947718c1ull},
+    {"mixed2/rand", 0xf069d550074a01beull},
+    {"mixed2/zero", 0xcd7bae7167a2775full},
+    {"mixed2/pi", 0xce6b0ef2a5d8b86aull},
+    {"mixed3/rand", 0xef1fd1133751fc94ull},
+    {"mixed3/zero", 0x353bcefff3454e95ull},
+    {"mixed3/pi", 0xb00e6df2842c6fb3ull},
+    {"mixed4/rand", 0xe708ac6f0e059269ull},
+    {"mixed4/zero", 0x41677837ad3352feull},
+    {"mixed4/pi", 0xbd3855c6e25352c2ull},
+    {"mixed5/rand", 0xd4c744a5f424d96aull},
+    {"mixed5/zero", 0x517d01a215c5eec8ull},
+    {"mixed5/pi", 0xfbab4cf070267612ull},
+    {"mixed6/rand", 0x57bca56adfded1e2ull},
+    {"mixed6/zero", 0x15ef1b052896c162ull},
+    {"mixed6/pi", 0x8497c8282ba65da4ull},
+};
+
 TEST(CompiledCircuit, ExecuteMatchesParentDigests)
 {
-    for (const std::size_t lanes : {1u, 4u}) {
-        PoolSizeGuard guard(lanes);
-        const auto rows = stateDigests();
-        EXPECT_EQ(rows.size(), std::size(kParentStateDigests));
-        for (std::size_t i = 0;
-             i < std::min(rows.size(), std::size(kParentStateDigests)); ++i) {
-            EXPECT_EQ(rows[i].first, kParentStateDigests[i].key);
-            EXPECT_EQ(rows[i].second, kParentStateDigests[i].value)
-                << rows[i].first << " at " << lanes << " lanes";
-        }
-        if (HasFailure()) {
-            printDigestTable(rows);
-            return;
-        }
-    }
+    expectPinnedDigests(stateDigests, kParentStateDigestsFused,
+                        kParentStateDigestsUnfused);
 }
 
 TEST(CompiledCircuit, ProductPrefixMatchesRunningEveryOp)

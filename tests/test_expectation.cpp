@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -445,10 +446,10 @@ TEST(ExpectationPlan, ConcurrentEvaluationsFromPoolTasks)
 
 /** Digests of the TFIM and XXZ plan outputs on every digest case's
  * states (see parent_digests.h). */
-std::vector<std::pair<std::string, std::uint64_t>>
+DigestRows
 planDigests()
 {
-    std::vector<std::pair<std::string, std::uint64_t>> rows;
+    DigestRows rows;
     for (const DigestCircuit &c : digestCircuits()) {
         const int n = c.ansatz.numQubits();
         const ExpectationPlan tfim(transverseFieldIsing(n, 1.0, 0.7));
@@ -470,8 +471,9 @@ planDigests()
     return rows;
 }
 
-/** planDigests() on the parent of the product-state prefix. */
-const PinnedDigest kParentPlanDigests[] = {
+/** planDigests() on the parent of the product-state prefix, built
+ * with FMA. */
+const PinnedDigest kParentPlanDigestsFused[] = {
     {"hea2_b0/rand/tfim", 0x6d6c243a11e234fcull},
     {"hea2_b0/rand/xxz", 0x6d0a5cd823831e61ull},
     {"hea2_b0/zero/tfim", 0xbd85f5df2322cbb8ull},
@@ -582,23 +584,166 @@ const PinnedDigest kParentPlanDigests[] = {
     {"mixed6/pi/xxz", 0x19edec30e3e7947cull},
 };
 
+/** The same, built without FMA. */
+const PinnedDigest kParentPlanDigestsUnfused[] = {
+    {"hea2_b0/rand/tfim", 0x54e94c859c892ba6ull},
+    {"hea2_b0/rand/xxz", 0x46081447fdcac2f1ull},
+    {"hea2_b0/zero/tfim", 0xbd85f5df2322cbb8ull},
+    {"hea2_b0/zero/xxz", 0x8208b0d7006a7278ull},
+    {"hea2_b0/pi/tfim", 0x47f339ed62f9575full},
+    {"hea2_b0/pi/xxz", 0xe5b2012062383048ull},
+    {"hea2_b1/rand/tfim", 0x187be64a3136c3cdull},
+    {"hea2_b1/rand/xxz", 0x287589eeaab708b9ull},
+    {"hea2_b1/zero/tfim", 0xbd85f5df2322cbb8ull},
+    {"hea2_b1/zero/xxz", 0x8208b0d7006a7278ull},
+    {"hea2_b1/pi/tfim", 0xa12d12c50c52efd9ull},
+    {"hea2_b1/pi/xxz", 0x236851c423064148ull},
+    {"hea4_b0/rand/tfim", 0xd26da2dd5b33112eull},
+    {"hea4_b0/rand/xxz", 0x5d4479e2bdb9aafeull},
+    {"hea4_b0/zero/tfim", 0xf6aa8c74168bc258ull},
+    {"hea4_b0/zero/xxz", 0xaf8e06f96e34a7d8ull},
+    {"hea4_b0/pi/tfim", 0x7dc00c9696f5044cull},
+    {"hea4_b0/pi/xxz", 0x6c5635e3a4ec6b61ull},
+    {"hea4_b5/rand/tfim", 0x24f2e6e3d1f53284ull},
+    {"hea4_b5/rand/xxz", 0xfbe37ffe3f129091ull},
+    {"hea4_b5/zero/tfim", 0x894b43c15de22dd8ull},
+    {"hea4_b5/zero/xxz", 0xb888e90f6ec60e58ull},
+    {"hea4_b5/pi/tfim", 0xa876c483eee08178ull},
+    {"hea4_b5/pi/xxz", 0x03bedc64284f6190ull},
+    {"hea6_b0/rand/tfim", 0x129aaae9b5a9a1a1ull},
+    {"hea6_b0/rand/xxz", 0xb17d89069ea255d1ull},
+    {"hea6_b0/zero/tfim", 0x29afb7fab6d6ce78ull},
+    {"hea6_b0/zero/xxz", 0x86180ebad06412b8ull},
+    {"hea6_b0/pi/tfim", 0x59e8920316b3cd17ull},
+    {"hea6_b0/pi/xxz", 0x03d3c0af3b1b6586ull},
+    {"hea6_b21/rand/tfim", 0x230c519022299a09ull},
+    {"hea6_b21/rand/xxz", 0x55ab2971eef88aa2ull},
+    {"hea6_b21/zero/tfim", 0xb53dd95bcfbeb578ull},
+    {"hea6_b21/zero/xxz", 0xea2a50284a2179b8ull},
+    {"hea6_b21/pi/tfim", 0xc42eff11c278b1ffull},
+    {"hea6_b21/pi/xxz", 0x1499465f7a4f85b9ull},
+    {"hea8_b0/rand/tfim", 0x1602ea9d09a2ac4full},
+    {"hea8_b0/rand/xxz", 0x8d69af65d9df9fdbull},
+    {"hea8_b0/zero/tfim", 0x5b08ee243c2e5718ull},
+    {"hea8_b0/zero/xxz", 0x1e008a87e16fc818ull},
+    {"hea8_b0/pi/tfim", 0xfc193aed477bec78ull},
+    {"hea8_b0/pi/xxz", 0x3e5a0084ff1021a0ull},
+    {"hea8_b85/rand/tfim", 0x68b126c3bf14b0a9ull},
+    {"hea8_b85/rand/xxz", 0x6e6b6c45307f2976ull},
+    {"hea8_b85/zero/tfim", 0x7d886b730f7b1b98ull},
+    {"hea8_b85/zero/xxz", 0x5850f80baecc7598ull},
+    {"hea8_b85/pi/tfim", 0x67e5f7e641f78e0dull},
+    {"hea8_b85/pi/xxz", 0x2f1e0f71483f4f60ull},
+    {"hea16_b0/rand/tfim", 0x5421c7d566f2797cull},
+    {"hea16_b0/rand/xxz", 0x29e2994ba0fa603eull},
+    {"hea16_b0/zero/tfim", 0x5dca7a2a33d64098ull},
+    {"hea16_b0/zero/xxz", 0x91c68a7b1e31e498ull},
+    {"hea16_b0/pi/tfim", 0xc8b9fe127a46a501ull},
+    {"hea16_b0/pi/xxz", 0xd156fc98550d11abull},
+    {"hea16_b21845/rand/tfim", 0x2b3708e07007c58cull},
+    {"hea16_b21845/rand/xxz", 0x7aab671cc6fe80c0ull},
+    {"hea16_b21845/zero/tfim", 0xae736958920e8e18ull},
+    {"hea16_b21845/zero/xxz", 0xa5fb151319ced218ull},
+    {"hea16_b21845/pi/tfim", 0xecfb01b055b09374ull},
+    {"hea16_b21845/pi/xxz", 0x16ca5c5cc05727f8ull},
+    {"maqaoa6/rand/tfim", 0x09682caec1109172ull},
+    {"maqaoa6/rand/xxz", 0xdf07b13ca47d751eull},
+    {"maqaoa6/zero/tfim", 0xd071766df3c19835ull},
+    {"maqaoa6/zero/xxz", 0xa8b16197ec6ae4caull},
+    {"maqaoa6/pi/tfim", 0x9d9cec6ff3ff6c29ull},
+    {"maqaoa6/pi/xxz", 0x51b1571e5f49d34full},
+    {"uccsd_min/rand/tfim", 0x42edb285ed9ca198ull},
+    {"uccsd_min/rand/xxz", 0xfc4ef282e1106218ull},
+    {"uccsd_min/zero/tfim", 0xf059c649dc99d948ull},
+    {"uccsd_min/zero/xxz", 0x1569ba07f7271dc8ull},
+    {"uccsd_min/pi/tfim", 0x98424b726a14def0ull},
+    {"uccsd_min/pi/xxz", 0x66d738287884b470ull},
+    {"mixed1/rand/tfim", 0x742f012af441859eull},
+    {"mixed1/rand/xxz", 0x55af8b632006d09full},
+    {"mixed1/zero/tfim", 0x343087f23acbe754ull},
+    {"mixed1/zero/xxz", 0xf47c077e78d9149eull},
+    {"mixed1/pi/tfim", 0xa8a521c26a0c08f8ull},
+    {"mixed1/pi/xxz", 0xd3633d13f47cc348ull},
+    {"mixed2/rand/tfim", 0xc03927b462a4b4abull},
+    {"mixed2/rand/xxz", 0xff0855fd447620a0ull},
+    {"mixed2/zero/tfim", 0xd2edf47fe8f3c99eull},
+    {"mixed2/zero/xxz", 0xb8caccc806bd0f12ull},
+    {"mixed2/pi/tfim", 0x843d712f417fe17bull},
+    {"mixed2/pi/xxz", 0xfda3df2e79901bdfull},
+    {"mixed3/rand/tfim", 0x623dbcdaaf6acbf3ull},
+    {"mixed3/rand/xxz", 0xd23429e41180e87dull},
+    {"mixed3/zero/tfim", 0x0f8f29fc3d4672baull},
+    {"mixed3/zero/xxz", 0x6a74d83a458be2beull},
+    {"mixed3/pi/tfim", 0xd75775a11dc2b98cull},
+    {"mixed3/pi/xxz", 0x9e2a041c0cda02fbull},
+    {"mixed4/rand/tfim", 0x9d998fe50c8a55deull},
+    {"mixed4/rand/xxz", 0xbe5a3540daa643aeull},
+    {"mixed4/zero/tfim", 0x92ced95d74fa1f50ull},
+    {"mixed4/zero/xxz", 0x3fac9a4c784049deull},
+    {"mixed4/pi/tfim", 0xd00c0c21baabaae3ull},
+    {"mixed4/pi/xxz", 0x34cfc7a180a2434bull},
+    {"mixed5/rand/tfim", 0xb15ff218a5b6e608ull},
+    {"mixed5/rand/xxz", 0x2d98660d46130788ull},
+    {"mixed5/zero/tfim", 0x1833851c2dd31dc9ull},
+    {"mixed5/zero/xxz", 0xeaeff0b0d18712f5ull},
+    {"mixed5/pi/tfim", 0x1e725bd46761981full},
+    {"mixed5/pi/xxz", 0xddbdb7d6f17dcc27ull},
+    {"mixed6/rand/tfim", 0x9997a87dbc15008aull},
+    {"mixed6/rand/xxz", 0x3dfed01775a71bd1ull},
+    {"mixed6/zero/tfim", 0x5e31111666a5367cull},
+    {"mixed6/zero/xxz", 0x1c70427afd46be2eull},
+    {"mixed6/pi/tfim", 0x70314379c098bed7ull},
+    {"mixed6/pi/xxz", 0x88ed9024381afbd3ull},
+};
+
 TEST(ExpectationPlan, MatchesParentDigests)
 {
-    for (const std::size_t lanes : {1u, 4u}) {
-        PoolSizeGuard guard(lanes);
-        const auto rows = planDigests();
-        EXPECT_EQ(rows.size(), std::size(kParentPlanDigests));
-        for (std::size_t i = 0;
-             i < std::min(rows.size(), std::size(kParentPlanDigests)); ++i) {
-            EXPECT_EQ(rows[i].first, kParentPlanDigests[i].key);
-            EXPECT_EQ(rows[i].second, kParentPlanDigests[i].value)
-                << rows[i].first << " at " << lanes << " lanes";
-        }
-        if (HasFailure()) {
-            printDigestTable(rows);
-            return;
+    expectPinnedDigests(planDigests, kParentPlanDigestsFused,
+                        kParentPlanDigestsUnfused);
+}
+
+TEST(ExpectationPlan, PairProductWalksAgree)
+{
+#ifdef __AVX512F__
+    // processBlock takes the eight-wide gather whenever a block's pair
+    // count is a multiple of 8 and the run walk otherwise; both must
+    // give every product the same bits, at every X mask.
+    Rng rng(4242);
+    for (const int n : {4, 5, 7, 12}) {
+        Statevector state(n);
+        for (Complex &a : state.amplitudes())
+            a = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+        const std::size_t range = state.dim() / 2;
+        std::vector<std::uint64_t> masks;
+        for (std::uint64_t xm = 1; xm < state.dim(); ++xm)
+            if (n <= 7 || std::popcount(xm) <= 2)
+                masks.push_back(xm);
+        for (const std::uint64_t xm : masks) {
+            const std::size_t hbit = std::bit_floor(xm);
+            for (std::size_t k0 = 0; k0 < range; k0 += 1024) {
+                const std::size_t kn = std::min<std::size_t>(1024,
+                                                             range - k0);
+                alignas(64) double runs_re[1024], runs_im[1024];
+                alignas(64) double wide_re[1024], wide_im[1024];
+                detail::pairProductRuns(xm, hbit, k0, kn,
+                                        state.amplitudes().data(),
+                                        runs_re, runs_im);
+                detail::pairProducts8(xm, hbit, k0, kn,
+                                      state.amplitudes().data(), wide_re,
+                                      wide_im);
+                EXPECT_EQ(std::memcmp(runs_re, wide_re, kn * sizeof(double)),
+                          0)
+                    << "n " << n << " xm " << xm << " k0 " << k0;
+                EXPECT_EQ(std::memcmp(runs_im, wide_im, kn * sizeof(double)),
+                          0)
+                    << "n " << n << " xm " << xm << " k0 " << k0;
+            }
         }
     }
+#else
+    GTEST_SKIP() << "pairProducts8 needs AVX-512; this build runs "
+                    "pairProductRuns for every block";
+#endif
 }
 
 TEST(ExpectationPlan, PauliSumPlanRecombinesToTheOverload)

@@ -565,5 +565,93 @@ TEST(Statevector, DiagonalKernelMatchesGate1)
     }
 }
 
+/** The amplitudes' parts with -0 folded into +0. */
+std::vector<double>
+foldedParts(const Statevector &s)
+{
+    std::vector<double> parts;
+    for (const Complex &a : s.amplitudes()) {
+        parts.push_back(a.real() + 0.0);
+        parts.push_back(a.imag() + 0.0);
+    }
+    return parts;
+}
+
+/** `s` with qubits a and b exchanged (pure moves). */
+Statevector
+swapQubits(const Statevector &s, int a, int b)
+{
+    Statevector out(s.numQubits());
+    for (std::size_t i = 0; i < s.dim(); ++i) {
+        const std::size_t bit_a = (i >> a) & 1, bit_b = (i >> b) & 1;
+        const std::size_t j = (i & ~((std::size_t{1} << a)
+                                     | (std::size_t{1} << b)))
+                            | (bit_a << b) | (bit_b << a);
+        out.amplitudes()[j] = s.amplitudes()[i];
+    }
+    return out;
+}
+
+TEST(Statevector, Gate1BitsDoNotDependOnTheTarget)
+{
+    // Every target's pass (the low-target vector passes included) must
+    // give an amplitude the bits of the widest stride's pass: a gate on
+    // q equals the same gate on the top qubit with q and the top qubit
+    // exchanged around it, up to the sign of exact zeros.
+    Rng rng(2024);
+    const auto entry = [&rng] {
+        return Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    };
+    for (const int n : {3, 5, 7, 10}) {
+        const Statevector base = randomState(n, 300 + n);
+        const Gate1q g{entry(), entry(), entry(), entry()};
+        const Complex d0 = entry(), d1 = entry();
+        const int top = n - 1;
+        for (int q = 0; q < top; ++q) {
+            Statevector direct = base;
+            direct.applyGate1(q, g);
+            Statevector moved = swapQubits(base, q, top);
+            moved.applyGate1(top, g);
+            EXPECT_EQ(foldedParts(direct),
+                      foldedParts(swapQubits(moved, q, top)))
+                << "Gate1 n " << n << " q " << q;
+
+            direct = base;
+            direct.applyDiag1(q, d0, d1);
+            moved = swapQubits(base, q, top);
+            moved.applyDiag1(top, d0, d1);
+            EXPECT_EQ(foldedParts(direct),
+                      foldedParts(swapQubits(moved, q, top)))
+                << "Diag1 n " << n << " q " << q;
+        }
+    }
+}
+
+TEST(Statevector, CxOnlyMovesAmplitudes)
+{
+    // A Cx permutes the amplitudes: each must land, bits intact, on
+    // the index with the target flipped where the control is set.
+    for (const int n : {2, 3, 4, 6, 9}) {
+        const Statevector base = randomState(n, 700 + n);
+        for (int c = 0; c < n; ++c)
+            for (int t = 0; t < n; ++t) {
+                if (c == t)
+                    continue;
+                Statevector s = base;
+                s.applyCx(c, t);
+                for (std::size_t i = 0; i < base.dim(); ++i) {
+                    const std::size_t j =
+                        (i >> c) & 1 ? i ^ (std::size_t{1} << t) : i;
+                    EXPECT_EQ(std::memcmp(&s.amplitudes()[j],
+                                          &base.amplitudes()[i],
+                                          sizeof(Complex)),
+                              0)
+                        << "n " << n << " cx(" << c << ", " << t
+                        << ") amplitude " << i;
+                }
+            }
+    }
+}
+
 } // namespace
 } // namespace treevqa
