@@ -1,8 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the hot kernels underneath every experiment: gate
- * application, batched Pauli expectations and the cluster objective
- * evaluation. Each optimized kernel is timed against its
+ * application, batched Pauli expectations, the exact ground-state
+ * solvers and the cluster objective evaluation. Each optimized kernel is timed against its
  * pre-optimization reference (see sim/reference_kernels.h) over a
  * qubit sweep, so the speedup trajectory stays measurable across PRs.
  *
@@ -44,6 +44,8 @@
 #include "dist/worker_daemon.h"
 #include "ham/spin_chains.h"
 #include "ham/synthetic_molecule.h"
+#include "linalg/jacobi.h"
+#include "linalg/lanczos.h"
 #include "paulprop/pauli_propagation.h"
 #include "sim/expectation.h"
 #include "sim/reference_kernels.h"
@@ -412,6 +414,50 @@ benchPaperScaleKernels(int n)
     Statevector prepared(n);
     series("hea_prepare", n, [&] { ansatz.prepareInto(prepared, params); },
            [&] { refPrepare(ansatz, params, prepared); });
+}
+
+/**
+ * One exact ground-state solve (the fidelity metric's reference), a
+ * TFIM through lanczosGroundState against the pre-rewrite solver
+ * (refLanczosGroundState), both from the same seed: the same draws,
+ * Krylov dimension and bits. A 6-qubit solve is mostly Jacobi on the
+ * 64x64 tridiagonal; at 12 qubits the reorthogonalisation dominates.
+ */
+void
+benchLanczosGround(int n)
+{
+    const PauliSum h = transverseFieldIsing(n, 1.0, 0.9);
+    const std::size_t dim = std::size_t{1} << n;
+    const MatVec matvec = [&h](const CVector &x, CVector &y) {
+        h.applyTo(x, y);
+    };
+    const auto [fast_ns, ref_ns] = timePairNs(
+        [&] {
+            Rng rng(3);
+            lanczosGroundState(dim, matvec, rng);
+        },
+        [&] {
+            Rng rng(3);
+            refLanczosGroundState(dim, matvec, rng);
+        });
+    record("lanczos_ground", n, fast_ns, ref_ns, 0.0, true);
+}
+
+/** jacobiEigen on a random m x m tridiagonal, Lanczos' Rayleigh-matrix
+ * shape, against refJacobiEigen. The `qubits` field carries m. */
+void
+benchJacobiTridiag(int m)
+{
+    Rng rng(static_cast<std::uint64_t>(m));
+    Matrix t(m, m, 0.0);
+    for (int i = 0; i < m; ++i) {
+        t(i, i) = rng.uniform(-1.0, 1.0);
+        if (i + 1 < m)
+            t(i, i + 1) = t(i + 1, i) = rng.uniform(-1.0, 1.0);
+    }
+    const auto [fast_ns, ref_ns] = timePairNs([&] { jacobiEigen(t); },
+                                              [&] { refJacobiEigen(t); });
+    record("jacobi_tridiag", m, fast_ns, ref_ns, 0.0, true);
 }
 
 /** Bytes the batched evaluator reads: the whole state once per X-mask
@@ -1126,6 +1172,11 @@ main()
         std::printf("--- %d qubits (paper scale) ---\n", n);
         benchPaperScaleKernels(n);
     }
+    std::printf("--- exact ground states (1 lane) ---\n");
+    for (int n : {6, 10, 12})
+        benchLanczosGround(n);
+    for (int m : {64, 160})
+        benchJacobiTridiag(m);
     std::printf("--- planned expectations (TFIM, 1 lane) ---\n");
     for (int n : {2, 6, 16})
         benchExpectationPlan(n);

@@ -1,5 +1,7 @@
 #include "core/vqa_task.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "linalg/lanczos.h"
 
@@ -28,19 +30,36 @@ makeTasks(const std::string &name_prefix,
 void
 solveGroundEnergies(std::vector<VqaTask> &tasks, std::uint64_t seed)
 {
-    Rng rng(seed);
-    for (auto &task : tasks) {
-        if (task.hasGroundEnergy())
-            continue;
-        const std::size_t dim =
-            std::size_t{1} << task.hamiltonian.numQubits();
+    const auto problemOf = [](const VqaTask &task) {
         const PauliSum &h = task.hamiltonian;
-        const MatVec matvec = [&h](const CVector &x, CVector &y) {
-            h.applyTo(x, y);
-        };
+        return LanczosProblem{
+            std::size_t{1} << h.numQubits(),
+            [&h](const CVector &x, CVector &y) { h.applyTo(x, y); }};
+    };
+    const auto unsolved = [](const VqaTask &task) {
+        return !task.hasGroundEnergy();
+    };
+
+    Rng rng(seed);
+    // One task (every sweep job's reference): no pool dispatch and no
+    // batch.
+    if (std::count_if(tasks.begin(), tasks.end(), unsolved) == 1) {
+        VqaTask &task = *std::find_if(tasks.begin(), tasks.end(), unsolved);
+        const LanczosProblem problem = problemOf(task);
         task.groundEnergy =
-            lanczosGroundState(dim, matvec, rng).eigenvalue;
+            lanczosGroundState(problem.dim, problem.matvec, rng).eigenvalue;
+        return;
     }
+    std::vector<LanczosProblem> problems;
+    for (const VqaTask &task : tasks)
+        if (unsolved(task))
+            problems.push_back(problemOf(task));
+    const std::vector<LanczosResult> results =
+        lanczosGroundStates(problems, rng);
+    std::size_t next = 0;
+    for (VqaTask &task : tasks)
+        if (unsolved(task))
+            task.groundEnergy = results[next++].eigenvalue;
 }
 
 } // namespace treevqa

@@ -41,6 +41,14 @@ std::vector<VqaTask> makeTasks(const std::string &name_prefix,
  * Fill in ground energies by Lanczos over the dense statevector space.
  * Only valid for dense-simulable sizes (<= ~20 qubits); large problems
  * keep NaN and use surrogate references as the paper does (Section 8.4).
+ *
+ * The tasks without an energy are solved concurrently on
+ * ThreadPool::global() (lanczosGroundStates), with results bitwise
+ * equal to the serial loop's at any pool size: every start vector is
+ * drawn from the one Rng in task order, and from the first task that
+ * restarts the solves fall back to serial, so its restart draws follow
+ * in order. A call with one such task solves it directly, with no
+ * dispatch.
  */
 void solveGroundEnergies(std::vector<VqaTask> &tasks,
                          std::uint64_t seed = 0x9d5f);

@@ -4,9 +4,20 @@
  *
  * Used for the small classical eigenproblems in TreeVQA: the normalized
  * graph Laplacian of the task-similarity matrix (spectral clustering,
- * Section 5.2.5) and the Fock/overlap matrices in the Hartree-Fock
- * substrate. Matrix orders are tens at most, where Jacobi is simple,
- * robust and plenty fast.
+ * Section 5.2.5), the Fock/overlap matrices in the Hartree-Fock
+ * substrate, and the Krylov tridiagonal of every Lanczos solve (order
+ * up to 160), which sets the cost of the exact ground energies.
+ *
+ * Bit contract: the results are bitwise equal to the pre-rewrite
+ * solver's (refJacobiEigen in sim/reference_kernels.h) in any build.
+ * The rotations are the same and run in the same order, every entry
+ * goes through the same operations in the same order, and each
+ * rotation's arithmetic is written out with its contraction (fmadd),
+ * the one the compiler gave the original loops. What differs is the
+ * memory layout (the eigenvectors accumulate transposed, the working
+ * matrix's row stride is padded) and when a row takes its column
+ * updates: those of up to eight rotations wait in a batch that each row
+ * takes in one visit.
  */
 
 #ifndef TREEVQA_LINALG_JACOBI_H

@@ -11,12 +11,23 @@
  *
  * Full reorthogonalization is used: the Krylov dimensions involved
  * (<= ~200) make it cheap and it eliminates ghost eigenvalues.
+ *
+ * Bit contract: results are bitwise equal to the pre-rewrite solver's
+ * (refLanczosGroundState in sim/reference_kernels.h) in any build, at
+ * any pool size. The pass works in real arithmetic on one contiguous
+ * Krylov buffer, and every complex product is written out with its
+ * contraction (fmadd), the one the compiler gave the std::complex code
+ * at that site; every sum keeps its index order. lanczosGroundStates
+ * draws every start vector in problem order and falls back to serial
+ * solves from the first problem that restarts, so its draws follow the
+ * serial order too.
  */
 
 #ifndef TREEVQA_LINALG_LANCZOS_H
 #define TREEVQA_LINALG_LANCZOS_H
 
 #include <functional>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -54,6 +65,27 @@ struct LanczosResult
 LanczosResult lanczosGroundState(std::size_t dim, const MatVec &matvec,
                                  Rng &rng, int max_krylov = 160,
                                  double tol = 1e-9, int restarts = 6);
+
+/** One operator of a batch: its dimension and its matvec. */
+struct LanczosProblem
+{
+    std::size_t dim = 0;
+    MatVec matvec;
+};
+
+/**
+ * lanczosGroundState on every problem, bitwise equal to calling it on
+ * each in turn with the one `rng`, which is left where that loop would
+ * leave it. The start vectors are drawn in problem order; the first
+ * passes then run concurrently on ThreadPool::global(). A first pass
+ * that does not converge restarts from where its start vector left the
+ * generator, and every problem after it is solved again, serially, so
+ * the restart draws follow in order. The matvecs must be safe to call
+ * concurrently.
+ */
+std::vector<LanczosResult> lanczosGroundStates(
+    const std::vector<LanczosProblem> &problems, Rng &rng,
+    int max_krylov = 160, double tol = 1e-9, int restarts = 6);
 
 } // namespace treevqa
 

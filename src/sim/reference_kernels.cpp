@@ -1,8 +1,10 @@
 #include "sim/reference_kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 namespace treevqa {
@@ -321,6 +323,231 @@ refPerStringExpectations(const Statevector &state,
         }
     }
     return out;
+}
+
+namespace {
+
+/** Frobenius norm of the strict upper triangle. */
+double
+refOffDiagonalNorm(const Matrix &a)
+{
+    double s = 0.0;
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = i + 1; j < a.cols(); ++j)
+            s += a(i, j) * a(i, j);
+    return std::sqrt(s);
+}
+
+} // namespace
+
+EigenDecomposition
+refJacobiEigen(const Matrix &a_in, double tol, int max_sweeps)
+{
+    assert(a_in.rows() == a_in.cols());
+    assert(a_in.isSymmetric(1e-9));
+
+    const std::size_t n = a_in.rows();
+    Matrix a = a_in;
+    Matrix v = Matrix::identity(n);
+
+    EigenDecomposition out;
+    out.converged = false;
+
+    for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+        if (refOffDiagonalNorm(a) < tol) {
+            out.converged = true;
+            out.sweeps = sweep;
+            break;
+        }
+        for (std::size_t p = 0; p + 1 < n; ++p) {
+            for (std::size_t q = p + 1; q < n; ++q) {
+                const double apq = a(p, q);
+                if (std::fabs(apq) < 1e-300)
+                    continue;
+                const double app = a(p, p);
+                const double aqq = a(q, q);
+                const double theta = (aqq - app) / (2.0 * apq);
+                // Stable tangent of the rotation angle.
+                const double t = (theta >= 0.0)
+                    ? 1.0 / (theta + std::sqrt(1.0 + theta * theta))
+                    : 1.0 / (theta - std::sqrt(1.0 + theta * theta));
+                const double c = 1.0 / std::sqrt(1.0 + t * t);
+                const double s = t * c;
+
+                for (std::size_t k = 0; k < n; ++k) {
+                    const double akp = a(k, p);
+                    const double akq = a(k, q);
+                    a(k, p) = c * akp - s * akq;
+                    a(k, q) = s * akp + c * akq;
+                }
+                for (std::size_t k = 0; k < n; ++k) {
+                    const double apk = a(p, k);
+                    const double aqk = a(q, k);
+                    a(p, k) = c * apk - s * aqk;
+                    a(q, k) = s * apk + c * aqk;
+                }
+                for (std::size_t k = 0; k < n; ++k) {
+                    const double vkp = v(k, p);
+                    const double vkq = v(k, q);
+                    v(k, p) = c * vkp - s * vkq;
+                    v(k, q) = s * vkp + c * vkq;
+                }
+            }
+        }
+        out.sweeps = sweep + 1;
+    }
+    if (!out.converged && refOffDiagonalNorm(a) < tol)
+        out.converged = true;
+
+    // Sort eigenpairs ascending.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+        return a(i, i) < a(j, j);
+    });
+
+    out.values.resize(n);
+    out.vectors = Matrix(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+        out.values[j] = a(order[j], order[j]);
+        for (std::size_t i = 0; i < n; ++i)
+            out.vectors(i, j) = v(i, order[j]);
+    }
+    return out;
+}
+
+namespace {
+
+double
+refCnorm(const CVector &v)
+{
+    double s = 0.0;
+    for (const auto &z : v)
+        s += std::norm(z);
+    return std::sqrt(s);
+}
+
+Complex
+refCdot(const CVector &a, const CVector &b)
+{
+    Complex s = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        s += std::conj(a[i]) * b[i];
+    return s;
+}
+
+void
+refNormalize(CVector &v)
+{
+    const double n = refCnorm(v);
+    if (n == 0.0)
+        return;
+    for (auto &z : v)
+        z /= n;
+}
+
+LanczosResult
+refLanczosPass(std::size_t dim, const MatVec &matvec, const CVector &start,
+               int max_krylov, double tol)
+{
+    std::vector<CVector> basis;
+    std::vector<double> alpha;
+    std::vector<double> beta; // beta[j] couples basis[j] and basis[j+1]
+
+    CVector q = start;
+    refNormalize(q);
+    basis.push_back(q);
+
+    CVector w(dim);
+    LanczosResult out;
+
+    for (int j = 0; j < max_krylov; ++j) {
+        matvec(basis[j], w);
+        const double a = std::real(refCdot(basis[j], w));
+        alpha.push_back(a);
+
+        // w -= alpha_j q_j + beta_{j-1} q_{j-1}; then full reorth.
+        for (std::size_t i = 0; i < dim; ++i)
+            w[i] -= a * basis[j][i];
+        if (j > 0)
+            for (std::size_t i = 0; i < dim; ++i)
+                w[i] -= beta[j - 1] * basis[j - 1][i];
+        for (const auto &qk : basis) {
+            const Complex c = refCdot(qk, w);
+            if (std::abs(c) > 1e-14)
+                for (std::size_t i = 0; i < dim; ++i)
+                    w[i] -= c * qk[i];
+        }
+
+        const double b = refCnorm(w);
+        if (b < 1e-12 || j == max_krylov - 1) {
+            // Krylov space exhausted (invariant subspace) or cap hit.
+            break;
+        }
+        beta.push_back(b);
+        CVector next(dim);
+        for (std::size_t i = 0; i < dim; ++i)
+            next[i] = w[i] / b;
+        basis.push_back(std::move(next));
+    }
+
+    const std::size_t m = alpha.size();
+    out.krylovDim = static_cast<int>(m);
+
+    // Diagonalize the tridiagonal Rayleigh matrix with the dense Jacobi
+    // solver.
+    Matrix t(m, m, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+        t(i, i) = alpha[i];
+        if (i + 1 < m) {
+            t(i, i + 1) = beta[i];
+            t(i + 1, i) = beta[i];
+        }
+    }
+    EigenDecomposition ed = refJacobiEigen(t);
+    out.eigenvalue = ed.values[0];
+
+    out.eigenvector.assign(dim, Complex(0.0, 0.0));
+    for (std::size_t j = 0; j < m; ++j) {
+        const double coef = ed.vectors(j, 0);
+        for (std::size_t i = 0; i < dim; ++i)
+            out.eigenvector[i] += coef * basis[j][i];
+    }
+    refNormalize(out.eigenvector);
+
+    matvec(out.eigenvector, w);
+    for (std::size_t i = 0; i < dim; ++i)
+        w[i] -= out.eigenvalue * out.eigenvector[i];
+    out.residual = refCnorm(w);
+    out.converged = out.residual < tol;
+    return out;
+}
+
+} // namespace
+
+LanczosResult
+refLanczosGroundState(std::size_t dim, const MatVec &matvec, Rng &rng,
+                      int max_krylov, double tol, int restarts)
+{
+    assert(dim > 0);
+
+    CVector start(dim);
+    for (auto &z : start)
+        z = Complex(rng.normal(), rng.normal());
+
+    LanczosResult best = refLanczosPass(dim, matvec, start, max_krylov, tol);
+    for (int r = 0; r < restarts && !best.converged; ++r) {
+        // Implicit restart: new pass seeded from the current Ritz vector,
+        // lightly perturbed so a locked-in invariant subspace can escape.
+        CVector seed = best.eigenvector;
+        for (auto &z : seed)
+            z += 1e-6 * Complex(rng.normal(), rng.normal());
+        LanczosResult next =
+            refLanczosPass(dim, matvec, seed, max_krylov, tol);
+        if (next.eigenvalue <= best.eigenvalue || next.converged)
+            best = std::move(next);
+    }
+    return best;
 }
 
 } // namespace treevqa

@@ -15,6 +15,12 @@
  *    passes with a branch per element; Rxx as 5 passes via H
  *    conjugation, Ryy as 9). bench_micro_kernels times the optimized
  *    kernels against these so the speedup trajectory stays measurable.
+ *
+ *  - Pre-rewrite solvers (refJacobiEigen, refLanczosGroundState): the
+ *    dense Jacobi with its column-strided eigenvector updates and the
+ *    Lanczos pass on std::complex vectors. The rewritten solvers must
+ *    return the same bits; the tests compare the two by memcmp and
+ *    bench_micro_kernels times one against the other.
  */
 
 #ifndef TREEVQA_SIM_REFERENCE_KERNELS_H
@@ -23,6 +29,8 @@
 #include <array>
 #include <vector>
 
+#include "linalg/jacobi.h"
+#include "linalg/lanczos.h"
 #include "pauli/pauli_string.h"
 #include "pauli/pauli_sum.h"
 #include "sim/statevector.h"
@@ -69,6 +77,16 @@ void refApplyRyy(Statevector &state, int a, int b, double theta);
  * loop with per-element branch, no blocking or pairing. */
 std::vector<double> refPerStringExpectations(
     const Statevector &state, const std::vector<PauliString> &strings);
+
+/** jacobiEigen before the rewrite: same arguments, same results. */
+EigenDecomposition refJacobiEigen(const Matrix &a, double tol = 1e-12,
+                                  int max_sweeps = 100);
+
+/** lanczosGroundState before the rewrite, with refJacobiEigen on the
+ * Krylov tridiagonal: same arguments, same draws, same results. */
+LanczosResult refLanczosGroundState(std::size_t dim, const MatVec &matvec,
+                                    Rng &rng, int max_krylov = 160,
+                                    double tol = 1e-9, int restarts = 6);
 
 } // namespace treevqa
 

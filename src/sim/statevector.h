@@ -33,17 +33,6 @@ cmul(const Complex &a, const Complex &b)
                    a.real() * b.imag() + a.imag() * b.real());
 }
 
-/** x * y + z, rounded once where the target has FMA. */
-inline double
-fmadd(double x, double y, double z)
-{
-#ifdef __FP_FAST_FMA
-    return std::fma(x, y, z);
-#else
-    return x * y + z;
-#endif
-}
-
 /** cmul with its contraction spelled out: each part's first product
  * is fused with the rounded second one. That is what the compiler
  * makes of cmul in a scalar loop; left to itself it contracts some

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "linalg/jacobi.h"
+#include "sim/reference_kernels.h"
 
 namespace treevqa {
 namespace {
@@ -150,6 +152,62 @@ TEST_P(JacobiSizeSweep, ConvergesAndReconstructs)
 INSTANTIATE_TEST_SUITE_P(Sizes, JacobiSizeSweep,
                          ::testing::Values(1u, 2u, 3u, 5u, 10u, 16u,
                                            24u));
+
+/** Every bit of both decompositions agrees. */
+void
+expectSameBits(const EigenDecomposition &got, const EigenDecomposition &ref)
+{
+    ASSERT_EQ(got.values.size(), ref.values.size());
+    ASSERT_EQ(got.vectors.data().size(), ref.vectors.data().size());
+    EXPECT_EQ(0, std::memcmp(got.values.data(), ref.values.data(),
+                             sizeof(double) * ref.values.size()));
+    EXPECT_EQ(0, std::memcmp(got.vectors.data().data(),
+                             ref.vectors.data().data(),
+                             sizeof(double) * ref.vectors.data().size()));
+    EXPECT_EQ(got.sweeps, ref.sweeps);
+    EXPECT_EQ(got.converged, ref.converged);
+}
+
+/** The matrix shapes the bit test runs at every order. */
+enum class Shape { Dense, Tridiagonal, SplitTridiagonal, Diagonal };
+
+Matrix
+shapedMatrix(std::size_t n, Shape shape, Rng &rng)
+{
+    Matrix a(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i; j < n; ++j) {
+            const bool keep = shape == Shape::Dense || j == i
+                || (j == i + 1 && shape == Shape::Tridiagonal)
+                || (j == i + 1 && shape == Shape::SplitTridiagonal
+                    && i % 3 != 1);
+            const double x = rng.uniform(-1.0, 1.0);
+            a(i, j) = a(j, i) = keep ? x : 0.0;
+        }
+    return a;
+}
+
+/** The rewritten solver runs the pre-rewrite rotations in the same
+ * order: bitwise equal to refJacobiEigen in this build, converged or
+ * cut after one sweep. SplitTridiagonal has exact-zero couplings (the
+ * Krylov tridiagonal's invariant-subspace shape), Diagonal needs no
+ * rotation at all. */
+TEST(Jacobi, MatchesReferenceBitwise)
+{
+    Rng rng(2024);
+    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u,
+                          12u, 32u, 64u, 100u, 160u}) {
+        for (Shape shape : {Shape::Dense, Shape::Tridiagonal,
+                            Shape::SplitTridiagonal, Shape::Diagonal}) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " shape="
+                                            << static_cast<int>(shape));
+            const Matrix a = shapedMatrix(n, shape, rng);
+            expectSameBits(jacobiEigen(a), refJacobiEigen(a));
+            expectSameBits(jacobiEigen(a, 1e-12, 1),
+                           refJacobiEigen(a, 1e-12, 1));
+        }
+    }
+}
 
 } // namespace
 } // namespace treevqa
