@@ -2,9 +2,10 @@
  * @file
  * Microbenchmarks of the hot kernels underneath every experiment: gate
  * application, batched Pauli expectations, the exact ground-state
- * solvers and the cluster objective evaluation. Each optimized kernel is timed against its
- * pre-optimization reference (see sim/reference_kernels.h) over a
- * qubit sweep, so the speedup trajectory stays measurable across PRs.
+ * solvers and the cluster objective evaluation. Each optimized kernel
+ * is timed against its pre-optimization reference (see
+ * sim/reference_kernels.h) over a qubit sweep, so the speedup
+ * trajectory stays measurable across PRs.
  *
  * Kernel series also carry the bytes they must move; each qubit count
  * times a memcpy over a state-sized buffer in the same run, so every
