@@ -1,7 +1,5 @@
 #include "core/vqa_task.h"
 
-#include <algorithm>
-
 #include "common/rng.h"
 #include "linalg/lanczos.h"
 
@@ -30,35 +28,21 @@ makeTasks(const std::string &name_prefix,
 void
 solveGroundEnergies(std::vector<VqaTask> &tasks, std::uint64_t seed)
 {
-    const auto problemOf = [](const VqaTask &task) {
-        const PauliSum &h = task.hamiltonian;
-        return LanczosProblem{
-            std::size_t{1} << h.numQubits(),
-            [&h](const CVector &x, CVector &y) { h.applyTo(x, y); }};
-    };
-    const auto unsolved = [](const VqaTask &task) {
-        return !task.hasGroundEnergy();
-    };
-
-    Rng rng(seed);
-    // One task (every sweep job's reference): no pool dispatch and no
-    // batch.
-    if (std::count_if(tasks.begin(), tasks.end(), unsolved) == 1) {
-        VqaTask &task = *std::find_if(tasks.begin(), tasks.end(), unsolved);
-        const LanczosProblem problem = problemOf(task);
-        task.groundEnergy =
-            lanczosGroundState(problem.dim, problem.matvec, rng).eigenvalue;
-        return;
-    }
     std::vector<LanczosProblem> problems;
-    for (const VqaTask &task : tasks)
-        if (unsolved(task))
-            problems.push_back(problemOf(task));
+    for (const VqaTask &task : tasks) {
+        if (task.hasGroundEnergy())
+            continue;
+        const PauliSum &h = task.hamiltonian;
+        problems.push_back(LanczosProblem{
+            std::size_t{1} << h.numQubits(),
+            [&h](const CVector &x, CVector &y) { h.applyTo(x, y); }});
+    }
+    Rng rng(seed);
     const std::vector<LanczosResult> results =
         lanczosGroundStates(problems, rng);
     std::size_t next = 0;
     for (VqaTask &task : tasks)
-        if (unsolved(task))
+        if (!task.hasGroundEnergy())
             task.groundEnergy = results[next++].eigenvalue;
 }
 

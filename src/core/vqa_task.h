@@ -47,8 +47,9 @@ std::vector<VqaTask> makeTasks(const std::string &name_prefix,
  * equal to the serial loop's at any pool size: every start vector is
  * drawn from the one Rng in task order, and from the first task that
  * restarts the solves fall back to serial, so its restart draws follow
- * in order. A call with one such task solves it directly, with no
- * dispatch.
+ * in order. A call with one such task runs inline, as ThreadPool::run
+ * does for one index. The energies are the pre-rewrite solver's bits
+ * in x86-64 GCC builds (see linalg/lanczos.h).
  */
 void solveGroundEnergies(std::vector<VqaTask> &tasks,
                          std::uint64_t seed = 0x9d5f);

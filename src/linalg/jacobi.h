@@ -9,11 +9,14 @@
  * up to 160), which sets the cost of the exact ground energies.
  *
  * Bit contract: the results are bitwise equal to the pre-rewrite
- * solver's (refJacobiEigen in sim/reference_kernels.h) in any build.
- * The rotations are the same and run in the same order, every entry
- * goes through the same operations in the same order, and each
- * rotation's arithmetic is written out with its contraction (fmadd),
- * the one the compiler gave the original loops. What differs is the
+ * solver's (refJacobiEigen in sim/reference_kernels.h) when both are
+ * built by GCC for x86-64, with or without FMA. The rotations are the
+ * same and run in the same order, every entry goes through the same
+ * operations in the same order, and each rotation's arithmetic is
+ * written out with its contraction (fmadd), the one GCC gave the
+ * original loops. Another compiler may contract the original loops
+ * differently (Clang contracts only within an expression), so there
+ * the two need not agree and the bit tests skip. What differs is the
  * memory layout (the eigenvectors accumulate transposed, the working
  * matrix's row stride is padded) and when a row takes its column
  * updates: those of up to eight rotations wait in a batch that each row

@@ -13,14 +13,16 @@
  * (<= ~200) make it cheap and it eliminates ghost eigenvalues.
  *
  * Bit contract: results are bitwise equal to the pre-rewrite solver's
- * (refLanczosGroundState in sim/reference_kernels.h) in any build, at
- * any pool size. The pass works in real arithmetic on one contiguous
- * Krylov buffer, and every complex product is written out with its
- * contraction (fmadd), the one the compiler gave the std::complex code
- * at that site; every sum keeps its index order. lanczosGroundStates
- * draws every start vector in problem order and falls back to serial
- * solves from the first problem that restarts, so its draws follow the
- * serial order too.
+ * (refLanczosGroundState in sim/reference_kernels.h) at any pool size,
+ * when both are built by GCC for x86-64, with or without FMA. The pass
+ * works in real arithmetic on one contiguous Krylov buffer, and every
+ * complex product is written out with its contraction (fmadd), the one
+ * GCC gave the std::complex code at that site; every sum keeps its
+ * index order. Another compiler may contract the std::complex code
+ * differently, so there the two need not agree and the bit tests skip.
+ * lanczosGroundStates draws every start vector in problem order and
+ * falls back to serial solves from the first problem that restarts, so
+ * its draws follow the serial order too.
  */
 
 #ifndef TREEVQA_LINALG_LANCZOS_H

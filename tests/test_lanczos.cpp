@@ -17,6 +17,7 @@
 #include "linalg/lanczos.h"
 #include "pauli/pauli_sum.h"
 #include "pool_size_guard.h"
+#include "reference_bits.h"
 #include "sim/reference_kernels.h"
 
 namespace treevqa {
@@ -198,6 +199,9 @@ expectMatchesReference(const PauliSum &h, std::uint64_t seed,
  * Jacobi on its tridiagonal, returns the pre-rewrite solver's bits. */
 TEST(Lanczos, MatchesReferenceBitwise)
 {
+    if (!kReferenceBitsKept)
+        GTEST_SKIP() << "the pre-rewrite bits are kept in x86-64 GCC "
+                        "builds only";
     for (int n = 2; n <= 12; ++n) {
         SCOPED_TRACE(testing::Message() << n << " qubits");
         expectMatchesReference(transverseFieldIsing(n, 1.0, 0.9), 10 + n);
@@ -223,6 +227,9 @@ TEST(Lanczos, MatchesReferenceBitwise)
  * concurrent first passes, the rest are solved serially. */
 TEST(Lanczos, BatchMatchesSerialReferenceAtAnyPoolSize)
 {
+    if (!kReferenceBitsKept)
+        GTEST_SKIP() << "the pre-rewrite bits are kept in x86-64 GCC "
+                        "builds only";
     // With a 6-vector cap the 2-qubit problems exhaust their space and
     // converge; the 6-qubit ones restart.
     std::vector<PauliSum> hs = {
@@ -266,6 +273,9 @@ TEST(Lanczos, BatchMatchesSerialReferenceAtAnyPoolSize)
  * pool sizes 1, 2 and 4, skipping tasks that already have one. */
 TEST(Lanczos, SolveGroundEnergiesMatchesSerialReference)
 {
+    if (!kReferenceBitsKept)
+        GTEST_SKIP() << "the pre-rewrite bits are kept in x86-64 GCC "
+                        "builds only";
     std::vector<VqaTask> tasks =
         makeTasks("TFIM", tfimFamily(6, 0.5, 1.5, 4), 0);
     for (VqaTask &task : makeTasks("XXZ", xxzFamily(8, 0.2, 1.2, 3), 0))
@@ -294,7 +304,7 @@ TEST(Lanczos, SolveGroundEnergiesMatchesSerialReference)
                 << solved[i].name;
     }
 
-    // One unsolved task: the direct path, same bits.
+    // One unsolved task: an inline batch of one, same bits.
     std::vector<VqaTask> one(tasks.begin(), tasks.begin() + 1);
     solveGroundEnergies(one);
     EXPECT_EQ(0, std::memcmp(&one[0].groundEnergy, &ref[0], sizeof(double)));
